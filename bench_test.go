@@ -363,7 +363,7 @@ func BenchmarkAblationMutexMapPut(b *testing.B) {
 
 // BenchmarkSnapshotRoundTrip measures the full durability cycle the
 // snapshot subsystem exists for: serialize a workspace holding an edge
-// table, its graph and a PageRank score map, then restore it into a fresh
+// table, its graph and a PageRank score vector, then restore it into a fresh
 // workspace. Per-object encode/decode runs in parallel.
 func BenchmarkSnapshotRoundTrip(b *testing.B) {
 	setupBench(b)

@@ -9,7 +9,7 @@ import (
 )
 
 // TestSnapshotFacade round-trips a full workspace — table with strings,
-// directed graph, undirected graph, score map — through the re-exported
+// directed graph, undirected graph, score vector — through the re-exported
 // snapshot API, checking fingerprints are reproduced.
 func TestSnapshotFacade(t *testing.T) {
 	ws := ringo.NewWorkspace()

@@ -72,8 +72,11 @@ func randomSeeds(g *ringo.Graph, k int) []int64 {
 }
 
 func topDegreeSeeds(g *ringo.Graph, k int) []int64 {
-	deg := map[int64]float64{}
-	g.ForNodes(func(id int64) { deg[id] = float64(g.OutDeg(id)) })
+	nodes := g.Nodes() // ascending, as Scores requires
+	deg := make(ringo.Scores, len(nodes))
+	for i, id := range nodes {
+		deg[i] = ringo.Scored{ID: id, Score: float64(g.OutDeg(id))}
+	}
 	scored := ringo.TopK(deg, k)
 	out := make([]int64, len(scored))
 	for i, s := range scored {

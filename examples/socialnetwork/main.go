@@ -62,7 +62,7 @@ func main() {
 	fmt.Printf("  approximate diameter: %d\n\n", diam)
 
 	fmt.Println("influence (PageRank, 10 iterations):")
-	pr := timed("pagerank", func() map[int64]float64 { return ringo.GetPageRank(g) })
+	pr := timed("pagerank", func() ringo.Scores { return ringo.GetPageRank(g) })
 	for i, s := range ringo.TopK(pr, 5) {
 		fmt.Printf("  %d. node %-8d rank %.5f\n", i+1, s.ID, s.Score)
 	}

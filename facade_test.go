@@ -68,8 +68,8 @@ func TestFacadeMotifsAndConvergedPageRank(t *testing.T) {
 		t.Fatalf("iters = %d", iters)
 	}
 	var sum float64
-	for _, v := range pr {
-		sum += v
+	for _, e := range pr {
+		sum += e.Score
 	}
 	if sum < 0.999 || sum > 1.001 {
 		t.Fatalf("converged sum = %v", sum)
@@ -301,9 +301,10 @@ func TestFacadeIncremental(t *testing.T) {
 	// Dynamic PageRank vs the cold oracle on the new view.
 	incr := ringo.PageRankIncr(v1, prev, 0.85, 1e-9)
 	cold := ringo.PageRankViewTol(v1, 0.85, 1e-9)
-	for id, want := range cold {
-		if d := math.Abs(incr[id] - want); d > 1e-6 {
-			t.Fatalf("PageRankIncr[%d] off by %g", id, d)
+	for _, want := range cold {
+		got, _ := incr.Get(want.ID)
+		if d := math.Abs(got - want.Score); d > 1e-6 {
+			t.Fatalf("PageRankIncr[%d] off by %g", want.ID, d)
 		}
 	}
 	// The round-1 batch contains a deletion: incremental WCC must refuse.

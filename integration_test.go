@@ -59,7 +59,7 @@ func TestWorkflowInvariantsProperty(t *testing.T) {
 			pr := ringo.GetPageRank(g)
 			var sum float64
 			for _, p := range pr {
-				sum += p
+				sum += p.Score
 			}
 			if sum < 0.999 || sum > 1.001 {
 				return false

@@ -43,15 +43,15 @@ func ClosenessView(v *graph.View, id int64) float64 {
 // n), scaled to estimate the full sum. Sampling uses the given seed;
 // results are deterministic for a fixed seed. Edge direction is ignored, as
 // in the usual social-network usage.
-func ApproxBetweenness(g *graph.Directed, samples int, seed int64) map[int64]float64 {
+func ApproxBetweenness(g *graph.Directed, samples int, seed int64) Scores {
 	return ApproxBetweennessView(graph.BuildView(g), samples, seed)
 }
 
 // ApproxBetweennessView is ApproxBetweenness over a prebuilt CSR view.
-func ApproxBetweennessView(v *graph.View, samples int, seed int64) map[int64]float64 {
+func ApproxBetweennessView(v *graph.View, samples int, seed int64) Scores {
 	n := v.NumNodes()
 	if n == 0 {
-		return map[int64]float64{}
+		return Scores{}
 	}
 	sources := make([]int32, n)
 	for i := range sources {
@@ -129,7 +129,7 @@ func ApproxBetweennessView(v *graph.View, samples int, seed int64) map[int64]flo
 	for i := range bc {
 		bc[i] *= scale / 2
 	}
-	return scoresToMap(v.IDs(), bc)
+	return newScores(v.IDs(), bc)
 }
 
 // undirectedAdj merges each node's out- and in-vectors into a sorted,

@@ -1,6 +1,7 @@
 package algo
 
 import (
+	"slices"
 	"testing"
 
 	"ringo/internal/graph"
@@ -32,12 +33,12 @@ func TestBetweennessPathMiddle(t *testing.T) {
 	bc := ApproxBetweenness(g, 1000, 1) // full computation (samples > n)
 	// On the 5-path, node 2 lies on the most shortest paths.
 	for _, id := range []int64{0, 1, 3, 4} {
-		if bc[2] <= bc[id] {
-			t.Fatalf("bc[2]=%v not above bc[%d]=%v", bc[2], id, bc[id])
+		if at(bc, 2) <= at(bc, id) {
+			t.Fatalf("bc[2]=%v not above bc[%d]=%v", at(bc, 2), id, at(bc, id))
 		}
 	}
 	// Exact values for the path: ends 0, next 3, middle 4.
-	if !approxEq(bc[0], 0, 1e-9) || !approxEq(bc[2], 4, 1e-9) || !approxEq(bc[1], 3, 1e-9) {
+	if !approxEq(at(bc, 0), 0, 1e-9) || !approxEq(at(bc, 2), 4, 1e-9) || !approxEq(at(bc, 1), 3, 1e-9) {
 		t.Fatalf("bc = %v", bc)
 	}
 }
@@ -46,10 +47,8 @@ func TestBetweennessSampledDeterministic(t *testing.T) {
 	g := completeUndirectedAsDirected(8)
 	a := ApproxBetweenness(g, 4, 42)
 	b := ApproxBetweenness(g, 4, 42)
-	for id, v := range a {
-		if b[id] != v {
-			t.Fatal("sampled betweenness not deterministic for fixed seed")
-		}
+	if !slices.Equal(a, b) {
+		t.Fatal("sampled betweenness not deterministic for fixed seed")
 	}
 }
 
@@ -108,12 +107,12 @@ func TestDegreeCentrality(t *testing.T) {
 	g.AddEdge(0, 1)
 	g.AddEdge(0, 2)
 	dc := DegreeCentrality(g)
-	if !approxEq(dc[0], 1, 1e-12) || !approxEq(dc[1], 0.5, 1e-12) {
+	if !approxEq(at(dc, 0), 1, 1e-12) || !approxEq(at(dc, 1), 0.5, 1e-12) {
 		t.Fatalf("degree centrality = %v", dc)
 	}
 	single := graph.NewUndirected()
 	single.AddNode(7)
-	if dc := DegreeCentrality(single); dc[7] != 0 {
+	if dc := DegreeCentrality(single); len(dc) != 1 || dc[0] != (Scored{7, 0}) {
 		t.Fatal("singleton centrality nonzero")
 	}
 }

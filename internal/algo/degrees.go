@@ -65,16 +65,15 @@ func DegreeHistogram(g *graph.Directed) [][2]int64 {
 
 // DegreeCentrality returns deg(v)/(n-1) per node of an undirected graph,
 // the normalized degree centrality measure.
-func DegreeCentrality(g *graph.Undirected) map[int64]float64 {
-	n := g.NumNodes()
-	out := make(map[int64]float64, n)
-	if n <= 1 {
-		g.ForNodes(func(id int64) { out[id] = 0 })
-		return out
+func DegreeCentrality(g *graph.Undirected) Scores {
+	ids := g.Nodes()
+	out := make(Scores, len(ids))
+	for i, id := range ids {
+		out[i].ID = id
+		if len(ids) > 1 {
+			out[i].Score = float64(g.Deg(id)) / float64(len(ids)-1)
+		}
 	}
-	g.ForNodes(func(id int64) {
-		out[id] = float64(g.Deg(id)) / float64(n-1)
-	})
 	return out
 }
 

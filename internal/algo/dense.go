@@ -44,16 +44,6 @@ func sortInt32(a []int32) {
 	slices.Sort(a)
 }
 
-// scoresToMap converts a dense score vector to the id-keyed map Ringo's
-// front-end verbs return (ready for TableFromMap).
-func scoresToMap(ids []int64, vals []float64) map[int64]float64 {
-	m := make(map[int64]float64, len(ids))
-	for i, id := range ids {
-		m[id] = vals[i]
-	}
-	return m
-}
-
 // parFill sets every element of a to v in parallel.
 func parFill(a []float64, v float64) {
 	par.For(len(a), func(lo, hi int) {

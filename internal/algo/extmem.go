@@ -52,9 +52,9 @@ func extNumBlocks(n int) int {
 // no blocks are skipped — the win over PageRankView is that the edge
 // arrays never occupy heap, only page cache. Scores are byte-identical to
 // PageRankView on the same view.
-func PageRankExt(v *graph.View, damping float64, iters int) map[int64]float64 {
+func PageRankExt(v *graph.View, damping float64, iters int) Scores {
 	defer report(timed("pagerank_ext"))
-	return scoresToMap(v.IDs(), pageRankExtFlat(v, damping, iters))
+	return newScores(v.IDs(), pageRankExtFlat(v, damping, iters))
 }
 
 func pageRankExtFlat(v *graph.View, damping float64, iters int) []float64 {
@@ -64,37 +64,22 @@ func pageRankExtFlat(v *graph.View, damping float64, iters int) []float64 {
 	}
 	pr := make([]float64, n)
 	next := make([]float64, n)
-	outDeg := make([]int32, n)
-	for i := 0; i < n; i++ {
-		outDeg[i] = int32(v.OutDeg(int32(i)))
-	}
+	contrib := make([]float64, n)
 	parFill(pr, 1.0/float64(n))
 
 	nb := extNumBlocks(n)
 	for it := 0; it < iters; it++ {
 		// The dangling-mass reduction is the one float sum whose order
-		// affects the result; par.Reduce folds its deterministic ranges in
-		// range order, exactly as pageRankFlat does, so base is bit-equal.
-		dangling := par.Reduce(n, 0.0, func(lo, hi int) float64 {
-			var s float64
-			for i := lo; i < hi; i++ {
-				if outDeg[i] == 0 {
-					s += pr[i]
-				}
-			}
-			return s
-		}, func(a, b float64) float64 { return a + b })
+		// affects the result; spread folds it exactly as pageRankFlat
+		// does, so base is bit-equal.
+		dangling := spread(v, contrib, pr, true)
 		base := (1-damping)/float64(n) + damping*dangling/float64(n)
 		par.ForEach(nb, func(b int) {
 			lo := b * extBlockSize
 			hi := min(lo+extBlockSize, n)
 			extBlocksScanned.Add(1)
 			for i := lo; i < hi; i++ {
-				var sum float64
-				for _, src := range v.In(int32(i)) {
-					sum += pr[src] / float64(outDeg[src])
-				}
-				next[i] = base + damping*sum
+				next[i] = base + damping*gather(v, contrib, i)
 			}
 		})
 		pr, next = next, pr

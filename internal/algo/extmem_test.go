@@ -3,6 +3,7 @@ package algo
 import (
 	"maps"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"ringo/internal/extmem"
@@ -71,7 +72,7 @@ func TestPageRankExtMatchesView(t *testing.T) {
 		mv := mapView(t, v)
 		want := PageRankView(v, DefaultDamping, 10)
 		got := PageRankExt(mv, DefaultDamping, 10)
-		if !maps.Equal(want, got) {
+		if !slices.Equal(want, got) {
 			t.Errorf("%s: PageRankExt scores differ from PageRankView (want %d scores, got %d)", name, len(want), len(got))
 		}
 	}

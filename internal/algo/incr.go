@@ -25,40 +25,34 @@ const DefaultPageRankTol = 1e-9
 // (1-d)·tol, then normalizes to sum 1; discarding dangling mass instead of
 // redistributing it yields scores proportional to PageRankView's model, so
 // after normalization the two agree in the iteration limit.
-func PageRankViewTol(v *graph.View, damping, tol float64) map[int64]float64 {
+func PageRankViewTol(v *graph.View, damping, tol float64) Scores {
 	defer report(timed("pagerank_tol"))
 	n := v.NumNodes()
 	if n == 0 {
-		return map[int64]float64{}
-	}
-	outDeg := make([]int32, n)
-	for i := 0; i < n; i++ {
-		outDeg[i] = int32(v.OutDeg(int32(i)))
+		return Scores{}
 	}
 	a := (1 - damping) / float64(n)
 	x := make([]float64, n)
 	parFill(x, 1.0/float64(n))
-	x = powerIterate(v, outDeg, x, a, damping, tol)
+	x = powerIterate(v, x, a, damping, tol)
 	normalizeSum(x)
-	return scoresToMap(v.IDs(), x)
+	return newScores(v.IDs(), x)
 }
 
 // powerIterate sweeps x ← a + d·Σ_in x/outdeg until the L1 change of a
 // sweep is at most (1-d)·tol, returning the converged vector. The sweep
 // contracts the error by d per round, so the iteration count is bounded by
 // log(tol)/log(d); the cap only guards degenerate damping values.
-func powerIterate(v *graph.View, outDeg []int32, x []float64, a, damping, tol float64) []float64 {
+func powerIterate(v *graph.View, x []float64, a, damping, tol float64) []float64 {
 	n := len(x)
 	next := make([]float64, n)
+	contrib := make([]float64, n)
 	for it := 0; it < 100000; it++ {
+		spread(v, contrib, x, true)
 		diff := par.Reduce(n, 0.0, func(lo, hi int) float64 {
 			var s float64
 			for i := lo; i < hi; i++ {
-				var sum float64
-				for _, src := range v.In(int32(i)) {
-					sum += x[src] / float64(outDeg[src])
-				}
-				next[i] = a + damping*sum
+				next[i] = a + damping*gather(v, contrib, i)
 				s += math.Abs(next[i] - x[i])
 			}
 			return s
@@ -76,52 +70,46 @@ func powerIterate(v *graph.View, outDeg []int32, x []float64, a, damping, tol fl
 // view, a Gauss–Southwell push phase drains the residual spike around the
 // mutated region along out-edges (work proportional to how much the
 // solution actually moved), and a final polish power-iterates under the
-// exact stopping rule of the cold oracle. prev is the score map of any
+// exact stopping rule of the cold oracle. prev is the score vector of any
 // earlier state (missing nodes seed at 1/n); because the polish shares
 // PageRankViewTol's convergence criterion, the result equals
 // PageRankViewTol(v, damping, tol) on the current view up to the shared
 // tolerance — the seed and the push phase only decide how little work is
 // left, never the answer.
-func PageRankIncr(v *graph.View, prev map[int64]float64, damping, tol float64) map[int64]float64 {
+func PageRankIncr(v *graph.View, prev Scores, damping, tol float64) Scores {
 	defer report(timed("pagerank_incr"))
 	n := v.NumNodes()
 	if n == 0 {
-		return map[int64]float64{}
-	}
-	outDeg := make([]int32, n)
-	for i := 0; i < n; i++ {
-		outDeg[i] = int32(v.OutDeg(int32(i)))
+		return Scores{}
 	}
 	a := (1 - damping) / float64(n)
+	// Seed by a merge-join: prev and the view are both in ascending id order.
 	x := make([]float64, n)
-	par.For(n, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			if s, ok := prev[v.ID(int32(i))]; ok {
-				x[i] = s
-			} else {
-				x[i] = 1.0 / float64(n)
-			}
+	j := 0
+	for i, id := range v.IDs() {
+		for j < len(prev) && prev[j].ID < id {
+			j++
 		}
-	})
+		if j < len(prev) && prev[j].ID == id {
+			x[i] = prev[j].Score
+		} else {
+			x[i] = 1.0 / float64(n)
+		}
+	}
 
 	// One full residual sweep against the new topology; after this the
 	// work is queue-driven and local.
 	rho := make([]float64, n)
-	sweep := func() float64 {
-		return par.Reduce(n, 0.0, func(lo, hi int) float64 {
-			var s float64
-			for i := lo; i < hi; i++ {
-				var sum float64
-				for _, src := range v.In(int32(i)) {
-					sum += x[src] / float64(outDeg[src])
-				}
-				rho[i] = a + damping*sum - x[i]
-				s += rho[i]
-			}
-			return s
-		}, func(p, q float64) float64 { return p + q })
-	}
-	rsum := sweep()
+	contrib := make([]float64, n)
+	spread(v, contrib, x, true)
+	rsum := par.Reduce(n, 0.0, func(lo, hi int) float64 {
+		var s float64
+		for i := lo; i < hi; i++ {
+			rho[i] = a + damping*gather(v, contrib, i) - x[i]
+			s += rho[i]
+		}
+		return s
+	}, func(p, q float64) float64 { return p + q })
 
 	// prev is normalized to sum 1, but the fixpoint of the internal
 	// dangling-discard iteration has a smaller sum — a seed taken verbatim
@@ -170,9 +158,9 @@ func PageRankIncr(v *graph.View, prev map[int64]float64, damping, tol float64) m
 		maxPush--
 		rho[u] = 0
 		x[u] += r
-		if deg := outDeg[u]; deg > 0 {
-			push := damping * r / float64(deg)
-			for _, w := range v.Out(u) {
+		if out := v.Out(u); len(out) > 0 {
+			push := damping * r / float64(len(out))
+			for _, w := range out {
 				rho[w] += push
 				if !inQ[w] && math.Abs(rho[w]) > thresh {
 					inQ[w] = true
@@ -202,10 +190,10 @@ func PageRankIncr(v *graph.View, prev map[int64]float64, damping, tol float64) m
 		return s
 	}, func(p, q float64) float64 { return p + q })
 	if diff > (1-damping)*tol {
-		x = powerIterate(v, outDeg, x, a, damping, tol)
+		x = powerIterate(v, x, a, damping, tol)
 	}
 	normalizeSum(x)
-	return scoresToMap(v.IDs(), x)
+	return newScores(v.IDs(), x)
 }
 
 // WCCIncr maintains weakly connected components under additions: it

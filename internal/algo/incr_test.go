@@ -20,16 +20,16 @@ func randGraph(rng *rand.Rand, nodes int64, edges int) *graph.Directed {
 	return g
 }
 
-func maxScoreDiff(a, b map[int64]float64) float64 {
+func maxScoreDiff(a, b Scores) float64 {
 	var worst float64
-	for id, av := range a {
-		if d := math.Abs(av - b[id]); d > worst {
+	for _, e := range a {
+		if d := math.Abs(e.Score - at(b, e.ID)); d > worst {
 			worst = d
 		}
 	}
-	for id, bv := range b {
-		if _, ok := a[id]; !ok && math.Abs(bv) > worst {
-			worst = math.Abs(bv)
+	for _, e := range b {
+		if _, ok := a.Get(e.ID); !ok && math.Abs(e.Score) > worst {
+			worst = math.Abs(e.Score)
 		}
 	}
 	return worst
@@ -48,11 +48,7 @@ func TestPageRankViewTolConverges(t *testing.T) {
 	if d := maxScoreDiff(tol, fixed); d > 1e-9 {
 		t.Fatalf("tolerance-based PageRank diverges from converged power iteration: max diff %g", d)
 	}
-	var sum float64
-	for _, s := range tol {
-		sum += s
-	}
-	if math.Abs(sum-1) > 1e-9 {
+	if sum := SumScores(tol); math.Abs(sum-1) > 1e-9 {
 		t.Fatalf("scores do not sum to 1: %g", sum)
 	}
 }
@@ -91,7 +87,7 @@ func TestPageRankIncrColdStart(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	g := randGraph(rng, 80, 300)
 	v := graph.BuildView(g)
-	incr := PageRankIncr(v, map[int64]float64{}, DefaultDamping, 1e-10)
+	incr := PageRankIncr(v, nil, DefaultDamping, 1e-10)
 	cold := PageRankViewTol(v, DefaultDamping, 1e-10)
 	if d := maxScoreDiff(incr, cold); d > 1e-7 {
 		t.Fatalf("cold-started incremental PageRank diverges: max diff %g", d)

@@ -132,40 +132,28 @@ func searchInt32(a []int32, v int32) (int, bool) {
 // drops below tol or maxIters is reached, returning the scores and the
 // number of iterations executed — the tolerance-based variant SNAP's
 // GetPageRank exposes alongside the fixed-iteration one.
-func PageRankConverged(g *graph.Directed, damping, tol float64, maxIters int) (map[int64]float64, int) {
+func PageRankConverged(g *graph.Directed, damping, tol float64, maxIters int) (Scores, int) {
 	return PageRankConvergedView(graph.BuildView(g), damping, tol, maxIters)
 }
 
 // PageRankConvergedView is PageRankConverged over a prebuilt CSR view.
-func PageRankConvergedView(v *graph.View, damping, tol float64, maxIters int) (map[int64]float64, int) {
+func PageRankConvergedView(v *graph.View, damping, tol float64, maxIters int) (Scores, int) {
 	n := v.NumNodes()
 	if n == 0 {
-		return nil, 0
+		return Scores{}, 0
 	}
 	pr := make([]float64, n)
 	next := make([]float64, n)
-	outDeg := make([]int32, n)
-	for i := 0; i < n; i++ {
-		outDeg[i] = int32(v.OutDeg(int32(i)))
-	}
+	contrib := make([]float64, n)
 	parFill(pr, 1.0/float64(n))
 	iters := 0
 	for ; iters < maxIters; iters++ {
-		var dangling float64
-		for i := 0; i < n; i++ {
-			if outDeg[i] == 0 {
-				dangling += pr[i]
-			}
-		}
+		dangling := spread(v, contrib, pr, false)
 		base := (1-damping)/float64(n) + damping*dangling/float64(n)
 		diff := par.Reduce(n, 0.0, func(lo, hi int) float64 {
 			var dsum float64
 			for i := lo; i < hi; i++ {
-				var sum float64
-				for _, src := range v.In(int32(i)) {
-					sum += pr[src] / float64(outDeg[src])
-				}
-				next[i] = base + damping*sum
+				next[i] = base + damping*gather(v, contrib, i)
 				dsum += math.Abs(next[i] - pr[i])
 			}
 			return dsum
@@ -176,5 +164,5 @@ func PageRankConvergedView(v *graph.View, damping, tol float64, maxIters int) (m
 			break
 		}
 	}
-	return scoresToMap(v.IDs(), pr), iters
+	return newScores(v.IDs(), pr), iters
 }

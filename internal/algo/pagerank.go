@@ -15,22 +15,56 @@ const DefaultDamping = 0.85
 // all cores: each iteration splits the node range across workers, and each
 // worker pulls rank from its nodes' in-neighbors — a contention-free "pull"
 // formulation. Dangling-node mass is redistributed uniformly so scores sum
-// to 1. Scores are returned keyed by node id.
-func PageRank(g *graph.Directed, damping float64, iters int) map[int64]float64 {
+// to 1. Scores are returned in ascending node-id order.
+func PageRank(g *graph.Directed, damping float64, iters int) Scores {
 	return PageRankView(graph.BuildView(g), damping, iters)
 }
 
 // PageRankView is PageRank over a prebuilt CSR view.
-func PageRankView(v *graph.View, damping float64, iters int) map[int64]float64 {
+func PageRankView(v *graph.View, damping float64, iters int) Scores {
 	defer report(timed("pagerank"))
-	return scoresToMap(v.IDs(), pageRankFlat(v, damping, iters, true))
+	return newScores(v.IDs(), pageRankFlat(v, damping, iters, true))
 }
 
 // PageRankSeq is the single-threaded PageRank used for the sequential
 // baselines and the parallel-vs-sequential ablation.
-func PageRankSeq(g *graph.Directed, damping float64, iters int) map[int64]float64 {
+func PageRankSeq(g *graph.Directed, damping float64, iters int) Scores {
 	v := graph.BuildView(g)
-	return scoresToMap(v.IDs(), pageRankFlat(v, damping, iters, false))
+	return newScores(v.IDs(), pageRankFlat(v, damping, iters, false))
+}
+
+// spread fills contrib[i] = x[i]/outdeg(i), the rank node i hands each of
+// its out-neighbors, and returns the mass parked on dangling nodes (whose
+// contrib is left alone: no gather reads it). Dividing here, once per node, instead of once
+// per edge inside the gather performs the identical IEEE division on
+// identical operands, so scores are bit-equal to the per-edge form. With
+// parallel set the dangling sum folds par's static ranges in range order,
+// the same for every caller on the same view.
+func spread(v *graph.View, contrib, x []float64, parallel bool) float64 {
+	fill := func(lo, hi int) float64 {
+		var dangling float64
+		for i := lo; i < hi; i++ {
+			if d := v.OutDeg(int32(i)); d > 0 {
+				contrib[i] = x[i] / float64(d)
+			} else {
+				dangling += x[i]
+			}
+		}
+		return dangling
+	}
+	if parallel {
+		return par.Reduce(len(x), 0.0, fill, func(a, b float64) float64 { return a + b })
+	}
+	return fill(0, len(x))
+}
+
+// gather sums the contributions of node i's in-neighbors.
+func gather(v *graph.View, contrib []float64, i int) float64 {
+	var sum float64
+	for _, src := range v.In(int32(i)) {
+		sum += contrib[src]
+	}
+	return sum
 }
 
 func pageRankFlat(v *graph.View, damping float64, iters int, parallel bool) []float64 {
@@ -40,12 +74,8 @@ func pageRankFlat(v *graph.View, damping float64, iters int, parallel bool) []fl
 	}
 	pr := make([]float64, n)
 	next := make([]float64, n)
-	outDeg := make([]int32, n)
-	for i := 0; i < n; i++ {
-		outDeg[i] = int32(v.OutDeg(int32(i)))
-	}
-	init := 1.0 / float64(n)
-	parFill(pr, init)
+	contrib := make([]float64, n)
+	parFill(pr, 1.0/float64(n))
 
 	runRange := func(fn func(lo, hi int)) {
 		if parallel {
@@ -54,32 +84,14 @@ func pageRankFlat(v *graph.View, damping float64, iters int, parallel bool) []fl
 			fn(0, n)
 		}
 	}
-	sumRange := func(fn func(lo, hi int) float64) float64 {
-		if parallel {
-			return par.Reduce(n, 0.0, fn, func(a, b float64) float64 { return a + b })
-		}
-		return fn(0, n)
-	}
 
 	for it := 0; it < iters; it++ {
 		// Mass parked on dangling nodes teleports uniformly.
-		dangling := sumRange(func(lo, hi int) float64 {
-			var s float64
-			for i := lo; i < hi; i++ {
-				if outDeg[i] == 0 {
-					s += pr[i]
-				}
-			}
-			return s
-		})
+		dangling := spread(v, contrib, pr, parallel)
 		base := (1-damping)/float64(n) + damping*dangling/float64(n)
 		runRange(func(lo, hi int) {
 			for i := lo; i < hi; i++ {
-				var sum float64
-				for _, src := range v.In(int32(i)) {
-					sum += pr[src] / float64(outDeg[src])
-				}
-				next[i] = base + damping*sum
+				next[i] = base + damping*gather(v, contrib, i)
 			}
 		})
 		pr, next = next, pr
@@ -91,16 +103,13 @@ func pageRankFlat(v *graph.View, damping float64, iters int, parallel bool) []fl
 // the given seed nodes (uniformly across them), the standard
 // random-walk-with-restart relevance measure. Unknown seeds are ignored; it
 // returns nil if no seed is a node of g.
-func PersonalizedPageRank(g *graph.Directed, seeds []int64, damping float64, iters int) map[int64]float64 {
+func PersonalizedPageRank(g *graph.Directed, seeds []int64, damping float64, iters int) Scores {
 	return PersonalizedPageRankView(graph.BuildView(g), seeds, damping, iters)
 }
 
 // PersonalizedPageRankView is PersonalizedPageRank over a prebuilt CSR view.
-func PersonalizedPageRankView(v *graph.View, seeds []int64, damping float64, iters int) map[int64]float64 {
+func PersonalizedPageRankView(v *graph.View, seeds []int64, damping float64, iters int) Scores {
 	n := v.NumNodes()
-	if n == 0 {
-		return nil
-	}
 	seedIdx := make([]int32, 0, len(seeds))
 	for _, s := range seeds {
 		if i, ok := v.Index(s); ok {
@@ -114,38 +123,26 @@ func PersonalizedPageRankView(v *graph.View, seeds []int64, damping float64, ite
 	for _, i := range seedIdx {
 		teleport[i] += 1.0 / float64(len(seedIdx))
 	}
-	outDeg := make([]int32, n)
-	for i := 0; i < n; i++ {
-		outDeg[i] = int32(v.OutDeg(int32(i)))
-	}
 	pr := make([]float64, n)
 	next := make([]float64, n)
+	contrib := make([]float64, n)
 	copy(pr, teleport)
 	for it := 0; it < iters; it++ {
-		var dangling float64
-		for i := 0; i < n; i++ {
-			if outDeg[i] == 0 {
-				dangling += pr[i]
-			}
-		}
+		dangling := spread(v, contrib, pr, false)
 		par.For(n, func(lo, hi int) {
 			for i := lo; i < hi; i++ {
-				var sum float64
-				for _, src := range v.In(int32(i)) {
-					sum += pr[src] / float64(outDeg[src])
-				}
-				next[i] = (1-damping)*teleport[i] + damping*(sum+dangling*teleport[i])
+				next[i] = (1-damping)*teleport[i] + damping*(gather(v, contrib, i)+dangling*teleport[i])
 			}
 		})
 		pr, next = next, pr
 	}
-	return scoresToMap(v.IDs(), pr)
+	return newScores(v.IDs(), pr)
 }
 
-// HITSScores holds hub and authority scores keyed by node id.
+// HITSScores holds hub and authority scores.
 type HITSScores struct {
-	Hub       map[int64]float64
-	Authority map[int64]float64
+	Hub       Scores
+	Authority Scores
 }
 
 // HITS computes Kleinberg's hubs-and-authorities scores by power iteration
@@ -186,8 +183,8 @@ func HITSView(v *graph.View, iters int) HITSScores {
 		normalize(hub)
 	}
 	return HITSScores{
-		Hub:       scoresToMap(v.IDs(), hub),
-		Authority: scoresToMap(v.IDs(), auth),
+		Hub:       newScores(v.IDs(), hub),
+		Authority: newScores(v.IDs(), auth),
 	}
 }
 

@@ -29,9 +29,9 @@ func approxEq(a, b, eps float64) bool { return math.Abs(a-b) <= eps }
 func TestPageRankUniformOnCycle(t *testing.T) {
 	g := cycleGraph(10)
 	pr := PageRank(g, DefaultDamping, 50)
-	for id, v := range pr {
-		if !approxEq(v, 0.1, 1e-9) {
-			t.Fatalf("node %d rank %v, want 0.1", id, v)
+	for _, e := range pr {
+		if !approxEq(e.Score, 0.1, 1e-9) {
+			t.Fatalf("node %d rank %v, want 0.1", e.ID, e.Score)
 		}
 	}
 }
@@ -51,9 +51,9 @@ func TestPageRankHubHighest(t *testing.T) {
 	if top[0].ID != 0 {
 		t.Fatalf("top node = %d, want hub 0", top[0].ID)
 	}
-	for id, v := range pr {
-		if id != 0 && v >= pr[0] {
-			t.Fatalf("leaf %d rank %v >= hub rank %v", id, v, pr[0])
+	for _, e := range pr {
+		if e.ID != 0 && e.Score >= at(pr, 0) {
+			t.Fatalf("leaf %d rank %v >= hub rank %v", e.ID, e.Score, at(pr, 0))
 		}
 	}
 }
@@ -67,17 +67,18 @@ func TestPageRankSeqMatchesParallel(t *testing.T) {
 	}
 	p := PageRank(g, DefaultDamping, 25)
 	s := PageRankSeq(g, DefaultDamping, 25)
-	for id, v := range p {
-		if !approxEq(v, s[id], 1e-12) {
-			t.Fatalf("node %d: parallel %v != sequential %v", id, v, s[id])
+	for _, e := range p {
+		if !approxEq(e.Score, at(s, e.ID), 1e-12) {
+			t.Fatalf("node %d: parallel %v != sequential %v", e.ID, e.Score, at(s, e.ID))
 		}
 	}
 }
 
 func TestPageRankEmptyGraph(t *testing.T) {
 	g := graph.NewDirected()
-	if pr := PageRank(g, DefaultDamping, 10); len(pr) != 0 {
-		t.Fatalf("PageRank on empty graph = %v", pr)
+	// Non-nil, so an Object holding it still reports kind "scores".
+	if pr := PageRank(g, DefaultDamping, 10); pr == nil || len(pr) != 0 {
+		t.Fatalf("PageRank on empty graph = %#v", pr)
 	}
 }
 
@@ -87,7 +88,7 @@ func TestPageRankConvergesToStationary(t *testing.T) {
 	g.AddEdge(1, 2)
 	g.AddEdge(2, 1)
 	pr := PageRank(g, DefaultDamping, 60)
-	if !approxEq(pr[1], 0.5, 1e-9) || !approxEq(pr[2], 0.5, 1e-9) {
+	if !approxEq(at(pr, 1), 0.5, 1e-9) || !approxEq(at(pr, 2), 0.5, 1e-9) {
 		t.Fatalf("pr = %v", pr)
 	}
 }
@@ -99,8 +100,8 @@ func TestPersonalizedPageRank(t *testing.T) {
 		t.Fatal("nil result for valid seed")
 	}
 	// The seed should outrank the node farthest from it.
-	if ppr[0] <= ppr[3] {
-		t.Fatalf("seed rank %v <= distant rank %v", ppr[0], ppr[3])
+	if at(ppr, 0) <= at(ppr, 3) {
+		t.Fatalf("seed rank %v <= distant rank %v", at(ppr, 0), at(ppr, 3))
 	}
 	if s := SumScores(ppr); !approxEq(s, 1, 1e-6) {
 		t.Fatalf("PPR sum = %v", s)
@@ -120,19 +121,19 @@ func TestHITSBipartite(t *testing.T) {
 	}
 	hs := HITS(g, 30)
 	for _, h := range []int64{1, 2} {
-		if hs.Hub[h] <= hs.Hub[10] {
-			t.Fatalf("hub score of %d (%v) not above authority node (%v)", h, hs.Hub[h], hs.Hub[10])
+		if at(hs.Hub, h) <= at(hs.Hub, 10) {
+			t.Fatalf("hub score of %d (%v) not above authority node (%v)", h, at(hs.Hub, h), at(hs.Hub, 10))
 		}
 	}
 	for _, a := range []int64{10, 11, 12} {
-		if hs.Authority[a] <= hs.Authority[1] {
-			t.Fatalf("authority score of %d (%v) not above hub node (%v)", a, hs.Authority[a], hs.Authority[1])
+		if at(hs.Authority, a) <= at(hs.Authority, 1) {
+			t.Fatalf("authority score of %d (%v) not above hub node (%v)", a, at(hs.Authority, a), at(hs.Authority, 1))
 		}
 	}
 	// L2-normalized: authority vector norm 1 over the three authorities.
 	var sq float64
-	for _, v := range hs.Authority {
-		sq += v * v
+	for _, e := range hs.Authority {
+		sq += e.Score * e.Score
 	}
 	if !approxEq(sq, 1, 1e-9) {
 		t.Fatalf("authority norm² = %v", sq)
@@ -140,7 +141,7 @@ func TestHITSBipartite(t *testing.T) {
 }
 
 func TestTopK(t *testing.T) {
-	scores := map[int64]float64{1: 0.5, 2: 0.9, 3: 0.9, 4: 0.1}
+	scores := Scores{{1, 0.5}, {2, 0.9}, {3, 0.9}, {4, 0.1}}
 	top := TopK(scores, 3)
 	if len(top) != 3 {
 		t.Fatalf("TopK returned %d", len(top))

@@ -1,0 +1,201 @@
+package algo
+
+import (
+	"cmp"
+	"fmt"
+	"math"
+	"math/rand"
+	"runtime"
+	"slices"
+	"testing"
+
+	"ringo/internal/gen"
+	"ringo/internal/graph"
+	"ringo/internal/par"
+)
+
+// at returns s's score for id, or 0 when id is absent.
+func at(s Scores, id int64) float64 {
+	v, _ := s.Get(id)
+	return v
+}
+
+func TestScoresGet(t *testing.T) {
+	s := Scores{{-5, 1.5}, {0, 2.5}, {3, 0}, {1 << 40, 4.5}}
+	for _, e := range s {
+		if got, ok := s.Get(e.ID); !ok || got != e.Score {
+			t.Errorf("Get(%d) = %v, %v; want %v, true", e.ID, got, ok, e.Score)
+		}
+	}
+	// Below the first id, in every gap, above the last id.
+	for _, id := range []int64{math.MinInt64, -6, -4, 1, 2, 4, 1<<40 - 1, 1<<40 + 1, math.MaxInt64} {
+		if got, ok := s.Get(id); ok || got != 0 {
+			t.Errorf("Get(%d) = %v, %v; want 0, false", id, got, ok)
+		}
+	}
+	for _, empty := range []Scores{nil, {}} {
+		if _, ok := empty.Get(0); ok {
+			t.Errorf("Get on %#v reported a hit", empty)
+		}
+	}
+}
+
+// TestTopKMatchesFullSort holds the selection to the definition it
+// replaces: sort everything by (score descending, id ascending), keep k.
+// Scores are drawn from a handful of values so ties straddle the cut.
+func TestTopKMatchesFullSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(15))
+	for trial := 0; trial < 200; trial++ {
+		n := rng.Intn(300)
+		levels := 1 + rng.Intn(6)
+		s := make(Scores, n)
+		id := int64(rng.Intn(100)) - 50
+		for i := range s {
+			s[i] = Scored{id, float64(rng.Intn(levels)) / 4}
+			id += 1 + int64(rng.Intn(3))
+		}
+		want := slices.Clone([]Scored(s))
+		slices.SortFunc(want, func(a, b Scored) int {
+			return cmp.Or(cmp.Compare(b.Score, a.Score), cmp.Compare(a.ID, b.ID))
+		})
+		before := slices.Clone(s)
+		for _, k := range []int{1, 10, n - 1, n, n + 5} {
+			got := TopK(s, k)
+			if ref := want[:max(0, min(k, n))]; !slices.Equal(got, ref) {
+				t.Fatalf("trial %d: TopK(n=%d, k=%d) = %v, want %v", trial, n, k, got, ref)
+			}
+		}
+		if !slices.Equal(s, before) {
+			t.Fatalf("trial %d: TopK modified its input", trial)
+		}
+	}
+	if got := TopK(Scores{}, 10); len(got) != 0 {
+		t.Fatalf("TopK of the empty vector = %v", got)
+	}
+}
+
+// pageRankPerEdge is the kernel as it stood before the division was
+// hoisted out of the gather — one pr[src]/outDeg[src] per edge per
+// iteration — kept as the bit-equality reference for spread + gather.
+func pageRankPerEdge(v *graph.View, damping float64, iters int, parallel bool) []float64 {
+	n := v.NumNodes()
+	if n == 0 {
+		return nil
+	}
+	pr := make([]float64, n)
+	next := make([]float64, n)
+	outDeg := make([]int32, n)
+	for i := range outDeg {
+		outDeg[i] = int32(v.OutDeg(int32(i)))
+		pr[i] = 1.0 / float64(n)
+	}
+	sumDangling := func(lo, hi int) float64 {
+		var s float64
+		for i := lo; i < hi; i++ {
+			if outDeg[i] == 0 {
+				s += pr[i]
+			}
+		}
+		return s
+	}
+	for it := 0; it < iters; it++ {
+		dangling := sumDangling(0, n)
+		if parallel {
+			dangling = par.Reduce(n, 0.0, sumDangling, func(a, b float64) float64 { return a + b })
+		}
+		base := (1-damping)/float64(n) + damping*dangling/float64(n)
+		for i := 0; i < n; i++ {
+			var sum float64
+			for _, src := range v.In(int32(i)) {
+				sum += pr[src] / float64(outDeg[src])
+			}
+			next[i] = base + damping*sum
+		}
+		pr, next = next, pr
+	}
+	return pr
+}
+
+// TestPageRankBitIdentical pins PageRankView, PageRankExt and PageRankSeq
+// to the per-edge-division reference bit for bit, over the shape families
+// of the oracle suites (G(n,m), ring, star, isolated nodes, tombstoned
+// slots), on one core and on four — the dangling-mass fold order follows
+// the worker count, so each count is its own case.
+func TestPageRankBitIdentical(t *testing.T) {
+	shrinkBlocks(t, 37)
+	graphs := extTestGraphs()
+	graphs["rmat"] = rmatGraph(10, 6000, 3)
+	for _, procs := range []int{1, 4} {
+		old := runtime.GOMAXPROCS(procs)
+		for name, g := range graphs {
+			v := graph.BuildView(g)
+			same := func(kernel string, got Scores, want []float64) {
+				t.Helper()
+				if len(got) != len(want) {
+					t.Fatalf("%s procs=%d: %s scored %d nodes, want %d", name, procs, kernel, len(got), len(want))
+				}
+				for i, e := range got {
+					if e.ID != v.ID(int32(i)) || math.Float64bits(e.Score) != math.Float64bits(want[i]) {
+						t.Fatalf("%s procs=%d: %s[%d] = (%d, %x), reference (%d, %x)", name, procs, kernel, i,
+							e.ID, math.Float64bits(e.Score), v.ID(int32(i)), math.Float64bits(want[i]))
+					}
+				}
+			}
+			want := pageRankPerEdge(v, DefaultDamping, 10, true)
+			same("PageRankView", PageRankView(v, DefaultDamping, 10), want)
+			same("PageRankExt", PageRankExt(v, DefaultDamping, 10), want)
+			same("PageRankSeq", PageRankSeq(g, DefaultDamping, 10), pageRankPerEdge(v, DefaultDamping, 10, false))
+		}
+		runtime.GOMAXPROCS(old)
+	}
+}
+
+// rmatGraph builds the directed graph of an R-MAT edge list with the
+// benchmark's parameters.
+func rmatGraph(scale int, edges, seed int64) *graph.Directed {
+	src, dst := gen.RMATEdges(scale, edges, 0.57, 0.19, 0.19, seed)
+	g := graph.NewDirected()
+	for i := range src {
+		g.AddEdge(src[i], dst[i])
+	}
+	return g
+}
+
+// rankedVector builds an id-sorted vector of n distinct-ish scores.
+func rankedVector(n int) Scores {
+	rng := rand.New(rand.NewSource(1))
+	s := make(Scores, n)
+	for i := range s {
+		s[i] = Scored{int64(i) * 3, rng.ExpFloat64()}
+	}
+	return s
+}
+
+// BenchmarkTopK is the `top` verb's selection at the warm-read workload's
+// vector size.
+func BenchmarkTopK(b *testing.B) {
+	s := rankedVector(1 << 16)
+	for _, k := range []int{10, 100} {
+		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if got := TopK(s, k); len(got) != k {
+					b.Fatal(len(got))
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkPageRankView is the `pagerank` verb's kernel plus result
+// materialization at the update-query workload's graph size.
+func BenchmarkPageRankView(b *testing.B) {
+	v := graph.BuildView(rmatGraph(15, 200000, 1))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if got := PageRankView(v, DefaultDamping, 10); len(got) != v.NumNodes() {
+			b.Fatal(len(got))
+		}
+	}
+}

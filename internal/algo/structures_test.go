@@ -267,9 +267,9 @@ func TestPageRankConverged(t *testing.T) {
 	if iters >= 200 {
 		t.Fatalf("did not converge: %d iterations", iters)
 	}
-	for _, v := range pr {
-		if !approxEq(v, 1.0/8, 1e-9) {
-			t.Fatalf("converged rank = %v", v)
+	for _, e := range pr {
+		if !approxEq(e.Score, 1.0/8, 1e-9) {
+			t.Fatalf("converged rank = %v", e.Score)
 		}
 	}
 	// Tight budget stops early.
@@ -277,7 +277,7 @@ func TestPageRankConverged(t *testing.T) {
 	if iters != 3 {
 		t.Fatalf("iteration budget ignored: %d", iters)
 	}
-	if pr, _ := PageRankConverged(graph.NewDirected(), DefaultDamping, 1e-9, 5); pr != nil {
-		t.Fatal("empty graph should return nil")
+	if pr, iters := PageRankConverged(graph.NewDirected(), DefaultDamping, 1e-9, 5); pr == nil || len(pr) != 0 || iters != 0 {
+		t.Fatalf("empty graph = %#v after %d iterations, want empty non-nil scores and 0", pr, iters)
 	}
 }

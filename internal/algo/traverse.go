@@ -109,12 +109,12 @@ type WeightFunc func(src, dst int64) float64
 // Dijkstra computes weighted single-source shortest paths from src
 // following out-edges, with edge lengths from w. Unreachable nodes are
 // absent from the result. It returns nil if src is not a node.
-func Dijkstra(g *graph.Directed, src int64, w WeightFunc) map[int64]float64 {
+func Dijkstra(g *graph.Directed, src int64, w WeightFunc) Scores {
 	return DijkstraView(graph.BuildView(g), src, w)
 }
 
 // DijkstraView is Dijkstra over a prebuilt CSR view.
-func DijkstraView(v *graph.View, src int64, w WeightFunc) map[int64]float64 {
+func DijkstraView(v *graph.View, src int64, w WeightFunc) Scores {
 	s, ok := v.Index(src)
 	if !ok {
 		return nil
@@ -140,10 +140,10 @@ func DijkstraView(v *graph.View, src int64, w WeightFunc) map[int64]float64 {
 			}
 		}
 	}
-	out := make(map[int64]float64)
+	out := Scores{}
 	for i, dv := range dist {
 		if !math.IsInf(dv, 1) {
-			out[v.ID(int32(i))] = dv
+			out = append(out, Scored{v.ID(int32(i)), dv})
 		}
 	}
 	return out

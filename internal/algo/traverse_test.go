@@ -82,11 +82,11 @@ func TestDijkstraPrefersLightPath(t *testing.T) {
 		return 1
 	}
 	dist := Dijkstra(g, 1, w)
-	if !approxEq(dist[2], 2, 1e-12) {
-		t.Fatalf("dist[2] = %v, want 2 (via node 3)", dist[2])
+	if !approxEq(at(dist, 2), 2, 1e-12) {
+		t.Fatalf("dist[2] = %v, want 2 (via node 3)", at(dist, 2))
 	}
-	if !approxEq(dist[3], 1, 1e-12) {
-		t.Fatalf("dist[3] = %v", dist[3])
+	if !approxEq(at(dist, 3), 1, 1e-12) {
+		t.Fatalf("dist[3] = %v", at(dist, 3))
 	}
 }
 
@@ -95,7 +95,7 @@ func TestDijkstraUnreachableAbsent(t *testing.T) {
 	g.AddEdge(1, 2)
 	g.AddNode(3)
 	dist := Dijkstra(g, 1, func(a, b int64) float64 { return 1 })
-	if _, ok := dist[3]; ok {
+	if _, ok := dist.Get(3); ok {
 		t.Fatal("unreachable node present in Dijkstra result")
 	}
 	if Dijkstra(g, 99, func(a, b int64) float64 { return 1 }) != nil {
@@ -110,8 +110,8 @@ func TestDijkstraMatchesBFSWithUnitWeights(t *testing.T) {
 	dd := Dijkstra(g, 0, unit)
 	bd := BFS(g, 0, Out)
 	for id, hops := range bd {
-		if !approxEq(dd[id], float64(hops), 1e-12) {
-			t.Fatalf("node %d: dijkstra %v != bfs %d", id, dd[id], hops)
+		if !approxEq(at(dd, id), float64(hops), 1e-12) {
+			t.Fatalf("node %d: dijkstra %v != bfs %d", id, at(dd, id), hops)
 		}
 	}
 }

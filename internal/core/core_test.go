@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"ringo/internal/algo"
 	"ringo/internal/gen"
 )
 
@@ -44,17 +45,13 @@ func TestGetPageRankSumsToOne(t *testing.T) {
 	tbl := gen.RMATTable(8, 500, 3)
 	g, _ := ToGraph(tbl, "src", "dst")
 	pr := GetPageRank(g)
-	var sum float64
-	for _, v := range pr {
-		sum += v
-	}
-	if sum < 0.999 || sum > 1.001 {
+	if sum := algo.SumScores(pr); sum < 0.999 || sum > 1.001 {
 		t.Fatalf("PageRank sum = %v", sum)
 	}
 }
 
 func TestTableFromMapSortedDescending(t *testing.T) {
-	m := map[int64]float64{1: 0.2, 2: 0.9, 3: 0.5}
+	m := algo.Scores{{ID: 1, Score: 0.2}, {ID: 2, Score: 0.9}, {ID: 3, Score: 0.5}}
 	tbl, err := TableFromMap(m, "User", "Scr")
 	if err != nil {
 		t.Fatal(err)
@@ -146,7 +143,8 @@ func TestObjectSummaries(t *testing.T) {
 	}{
 		{Object{Table: tbl}, "table"},
 		{Object{Graph: g}, "graph"},
-		{Object{Scores: map[int64]float64{1: 1}}, "scores"},
+		{Object{Scores: algo.Scores{{ID: 1, Score: 1}}}, "scores"},
+		{Object{Scores: algo.Scores{}}, "scores"},
 		{Object{}, "empty"},
 	} {
 		if c.o.Kind() != c.want {

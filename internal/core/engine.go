@@ -16,6 +16,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -50,33 +51,21 @@ func ToNodeTable(g *graph.Directed, name string) (*table.Table, error) {
 
 // GetPageRank runs 10 iterations of parallel PageRank with the standard
 // damping factor, the configuration timed in Table 3.
-func GetPageRank(g *graph.Directed) map[int64]float64 {
+func GetPageRank(g *graph.Directed) algo.Scores {
 	return algo.PageRank(g, algo.DefaultDamping, 10)
 }
 
-// TableFromMap builds a two-column table (key, score) from an algorithm
-// result map, sorted by descending score — the paper's TableFromHashMap,
+// TableFromMap builds a two-column table (key, score) from an algorithm's
+// score vector, sorted by descending score — the paper's TableFromHashMap,
 // closing the loop from graph analytics back to tables.
-func TableFromMap(m map[int64]float64, keyCol, valCol string) (*table.Table, error) {
-	type kv struct {
-		k int64
-		v float64
-	}
-	pairs := make([]kv, 0, len(m))
-	for k, v := range m {
-		pairs = append(pairs, kv{k, v})
-	}
-	sort.Slice(pairs, func(i, j int) bool {
-		if pairs[i].v != pairs[j].v {
-			return pairs[i].v > pairs[j].v
-		}
-		return pairs[i].k < pairs[j].k
-	})
-	keys := make([]int64, len(pairs))
-	vals := make([]float64, len(pairs))
-	for i, p := range pairs {
-		keys[i] = p.k
-		vals[i] = p.v
+func TableFromMap(sc algo.Scores, keyCol, valCol string) (*table.Table, error) {
+	ranked := slices.Clone(sc)
+	slices.SortFunc(ranked, algo.ByRank)
+	keys := make([]int64, len(ranked))
+	vals := make([]float64, len(ranked))
+	for i, e := range ranked {
+		keys[i] = e.ID
+		vals[i] = e.Score
 	}
 	t, err := table.FromIntColumns([]string{keyCol}, [][]int64{keys})
 	if err != nil {
@@ -104,12 +93,12 @@ func TableFromIntMap(m map[int64]int, keyCol, valCol string) (*table.Table, erro
 }
 
 // Object is a value held in a Workspace: a table, a graph (in-heap or
-// mapped from an RNGM image), or a score map.
+// mapped from an RNGM image), or a score vector.
 type Object struct {
 	Table  *table.Table
 	Graph  *graph.Directed
 	UGraph *graph.Undirected
-	Scores map[int64]float64
+	Scores algo.Scores
 	// Mapped is a read-only graph served in place from an RNGM file (the
 	// beyond-RAM tier): its views come straight from the mapping, never
 	// from the view cache, and mutating verbs reject it.
@@ -586,8 +575,9 @@ func (w *Workspace) Graph(name string) (*graph.Directed, error) {
 	return o.Graph, nil
 }
 
-// Scores returns the score map bound to name or an error.
-func (w *Workspace) Scores(name string) (map[int64]float64, error) {
+// Scores returns the score vector bound to name or an error. The vector is
+// shared with the result cache: read it, never modify it.
+func (w *Workspace) Scores(name string) (algo.Scores, error) {
 	w.mu.RLock()
 	defer w.mu.RUnlock()
 	o, ok := w.objs[name]
@@ -595,7 +585,7 @@ func (w *Workspace) Scores(name string) (map[int64]float64, error) {
 		return nil, fmt.Errorf("no object named %q", name)
 	}
 	if o.Scores == nil {
-		return nil, fmt.Errorf("%q is a %s, not a score map", name, o.Kind())
+		return nil, fmt.Errorf("%q is a %s, not a score vector", name, o.Kind())
 	}
 	return o.Scores, nil
 }

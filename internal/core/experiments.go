@@ -79,7 +79,7 @@ func Table3(specs []Spec) (Report, error) {
 		if err != nil {
 			return Report{}, err
 		}
-		var pr map[int64]float64
+		var pr algo.Scores
 		dt := Timed(func() { pr = algo.PageRank(g, algo.DefaultDamping, 10) })
 		r.Rows = append(r.Rows, []string{"PageRank (10 iter)", s.Name, dt.Round(time.Millisecond).String(),
 			fmt.Sprintf("%d nodes scored", len(pr))})
@@ -549,7 +549,7 @@ func Incr(spec Spec) (Report, error) {
 	idSpace := int64(1) << spec.RMATScale
 
 	const tol = 1e-8
-	var prev map[int64]float64
+	var prev algo.Scores
 	lastWin := int64(-1)
 	crossed := false
 	for _, batch := range []int{1, 64, 1024, 16384} {
@@ -600,7 +600,7 @@ func Incr(spec Spec) (Report, error) {
 		if p1, _ := ws.PatchStats(); p1 != p0+1 {
 			return Report{}, fmt.Errorf("core: incr report expected a patched view at batch %d", batch)
 		}
-		var incr map[int64]float64
+		var incr algo.Scores
 		tIncr := Timed(func() { incr = algo.PageRankIncr(v, prev, algo.DefaultDamping, tol) })
 
 		var cold *graph.View

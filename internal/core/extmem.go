@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"time"
 
 	"ringo/internal/algo"
@@ -67,10 +68,10 @@ func ExtMem(s Spec) (Report, error) {
 		fmt.Sprintf("%.0fx", decode.Seconds()/mapped.Seconds())})
 
 	// Analytics over the mapped view, checked against the heap answers.
-	var prHeap, prExt map[int64]float64
+	var prHeap, prExt algo.Scores
 	prHeapT := Timed(func() { prHeap = algo.PageRankView(v, algo.DefaultDamping, 10) })
 	prExtT := Timed(func() { prExt = algo.PageRankExt(mv, algo.DefaultDamping, 10) })
-	if !sameScores(prHeap, prExt) {
+	if !slices.Equal(prHeap, prExt) {
 		return Report{}, fmt.Errorf("core: PageRankExt diverged from PageRankView on %s", s.Name)
 	}
 	r.Rows = append(r.Rows, []string{"PageRank (10 iter)", s.Name,
@@ -97,19 +98,4 @@ func ExtMem(s Spec) (Report, error) {
 		"mapped analytics read edge blocks through the page cache; semi-external results are verified equal to the in-heap answers",
 		fmt.Sprintf("semi-external scheduler totals this process: %d blocks scanned, %d skipped", scanned, skipped))
 	return r, nil
-}
-
-// sameScores compares score maps for exact (bitwise) float equality, the
-// contract the semi-external variants are held to.
-func sameScores(a, b map[int64]float64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for k, av := range a {
-		bv, ok := b[k]
-		if !ok || av != bv {
-			return false
-		}
-	}
-	return true
 }

@@ -137,10 +137,12 @@ func TestIncrementalOracle(t *testing.T) {
 				// Incremental algorithms against their cold oracles.
 				incrPR := algo.PageRankIncr(newDV, pr, algo.DefaultDamping, tol)
 				coldPR := algo.PageRankViewTol(newDV, algo.DefaultDamping, tol)
-				for id, s := range coldPR {
-					if math.Abs(incrPR[id]-s) > 1e-6 {
-						t.Fatalf("%s: incremental PageRank diverges at node %d: %g vs %g",
-							ctx, id, incrPR[id], s)
+				if len(incrPR) != len(coldPR) {
+					t.Fatalf("%s: incremental PageRank scored %d nodes, cold %d", ctx, len(incrPR), len(coldPR))
+				}
+				for i, c := range coldPR {
+					if incrPR[i].ID != c.ID || math.Abs(incrPR[i].Score-c.Score) > 1e-6 {
+						t.Fatalf("%s: incremental PageRank diverges at entry %d: %v vs %v", ctx, i, incrPR[i], c)
 					}
 				}
 				coldWCC := algo.WCCView(newDV)
@@ -357,7 +359,7 @@ func TestMutateGraphErrors(t *testing.T) {
 	if _, err := ws.AddGraphEdge("nope", 1, 2); err == nil {
 		t.Fatal("expected error for unknown binding")
 	}
-	ws.Set("s", Object{Scores: map[int64]float64{1: 1}})
+	ws.Set("s", Object{Scores: algo.Scores{{ID: 1, Score: 1}}})
 	if _, err := ws.AddGraphEdge("s", 1, 2); err == nil {
 		t.Fatal("expected error for non-graph binding")
 	}

@@ -2,16 +2,19 @@ package core
 
 import (
 	"bytes"
+	"encoding/hex"
+	"slices"
 	"strings"
 	"testing"
 
+	"ringo/internal/algo"
 	"ringo/internal/graph"
 	"ringo/internal/table"
 )
 
 // snapshotWorkspace builds a workspace holding all four object kinds — a
 // table with a string column, a directed graph, an undirected graph and a
-// score map — the exact mix the acceptance criteria call for.
+// score vector — the exact mix the acceptance criteria call for.
 func snapshotWorkspace(t *testing.T) *Workspace {
 	t.Helper()
 	ws := NewWorkspace()
@@ -38,7 +41,7 @@ func snapshotWorkspace(t *testing.T) *Workspace {
 	ws.SetWithProvenance("T", Object{Table: tbl}, "load T users.tsv User:string Posts:int")
 	ws.SetWithProvenance("G", Object{Graph: g}, "tograph G T src dst")
 	ws.SetWithProvenance("U", Object{UGraph: u}, "")
-	ws.SetWithProvenance("PR", Object{Scores: map[int64]float64{1: 0.7, 2: 0.3}}, "pagerank PR G")
+	ws.SetWithProvenance("PR", Object{Scores: algo.Scores{{ID: 1, Score: 0.7}, {ID: 2, Score: 0.3}}}, "pagerank PR G")
 	return ws
 }
 
@@ -94,7 +97,7 @@ func TestWorkspaceSnapshotRestoreRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sc[1] != 0.7 {
+	if v, _ := sc.Get(1); v != 0.7 {
 		t.Fatalf("scores lost: %v", sc)
 	}
 }
@@ -110,8 +113,8 @@ func TestWorkspaceRestoreBumpsVersionsOverLiveState(t *testing.T) {
 	}
 
 	live := NewWorkspace()
-	live.Set("T", Object{Scores: map[int64]float64{9: 9}})
-	live.Set("other", Object{Scores: map[int64]float64{1: 1}})
+	live.Set("T", Object{Scores: algo.Scores{{ID: 9, Score: 9}}})
+	live.Set("other", Object{Scores: algo.Scores{{ID: 1, Score: 1}}})
 	preFP, _ := live.Fingerprint("T")
 
 	if err := live.Restore(bytes.NewReader(buf.Bytes())); err != nil {
@@ -129,7 +132,7 @@ func TestWorkspaceRestoreBumpsVersionsOverLiveState(t *testing.T) {
 		t.Fatalf("restored fingerprint %q collides with pre-restore state", postFP)
 	}
 	// New bindings after restore must keep advancing past everything.
-	live.Set("new", Object{Scores: map[int64]float64{5: 5}})
+	live.Set("new", Object{Scores: algo.Scores{{ID: 5, Score: 5}}})
 	vNew, _ := live.Version("new")
 	for _, name := range live.Names() {
 		if name == "new" {
@@ -151,7 +154,7 @@ func TestWorkspaceRestoreRejectsCorruptSnapshotUntouched(t *testing.T) {
 	mangled[len(mangled)-4] ^= 0xff // corrupt the last object's payload
 
 	target := NewWorkspace()
-	target.Set("keep", Object{Scores: map[int64]float64{1: 1}})
+	target.Set("keep", Object{Scores: algo.Scores{{ID: 1, Score: 1}}})
 	err := target.Restore(bytes.NewReader(mangled))
 	if err == nil {
 		t.Fatal("corrupt snapshot accepted")
@@ -212,7 +215,7 @@ func TestSnapshotDigestSurvivesRestore(t *testing.T) {
 	// with one score nudged. Fingerprints agree, the digest must not.
 	tampered := snapshotWorkspace(t)
 	tampered.mu.Lock()
-	tampered.objs["PR"].Scores[1] = 0.70001
+	tampered.objs["PR"].Scores[0].Score = 0.70001
 	tampered.mu.Unlock()
 	for _, name := range ws.Names() {
 		a, _ := ws.Fingerprint(name)
@@ -240,5 +243,42 @@ func TestWorkspaceSnapshotFileRoundTrip(t *testing.T) {
 	}
 	if err := fresh.RestoreFile(path + ".missing"); err == nil {
 		t.Fatal("missing file accepted")
+	}
+}
+
+// TestSnapshotGoldenScoreFrame restores a snapshot written before scores
+// became id-sorted vectors (the map-based encoder sorted keys on the way
+// out, so the bytes were already in this order): the frame must decode to
+// the same pairs, re-encode byte for byte, and keep fingerprint and digest.
+func TestSnapshotGoldenScoreFrame(t *testing.T) {
+	golden, err := hex.DecodeString("" +
+		"524e4753010000000100000000000000010000000200000050520d0000007061" +
+		"676572616e6b205052204701000000000000000448000000000000006e88dc14" +
+		"839ac4920400000000000000fdffffffffffffff000000000000c03f00000000" +
+		"00000000000000000000e03f0700000000000000000000000000d03f00000000" +
+		"00010000000000000000c03f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ws := NewWorkspace()
+	if err := ws.Restore(bytes.NewReader(golden)); err != nil {
+		t.Fatal(err)
+	}
+	want := algo.Scores{{ID: -3, Score: 0.125}, {ID: 0, Score: 0.5}, {ID: 7, Score: 0.25}, {ID: 1 << 40, Score: 0.125}}
+	if got, err := ws.Scores("PR"); err != nil || !slices.Equal(got, want) {
+		t.Fatalf("decoded %v, %v; want %v", got, err, want)
+	}
+	if fp, _ := ws.Fingerprint("PR"); fp != "PR#1" {
+		t.Fatalf("fingerprint = %q, want PR#1", fp)
+	}
+	var out bytes.Buffer
+	if err := ws.Snapshot(&out); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(out.Bytes(), golden) {
+		t.Fatalf("re-encoded snapshot differs from the golden bytes:\n got %x\nwant %x", out.Bytes(), golden)
+	}
+	if d, _ := ws.Digest(); d != "ab1c55ea23f63c61" {
+		t.Fatalf("digest = %s, want ab1c55ea23f63c61", d)
 	}
 }

@@ -18,6 +18,7 @@
 package repl
 
 import (
+	"bufio"
 	"fmt"
 	"io"
 	"os"
@@ -52,10 +53,11 @@ type Result struct {
 }
 
 // CachedResult is the cacheable payload of an expensive analytics command:
-// the deterministic message, plus the score map for commands that bind one.
+// the deterministic message, plus the score vector for commands that bind
+// one (shared with the workspace binding, so never modified).
 type CachedResult struct {
 	Message string
-	Scores  map[int64]float64
+	Scores  algo.Scores
 }
 
 // Cache stores computed analytics results keyed by (input fingerprint,
@@ -235,7 +237,7 @@ const HelpText = `Ringo interactive shell — verbs over named objects.
   deledge <graph> <src> <dst>              delete one edge in place
   addnode <graph> <id>                     add one isolated node in place
   pagerank <out> <graph>                   10-iteration parallel PageRank
-  scores2table <out> <scores> <key> <val>  score map -> sorted table
+  scores2table <out> <scores> <key> <val>  score vector -> sorted table
   algo <graph> triangles|wcc|scc|3core|diam|motifs|bridges|cuts|toposort|clustering
                                            run an analysis and print the result
   top <scores> [k]                         print the k best-scored nodes
@@ -388,13 +390,34 @@ func (e *Engine) cmdLoad(r *Result, args []string) error {
 	if err != nil {
 		return err
 	}
-	t, err := table.LoadTSVFile(args[1], schema, false)
+	t, err := loadTSVFile(args[1], schema)
 	if err != nil {
 		return err
 	}
 	e.bind(r, args[0], core.Object{Table: t})
 	r.Message = fmt.Sprintf("%s: %d rows", args[0], t.NumRows())
 	return nil
+}
+
+// loadTSVFile reads a TSV file, treating a first line that spells the
+// declared column names as the header "save" writes — so a table survives
+// save then load — and every other first line as data.
+func loadTSVFile(path string, schema table.Schema) (*table.Table, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	names := make([]string, len(schema))
+	for i, c := range schema {
+		names[i] = c.Name
+	}
+	want := strings.Join(names, "\t")
+	br := bufio.NewReader(f)
+	// A short file or an over-long header just peeks fewer bytes: no match.
+	head, _ := br.Peek(len(want) + 2)
+	first, _, _ := strings.Cut(string(head), "\n")
+	return table.LoadTSV(br, schema, strings.TrimSuffix(first, "\r") == want)
 }
 
 func (e *Engine) cmdLoadGraph(r *Result, args []string) error {

@@ -1,6 +1,8 @@
 package repl
 
 import (
+	"os"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -278,6 +280,38 @@ func TestEngineSnapshotRestoreVerbs(t *testing.T) {
 
 // TestEngineSaveGraphLoadGraphRoundTrip covers the save/load asymmetry
 // fix: save writes graphs in the binary format and loadgraph sniffs it.
+// TestEngineSaveLoadTableRoundTrip: "save" writes a header line, so "load"
+// must recognise it — an int column would fail to parse it, and a table of
+// string columns would silently gain the column names as its first row.
+func TestEngineSaveLoadTableRoundTrip(t *testing.T) {
+	e := New(nil)
+	dir := t.TempDir()
+	rows := func(name string) [][]string {
+		t.Helper()
+		return evalAll(t, e, "show "+name+" 1000").Rows
+	}
+
+	evalAll(t, e, "gen rmat E 7 120 3", "save E "+dir+"/e.tsv", "load E2 "+dir+"/e.tsv src:int dst:int")
+	if got, want := rows("E2"), rows("E"); len(want) != 120 || !reflect.DeepEqual(got, want) {
+		t.Fatalf("int table changed across save/load: %d rows -> %d rows", len(want), len(got))
+	}
+
+	// A headerless file keeps its first line as data, even one that looks
+	// like column names of some other schema.
+	raw := "name\tlang\nada\tgo\ngrace\tcobol\n"
+	if err := os.WriteFile(dir+"/s.tsv", []byte(raw), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	evalAll(t, e, "load S "+dir+"/s.tsv who:string what:string")
+	if got := rows("S"); len(got) != 3 || got[0][0] != "name" {
+		t.Fatalf("headerless load dropped or reordered rows: %v", got)
+	}
+	evalAll(t, e, "save S "+dir+"/s2.tsv", "load S2 "+dir+"/s2.tsv who:string what:string")
+	if got, want := rows("S2"), rows("S"); !reflect.DeepEqual(got, want) {
+		t.Fatalf("string table changed across save/load:\n got %v\nwant %v", got, want)
+	}
+}
+
 func TestEngineSaveGraphLoadGraphRoundTrip(t *testing.T) {
 	e := New(nil)
 	dir := t.TempDir()

@@ -179,6 +179,77 @@ func TestIncrementalMetrics(t *testing.T) {
 	}
 }
 
+// scrapeTotals returns every *_total series of GET /metrics by series key.
+func scrapeTotals(t *testing.T, ts *httptest.Server) map[string]float64 {
+	t.Helper()
+	resp, err := ts.Client().Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	totals := map[string]float64{}
+	for _, line := range strings.Split(string(raw), "\n") {
+		i := strings.LastIndexByte(line, ' ')
+		if strings.HasPrefix(line, "#") || i < 0 {
+			continue
+		}
+		key := line[:i]
+		if name, _, _ := strings.Cut(key, "{"); !strings.HasSuffix(name, "_total") {
+			continue
+		}
+		v, err := strconv.ParseFloat(line[i+1:], 64)
+		if err != nil {
+			t.Fatalf("unparseable sample %q", line)
+		}
+		totals[key] = v
+	}
+	return totals
+}
+
+// TestTotalsSurviveSessionDrop: the view, patch and index counters are
+// summed over sessions, so dropping a session must retire its totals into
+// the server, not subtract them — a Prometheus counter never decreases,
+// and a create-query-drop client must still be visible after it leaves.
+func TestTotalsSurviveSessionDrop(t *testing.T) {
+	srv := New(Config{})
+	defer srv.Close()
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+
+	if _, err := srv.CreateSession("gone"); err != nil {
+		t.Fatal(err)
+	}
+	postCmd(t, ts, "gone", "gen rmat E 8 500 7")
+	postCmd(t, ts, "gone", "select S E src = 1") // index-cache miss
+	postCmd(t, ts, "gone", "select S E src = 2") // index-cache hit
+	postCmd(t, ts, "gone", "tograph G E src dst")
+	postCmd(t, ts, "gone", "pagerank PR G") // view-cache miss, rebuild
+	postCmd(t, ts, "gone", "algo G wcc")    // view-cache hit
+	postCmd(t, ts, "gone", "addedge G 9001 9002")
+	postCmd(t, ts, "gone", "pagerank PR G") // patch
+
+	before := scrapeTotals(t, ts)
+	for _, name := range []string{metricViewCacheHits, metricViewCacheMisses, metricViewPatches,
+		metricViewRebuilds, metricIndexCacheHits, metricIndexCacheMisses} {
+		if before[name] == 0 {
+			t.Errorf("test setup: %s did not move before the drop", name)
+		}
+	}
+	if !srv.DropSession("gone") {
+		t.Fatal("session was not dropped")
+	}
+	after := scrapeTotals(t, ts)
+	for key, was := range before {
+		if now, ok := after[key]; !ok || now < was {
+			t.Errorf("%s went from %v to %v across a session drop", key, was, now)
+		}
+	}
+}
+
 // checkExposition is a strict structural parse of Prometheus text format:
 // every sample belongs to a family announced by a preceding # TYPE, no
 // series line repeats, and histogram buckets are cumulative.

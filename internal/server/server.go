@@ -150,6 +150,12 @@ type Server struct {
 	// instance's entries (a fresh workspace restarts its version clock,
 	// so bare fingerprints would repeat).
 	cacheEpoch uint64
+	// retired accumulates the final cache counters of dropped sessions
+	// (under mu), so the server-wide totals — exported as Prometheus
+	// counters — never decrease when a session goes away.
+	retired struct {
+		viewHits, viewMisses, indexHits, indexMisses, patches, rebuilds uint64
+	}
 
 	jobs *jobRunner
 
@@ -265,12 +271,13 @@ func (s *Server) CacheStats() (hits, misses uint64, size int) {
 	return s.cache.Stats()
 }
 
-// ViewCacheStats aggregates the per-session CSR view caches: cumulative
-// hits and misses, current entries, and estimated resident bytes across
-// every live session.
+// ViewCacheStats aggregates the per-session CSR view caches: hits and
+// misses cumulative since server start (dropped sessions included),
+// current entries and estimated resident bytes across every live session.
 func (s *Server) ViewCacheStats() (hits, misses uint64, entries int, bytes int64) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
+	hits, misses = s.retired.viewHits, s.retired.viewMisses
 	for _, sess := range s.sessions {
 		h, m, e, b := sess.eng.Workspace().ViewCacheStats()
 		hits += h
@@ -281,12 +288,13 @@ func (s *Server) ViewCacheStats() (hits, misses uint64, entries int, bytes int64
 	return hits, misses, entries, bytes
 }
 
-// IndexCacheStats aggregates the per-session equality-index caches:
-// cumulative hits and misses, current entries, and estimated resident
-// bytes across every live session.
+// IndexCacheStats aggregates the per-session equality-index caches: hits
+// and misses cumulative since server start (dropped sessions included),
+// current entries and estimated resident bytes across every live session.
 func (s *Server) IndexCacheStats() (hits, misses uint64, entries int, bytes int64) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
+	hits, misses = s.retired.indexHits, s.retired.indexMisses
 	for _, sess := range s.sessions {
 		h, m, e, b := sess.eng.Workspace().IndexCacheStats()
 		hits += h
@@ -298,11 +306,13 @@ func (s *Server) IndexCacheStats() (hits, misses uint64, entries int, bytes int6
 }
 
 // PatchStats aggregates the incremental tier's view-maintenance counters
-// across every live session: how many CSR view materializations were
-// served by patching a cached base forward versus running a full rebuild.
+// since server start (dropped sessions included): how many CSR view
+// materializations were served by patching a cached base forward versus
+// running a full rebuild.
 func (s *Server) PatchStats() (patches, rebuilds uint64) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
+	patches, rebuilds = s.retired.patches, s.retired.rebuilds
 	for _, sess := range s.sessions {
 		p, r := sess.eng.Workspace().PatchStats()
 		patches += p
@@ -393,7 +403,9 @@ func (s *Server) CreateSession(name string) (string, error) {
 }
 
 // DropSession removes a session, reporting whether it existed. Its result
-// cache entries are purged so dead entries stop consuming shared budget.
+// cache entries are purged so dead entries stop consuming shared budget,
+// and its view, patch and index counters are retired into the server
+// totals so those keep counting up.
 func (s *Server) DropSession(id string) bool {
 	s.mu.Lock()
 	sess, ok := s.sessions[id]
@@ -402,6 +414,16 @@ func (s *Server) DropSession(id string) bool {
 		return false
 	}
 	delete(s.sessions, id)
+	ws := sess.eng.Workspace()
+	vh, vm, _, _ := ws.ViewCacheStats()
+	ih, im, _, _ := ws.IndexCacheStats()
+	p, r := ws.PatchStats()
+	s.retired.viewHits += vh
+	s.retired.viewMisses += vm
+	s.retired.indexHits += ih
+	s.retired.indexMisses += im
+	s.retired.patches += p
+	s.retired.rebuilds += r
 	s.mu.Unlock()
 	sess.dropped.Store(true)
 	if s.cache != nil && sess.cachePrefix != "" {

@@ -1,5 +1,5 @@
 // Package snapshot serializes an entire Ringo workspace — tables, directed
-// and undirected graphs, score maps, and each binding's provenance and
+// and undirected graphs, score vectors, and each binding's provenance and
 // version — into a single versioned binary file, and restores it. This is
 // the durability layer the paper's big-memory service model implies: a
 // preprocessed session is saved once and reloaded in seconds on restart
@@ -25,7 +25,8 @@
 // Payloads reuse the per-type binary codecs: tables embed the columnar
 // format of table.EncodeBinary (shared string pool, bulk column blocks),
 // graphs embed graph.SaveBinary / graph.SaveBinaryUndirected, and score
-// maps are key-sorted (i64, f64) pairs behind a u64 count. Every frame is
+// vectors are (i64, f64) pairs in strictly ascending id order behind a u64
+// count. Every frame is
 // independently length-prefixed and checksummed, so corruption is detected
 // per object — errors name the failing object — and frames can be encoded
 // and decoded in parallel (internal/par), one worker per object.
@@ -38,8 +39,8 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
 
+	"ringo/internal/algo"
 	"ringo/internal/graph"
 	"ringo/internal/par"
 	"ringo/internal/table"
@@ -78,7 +79,7 @@ type Object struct {
 	Table  *table.Table
 	Graph  *graph.Directed
 	UGraph *graph.Undirected
-	Scores map[int64]float64
+	Scores algo.Scores
 }
 
 func (o *Object) kind() (byte, error) {
@@ -189,33 +190,27 @@ func encodePayload(o *Object) ([]byte, error) {
 			return nil, err
 		}
 	case o.Scores != nil:
-		encodeScores(&buf, o.Scores)
+		return encodeScores(o.Scores), nil
 	default:
 		return nil, fmt.Errorf("holds no value")
 	}
 	return buf.Bytes(), nil
 }
 
-// encodeScores writes a score map as a u64 count followed by key-sorted
-// (i64 key, f64 value) pairs, so equal maps encode to equal bytes.
-func encodeScores(buf *bytes.Buffer, scores map[int64]float64) {
-	keys := make([]int64, 0, len(scores))
-	for k := range scores {
-		keys = append(keys, k)
+// encodeScores writes a score vector as a u64 count followed by its
+// (i64 id, f64 score) pairs, already in ascending id order, so equal
+// vectors encode to equal bytes.
+func encodeScores(scores algo.Scores) []byte {
+	out := make([]byte, 8+16*len(scores))
+	binary.LittleEndian.PutUint64(out, uint64(len(scores)))
+	for i, e := range scores {
+		binary.LittleEndian.PutUint64(out[8+16*i:], uint64(e.ID))
+		binary.LittleEndian.PutUint64(out[16+16*i:], math.Float64bits(e.Score))
 	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	var scratch [8]byte
-	binary.LittleEndian.PutUint64(scratch[:], uint64(len(keys)))
-	buf.Write(scratch[:])
-	for _, k := range keys {
-		binary.LittleEndian.PutUint64(scratch[:], uint64(k))
-		buf.Write(scratch[:])
-		binary.LittleEndian.PutUint64(scratch[:], math.Float64bits(scores[k]))
-		buf.Write(scratch[:])
-	}
+	return out
 }
 
-func decodeScores(payload []byte) (map[int64]float64, error) {
+func decodeScores(payload []byte) (algo.Scores, error) {
 	if len(payload) < 8 {
 		return nil, fmt.Errorf("score payload truncated at %d bytes", len(payload))
 	}
@@ -225,16 +220,17 @@ func decodeScores(payload []byte) (map[int64]float64, error) {
 	if n > uint64(len(payload)-8)/16 || uint64(len(payload)-8) != 16*n {
 		return nil, fmt.Errorf("score payload claims %d entries in %d bytes", n, len(payload))
 	}
-	scores := make(map[int64]float64, n)
-	off := 8
-	for i := uint64(0); i < n; i++ {
-		k := int64(binary.LittleEndian.Uint64(payload[off:]))
-		v := math.Float64frombits(binary.LittleEndian.Uint64(payload[off+8:]))
-		if _, dup := scores[k]; dup {
-			return nil, fmt.Errorf("score payload repeats key %d", k)
+	scores := make(algo.Scores, n)
+	for i := range scores {
+		off := 8 + 16*i
+		scores[i] = algo.Scored{
+			ID:    int64(binary.LittleEndian.Uint64(payload[off:])),
+			Score: math.Float64frombits(binary.LittleEndian.Uint64(payload[off+8:])),
 		}
-		scores[k] = v
-		off += 16
+		// Ascending ids are what Scores.Get and the merge-joins rely on.
+		if i > 0 && scores[i].ID <= scores[i-1].ID {
+			return nil, fmt.Errorf("score payload ids not strictly ascending at entry %d (%d after %d)", i, scores[i].ID, scores[i-1].ID)
+		}
 	}
 	return scores, nil
 }

@@ -2,9 +2,11 @@ package snapshot
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"testing"
 
+	"ringo/internal/algo"
 	"ringo/internal/graph"
 	"ringo/internal/table"
 )
@@ -37,7 +39,7 @@ func sampleObjects(t *testing.T) []Object {
 		{Name: "T", Provenance: "load T posts.tsv", Version: 1, Table: tbl},
 		{Name: "G", Provenance: "tograph G T src dst", Version: 2, Graph: g},
 		{Name: "U", Provenance: "", Version: 3, UGraph: u},
-		{Name: "PR", Provenance: "pagerank PR G", Version: 7, Scores: map[int64]float64{1: 0.5, 2: 0.25, 3: 0.25}},
+		{Name: "PR", Provenance: "pagerank PR G", Version: 7, Scores: algo.Scores{{ID: 1, Score: 0.5}, {ID: 2, Score: 0.25}, {ID: 3, Score: 0.25}}},
 	}
 }
 
@@ -79,7 +81,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		t.Fatalf("ugraph not restored: %+v", got[2])
 	}
 	sc := got[3].Scores
-	if sc == nil || len(sc) != 3 || sc[1] != 0.5 {
+	if !slices.Equal(sc, objs[3].Scores) {
 		t.Fatalf("scores not restored: %+v", got[3])
 	}
 }
@@ -217,10 +219,31 @@ func TestDecodeScoresOverflowingCount(t *testing.T) {
 	}
 }
 
+// TestDecodeScoresRequiresAscendingIDs: a score vector is binary-searched
+// and merge-joined, so the decoder refuses a frame whose ids repeat or
+// descend, and round-trips one whose ids ascend.
+func TestDecodeScoresRequiresAscendingIDs(t *testing.T) {
+	good := algo.Scores{{ID: -4, Score: 1}, {ID: 0, Score: 2}, {ID: 9, Score: 3}}
+	if got, err := decodeScores(encodeScores(good)); err != nil || !slices.Equal(got, good) {
+		t.Fatalf("ascending ids: decoded %v, %v", got, err)
+	}
+	if got, err := decodeScores(encodeScores(algo.Scores{})); err != nil || got == nil || len(got) != 0 {
+		t.Fatalf("empty vector: decoded %#v, %v; want empty and non-nil", got, err)
+	}
+	for name, bad := range map[string]algo.Scores{
+		"duplicate":  {{ID: 1, Score: 1}, {ID: 1, Score: 2}},
+		"descending": {{ID: 1, Score: 1}, {ID: 5, Score: 2}, {ID: 3, Score: 3}},
+	} {
+		if _, err := decodeScores(encodeScores(bad)); err == nil || !strings.Contains(err.Error(), "ascending") {
+			t.Errorf("%s ids: error = %v", name, err)
+		}
+	}
+}
+
 func TestSnapshotRejectsDuplicateNames(t *testing.T) {
 	objs := []Object{
-		{Name: "A", Version: 1, Scores: map[int64]float64{1: 1}},
-		{Name: "A", Version: 2, Scores: map[int64]float64{2: 2}},
+		{Name: "A", Version: 1, Scores: algo.Scores{{ID: 1, Score: 1}}},
+		{Name: "A", Version: 2, Scores: algo.Scores{{ID: 2, Score: 2}}},
 	}
 	var buf bytes.Buffer
 	if err := Write(&buf, 2, objs); err != nil {

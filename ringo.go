@@ -22,7 +22,7 @@ type (
 	// Workspace is a named-object session store with provenance and
 	// versioned fingerprints; safe for concurrent use.
 	Workspace = core.Workspace
-	// Object is a workspace value: a table, graph or score map.
+	// Object is a workspace value: a table, graph or score vector.
 	Object = core.Object
 	// Engine evaluates the shell command language against a Workspace,
 	// returning structured Results.
@@ -147,10 +147,14 @@ type (
 
 	// Components is a connected-component decomposition result.
 	Components = algo.Components
-	// HITSScores holds hub and authority score maps.
+	// HITSScores holds hub and authority score vectors.
 	HITSScores = algo.HITSScores
-	// Scored pairs a node with a score in ranked results.
+	// Scored pairs a node with a score.
 	Scored = algo.Scored
+	// Scores is the result of every score-returning algorithm: one Scored
+	// per node in strictly ascending id order, looked up with Get and
+	// ranked with TopK. Treat a returned Scores as read-only.
+	Scores = algo.Scores
 	// DegreeStats summarizes a degree distribution.
 	DegreeStats = algo.DegreeStats
 	// EdgeDir selects traversal direction (OutEdges, InEdges, BothDirs).
@@ -360,15 +364,15 @@ func PatchUView(base *UView, hasNode func(int64) bool, hasEdge func(a, b int64) 
 
 // PageRankViewTol iterates PageRank over a prebuilt view to a convergence
 // tolerance — the cold oracle PageRankIncr is equivalent to.
-func PageRankViewTol(v *View, damping, tol float64) map[int64]float64 {
+func PageRankViewTol(v *View, damping, tol float64) Scores {
 	return algo.PageRankViewTol(v, damping, tol)
 }
 
-// PageRankIncr is dynamic PageRank: seeded from a previous score map,
+// PageRankIncr is dynamic PageRank: seeded from a previous score vector,
 // residual pushing plus a tolerance-driven polish make it agree with
 // PageRankViewTol on the current view while doing work proportional to
 // how much the solution moved.
-func PageRankIncr(v *View, prev map[int64]float64, damping, tol float64) map[int64]float64 {
+func PageRankIncr(v *View, prev Scores, damping, tol float64) Scores {
 	return algo.PageRankIncr(v, prev, damping, tol)
 }
 
@@ -390,7 +394,7 @@ func CountTrianglesIncr(oldV, newV *UView, oldCount int64, deltas []Delta) int64
 // zero-conversion path a cached view enables. Every Get* algorithm has a
 // *View sibling in the underlying library; the most common are re-exported
 // here.
-func PageRankView(v *View, damping float64, iters int) map[int64]float64 {
+func PageRankView(v *View, damping float64, iters int) Scores {
 	return algo.PageRankView(v, damping, iters)
 }
 
@@ -472,7 +476,7 @@ func OpenMapped(path string) (*MappedGraph, error) { return extmem.Open(path) }
 // PageRankExt is the semi-external PageRank: vertex state on the heap,
 // edges streamed from the (typically mapped) view in blocks. Produces
 // bit-identical scores to PageRankView.
-func PageRankExt(v *View, damping float64, iters int) map[int64]float64 {
+func PageRankExt(v *View, damping float64, iters int) Scores {
 	return algo.PageRankExt(v, damping, iters)
 }
 
@@ -521,7 +525,7 @@ func RestoreWorkspace(r io.Reader) (*Workspace, error) {
 // TableFromMap builds a (key, score) table from an algorithm result,
 // descending by score — the paper's ringo.TableFromHashMap(PR, 'User',
 // 'Scr').
-func TableFromMap(m map[int64]float64, keyCol, valCol string) (*Table, error) {
+func TableFromMap(m Scores, keyCol, valCol string) (*Table, error) {
 	return core.TableFromMap(m, keyCol, valCol)
 }
 
@@ -532,20 +536,20 @@ func TableFromIntMap(m map[int64]int, keyCol, valCol string) (*Table, error) {
 
 // GetPageRank runs 10 iterations of parallel PageRank (damping 0.85), the
 // configuration benchmarked in Table 3 of the paper.
-func GetPageRank(g *Graph) map[int64]float64 { return core.GetPageRank(g) }
+func GetPageRank(g *Graph) Scores { return core.GetPageRank(g) }
 
 // PageRank runs parallel PageRank with explicit parameters.
-func PageRank(g *Graph, damping float64, iters int) map[int64]float64 {
+func PageRank(g *Graph, damping float64, iters int) Scores {
 	return algo.PageRank(g, damping, iters)
 }
 
 // PageRankSeq is the sequential PageRank baseline.
-func PageRankSeq(g *Graph, damping float64, iters int) map[int64]float64 {
+func PageRankSeq(g *Graph, damping float64, iters int) Scores {
 	return algo.PageRankSeq(g, damping, iters)
 }
 
 // PersonalizedPageRank runs PageRank with teleport restricted to seeds.
-func PersonalizedPageRank(g *Graph, seeds []int64, damping float64, iters int) map[int64]float64 {
+func PersonalizedPageRank(g *Graph, seeds []int64, damping float64, iters int) Scores {
 	return algo.PersonalizedPageRank(g, seeds, damping, iters)
 }
 
@@ -582,7 +586,7 @@ func GetSSSP(g *Graph, src int64) map[int64]int { return algo.SSSPUnweighted(g, 
 func GetShortestPath(g *Graph, src, dst int64) int { return algo.ShortestPath(g, src, dst) }
 
 // Dijkstra computes weighted shortest paths with non-negative weights.
-func Dijkstra(g *Graph, src int64, w WeightFunc) map[int64]float64 {
+func Dijkstra(g *Graph, src int64, w WeightFunc) Scores {
 	return algo.Dijkstra(g, src, w)
 }
 
@@ -620,7 +624,7 @@ func GetInDegreeStats(g *Graph) DegreeStats { return algo.InDegreeStats(g) }
 func GetDegreeHistogram(g *Graph) [][2]int64 { return algo.DegreeHistogram(g) }
 
 // GetDegreeCentrality returns normalized degree centralities.
-func GetDegreeCentrality(g *UGraph) map[int64]float64 { return algo.DegreeCentrality(g) }
+func GetDegreeCentrality(g *UGraph) Scores { return algo.DegreeCentrality(g) }
 
 // MaxNode returns the node with the highest out-degree.
 func MaxNode(g *Graph) (id int64, deg int, ok bool) { return algo.MaxDegreeNode(g) }
@@ -630,7 +634,7 @@ func GetCloseness(g *Graph, id int64) float64 { return algo.Closeness(g, id) }
 
 // GetApproxBetweenness estimates betweenness centrality from sampled
 // sources.
-func GetApproxBetweenness(g *Graph, samples int, seed int64) map[int64]float64 {
+func GetApproxBetweenness(g *Graph, samples int, seed int64) Scores {
 	return algo.ApproxBetweenness(g, samples, seed)
 }
 
@@ -672,7 +676,7 @@ func GetRandomWalk(g *Graph, start int64, length int, seed int64) []int64 {
 }
 
 // TopK returns the k highest-scored nodes, descending.
-func TopK(scores map[int64]float64, k int) []Scored { return algo.TopK(scores, k) }
+func TopK(scores Scores, k int) []Scored { return algo.TopK(scores, k) }
 
 // Generators (offline stand-ins for the paper's datasets; see internal/gen).
 
@@ -766,7 +770,7 @@ func CountMotifs(g *Graph) MotifCounts { return algo.CountMotifs(g) }
 
 // PageRankConverged iterates PageRank to an L1 tolerance, returning scores
 // and the iterations used.
-func PageRankConverged(g *Graph, damping, tol float64, maxIters int) (map[int64]float64, int) {
+func PageRankConverged(g *Graph, damping, tol float64, maxIters int) (Scores, int) {
 	return algo.PageRankConverged(g, damping, tol, maxIters)
 }
 

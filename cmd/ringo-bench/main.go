@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	ringo-bench [-table all|1|2|3|4|5|6|footprint|ingest|views|script|obs|extmem|filter|cluster|incr] [-lj 0.02] [-tw 0.002] [-filter-rows 10000000]
+//	ringo-bench [-table all|1|2|3|4|5|6|footprint|ingest|script|obs|extmem|filter|cluster|incr] [-lj 0.02] [-tw 0.002] [-filter-rows 10000000]
 //
 // -lj and -tw scale the LiveJournal and Twitter2010 stand-ins (1.0 = the
 // paper's full sizes of 69M and 1.5B edge rows; defaults are laptop-sized).
@@ -22,7 +22,7 @@ import (
 )
 
 func main() {
-	tableSel := flag.String("table", "all", "which table to regenerate: all, 1-6, footprint, ingest, views, script, obs, extmem, filter, cluster, incr")
+	tableSel := flag.String("table", "all", "which table to regenerate: all, 1-6, footprint, ingest, script, obs, extmem, filter, cluster, incr")
 	ljScale := flag.Float64("lj", 0.02, "LiveJournal stand-in scale factor (1.0 = 69M edge rows)")
 	twScale := flag.Float64("tw", 0.002, "Twitter2010 stand-in scale factor (1.0 = 1.5B edge rows)")
 	filterRows := flag.Int64("filter-rows", 10_000_000, "row count for the table-filter report")
@@ -69,9 +69,6 @@ func main() {
 	}
 	if want("ingest") {
 		run("ingest", func() (core.Report, error) { return core.Ingest(specs) })
-	}
-	if want("views") {
-		run("views", func() (core.Report, error) { return core.Views(specs) })
 	}
 	if want("script") {
 		run("script", ScriptBatch)

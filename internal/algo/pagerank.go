@@ -101,8 +101,9 @@ func pageRankFlat(v *graph.View, damping float64, iters int, parallel bool) []fl
 
 // PersonalizedPageRank computes PageRank with teleportation restricted to
 // the given seed nodes (uniformly across them), the standard
-// random-walk-with-restart relevance measure. Unknown seeds are ignored; it
-// returns nil if no seed is a node of g.
+// random-walk-with-restart relevance measure. Unknown seeds are ignored; if
+// no seed is a node of g the result is empty but, like every kernel's,
+// non-nil — "no seed matched" is still a score vector, not a missing one.
 func PersonalizedPageRank(g *graph.Directed, seeds []int64, damping float64, iters int) Scores {
 	return PersonalizedPageRankView(graph.BuildView(g), seeds, damping, iters)
 }
@@ -117,7 +118,7 @@ func PersonalizedPageRankView(v *graph.View, seeds []int64, damping float64, ite
 		}
 	}
 	if len(seedIdx) == 0 {
-		return nil
+		return Scores{}
 	}
 	teleport := make([]float64, n)
 	for _, i := range seedIdx {

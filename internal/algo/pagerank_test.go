@@ -106,8 +106,10 @@ func TestPersonalizedPageRank(t *testing.T) {
 	if s := SumScores(ppr); !approxEq(s, 1, 1e-6) {
 		t.Fatalf("PPR sum = %v", s)
 	}
-	if got := PersonalizedPageRank(g, []int64{999}, DefaultDamping, 5); got != nil {
-		t.Fatal("unknown seed should return nil")
+	// No seed in the graph: an empty vector, but not nil — core.Object.Kind
+	// tells "scores" from "empty" by nil-ness.
+	if got := PersonalizedPageRank(g, []int64{999}, DefaultDamping, 5); got == nil || len(got) != 0 {
+		t.Fatalf("unknown seed: got %v, want a non-nil empty vector", got)
 	}
 }
 

@@ -8,9 +8,9 @@
 // The package's two stateful pieces implement the paper's session model:
 // Workspace is the named-object registry standing in for the Python
 // session (provenance-tracked bindings, versioned fingerprints, binary
-// snapshot/restore), and ViewCache — embedded in every workspace — keeps
-// the flat CSR snapshots (graph.View/UView) that algorithms run over,
-// keyed by object fingerprint so a graph is converted to its optimized
+// snapshot/restore), and the view cache every workspace carries keeps the
+// flat CSR snapshots (graph.View/UView) that algorithms run over, keyed by
+// object fingerprint so a graph is converted to its optimized
 // representation once per state, not once per query.
 package core
 
@@ -25,6 +25,7 @@ import (
 	"ringo/internal/conv"
 	"ringo/internal/extmem"
 	"ringo/internal/graph"
+	"ringo/internal/lru"
 	"ringo/internal/table"
 )
 
@@ -170,7 +171,7 @@ func schemaString(t *table.Table) string {
 //
 // Graph bindings are queried through DirectedView/UndirectedView, which
 // serve the flat CSR snapshot algorithms run over from a fingerprint-keyed
-// ViewCache: the first query on a graph pays the O(V+E) conversion, every
+// view cache: the first query on a graph pays the O(V+E) conversion, every
 // later query on the unchanged graph goes straight to flat-array compute.
 // Rebinding operations (Set, Delete, Rename, Touch, Restore) purge the
 // affected views — the new object shares nothing with the cached state.
@@ -190,8 +191,8 @@ type Workspace struct {
 	ver     map[string]uint64
 	clock   uint64
 	order   []string
-	views   *ViewCache
-	indexes *IndexCache
+	views   *viewCache // nil when disabled, like indexes
+	indexes *indexCache
 	// deltas holds each graph binding's pending mutation log; patchRatio
 	// is the patch-vs-rebuild threshold; patches/rebuilds count how view
 	// materializations were served (they are touched inside cache build
@@ -211,8 +212,8 @@ func NewWorkspace() *Workspace {
 		objs:       make(map[string]Object),
 		prov:       make(map[string]string),
 		ver:        make(map[string]uint64),
-		views:      NewViewCache(DefaultViewCacheEntries),
-		indexes:    NewIndexCache(DefaultIndexCacheEntries),
+		views:      lru.New[viewKey, cachedView](DefaultViewCacheEntries),
+		indexes:    lru.New[indexKey, cachedIndex](DefaultIndexCacheEntries),
 		deltas:     make(map[string]*deltaLog),
 		patchRatio: DefaultPatchRatio,
 	}
@@ -224,11 +225,7 @@ func NewWorkspace() *Workspace {
 func (w *Workspace) ConfigureViewCache(maxEntries int) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if maxEntries < 1 {
-		w.views = nil
-		return
-	}
-	w.views = NewViewCache(maxEntries)
+	w.views = lru.New[viewKey, cachedView](maxEntries)
 }
 
 // ViewCacheStats reports the view cache's cumulative hits and misses, the
@@ -245,11 +242,7 @@ func (w *Workspace) ViewCacheStats() (hits, misses uint64, entries int, bytes in
 func (w *Workspace) ConfigureIndexCache(maxEntries int) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if maxEntries < 1 {
-		w.indexes = nil
-		return
-	}
-	w.indexes = NewIndexCache(maxEntries)
+	w.indexes = lru.New[indexKey, cachedIndex](maxEntries)
 }
 
 // IndexCacheStats reports the equality-index cache's cumulative hits and
@@ -279,22 +272,21 @@ func (w *Workspace) TableEqIndex(name, col string) (*table.EqIndex, error) {
 	if o.Table == nil {
 		return nil, fmt.Errorf("%q is a %s, not a table", name, o.Kind())
 	}
-	if idx, err, hit := idxc.Cached(name, ver, col); hit {
-		return idx, err
+	key := indexKey{name: name, ver: ver, col: col}
+	if ci, hit := idxc.Get(key); hit {
+		return ci.idx, ci.err
 	}
-	idx, err := idxc.Get(name, ver, col, func() (*table.EqIndex, error) {
-		return table.BuildEqIndex(o.Table, col, 0)
+	ci := idxc.Build(key, func() (cachedIndex, int64) {
+		idx, err := table.BuildEqIndex(o.Table, col, 0)
+		if err != nil {
+			return cachedIndex{err: err}, 0
+		}
+		return cachedIndex{idx: idx}, idx.Bytes()
 	})
-	w.dropIndexIfStale(idxc, name, ver)
-	return idx, err
-}
-
-// dropIndexIfStale is dropIfStale for the index cache: it evicts indexes of
-// a binding state that was mutated away while an index build was in flight.
-func (w *Workspace) dropIndexIfStale(idxc *IndexCache, name string, ver uint64) {
-	if cur, ok := w.Version(name); !ok || cur != ver {
-		idxc.Drop(name, ver)
+	if w.stale(name, ver) {
+		idxc.DeleteFunc(func(k indexKey) bool { return k.name == name && k.ver == ver })
 	}
+	return ci.idx, ci.err
 }
 
 // DirectedView returns the CSR view of the directed graph bound to name,
@@ -322,16 +314,25 @@ func (w *Workspace) DirectedView(name string) (*graph.View, error) {
 	if o.Graph == nil {
 		return nil, fmt.Errorf("%q is a %s, not a directed graph", name, o.Kind())
 	}
-	v := views.Directed(name, ver, func() *graph.View {
-		if base, pending := plan.baseDirected(views, name); base != nil {
+	key := viewKey{name: name, ver: ver}
+	if cv, hit := views.Get(key); hit {
+		return cv.dir, nil
+	}
+	cv := views.Build(key, func() (cachedView, int64) {
+		var v *graph.View
+		if base, pending, ok := plan.base(views, key); ok {
 			w.patches.Add(1)
-			return graph.PatchView(base, o.Graph.HasNode, o.Graph.HasEdge, pending)
+			v = graph.PatchView(base.dir, o.Graph.HasNode, o.Graph.HasEdge, pending)
+		} else {
+			w.rebuilds.Add(1)
+			v = graph.BuildView(o.Graph)
 		}
-		w.rebuilds.Add(1)
-		return graph.BuildView(o.Graph)
+		return cachedView{dir: v}, v.Bytes()
 	})
-	w.dropIfStale(views, name, ver)
-	return v, nil
+	if w.stale(name, ver) {
+		views.DeleteFunc(func(k viewKey) bool { return k.name == name && k.ver == ver })
+	}
+	return cv.dir, nil
 }
 
 // UndirectedView returns the undirected CSR view of the graph bound to
@@ -349,66 +350,54 @@ func (w *Workspace) UndirectedView(name string) (*graph.UView, error) {
 	if !ok {
 		return nil, fmt.Errorf("no object named %q", name)
 	}
-	var v *graph.UView
 	switch {
-	case o.UGraph != nil:
-		v = views.Undirected(name, ver, func() *graph.UView {
-			if base, pending := plan.baseUndirected(views, name); base != nil {
-				w.patches.Add(1)
-				return graph.PatchUView(base, o.UGraph.HasNode, o.UGraph.HasEdge, pending)
-			}
-			w.rebuilds.Add(1)
-			return graph.BuildUView(o.UGraph)
-		})
-	case o.Graph != nil:
-		v = views.Undirected(name, ver, func() *graph.UView {
-			if base, pending := plan.baseUndirected(views, name); base != nil {
-				w.patches.Add(1)
-				g := o.Graph
-				// An undirected edge of the projection exists when either
-				// orientation does.
-				sym := func(a, b int64) bool { return g.HasEdge(a, b) || g.HasEdge(b, a) }
-				return graph.PatchUView(base, g.HasNode, sym, pending)
-			}
-			w.rebuilds.Add(1)
-			return graph.BuildUView(graph.AsUndirected(o.Graph))
-		})
 	case o.Mapped != nil && o.Mapped.UView() != nil:
 		// An undirected mapped image is served in place, like DirectedView.
 		return o.Mapped.UView(), nil
-	case o.Mapped != nil:
+	case o.UGraph == nil && o.Graph == nil && o.Mapped == nil:
+		return nil, fmt.Errorf("%q is a %s, not a graph", name, o.Kind())
+	}
+	key := viewKey{name: name, ver: ver, undir: true}
+	if cv, hit := views.Get(key); hit {
+		return cv.un, nil
+	}
+	cv := views.Build(key, func() (cachedView, int64) {
+		v := w.buildUView(o, plan, views, key)
+		return cachedView{un: v}, v.Bytes()
+	})
+	if w.stale(name, ver) {
+		views.DeleteFunc(func(k viewKey) bool { return k.name == name && k.ver == ver })
+	}
+	return cv.un, nil
+}
+
+// buildUView materializes the undirected view of o for a cache miss:
+// patched from a resident base when the plan allows, built otherwise.
+func (w *Workspace) buildUView(o Object, plan patchPlan, views *viewCache, key viewKey) *graph.UView {
+	if o.Mapped != nil {
 		// The undirected projection of a mapped directed graph is a heap
 		// materialization, so it earns a cache slot like any conversion;
 		// the builder streams the mapped arenas once.
-		v = views.Undirected(name, ver, func() *graph.UView { return graph.ProjectUView(o.Mapped.View()) })
+		return graph.ProjectUView(o.Mapped.View())
+	}
+	base, pending, patch := plan.base(views, key)
+	if patch {
+		w.patches.Add(1)
+	} else {
+		w.rebuilds.Add(1)
+	}
+	switch g, u := o.Graph, o.UGraph; {
+	case patch && u != nil:
+		return graph.PatchUView(base.un, u.HasNode, u.HasEdge, pending)
+	case patch:
+		// An undirected edge of the projection exists when either
+		// orientation does.
+		sym := func(a, b int64) bool { return g.HasEdge(a, b) || g.HasEdge(b, a) }
+		return graph.PatchUView(base.un, g.HasNode, sym, pending)
+	case u != nil:
+		return graph.BuildUView(u)
 	default:
-		return nil, fmt.Errorf("%q is a %s, not a graph", name, o.Kind())
-	}
-	w.dropIfStale(views, name, ver)
-	return v, nil
-}
-
-// dropIfStale evicts the view just served if its binding was mutated away
-// while the view was being built: in that interleaving the mutator's
-// purge ran before the cache insertion landed, and without this check the
-// dead view would stay resident until LRU pressure reached it. (If the
-// mutation happens after this check instead, its purge runs after the
-// insertion and removes the entry itself — either order is covered.)
-//
-// Views superseded by *delta-logged* mutations are deliberately kept:
-// they are exactly the base states the next query patches from, so a view
-// is only stale when no live delta log covers its version (the binding
-// was rebound, renamed, touched or deleted).
-func (w *Workspace) dropIfStale(views *ViewCache, name string, ver uint64) {
-	w.mu.RLock()
-	cur, ok := w.ver[name]
-	patchable := false
-	if dl := w.deltas[name]; ok && dl != nil {
-		patchable = ver >= dl.baseVer && ver <= cur
-	}
-	w.mu.RUnlock()
-	if !ok || (cur != ver && !patchable) {
-		views.Drop(name, ver)
+		return graph.BuildUView(graph.AsUndirected(g))
 	}
 }
 
@@ -429,9 +418,7 @@ func (w *Workspace) SetWithProvenance(name string, o Object, prov string) {
 	w.prov[name] = prov
 	w.clock++
 	w.ver[name] = w.clock
-	w.views.Purge(name)
-	w.indexes.Purge(name)
-	delete(w.deltas, name)
+	w.invalidateLocked(name)
 }
 
 // Delete removes a binding, reporting whether it existed.
@@ -450,9 +437,7 @@ func (w *Workspace) Delete(name string) bool {
 			break
 		}
 	}
-	w.views.Purge(name)
-	w.indexes.Purge(name)
-	delete(w.deltas, name)
+	w.invalidateLocked(name)
 	return true
 }
 
@@ -489,12 +474,8 @@ func (w *Workspace) Rename(oldName, newName string) error {
 	w.prov[newName] = prov
 	w.clock++
 	w.ver[newName] = w.clock
-	w.views.Purge(oldName)
-	w.views.Purge(newName)
-	w.indexes.Purge(oldName)
-	w.indexes.Purge(newName)
-	delete(w.deltas, oldName)
-	delete(w.deltas, newName)
+	w.invalidateLocked(oldName)
+	w.invalidateLocked(newName)
 	return nil
 }
 
@@ -507,9 +488,7 @@ func (w *Workspace) Touch(name string) {
 	if _, ok := w.objs[name]; ok {
 		w.clock++
 		w.ver[name] = w.clock
-		w.views.Purge(name)
-		w.indexes.Purge(name)
-		delete(w.deltas, name)
+		w.invalidateLocked(name)
 	}
 }
 

@@ -301,67 +301,6 @@ func Footprint(spec Spec) (Report, error) {
 	return r, nil
 }
 
-// Views measures the interactive-query model the view cache implements: a
-// session's first analytics query pays the O(V+E) CSR view construction, a
-// repeat query on the unchanged graph fetches the resident view in
-// microseconds, and the end-to-end effect shows up as cold-vs-warm
-// PageRank and triangle-count runtimes.
-func Views(specs []Spec) (Report, error) {
-	r := Report{
-		Title:  "Views: fingerprint-keyed CSR view cache, cold vs warm queries",
-		Header: []string{"Measurement", "Dataset", "Cold", "Warm", "Speedup"},
-	}
-	for _, s := range specs {
-		g, err := conv.ToDirected(s.CachedEdgeTable(), "src", "dst")
-		if err != nil {
-			return Report{}, err
-		}
-		ws := NewWorkspace()
-		ws.Set("g", Object{Graph: g})
-
-		var v *graph.View
-		cold := Timed(func() { v, err = ws.DirectedView("g") })
-		if err != nil {
-			return Report{}, err
-		}
-		var warm time.Duration
-		const probes = 100
-		warm = Timed(func() {
-			for i := 0; i < probes; i++ {
-				if v, err = ws.DirectedView("g"); err != nil {
-					return
-				}
-			}
-		}) / probes
-		if err != nil {
-			return Report{}, err
-		}
-		r.Rows = append(r.Rows, []string{"View fetch", s.Name,
-			cold.Round(time.Microsecond).String(), warm.String(),
-			fmt.Sprintf("%.0fx", cold.Seconds()/warm.Seconds())})
-
-		prCold := Timed(func() { algo.PageRank(g, algo.DefaultDamping, 10) })
-		prWarm := Timed(func() { algo.PageRankView(v, algo.DefaultDamping, 10) })
-		r.Rows = append(r.Rows, []string{"PageRank (10 iter)", s.Name,
-			prCold.Round(time.Millisecond).String(), prWarm.Round(time.Millisecond).String(),
-			fmt.Sprintf("%.1fx", prCold.Seconds()/prWarm.Seconds())})
-
-		triCold := Timed(func() { algo.Triangles(graph.AsUndirected(g)) })
-		var uv *graph.UView
-		if uv, err = ws.UndirectedView("g"); err != nil {
-			return Report{}, err
-		}
-		triWarm := Timed(func() { algo.TrianglesView(uv) })
-		r.Rows = append(r.Rows, []string{"Triangle Counting", s.Name,
-			triCold.Round(time.Millisecond).String(), triWarm.Round(time.Millisecond).String(),
-			fmt.Sprintf("%.1fx", triCold.Seconds()/triWarm.Seconds())})
-	}
-	r.Notes = append(r.Notes,
-		"cold = build the CSR view (and, for triangles, the undirected projection) then compute; warm = cached view, flat-array compute only",
-		"shape check: warm fetch is microseconds regardless of graph size; warm analytics approach pure compute time")
-	return r, nil
-}
-
 // ObsOverhead measures the observability layer's tax on the hot path: the
 // per-op cost of the lock-free internal/obs primitives, the per-call cost
 // of the algo timing hook in both states (uninstalled: one atomic load;

@@ -209,40 +209,28 @@ func (p patchPlan) pending(i int) []graph.Delta {
 // withinCutoff applies the patch-vs-rebuild threshold: the pending batch
 // must be no larger than ratio × (V+E) of the base view. A batch exactly
 // at the cutoff patches; one past it rebuilds.
-func (p patchPlan) withinCutoff(pending int, nodes int, edges int64) bool {
+func (p patchPlan) withinCutoff(pending int, base cachedView) bool {
+	nodes, edges := base.size()
 	return pending <= int(p.ratio*float64(int64(nodes)+edges))
 }
 
-// baseDirected finds the freshest resident directed view the pending
-// deltas can patch from, returning it with the delta suffix to apply, or
-// nil when no base is resident or the batch exceeds the cutoff.
-func (p patchPlan) baseDirected(views *ViewCache, name string) (*graph.View, []graph.Delta) {
-	if p.ratio <= 0 || len(p.deltas) == 0 {
-		return nil, nil
+// base finds the freshest resident view of key's binding and orientation
+// that the pending deltas can patch from, returning it with the delta
+// suffix to apply; ok is false when no base is resident or the batch
+// exceeds the cutoff. Peek, not Get: a patch base is not a query, so it
+// costs the cache no miss.
+func (p patchPlan) base(views *viewCache, key viewKey) (base cachedView, pending []graph.Delta, ok bool) {
+	if p.ratio <= 0 {
+		return base, nil, false
 	}
 	for i := len(p.deltas) - 1; i >= 0; i-- {
-		if base := views.PeekDirected(name, p.candidateVer(i)); base != nil {
-			if !p.withinCutoff(len(p.deltas)-i, base.NumNodes(), base.NumEdges()) {
-				return nil, nil
+		key.ver = p.candidateVer(i)
+		if base, ok = views.Peek(key); ok {
+			if !p.withinCutoff(len(p.deltas)-i, base) {
+				return base, nil, false
 			}
-			return base, p.pending(i)
+			return base, p.pending(i), true
 		}
 	}
-	return nil, nil
-}
-
-// baseUndirected is baseDirected for the undirected orientation.
-func (p patchPlan) baseUndirected(views *ViewCache, name string) (*graph.UView, []graph.Delta) {
-	if p.ratio <= 0 || len(p.deltas) == 0 {
-		return nil, nil
-	}
-	for i := len(p.deltas) - 1; i >= 0; i-- {
-		if base := views.PeekUndirected(name, p.candidateVer(i)); base != nil {
-			if !p.withinCutoff(len(p.deltas)-i, base.NumNodes(), base.NumEdges()) {
-				return nil, nil
-			}
-			return base, p.pending(i)
-		}
-	}
-	return nil, nil
+	return base, nil, false
 }

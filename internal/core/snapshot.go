@@ -84,8 +84,8 @@ func (w *Workspace) Restore(in io.Reader) error {
 	// Every binding was replaced wholesale; no pre-restore view or index can
 	// ever be asked for again, so drop them all — and the pending delta
 	// logs with them, since their base versions point at replaced objects.
-	w.views.PurgeAll()
-	w.indexes.PurgeAll()
+	w.views.Clear()
+	w.indexes.Clear()
 	clear(w.deltas)
 	return nil
 }

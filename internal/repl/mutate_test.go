@@ -47,6 +47,35 @@ func TestMutationVerbs(t *testing.T) {
 	}
 }
 
+// TestNoOpMutationKeepsResultCache pins a feature: a mutation verb that
+// changes nothing (edge already present / absent, node already present)
+// leaves the graph's fingerprint alone, so results cached against it keep
+// being served.
+func TestNoOpMutationKeepsResultCache(t *testing.T) {
+	e := New(nil)
+	cache := newCountingCache()
+	e.SetCache(cache)
+	evalAll(t, e, "gen rmat E 6 120 7", "tograph G E src dst", "addedge G 1000 1001")
+	if r := evalAll(t, e, "pagerank PR G"); r.Cached {
+		t.Fatal("first pagerank reported cached")
+	}
+	fp, _ := e.Workspace().Fingerprint("G")
+	for _, noop := range []string{"addedge G 1000 1001", "deledge G 1001 1000", "addnode G 1000"} {
+		evalAll(t, e, noop)
+		if got, _ := e.Workspace().Fingerprint("G"); got != fp {
+			t.Fatalf("%q moved the fingerprint %s -> %s", noop, fp, got)
+		}
+		if r := evalAll(t, e, "pagerank PR2 G"); !r.Cached {
+			t.Fatalf("pagerank after no-op %q was recomputed", noop)
+		}
+	}
+	// A mutation that does change the graph still invalidates.
+	evalAll(t, e, "deledge G 1000 1001")
+	if r := evalAll(t, e, "pagerank PR3 G"); r.Cached {
+		t.Fatal("pagerank after a real deledge served the stale result")
+	}
+}
+
 // TestMutationVerbErrors pins the error surface.
 func TestMutationVerbErrors(t *testing.T) {
 	e := New(nil)

@@ -1,29 +1,19 @@
 package server
 
 import (
-	"container/list"
 	"strings"
-	"sync"
 
+	"ringo/internal/lru"
 	"ringo/internal/repl"
 )
 
-// LRU is a bounded, concurrency-safe result cache with hit/miss counters.
-// Keys are (object fingerprint, command) strings built by the repl engine,
-// prefixed per session by sessionCache, so one cache budget is shared
-// across every session on the server while entries never collide.
+// LRU is the server's result cache: the one lru.Cache instance whose keys
+// are strings — (object fingerprint, command) keys built by the repl
+// engine, prefixed per session by sessionCache, so one cache budget is
+// shared across every session on the server while entries never collide.
+// Results are not sized, so only the entry count is reported.
 type LRU struct {
-	mu     sync.Mutex
-	max    int
-	ll     *list.List
-	items  map[string]*list.Element
-	hits   uint64
-	misses uint64
-}
-
-type lruEntry struct {
-	key string
-	val repl.CachedResult
+	c *lru.Cache[string, repl.CachedResult]
 }
 
 // NewLRU returns a cache holding at most max entries (max < 1 is treated
@@ -32,58 +22,26 @@ func NewLRU(max int) *LRU {
 	if max < 1 {
 		max = 1
 	}
-	return &LRU{max: max, ll: list.New(), items: make(map[string]*list.Element)}
+	return &LRU{c: lru.New[string, repl.CachedResult](max)}
 }
 
 // Get returns the cached value for key, marking it most recently used.
-func (c *LRU) Get(key string) (repl.CachedResult, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.items[key]; ok {
-		c.ll.MoveToFront(el)
-		c.hits++
-		return el.Value.(*lruEntry).val, true
-	}
-	c.misses++
-	return repl.CachedResult{}, false
-}
+func (c *LRU) Get(key string) (repl.CachedResult, bool) { return c.c.Get(key) }
 
 // Put inserts or refreshes key, evicting the least recently used entry when
 // the cache is full.
-func (c *LRU) Put(key string, v repl.CachedResult) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.items[key]; ok {
-		el.Value.(*lruEntry).val = v
-		c.ll.MoveToFront(el)
-		return
-	}
-	c.items[key] = c.ll.PushFront(&lruEntry{key: key, val: v})
-	for c.ll.Len() > c.max {
-		oldest := c.ll.Back()
-		c.ll.Remove(oldest)
-		delete(c.items, oldest.Value.(*lruEntry).key)
-	}
-}
+func (c *LRU) Put(key string, v repl.CachedResult) { c.c.Put(key, v, 0) }
 
 // DeletePrefix drops every entry whose key starts with prefix — used to
 // purge a dropped session's entries so they stop consuming shared budget.
 func (c *LRU) DeletePrefix(prefix string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for key, el := range c.items {
-		if strings.HasPrefix(key, prefix) {
-			c.ll.Remove(el)
-			delete(c.items, key)
-		}
-	}
+	c.c.DeleteFunc(func(key string) bool { return strings.HasPrefix(key, prefix) })
 }
 
 // Stats returns cumulative hits, misses and the current entry count.
 func (c *LRU) Stats() (hits, misses uint64, size int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.hits, c.misses, c.ll.Len()
+	hits, misses, size, _ = c.c.Stats()
+	return hits, misses, size
 }
 
 // sessionCache namespaces a shared LRU per session instance so

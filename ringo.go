@@ -142,8 +142,6 @@ type (
 	View = graph.View
 	// UView is the undirected CSR snapshot (Workspace.UndirectedView).
 	UView = graph.UView
-	// ViewCache is the fingerprint-keyed CSR view cache workspaces carry.
-	ViewCache = core.ViewCache
 
 	// Components is a connected-component decomposition result.
 	Components = algo.Components

@@ -10,10 +10,12 @@ import (
 	"sync"
 	"testing"
 
-	"ringo"
+	"ringo/internal/algo"
 	"ringo/internal/catalog"
+	"ringo/internal/conv"
 	"ringo/internal/core"
 	"ringo/internal/graph"
+	"ringo/internal/table"
 	"ringo/internal/xhash"
 )
 
@@ -25,22 +27,22 @@ var (
 	benchTW = core.TWSim(0.0001)
 
 	benchOnce   sync.Once
-	benchGraphs map[string]*ringo.Graph
-	benchUndirs map[string]*ringo.UGraph
+	benchGraphs map[string]*graph.Directed
+	benchUndirs map[string]*graph.Undirected
 )
 
 func setupBench(b *testing.B) {
 	b.Helper()
 	benchOnce.Do(func() {
-		benchGraphs = map[string]*ringo.Graph{}
-		benchUndirs = map[string]*ringo.UGraph{}
+		benchGraphs = map[string]*graph.Directed{}
+		benchUndirs = map[string]*graph.Undirected{}
 		for _, s := range []core.Spec{benchLJ, benchTW} {
-			g, err := ringo.ToGraph(s.CachedEdgeTable(), "src", "dst")
+			g, err := conv.ToDirected(s.CachedEdgeTable(), "src", "dst")
 			if err != nil {
 				panic(err)
 			}
 			benchGraphs[s.Name] = g
-			benchUndirs[s.Name] = ringo.AsUndirected(g)
+			benchUndirs[s.Name] = graph.AsUndirected(g)
 		}
 	})
 }
@@ -76,7 +78,7 @@ func benchPageRank(b *testing.B, name string) {
 	g := benchGraphs[name]
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ringo.PageRank(g, 0.85, 10)
+		algo.PageRankView(graph.BuildView(g), algo.DefaultDamping, 10)
 	}
 }
 
@@ -88,7 +90,7 @@ func benchTriangles(b *testing.B, name string) {
 	u := benchUndirs[name]
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ringo.CountTriangles(u)
+		algo.TrianglesView(graph.BuildUView(u))
 	}
 }
 
@@ -100,7 +102,7 @@ func BenchmarkTable3TrianglesTW(b *testing.B) { benchTriangles(b, "tw-sim") }
 func BenchmarkTable4Select10K(b *testing.B) {
 	t := benchLJ.CachedEdgeTable()
 	for i := 0; i < b.N; i++ {
-		sel, err := t.Select("src", ringo.LT, int64(64)) // small prefix of the skewed space
+		sel, err := t.Select("src", table.LT, int64(64)) // small prefix of the skewed space
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -111,7 +113,7 @@ func BenchmarkTable4Select10K(b *testing.B) {
 func BenchmarkTable4SelectAllBut10K(b *testing.B) {
 	t := benchLJ.CachedEdgeTable()
 	for i := 0; i < b.N; i++ {
-		sel, err := t.Select("src", ringo.GE, int64(64))
+		sel, err := t.Select("src", table.GE, int64(64))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -125,7 +127,7 @@ func benchJoin(b *testing.B, keys int64) {
 	for i := range keyVals {
 		keyVals[i] = int64(i)
 	}
-	right, err := ringo.NewTable(ringo.Schema{{Name: "key", Type: ringo.IntCol}})
+	right, err := table.New(table.Schema{{Name: "key", Type: table.Int}})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -136,7 +138,7 @@ func benchJoin(b *testing.B, keys int64) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		j, err := ringo.Join(t, right, "src", "key")
+		j, err := t.Join(right, "src", "key")
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -153,7 +155,7 @@ func BenchmarkTable5TableToGraph(b *testing.B) {
 	t := benchLJ.CachedEdgeTable()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		g, err := ringo.ToGraph(t, "src", "dst")
+		g, err := conv.ToDirected(t, "src", "dst")
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -166,7 +168,7 @@ func BenchmarkTable5GraphToTable(b *testing.B) {
 	g := benchGraphs[benchLJ.Name]
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		t, err := ringo.ToTable(g, "src", "dst")
+		t, err := conv.ToEdgeTable(g, "src", "dst")
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -181,7 +183,7 @@ func BenchmarkTable6ThreeCore(b *testing.B) {
 	u := benchUndirs[benchLJ.Name]
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ringo.GetKCore(u, 3)
+		algo.KCore(u, 3)
 	}
 }
 
@@ -191,7 +193,7 @@ func BenchmarkTable6SSSP(b *testing.B) {
 	nodes := g.Nodes()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ringo.GetSSSP(g, nodes[i%len(nodes)])
+		algo.SSSPUnweighted(g, nodes[i%len(nodes)])
 	}
 }
 
@@ -200,7 +202,7 @@ func BenchmarkTable6SCC(b *testing.B) {
 	g := benchGraphs[benchLJ.Name]
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ringo.GetSCC(g)
+		algo.SCCView(graph.BuildView(g))
 	}
 }
 
@@ -210,7 +212,7 @@ func BenchmarkAblationConversionSortFirst(b *testing.B) {
 	t := benchLJ.CachedEdgeTable()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := ringo.ToGraph(t, "src", "dst"); err != nil {
+		if _, err := conv.ToDirected(t, "src", "dst"); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -220,7 +222,7 @@ func BenchmarkAblationConversionNaive(b *testing.B) {
 	t := benchLJ.CachedEdgeTable()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := ringo.NaiveToGraph(t, "src", "dst"); err != nil {
+		if _, err := conv.NaiveToDirected(t, "src", "dst"); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -317,7 +319,7 @@ func BenchmarkAblationPageRankSeq(b *testing.B) {
 	g := benchGraphs[benchLJ.Name]
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ringo.PageRankSeq(g, 0.85, 10)
+		algo.PageRankSeq(g, algo.DefaultDamping, 10)
 	}
 }
 
@@ -326,7 +328,7 @@ func BenchmarkAblationTrianglesSeq(b *testing.B) {
 	u := benchUndirs[benchLJ.Name]
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ringo.CountTrianglesSeq(u)
+		algo.TrianglesSeqView(graph.BuildUView(u))
 	}
 }
 
@@ -367,19 +369,20 @@ func BenchmarkAblationMutexMapPut(b *testing.B) {
 // workspace. Per-object encode/decode runs in parallel.
 func BenchmarkSnapshotRoundTrip(b *testing.B) {
 	setupBench(b)
-	ws := ringo.NewWorkspace()
-	ws.Set("E", ringo.Object{Table: benchLJ.CachedEdgeTable()})
-	ws.Set("G", ringo.Object{Graph: benchGraphs[benchLJ.Name]})
-	ws.Set("PR", ringo.Object{Scores: ringo.GetPageRank(benchGraphs[benchLJ.Name])})
+	ws := core.NewWorkspace()
+	g := benchGraphs[benchLJ.Name]
+	ws.Set("E", core.Object{Table: benchLJ.CachedEdgeTable()})
+	ws.Set("G", core.Object{Graph: g})
+	ws.Set("PR", core.Object{Scores: algo.PageRankView(graph.BuildView(g), algo.DefaultDamping, 10)})
 	var buf bytes.Buffer
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		buf.Reset()
-		if err := ringo.SnapshotWorkspace(ws, &buf); err != nil {
+		if err := ws.Snapshot(&buf); err != nil {
 			b.Fatal(err)
 		}
-		back, err := ringo.RestoreWorkspace(bytes.NewReader(buf.Bytes()))
-		if err != nil {
+		back := core.NewWorkspace()
+		if err := back.Restore(bytes.NewReader(buf.Bytes())); err != nil {
 			b.Fatal(err)
 		}
 		if len(back.Names()) != 3 {
@@ -403,7 +406,7 @@ func BenchmarkLibSelectExpr(b *testing.B) {
 func BenchmarkLibGroupAggregate(b *testing.B) {
 	t := benchLJ.CachedEdgeTable()
 	for i := 0; i < b.N; i++ {
-		if _, err := t.Aggregate([]string{"src"}, ringo.Count, "", "n"); err != nil {
+		if _, err := t.Aggregate([]string{"src"}, table.Count, "", "n"); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -413,7 +416,7 @@ func BenchmarkLibNextK(b *testing.B) {
 	t := benchLJ.CachedEdgeTable()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := ringo.NextK(t, "src", "dst", 1); err != nil {
+		if _, err := t.NextK("src", "dst", 1); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -424,7 +427,7 @@ func BenchmarkLibLouvain(b *testing.B) {
 	u := benchUndirs[benchLJ.Name]
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ringo.Louvain(u, 5)
+		algo.LouvainView(graph.BuildUView(u), 5)
 	}
 }
 
@@ -434,7 +437,7 @@ func BenchmarkLibBFSParallel(b *testing.B) {
 	nodes := g.Nodes()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ringo.GetBFSParallel(g, nodes[i%len(nodes)], ringo.OutEdges)
+		algo.BFSParallelView(graph.BuildView(g), nodes[i%len(nodes)], algo.Out)
 	}
 }
 
@@ -443,6 +446,6 @@ func BenchmarkLibApproxBetweenness(b *testing.B) {
 	g := benchGraphs[benchLJ.Name]
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ringo.GetApproxBetweenness(g, 4, 1)
+		algo.ApproxBetweennessView(graph.BuildView(g), 4, 1)
 	}
 }

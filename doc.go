@@ -14,8 +14,9 @@
 //     iterative explore-build-analyze loop of data science stays
 //     interactive.
 //
-// This package is the public façade over the engine. It mirrors the verbs
-// of Ringo's Python front-end:
+// This package is a curated façade over the engine: only the verbs of
+// Ringo's Python front-end, the session constructors and snapshot/restore
+// that the examples and commands use, in the paper's form:
 //
 //	posts, _ := ringo.LoadTableTSV(schema, "posts.tsv", true)
 //	jp, _ := ringo.Select(posts, "Tag", ringo.EQ, "Java")

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"ringo"
+	"ringo/internal/core"
 )
 
 // TestSnapshotFacade round-trips a full workspace — table with strings,
@@ -23,7 +24,7 @@ func TestSnapshotFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ws.SetWithProvenance("U", ringo.Object{UGraph: u}, "tougraph U E src dst")
+	ws.SetWithProvenance("U", core.Object{UGraph: u}, "tougraph U E src dst")
 
 	var buf bytes.Buffer
 	if err := ringo.SnapshotWorkspace(ws, &buf); err != nil {

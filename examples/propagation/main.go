@@ -19,7 +19,7 @@ func main() {
 	edges := flag.Int64("edges", 300_000, "edge rows in the synthetic graph")
 	scale := flag.Int("scale", 15, "log2 node id space")
 	seeds := flag.Int("seeds", 5, "number of seed nodes per strategy")
-	prob := flag.Float64("p", 0.05, "per-edge activation probability")
+	prob := flag.Float64("p", 0.01, "per-edge activation probability")
 	runs := flag.Int("runs", 10, "simulations per strategy")
 	flag.Parse()
 
@@ -58,7 +58,8 @@ func main() {
 			name, float64(total)/float64(*runs),
 			100*float64(total)/float64(*runs)/float64(g.NumNodes()), maxRounds)
 	}
-	fmt.Println("\n(influence-aware seeding should beat random seeding on skewed graphs)")
+	fmt.Println("\n(below the epidemic threshold influence-aware seeding beats random seeding;")
+	fmt.Println(" above it, e.g. -p 0.05, every cascade saturates the giant component and the gap closes)")
 }
 
 func randomSeeds(g *ringo.Graph, k int) []int64 {

@@ -5,6 +5,8 @@ import (
 	"testing/quick"
 
 	"ringo"
+	"ringo/internal/algo"
+	"ringo/internal/graph"
 )
 
 // Integration tests exercising long operation chains across the table
@@ -34,7 +36,7 @@ func TestWorkflowInvariantsProperty(t *testing.T) {
 		}
 		// 2. Relational cleaning: drop edges below a cut, both ways.
 		v := int64(cut % 64)
-		hi, err := ringo.SelectExpr(tbl, "src >= "+itoa(v)+" and dst >= "+itoa(v))
+		hi, err := tbl.SelectExpr("src >= " + itoa(v) + " and dst >= " + itoa(v))
 		if err != nil {
 			return false
 		}
@@ -70,7 +72,7 @@ func TestWorkflowInvariantsProperty(t *testing.T) {
 				return false
 			}
 			u := ringo.AsUndirected(g)
-			if ringo.CountTriangles(u) != ringo.CountTrianglesSeq(u) {
+			if ringo.CountTriangles(u) != algo.TrianglesSeqView(graph.BuildUView(u)) {
 				return false
 			}
 		}
@@ -120,7 +122,7 @@ func TestAnalyticsAgreeAcrossRepresentations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	csr := ringo.BuildCSR(g)
+	csr := graph.FromDirected(g)
 	if int64(csr.NumEdges()) != g.NumEdges() || csr.NumNodes() != g.NumNodes() {
 		t.Fatal("CSR dims differ")
 	}
@@ -153,11 +155,11 @@ func TestStackOverflowMultiTagSession(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, tag := range []string{"Java", "Python", "Go"} {
-		qa, err := ringo.SelectExpr(posts, "Tag = "+tag+" and Type = question")
+		qa, err := posts.SelectExpr("Tag = " + tag + " and Type = question")
 		if err != nil {
 			t.Fatal(err)
 		}
-		ans, err := ringo.SelectExpr(posts, "Tag = "+tag+" and Type = answer")
+		ans, err := posts.SelectExpr("Tag = " + tag + " and Type = answer")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -190,7 +192,7 @@ func TestCoAnswerGraphConstruction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ans, err := ringo.SelectExpr(posts, "Type = answer")
+	ans, err := posts.SelectExpr("Type = answer")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,8 +236,8 @@ func TestLeftJoinEnrichment(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	qa, _ := ringo.SelectExpr(posts, "Type = question")
-	ans, _ := ringo.SelectExpr(posts, "Type = answer")
+	qa, _ := posts.SelectExpr("Type = question")
+	ans, _ := posts.SelectExpr("Type = answer")
 	pairs, err := ringo.Join(qa, ans, "AcceptedId", "PostId")
 	if err != nil {
 		t.Fatal(err)
@@ -248,7 +250,7 @@ func TestLeftJoinEnrichment(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	enriched, err := ringo.LeftJoin(users, scores, "UserId", "UserId", -1)
+	enriched, err := users.LeftJoin(scores, "UserId", "UserId", -1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,15 +7,10 @@ import (
 	"ringo/internal/par"
 )
 
-// Closeness returns the closeness centrality of node id in g, following
+// ClosenessView returns the closeness centrality of node id in v, following
 // edges in both directions: (r-1)/sum(d) scaled by (r-1)/(n-1) where r is
 // the number of reached nodes (the Wasserman-Faust formula, robust on
 // disconnected graphs). It returns 0 for missing or isolated nodes.
-func Closeness(g *graph.Directed, id int64) float64 {
-	return ClosenessView(graph.BuildView(g), id)
-}
-
-// ClosenessView is Closeness over a prebuilt CSR view.
 func ClosenessView(v *graph.View, id int64) float64 {
 	s, ok := v.Index(id)
 	if !ok {
@@ -38,16 +33,11 @@ func ClosenessView(v *graph.View, id int64) float64 {
 	return (r / float64(sum)) * (r / (n - 1))
 }
 
-// ApproxBetweenness estimates betweenness centrality with Brandes'
+// ApproxBetweennessView estimates betweenness centrality with Brandes'
 // algorithm run from a sample of source nodes (all nodes when samples >=
 // n), scaled to estimate the full sum. Sampling uses the given seed;
 // results are deterministic for a fixed seed. Edge direction is ignored, as
 // in the usual social-network usage.
-func ApproxBetweenness(g *graph.Directed, samples int, seed int64) Scores {
-	return ApproxBetweennessView(graph.BuildView(g), samples, seed)
-}
-
-// ApproxBetweennessView is ApproxBetweenness over a prebuilt CSR view.
 func ApproxBetweennessView(v *graph.View, samples int, seed int64) Scores {
 	n := v.NumNodes()
 	if n == 0 {
@@ -161,13 +151,8 @@ func undirectedAdj(v *graph.View, dropSelf bool) [][]int32 {
 	return adj
 }
 
-// Eccentricity returns the eccentricity of a node: the longest shortest
+// EccentricityView returns the eccentricity of a node: the longest shortest
 // path from it (direction ignored), or -1 if the node is missing.
-func Eccentricity(g *graph.Directed, id int64) int {
-	return EccentricityView(graph.BuildView(g), id)
-}
-
-// EccentricityView is Eccentricity over a prebuilt CSR view.
 func EccentricityView(v *graph.View, id int64) int {
 	s, ok := v.Index(id)
 	if !ok {
@@ -183,14 +168,9 @@ func EccentricityView(v *graph.View, id int64) int {
 	return ecc
 }
 
-// ApproxDiameter estimates the graph diameter by running BFS (direction
+// ApproxDiameterView estimates the graph diameter by running BFS (direction
 // ignored) from `samples` start nodes chosen deterministically from seed
 // and taking the largest eccentricity observed — SNAP's GetBfsFullDiam.
-func ApproxDiameter(g *graph.Directed, samples int, seed int64) int {
-	return ApproxDiameterView(graph.BuildView(g), samples, seed)
-}
-
-// ApproxDiameterView is ApproxDiameter over a prebuilt CSR view.
 func ApproxDiameterView(v *graph.View, samples int, seed int64) int {
 	defer report(timed("diameter"))
 	n := v.NumNodes()

@@ -9,12 +9,13 @@ import (
 
 func TestClosenessPathCenter(t *testing.T) {
 	g := pathGraph(5) // 0-1-2-3-4
-	center := Closeness(g, 2)
-	end := Closeness(g, 0)
+	v := graph.BuildView(g)
+	center := ClosenessView(v, 2)
+	end := ClosenessView(v, 0)
 	if center <= end {
 		t.Fatalf("center closeness %v <= end %v", center, end)
 	}
-	if Closeness(g, 99) != 0 {
+	if ClosenessView(v, 99) != 0 {
 		t.Fatal("missing node closeness nonzero")
 	}
 }
@@ -23,14 +24,14 @@ func TestClosenessIsolatedNode(t *testing.T) {
 	g := graph.NewDirected()
 	g.AddNode(1)
 	g.AddEdge(2, 3)
-	if Closeness(g, 1) != 0 {
+	if ClosenessView(graph.BuildView(g), 1) != 0 {
 		t.Fatal("isolated node closeness nonzero")
 	}
 }
 
 func TestBetweennessPathMiddle(t *testing.T) {
 	g := pathGraph(5)
-	bc := ApproxBetweenness(g, 1000, 1) // full computation (samples > n)
+	bc := ApproxBetweennessView(graph.BuildView(g), 1000, 1) // full computation (samples > n)
 	// On the 5-path, node 2 lies on the most shortest paths.
 	for _, id := range []int64{0, 1, 3, 4} {
 		if at(bc, 2) <= at(bc, id) {
@@ -45,8 +46,8 @@ func TestBetweennessPathMiddle(t *testing.T) {
 
 func TestBetweennessSampledDeterministic(t *testing.T) {
 	g := completeUndirectedAsDirected(8)
-	a := ApproxBetweenness(g, 4, 42)
-	b := ApproxBetweenness(g, 4, 42)
+	a := ApproxBetweennessView(graph.BuildView(g), 4, 42)
+	b := ApproxBetweennessView(graph.BuildView(g), 4, 42)
 	if !slices.Equal(a, b) {
 		t.Fatal("sampled betweenness not deterministic for fixed seed")
 	}
@@ -64,20 +65,21 @@ func completeUndirectedAsDirected(n int) *graph.Directed {
 
 func TestEccentricityAndDiameter(t *testing.T) {
 	g := pathGraph(7) // diameter 6
-	if e := Eccentricity(g, 0); e != 6 {
+	v := graph.BuildView(g)
+	if e := EccentricityView(v, 0); e != 6 {
 		t.Fatalf("ecc(0) = %d", e)
 	}
-	if e := Eccentricity(g, 3); e != 3 {
+	if e := EccentricityView(v, 3); e != 3 {
 		t.Fatalf("ecc(3) = %d", e)
 	}
-	if e := Eccentricity(g, 42); e != -1 {
+	if e := EccentricityView(v, 42); e != -1 {
 		t.Fatalf("missing node ecc = %d", e)
 	}
 	// Sampling every node gives the exact diameter.
-	if d := ApproxDiameter(g, 7, 1); d != 6 {
+	if d := ApproxDiameterView(v, 7, 1); d != 6 {
 		t.Fatalf("diameter = %d, want 6", d)
 	}
-	if d := ApproxDiameter(graph.NewDirected(), 3, 1); d != 0 {
+	if d := ApproxDiameterView(graph.BuildView(graph.NewDirected()), 3, 1); d != 0 {
 		t.Fatalf("empty graph diameter = %d", d)
 	}
 }

@@ -6,17 +6,12 @@ import (
 	"ringo/internal/graph"
 )
 
-// LabelPropagation detects communities on an undirected graph by iterative
-// majority label adoption (Raghavan et al.): every node repeatedly takes
-// the most frequent label among its neighbors until labels stabilize or
-// maxIters passes complete. Node visit order is shuffled deterministically
+// LabelPropagationView detects communities on an undirected graph by
+// iterative majority label adoption (Raghavan et al.): every node
+// repeatedly takes the most frequent label among its neighbors until labels
+// stabilize or maxIters passes complete. Node visit order is shuffled deterministically
 // from seed, so results are reproducible. Returns a community label per
 // node, labels dense from 0.
-func LabelPropagation(g *graph.Undirected, maxIters int, seed int64) map[int64]int {
-	return LabelPropagationView(graph.BuildUView(g), maxIters, seed)
-}
-
-// LabelPropagationView is LabelPropagation over a prebuilt CSR view.
 func LabelPropagationView(v *graph.UView, maxIters int, seed int64) map[int64]int {
 	n := v.NumNodes()
 	labels := make([]int32, n)

@@ -23,7 +23,7 @@ func TestLabelPropagationSeparatesCliques(t *testing.T) {
 	g := twoCliques(6)
 	// Label propagation is seed-sensitive by design; this seed separates
 	// the cliques under the view's canonical (ascending-id) dense order.
-	comm := LabelPropagation(g, 20, 8)
+	comm := LabelPropagationView(graph.BuildUView(g), 20, 8)
 	// All members of each clique share a label.
 	for i := int64(1); i < 6; i++ {
 		if comm[i] != comm[0] {
@@ -40,8 +40,8 @@ func TestLabelPropagationSeparatesCliques(t *testing.T) {
 
 func TestLabelPropagationDeterministic(t *testing.T) {
 	g := twoCliques(5)
-	a := LabelPropagation(g, 10, 3)
-	b := LabelPropagation(g, 10, 3)
+	a := LabelPropagationView(graph.BuildUView(g), 10, 3)
+	b := LabelPropagationView(graph.BuildUView(g), 10, 3)
 	for id, c := range a {
 		if b[id] != c {
 			t.Fatal("label propagation not deterministic for fixed seed")
@@ -51,7 +51,7 @@ func TestLabelPropagationDeterministic(t *testing.T) {
 
 func TestLabelPropagationLabelsDense(t *testing.T) {
 	g := twoCliques(4)
-	comm := LabelPropagation(g, 10, 1)
+	comm := LabelPropagationView(graph.BuildUView(g), 10, 1)
 	seen := map[int]bool{}
 	for _, c := range comm {
 		seen[c] = true

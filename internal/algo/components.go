@@ -13,13 +13,8 @@ type Components struct {
 	MaxSize int
 }
 
-// WCC computes weakly connected components of a directed graph (edge
+// WCCView computes weakly connected components of a directed graph (edge
 // direction ignored) with a union-find over the dense node space.
-func WCC(g *graph.Directed) Components {
-	return WCCView(graph.BuildView(g))
-}
-
-// WCCView is WCC over a prebuilt CSR view.
 func WCCView(v *graph.View) Components {
 	defer report(timed("wcc"))
 	n := v.NumNodes()
@@ -49,14 +44,9 @@ func WCCView(v *graph.View) Components {
 	return labelComponents(v.IDs(), func(i int32) int32 { return find(i) })
 }
 
-// SCC computes strongly connected components with an iterative Tarjan
+// SCCView computes strongly connected components with an iterative Tarjan
 // algorithm (explicit stack, so million-node graphs do not overflow the
 // goroutine stack). This is the sequential SCC benchmarked in Table 6.
-func SCC(g *graph.Directed) Components {
-	return SCCView(graph.BuildView(g))
-}
-
-// SCCView is SCC over a prebuilt CSR view.
 func SCCView(v *graph.View) Components {
 	defer report(timed("scc"))
 	n := v.NumNodes()
@@ -165,7 +155,7 @@ func labelComponents(ids []int64, rawLabel func(i int32) int32) Components {
 // component — the standard preprocessing step before distance-based
 // analyses on real-world graphs.
 func LargestWCC(g *graph.Directed) *graph.Directed {
-	c := WCC(g)
+	c := WCCView(graph.BuildView(g))
 	sizes := make([]int, c.Count)
 	for _, l := range c.Label {
 		sizes[l]++
@@ -185,12 +175,7 @@ func LargestWCC(g *graph.Directed) *graph.Directed {
 	return graph.Subgraph(g, keep)
 }
 
-// WCCUndirected computes connected components of an undirected graph.
-func WCCUndirected(g *graph.Undirected) Components {
-	return WCCUndirectedView(graph.BuildUView(g))
-}
-
-// WCCUndirectedView is WCCUndirected over a prebuilt CSR view.
+// WCCUndirectedView computes connected components of an undirected graph.
 func WCCUndirectedView(v *graph.UView) Components {
 	n := v.NumNodes()
 	parent := make([]int32, n)

@@ -184,6 +184,20 @@ func TestTrianglesIncrMatchesCold(t *testing.T) {
 	}
 }
 
+// TestTrianglesIncrClosingEdge: one edge closing the wedge 0-1-2 adds
+// exactly one triangle.
+func TestTrianglesIncrClosingEdge(t *testing.T) {
+	g := graph.NewUndirected()
+	g.AddEdge(0, 1)
+	g.AddEdge(1, 2)
+	oldV := graph.BuildUView(g)
+	g.AddEdge(0, 2)
+	deltas := []graph.Delta{{Op: graph.DeltaAddEdge, Src: 0, Dst: 2}}
+	if got := TrianglesIncr(oldV, graph.BuildUView(g), 0, deltas); got != 1 {
+		t.Fatalf("closing edge: incremental count %d, want 1", got)
+	}
+}
+
 // BenchmarkPageRankIncr compares the update-then-query cost of the
 // incremental PageRank against the cold tolerance-based run it replaces.
 func BenchmarkPageRankIncr(b *testing.B) {

@@ -4,16 +4,11 @@ import (
 	"ringo/internal/graph"
 )
 
-// CoreNumbers computes the core number (coreness) of every node of an
+// CoreNumbersView computes the core number (coreness) of every node of an
 // undirected graph with the linear-time peeling algorithm of Batagelj and
 // Zaveršnik: nodes are bucketed by degree and repeatedly peeled from the
 // lowest bucket, decrementing their neighbors. Self-loops are ignored for
 // degree purposes.
-func CoreNumbers(g *graph.Undirected) map[int64]int {
-	return CoreNumbersView(graph.BuildUView(g))
-}
-
-// CoreNumbersView is CoreNumbers over a prebuilt CSR view.
 func CoreNumbersView(v *graph.UView) map[int64]int {
 	core := coreNumbersFlat(v)
 	n := v.NumNodes()
@@ -93,7 +88,7 @@ func coreNumbersFlat(v *graph.UView) []int32 {
 // has degree at least k. Table 6 benchmarks the 3-core. The result is a new
 // graph; g is unmodified.
 func KCore(g *graph.Undirected, k int) *graph.Undirected {
-	cores := CoreNumbers(g)
+	cores := CoreNumbersView(graph.BuildUView(g))
 	sub := graph.NewUndirected()
 	keep := func(id int64) bool { return cores[id] >= k }
 	g.ForNodes(func(id int64) {
@@ -133,10 +128,4 @@ func KCoreStatsView(v *graph.UView, k int) (nodes int, edges int64) {
 		}
 	}
 	return nodes, edges / 2
-}
-
-// KCoreDirected is KCore on the undirected view of a directed graph,
-// matching SNAP's KCore on graphs loaded as directed edge lists.
-func KCoreDirected(g *graph.Directed, k int) *graph.Undirected {
-	return KCore(graph.AsUndirected(g), k)
 }

@@ -13,7 +13,7 @@ func TestCoreNumbersKnown(t *testing.T) {
 	g := completeUndirected(4)
 	g.AddEdge(3, 4)
 	g.AddEdge(4, 5)
-	cores := CoreNumbers(g)
+	cores := CoreNumbersView(graph.BuildUView(g))
 	for _, id := range []int64{0, 1, 2, 3} {
 		if cores[id] != 3 {
 			t.Fatalf("core[%d] = %d, want 3", id, cores[id])
@@ -29,7 +29,7 @@ func TestCoreNumbersStar(t *testing.T) {
 	for i := int64(1); i <= 5; i++ {
 		g.AddEdge(0, i)
 	}
-	cores := CoreNumbers(g)
+	cores := CoreNumbersView(graph.BuildUView(g))
 	for id, c := range cores {
 		if c != 1 {
 			t.Fatalf("star core[%d] = %d, want 1", id, c)
@@ -67,6 +67,8 @@ func TestKCoreSubgraph(t *testing.T) {
 	}
 }
 
+// TestKCoreDirected: the k-core of a directed graph is KCore of its
+// undirected projection, matching SNAP's KCore on directed edge lists.
 func TestKCoreDirected(t *testing.T) {
 	d := graph.NewDirected()
 	// Directed K4 (one direction per pair) has undirected 3-core = all.
@@ -76,7 +78,7 @@ func TestKCoreDirected(t *testing.T) {
 		}
 	}
 	d.AddEdge(3, 9)
-	core := KCoreDirected(d, 3)
+	core := KCore(graph.AsUndirected(d), 3)
 	if core.NumNodes() != 4 || core.HasNode(9) {
 		t.Fatalf("directed 3-core nodes = %d", core.NumNodes())
 	}
@@ -94,7 +96,7 @@ func TestKCoreMatchesPeelingProperty(t *testing.T) {
 				g.AddEdge(a, b)
 			}
 		}
-		cores := CoreNumbers(g)
+		cores := CoreNumbersView(graph.BuildUView(g))
 		sub := KCore(g, k)
 		// Every kept node has core >= k and degree >= k in the subgraph.
 		ok := true

@@ -138,8 +138,8 @@ func TestDegreeAssortativity(t *testing.T) {
 
 func TestEffectiveDiameterPath(t *testing.T) {
 	g := pathGraph(11) // distances 1..10 from the ends
-	eff := EffectiveDiameter(g, 11, 1)
-	diam := float64(ApproxDiameter(g, 11, 1))
+	eff := EffectiveDiameterView(graph.BuildView(g), 11, 1)
+	diam := float64(ApproxDiameterView(graph.BuildView(g), 11, 1))
 	if eff <= 0 || eff > diam {
 		t.Fatalf("effective diameter %v outside (0, %v]", eff, diam)
 	}
@@ -147,7 +147,7 @@ func TestEffectiveDiameterPath(t *testing.T) {
 	if eff < 5 {
 		t.Fatalf("effective diameter %v implausibly small", eff)
 	}
-	if EffectiveDiameter(graph.NewDirected(), 3, 1) != 0 {
+	if EffectiveDiameterView(graph.BuildView(graph.NewDirected()), 3, 1) != 0 {
 		t.Fatal("empty effective diameter nonzero")
 	}
 }

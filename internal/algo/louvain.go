@@ -4,17 +4,12 @@ import (
 	"ringo/internal/graph"
 )
 
-// Louvain detects communities by modularity maximization (Blondel et al.):
-// repeated passes of greedy local moves followed by graph aggregation,
+// LouvainView detects communities by modularity maximization (Blondel et
+// al.): repeated passes of greedy local moves followed by graph aggregation,
 // until modularity stops improving. Node visiting order is fixed (dense
 // order), so results are deterministic. Returns the community label per
 // node (dense from 0) and the modularity of the returned partition.
 // Self-loops are ignored.
-func Louvain(g *graph.Undirected, maxPasses int) (map[int64]int, float64) {
-	return LouvainView(graph.BuildUView(g), maxPasses)
-}
-
-// LouvainView is Louvain over a prebuilt CSR view.
 func LouvainView(d *graph.UView, maxPasses int) (map[int64]int, float64) {
 	defer report(timed("louvain"))
 	n := d.NumNodes()

@@ -22,12 +22,7 @@ type MotifCounts struct {
 	Wedges int64
 }
 
-// CountMotifs counts directed triangle motifs and undirected wedges.
-func CountMotifs(g *graph.Directed) MotifCounts {
-	return CountMotifsView(graph.BuildView(g))
-}
-
-// CountMotifsView is CountMotifs over a prebuilt CSR view.
+// CountMotifsView counts directed triangle motifs and undirected wedges.
 func CountMotifsView(v *graph.View) MotifCounts {
 	defer report(timed("motifs"))
 	n := v.NumNodes()
@@ -128,15 +123,10 @@ func searchInt32(a []int32, v int32) (int, bool) {
 	return lo, lo < len(a) && a[lo] == v
 }
 
-// PageRankConverged runs PageRank until the L1 change between iterations
+// PageRankConvergedView runs PageRank until the L1 change between iterations
 // drops below tol or maxIters is reached, returning the scores and the
 // number of iterations executed — the tolerance-based variant SNAP's
 // GetPageRank exposes alongside the fixed-iteration one.
-func PageRankConverged(g *graph.Directed, damping, tol float64, maxIters int) (Scores, int) {
-	return PageRankConvergedView(graph.BuildView(g), damping, tol, maxIters)
-}
-
-// PageRankConvergedView is PageRankConverged over a prebuilt CSR view.
 func PageRankConvergedView(v *graph.View, damping, tol float64, maxIters int) (Scores, int) {
 	n := v.NumNodes()
 	if n == 0 {

@@ -10,17 +10,12 @@ import (
 // DefaultDamping is the standard PageRank damping factor.
 const DefaultDamping = 0.85
 
-// PageRank computes PageRank scores with the given damping factor and a
+// PageRankView computes PageRank scores with the given damping factor and a
 // fixed number of power iterations (the paper times 10 iterations), using
 // all cores: each iteration splits the node range across workers, and each
 // worker pulls rank from its nodes' in-neighbors — a contention-free "pull"
 // formulation. Dangling-node mass is redistributed uniformly so scores sum
 // to 1. Scores are returned in ascending node-id order.
-func PageRank(g *graph.Directed, damping float64, iters int) Scores {
-	return PageRankView(graph.BuildView(g), damping, iters)
-}
-
-// PageRankView is PageRank over a prebuilt CSR view.
 func PageRankView(v *graph.View, damping float64, iters int) Scores {
 	defer report(timed("pagerank"))
 	return newScores(v.IDs(), pageRankFlat(v, damping, iters, true))
@@ -99,16 +94,11 @@ func pageRankFlat(v *graph.View, damping float64, iters int, parallel bool) []fl
 	return pr
 }
 
-// PersonalizedPageRank computes PageRank with teleportation restricted to
-// the given seed nodes (uniformly across them), the standard
+// PersonalizedPageRankView computes PageRank with teleportation restricted
+// to the given seed nodes (uniformly across them), the standard
 // random-walk-with-restart relevance measure. Unknown seeds are ignored; if
-// no seed is a node of g the result is empty but, like every kernel's,
+// no seed is a node of v the result is empty but, like every kernel's,
 // non-nil — "no seed matched" is still a score vector, not a missing one.
-func PersonalizedPageRank(g *graph.Directed, seeds []int64, damping float64, iters int) Scores {
-	return PersonalizedPageRankView(graph.BuildView(g), seeds, damping, iters)
-}
-
-// PersonalizedPageRankView is PersonalizedPageRank over a prebuilt CSR view.
 func PersonalizedPageRankView(v *graph.View, seeds []int64, damping float64, iters int) Scores {
 	n := v.NumNodes()
 	seedIdx := make([]int32, 0, len(seeds))
@@ -146,13 +136,8 @@ type HITSScores struct {
 	Authority Scores
 }
 
-// HITS computes Kleinberg's hubs-and-authorities scores by power iteration
+// HITSView computes Kleinberg's hubs-and-authorities scores by power iteration
 // with L2 normalization each round.
-func HITS(g *graph.Directed, iters int) HITSScores {
-	return HITSView(graph.BuildView(g), iters)
-}
-
-// HITSView is HITS over a prebuilt CSR view.
 func HITSView(v *graph.View, iters int) HITSScores {
 	n := v.NumNodes()
 	hub := make([]float64, n)

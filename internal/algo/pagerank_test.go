@@ -28,7 +28,7 @@ func approxEq(a, b, eps float64) bool { return math.Abs(a-b) <= eps }
 
 func TestPageRankUniformOnCycle(t *testing.T) {
 	g := cycleGraph(10)
-	pr := PageRank(g, DefaultDamping, 50)
+	pr := PageRankView(graph.BuildView(g), DefaultDamping, 50)
 	for _, e := range pr {
 		if !approxEq(e.Score, 0.1, 1e-9) {
 			t.Fatalf("node %d rank %v, want 0.1", e.ID, e.Score)
@@ -38,7 +38,7 @@ func TestPageRankUniformOnCycle(t *testing.T) {
 
 func TestPageRankSumsToOne(t *testing.T) {
 	g := starGraph(5) // hub is dangling
-	pr := PageRank(g, DefaultDamping, 30)
+	pr := PageRankView(graph.BuildView(g), DefaultDamping, 30)
 	if s := SumScores(pr); !approxEq(s, 1, 1e-9) {
 		t.Fatalf("PageRank sum = %v, want 1 (dangling mass lost?)", s)
 	}
@@ -46,7 +46,7 @@ func TestPageRankSumsToOne(t *testing.T) {
 
 func TestPageRankHubHighest(t *testing.T) {
 	g := starGraph(8)
-	pr := PageRank(g, DefaultDamping, 30)
+	pr := PageRankView(graph.BuildView(g), DefaultDamping, 30)
 	top := TopK(pr, 1)
 	if top[0].ID != 0 {
 		t.Fatalf("top node = %d, want hub 0", top[0].ID)
@@ -65,7 +65,7 @@ func TestPageRankSeqMatchesParallel(t *testing.T) {
 	for _, e := range edges {
 		g.AddEdge(e[0], e[1])
 	}
-	p := PageRank(g, DefaultDamping, 25)
+	p := PageRankView(graph.BuildView(g), DefaultDamping, 25)
 	s := PageRankSeq(g, DefaultDamping, 25)
 	for _, e := range p {
 		if !approxEq(e.Score, at(s, e.ID), 1e-12) {
@@ -77,7 +77,7 @@ func TestPageRankSeqMatchesParallel(t *testing.T) {
 func TestPageRankEmptyGraph(t *testing.T) {
 	g := graph.NewDirected()
 	// Non-nil, so an Object holding it still reports kind "scores".
-	if pr := PageRank(g, DefaultDamping, 10); pr == nil || len(pr) != 0 {
+	if pr := PageRankView(graph.BuildView(g), DefaultDamping, 10); pr == nil || len(pr) != 0 {
 		t.Fatalf("PageRank on empty graph = %#v", pr)
 	}
 }
@@ -87,7 +87,7 @@ func TestPageRankConvergesToStationary(t *testing.T) {
 	g := graph.NewDirected()
 	g.AddEdge(1, 2)
 	g.AddEdge(2, 1)
-	pr := PageRank(g, DefaultDamping, 60)
+	pr := PageRankView(graph.BuildView(g), DefaultDamping, 60)
 	if !approxEq(at(pr, 1), 0.5, 1e-9) || !approxEq(at(pr, 2), 0.5, 1e-9) {
 		t.Fatalf("pr = %v", pr)
 	}
@@ -95,7 +95,7 @@ func TestPageRankConvergesToStationary(t *testing.T) {
 
 func TestPersonalizedPageRank(t *testing.T) {
 	g := cycleGraph(6)
-	ppr := PersonalizedPageRank(g, []int64{0}, DefaultDamping, 40)
+	ppr := PersonalizedPageRankView(graph.BuildView(g), []int64{0}, DefaultDamping, 40)
 	if ppr == nil {
 		t.Fatal("nil result for valid seed")
 	}
@@ -108,7 +108,7 @@ func TestPersonalizedPageRank(t *testing.T) {
 	}
 	// No seed in the graph: an empty vector, but not nil — core.Object.Kind
 	// tells "scores" from "empty" by nil-ness.
-	if got := PersonalizedPageRank(g, []int64{999}, DefaultDamping, 5); got == nil || len(got) != 0 {
+	if got := PersonalizedPageRankView(graph.BuildView(g), []int64{999}, DefaultDamping, 5); got == nil || len(got) != 0 {
 		t.Fatalf("unknown seed: got %v, want a non-nil empty vector", got)
 	}
 }
@@ -121,7 +121,7 @@ func TestHITSBipartite(t *testing.T) {
 			g.AddEdge(h, a)
 		}
 	}
-	hs := HITS(g, 30)
+	hs := HITSView(graph.BuildView(g), 30)
 	for _, h := range []int64{1, 2} {
 		if at(hs.Hub, h) <= at(hs.Hub, 10) {
 			t.Fatalf("hub score of %d (%v) not above authority node (%v)", h, at(hs.Hub, h), at(hs.Hub, 10))

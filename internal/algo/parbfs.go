@@ -7,18 +7,13 @@ import (
 	"ringo/internal/par"
 )
 
-// BFSParallel is a level-synchronous parallel breadth-first search: each
+// BFSParallelView is a level-synchronous parallel breadth-first search: each
 // level's frontier is split across workers, workers claim unvisited nodes
 // with compare-and-swap, and per-worker output buffers are concatenated
 // into the next frontier — no locks on the hot path. The paper names
 // expanding Ringo's set of parallel algorithms as ongoing work (§3); this
 // is the parallel counterpart of the sequential BFS benchmarked in Table 6.
-// Results are identical to BFS.
-func BFSParallel(g *graph.Directed, src int64, dir EdgeDir) map[int64]int {
-	return BFSParallelView(graph.BuildView(g), src, dir)
-}
-
-// BFSParallelView is BFSParallel over a prebuilt CSR view.
+// Results are identical to BFSView.
 func BFSParallelView(v *graph.View, src int64, dir EdgeDir) map[int64]int {
 	defer report(timed("parbfs"))
 	s, ok := v.Index(src)

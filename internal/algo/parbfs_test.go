@@ -11,8 +11,8 @@ import (
 func TestBFSParallelMatchesSequentialOnPath(t *testing.T) {
 	g := pathGraph(50)
 	for _, dir := range []EdgeDir{Out, In, Both} {
-		seq := BFS(g, 25, dir)
-		parl := BFSParallel(g, 25, dir)
+		seq := BFSView(graph.BuildView(g), 25, dir)
+		parl := BFSParallelView(graph.BuildView(g), 25, dir)
 		if len(seq) != len(parl) {
 			t.Fatalf("dir %v: reach %d vs %d", dir, len(seq), len(parl))
 		}
@@ -25,7 +25,7 @@ func TestBFSParallelMatchesSequentialOnPath(t *testing.T) {
 }
 
 func TestBFSParallelMissingSource(t *testing.T) {
-	if BFSParallel(pathGraph(3), 42, Out) != nil {
+	if BFSParallelView(graph.BuildView(pathGraph(3)), 42, Out) != nil {
 		t.Fatal("missing source returned non-nil")
 	}
 }
@@ -38,8 +38,8 @@ func TestBFSParallelMatchesSequentialProperty(t *testing.T) {
 		}
 		src := int64(srcRaw % 24)
 		g.AddNode(src)
-		seq := BFS(g, src, Out)
-		parl := BFSParallel(g, src, Out)
+		seq := BFSView(graph.BuildView(g), src, Out)
+		parl := BFSParallelView(graph.BuildView(g), src, Out)
 		if len(seq) != len(parl) {
 			return false
 		}
@@ -58,8 +58,8 @@ func TestBFSParallelMatchesSequentialProperty(t *testing.T) {
 func TestBFSParallelLargeGraph(t *testing.T) {
 	g := gen.GNM(20_000, 80_000, 5)
 	src := g.Nodes()[0]
-	seq := BFS(g, src, Out)
-	parl := BFSParallel(g, src, Out)
+	seq := BFSView(graph.BuildView(g), src, Out)
+	parl := BFSParallelView(graph.BuildView(g), src, Out)
 	if len(seq) != len(parl) {
 		t.Fatalf("reach %d vs %d", len(seq), len(parl))
 	}

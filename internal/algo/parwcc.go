@@ -7,15 +7,10 @@ import (
 	"ringo/internal/par"
 )
 
-// WCCParallel computes weakly connected components with parallel label
+// WCCParallelView computes weakly connected components with parallel label
 // propagation (hash-min): every node starts labeled with its own index, and
 // each round every node atomically lowers its neighbors' labels to the
-// minimum seen, until no label changes. Results are identical to WCC.
-func WCCParallel(g *graph.Directed) Components {
-	return WCCParallelView(graph.BuildView(g))
-}
-
-// WCCParallelView is WCCParallel over a prebuilt CSR view.
+// minimum seen, until no label changes. Results are identical to WCCView.
 func WCCParallelView(v *graph.View) Components {
 	defer report(timed("parwcc"))
 	n := v.NumNodes()

@@ -14,8 +14,8 @@ func TestWCCParallelMatchesSequential(t *testing.T) {
 	g.AddEdge(2, 3)
 	g.AddEdge(10, 11)
 	g.AddNode(99)
-	seq := WCC(g)
-	parl := WCCParallel(g)
+	seq := WCCView(graph.BuildView(g))
+	parl := WCCParallelView(graph.BuildView(g))
 	if seq.Count != parl.Count || seq.MaxSize != parl.MaxSize {
 		t.Fatalf("seq (%d,%d) vs parallel (%d,%d)", seq.Count, seq.MaxSize, parl.Count, parl.MaxSize)
 	}
@@ -52,7 +52,7 @@ func TestWCCParallelLongChain(t *testing.T) {
 	// Long chains need many hash-min rounds; correctness must not depend
 	// on round count.
 	g := pathGraph(5000)
-	c := WCCParallel(g)
+	c := WCCParallelView(graph.BuildView(g))
 	if c.Count != 1 || c.MaxSize != 5000 {
 		t.Fatalf("chain components = (%d,%d)", c.Count, c.MaxSize)
 	}
@@ -64,8 +64,8 @@ func TestWCCParallelProperty(t *testing.T) {
 		for _, e := range edges {
 			g.AddEdge(int64(e[0]%20), int64(e[1]%20))
 		}
-		seq := WCC(g)
-		parl := WCCParallel(g)
+		seq := WCCView(graph.BuildView(g))
+		parl := WCCParallelView(graph.BuildView(g))
 		return seq.Count == parl.Count && seq.MaxSize == parl.MaxSize &&
 			samePartition(seq.Label, parl.Label)
 	}
@@ -76,8 +76,8 @@ func TestWCCParallelProperty(t *testing.T) {
 
 func TestWCCParallelLargeRandom(t *testing.T) {
 	g := gen.GNM(5000, 8000, 3)
-	seq := WCC(g)
-	parl := WCCParallel(g)
+	seq := WCCView(graph.BuildView(g))
+	parl := WCCParallelView(graph.BuildView(g))
 	if seq.Count != parl.Count || seq.MaxSize != parl.MaxSize {
 		t.Fatalf("seq (%d,%d) vs parallel (%d,%d)", seq.Count, seq.MaxSize, parl.Count, parl.MaxSize)
 	}

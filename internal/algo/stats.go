@@ -60,15 +60,10 @@ func DegreeAssortativity(g *graph.Undirected) float64 {
 	return num / den
 }
 
-// EffectiveDiameter estimates the 90th-percentile shortest-path distance
+// EffectiveDiameterView estimates the 90th-percentile shortest-path distance
 // (SNAP's GetBfsEffDiam): BFS from `samples` random sources (direction
 // ignored), pooling all finite pairwise distances, with linear
 // interpolation between the two straddling integer distances.
-func EffectiveDiameter(g *graph.Directed, samples int, seed int64) float64 {
-	return EffectiveDiameterView(graph.BuildView(g), samples, seed)
-}
-
-// EffectiveDiameterView is EffectiveDiameter over a prebuilt CSR view.
 func EffectiveDiameterView(v *graph.View, samples int, seed int64) float64 {
 	n := v.NumNodes()
 	if n == 0 {

@@ -7,14 +7,9 @@ import (
 	"ringo/internal/graph"
 )
 
-// ArticulationPoints returns the cut vertices of an undirected graph: nodes
-// whose removal increases the number of connected components. Iterative
-// Tarjan lowlink computation, safe on deep graphs.
-func ArticulationPoints(g *graph.Undirected) []int64 {
-	return ArticulationPointsView(graph.BuildUView(g))
-}
-
-// ArticulationPointsView is ArticulationPoints over a prebuilt CSR view.
+// ArticulationPointsView returns the cut vertices of an undirected graph:
+// nodes whose removal increases the number of connected components.
+// Iterative Tarjan lowlink computation, safe on deep graphs.
 func ArticulationPointsView(v *graph.UView) []int64 {
 	defer report(timed("cuts"))
 	n := v.NumNodes()
@@ -88,13 +83,9 @@ func ArticulationPointsView(v *graph.UView) []int64 {
 	return out
 }
 
-// Bridges returns the cut edges of an undirected graph (edges whose removal
-// disconnects their endpoints), each as {smaller id, larger id}, sorted.
-func Bridges(g *graph.Undirected) [][2]int64 {
-	return BridgesView(graph.BuildUView(g))
-}
-
-// BridgesView is Bridges over a prebuilt CSR view.
+// BridgesView returns the cut edges of an undirected graph (edges whose
+// removal disconnects their endpoints), each as {smaller id, larger id},
+// sorted.
 func BridgesView(v *graph.UView) [][2]int64 {
 	defer report(timed("bridges"))
 	n := v.NumNodes()
@@ -171,13 +162,8 @@ func BridgesView(v *graph.UView) [][2]int64 {
 	return out
 }
 
-// TopoSort returns a topological order of a directed acyclic graph (Kahn's
+// TopoSortView returns a topological order of a directed acyclic graph (Kahn's
 // algorithm). It errors if the graph contains a cycle.
-func TopoSort(g *graph.Directed) ([]int64, error) {
-	return TopoSortView(graph.BuildView(g))
-}
-
-// TopoSortView is TopoSort over a prebuilt CSR view.
 func TopoSortView(v *graph.View) ([]int64, error) {
 	defer report(timed("toposort"))
 	n := v.NumNodes()
@@ -213,18 +199,13 @@ func TopoSortView(v *graph.View) ([]int64, error) {
 
 // IsDAG reports whether the directed graph is acyclic.
 func IsDAG(g *graph.Directed) bool {
-	_, err := TopoSort(g)
+	_, err := TopoSortView(graph.BuildView(g))
 	return err == nil
 }
 
-// Bipartition two-colors an undirected graph. ok is false if the graph
+// BipartitionView two-colors an undirected graph. ok is false if the graph
 // contains an odd cycle (not bipartite); otherwise side maps every node to
 // 0 or 1 with no monochromatic edge.
-func Bipartition(g *graph.Undirected) (side map[int64]int, ok bool) {
-	return BipartitionView(graph.BuildUView(g))
-}
-
-// BipartitionView is Bipartition over a prebuilt CSR view.
 func BipartitionView(v *graph.UView) (side map[int64]int, ok bool) {
 	n := v.NumNodes()
 	color := make([]int8, n)

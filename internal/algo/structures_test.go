@@ -14,7 +14,7 @@ func TestArticulationPointsBarbell(t *testing.T) {
 	for _, e := range [][2]int64{{0, 1}, {1, 2}, {0, 2}, {2, 3}, {3, 4}, {2, 4}} {
 		g.AddEdge(e[0], e[1])
 	}
-	cuts := ArticulationPoints(g)
+	cuts := ArticulationPointsView(graph.BuildUView(g))
 	if len(cuts) != 1 || cuts[0] != 2 {
 		t.Fatalf("articulation points = %v, want [2]", cuts)
 	}
@@ -26,7 +26,7 @@ func TestArticulationPointsPath(t *testing.T) {
 	g.AddEdge(0, 1)
 	g.AddEdge(1, 2)
 	g.AddEdge(2, 3)
-	cuts := ArticulationPoints(g)
+	cuts := ArticulationPointsView(graph.BuildUView(g))
 	if len(cuts) != 2 || cuts[0] != 1 || cuts[1] != 2 {
 		t.Fatalf("path cut vertices = %v", cuts)
 	}
@@ -37,7 +37,7 @@ func TestArticulationPointsCycleHasNone(t *testing.T) {
 	for i := int64(0); i < 6; i++ {
 		g.AddEdge(i, (i+1)%6)
 	}
-	if cuts := ArticulationPoints(g); len(cuts) != 0 {
+	if cuts := ArticulationPointsView(graph.BuildUView(g)); len(cuts) != 0 {
 		t.Fatalf("cycle cut vertices = %v", cuts)
 	}
 }
@@ -48,7 +48,7 @@ func TestBridgesKnown(t *testing.T) {
 	for _, e := range [][2]int64{{0, 1}, {1, 2}, {0, 2}, {2, 3}} {
 		g.AddEdge(e[0], e[1])
 	}
-	br := Bridges(g)
+	br := BridgesView(graph.BuildUView(g))
 	if len(br) != 1 || br[0] != [2]int64{2, 3} {
 		t.Fatalf("bridges = %v", br)
 	}
@@ -57,7 +57,7 @@ func TestBridgesKnown(t *testing.T) {
 	tree.AddEdge(0, 1)
 	tree.AddEdge(1, 2)
 	tree.AddEdge(1, 3)
-	if br := Bridges(tree); len(br) != 3 {
+	if br := BridgesView(graph.BuildUView(tree)); len(br) != 3 {
 		t.Fatalf("tree bridges = %v", br)
 	}
 	// A cycle has none.
@@ -65,7 +65,7 @@ func TestBridgesKnown(t *testing.T) {
 	for i := int64(0); i < 5; i++ {
 		cyc.AddEdge(i, (i+1)%5)
 	}
-	if br := Bridges(cyc); len(br) != 0 {
+	if br := BridgesView(graph.BuildUView(cyc)); len(br) != 0 {
 		t.Fatalf("cycle bridges = %v", br)
 	}
 }
@@ -82,7 +82,7 @@ func TestBridgesMatchReferenceProperty(t *testing.T) {
 			}
 		}
 		got := map[[2]int64]bool{}
-		for _, b := range Bridges(g) {
+		for _, b := range BridgesView(graph.BuildUView(g)) {
 			got[b] = true
 		}
 		ok := true
@@ -127,7 +127,7 @@ func TestTopoSort(t *testing.T) {
 	for _, e := range [][2]int64{{5, 11}, {7, 11}, {7, 8}, {3, 8}, {3, 10}, {11, 2}, {11, 9}, {11, 10}, {8, 9}} {
 		g.AddEdge(e[0], e[1])
 	}
-	order, err := TopoSort(g)
+	order, err := TopoSortView(graph.BuildView(g))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +144,7 @@ func TestTopoSort(t *testing.T) {
 		t.Fatal("DAG not recognized")
 	}
 	g.AddEdge(9, 5) // creates a cycle 5->11->9->5
-	if _, err := TopoSort(g); err == nil {
+	if _, err := TopoSortView(graph.BuildView(g)); err == nil {
 		t.Fatal("cycle not detected")
 	}
 	if IsDAG(g) {
@@ -158,7 +158,7 @@ func TestBipartition(t *testing.T) {
 	for i := int64(0); i < 6; i++ {
 		even.AddEdge(i, (i+1)%6)
 	}
-	side, ok := Bipartition(even)
+	side, ok := BipartitionView(graph.BuildUView(even))
 	if !ok {
 		t.Fatal("even cycle not bipartite")
 	}
@@ -172,20 +172,20 @@ func TestBipartition(t *testing.T) {
 	for i := int64(0); i < 5; i++ {
 		odd.AddEdge(i, (i+1)%5)
 	}
-	if _, ok := Bipartition(odd); ok {
+	if _, ok := BipartitionView(graph.BuildUView(odd)); ok {
 		t.Fatal("odd cycle reported bipartite")
 	}
 	// Self-loop is not.
 	loop := graph.NewUndirected()
 	loop.AddEdge(1, 1)
-	if _, ok := Bipartition(loop); ok {
+	if _, ok := BipartitionView(graph.BuildUView(loop)); ok {
 		t.Fatal("self-loop reported bipartite")
 	}
 	// Disconnected bipartite graph.
 	two := graph.NewUndirected()
 	two.AddEdge(1, 2)
 	two.AddEdge(10, 11)
-	if _, ok := Bipartition(two); !ok {
+	if _, ok := BipartitionView(graph.BuildUView(two)); !ok {
 		t.Fatal("disconnected bipartite rejected")
 	}
 }
@@ -226,7 +226,7 @@ func TestMotifCounts(t *testing.T) {
 	cyc.AddEdge(1, 2)
 	cyc.AddEdge(2, 3)
 	cyc.AddEdge(3, 1)
-	mc := CountMotifs(cyc)
+	mc := CountMotifsView(graph.BuildView(cyc))
 	if mc.CyclicTriangles != 1 || mc.TransTriangles != 0 {
 		t.Fatalf("cycle motifs = %+v", mc)
 	}
@@ -236,7 +236,7 @@ func TestMotifCounts(t *testing.T) {
 	tr.AddEdge(1, 2)
 	tr.AddEdge(2, 3)
 	tr.AddEdge(1, 3)
-	mc = CountMotifs(tr)
+	mc = CountMotifsView(graph.BuildView(tr))
 	if mc.TransTriangles != 1 || mc.CyclicTriangles != 0 {
 		t.Fatalf("transitive motifs = %+v", mc)
 	}
@@ -245,7 +245,7 @@ func TestMotifCounts(t *testing.T) {
 	p := graph.NewDirected()
 	p.AddEdge(1, 2)
 	p.AddEdge(2, 3)
-	mc = CountMotifs(p)
+	mc = CountMotifsView(graph.BuildView(p))
 	if mc.Wedges != 1 || mc.CyclicTriangles+mc.TransTriangles != 0 {
 		t.Fatalf("path motifs = %+v", mc)
 	}
@@ -255,7 +255,7 @@ func TestMotifCounts(t *testing.T) {
 	for _, e := range [][2]int64{{1, 2}, {2, 1}, {2, 3}, {3, 2}, {1, 3}, {3, 1}} {
 		full.AddEdge(e[0], e[1])
 	}
-	mc = CountMotifs(full)
+	mc = CountMotifsView(graph.BuildView(full))
 	if mc.CyclicTriangles != 2 {
 		t.Fatalf("reciprocal triangle cycles = %+v", mc)
 	}
@@ -263,7 +263,7 @@ func TestMotifCounts(t *testing.T) {
 
 func TestPageRankConverged(t *testing.T) {
 	g := cycleGraph(8)
-	pr, iters := PageRankConverged(g, DefaultDamping, 1e-12, 200)
+	pr, iters := PageRankConvergedView(graph.BuildView(g), DefaultDamping, 1e-12, 200)
 	if iters >= 200 {
 		t.Fatalf("did not converge: %d iterations", iters)
 	}
@@ -273,11 +273,11 @@ func TestPageRankConverged(t *testing.T) {
 		}
 	}
 	// Tight budget stops early.
-	_, iters = PageRankConverged(g, DefaultDamping, 0, 3)
+	_, iters = PageRankConvergedView(graph.BuildView(g), DefaultDamping, 0, 3)
 	if iters != 3 {
 		t.Fatalf("iteration budget ignored: %d", iters)
 	}
-	if pr, iters := PageRankConverged(graph.NewDirected(), DefaultDamping, 1e-9, 5); pr == nil || len(pr) != 0 || iters != 0 {
+	if pr, iters := PageRankConvergedView(graph.BuildView(graph.NewDirected()), DefaultDamping, 1e-9, 5); pr == nil || len(pr) != 0 || iters != 0 {
 		t.Fatalf("empty graph = %#v after %d iterations, want empty non-nil scores and 0", pr, iters)
 	}
 }

@@ -20,14 +20,9 @@ const (
 	Both
 )
 
-// BFS runs a breadth-first search over g from src following dir edges and
-// returns hop distances keyed by node id for every reached node (including
-// src at distance 0). It returns nil if src is not a node.
-func BFS(g *graph.Directed, src int64, dir EdgeDir) map[int64]int {
-	return BFSView(graph.BuildView(g), src, dir)
-}
-
-// BFSView is BFS over a prebuilt CSR view.
+// BFSView runs a breadth-first search over v from src following dir edges
+// and returns hop distances keyed by node id for every reached node
+// (including src at distance 0). It returns nil if src is not a node.
 func BFSView(v *graph.View, src int64, dir EdgeDir) map[int64]int {
 	s, ok := v.Index(src)
 	if !ok {
@@ -79,16 +74,11 @@ func bfsFlat(v *graph.View, src int32, dir EdgeDir) []int32 {
 // following out-edges — the unweighted SSSP benchmarked in Table 6, where
 // every edge has length 1 and BFS is the optimal algorithm.
 func SSSPUnweighted(g *graph.Directed, src int64) map[int64]int {
-	return BFS(g, src, Out)
+	return BFSView(graph.BuildView(g), src, Out)
 }
 
-// ShortestPath returns the hop distance from src to dst following
+// ShortestPathView returns the hop distance from src to dst following
 // out-edges, or -1 if dst is unreachable.
-func ShortestPath(g *graph.Directed, src, dst int64) int {
-	return ShortestPathView(graph.BuildView(g), src, dst)
-}
-
-// ShortestPathView is ShortestPath over a prebuilt CSR view.
 func ShortestPathView(v *graph.View, src, dst int64) int {
 	s, ok := v.Index(src)
 	if !ok {
@@ -106,14 +96,9 @@ func ShortestPathView(v *graph.View, src, dst int64) int {
 // non-negative for Dijkstra.
 type WeightFunc func(src, dst int64) float64
 
-// Dijkstra computes weighted single-source shortest paths from src
+// DijkstraView computes weighted single-source shortest paths from src
 // following out-edges, with edge lengths from w. Unreachable nodes are
 // absent from the result. It returns nil if src is not a node.
-func Dijkstra(g *graph.Directed, src int64, w WeightFunc) Scores {
-	return DijkstraView(graph.BuildView(g), src, w)
-}
-
-// DijkstraView is Dijkstra over a prebuilt CSR view.
 func DijkstraView(v *graph.View, src int64, w WeightFunc) Scores {
 	s, ok := v.Index(src)
 	if !ok {

@@ -1,7 +1,9 @@
 package algo
 
 import (
+	"reflect"
 	"testing"
+	"testing/quick"
 
 	"ringo/internal/graph"
 )
@@ -16,31 +18,32 @@ func pathGraph(n int) *graph.Directed {
 
 func TestBFSDistancesOnPath(t *testing.T) {
 	g := pathGraph(6)
-	dist := BFS(g, 0, Out)
+	v := graph.BuildView(g)
+	dist := BFSView(v, 0, Out)
 	for i := 0; i < 6; i++ {
 		if dist[int64(i)] != i {
 			t.Fatalf("dist[%d] = %d", i, dist[int64(i)])
 		}
 	}
 	// Following out-edges, nothing reaches backwards.
-	back := BFS(g, 5, Out)
+	back := BFSView(v, 5, Out)
 	if len(back) != 1 || back[5] != 0 {
 		t.Fatalf("backwards BFS = %v", back)
 	}
 	// In direction reverses reachability.
-	in := BFS(g, 5, In)
+	in := BFSView(v, 5, In)
 	if in[0] != 5 {
 		t.Fatalf("in-BFS dist to 0 = %d", in[0])
 	}
 	// Both directions reach everything from the middle.
-	both := BFS(g, 3, Both)
+	both := BFSView(v, 3, Both)
 	if len(both) != 6 {
 		t.Fatalf("both-BFS reached %d nodes", len(both))
 	}
 }
 
 func TestBFSMissingSource(t *testing.T) {
-	if BFS(pathGraph(3), 99, Out) != nil {
+	if BFSView(graph.BuildView(pathGraph(3)), 99, Out) != nil {
 		t.Fatal("BFS from missing node returned non-nil")
 	}
 }
@@ -52,20 +55,27 @@ func TestSSSPUnweightedMatchesBFS(t *testing.T) {
 	if dist[3] != 1 || dist[4] != 2 {
 		t.Fatalf("shortcut distances = %v", dist)
 	}
+	if bfs := BFSView(graph.BuildView(g), 0, Out); !reflect.DeepEqual(dist, bfs) {
+		t.Fatalf("SSSP %v differs from out-edge BFS %v", dist, bfs)
+	}
 }
 
 func TestShortestPath(t *testing.T) {
 	g := pathGraph(4)
-	if d := ShortestPath(g, 0, 3); d != 3 {
+	v := graph.BuildView(g)
+	if d := ShortestPathView(v, 2, 2); d != 0 {
+		t.Fatalf("self distance = %d", d)
+	}
+	if d := ShortestPathView(v, 0, 3); d != 3 {
 		t.Fatalf("ShortestPath = %d", d)
 	}
-	if d := ShortestPath(g, 3, 0); d != -1 {
+	if d := ShortestPathView(v, 3, 0); d != -1 {
 		t.Fatalf("unreachable = %d, want -1", d)
 	}
-	if d := ShortestPath(g, 99, 0); d != -1 {
+	if d := ShortestPathView(v, 99, 0); d != -1 {
 		t.Fatalf("missing src = %d", d)
 	}
-	if d := ShortestPath(g, 0, 99); d != -1 {
+	if d := ShortestPathView(v, 0, 99); d != -1 {
 		t.Fatalf("missing dst = %d", d)
 	}
 }
@@ -81,7 +91,7 @@ func TestDijkstraPrefersLightPath(t *testing.T) {
 		}
 		return 1
 	}
-	dist := Dijkstra(g, 1, w)
+	dist := DijkstraView(graph.BuildView(g), 1, w)
 	if !approxEq(at(dist, 2), 2, 1e-12) {
 		t.Fatalf("dist[2] = %v, want 2 (via node 3)", at(dist, 2))
 	}
@@ -94,11 +104,11 @@ func TestDijkstraUnreachableAbsent(t *testing.T) {
 	g := graph.NewDirected()
 	g.AddEdge(1, 2)
 	g.AddNode(3)
-	dist := Dijkstra(g, 1, func(a, b int64) float64 { return 1 })
+	dist := DijkstraView(graph.BuildView(g), 1, func(a, b int64) float64 { return 1 })
 	if _, ok := dist.Get(3); ok {
 		t.Fatal("unreachable node present in Dijkstra result")
 	}
-	if Dijkstra(g, 99, func(a, b int64) float64 { return 1 }) != nil {
+	if DijkstraView(graph.BuildView(g), 99, func(a, b int64) float64 { return 1 }) != nil {
 		t.Fatal("Dijkstra from missing node returned non-nil")
 	}
 }
@@ -107,8 +117,8 @@ func TestDijkstraMatchesBFSWithUnitWeights(t *testing.T) {
 	g := pathGraph(8)
 	g.AddEdge(2, 6)
 	unit := func(a, b int64) float64 { return 1 }
-	dd := Dijkstra(g, 0, unit)
-	bd := BFS(g, 0, Out)
+	dd := DijkstraView(graph.BuildView(g), 0, unit)
+	bd := BFSView(graph.BuildView(g), 0, Out)
 	for id, hops := range bd {
 		if !approxEq(at(dd, id), float64(hops), 1e-12) {
 			t.Fatalf("node %d: dijkstra %v != bfs %d", id, at(dd, id), hops)
@@ -122,7 +132,7 @@ func TestWCCTwoComponents(t *testing.T) {
 	g.AddEdge(2, 3)
 	g.AddEdge(10, 11)
 	g.AddNode(99)
-	c := WCC(g)
+	c := WCCView(graph.BuildView(g))
 	if c.Count != 3 {
 		t.Fatalf("WCC count = %d, want 3", c.Count)
 	}
@@ -138,7 +148,7 @@ func TestWCCDirectionIgnored(t *testing.T) {
 	g := graph.NewDirected()
 	g.AddEdge(1, 2)
 	g.AddEdge(3, 2) // converging arrows still connect weakly
-	c := WCC(g)
+	c := WCCView(graph.BuildView(g))
 	if c.Count != 1 {
 		t.Fatalf("WCC count = %d, want 1", c.Count)
 	}
@@ -146,14 +156,38 @@ func TestWCCDirectionIgnored(t *testing.T) {
 
 func TestSCCCycleAndDAG(t *testing.T) {
 	cyc := cycleGraph(5)
-	c := SCC(cyc)
+	c := SCCView(graph.BuildView(cyc))
 	if c.Count != 1 || c.MaxSize != 5 {
 		t.Fatalf("cycle SCC = (%d comps, max %d)", c.Count, c.MaxSize)
 	}
 	dag := pathGraph(5)
-	c = SCC(dag)
+	c = SCCView(graph.BuildView(dag))
 	if c.Count != 5 || c.MaxSize != 1 {
 		t.Fatalf("path SCC = (%d comps, max %d)", c.Count, c.MaxSize)
+	}
+}
+
+// TestSCCRefinesWCC: every strongly connected component lies inside one
+// weak component, so SCC labels refine WCC labels and WCC never counts more.
+func TestSCCRefinesWCC(t *testing.T) {
+	f := func(edges [][2]int8) bool {
+		g := graph.NewDirected()
+		for _, e := range edges {
+			g.AddEdge(int64(e[0]%20), int64(e[1]%20))
+		}
+		v := graph.BuildView(g)
+		wcc, scc := WCCView(v), SCCView(v)
+		weakOf := map[int]int{}
+		for id, s := range scc.Label {
+			if w, ok := weakOf[s]; ok && w != wcc.Label[id] {
+				return false
+			}
+			weakOf[s] = wcc.Label[id]
+		}
+		return wcc.Count <= scc.Count
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -168,7 +202,7 @@ func TestSCCTextbookExample(t *testing.T) {
 	} {
 		g.AddEdge(e[0], e[1])
 	}
-	c := SCC(g)
+	c := SCCView(graph.BuildView(g))
 	if c.Count != 3 {
 		t.Fatalf("SCC count = %d, want 3", c.Count)
 	}
@@ -189,7 +223,7 @@ func TestSCCTextbookExample(t *testing.T) {
 func TestSCCDeepGraphNoStackOverflow(t *testing.T) {
 	// A 200k-node path would overflow a recursive Tarjan.
 	g := pathGraph(200_000)
-	c := SCC(g)
+	c := SCCView(graph.BuildView(g))
 	if c.Count != 200_000 {
 		t.Fatalf("deep path SCC count = %d", c.Count)
 	}
@@ -222,7 +256,7 @@ func TestWCCUndirected(t *testing.T) {
 	g := graph.NewUndirected()
 	g.AddEdge(1, 2)
 	g.AddEdge(3, 4)
-	c := WCCUndirected(g)
+	c := WCCUndirectedView(graph.BuildUView(g))
 	if c.Count != 2 || c.MaxSize != 2 {
 		t.Fatalf("undirected WCC = (%d,%d)", c.Count, c.MaxSize)
 	}

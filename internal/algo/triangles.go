@@ -5,16 +5,11 @@ import (
 	"ringo/internal/par"
 )
 
-// Triangles counts undirected triangles in parallel. It is the algorithm
+// TrianglesView counts undirected triangles in parallel. It is the algorithm
 // benchmarked in Table 3: a straightforward edge-iterator with sorted
 // adjacency-vector intersection ("similar to [6]" in the paper),
 // parallelized by splitting the node range across workers. Each triangle
 // {a,b,c} with a<b<c is counted exactly once, at its smallest-index vertex.
-func Triangles(g *graph.Undirected) int64 {
-	return TrianglesView(graph.BuildUView(g))
-}
-
-// TrianglesView is Triangles over a prebuilt CSR view.
 func TrianglesView(v *graph.UView) int64 {
 	defer report(timed("triangles"))
 	return par.SumInt(v.NumNodes(), func(lo, hi int) int64 {
@@ -26,13 +21,8 @@ func TrianglesView(v *graph.UView) int64 {
 	})
 }
 
-// TrianglesSeq is the single-threaded triangle count (parallel-vs-
+// TrianglesSeqView is the single-threaded triangle count (parallel-vs-
 // sequential ablation baseline).
-func TrianglesSeq(g *graph.Undirected) int64 {
-	return TrianglesSeqView(graph.BuildUView(g))
-}
-
-// TrianglesSeqView is TrianglesSeq over a prebuilt CSR view.
 func TrianglesSeqView(v *graph.UView) int64 {
 	var count int64
 	for u := 0; u < v.NumNodes(); u++ {
@@ -92,13 +82,8 @@ func upperBound(a []int32, v int32) int {
 	return lo
 }
 
-// NodeTriangles returns, for every node, the number of triangles the node
+// NodeTrianglesView returns, for every node, the number of triangles the node
 // participates in (each triangle counted at all three corners).
-func NodeTriangles(g *graph.Undirected) map[int64]int64 {
-	return NodeTrianglesView(graph.BuildUView(g))
-}
-
-// NodeTrianglesView is NodeTriangles over a prebuilt CSR view.
 func NodeTrianglesView(v *graph.UView) map[int64]int64 {
 	n := v.NumNodes()
 	counts := make([]int64, n)
@@ -140,16 +125,10 @@ func forEachCommonAbove(a, b []int32, floor int32, fn func(w int32)) {
 	}
 }
 
-// ClusteringCoefficient returns the average local clustering coefficient:
+// ClusteringCoefficientView returns the average local clustering coefficient:
 // for each node, the fraction of its neighbor pairs that are connected,
 // averaged over nodes with degree >= 2 contributing their ratio and others
 // contributing 0, as in SNAP's GetClustCf.
-func ClusteringCoefficient(g *graph.Undirected) float64 {
-	return ClusteringCoefficientView(graph.BuildUView(g))
-}
-
-// ClusteringCoefficientView is ClusteringCoefficient over a prebuilt CSR
-// view.
 func ClusteringCoefficientView(v *graph.UView) float64 {
 	defer report(timed("clustering"))
 	n := v.NumNodes()

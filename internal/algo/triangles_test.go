@@ -29,10 +29,10 @@ func TestTrianglesKnownCounts(t *testing.T) {
 		{completeUndirected(6), 20, "K6"},
 	}
 	for _, c := range cases {
-		if got := Triangles(c.g); got != c.want {
+		if got := TrianglesView(graph.BuildUView(c.g)); got != c.want {
 			t.Fatalf("%s: Triangles = %d, want %d", c.name, got, c.want)
 		}
-		if got := TrianglesSeq(c.g); got != c.want {
+		if got := TrianglesSeqView(graph.BuildUView(c.g)); got != c.want {
 			t.Fatalf("%s: TrianglesSeq = %d, want %d", c.name, got, c.want)
 		}
 	}
@@ -43,7 +43,7 @@ func TestTrianglesPathHasNone(t *testing.T) {
 	for i := int64(0); i < 10; i++ {
 		g.AddEdge(i, i+1)
 	}
-	if got := Triangles(g); got != 0 {
+	if got := TrianglesView(graph.BuildUView(g)); got != 0 {
 		t.Fatalf("path triangles = %d", got)
 	}
 }
@@ -51,7 +51,7 @@ func TestTrianglesPathHasNone(t *testing.T) {
 func TestTrianglesIgnoreSelfLoops(t *testing.T) {
 	g := completeUndirected(3)
 	g.AddEdge(0, 0)
-	if got := Triangles(g); got != 1 {
+	if got := TrianglesView(graph.BuildUView(g)); got != 1 {
 		t.Fatalf("triangles with self-loop = %d, want 1", got)
 	}
 }
@@ -59,12 +59,12 @@ func TestTrianglesIgnoreSelfLoops(t *testing.T) {
 func TestNodeTrianglesSumIsThreeTimesTotal(t *testing.T) {
 	g := completeUndirected(5)
 	g.AddEdge(10, 11) // isolated edge, no triangles
-	per := NodeTriangles(g)
+	per := NodeTrianglesView(graph.BuildUView(g))
 	var sum int64
 	for _, c := range per {
 		sum += c
 	}
-	total := Triangles(g)
+	total := TrianglesView(graph.BuildUView(g))
 	if sum != 3*total {
 		t.Fatalf("sum of per-node counts %d != 3×%d", sum, total)
 	}
@@ -103,7 +103,7 @@ func TestTrianglesMatchBruteForceProperty(t *testing.T) {
 			g.AddEdge(int64(e[0]%12), int64(e[1]%12))
 		}
 		want := bruteTriangles(g)
-		return Triangles(g) == want && TrianglesSeq(g) == want
+		return TrianglesView(graph.BuildUView(g)) == want && TrianglesSeqView(graph.BuildUView(g)) == want
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {
 		t.Fatal(err)
@@ -112,7 +112,7 @@ func TestTrianglesMatchBruteForceProperty(t *testing.T) {
 
 func TestClusteringCoefficientComplete(t *testing.T) {
 	g := completeUndirected(6)
-	if cc := ClusteringCoefficient(g); !approxEq(cc, 1, 1e-12) {
+	if cc := ClusteringCoefficientView(graph.BuildUView(g)); !approxEq(cc, 1, 1e-12) {
 		t.Fatalf("clustering of K6 = %v, want 1", cc)
 	}
 }
@@ -122,7 +122,7 @@ func TestClusteringCoefficientStarIsZero(t *testing.T) {
 	for i := int64(1); i <= 6; i++ {
 		g.AddEdge(0, i)
 	}
-	if cc := ClusteringCoefficient(g); cc != 0 {
+	if cc := ClusteringCoefficientView(graph.BuildUView(g)); cc != 0 {
 		t.Fatalf("clustering of star = %v", cc)
 	}
 }
@@ -136,13 +136,13 @@ func TestClusteringCoefficientTrianglePlusTail(t *testing.T) {
 	g.AddEdge(0, 2)
 	g.AddEdge(2, 3)
 	want := (1.0 + 1.0 + 1.0/3.0 + 0.0) / 4.0
-	if cc := ClusteringCoefficient(g); !approxEq(cc, want, 1e-12) {
+	if cc := ClusteringCoefficientView(graph.BuildUView(g)); !approxEq(cc, want, 1e-12) {
 		t.Fatalf("clustering = %v, want %v", cc, want)
 	}
 }
 
 func TestClusteringEmptyGraph(t *testing.T) {
-	if cc := ClusteringCoefficient(graph.NewUndirected()); cc != 0 {
+	if cc := ClusteringCoefficientView(graph.BuildUView(graph.NewUndirected())); cc != 0 {
 		t.Fatalf("clustering of empty graph = %v", cc)
 	}
 }

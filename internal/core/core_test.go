@@ -6,33 +6,35 @@ import (
 	"time"
 
 	"ringo/internal/algo"
+	"ringo/internal/conv"
 	"ringo/internal/gen"
+	"ringo/internal/graph"
 )
 
 func TestToGraphAndBack(t *testing.T) {
 	tbl := gen.RMATTable(8, 500, 3)
-	g, err := ToGraph(tbl, "src", "dst")
+	g, err := conv.ToDirected(tbl, "src", "dst")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if g.NumNodes() == 0 || g.NumEdges() == 0 {
 		t.Fatal("empty graph from RMAT table")
 	}
-	back, err := ToTable(g, "a", "b")
+	back, err := conv.ToEdgeTable(g, "a", "b")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if int64(back.NumRows()) != g.NumEdges() {
 		t.Fatalf("edge table rows %d != edges %d", back.NumRows(), g.NumEdges())
 	}
-	nt, err := ToNodeTable(g, "node")
+	nt, err := conv.ToNodeTable(g, "node")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if nt.NumRows() != g.NumNodes() {
 		t.Fatal("node table wrong size")
 	}
-	u, err := ToUGraph(tbl, "src", "dst")
+	u, err := conv.ToUndirected(tbl, "src", "dst")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,10 +43,13 @@ func TestToGraphAndBack(t *testing.T) {
 	}
 }
 
+// TestGetPageRankSumsToOne checks the Table 3 configuration the facade's
+// GetPageRank and the experiment harness run: ten iterations at
+// DefaultDamping over a freshly built view.
 func TestGetPageRankSumsToOne(t *testing.T) {
 	tbl := gen.RMATTable(8, 500, 3)
-	g, _ := ToGraph(tbl, "src", "dst")
-	pr := GetPageRank(g)
+	g, _ := conv.ToDirected(tbl, "src", "dst")
+	pr := algo.PageRankView(graph.BuildView(g), algo.DefaultDamping, 10)
 	if sum := algo.SumScores(pr); sum < 0.999 || sum > 1.001 {
 		t.Fatalf("PageRank sum = %v", sum)
 	}
@@ -86,9 +91,9 @@ func TestWorkspace(t *testing.T) {
 	w := NewWorkspace()
 	tbl := gen.RMATTable(6, 50, 1)
 	w.Set("P", Object{Table: tbl})
-	g, _ := ToGraph(tbl, "src", "dst")
+	g, _ := conv.ToDirected(tbl, "src", "dst")
 	w.Set("G", Object{Graph: g})
-	w.Set("PR", Object{Scores: GetPageRank(g)})
+	w.Set("PR", Object{Scores: algo.PageRankView(graph.BuildView(g), algo.DefaultDamping, 10)})
 
 	if got, _ := w.Table("P"); got != tbl {
 		t.Fatal("Table lookup failed")
@@ -136,7 +141,7 @@ func TestWorkspaceProvenance(t *testing.T) {
 
 func TestObjectSummaries(t *testing.T) {
 	tbl := gen.RMATTable(5, 20, 1)
-	g, _ := ToGraph(tbl, "src", "dst")
+	g, _ := conv.ToDirected(tbl, "src", "dst")
 	for _, c := range []struct {
 		o    Object
 		want string

@@ -1,9 +1,9 @@
-// Package core is the Ringo engine: it ties the table store, the graph
-// store, the conversions and the algorithm library into the verb set the
-// paper's Python front-end exposes (LoadTableTSV, Select, Join, ToGraph,
-// GetPageRank, TableFromHashMap, ...). The root ringo package re-exports
-// this API; cmd/ringo drives it interactively; the experiment harness in
-// this package regenerates every table of the paper's evaluation.
+// Package core is the Ringo engine's session layer: the Workspace holding a
+// session's tables, graphs and score vectors, the caches beneath it, the
+// score-to-table conversions that close the paper's loop (TableFromMap is
+// its TableFromHashMap) and the harness behind every evaluation table.
+// Conversions and kernels live in internal/conv and internal/algo;
+// internal/repl drives this package and the root ringo package curates it.
 //
 // The package's two stateful pieces implement the paper's session model:
 // Workspace is the named-object registry standing in for the Python
@@ -22,39 +22,11 @@ import (
 	"sync/atomic"
 
 	"ringo/internal/algo"
-	"ringo/internal/conv"
 	"ringo/internal/extmem"
 	"ringo/internal/graph"
 	"ringo/internal/lru"
 	"ringo/internal/table"
 )
-
-// ToGraph converts an edge table into Ringo's directed graph representation
-// with the parallel sort-first algorithm (§2.4).
-func ToGraph(t *table.Table, srcCol, dstCol string) (*graph.Directed, error) {
-	return conv.ToDirected(t, srcCol, dstCol)
-}
-
-// ToUGraph converts an edge table into an undirected graph.
-func ToUGraph(t *table.Table, srcCol, dstCol string) (*graph.Undirected, error) {
-	return conv.ToUndirected(t, srcCol, dstCol)
-}
-
-// ToTable converts a directed graph back into an edge table.
-func ToTable(g *graph.Directed, srcName, dstName string) (*table.Table, error) {
-	return conv.ToEdgeTable(g, srcName, dstName)
-}
-
-// ToNodeTable converts a graph's node set into a single-column table.
-func ToNodeTable(g *graph.Directed, name string) (*table.Table, error) {
-	return conv.ToNodeTable(g, name)
-}
-
-// GetPageRank runs 10 iterations of parallel PageRank with the standard
-// damping factor, the configuration timed in Table 3.
-func GetPageRank(g *graph.Directed) algo.Scores {
-	return algo.PageRank(g, algo.DefaultDamping, 10)
-}
 
 // TableFromMap builds a two-column table (key, score) from an algorithm's
 // score vector, sorted by descending score — the paper's TableFromHashMap,

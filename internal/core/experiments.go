@@ -80,13 +80,13 @@ func Table3(specs []Spec) (Report, error) {
 			return Report{}, err
 		}
 		var pr algo.Scores
-		dt := Timed(func() { pr = algo.PageRank(g, algo.DefaultDamping, 10) })
+		dt := Timed(func() { pr = algo.PageRankView(graph.BuildView(g), algo.DefaultDamping, 10) })
 		r.Rows = append(r.Rows, []string{"PageRank (10 iter)", s.Name, dt.Round(time.Millisecond).String(),
 			fmt.Sprintf("%d nodes scored", len(pr))})
 
 		u := graph.AsUndirected(g)
 		var tri int64
-		dt = Timed(func() { tri = algo.Triangles(u) })
+		dt = Timed(func() { tri = algo.TrianglesView(graph.BuildUView(u)) })
 		r.Rows = append(r.Rows, []string{"Triangle Counting", s.Name, dt.Round(time.Millisecond).String(),
 			fmt.Sprintf("%d triangles", tri)})
 	}
@@ -271,7 +271,7 @@ func Table6(spec Spec) (Report, error) {
 		fmt.Sprintf("last run reached %d nodes", reached)})
 
 	var comps algo.Components
-	dt = Timed(func() { comps = algo.SCC(g) })
+	dt = Timed(func() { comps = algo.SCCView(graph.BuildView(g)) })
 	r.Rows = append(r.Rows, []string{"SCC", dt.Round(time.Millisecond).String(),
 		fmt.Sprintf("%d components, largest %d", comps.Count, comps.MaxSize)})
 	return r, nil
@@ -290,12 +290,12 @@ func Footprint(spec Spec) (Report, error) {
 		Header: []string{"Computation", "Graph Size", "Peak Extra Heap", "Ratio"},
 	}
 	gb := g.Bytes()
-	d := HeapDelta(func() { algo.PageRank(g, algo.DefaultDamping, 10) })
+	d := HeapDelta(func() { algo.PageRankView(graph.BuildView(g), algo.DefaultDamping, 10) })
 	r.Rows = append(r.Rows, []string{"PageRank (10 iter)", MB(gb), MB(d), fmt.Sprintf("%.2fx", float64(d)/float64(gb))})
 
 	u := graph.AsUndirected(g)
 	ub := u.Bytes()
-	d = HeapDelta(func() { algo.Triangles(u) })
+	d = HeapDelta(func() { algo.TrianglesView(graph.BuildUView(u)) })
 	r.Rows = append(r.Rows, []string{"Triangle Counting", MB(ub), MB(d), fmt.Sprintf("%.2fx", float64(d)/float64(ub))})
 	r.Notes = append(r.Notes, "paper shape: footprint below 2x the graph object size")
 	return r, nil

@@ -128,6 +128,8 @@ func TestIncrementalOracle(t *testing.T) {
 					t.Fatal(err)
 				}
 				sameViewT(t, ctx, newDV, graph.BuildView(g))
+				// The free function over the stale view lands on the same CSR.
+				sameViewT(t, ctx+" (PatchView)", graph.PatchView(dv, g.HasNode, g.HasEdge, deltas), newDV)
 				newUV, err := ws.UndirectedView("g")
 				if err != nil {
 					t.Fatal(err)

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"ringo/internal/algo"
+	"ringo/internal/conv"
 	"ringo/internal/graph"
 )
 
@@ -11,7 +12,7 @@ import (
 func benchWorkspace(b *testing.B) (*Workspace, *graph.Directed) {
 	b.Helper()
 	spec := Spec{Name: "bench", RMATScale: 14, Edges: 120_000, Seed: 42}
-	g, err := ToGraph(spec.CachedEdgeTable(), "src", "dst")
+	g, err := conv.ToDirected(spec.CachedEdgeTable(), "src", "dst")
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -54,7 +55,7 @@ func BenchmarkPageRankCold(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		algo.PageRank(g, algo.DefaultDamping, 10)
+		algo.PageRankView(graph.BuildView(g), algo.DefaultDamping, 10)
 	}
 }
 

@@ -190,7 +190,8 @@ func TestAlgorithmsCachedVsBypassed(t *testing.T) {
 		}
 		prC := algo.PageRankView(cv, algo.DefaultDamping, 10)
 		prB := algo.PageRankView(bv, algo.DefaultDamping, 10)
-		prDirect := algo.PageRank(g, algo.DefaultDamping, 10)
+		dv := graph.BuildView(g) // the workspace-free oracle
+		prDirect := algo.PageRankView(dv, algo.DefaultDamping, 10)
 		// One kernel over structurally identical views: bit-equal results.
 		if !slices.Equal(prC, prDirect) {
 			t.Fatalf("round %d: cached pagerank diverges", round)
@@ -198,11 +199,11 @@ func TestAlgorithmsCachedVsBypassed(t *testing.T) {
 		if !slices.Equal(prB, prDirect) {
 			t.Fatalf("round %d: bypassed pagerank diverges", round)
 		}
-		wC, wB, wD := algo.WCCView(cv), algo.WCCView(bv), algo.WCC(g)
+		wC, wB, wD := algo.WCCView(cv), algo.WCCView(bv), algo.WCCView(dv)
 		if wC.Count != wD.Count || wB.Count != wD.Count || wC.MaxSize != wD.MaxSize {
 			t.Fatalf("round %d: wcc diverges: %d/%d/%d", round, wC.Count, wB.Count, wD.Count)
 		}
-		sC, sD := algo.SCCView(cv), algo.SCC(g)
+		sC, sD := algo.SCCView(cv), algo.SCCView(dv)
 		if sC.Count != sD.Count || sC.MaxSize != sD.MaxSize {
 			t.Fatalf("round %d: scc diverges", round)
 		}
@@ -216,7 +217,7 @@ func TestAlgorithmsCachedVsBypassed(t *testing.T) {
 			t.Fatal(err)
 		}
 		u := graph.AsUndirected(g)
-		if tc, tb, td := algo.TrianglesView(cu), algo.TrianglesView(bu), algo.Triangles(u); tc != td || tb != td {
+		if tc, tb, td := algo.TrianglesView(cu), algo.TrianglesView(bu), algo.TrianglesView(graph.BuildUView(u)); tc != td || tb != td {
 			t.Fatalf("round %d: triangles diverge: %d/%d/%d", round, tc, tb, td)
 		}
 		nodes, edges := algo.KCoreStatsView(cu, 3)

@@ -28,6 +28,7 @@ import (
 	"time"
 
 	"ringo/internal/algo"
+	"ringo/internal/conv"
 	"ringo/internal/core"
 	"ringo/internal/extmem"
 	"ringo/internal/gen"
@@ -628,7 +629,7 @@ func (e *Engine) cmdToGraph(r *Result, args []string) error {
 	if err != nil {
 		return err
 	}
-	g, err := core.ToGraph(t, args[2], args[3])
+	g, err := conv.ToDirected(t, args[2], args[3])
 	if err != nil {
 		return err
 	}
@@ -645,7 +646,7 @@ func (e *Engine) cmdToTable(r *Result, args []string) error {
 	if err != nil {
 		return err
 	}
-	t, err := core.ToTable(g, "src", "dst")
+	t, err := conv.ToEdgeTable(g, "src", "dst")
 	if err != nil {
 		return err
 	}

@@ -4,6 +4,9 @@ import (
 	"testing"
 
 	"ringo"
+	"ringo/internal/conv"
+	"ringo/internal/gen"
+	"ringo/internal/graph"
 )
 
 // TestStackOverflowExpertDemo runs the paper's §4.1 demo end to end on the
@@ -119,12 +122,12 @@ func TestFigure2Workflow(t *testing.T) {
 }
 
 func TestRoundTripThroughEdgeListFile(t *testing.T) {
-	g := ringo.GenGNM(50, 200, 9)
+	g := gen.GNM(50, 200, 9)
 	path := t.TempDir() + "/g.tsv"
-	if err := ringo.SaveEdgeList(path, g); err != nil {
+	if err := graph.SaveEdgeListFile(path, g); err != nil {
 		t.Fatal(err)
 	}
-	back, err := ringo.LoadEdgeList(path)
+	back, err := graph.LoadEdgeListFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,14 +146,14 @@ func TestRoundTripThroughEdgeListFile(t *testing.T) {
 
 func TestFacadeBulkBuild(t *testing.T) {
 	edges := [][2]int64{{1, 2}, {2, 3}, {3, 1}, {1, 2}, {4, 4}}
-	g, err := ringo.BuildDirected(edges)
+	g, err := graph.BuildDirected(edges)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if g.NumNodes() != 4 || g.NumEdges() != 4 { // duplicate collapsed, self-loop kept
 		t.Fatalf("BuildDirected: %d nodes, %d edges", g.NumNodes(), g.NumEdges())
 	}
-	u, err := ringo.BuildUndirected(edges)
+	u, err := graph.BuildUndirected(edges)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,15 +163,15 @@ func TestFacadeBulkBuild(t *testing.T) {
 }
 
 func TestEdgeListRoundTripKeepsIsolatedNodes(t *testing.T) {
-	g := ringo.NewGraph()
+	g := graph.NewDirected()
 	g.AddEdge(1, 2)
 	g.AddNode(99)
 	path := t.TempDir() + "/iso.tsv"
-	if err := ringo.SaveEdgeList(path, g); err != nil {
+	if err := graph.SaveEdgeListFile(path, g); err != nil {
 		t.Fatal(err)
 	}
 	for _, load := range []func(string) (*ringo.Graph, error){
-		ringo.LoadEdgeList, ringo.LoadEdgeListParallel, ringo.LoadGraphAuto,
+		graph.LoadEdgeListFile, ringo.LoadEdgeListParallel, graph.LoadFileAuto,
 	} {
 		back, err := load(path)
 		if err != nil {
@@ -180,100 +183,13 @@ func TestEdgeListRoundTripKeepsIsolatedNodes(t *testing.T) {
 	}
 }
 
-func TestFacadeAlgorithmSurface(t *testing.T) {
-	g := ringo.GenGNM(60, 400, 4)
-	u := ringo.AsUndirected(g)
-
-	if got := ringo.PageRankSeq(g, 0.85, 5); len(got) != 60 {
-		t.Fatal("PageRankSeq size")
-	}
-	if got := ringo.PersonalizedPageRank(g, []int64{1}, 0.85, 5); len(got) != 60 {
-		t.Fatal("PPR size")
-	}
-	hits := ringo.GetHits(g, 10)
-	if len(hits.Hub) != 60 || len(hits.Authority) != 60 {
-		t.Fatal("HITS size")
-	}
-	if ringo.CountTriangles(u) != ringo.CountTrianglesSeq(u) {
-		t.Fatal("triangle variants disagree")
-	}
-	if cc := ringo.GetClusteringCoefficient(u); cc < 0 || cc > 1 {
-		t.Fatalf("clustering coefficient %v", cc)
-	}
-	if len(ringo.NodeTriangles(u)) != 60 {
-		t.Fatal("NodeTriangles size")
-	}
-	src := g.Nodes()[0]
-	bfs := ringo.GetBFS(g, src, ringo.OutEdges)
-	sssp := ringo.GetSSSP(g, src)
-	if len(bfs) != len(sssp) {
-		t.Fatal("BFS and SSSP disagree")
-	}
-	if d := ringo.GetShortestPath(g, src, src); d != 0 {
-		t.Fatalf("self distance = %d", d)
-	}
-	if dj := ringo.Dijkstra(g, src, func(a, b int64) float64 { return 1 }); len(dj) != len(bfs) {
-		t.Fatal("Dijkstra reach differs from BFS")
-	}
-	wcc := ringo.GetWCC(g)
-	scc := ringo.GetSCC(g)
-	if wcc.Count > scc.Count {
-		t.Fatal("WCC cannot have more components than SCC")
-	}
-	cores := ringo.GetCoreNumbers(u)
-	if len(cores) != 60 {
-		t.Fatal("core numbers size")
-	}
-	k2 := ringo.GetKCore(u, 2)
-	k2d := ringo.GetKCoreDirected(g, 2)
-	if k2.NumNodes() != k2d.NumNodes() {
-		t.Fatal("KCore variants disagree")
-	}
-	if ringo.GetOutDegreeStats(g).Mean <= 0 || ringo.GetInDegreeStats(g).Mean <= 0 {
-		t.Fatal("degree stats")
-	}
-	if len(ringo.GetDegreeHistogram(g)) == 0 {
-		t.Fatal("histogram empty")
-	}
-	if len(ringo.GetDegreeCentrality(u)) != 60 {
-		t.Fatal("degree centrality size")
-	}
-	if ringo.GetCloseness(g, src) <= 0 {
-		t.Fatal("closeness of connected node should be positive")
-	}
-	if len(ringo.GetApproxBetweenness(g, 10, 1)) != 60 {
-		t.Fatal("betweenness size")
-	}
-	if ringo.GetEccentricity(g, src) <= 0 {
-		t.Fatal("eccentricity")
-	}
-	if ringo.GetApproxDiameter(g, 5, 1) <= 0 {
-		t.Fatal("diameter")
-	}
-	comm := ringo.GetCommunities(u, 10, 1)
-	if len(comm) != 60 {
-		t.Fatal("communities size")
-	}
-	_ = ringo.GetModularity(u, comm)
-	if walk := ringo.GetRandomWalk(g, src, 10, 3); len(walk) == 0 {
-		t.Fatal("random walk empty")
-	}
-	if top := ringo.TopK(ringo.GetPageRank(g), 5); len(top) != 5 {
-		t.Fatal("TopK size")
-	}
-	csr := ringo.BuildCSR(g)
-	if csr.NumEdges() != g.NumEdges() {
-		t.Fatal("CSR edge count")
-	}
-}
-
 func TestNaiveToGraphMatches(t *testing.T) {
 	tbl := ringo.GenRMATTable(9, 2000, 8)
 	fast, err := ringo.ToGraph(tbl, "src", "dst")
 	if err != nil {
 		t.Fatal(err)
 	}
-	naive, err := ringo.NaiveToGraph(tbl, "src", "dst")
+	naive, err := conv.NaiveToDirected(tbl, "src", "dst")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,7 +2,8 @@
 // graphs (§2.4 of Perez et al., SIGMOD 2015).
 //
 // Table to graph uses the paper's "sort-first" algorithm: copy the source
-// and destination columns, sort the copies in parallel, compute the exact
+// and destination columns, sort the copies in parallel (par.SortPairs: a
+// radix sort per worker range, then a pairwise merge), compute the exact
 // number of neighbors for each node from the sorted runs, and then copy the
 // per-node neighbor vectors into the graph's node hash table. Sorting
 // parallelizes well, exact degree counts remove any need to guess hash

@@ -67,10 +67,11 @@ type indexKey struct {
 
 // cachedIndex is the index cache's value — the relational sibling of
 // cachedView: a low-cardinality column's bitmap index is built on the
-// first equality filter and serves every later filter over the unchanged
-// table. Build failures (missing column, high cardinality) are cached too:
-// they are fingerprint-exact facts, and caching them keeps repeat filters
-// on an unindexable column from re-scanning to rediscover the failure.
+// second equality filter (the first leaves an lru.Cache.Admit marker) and
+// serves every later filter over the unchanged table. Build failures
+// (missing column, high cardinality) are cached too: they are
+// fingerprint-exact facts, and caching them keeps repeat filters on an
+// unindexable column from re-scanning to rediscover the failure.
 type cachedIndex struct {
 	idx *table.EqIndex
 	err error

@@ -15,6 +15,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 	"sort"
@@ -225,13 +226,20 @@ func (w *Workspace) IndexCacheStats() (hits, misses uint64, entries int, bytes i
 	return w.indexes.Stats()
 }
 
+// ErrIndexDeferred answers the first request for an index, which
+// TableEqIndex records but does not build.
+var ErrIndexDeferred = errors.New("core: equality index deferred until the column is filtered again")
+
 // TableEqIndex returns the equality bitmap index over col of the table
-// bound to name, built on first use and served from the fingerprint-keyed
-// index cache on every later call against the unchanged table — the
-// relational analogue of DirectedView's build-once-query-many contract. The
-// warm path is a single cache probe with no allocation. Build failures
-// (missing column, float column, cardinality over the cap) are returned —
-// and cached — as errors; callers treat any error as "filter by scanning".
+// bound to name. The first request for a (table state, column) leaves a
+// zero-byte marker in the index cache and returns ErrIndexDeferred, so a
+// one-shot filter scans instead of building an index nobody reuses; the
+// second builds it (single-flight), and later calls against the unchanged
+// table hit the fingerprint-keyed cache with no allocation — the
+// relational analogue of DirectedView's build-once-query-many contract.
+// Build failures (missing column, float column, cardinality over the cap)
+// are returned — and cached — as errors; callers treat any error as
+// "filter by scanning". With the cache disabled every call builds.
 func (w *Workspace) TableEqIndex(name, col string) (*table.EqIndex, error) {
 	w.mu.RLock()
 	o, ok := w.objs[name]
@@ -248,13 +256,16 @@ func (w *Workspace) TableEqIndex(name, col string) (*table.EqIndex, error) {
 	if ci, hit := idxc.Get(key); hit {
 		return ci.idx, ci.err
 	}
-	ci := idxc.Build(key, func() (cachedIndex, int64) {
-		idx, err := table.BuildEqIndex(o.Table, col, 0)
-		if err != nil {
-			return cachedIndex{err: err}, 0
-		}
-		return cachedIndex{idx: idx}, idx.Bytes()
-	})
+	ci := cachedIndex{err: ErrIndexDeferred}
+	if idxc.Admit(key) {
+		ci = idxc.Build(key, func() (cachedIndex, int64) {
+			idx, err := table.BuildEqIndex(o.Table, col, 0)
+			if err != nil {
+				return cachedIndex{err: err}, 0
+			}
+			return cachedIndex{idx: idx}, idx.Bytes()
+		})
+	}
 	if w.stale(name, ver) {
 		idxc.DeleteFunc(func(k indexKey) bool { return k.name == name && k.ver == ver })
 	}

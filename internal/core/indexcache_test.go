@@ -33,11 +33,21 @@ func testTable(t *testing.T, rows, card int, seed int64) *table.Table {
 	return tbl
 }
 
+// warm makes the first request for an index, which only admits it, so the
+// next TableEqIndex call builds.
+func warm(t *testing.T, ws *Workspace, name, col string) {
+	t.Helper()
+	if _, err := ws.TableEqIndex(name, col); !errors.Is(err, ErrIndexDeferred) {
+		t.Fatalf("first request for %s.%s returned %v, want ErrIndexDeferred", name, col, err)
+	}
+}
+
 func TestTableEqIndexCachedUntilMutation(t *testing.T) {
 	ws := NewWorkspace()
 	tbl := testTable(t, 500, 7, 1)
 	ws.Set("t", Object{Table: tbl})
 
+	warm(t, ws, "t", "k")
 	x1, err := ws.TableEqIndex("t", "k")
 	if err != nil {
 		t.Fatal(err)
@@ -50,8 +60,8 @@ func TestTableEqIndexCachedUntilMutation(t *testing.T) {
 		t.Fatal("second TableEqIndex on unchanged table rebuilt the index")
 	}
 	hits, misses, entries, bytes := ws.IndexCacheStats()
-	if hits != 1 || misses != 1 || entries != 1 {
-		t.Fatalf("stats = %d hits, %d misses, %d entries; want 1/1/1", hits, misses, entries)
+	if hits != 1 || misses != 2 || entries != 1 {
+		t.Fatalf("stats = %d hits, %d misses, %d entries; want 1/2/1", hits, misses, entries)
 	}
 	if bytes <= 0 {
 		t.Fatalf("cached index bytes = %d, want > 0", bytes)
@@ -66,6 +76,7 @@ func TestTableEqIndexCachedUntilMutation(t *testing.T) {
 	if _, _, entries, _ := ws.IndexCacheStats(); entries != 0 {
 		t.Fatalf("Touch left %d index entries", entries)
 	}
+	warm(t, ws, "t", "k")
 	x3, err := ws.TableEqIndex("t", "k")
 	if err != nil {
 		t.Fatal(err)
@@ -82,6 +93,8 @@ func TestIndexPurgeOnSetDeleteRename(t *testing.T) {
 	ws := NewWorkspace()
 	ws.Set("a", Object{Table: testTable(t, 200, 5, 2)})
 	ws.Set("b", Object{Table: testTable(t, 200, 5, 3)})
+	warm(t, ws, "a", "k")
+	warm(t, ws, "b", "k")
 	if _, err := ws.TableEqIndex("a", "k"); err != nil {
 		t.Fatal(err)
 	}
@@ -103,6 +116,7 @@ func TestIndexPurgeOnSetDeleteRename(t *testing.T) {
 	if _, _, entries, _ := ws.IndexCacheStats(); entries != 0 {
 		t.Fatalf("rename: want 0 entries, got %d", entries)
 	}
+	warm(t, ws, "c", "k")
 	if _, err := ws.TableEqIndex("c", "k"); err != nil {
 		t.Fatal(err)
 	}
@@ -117,6 +131,7 @@ func TestIndexPurgeOnSetDeleteRename(t *testing.T) {
 func TestIndexPurgeOnRestore(t *testing.T) {
 	ws := NewWorkspace()
 	ws.Set("t", Object{Table: testTable(t, 200, 5, 5)})
+	warm(t, ws, "t", "tag")
 	x1, err := ws.TableEqIndex("t", "tag")
 	if err != nil {
 		t.Fatal(err)
@@ -131,6 +146,7 @@ func TestIndexPurgeOnRestore(t *testing.T) {
 	if _, _, entries, _ := ws.IndexCacheStats(); entries != 0 {
 		t.Fatalf("restore left %d index entries", entries)
 	}
+	warm(t, ws, "t", "tag")
 	x2, err := ws.TableEqIndex("t", "tag")
 	if err != nil {
 		t.Fatal(err)
@@ -158,6 +174,8 @@ func TestIndexedVsScanResults(t *testing.T) {
 		{"tag", "java"},
 		{"tag", "rust"}, // never interned
 	}
+	warm(t, ws, "t", "k")
+	warm(t, ws, "t", "tag")
 	for round := 0; round < 2; round++ { // round 1 hits the cache
 		for _, tc := range cases {
 			for _, op := range []table.CmpOp{table.EQ, table.NE} {
@@ -202,6 +220,8 @@ func TestIndexBuildErrorsCached(t *testing.T) {
 	ws.Set("t", Object{Table: tbl})
 	ws.ConfigureIndexCache(8)
 
+	warm(t, ws, "t", "score")
+	warm(t, ws, "t", "none")
 	if _, err := ws.TableEqIndex("t", "score"); err == nil {
 		t.Fatal("float column was indexed")
 	}
@@ -241,6 +261,8 @@ func TestIndexPurgeExactName(t *testing.T) {
 	ws := NewWorkspace()
 	ws.Set("t", Object{Table: testTable(t, 150, 5, 9)})
 	ws.Set("t#1", Object{Table: testTable(t, 150, 5, 10)})
+	warm(t, ws, "t", "k")
+	warm(t, ws, "t#1", "k")
 	if _, err := ws.TableEqIndex("t", "k"); err != nil {
 		t.Fatal(err)
 	}
@@ -267,6 +289,7 @@ func TestIndexCacheLRUBound(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		name := fmt.Sprintf("t%d", i)
 		ws.Set(name, Object{Table: testTable(t, 100, 5, int64(i))})
+		warm(t, ws, name, "k")
 		if _, err := ws.TableEqIndex(name, "k"); err != nil {
 			t.Fatal(err)
 		}
@@ -303,6 +326,7 @@ func TestWarmIndexFetchAllocs(t *testing.T) {
 	ws := NewWorkspace()
 	tbl := testTable(t, 2000, 5, 12)
 	ws.Set("t", Object{Table: tbl})
+	warm(t, ws, "t", "k")
 	if _, err := ws.TableEqIndex("t", "k"); err != nil {
 		t.Fatal(err)
 	}
@@ -318,5 +342,56 @@ func TestWarmIndexFetchAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("warm index fetch does %v allocs/op, want 0", allocs)
+	}
+}
+
+// TestIndexAdmission pins the admission rule: the first request for an
+// index leaves a zero-byte marker and defers, the second builds, the third
+// is an allocation-free hit on the same index.
+func TestIndexAdmission(t *testing.T) {
+	ws := NewWorkspace()
+	ws.Set("t", Object{Table: testTable(t, 1000, 6, 13)})
+
+	if idx, err := ws.TableEqIndex("t", "k"); idx != nil || !errors.Is(err, ErrIndexDeferred) {
+		t.Fatalf("first request returned (%v, %v), want (nil, ErrIndexDeferred)", idx, err)
+	}
+	if h, m, e, b := ws.IndexCacheStats(); h != 0 || m != 1 || e != 1 || b != 0 {
+		t.Fatalf("after the first request: %d hits, %d misses, %d entries, %d bytes; want 0/1/1/0", h, m, e, b)
+	}
+	x2, err := ws.TableEqIndex("t", "k")
+	if err != nil || x2 == nil {
+		t.Fatalf("second request returned (%v, %v), want a built index", x2, err)
+	}
+	if h, m, e, b := ws.IndexCacheStats(); h != 0 || m != 2 || e != 1 || b != x2.Bytes() {
+		t.Fatalf("after the build: %d hits, %d misses, %d entries, %d bytes; want 0/2/1/%d", h, m, e, b, x2.Bytes())
+	}
+	var x3 *table.EqIndex
+	if allocs := testing.AllocsPerRun(10, func() { x3, err = ws.TableEqIndex("t", "k") }); allocs != 0 || err != nil || x3 != x2 {
+		t.Fatalf("third request: %v allocs, err %v, same index %v; want 0, nil, true", allocs, err, x3 == x2)
+	}
+	if h, _, _, _ := ws.IndexCacheStats(); h != 11 {
+		t.Fatalf("hits = %d, want 11 (the warm-up run plus 10)", h)
+	}
+}
+
+// TestIndexAdmissionRestartsAfterMutation: a mutation between the first
+// and second requests moves the table's fingerprint, so the next request
+// is a first request again.
+func TestIndexAdmissionRestartsAfterMutation(t *testing.T) {
+	ws := NewWorkspace()
+	tbl := testTable(t, 300, 5, 14)
+	ws.Set("t", Object{Table: tbl})
+	warm(t, ws, "t", "k")
+	if err := tbl.AppendRow(int64(2), "go", 0.5); err != nil {
+		t.Fatal(err)
+	}
+	ws.Touch("t")
+	warm(t, ws, "t", "k")
+	idx, err := ws.TableEqIndex("t", "k")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if idx.Rows() != tbl.NumRows() {
+		t.Fatalf("index covers %d rows, table has %d", idx.Rows(), tbl.NumRows())
 	}
 }

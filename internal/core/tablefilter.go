@@ -128,9 +128,10 @@ func TableFilter(rows int64) (Report, error) {
 			inSelC, inSelV, strSelC, strSelV, intSelC, intSelV)
 	}
 
-	// Warm the index outside the timed region: the build is the cold cost
-	// the cache amortizes away; what repeat filters pay is fetch + lookup +
-	// gather.
+	// Warm the index outside the timed region — the first request defers,
+	// the second builds: the build is the cold cost the cache amortizes
+	// away; what repeat filters pay is fetch + lookup + gather.
+	ws.TableEqIndex("t", "k")
 	if _, err := ws.TableEqIndex("t", "k"); err != nil {
 		return Report{}, err
 	}

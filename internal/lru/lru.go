@@ -27,9 +27,9 @@ type Cache[K comparable, V any] struct {
 	bytes  int64
 }
 
-// entry is one slot. A Put entry is born ready; a Build entry becomes
-// ready — under the cache lock — when its once has run, which is what
-// lets Get and Peek serve val without joining the once.
+// entry is one slot. A Put entry is born ready; a Build or Admit entry
+// becomes ready — under the cache lock — when its once has run, which is
+// what lets Get and Peek serve val without joining the once.
 type entry[K comparable, V any] struct {
 	key   K
 	once  sync.Once
@@ -128,6 +128,26 @@ func (c *Cache[K, V]) Build(k K, build func() (V, int64)) V {
 		}
 	})
 	return ent.val
+}
+
+// Admit reports whether k already has an entry — finished, building, or
+// admitted by an earlier call. If not, it inserts an empty entry that
+// books no bytes and reports false: the caller skips the build this time,
+// and the next Build of k fills that entry. Get and Peek miss on it until
+// then. Admit counts neither hit nor miss. A nil cache remembers nothing
+// and admits every key.
+func (c *Cache[K, V]) Admit(k K) bool {
+	if c == nil {
+		return true
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if el, ok := c.items[k]; ok {
+		c.ll.MoveToFront(el)
+		return true
+	}
+	c.insert(&entry[K, V]{key: k})
+	return false
 }
 
 // DeleteFunc removes every entry whose key satisfies del. del runs under

@@ -10,7 +10,8 @@ import (
 
 // model is the oracle: the same cache as a slice kept in recency order
 // (most recent first), every operation a linear scan. Sequential use never
-// observes an unfinished build, so the model has no ready flag.
+// observes an unfinished build; the one unready entry it can see is an
+// Admit marker awaiting its Build.
 type model struct {
 	max          int
 	ents         []modelEntry
@@ -20,27 +21,34 @@ type model struct {
 type modelEntry struct {
 	key, val int
 	bytes    int64
+	marker   bool
 }
 
 func (m *model) find(k int, count bool) (int, bool) {
 	i := slices.IndexFunc(m.ents, func(e modelEntry) bool { return e.key == k })
-	if i < 0 {
+	if i < 0 || m.ents[i].marker {
 		if count {
 			m.misses++
 		}
 		return 0, false
 	}
 	e := m.ents[i]
-	m.ents = slices.Insert(slices.Delete(m.ents, i, i+1), 0, e)
+	m.front(i)
 	if count {
 		m.hits++
 	}
 	return e.val, true
 }
 
+// front moves entry i to the front of the recency order.
+func (m *model) front(i int) {
+	e := m.ents[i]
+	m.ents = slices.Insert(slices.Delete(m.ents, i, i+1), 0, e)
+}
+
 func (m *model) put(k, v int, bytes int64) {
 	m.deleteFunc(func(key int) bool { return key == k })
-	m.ents = slices.Insert(m.ents, 0, modelEntry{k, v, bytes})
+	m.ents = slices.Insert(m.ents, 0, modelEntry{k, v, bytes, false})
 	if len(m.ents) > m.max {
 		m.ents = m.ents[:m.max]
 	}
@@ -50,8 +58,23 @@ func (m *model) build(k, v int, bytes int64) int {
 	if got, ok := m.find(k, false); ok {
 		return got
 	}
+	if i := slices.IndexFunc(m.ents, func(e modelEntry) bool { return e.key == k }); i >= 0 {
+		m.front(i) // an Admit marker: filled in place
+		m.ents[0] = modelEntry{k, v, bytes, false}
+		return v
+	}
 	m.put(k, v, bytes)
 	return v
+}
+
+func (m *model) admit(k int) bool {
+	if i := slices.IndexFunc(m.ents, func(e modelEntry) bool { return e.key == k }); i >= 0 {
+		m.front(i)
+		return true
+	}
+	m.put(k, 0, 0)
+	m.ents[0].marker = true
+	return false
 }
 
 func (m *model) deleteFunc(del func(int) bool) {
@@ -85,7 +108,7 @@ func TestRandomOpsMatchModel(t *testing.T) {
 			k, v, b := rng.Intn(12), rng.Int(), int64(rng.Intn(100))
 			var got, want int
 			var gotOK, wantOK bool
-			op := rng.Intn(20)
+			op := rng.Intn(22)
 			switch {
 			case op < 5:
 				got, gotOK = c.Get(k)
@@ -100,6 +123,8 @@ func TestRandomOpsMatchModel(t *testing.T) {
 				got = c.Build(k, func() (int, int64) { return v, b })
 				want = m.build(k, v, b)
 			case op < 19:
+				gotOK, wantOK = c.Admit(k), m.admit(k)
+			case op < 21:
 				r := rng.Intn(3)
 				del := func(key int) bool { return key%3 == r }
 				c.DeleteFunc(del)
@@ -213,6 +238,9 @@ func TestNilCacheStoresNothing(t *testing.T) {
 		t.Fatal("New(0) should be the nil cache")
 	}
 	c.Put("k", 1, 10)
+	if !c.Admit("k") {
+		t.Fatal("a nil cache deferred a build")
+	}
 	if _, ok := c.Get("k"); ok {
 		t.Fatal("Get hit on a nil cache")
 	}

@@ -1,6 +1,8 @@
 // Package par provides the parallelism substrate used throughout the Ringo
 // reproduction: static range-partitioned parallel loops, parallel reduction,
-// and parallel sorting. It plays the role OpenMP plays in the original C++
+// and parallel sorting — each worker's range sorted on its own (a radix
+// sort for the (key, value) pairs of the sort-first graph build), then the
+// ranges merged pairwise. It plays the role OpenMP plays in the original C++
 // implementation (Perez et al., SIGMOD 2015, §2.5): a handful of primitives
 // that parallelize the critical loops of table and graph processing — the
 // sort-first bulk graph construction, the text-ingest pipeline, the CSR

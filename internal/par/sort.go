@@ -1,98 +1,43 @@
 package par
 
 import (
+	"math/bits"
 	"slices"
 	"sync"
 )
 
-// parallelSortMin is the slice length below which the parallel sorts fall
-// back to a purely sequential sort; splitting tiny inputs costs more than it
-// saves.
+// parallelSortMin is the slice length below which SortPairs sorts in one
+// range; splitting tiny inputs costs more than it saves.
 const parallelSortMin = 1 << 14
 
-// SortInt64s sorts a in ascending order, in parallel for large inputs. It is
-// the building block of the "sort-first" table-to-graph conversion (§2.4):
-// chunks are sorted concurrently and then merged pairwise, which requires no
-// thread-safe data structures and exhibits no contention between workers.
+// SortInt64s sorts a in ascending order, in parallel for large inputs: it
+// is SortPairs with an all-zero value column.
 func SortInt64s(a []int64) {
-	n := len(a)
-	if n < parallelSortMin || Workers() == 1 {
-		slices.Sort(a)
-		return
-	}
-	ranges := Split(n, Workers())
-	For(n, func(lo, hi int) {
-		slices.Sort(a[lo:hi])
-	})
-	tmp := make([]int64, n)
-	src, dst := a, tmp
-	runs := ranges
-	for len(runs) > 1 {
-		merged := make([]Range, 0, (len(runs)+1)/2)
-		var wg sync.WaitGroup
-		for i := 0; i < len(runs); i += 2 {
-			if i+1 == len(runs) {
-				r := runs[i]
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					copy(dst[r.Lo:r.Hi], src[r.Lo:r.Hi])
-				}()
-				merged = append(merged, r)
-				continue
-			}
-			a, b := runs[i], runs[i+1]
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				mergeInt64(dst[a.Lo:b.Hi], src[a.Lo:a.Hi], src[b.Lo:b.Hi])
-			}()
-			merged = append(merged, Range{a.Lo, b.Hi})
-		}
-		wg.Wait()
-		src, dst = dst, src
-		runs = merged
-	}
-	if n > 0 && &src[0] != &a[0] {
-		copy(a, src)
-	}
-}
-
-func mergeInt64(dst, a, b []int64) {
-	i, j, k := 0, 0, 0
-	for i < len(a) && j < len(b) {
-		if a[i] <= b[j] {
-			dst[k] = a[i]
-			i++
-		} else {
-			dst[k] = b[j]
-			j++
-		}
-		k++
-	}
-	copy(dst[k:], a[i:])
-	copy(dst[k+len(a)-i:], b[j:])
+	SortPairs(a, make([]int64, len(a)))
 }
 
 // SortPairs sorts the parallel slices keys and vals lexicographically by
-// (key, val), permuting both together. The table-to-graph conversion uses it
-// to order (source, destination) edge pairs so that each node's adjacency
-// vector comes out sorted. keys and vals must have equal length.
+// (key, val), permuting both together. It is the building block of the
+// "sort-first" table-to-graph conversion (§2.4), ordering (source,
+// destination) edge pairs so that each node's adjacency vector comes out
+// sorted: each worker's range is radix sorted, then the ranges are merged
+// pairwise, which requires no thread-safe data structures and exhibits no
+// contention between workers. keys and vals must have equal length.
 func SortPairs(keys, vals []int64) {
 	if len(keys) != len(vals) {
 		panic("par: SortPairs slices of unequal length")
 	}
 	n := len(keys)
+	tmpK := make([]int64, n)
+	tmpV := make([]int64, n)
 	if n < parallelSortMin || Workers() == 1 {
-		pairSort(keys, vals, 0, n)
+		radixSortPairs(keys, vals, tmpK, tmpV)
 		return
 	}
 	ranges := Split(n, Workers())
 	For(n, func(lo, hi int) {
-		pairSort(keys, vals, lo, hi)
+		radixSortPairs(keys[lo:hi], vals[lo:hi], tmpK[lo:hi], tmpV[lo:hi])
 	})
-	tmpK := make([]int64, n)
-	tmpV := make([]int64, n)
 	srcK, srcV := keys, vals
 	dstK, dstV := tmpK, tmpV
 	runs := ranges
@@ -154,65 +99,88 @@ func mergePairs(dstK, dstV, aK, aV, bK, bV []int64) {
 	}
 }
 
-// pairSort is an in-place quicksort over (keys, vals) compared
-// lexicographically, with insertion sort for small partitions and
-// median-of-three pivot selection. Recursion always descends into the
-// smaller partition, bounding stack depth at O(log n).
-func pairSort(keys, vals []int64, lo, hi int) {
-	for hi-lo > 24 {
-		p := pairPartition(keys, vals, lo, hi)
-		if p-lo < hi-p-1 {
-			pairSort(keys, vals, lo, p)
-			lo = p + 1
-		} else {
-			pairSort(keys, vals, p+1, hi)
-			hi = p
+// digitBits caps the radix sort's digit width (2 048 cache-resident
+// counters); smaller inputs take narrower digits, at most 2n counters each.
+const digitBits = 11
+
+// radixSortPairs sorts (keys, vals) lexicographically, using tmpK and tmpV
+// as scratch. A pair is the number (key − min key) << w | (val − min val),
+// w the bit width of the value span. If that fits in 64 bits, as dense ids
+// do, an LSD radix sort orders the numbers over only the digits the spans
+// fill (25K node ids take three passes), with every digit's histogram
+// counted in one pass and a digit equal for every element skipped. Wider
+// pairs are split by the key's top digit and each part sorted the same way.
+func radixSortPairs(keys, vals, tmpK, tmpV []int64) {
+	n := len(keys)
+	if n < 2 {
+		return
+	}
+	minK, maxK, minV, maxV := keys[0], keys[0], vals[0], vals[0]
+	for i, k := range keys {
+		minK, maxK = min(minK, k), max(maxK, k)
+		minV, maxV = min(minV, vals[i]), max(maxV, vals[i])
+	}
+	kb, w := uint(bits.Len64(uint64(maxK-minK))), uint(bits.Len64(uint64(maxV-minV)))
+	if kb+w == 0 {
+		return
+	}
+	width := min(digitBits, uint(bits.Len(uint(n))))
+	if kb+w > 64 {
+		width = min(width, kb)
+		s := kb - width
+		ends := make([]int, 1<<width)
+		for _, k := range keys {
+			ends[uint64(k-minK)>>s]++
+		}
+		sum := 0
+		for d, c := range ends {
+			ends[d], sum = sum, sum+c
+		}
+		for i, k := range keys {
+			d := uint64(k-minK) >> s
+			tmpK[ends[d]], tmpV[ends[d]] = k, vals[i]
+			ends[d]++
+		}
+		copy(keys, tmpK)
+		copy(vals, tmpV)
+		lo := 0
+		for _, hi := range ends {
+			if hi-lo > 1 {
+				radixSortPairs(keys[lo:hi], vals[lo:hi], tmpK[lo:hi], tmpV[lo:hi])
+			}
+			lo = hi
+		}
+		return
+	}
+	passes := (kb + w + width - 1) / width
+	width = (kb + w + passes - 1) / passes // even digits: 30 bits are 3×10
+	mask := uint64(1)<<width - 1
+	counts := make([]int, passes<<width)
+	src, dst := tmpK, tmpV
+	for i, k := range keys {
+		x := uint64(k-minK)<<w | uint64(vals[i]-minV)
+		src[i] = int64(x)
+		for p := uint(0); p < passes; p++ {
+			counts[p<<width|uint(x>>(p*width&63)&mask)]++
 		}
 	}
-	// Insertion sort for the remaining small range.
-	for i := lo + 1; i < hi; i++ {
-		k, v := keys[i], vals[i]
-		j := i - 1
-		for j >= lo && (keys[j] > k || (keys[j] == k && vals[j] > v)) {
-			keys[j+1], vals[j+1] = keys[j], vals[j]
-			j--
+	for p := uint(0); p < passes; p++ {
+		c := counts[p<<width : (p+1)<<width]
+		if slices.Contains(c, n) {
+			continue
 		}
-		keys[j+1], vals[j+1] = k, v
-	}
-}
-
-func pairLess(keys, vals []int64, i, j int) bool {
-	return keys[i] < keys[j] || (keys[i] == keys[j] && vals[i] < vals[j])
-}
-
-func pairSwap(keys, vals []int64, i, j int) {
-	keys[i], keys[j] = keys[j], keys[i]
-	vals[i], vals[j] = vals[j], vals[i]
-}
-
-func pairPartition(keys, vals []int64, lo, hi int) int {
-	mid := lo + (hi-lo)/2
-	last := hi - 1
-	// Median of three: order lo, mid, last.
-	if pairLess(keys, vals, mid, lo) {
-		pairSwap(keys, vals, mid, lo)
-	}
-	if pairLess(keys, vals, last, lo) {
-		pairSwap(keys, vals, last, lo)
-	}
-	if pairLess(keys, vals, last, mid) {
-		pairSwap(keys, vals, last, mid)
-	}
-	// Pivot (median) to position hi-2.
-	pairSwap(keys, vals, mid, last-0)
-	pk, pv := keys[last], vals[last]
-	i := lo
-	for j := lo; j < last; j++ {
-		if keys[j] < pk || (keys[j] == pk && vals[j] < pv) {
-			pairSwap(keys, vals, i, j)
-			i++
+		sum := 0
+		for d, x := range c {
+			c[d], sum = sum, sum+x
 		}
+		for _, x := range src {
+			d := uint64(x) >> (p * width & 63) & mask
+			dst[c[d]] = x
+			c[d]++
+		}
+		src, dst = dst, src
 	}
-	pairSwap(keys, vals, i, last)
-	return i
+	for i, x := range src {
+		keys[i], vals[i] = int64(uint64(x)>>w)+minK, int64(uint64(x)&(1<<w-1))+minV
+	}
 }

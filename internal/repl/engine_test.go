@@ -7,7 +7,9 @@ import (
 	"sync"
 	"testing"
 
+	"ringo/internal/core"
 	"ringo/internal/graph"
+	"ringo/internal/table"
 )
 
 // saveEdgeListForTest writes g as a text edge list, for loadgraph
@@ -492,5 +494,36 @@ func TestRenderClassicFormats(t *testing.T) {
 	r.Render(&b)
 	if b.String() != "" {
 		t.Fatalf("order rendered %q, want empty", b.String())
+	}
+}
+
+// TestSelectBuildsIndexOnSecondUse drives index admission through the
+// select verb: the first equality select on a column scans, the second is
+// served by the index it builds, both select the same rows for EQ and NE
+// on int and string columns, and afterwards the indexes verb shows one
+// built index.
+func TestSelectBuildsIndexOnSecondUse(t *testing.T) {
+	for _, q := range []string{"k = 3", "k != 3", "tag = java", "tag != java"} {
+		tbl, err := table.New(table.Schema{{Name: "k", Type: table.Int}, {Name: "tag", Type: table.String}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 500; i++ {
+			if err := tbl.AppendRow(int64(i%7), []string{"go", "java", "sql"}[i%3]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		e := New(nil)
+		e.Workspace().Set("T", core.Object{Table: tbl})
+		evalAll(t, e, "select Scan T "+q, "select Indexed T "+q)
+		scan, _ := e.Workspace().Table("Scan")
+		indexed, _ := e.Workspace().Table("Indexed")
+		if !reflect.DeepEqual(scan.RowIDs(), indexed.RowIDs()) || scan.NumRows() == 0 {
+			t.Fatalf("%s: scan selected rows %v, index %v", q, scan.RowIDs(), indexed.RowIDs())
+		}
+		r := evalAll(t, e, "indexes")
+		if entries, bytes := r.Rows[0][2], r.Rows[0][3]; entries != "1" || bytes == "0" {
+			t.Fatalf("%s: indexes shows %s entries, %s bytes; want one built index", q, entries, bytes)
+		}
 	}
 }

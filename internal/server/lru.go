@@ -11,10 +11,10 @@ import (
 // are strings — (object fingerprint, command) keys built by the repl
 // engine, prefixed per session by sessionCache, so one cache budget is
 // shared across every session on the server while entries never collide.
-// Results are not sized, so only the entry count is reported.
-type LRU struct {
-	c *lru.Cache[string, repl.CachedResult]
-}
+// Results are not sized, so only the entry count is reported. Like
+// lru.Cache, a nil *LRU — the server's disabled cache — stores nothing and
+// every method is safe on it.
+type LRU lru.Cache[string, repl.CachedResult]
 
 // NewLRU returns a cache holding at most max entries (max < 1 is treated
 // as 1).
@@ -22,25 +22,29 @@ func NewLRU(max int) *LRU {
 	if max < 1 {
 		max = 1
 	}
-	return &LRU{c: lru.New[string, repl.CachedResult](max)}
+	return (*LRU)(lru.New[string, repl.CachedResult](max))
+}
+
+func (c *LRU) cache() *lru.Cache[string, repl.CachedResult] {
+	return (*lru.Cache[string, repl.CachedResult])(c)
 }
 
 // Get returns the cached value for key, marking it most recently used.
-func (c *LRU) Get(key string) (repl.CachedResult, bool) { return c.c.Get(key) }
+func (c *LRU) Get(key string) (repl.CachedResult, bool) { return c.cache().Get(key) }
 
 // Put inserts or refreshes key, evicting the least recently used entry when
 // the cache is full.
-func (c *LRU) Put(key string, v repl.CachedResult) { c.c.Put(key, v, 0) }
+func (c *LRU) Put(key string, v repl.CachedResult) { c.cache().Put(key, v, 0) }
 
 // DeletePrefix drops every entry whose key starts with prefix — used to
 // purge a dropped session's entries so they stop consuming shared budget.
 func (c *LRU) DeletePrefix(prefix string) {
-	c.c.DeleteFunc(func(key string) bool { return strings.HasPrefix(key, prefix) })
+	c.cache().DeleteFunc(func(key string) bool { return strings.HasPrefix(key, prefix) })
 }
 
 // Stats returns cumulative hits, misses and the current entry count.
 func (c *LRU) Stats() (hits, misses uint64, size int) {
-	hits, misses, size, _ = c.c.Stats()
+	hits, misses, size, _ = c.cache().Stats()
 	return hits, misses, size
 }
 

@@ -224,7 +224,8 @@ func TestTotalsSurviveSessionDrop(t *testing.T) {
 		t.Fatal(err)
 	}
 	postCmd(t, ts, "gone", "gen rmat E 8 500 7")
-	postCmd(t, ts, "gone", "select S E src = 1") // index-cache miss
+	postCmd(t, ts, "gone", "select S E src = 0") // index-cache miss, admitted
+	postCmd(t, ts, "gone", "select S E src = 1") // index-cache miss, built
 	postCmd(t, ts, "gone", "select S E src = 2") // index-cache hit
 	postCmd(t, ts, "gone", "tograph G E src dst")
 	postCmd(t, ts, "gone", "pagerank PR G") // view-cache miss, rebuild

@@ -265,9 +265,6 @@ func (s *Server) Close() { s.jobs.close() }
 // CacheStats returns cumulative result-cache hits, misses and entry count
 // (zeros when caching is disabled).
 func (s *Server) CacheStats() (hits, misses uint64, size int) {
-	if s.cache == nil {
-		return 0, 0, 0
-	}
 	return s.cache.Stats()
 }
 
@@ -393,11 +390,9 @@ func (s *Server) CreateSession(name string) (string, error) {
 		SlowQuery: s.slowQuery,
 		Session:   name,
 	})
-	if s.cache != nil {
-		s.cacheEpoch++
-		sess.cachePrefix = fmt.Sprintf("%s@%d|", name, s.cacheEpoch)
-		sess.eng.SetCache(sessionCache{sess: sess, lru: s.cache})
-	}
+	s.cacheEpoch++
+	sess.cachePrefix = fmt.Sprintf("%s@%d|", name, s.cacheEpoch)
+	sess.eng.SetCache(sessionCache{sess: sess, lru: s.cache})
 	s.sessions[name] = sess
 	return name, nil
 }
@@ -426,9 +421,7 @@ func (s *Server) DropSession(id string) bool {
 	s.retired.rebuilds += r
 	s.mu.Unlock()
 	sess.dropped.Store(true)
-	if s.cache != nil && sess.cachePrefix != "" {
-		s.cache.DeletePrefix(sess.cachePrefix)
-	}
+	s.cache.DeletePrefix(sess.cachePrefix)
 	return true
 }
 
@@ -464,9 +457,7 @@ func (s *Server) RestoreSession(id, path string) (objects int, err error) {
 	if err := ws.RestoreFile(path); err != nil {
 		return 0, err
 	}
-	if s.cache != nil && sess.cachePrefix != "" {
-		s.cache.DeletePrefix(sess.cachePrefix)
-	}
+	s.cache.DeletePrefix(sess.cachePrefix)
 	return len(ws.Names()), nil
 }
 
@@ -650,7 +641,7 @@ func (s *Server) evalOn(sess *session, cmd string) (res *repl.Result, err error)
 	// version bump alone; purge like the /restore endpoint does, so the
 	// replaced objects' entries stop consuming shared cache budget as
 	// permanently dead keys.
-	if err == nil && s.cache != nil && sess.cachePrefix != "" && repl.ReplacesWorkspace(cmd) {
+	if err == nil && repl.ReplacesWorkspace(cmd) {
 		s.cache.DeletePrefix(sess.cachePrefix)
 	}
 	return res, err
@@ -702,12 +693,10 @@ func (s *Server) evalScriptOn(sess *session, script *repl.Script) (res *repl.Scr
 	// Purge the session's result-cache entries if a workspace-replacing
 	// step actually executed successfully, mirroring evalOn's handling of
 	// a single restore command.
-	if s.cache != nil && sess.cachePrefix != "" {
-		for _, st := range res.Steps {
-			if st.Error == "" && repl.ReplacesWorkspace(st.Cmd) {
-				s.cache.DeletePrefix(sess.cachePrefix)
-				break
-			}
+	for _, st := range res.Steps {
+		if st.Error == "" && repl.ReplacesWorkspace(st.Cmd) {
+			s.cache.DeletePrefix(sess.cachePrefix)
+			break
 		}
 	}
 	return res, nil

@@ -665,6 +665,43 @@ func TestLRUEviction(t *testing.T) {
 	}
 }
 
+// TestDisabledResultCache drives a server whose result cache is off — a
+// nil *LRU — through every path that touches the cache: repeat queries,
+// a workspace-replacing script step, restore and session drop.
+func TestDisabledResultCache(t *testing.T) {
+	srv, ts := newTestServer(t, Config{CacheSize: -1, AllowFileIO: true})
+	if _, err := srv.CreateSession("s"); err != nil {
+		t.Fatal(err)
+	}
+	query(t, ts.URL, "s", "gen rmat E 7 200 3")
+	query(t, ts.URL, "s", "tograph G E src dst")
+	for i := 0; i < 2; i++ {
+		if r := query(t, ts.URL, "s", "pagerank PR G"); r.Cached {
+			t.Fatal("a disabled cache served a cached result")
+		}
+	}
+	path := t.TempDir() + "/s.rngs"
+	if _, err := srv.SnapshotSession("s", path); err != nil {
+		t.Fatal(err)
+	}
+	script, err := repl.ParseScript("restore " + path + "\nls")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res, err := srv.EvalScript("s", script); err != nil || res.Err() != nil {
+		t.Fatalf("script: %v, %v", err, res.Err())
+	}
+	if _, err := srv.RestoreSession("s", path); err != nil {
+		t.Fatal(err)
+	}
+	if !srv.DropSession("s") {
+		t.Fatal("session was not dropped")
+	}
+	if h, m, n := srv.CacheStats(); h != 0 || m != 0 || n != 0 {
+		t.Fatalf("disabled cache stats %d/%d/%d", h, m, n)
+	}
+}
+
 // TestSnapshotRestoreEndpoints drives the full durability path over HTTP:
 // build a session, snapshot it to disk, restore it into another session,
 // and check the restored objects answer queries.

@@ -50,21 +50,23 @@ func BuildEqIndex(t *Table, col string, maxCard int) (*EqIndex, error) {
 	if maxCard <= 0 {
 		maxCard = DefaultIndexMaxCardinality
 	}
+	// Count distinct values first, so an over-cap column allocates no bitmap.
 	n := t.NumRows()
 	idx := &EqIndex{col: col, typ: t.cols[i].Type, rows: n, vals: make(map[int64]*bitmap.Bitmap)}
-	for row, v := range t.ints[i] {
-		bm, ok := idx.vals[v]
-		if !ok {
+	for _, v := range t.ints[i] {
+		if _, ok := idx.vals[v]; !ok {
 			if len(idx.vals) >= maxCard {
 				return nil, fmt.Errorf("%w: column %q has more than %d distinct values", ErrHighCardinality, col, maxCard)
 			}
-			bm = bitmap.New(n)
-			idx.vals[v] = bm
+			idx.vals[v] = nil
 		}
-		bm.Set(row)
 	}
-	for _, bm := range idx.vals {
-		idx.bytes += bm.Bytes()
+	for v := range idx.vals {
+		idx.vals[v] = bitmap.New(n)
+		idx.bytes += idx.vals[v].Bytes()
+	}
+	for row, v := range t.ints[i] {
+		idx.vals[v].Set(row)
 	}
 	idx.bytes += int64(len(idx.vals)) * 16 // map entry overhead estimate
 	return idx, nil

@@ -42,67 +42,47 @@ func (op AggOp) String() string {
 // in the named columns share an id, and reports the number of groups. Group
 // ids are dense in first-occurrence order. This is Ringo's in-place
 // grouping: the table itself is not modified and row identifiers let callers
-// track members of each group.
+// track members of each group. In a Float column 0 and -0 share a group,
+// as they are equal under select's ==, and all NaNs form one group.
 //
-// Grouping by a single column iterates that column's storage directly
-// (values for Int, interned ids for String, bit patterns for Float) with no
-// per-row key bytes materialized; multi-column grouping falls back to the
-// canonical rowkey encoding.
+// Grouping by a single column numbers that column's storage directly
+// (values for Int, interned ids for String, canonical keys for Float) with
+// a keyIndex and no per-row key bytes materialized; multi-column grouping
+// falls back to the canonical rowkey encoding.
 func (t *Table) Group(cols ...string) (ids []int, groups int, err error) {
+	gids, groups, err := t.groupIDs(cols)
+	if err != nil {
+		return nil, 0, err
+	}
+	ids = make([]int, len(gids))
+	for row, g := range gids {
+		ids[row] = int(g)
+	}
+	return ids, groups, nil
+}
+
+// groupIDs is Group with the int32 ids Aggregate and Unique read.
+func (t *Table) groupIDs(cols []string) (ids []int32, groups int, err error) {
 	if len(cols) == 1 {
-		return t.groupSingle(cols[0])
+		i := t.ColIndex(cols[0])
+		if i < 0 {
+			return nil, 0, fmt.Errorf("table: no column %q", cols[0])
+		}
+		x := newKeyIndex(t.colKeys(i))
+		return x.ids, x.n, nil
 	}
 	enc, err := newRowKeyEncoder(t, cols)
 	if err != nil {
 		return nil, 0, err
 	}
-	n := t.NumRows()
-	ids = make([]int, n)
-	seen := make(map[string]int)
-	for row := 0; row < n; row++ {
+	ids = make([]int32, t.NumRows())
+	seen := make(map[string]int32)
+	for row := range ids {
 		k := enc.key(row)
 		id, ok := seen[k]
 		if !ok {
-			id = len(seen)
+			id = int32(len(seen))
 			seen[k] = id
-		}
-		ids[row] = id
-	}
-	return ids, len(seen), nil
-}
-
-// groupSingle is the column-direct fast path of Group: group ids come from
-// one map probe per row over the column's raw int64/float64 storage. String
-// columns group by interned id — equal ids iff equal strings, the same
-// classes the rowkey encoding produces — and Float columns by bit pattern,
-// matching the rowkey's Float64bits encoding.
-func (t *Table) groupSingle(col string) (ids []int, groups int, err error) {
-	i := t.ColIndex(col)
-	if i < 0 {
-		return nil, 0, fmt.Errorf("table: no column %q", col)
-	}
-	n := t.NumRows()
-	ids = make([]int, n)
-	seen := make(map[int64]int)
-	if t.cols[i].Type == Float {
-		data := t.floats[i]
-		for row := 0; row < n; row++ {
-			k := int64(math.Float64bits(data[row]))
-			id, ok := seen[k]
-			if !ok {
-				id = len(seen)
-				seen[k] = id
-			}
-			ids[row] = id
-		}
-		return ids, len(seen), nil
-	}
-	data := t.ints[i]
-	for row := 0; row < n; row++ {
-		id, ok := seen[data[row]]
-		if !ok {
-			id = len(seen)
-			seen[data[row]] = id
 		}
 		ids[row] = id
 	}
@@ -130,23 +110,12 @@ func (t *Table) GroupCol(outCol string, cols ...string) error {
 // Int and Float value columns; the result column is Int for Count and for
 // Sum/Min/Max/First over Int columns, Float otherwise.
 func (t *Table) Aggregate(groupCols []string, op AggOp, valCol, outCol string) (*Table, error) {
-	ids, groups, err := t.Group(groupCols...)
+	ids, groups, err := t.groupIDs(groupCols)
 	if err != nil {
 		return nil, err
 	}
 	if outCol == "" {
 		outCol = op.String()
-	}
-
-	// Representative row per group, in group-id (first occurrence) order.
-	rep := make([]int, groups)
-	for i := range rep {
-		rep[i] = -1
-	}
-	for row, id := range ids {
-		if rep[id] < 0 {
-			rep[id] = row
-		}
 	}
 
 	outType := Int
@@ -185,134 +154,114 @@ func (t *Table) Aggregate(groupCols []string, op AggOp, valCol, outCol string) (
 		return nil, err
 	}
 	out.pool = t.pool.Clone()
+	out.numberRows(groups)
 
-	// Compute aggregates.
-	counts := make([]int64, groups)
-	sums := make([]float64, groups)
-	isums := make([]int64, groups)
-	mins := make([]float64, groups)
-	maxs := make([]float64, groups)
-	firsts := make([]int64, groups)
-	ffirsts := make([]float64, groups)
-	haveFirst := make([]bool, groups)
-	for g := range mins {
-		mins[g] = math.Inf(1)
-		maxs[g] = math.Inf(-1)
-	}
+	// Representative (first) row per group, in group-id order: ids are dense
+	// in first-occurrence order.
+	rep := make([]int32, 0, groups)
 	for row, g := range ids {
-		counts[g]++
-		var fv float64
-		var iv int64
-		if intVals != nil {
-			iv = intVals[row]
-			fv = float64(iv)
-		} else if floatVals != nil {
-			fv = floatVals[row]
+		if int(g) == len(rep) {
+			rep = append(rep, int32(row))
 		}
-		sums[g] += fv
-		isums[g] += iv
-		if fv < mins[g] {
-			mins[g] = fv
-		}
-		if fv > maxs[g] {
-			maxs[g] = fv
-		}
-		if !haveFirst[g] {
-			haveFirst[g] = true
-			firsts[g] = iv
-			ffirsts[g] = fv
+	}
+	for k, name := range groupCols {
+		i := t.ColIndex(name)
+		for g, row := range rep {
+			if t.cols[i].Type == Float {
+				out.floats[k][g] = t.floats[i][row]
+			} else {
+				out.ints[k][g] = t.ints[i][row]
+			}
 		}
 	}
 
-	for g := 0; g < groups; g++ {
-		row := rep[g]
-		for k := range groupCols {
-			i := t.ColIndex(groupCols[k])
-			if t.cols[i].Type == Float {
-				out.floats[k] = append(out.floats[k], t.floats[i][row])
+	last := len(groupCols)
+	switch {
+	case op == Count:
+		for _, g := range ids {
+			out.ints[last][g]++
+		}
+	case op == First:
+		for g, row := range rep {
+			if floatVals != nil {
+				out.floats[last][g] = floatVals[row]
 			} else {
-				out.ints[k] = append(out.ints[k], t.ints[i][row])
+				out.ints[last][g] = intVals[row]
 			}
 		}
-		last := len(groupCols)
-		switch {
-		case op == Count:
-			out.ints[last] = append(out.ints[last], counts[g])
-		case outType == Int:
-			var v int64
-			switch op {
-			case Sum:
-				v = isums[g]
-			case Min:
-				v = int64(mins[g])
-			case Max:
-				v = int64(maxs[g])
-			case First:
-				v = firsts[g]
-			}
-			out.ints[last] = append(out.ints[last], v)
-		case outType == Float:
-			var v float64
-			switch op {
-			case Sum:
-				v = sums[g]
-			case Min:
-				v = mins[g]
-			case Max:
-				v = maxs[g]
-			case Mean:
-				v = sums[g] / float64(counts[g])
-			case First:
-				v = ffirsts[g]
-			}
-			out.floats[last] = append(out.floats[last], v)
-		default: // String First
-			out.ints[last] = append(out.ints[last], firsts[g])
+	case op == Sum && outType == Int:
+		for row, g := range ids {
+			out.ints[last][g] += intVals[row]
 		}
-		out.rowIDs = append(out.rowIDs, int64(g))
+	default: // Sum over Float, Min, Max and Mean accumulate as float64
+		acc := make([]float64, groups)
+		for g := range acc {
+			switch op {
+			case Min:
+				acc[g] = math.Inf(1)
+			case Max:
+				acc[g] = math.Inf(-1)
+			}
+		}
+		for row, g := range ids {
+			var fv float64
+			if intVals != nil {
+				fv = float64(intVals[row])
+			} else {
+				fv = floatVals[row]
+			}
+			switch op {
+			case Min:
+				if fv < acc[g] {
+					acc[g] = fv
+				}
+			case Max:
+				if fv > acc[g] {
+					acc[g] = fv
+				}
+			default:
+				acc[g] += fv
+			}
+		}
+		if op == Mean {
+			counts := make([]int64, groups)
+			for _, g := range ids {
+				counts[g]++
+			}
+			for g := range acc {
+				acc[g] /= float64(counts[g])
+			}
+		}
+		for g, v := range acc {
+			if outType == Int {
+				out.ints[last][g] = int64(v)
+			} else {
+				out.floats[last][g] = v
+			}
+		}
 	}
-	out.nextID = int64(groups)
 	return out, nil
 }
 
 // Unique returns a new table keeping the first row of each distinct
 // combination of values in the named columns (all columns if none are
-// given). Row identifiers of kept rows are preserved. A single column
-// deduplicates over its raw storage directly (the Group fast path); multiple
-// columns go through the rowkey encoding.
+// given). Row identifiers of kept rows are preserved. The kept rows are the
+// first occurrences of Group's ids.
 func (t *Table) Unique(cols ...string) (*Table, error) {
 	if len(cols) == 0 {
 		cols = t.ColNames()
 	}
-	if len(cols) == 1 {
-		ids, groups, err := t.groupSingle(cols[0])
-		if err != nil {
-			return nil, err
-		}
-		out := t.freshLike(groups)
-		next := 0
-		for row, id := range ids {
-			if id == next { // first occurrence: group ids are dense in first-occurrence order
-				out.appendRowFrom(t, row)
-				next++
-			}
-		}
-		out.nextID = t.nextID
-		return out, nil
-	}
-	enc, err := newRowKeyEncoder(t, cols)
+	ids, groups, err := t.groupIDs(cols)
 	if err != nil {
 		return nil, err
 	}
-	out := t.freshLike(0)
-	seen := make(map[string]struct{})
-	for row := 0; row < t.NumRows(); row++ {
-		k := enc.key(row)
-		if _, dup := seen[k]; dup {
-			continue
+	out := t.freshLike(groups)
+	next := int32(0)
+	for row, id := range ids {
+		if id == next { // first occurrence: group ids are dense in first-occurrence order
+			out.appendRowFrom(t, row)
+			next++
 		}
-		seen[k] = struct{}{}
-		out.appendRowFrom(t, row)
 	}
 	out.nextID = t.nextID
 	return out, nil

@@ -1,6 +1,7 @@
 package table
 
 import (
+	"fmt"
 	"math"
 	"testing"
 )
@@ -34,6 +35,41 @@ func TestGroupMultiColumn(t *testing.T) {
 	}
 	if _, _, err := tbl.Group("nope"); err == nil {
 		t.Fatal("group on missing column accepted")
+	}
+}
+
+// TestGroupFloatKeys: Float values group as select's == compares them, 0
+// and -0 together, except that every NaN (whatever its bits) forms one
+// group — on the single-column path, the multi-column rowkey path, Unique
+// and Aggregate alike.
+func TestGroupFloatKeys(t *testing.T) {
+	tbl := mustTable(t, Schema{{"x", Float}, {"c", Int}})
+	mustAppend(t, tbl,
+		[]any{0.0, 1}, []any{math.Copysign(0, -1), 1}, []any{math.NaN(), 1},
+		[]any{math.Float64frombits(0xfff8_0000_0000_0123), 1}, []any{2.5, 1})
+	want := []int{0, 0, 1, 1, 2}
+	for _, cols := range [][]string{{"x"}, {"x", "c"}} {
+		ids, groups, err := tbl.Group(cols...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if groups != 3 || fmt.Sprint(ids) != fmt.Sprint(want) {
+			t.Fatalf("group %v = %v (%d groups), want %v", cols, ids, groups, want)
+		}
+		u, err := tbl.Unique(cols...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fmt.Sprint(u.RowIDs()) != "[0 2 4]" {
+			t.Fatalf("unique %v kept rows %v", cols, u.RowIDs())
+		}
+		agg, err := tbl.Aggregate(cols, Count, "", "n")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n, _ := agg.IntCol("n"); fmt.Sprint(n) != "[2 2 1]" {
+			t.Fatalf("count by %v = %v", cols, n)
+		}
 	}
 }
 

@@ -13,10 +13,14 @@ import (
 // (left) and "-2" (right) suffixes, matching the paper's §4.1 example where
 // joining Questions with Answers yields UserId-1 and UserId-2 columns. The
 // join always produces a new table object with fresh row identifiers.
+// Output rows follow left row order, and each left row's matches follow
+// right row order. Float keys compare as select's == does: 0 matches -0
+// and NaN matches nothing.
 //
-// The implementation is a hash join: a hash table is built over the right
-// input's key column, then the left input probes it in parallel using the
-// contention-free two-pass (count, prefix-sum, fill) pattern.
+// The right input's keys are numbered by a keyIndex (direct-addressed when
+// dense, a map otherwise) with the right rows of each key laid out as CSR;
+// the left input probes it in parallel using the contention-free two-pass
+// (count, prefix-sum, fill) pattern.
 func (t *Table) Join(right *Table, leftCol, rightCol string) (*Table, error) {
 	li := t.ColIndex(leftCol)
 	if li < 0 {
@@ -30,77 +34,7 @@ func (t *Table) Join(right *Table, leftCol, rightCol string) (*Table, error) {
 	if lt != rt {
 		return nil, fmt.Errorf("table: join: key type mismatch %v vs %v", lt, rt)
 	}
-
-	// Normalize keys to int64. String keys from distinct pools are remapped
-	// through the left pool so equal strings get equal key values.
-	lkeys, rkeys := t.joinKeys(li, right, ri)
-
-	// Build on the right input (the paper joins the large edge table, as the
-	// probe side, against a single-column table).
-	build := make(map[int64][]int32, right.NumRows())
-	for row, k := range rkeys {
-		build[k] = append(build[k], int32(row))
-	}
-
-	// Probe pass 1: count output rows per range.
-	n := t.NumRows()
-	ranges := par.Split(n, par.Workers())
-	counts := make([]int, len(ranges))
-	par.ForEach(len(ranges), func(w int) {
-		c := 0
-		for row := ranges[w].Lo; row < ranges[w].Hi; row++ {
-			c += len(build[lkeys[row]])
-		}
-		counts[w] = c
-	})
-	total := 0
-	offsets := make([]int, len(ranges))
-	for w, c := range counts {
-		offsets[w] = total
-		total += c
-	}
-
-	out, err := newJoinOutput(t, right, total)
-	if err != nil {
-		return nil, err
-	}
-	// Right string columns must be re-interned into the output pool. Build
-	// the remap once, sequentially, before the parallel fill.
-	rStrRemap := remapPool(right, out)
-
-	nLeft := len(t.cols)
-	par.ForEach(len(ranges), func(w int) {
-		at := offsets[w]
-		for row := ranges[w].Lo; row < ranges[w].Hi; row++ {
-			matches := build[lkeys[row]]
-			for _, rrow := range matches {
-				for i := range t.cols {
-					if t.cols[i].Type == Float {
-						out.floats[i][at] = t.floats[i][row]
-					} else {
-						out.ints[i][at] = t.ints[i][row]
-					}
-				}
-				for j := range right.cols {
-					o := nLeft + j
-					switch right.cols[j].Type {
-					case Float:
-						out.floats[o][at] = right.floats[j][int(rrow)]
-					case String:
-						out.ints[o][at] = rStrRemap[right.ints[j][int(rrow)]]
-					default:
-						out.ints[o][at] = right.ints[j][int(rrow)]
-					}
-				}
-				at++
-			}
-		}
-	})
-	for i := 0; i < total; i++ {
-		out.rowIDs[i] = int64(i)
-	}
-	out.nextID = int64(total)
-	return out, nil
+	return t.join(li, right, ri, false, 0)
 }
 
 // LeftJoin is Join preserving unmatched left rows: rows of t with no match
@@ -118,72 +52,104 @@ func (t *Table) LeftJoin(right *Table, leftCol, rightCol string, nullInt int64) 
 	if t.cols[li].Type != right.cols[ri].Type {
 		return nil, fmt.Errorf("table: left join: key type mismatch")
 	}
+	return t.join(li, right, ri, true, nullInt)
+}
+
+// join is Join, or LeftJoin when outer is set, on validated key columns.
+func (t *Table) join(li int, right *Table, ri int, outer bool, nullInt int64) (*Table, error) {
+	// Normalize keys to int64. String keys from distinct pools are remapped
+	// through the left pool so equal strings get equal key values.
 	lkeys, rkeys := t.joinKeys(li, right, ri)
-	build := make(map[int64][]int32, right.NumRows())
-	for row, k := range rkeys {
-		build[k] = append(build[k], int32(row))
-	}
-	total := 0
-	for _, k := range lkeys {
-		if m := len(build[k]); m > 0 {
-			total += m
-		} else {
-			total++
+
+	// Build on the right input (the paper joins the large edge table, as the
+	// probe side, against a single-column table).
+	idx := newKeyIndex(rkeys)
+	off, rrows := idx.rows()
+
+	// Probe pass 1: record each left row's key id and count output rows per
+	// range.
+	n := t.NumRows()
+	ranges := par.Split(n, par.Workers())
+	match := make([]int32, n)
+	counts := make([]int, len(ranges))
+	par.ForEach(len(ranges), func(w int) {
+		c := 0
+		for row := ranges[w].Lo; row < ranges[w].Hi; row++ {
+			g := idx.lookup(lkeys[row])
+			match[row] = g
+			if g >= 0 {
+				c += int(off[g+1] - off[g])
+			} else if outer {
+				c++
+			}
 		}
+		counts[w] = c
+	})
+	total := 0
+	starts := make([]int, len(ranges))
+	for w, c := range counts {
+		starts[w] = total
+		total += c
 	}
+
 	out, err := newJoinOutput(t, right, total)
 	if err != nil {
 		return nil, err
 	}
+	// Right string columns must be re-interned into the output pool. Build
+	// the remap once, sequentially, before the parallel fill.
 	rStrRemap := remapPool(right, out)
-	nullStr := int64(out.pool.Intern(""))
+	var nullStr int64
+	if outer {
+		nullStr = int64(out.pool.Intern(""))
+	}
+	unmatched := []int32{-1}
+
 	nLeft := len(t.cols)
-	at := 0
-	emit := func(lrow int, rrow int32) {
-		for i := range t.cols {
-			if t.cols[i].Type == Float {
-				out.floats[i][at] = t.floats[i][lrow]
-			} else {
-				out.ints[i][at] = t.ints[i][lrow]
+	par.ForEach(len(ranges), func(w int) {
+		at := starts[w]
+		for row := ranges[w].Lo; row < ranges[w].Hi; row++ {
+			var matches []int32
+			if g := match[row]; g >= 0 {
+				matches = rrows[off[g]:off[g+1]]
+			} else if outer {
+				matches = unmatched
+			}
+			for _, rrow := range matches {
+				for i := range t.cols {
+					if t.cols[i].Type == Float {
+						out.floats[i][at] = t.floats[i][row]
+					} else {
+						out.ints[i][at] = t.ints[i][row]
+					}
+				}
+				for j := range right.cols {
+					o := nLeft + j
+					switch right.cols[j].Type {
+					case Float:
+						if rrow < 0 {
+							out.floats[o][at] = math.NaN()
+						} else {
+							out.floats[o][at] = right.floats[j][rrow]
+						}
+					case String:
+						if rrow < 0 {
+							out.ints[o][at] = nullStr
+						} else {
+							out.ints[o][at] = rStrRemap[right.ints[j][rrow]]
+						}
+					default:
+						if rrow < 0 {
+							out.ints[o][at] = nullInt
+						} else {
+							out.ints[o][at] = right.ints[j][rrow]
+						}
+					}
+				}
+				at++
 			}
 		}
-		for j := range right.cols {
-			o := nLeft + j
-			switch right.cols[j].Type {
-			case Float:
-				if rrow < 0 {
-					out.floats[o][at] = math.NaN()
-				} else {
-					out.floats[o][at] = right.floats[j][rrow]
-				}
-			case String:
-				if rrow < 0 {
-					out.ints[o][at] = nullStr
-				} else {
-					out.ints[o][at] = rStrRemap[right.ints[j][rrow]]
-				}
-			default:
-				if rrow < 0 {
-					out.ints[o][at] = nullInt
-				} else {
-					out.ints[o][at] = right.ints[j][rrow]
-				}
-			}
-		}
-		out.rowIDs[at] = int64(at)
-		at++
-	}
-	for lrow := 0; lrow < t.NumRows(); lrow++ {
-		matches := build[lkeys[lrow]]
-		if len(matches) == 0 {
-			emit(lrow, -1)
-			continue
-		}
-		for _, rrow := range matches {
-			emit(lrow, rrow)
-		}
-	}
-	out.nextID = int64(total)
+	})
 	return out, nil
 }
 
@@ -191,33 +157,28 @@ func (t *Table) LeftJoin(right *Table, leftCol, rightCol string, nullInt int64) 
 func (t *Table) joinKeys(li int, right *Table, ri int) (lkeys, rkeys []int64) {
 	switch t.cols[li].Type {
 	case Float:
-		lkeys = make([]int64, t.NumRows())
-		for row, f := range t.floats[li] {
-			lkeys[row] = int64(math.Float64bits(f))
-		}
-		rkeys = make([]int64, right.NumRows())
-		for row, f := range right.floats[ri] {
-			rkeys[row] = int64(math.Float64bits(f))
+		lkeys, rkeys = t.colKeys(li), right.colKeys(ri)
+		// A NaN matches nothing: right NaNs take a NaN bit pattern that
+		// floatKey never returns.
+		for row, k := range rkeys {
+			if k == nanKey {
+				rkeys[row] = nanKey + 1
+			}
 		}
 	case String:
-		// Map right pool ids into left pool id space; unseen strings get
-		// fresh negative keys so they match nothing on the left.
+		// Map right pool ids into left pool id space, looking each up once;
+		// strings the left pool lacks all get key -2, which matches nothing.
 		lkeys = t.ints[li]
 		rkeys = make([]int64, right.NumRows())
-		remap := make(map[int64]int64)
-		nextMiss := int64(-1)
+		remap := make([]int64, right.pool.Len()) // left id + 1, -1 if absent, 0 if not yet looked up
 		for row, id := range right.ints[ri] {
-			k, ok := remap[id]
-			if !ok {
-				if lid, present := t.pool.Lookup(right.pool.Get(int32(id))); present {
-					k = int64(lid)
-				} else {
-					k = nextMiss
-					nextMiss--
+			if remap[id] == 0 {
+				remap[id] = -1
+				if lid, ok := t.pool.Lookup(right.pool.Get(int32(id))); ok {
+					remap[id] = int64(lid) + 1
 				}
-				remap[id] = k
 			}
-			rkeys[row] = k
+			rkeys[row] = remap[id] - 1
 		}
 	default:
 		lkeys = t.ints[li]
@@ -227,7 +188,8 @@ func (t *Table) joinKeys(li int, right *Table, ri int) (lkeys, rkeys []int64) {
 }
 
 // newJoinOutput builds the output table for a join of left and right with
-// capacity rows, applying -1/-2 suffixes to colliding column names.
+// rows zeroed, freshly numbered rows, applying -1/-2 suffixes to colliding
+// column names.
 func newJoinOutput(left, right *Table, rows int) (*Table, error) {
 	schema := make(Schema, 0, len(left.cols)+len(right.cols))
 	rightNames := make(map[string]bool, len(right.cols))
@@ -257,15 +219,26 @@ func newJoinOutput(left, right *Table, rows int) (*Table, error) {
 		return nil, fmt.Errorf("table: join output schema: %w", err)
 	}
 	out.pool = left.pool.Clone()
-	for i := range out.cols {
-		if out.cols[i].Type == Float {
-			out.floats[i] = out.floats[i][:rows]
+	out.numberRows(rows)
+	return out, nil
+}
+
+// numberRows sizes every column of a table made by NewWithCapacity to rows
+// zero cells and gives the rows the fresh ids 0..rows-1 of a new table
+// object.
+func (t *Table) numberRows(rows int) {
+	for i := range t.cols {
+		if t.cols[i].Type == Float {
+			t.floats[i] = t.floats[i][:rows]
 		} else {
-			out.ints[i] = out.ints[i][:rows]
+			t.ints[i] = t.ints[i][:rows]
 		}
 	}
-	out.rowIDs = out.rowIDs[:rows]
-	return out, nil
+	t.rowIDs = t.rowIDs[:rows]
+	for i := range t.rowIDs {
+		t.rowIDs[i] = int64(i)
+	}
+	t.nextID = int64(rows)
 }
 
 // remapPool interns every string of src's pool into dst's pool and returns

@@ -1,6 +1,8 @@
 package table
 
 import (
+	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -72,6 +74,33 @@ func TestJoinFloatKeys(t *testing.T) {
 	}
 	if j.NumRows() != 1 {
 		t.Fatalf("float join rows = %d", j.NumRows())
+	}
+
+	// Keys compare as select's == does: -0 matches 0, NaN matches nothing
+	// (not even a NaN with the same bits), and LeftJoin keeps the NaN row
+	// unmatched.
+	negZero := math.Copysign(0, -1)
+	left = mustTable(t, Schema{{"x", Float}})
+	mustAppend(t, left, []any{negZero}, []any{math.NaN()}, []any{2.5})
+	right = mustTable(t, Schema{{"y", Float}})
+	mustAppend(t, right, []any{math.NaN()}, []any{0.0}, []any{2.5})
+	j, err = left.Join(right, "x", "y")
+	if err != nil {
+		t.Fatal(err)
+	}
+	x, _ := j.FloatCol("x")
+	y, _ := j.FloatCol("y")
+	if len(x) != 2 || !math.Signbit(x[0]) || y[0] != 0 || math.Signbit(y[0]) || x[1] != 2.5 || y[1] != 2.5 {
+		t.Fatalf("float join = %v ⋈ %v", x, y)
+	}
+	lj, err := left.LeftJoin(right, "x", "y", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x, _ = lj.FloatCol("x")
+	y, _ = lj.FloatCol("y")
+	if len(x) != 3 || !math.IsNaN(x[1]) || !math.IsNaN(y[1]) || y[0] != 0 || y[2] != 2.5 {
+		t.Fatalf("float left join = %v ⋈ %v", x, y)
 	}
 }
 
@@ -198,5 +227,39 @@ func TestJoinLargeParallelPath(t *testing.T) {
 	}
 	if j.NumRows() != n/2 {
 		t.Fatalf("join rows = %d, want %d", j.NumRows(), n/2)
+	}
+}
+
+// BenchmarkJoinSparseKeys is the map path of the join's key index: a
+// 4 096-row build side of random 63-bit keys, far too wide to
+// direct-address, probed by 2^20 random 63-bit left keys of which one in
+// 16 is a build key, so probing rather than output dominates.
+func BenchmarkJoinSparseKeys(b *testing.B) {
+	r := rand.New(rand.NewSource(1))
+	build := make([]int64, 4096)
+	for i := range build {
+		build[i] = r.Int63()
+	}
+	probe, vals := make([]int64, 1<<20), make([]int64, 1<<20)
+	for i := range probe {
+		probe[i], vals[i] = r.Int63(), int64(i)
+		if i%16 == 0 {
+			probe[i] = build[r.Intn(len(build))]
+		}
+	}
+	left, err := FromIntColumns([]string{"k", "v"}, [][]int64{probe, vals})
+	if err != nil {
+		b.Fatal(err)
+	}
+	right, err := FromIntColumns([]string{"key"}, [][]int64{build})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := left.Join(right, "k", "key"); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

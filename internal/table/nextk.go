@@ -28,17 +28,12 @@ func (t *Table) NextK(groupCol, orderCol string, k int) (*Table, error) {
 	}
 	ord, _ := t.numericAsFloat(orderCol)
 
-	ids, groups, err := t.Group(groupCol)
-	if err != nil {
-		return nil, err
-	}
-	// Bucket row indices per group, then order each bucket by orderCol.
-	buckets := make([][]int32, groups)
-	for row, g := range ids {
-		buckets[g] = append(buckets[g], int32(row))
-	}
+	// Rows per group in ascending row order, groups in first-occurrence
+	// order; each group's rows are then ordered by orderCol.
+	off, rows := newKeyIndex(t.colKeys(gi)).rows()
 	pairs := 0
-	for _, b := range buckets {
+	for g := 0; g+1 < len(off); g++ {
+		b := rows[off[g]:off[g+1]]
 		sort.SliceStable(b, func(x, y int) bool { return ord[b[x]] < ord[b[y]] })
 		n := len(b)
 		for i := 0; i < n; i++ {
@@ -57,7 +52,8 @@ func (t *Table) NextK(groupCol, orderCol string, k int) (*Table, error) {
 	remap := remapPool(t, out)
 	nCols := len(t.cols)
 	at := 0
-	for _, b := range buckets {
+	for g := 0; g+1 < len(off); g++ {
+		b := rows[off[g]:off[g+1]]
 		for i := 0; i < len(b); i++ {
 			for j := i + 1; j <= i+k && j < len(b); j++ {
 				pred, succ := int(b[i]), int(b[j])
@@ -74,11 +70,9 @@ func (t *Table) NextK(groupCol, orderCol string, k int) (*Table, error) {
 						out.ints[nCols+c][at] = t.ints[c][succ]
 					}
 				}
-				out.rowIDs[at] = int64(at)
 				at++
 			}
 		}
 	}
-	out.nextID = int64(pairs)
 	return out, nil
 }

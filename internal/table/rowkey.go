@@ -3,13 +3,13 @@ package table
 import (
 	"encoding/binary"
 	"fmt"
-	"math"
 )
 
 // rowKeyEncoder builds canonical byte encodings of row values over a set of
 // columns, used as map keys for grouping, distinct and set operations.
 // String cells are encoded by content (length-prefixed bytes) so keys are
-// comparable across tables with different pools.
+// comparable across tables with different pools; Float cells by floatKey,
+// so 0 and -0 are one value and so are all NaNs.
 type rowKeyEncoder struct {
 	t    *Table
 	cols []int
@@ -37,7 +37,7 @@ func (e *rowKeyEncoder) key(row int) string {
 		case Int:
 			e.buf = binary.BigEndian.AppendUint64(e.buf, uint64(e.t.ints[i][row]))
 		case Float:
-			e.buf = binary.BigEndian.AppendUint64(e.buf, math.Float64bits(e.t.floats[i][row]))
+			e.buf = binary.BigEndian.AppendUint64(e.buf, uint64(floatKey(e.t.floats[i][row])))
 		default:
 			s := e.t.pool.Get(int32(e.t.ints[i][row]))
 			e.buf = binary.BigEndian.AppendUint32(e.buf, uint32(len(s)))

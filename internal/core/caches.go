@@ -11,8 +11,9 @@ import (
 // pair rather than the formatted "name#version" string, so keying is exact
 // for any binding name. Exact invalidation comes for free: any mutation of
 // a binding changes its version, so a stale entry can never be served. The
-// workspace additionally purges a binding's entries eagerly on mutation
-// (invalidateLocked) so dead ones stop holding memory.
+// workspace additionally purges a binding's entries eagerly when it is
+// rebound (invalidateLocked), and a view fill drops the views it supersedes
+// (supersedeViews), so dead ones stop holding memory.
 
 // DefaultViewCacheEntries bounds a workspace's view cache. Views are
 // O(V+E) objects, so the bound is deliberately small: an interactive
@@ -87,6 +88,18 @@ func (w *Workspace) invalidateLocked(name string) {
 	w.views.DeleteFunc(func(k viewKey) bool { return k.name == name })
 	w.indexes.DeleteFunc(func(k indexKey) bool { return k.name == name })
 	delete(w.deltas, name)
+}
+
+// supersedeViews drops key's binding's views of key's orientation at
+// versions below key's, once a fill at key's version has landed. A
+// delta-logged mutation keeps the pre-mutation view resident as the patch
+// base; the fill is that base's successor — a fresher base for every later
+// version — and versions only grow, so nothing below it can be asked for
+// or patched from again.
+func supersedeViews(views *viewCache, key viewKey) {
+	views.DeleteFunc(func(k viewKey) bool {
+		return k.name == key.name && k.undir == key.undir && k.ver < key.ver
+	})
 }
 
 // stale reports whether the binding state (name, ver) was mutated away

@@ -154,7 +154,9 @@ func schemaString(t *table.Table) string {
 // resident and append to its delta log, so the next query patches the
 // pending deltas onto a cached base view (graph.PatchView) instead of
 // rebuilding — as long as the batch stays under the ConfigurePatching
-// threshold. See incremental.go for the delta-log machinery.
+// threshold. That query's view then supersedes its base: the fill drops
+// the binding's lower-version views of its orientation. See incremental.go
+// for the delta-log machinery.
 //
 // A Workspace is safe for concurrent use by multiple goroutines.
 type Workspace struct {
@@ -312,6 +314,7 @@ func (w *Workspace) DirectedView(name string) (*graph.View, error) {
 		}
 		return cachedView{dir: v}, v.Bytes()
 	})
+	supersedeViews(views, key)
 	if w.stale(name, ver) {
 		views.DeleteFunc(func(k viewKey) bool { return k.name == name && k.ver == ver })
 	}
@@ -348,6 +351,7 @@ func (w *Workspace) UndirectedView(name string) (*graph.UView, error) {
 		v := w.buildUView(o, plan, views, key)
 		return cachedView{un: v}, v.Bytes()
 	})
+	supersedeViews(views, key)
 	if w.stale(name, ver) {
 		views.DeleteFunc(func(k viewKey) bool { return k.name == name && k.ver == ver })
 	}

@@ -57,7 +57,8 @@ func (w *Workspace) PatchStats() (patches, rebuilds uint64) {
 
 // DeltaEdges reports the number of deltas retained across every
 // binding's log. A log is kept even after the newest view absorbs it —
-// other cached views at older versions still patch forward across it —
+// a cached view of the other orientation at an older version still
+// patches forward across it —
 // and drops only when the binding is invalidated wholesale or the log
 // overflows maxDeltaLog. This is the ringo_delta_edges gauge.
 func (w *Workspace) DeltaEdges() int {

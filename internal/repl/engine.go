@@ -18,7 +18,7 @@
 package repl
 
 import (
-	"bufio"
+	"bytes"
 	"fmt"
 	"io"
 	"os"
@@ -404,21 +404,17 @@ func (e *Engine) cmdLoad(r *Result, args []string) error {
 // declared column names as the header "save" writes — so a table survives
 // save then load — and every other first line as data.
 func loadTSVFile(path string, schema table.Schema) (*table.Table, error) {
-	f, err := os.Open(path)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
 	names := make([]string, len(schema))
 	for i, c := range schema {
 		names[i] = c.Name
 	}
-	want := strings.Join(names, "\t")
-	br := bufio.NewReader(f)
-	// A short file or an over-long header just peeks fewer bytes: no match.
-	head, _ := br.Peek(len(want) + 2)
-	first, _, _ := strings.Cut(string(head), "\n")
-	return table.LoadTSV(br, schema, strings.TrimSuffix(first, "\r") == want)
+	first, _, _ := bytes.Cut(data, []byte("\n"))
+	header := string(bytes.TrimSuffix(first, []byte("\r"))) == strings.Join(names, "\t")
+	return table.ParseTSV(data, schema, header)
 }
 
 func (e *Engine) cmdLoadGraph(r *Result, args []string) error {

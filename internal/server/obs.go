@@ -34,6 +34,7 @@ const (
 	metricResultCacheHits    = "ringo_result_cache_hits_total"
 	metricResultCacheMisses  = "ringo_result_cache_misses_total"
 	metricResultCacheEntries = "ringo_result_cache_entries"
+	metricResultCacheBytes   = "ringo_result_cache_bytes"
 	metricViewCacheHits      = "ringo_view_cache_hits_total"
 	metricViewCacheMisses    = "ringo_view_cache_misses_total"
 	metricViewCacheEntries   = "ringo_view_cache_entries"
@@ -79,16 +80,20 @@ func (s *Server) initObs() {
 
 	// Result cache (CacheStats is nil-safe: zeros when caching is off).
 	reg.CounterFunc(metricResultCacheHits, "Result cache hits.", func() float64 {
-		h, _, _ := s.CacheStats()
+		h, _, _, _ := s.CacheStats()
 		return float64(h)
 	})
 	reg.CounterFunc(metricResultCacheMisses, "Result cache misses.", func() float64 {
-		_, m, _ := s.CacheStats()
+		_, m, _, _ := s.CacheStats()
 		return float64(m)
 	})
 	reg.GaugeFunc(metricResultCacheEntries, "Result cache entries resident.", func() float64 {
-		_, _, n := s.CacheStats()
+		_, _, n, _ := s.CacheStats()
 		return float64(n)
+	})
+	reg.GaugeFunc(metricResultCacheBytes, "Bytes booked by resident result cache entries: 16 per score plus the message.", func() float64 {
+		_, _, _, b := s.CacheStats()
+		return float64(b)
 	})
 
 	// CSR view caches, aggregated across every live session.

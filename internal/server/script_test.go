@@ -239,14 +239,14 @@ pagerank PR G
 snapshot `+dir+`/ws.snap
 `)
 	query(t, ts.URL, "s", "pagerank PR2 G") // cached
-	if hits, _, size := func() (uint64, uint64, int) { h, m, s := srv.CacheStats(); return h, m, s }(); hits == 0 || size == 0 {
+	if hits, _, size, _ := srv.CacheStats(); hits == 0 || size == 0 {
 		t.Fatalf("expected cache activity, hits=%d size=%d", hits, size)
 	}
 	res := postScript(t, ts.URL, "s", "restore "+dir+"/ws.snap\nls")
 	if res.Failed != 0 {
 		t.Fatalf("restore script failed: %+v", res)
 	}
-	if _, _, size := srv.CacheStats(); size != 0 {
-		t.Fatalf("restore step should purge the session cache, %d entries left", size)
+	if _, _, size, bytes := srv.CacheStats(); size != 0 || bytes != 0 {
+		t.Fatalf("restore step should purge the session cache, %d entries (%d bytes) left", size, bytes)
 	}
 }

@@ -262,9 +262,9 @@ func (s *Server) Metrics() *obs.Registry { return s.reg }
 // Close stops the job workers; queued jobs are marked failed.
 func (s *Server) Close() { s.jobs.close() }
 
-// CacheStats returns cumulative result-cache hits, misses and entry count
-// (zeros when caching is disabled).
-func (s *Server) CacheStats() (hits, misses uint64, size int) {
+// CacheStats returns cumulative result-cache hits and misses, the entry
+// count and booked bytes (zeros when caching is disabled).
+func (s *Server) CacheStats() (hits, misses uint64, entries int, bytes int64) {
 	return s.cache.Stats()
 }
 
@@ -1040,6 +1040,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			"hits":    uint64(val(metricResultCacheHits)),
 			"misses":  uint64(val(metricResultCacheMisses)),
 			"entries": int(val(metricResultCacheEntries)),
+			"bytes":   int64(val(metricResultCacheBytes)),
 		},
 		"views": map[string]any{
 			"hits":        uint64(val(metricViewCacheHits)),

@@ -340,12 +340,12 @@ func TestSessionIDValidationAndCachePurge(t *testing.T) {
 	query(t, ts.URL, "s", "gen rmat E 8 300 1")
 	query(t, ts.URL, "s", "tograph G E src dst")
 	query(t, ts.URL, "s", "algo G wcc")
-	if _, _, size := srv.CacheStats(); size != 1 {
-		t.Fatalf("cache size = %d, want 1", size)
+	if _, _, size, bytes := srv.CacheStats(); size != 1 || bytes == 0 {
+		t.Fatalf("cache size = %d (%d bytes), want 1 entry with its message booked", size, bytes)
 	}
 	srv.DropSession("s")
-	if _, _, size := srv.CacheStats(); size != 0 {
-		t.Fatalf("cache size after drop = %d, want 0", size)
+	if _, _, size, bytes := srv.CacheStats(); size != 0 || bytes != 0 {
+		t.Fatalf("cache after drop = %d entries, %d bytes, want 0/0", size, bytes)
 	}
 }
 
@@ -461,9 +461,9 @@ func TestCachedPageRankRequery(t *testing.T) {
 	if r1.Cached {
 		t.Fatal("first pagerank cached")
 	}
-	hits0, _, _ := srv.CacheStats()
+	hits0, _, _, _ := srv.CacheStats()
 	r2 := query(t, ts.URL, "s", "pagerank PR2 G")
-	hits1, _, _ := srv.CacheStats()
+	hits1, _, _, _ := srv.CacheStats()
 	if !r2.Cached {
 		t.Fatal("re-query not served from cache")
 	}
@@ -654,9 +654,9 @@ func TestLRUEviction(t *testing.T) {
 	if _, ok := c.Get("c"); !ok {
 		t.Fatal("c missing")
 	}
-	hits, misses, size := c.Stats()
-	if size != 2 || hits != 3 || misses != 1 {
-		t.Fatalf("stats: hits=%d misses=%d size=%d", hits, misses, size)
+	hits, misses, size, bytes := c.Stats()
+	if size != 2 || hits != 3 || misses != 1 || bytes != 2 {
+		t.Fatalf("stats: hits=%d misses=%d size=%d bytes=%d", hits, misses, size, bytes)
 	}
 	// Updating an existing key must not evict.
 	c.Put("c", repl.CachedResult{Message: "c2"})
@@ -697,8 +697,8 @@ func TestDisabledResultCache(t *testing.T) {
 	if !srv.DropSession("s") {
 		t.Fatal("session was not dropped")
 	}
-	if h, m, n := srv.CacheStats(); h != 0 || m != 0 || n != 0 {
-		t.Fatalf("disabled cache stats %d/%d/%d", h, m, n)
+	if h, m, n, b := srv.CacheStats(); h != 0 || m != 0 || n != 0 || b != 0 {
+		t.Fatalf("disabled cache stats %d/%d/%d/%d", h, m, n, b)
 	}
 }
 
@@ -783,7 +783,7 @@ func TestRestorePurgesSessionCache(t *testing.T) {
 	if r := query(t, ts.URL, "s", "algo G wcc"); !r.Cached {
 		t.Fatal("repeat algo not served from cache")
 	}
-	_, _, sizeBefore := srv.CacheStats()
+	_, _, sizeBefore, _ := srv.CacheStats()
 	if sizeBefore == 0 {
 		t.Fatal("cache empty after priming")
 	}
@@ -792,8 +792,8 @@ func TestRestorePurgesSessionCache(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("restore: status %d", code)
 	}
-	if _, _, size := srv.CacheStats(); size != 0 {
-		t.Fatalf("cache holds %d entries after restore, want 0", size)
+	if _, _, size, bytes := srv.CacheStats(); size != 0 || bytes != 0 {
+		t.Fatalf("cache holds %d entries (%d bytes) after restore, want 0", size, bytes)
 	}
 	if r := query(t, ts.URL, "s", "algo G wcc"); r.Cached {
 		t.Fatal("stale cache entry served after restore")
@@ -811,11 +811,11 @@ func TestRestoreVerbPurgesSessionCache(t *testing.T) {
 	query(t, ts.URL, "s", "tograph G E src dst")
 	query(t, ts.URL, "s", "snapshot "+path)
 	query(t, ts.URL, "s", "algo G wcc")
-	if _, _, size := srv.CacheStats(); size == 0 {
+	if _, _, size, _ := srv.CacheStats(); size == 0 {
 		t.Fatal("cache empty after priming")
 	}
 	query(t, ts.URL, "s", "restore "+path)
-	if _, _, size := srv.CacheStats(); size != 0 {
+	if _, _, size, _ := srv.CacheStats(); size != 0 {
 		t.Fatalf("cache holds %d entries after restore verb, want 0", size)
 	}
 }

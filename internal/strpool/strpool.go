@@ -36,6 +36,15 @@ func (p *Pool) Intern(s string) int32 {
 	return id
 }
 
+// InternBytes is Intern of string(b); a value already in the pool costs
+// no allocation.
+func (p *Pool) InternBytes(b []byte) int32 {
+	if id, ok := p.ids[string(b)]; ok {
+		return id
+	}
+	return p.Intern(string(b))
+}
+
 // Lookup returns the id of s without interning. ok is false if s has never
 // been interned; such strings cannot match any stored value, which lets
 // predicates over string columns short-circuit.

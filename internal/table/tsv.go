@@ -2,6 +2,7 @@ package table
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"io"
 	"os"
@@ -9,73 +10,125 @@ import (
 	"strings"
 )
 
+// maxTSVLine is the longest line the loader accepts, its newline excluded:
+// one byte under 4 MiB, the cap of the line scanner the loader used to
+// read through, whose error text it keeps.
+const maxTSVLine = 1<<22 - 1
+
 // LoadTSV reads tab-separated rows from r into a new table with the given
 // schema. If header is true the first line is skipped (column names come
 // from the schema, as in ringo.LoadTableTSV(schema, file)). Lines beginning
-// with '#' and blank lines are ignored, matching SNAP's edge-list format.
-// String fields are unescaped (see unescapeTSV), reversing SaveTSV's
-// escaping of tabs, newlines and backslashes.
+// with '#' and blank lines are ignored, matching SNAP's edge-list format;
+// a line's trailing carriage return is dropped. String fields are
+// unescaped (see unescapeTSV), reversing SaveTSV's escaping of tabs,
+// newlines and backslashes. The whole input is read before parsing (see
+// ParseTSV).
 func LoadTSV(r io.Reader, schema Schema, header bool) (*Table, error) {
-	t, err := New(schema)
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("table: reading TSV: %w", err)
+	}
+	return ParseTSV(data, schema, header)
+}
+
+// LoadTSVFile is LoadTSV reading from the named file.
+func LoadTSVFile(path string, schema Schema, header bool) (*Table, error) {
+	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 1<<16), 1<<22)
-	lineNo := 0
-	first := true
-	for sc.Scan() {
-		lineNo++
-		line := sc.Text()
-		if line == "" || strings.HasPrefix(line, "#") {
+	return ParseTSV(data, schema, header)
+}
+
+// ParseTSV is LoadTSV over input already in memory; the table keeps no
+// reference to data. A first pass counts the data rows, so every column is
+// allocated once at its exact length; the second parses each field in
+// place, with no string per line and none per plain integer or
+// already-interned string cell.
+func ParseTSV(data []byte, schema Schema, header bool) (*Table, error) {
+	rows := 0
+	for rest := data; len(rest) > 0; {
+		var line []byte
+		line, rest, _ = cutTSVLine(rest)
+		if len(line) > 0 && line[0] != '#' {
+			rows++
+		}
+	}
+	if header && rows > 0 {
+		rows--
+	}
+	t, err := NewWithCapacity(schema, rows)
+	if err != nil {
+		return nil, err
+	}
+	skip := header
+	for lineNo, rest := 1, data; len(rest) > 0; lineNo++ {
+		line, next, raw := cutTSVLine(rest)
+		rest = next
+		if raw > maxTSVLine {
+			return nil, fmt.Errorf("table: reading TSV: %w", bufio.ErrTooLong)
+		}
+		if len(line) == 0 || line[0] == '#' {
 			continue
 		}
-		if first && header {
-			first = false
+		if skip {
+			skip = false
 			continue
 		}
-		first = false
 		if err := t.appendTSVLine(line, lineNo); err != nil {
 			return nil, err
 		}
 	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("table: reading TSV: %w", err)
-	}
 	return t, nil
 }
 
-func (t *Table) appendTSVLine(line string, lineNo int) error {
+// cutTSVLine splits off data's first line, dropping its newline and then
+// one trailing carriage return (bufio.ScanLines' rule); raw is the line's
+// length before the carriage return is dropped.
+func cutTSVLine(data []byte) (line, rest []byte, raw int) {
+	line = data
+	if i := bytes.IndexByte(data, '\n'); i >= 0 {
+		line, rest = data[:i], data[i+1:]
+	}
+	raw = len(line)
+	if raw > 0 && line[raw-1] == '\r' {
+		line = line[:raw-1]
+	}
+	return line, rest, raw
+}
+
+func (t *Table) appendTSVLine(line []byte, lineNo int) error {
 	for i := range t.cols {
-		var field string
-		if i < len(t.cols)-1 {
-			tab := strings.IndexByte(line, '\t')
-			if tab < 0 {
-				return fmt.Errorf("table: line %d: %d fields for %d columns", lineNo, i+1, len(t.cols))
-			}
+		field := line
+		if tab := bytes.IndexByte(line, '\t'); tab >= 0 {
 			field, line = line[:tab], line[tab+1:]
-		} else {
-			if tab := strings.IndexByte(line, '\t'); tab >= 0 {
-				field = line[:tab]
-			} else {
-				field = line
-			}
+		} else if i < len(t.cols)-1 {
+			return fmt.Errorf("table: line %d: %d fields for %d columns", lineNo, i+1, len(t.cols))
 		}
 		switch t.cols[i].Type {
 		case Int:
-			n, err := strconv.ParseInt(strings.TrimSpace(field), 10, 64)
-			if err != nil {
-				return fmt.Errorf("table: line %d column %q: %w", lineNo, t.cols[i].Name, err)
+			n, ok := parseDecimal(field)
+			if !ok {
+				var err error
+				if n, err = strconv.ParseInt(strings.TrimSpace(string(field)), 10, 64); err != nil {
+					return fmt.Errorf("table: line %d column %q: %w", lineNo, t.cols[i].Name, err)
+				}
 			}
 			t.ints[i] = append(t.ints[i], n)
 		case Float:
-			f, err := strconv.ParseFloat(strings.TrimSpace(field), 64)
+			f, err := strconv.ParseFloat(string(bytes.TrimSpace(field)), 64)
 			if err != nil {
 				return fmt.Errorf("table: line %d column %q: %w", lineNo, t.cols[i].Name, err)
 			}
 			t.floats[i] = append(t.floats[i], f)
 		default:
-			t.ints[i] = append(t.ints[i], int64(t.pool.Intern(unescapeTSV(field))))
+			var id int32
+			if bytes.IndexByte(field, '\\') < 0 {
+				id = t.pool.InternBytes(field)
+			} else {
+				id = t.pool.Intern(unescapeTSV(string(field)))
+			}
+			t.ints[i] = append(t.ints[i], int64(id))
 		}
 	}
 	t.rowIDs = append(t.rowIDs, t.nextID)
@@ -83,14 +136,29 @@ func (t *Table) appendTSVLine(line string, lineNo int) error {
 	return nil
 }
 
-// LoadTSVFile is LoadTSV reading from the named file.
-func LoadTSVFile(path string, schema Schema, header bool) (*Table, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
+// parseDecimal parses the common integer cell — an optional sign and one
+// to 18 digits, which cannot overflow — and reports false for anything
+// else (surrounding space, longer numbers, syntax errors), which
+// strconv.ParseInt then decides.
+func parseDecimal(b []byte) (int64, bool) {
+	neg := len(b) > 0 && b[0] == '-'
+	if len(b) > 0 && (b[0] == '-' || b[0] == '+') {
+		b = b[1:]
 	}
-	defer f.Close()
-	return LoadTSV(f, schema, header)
+	if len(b) == 0 || len(b) > 18 {
+		return 0, false
+	}
+	var n int64
+	for _, c := range b {
+		if c < '0' || c > '9' {
+			return 0, false
+		}
+		n = n*10 + int64(c-'0')
+	}
+	if neg {
+		n = -n
+	}
+	return n, true
 }
 
 // escapeTSV renders a string cell so it survives the line/field structure

@@ -16,7 +16,6 @@ import (
 	"ringo/internal/core"
 	"ringo/internal/graph"
 	"ringo/internal/table"
-	"ringo/internal/xhash"
 )
 
 // Benchmark dataset: the LiveJournal stand-in at 1/500 scale (138K edge
@@ -206,41 +205,28 @@ func BenchmarkTable6SCC(b *testing.B) {
 	}
 }
 
-// --- Ablation: sort-first conversion vs naive per-edge insertion ---------
-
-func BenchmarkAblationConversionSortFirst(b *testing.B) {
-	t := benchLJ.CachedEdgeTable()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := conv.ToDirected(t, "src", "dst"); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkAblationConversionNaive(b *testing.B) {
-	t := benchLJ.CachedEdgeTable()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := conv.NaiveToDirected(t, "src", "dst"); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // --- Ablation: dynamic hash-graph vs CSR for single-edge deletion --------
 // The paper's §2.2 argument: CSR deletion is linear in the total edge
-// count; the hash-of-nodes design is linear in node degree.
+// count; the hash-of-nodes design is linear in node degree. The CSR side is
+// the code that maintains CSR views under mutation, graph.PatchView. (The
+// §2.4 conversion ablation, sort-first vs per-edge insertion, lives beside
+// its oracle in internal/conv.)
+
+// sampleEdges returns up to n edges of g.
+func sampleEdges(g *graph.Directed, n int) [][2]int64 {
+	var edges [][2]int64
+	g.ForEdges(func(s, d int64) {
+		if len(edges) < n {
+			edges = append(edges, [2]int64{s, d})
+		}
+	})
+	return edges
+}
 
 func BenchmarkAblationDeleteEdgeHashGraph(b *testing.B) {
 	setupBench(b)
 	g := benchGraphs[benchLJ.Name].Clone()
-	var edges [][2]int64
-	g.ForEdges(func(s, d int64) {
-		if len(edges) < 4096 {
-			edges = append(edges, [2]int64{s, d})
-		}
-	})
+	edges := sampleEdges(g, 4096)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		e := edges[i%len(edges)]
@@ -251,27 +237,15 @@ func BenchmarkAblationDeleteEdgeHashGraph(b *testing.B) {
 
 func BenchmarkAblationDeleteEdgeCSR(b *testing.B) {
 	setupBench(b)
-	g := benchGraphs[benchLJ.Name]
-	var edges [][2]int64
-	g.ForEdges(func(s, d int64) {
-		if len(edges) < 64 {
-			edges = append(edges, [2]int64{s, d})
-		}
-	})
-	// Deletion consumes the snapshot; rebuild once per cycle of sample
-	// edges (untimed) rather than per delete, to keep wall-clock sane.
-	c := graph.FromDirected(g)
+	g := benchGraphs[benchLJ.Name].Clone()
+	edges := sampleEdges(g, 4096)
+	base := graph.BuildView(g)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if i%len(edges) == 0 && i > 0 {
-			b.StopTimer()
-			c = graph.FromDirected(g)
-			b.StartTimer()
-		}
 		e := edges[i%len(edges)]
-		if !c.DelEdge(e[0], e[1]) {
-			b.Fatal("edge missing")
-		}
+		g.DelEdge(e[0], e[1])
+		graph.PatchView(base, g.HasNode, g.HasEdge, []graph.Delta{{Op: graph.DeltaDelEdge, Src: e[0], Dst: e[1]}})
+		g.AddEdge(e[0], e[1])
 	}
 }
 
@@ -297,12 +271,12 @@ func BenchmarkAblationTraverseHashGraph(b *testing.B) {
 
 func BenchmarkAblationTraverseCSR(b *testing.B) {
 	setupBench(b)
-	c := graph.FromDirected(benchGraphs[benchLJ.Name])
+	v := graph.BuildView(benchGraphs[benchLJ.Name])
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var sum int64
-		for u := int32(0); u < int32(c.NumNodes()); u++ {
-			for _, nbr := range c.OutNeighbors(u) {
+		for u := int32(0); u < int32(v.NumNodes()); u++ {
+			for _, nbr := range v.Out(u) {
 				sum += int64(nbr)
 			}
 		}
@@ -313,53 +287,10 @@ func BenchmarkAblationTraverseCSR(b *testing.B) {
 }
 
 // --- Ablation: parallel vs sequential algorithms -------------------------
-
-func BenchmarkAblationPageRankSeq(b *testing.B) {
-	setupBench(b)
-	g := benchGraphs[benchLJ.Name]
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		algo.PageRankSeq(g, algo.DefaultDamping, 10)
-	}
-}
-
-func BenchmarkAblationTrianglesSeq(b *testing.B) {
-	setupBench(b)
-	u := benchUndirs[benchLJ.Name]
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		algo.TrianglesSeqView(graph.BuildUView(u))
-	}
-}
-
-// --- Ablation: concurrent open-addressing map vs mutex-guarded Go map ----
-
-func BenchmarkAblationXHashMapPut(b *testing.B) {
-	const keys = 1 << 16
-	m := xhash.NewMap(keys)
-	b.RunParallel(func(pb *testing.PB) {
-		k := int64(0)
-		for pb.Next() {
-			m.Put(k&(keys-1), k)
-			k++
-		}
-	})
-}
-
-func BenchmarkAblationMutexMapPut(b *testing.B) {
-	const keys = 1 << 16
-	m := make(map[int64]int64, keys)
-	var mu sync.Mutex
-	b.RunParallel(func(pb *testing.PB) {
-		k := int64(0)
-		for pb.Next() {
-			mu.Lock()
-			m[k&(keys-1)] = k
-			mu.Unlock()
-			k++
-		}
-	})
-}
+// The parallel kernels run sequentially on one worker, so this ablation is
+// the Table 3 benchmarks at -cpu 1 against more cores:
+//
+//	go test -run '^$' -bench 'Table3' -cpu 1,2,4 .
 
 // --- Workspace snapshot encode/restore ------------------------------------
 
@@ -428,16 +359,6 @@ func BenchmarkLibLouvain(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		algo.LouvainView(graph.BuildUView(u), 5)
-	}
-}
-
-func BenchmarkLibBFSParallel(b *testing.B) {
-	setupBench(b)
-	g := benchGraphs[benchLJ.Name]
-	nodes := g.Nodes()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		algo.BFSParallelView(graph.BuildView(g), nodes[i%len(nodes)], algo.Out)
 	}
 }
 

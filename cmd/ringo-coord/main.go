@@ -33,6 +33,7 @@ import (
 	"time"
 
 	"ringo/internal/cluster"
+	"ringo/internal/server"
 )
 
 func main() {
@@ -104,7 +105,7 @@ func main() {
 	}
 	coord.Start()
 
-	httpSrv := &http.Server{Addr: *addr, Handler: coord}
+	httpSrv := &http.Server{Addr: *addr, Handler: coord, ReadHeaderTimeout: server.ReadHeaderTimeout}
 	go func() {
 		sig := make(chan os.Signal, 1)
 		signal.Notify(sig, os.Interrupt)

@@ -113,7 +113,7 @@ func main() {
 		log.Printf("ringo-server: restored session %q from %s", *restoreSession, *restorePath)
 	}
 
-	httpSrv := &http.Server{Addr: *addr, Handler: srv}
+	httpSrv := &http.Server{Addr: *addr, Handler: srv, ReadHeaderTimeout: server.ReadHeaderTimeout}
 	go func() {
 		sig := make(chan os.Signal, 1)
 		signal.Notify(sig, os.Interrupt)

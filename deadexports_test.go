@@ -1,0 +1,351 @@
+package ringo_test
+
+import (
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
+	"path/filepath"
+	"slices"
+	"sort"
+	"strconv"
+	"strings"
+	"testing"
+)
+
+// deadExportAllowlist names the exported internal/ declarations that stay
+// although no program reaches them, keyed "<package>.<Name>" with the
+// package path relative to internal/. Each value says why the name stays.
+// TestNoDeadExports fails on an entry that is no longer declared or that
+// some other live declaration now reaches, so the list only ever shrinks.
+var deadExportAllowlist = map[string]string{
+	// Analyses of the paper's library (§3) with one implementation each
+	// and no verb yet; their tests are their only callers. What they use
+	// follows from them: result and parameter types (MSTEdge,
+	// PredictedLink, SIRResult, WeightFunc) and AdamicAdar, the score
+	// PredictLinks ranks by.
+	"algo.ApproxBetweennessView":    "centrality: sampled betweenness",
+	"algo.BipartitionView":          "structure: two-coloring test",
+	"algo.ClosenessView":            "centrality: closeness",
+	"algo.CommonNeighbors":          "link prediction: common-neighbor count",
+	"algo.DegreeAssortativity":      "statistics: degree assortativity",
+	"algo.DegreeCentrality":         "centrality: normalized degree",
+	"algo.DegreeHistogram":          "statistics: out-degree histogram (SNAP GetOutDegCnt)",
+	"algo.DegreePercentiles":        "statistics: out-degree percentiles",
+	"algo.DijkstraView":             "traversal: weighted shortest paths",
+	"algo.EccentricityView":         "centrality: eccentricity",
+	"algo.EffectiveDiameterView":    "statistics: 90th-percentile effective diameter",
+	"algo.GreedyColoring":           "combinatorics: greedy vertex coloring",
+	"algo.IndependentSetGreedy":     "combinatorics: greedy independent set",
+	"algo.IsDAG":                    "structure: acyclicity test",
+	"algo.Jaccard":                  "link prediction: Jaccard similarity",
+	"algo.MaximalMatching":          "combinatorics: greedy maximal matching",
+	"algo.MinimumSpanningForest":    "structure: Kruskal minimum spanning forest",
+	"algo.NodeTrianglesView":        "triangles: per-node counts",
+	"algo.PersonalizedPageRankView": "ranking: random walk with restart",
+	"algo.PowerLawExponent":         "statistics: degree power-law fit",
+	"algo.PredictLinks":             "link prediction: ranked candidate edges",
+	"algo.PreferentialAttachment":   "link prediction: degree-product score",
+	"algo.Reciprocity":              "statistics: edge reciprocity",
+	"algo.SIR":                      "diffusion: SIR epidemic model",
+	"algo.ShortestPathView":         "traversal: unweighted point-to-point distance",
+
+	// Generators of the library's synthetic graphs; tests build their
+	// inputs with them, the programs use R-MAT and the posts generator.
+	"gen.BarabasiAlbert": "generator: preferential attachment",
+	"gen.Complete":       "generator: complete graph",
+	"gen.GNM":            "generator: Erdős–Rényi G(n,m)",
+	"gen.GNP":            "generator: Erdős–Rényi G(n,p)",
+	"gen.Grid":           "generator: 2-D grid",
+	"gen.Ring":           "generator: cycle",
+	"gen.Star":           "generator: star",
+	"gen.WattsStrogatz":  "generator: small world",
+
+	"table.MustNew": "New for schemas fixed in source; panics instead of returning the error",
+	"table.LoadTSV": "io.Reader form of LoadTSVFile; the loader's oracle test and fuzz target drive it",
+	"table.LInf":    "Chebyshev metric, the third of SimJoin's three metrics",
+
+	// Incremental and semi-external kernels whose fate the incremental
+	// loop decides (each is bit- or exactly equal to its cold kernel,
+	// which its tests check).
+	"algo.WCCIncr":            "incremental WCC, not yet wired to a verb",
+	"algo.TrianglesIncr":      "incremental triangle count, not yet wired to a verb",
+	"algo.WCCExt":             "semi-external WCC, not yet wired to a verb",
+	"algo.DefaultPageRankTol": "tolerance of the incremental PageRank oracle",
+}
+
+// declKey names a top-level declaration: the directory of its package
+// (relative to the repository root) and its name. Methods are folded into
+// their receiver type, so a live type keeps all its methods.
+type declKey struct{ dir, name string }
+
+// TestNoDeadExports holds internal/ to the rule that every exported
+// top-level name is reachable from a program. The roots are every
+// declaration in a non-test file outside internal/ (cmd/, examples/, the
+// root facade and the nested benchmark/ module), every init func and blank
+// package-level declaration, and the allowlist above; a declaration is live
+// when a live declaration names it, with pkg.Name resolved through the
+// naming file's imports. The scan is syntactic and errs towards liveness —
+// a local that shadows a package-level name makes that name look used — so
+// it never asks for reachable code to be deleted.
+func TestNoDeadExports(t *testing.T) {
+	type pkgFile struct {
+		dir string
+		f   *ast.File
+	}
+	var files []pkgFile
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path != "." && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		files = append(files, pkgFile{filepath.ToSlash(filepath.Dir(path)), f})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Pass 1: every package's name and top-level names.
+	pkgName := map[string]string{}
+	declared := map[declKey]bool{}
+	for _, pf := range files {
+		pkgName[pf.dir] = pf.f.Name.Name
+		for _, decl := range pf.f.Decls {
+			switch d := decl.(type) {
+			case *ast.FuncDecl:
+				if d.Recv == nil && d.Name.Name != "init" {
+					declared[declKey{pf.dir, d.Name.Name}] = true
+				}
+			case *ast.GenDecl:
+				for _, spec := range d.Specs {
+					switch s := spec.(type) {
+					case *ast.TypeSpec:
+						declared[declKey{pf.dir, s.Name.Name}] = true
+					case *ast.ValueSpec:
+						for _, n := range s.Names {
+							declared[declKey{pf.dir, n.Name}] = true
+						}
+					}
+				}
+			}
+		}
+	}
+
+	// Pass 2: the names each declaration mentions. Roots collect under the
+	// pseudo-name "" of their package.
+	refs := map[declKey][]declKey{}
+	var roots []declKey
+	for _, pf := range files {
+		imports := map[string]string{} // local name -> package dir, "" outside the module
+		for _, is := range pf.f.Imports {
+			path, _ := strconv.Unquote(is.Path.Value)
+			dir := ""
+			if path == "ringo" {
+				dir = "."
+			} else if rest, ok := strings.CutPrefix(path, "ringo/"); ok {
+				dir = rest
+			}
+			name := pkgName[dir]
+			if is.Name != nil {
+				name = is.Name.Name
+			} else if dir == "" {
+				name = path[strings.LastIndex(path, "/")+1:]
+			}
+			imports[name] = dir
+		}
+		var from declKey
+		var visit func(ast.Node) bool
+		visit = func(n ast.Node) bool {
+			switch x := n.(type) {
+			case *ast.SelectorExpr:
+				if id, ok := x.X.(*ast.Ident); ok {
+					if dir, ok := imports[id.Name]; ok {
+						if dir != "" {
+							refs[from] = append(refs[from], declKey{dir, x.Sel.Name})
+						}
+						return false
+					}
+				}
+				ast.Inspect(x.X, visit) // x.Sel is a field or method
+				return false
+			case *ast.Field:
+				ast.Inspect(x.Type, visit) // x.Names are fields or parameters
+				return false
+			case *ast.Ident:
+				if k := (declKey{pf.dir, x.Name}); declared[k] && k != from {
+					refs[from] = append(refs[from], k)
+				}
+			}
+			return true
+		}
+		walk := func(k declKey, nodes ...ast.Node) {
+			from = k
+			for _, n := range nodes {
+				if !isNil(n) {
+					ast.Inspect(n, visit)
+				}
+			}
+		}
+		root := pf.dir != "internal" && !strings.HasPrefix(pf.dir, "internal/")
+		for _, decl := range pf.f.Decls {
+			switch d := decl.(type) {
+			case *ast.FuncDecl:
+				k := declKey{pf.dir, d.Name.Name}
+				if d.Recv != nil {
+					k.name = receiverType(d.Recv.List[0].Type)
+					walk(k, d.Recv, d.Type, d.Body)
+					break
+				}
+				if k.name == "init" {
+					k.name = ""
+				}
+				walk(k, d.Type, d.Body)
+				if root {
+					roots = append(roots, k)
+				}
+			case *ast.GenDecl:
+				counted := d.Tok == token.CONST && usesIota(d)
+				var prev []*ast.Ident
+				for _, spec := range d.Specs {
+					switch s := spec.(type) {
+					case *ast.TypeSpec:
+						k := declKey{pf.dir, s.Name.Name}
+						walk(k, s.TypeParams, s.Type)
+						if root {
+							roots = append(roots, k)
+						}
+					case *ast.ValueSpec:
+						for _, n := range s.Names {
+							k := declKey{pf.dir, n.Name}
+							if k.name == "_" {
+								k.name = ""
+							}
+							walk(k, s.Type)
+							for _, v := range s.Values {
+								walk(k, v)
+							}
+							// In an iota group a member's value depends
+							// on every member before it.
+							if counted {
+								for _, p := range prev {
+									refs[k] = append(refs[k], declKey{pf.dir, p.Name})
+								}
+							}
+							if root {
+								roots = append(roots, k)
+							}
+						}
+						prev = s.Names
+					}
+				}
+			}
+		}
+	}
+	for _, pf := range files {
+		roots = append(roots, declKey{pf.dir, ""})
+	}
+
+	allow := map[declKey]string{}
+	for name := range deadExportAllowlist {
+		pkg, n, _ := strings.Cut(name, ".")
+		k := declKey{"internal/" + pkg, n}
+		allow[k] = name
+		if !declared[k] {
+			t.Errorf("allowlist entry %s is not declared: drop it", name)
+		}
+		roots = append(roots, k)
+	}
+
+	live := map[declKey]bool{}
+	for len(roots) > 0 {
+		k := roots[len(roots)-1]
+		roots = roots[:len(roots)-1]
+		if live[k] {
+			continue
+		}
+		live[k] = true
+		roots = append(roots, refs[k]...)
+	}
+
+	var stale []string
+	for k := range live {
+		for _, r := range refs[k] {
+			if name, ok := allow[r]; ok && r != k {
+				stale = append(stale, name)
+			}
+		}
+	}
+	var dead []string
+	for k := range declared {
+		if strings.HasPrefix(k.dir, "internal/") && ast.IsExported(k.name) && !live[k] {
+			dead = append(dead, strings.TrimPrefix(k.dir, "internal/")+"."+k.name)
+		}
+	}
+	sort.Strings(stale)
+	stale = slices.Compact(stale)
+	sort.Strings(dead)
+	for _, name := range stale {
+		t.Errorf("allowlist entry %s is reached by a live declaration: drop it", name)
+	}
+	if len(dead) > 0 {
+		t.Errorf("%d exported internal/ names are reached by no program (cmd/, examples/, the ringo facade, benchmark/): "+
+			"delete them, or add each to deadExportAllowlist with its reason:\n\t%s",
+			len(dead), strings.Join(dead, "\n\t"))
+	}
+}
+
+// isNil reports a missing optional node: a nil interface, or a nil body or
+// type-parameter list, which ast.Inspect cannot walk.
+func isNil(n ast.Node) bool {
+	switch x := n.(type) {
+	case *ast.FieldList:
+		return x == nil
+	case *ast.BlockStmt:
+		return x == nil
+	}
+	return n == nil
+}
+
+// receiverType is the type name under a method receiver: T, *T, T[K] or *T[K, V].
+func receiverType(e ast.Expr) string {
+	for {
+		switch x := e.(type) {
+		case *ast.StarExpr:
+			e = x.X
+		case *ast.IndexExpr:
+			e = x.X
+		case *ast.IndexListExpr:
+			e = x.X
+		case *ast.Ident:
+			return x.Name
+		default:
+			panic("unexpected receiver type")
+		}
+	}
+}
+
+// usesIota reports whether a const group's values count with iota.
+func usesIota(d *ast.GenDecl) bool {
+	found := false
+	ast.Inspect(d, func(n ast.Node) bool {
+		if id, ok := n.(*ast.Ident); ok && id.Name == "iota" {
+			found = true
+		}
+		return !found
+	})
+	return found
+}

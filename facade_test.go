@@ -156,10 +156,7 @@ func TestFacadeMotifsAndConvergedPageRank(t *testing.T) {
 	if mc.CyclicTriangles != 1 {
 		t.Fatalf("motifs = %+v", mc)
 	}
-	pr, iters := algo.PageRankConvergedView(v, 0.85, 1e-10, 500)
-	if iters == 0 || iters >= 500 {
-		t.Fatalf("iters = %d", iters)
-	}
+	pr := algo.PageRankViewTol(v, 0.85, 1e-10)
 	var sum float64
 	for _, e := range pr {
 		sum += e.Score
@@ -271,20 +268,5 @@ func TestFacadeCombinatorialAlgorithms(t *testing.T) {
 	is := algo.IndependentSetGreedy(u)
 	if len(is) == 0 {
 		t.Fatal("empty independent set")
-	}
-}
-
-func TestFacadeParallelBFS(t *testing.T) {
-	v := graph.BuildView(gen.GNM(500, 3000, 6))
-	src := v.ID(0)
-	seq := algo.BFSView(v, src, algo.Out)
-	parl := algo.BFSParallelView(v, src, algo.Out)
-	if len(seq) != len(parl) {
-		t.Fatalf("reach %d vs %d", len(seq), len(parl))
-	}
-	for id, d := range seq {
-		if parl[id] != d {
-			t.Fatalf("node %d: %d vs %d", id, d, parl[id])
-		}
 	}
 }

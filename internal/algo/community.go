@@ -65,61 +65,3 @@ func LabelPropagationView(v *graph.UView, maxIters int, seed int64) map[int64]in
 	}
 	return out
 }
-
-// Modularity computes the Newman modularity Q of a community assignment on
-// an undirected graph: the fraction of edges inside communities minus the
-// expectation under the configuration model. Nodes missing from comm form
-// singleton communities.
-func Modularity(g *graph.Undirected, comm map[int64]int) float64 {
-	m := float64(g.NumEdges())
-	if m == 0 {
-		return 0
-	}
-	next := len(comm)
-	lookup := func(id int64) int {
-		if c, ok := comm[id]; ok {
-			return c
-		}
-		next++
-		return next
-	}
-	var inside float64          // edges within communities
-	degSum := map[int]float64{} // sum of degrees per community
-	g.ForNodes(func(id int64) {
-		degSum[lookup(id)] += float64(g.Deg(id))
-	})
-	g.ForEdges(func(src, dst int64) {
-		if lookup(src) == lookup(dst) {
-			inside++
-		}
-	})
-	q := inside / m
-	for _, s := range degSum {
-		frac := s / (2 * m)
-		q -= frac * frac
-	}
-	return q
-}
-
-// RandomWalk returns a random walk of the given length from start,
-// following out-edges; the walk stops early at a node with no out-edges.
-// The walk is deterministic for a fixed seed. It returns nil if start is
-// missing.
-func RandomWalk(g *graph.Directed, start int64, length int, seed int64) []int64 {
-	if !g.HasNode(start) {
-		return nil
-	}
-	rng := rand.New(rand.NewSource(seed))
-	walk := make([]int64, 0, length+1)
-	walk = append(walk, start)
-	cur := start
-	for i := 0; i < length; i++ {
-		nbrs := g.OutNeighbors(cur)
-		if len(nbrs) == 0 {
-			break
-		}
-		cur = nbrs[rng.Intn(len(nbrs))]
-		walk = append(walk, cur)
-	}
-	return walk
-}

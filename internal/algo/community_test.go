@@ -1,6 +1,7 @@
 package algo
 
 import (
+	"math"
 	"testing"
 
 	"ringo/internal/graph"
@@ -75,45 +76,48 @@ func TestModularityPerfectSplitBeatsMonolith(t *testing.T) {
 	})
 	mono := map[int64]int{}
 	g.ForNodes(func(id int64) { mono[id] = 0 })
-	qs := Modularity(g, split)
-	qm := Modularity(g, mono)
+	v := graph.BuildUView(g)
+	qs := ModularityView(v, split)
+	qm := ModularityView(v, mono)
 	if !approxEq(qm, 0, 1e-12) {
 		t.Fatalf("monolithic modularity = %v, want 0", qm)
 	}
 	if qs <= 0.3 {
 		t.Fatalf("split modularity = %v, want > 0.3", qs)
 	}
-	if Modularity(graph.NewUndirected(), nil) != 0 {
+	if ModularityView(graph.BuildUView(graph.NewUndirected()), nil) != 0 {
 		t.Fatal("empty graph modularity nonzero")
 	}
 }
 
-func TestRandomWalkProperties(t *testing.T) {
-	g := cycleGraph(10)
-	walk := RandomWalk(g, 0, 25, 99)
-	if len(walk) != 26 || walk[0] != 0 {
-		t.Fatalf("walk len=%d start=%d", len(walk), walk[0])
+// TestModularityMissingNodeIsSingleton holds ModularityView to its
+// contract on two points: a node missing from the assignment scores exactly
+// as if it were given a community of its own (its self-loop counts as
+// inside it), and repeated calls return the same bits.
+func TestModularityMissingNodeIsSingleton(t *testing.T) {
+	g := graph.NewUndirected()
+	for _, e := range [][2]int64{{0, 1}, {1, 2}, {0, 2}, {3, 3}} {
+		g.AddEdge(e[0], e[1])
 	}
-	// Every step follows an edge.
-	for i := 1; i < len(walk); i++ {
-		if !g.HasEdge(walk[i-1], walk[i]) {
-			t.Fatalf("step %d: %d->%d is not an edge", i, walk[i-1], walk[i])
+	v := graph.BuildUView(g)
+	missing := ModularityView(v, map[int64]int{0: 0, 1: 0, 2: 0})
+	explicit := ModularityView(v, map[int64]int{0: 0, 1: 0, 2: 0, 3: 1})
+	if math.Float64bits(missing) != math.Float64bits(explicit) {
+		t.Fatalf("node 3 missing: Q = %v, as explicit singleton: Q = %v", missing, explicit)
+	}
+
+	big := barabasiForTest(400, 3)
+	bv := graph.BuildUView(big)
+	comm := LabelPropagationView(bv, 20, 1)
+	for id := range comm {
+		if id%7 == 0 {
+			delete(comm, id) // leave some nodes to the singleton rule
 		}
 	}
-	// Deterministic for a fixed seed.
-	walk2 := RandomWalk(g, 0, 25, 99)
-	for i := range walk {
-		if walk[i] != walk2[i] {
-			t.Fatal("walk not deterministic")
+	want := math.Float64bits(ModularityView(bv, comm))
+	for i := 0; i < 50; i++ {
+		if got := math.Float64bits(ModularityView(bv, comm)); got != want {
+			t.Fatalf("call %d: Q bits %x, first call %x", i, got, want)
 		}
-	}
-	// Walk stops at a sink.
-	sink := pathGraph(3)
-	w := RandomWalk(sink, 0, 10, 1)
-	if len(w) != 3 {
-		t.Fatalf("sink walk length = %d, want 3", len(w))
-	}
-	if RandomWalk(g, 999, 5, 1) != nil {
-		t.Fatal("walk from missing node returned non-nil")
 	}
 }

@@ -150,53 +150,3 @@ func labelComponents(ids []int64, rawLabel func(i int32) int32) Components {
 	}
 	return Components{Label: label, Count: len(remap), MaxSize: maxSize}
 }
-
-// LargestWCC returns the subgraph induced by the largest weakly connected
-// component — the standard preprocessing step before distance-based
-// analyses on real-world graphs.
-func LargestWCC(g *graph.Directed) *graph.Directed {
-	c := WCCView(graph.BuildView(g))
-	sizes := make([]int, c.Count)
-	for _, l := range c.Label {
-		sizes[l]++
-	}
-	best := 0
-	for l, s := range sizes {
-		if s > sizes[best] {
-			best = l
-		}
-	}
-	keep := make([]int64, 0, c.MaxSize)
-	for id, l := range c.Label {
-		if l == best {
-			keep = append(keep, id)
-		}
-	}
-	return graph.Subgraph(g, keep)
-}
-
-// WCCUndirectedView computes connected components of an undirected graph.
-func WCCUndirectedView(v *graph.UView) Components {
-	n := v.NumNodes()
-	parent := make([]int32, n)
-	for i := range parent {
-		parent[i] = int32(i)
-	}
-	var find func(x int32) int32
-	find = func(x int32) int32 {
-		for parent[x] != x {
-			parent[x] = parent[parent[x]]
-			x = parent[x]
-		}
-		return x
-	}
-	for u := 0; u < n; u++ {
-		for _, w := range v.Adj(int32(u)) {
-			ra, rb := find(int32(u)), find(w)
-			if ra != rb {
-				parent[ra] = rb
-			}
-		}
-	}
-	return labelComponents(v.IDs(), func(i int32) int32 { return find(i) })
-}

@@ -48,7 +48,7 @@ func TestPageRankViewTolConverges(t *testing.T) {
 	if d := maxScoreDiff(tol, fixed); d > 1e-9 {
 		t.Fatalf("tolerance-based PageRank diverges from converged power iteration: max diff %g", d)
 	}
-	if sum := SumScores(tol); math.Abs(sum-1) > 1e-9 {
+	if sum := sumScores(tol); math.Abs(sum-1) > 1e-9 {
 		t.Fatalf("scores do not sum to 1: %g", sum)
 	}
 }

@@ -158,27 +158,39 @@ func LouvainView(d *graph.UView, maxPasses int) (map[int64]int, float64) {
 	return out, ModularityView(d, out)
 }
 
-// ModularityView is Modularity computed over a CSR view instead of the
-// dynamic graph (identical definition and result).
+// ModularityView computes the Newman modularity Q of a community
+// assignment on an undirected graph: the fraction of edges inside
+// communities minus the expectation under the configuration model. Nodes
+// missing from comm form singleton communities. Communities are numbered in
+// ascending node-id order of their first member, so the degree sums fold in
+// the same order on every call and Q is bit-for-bit repeatable.
 func ModularityView(v *graph.UView, comm map[int64]int) float64 {
 	m := float64(v.NumEdges())
 	if m == 0 {
 		return 0
 	}
-	next := len(comm)
-	lookup := func(id int64) int {
-		if c, ok := comm[id]; ok {
-			return c
+	of := make([]int32, v.NumNodes()) // dense node -> dense community
+	dense := make(map[int]int32, len(comm))
+	var degSum []float64
+	for u, id := range v.IDs() {
+		c := int32(len(degSum))
+		if label, ok := comm[id]; ok {
+			if seen, ok := dense[label]; ok {
+				c = seen
+			} else {
+				dense[label] = c
+			}
 		}
-		next++
-		return next
+		if c == int32(len(degSum)) {
+			degSum = append(degSum, 0)
+		}
+		of[u] = c
+		degSum[c] += float64(v.Deg(int32(u)))
 	}
 	var inside float64
-	degSum := map[int]float64{}
-	for u, id := range v.IDs() {
-		degSum[lookup(id)] += float64(v.Deg(int32(u)))
+	for u := range of {
 		for _, x := range v.Adj(int32(u)) {
-			if int32(u) <= x && lookup(id) == lookup(v.ID(x)) {
+			if int32(u) <= x && of[u] == of[x] {
 				inside++
 			}
 		}

@@ -64,7 +64,7 @@ func TestLouvainBeatsOrMatchesLabelPropagation(t *testing.T) {
 	g := barabasiForTest(400, 3)
 	_, ql := LouvainView(graph.BuildUView(g), 10)
 	lp := LabelPropagationView(graph.BuildUView(g), 20, 1)
-	qlp := Modularity(g, lp)
+	qlp := ModularityView(graph.BuildUView(g), lp)
 	if ql+1e-9 < qlp {
 		t.Fatalf("Louvain modularity %v below label propagation %v", ql, qlp)
 	}

@@ -1,10 +1,7 @@
 package algo
 
 import (
-	"math"
-
 	"ringo/internal/graph"
-	"ringo/internal/par"
 )
 
 // MotifCounts are the counts of connected directed 3-node motifs involving
@@ -121,38 +118,4 @@ func searchInt32(a []int32, v int32) (int, bool) {
 		}
 	}
 	return lo, lo < len(a) && a[lo] == v
-}
-
-// PageRankConvergedView runs PageRank until the L1 change between iterations
-// drops below tol or maxIters is reached, returning the scores and the
-// number of iterations executed — the tolerance-based variant SNAP's
-// GetPageRank exposes alongside the fixed-iteration one.
-func PageRankConvergedView(v *graph.View, damping, tol float64, maxIters int) (Scores, int) {
-	n := v.NumNodes()
-	if n == 0 {
-		return Scores{}, 0
-	}
-	pr := make([]float64, n)
-	next := make([]float64, n)
-	contrib := make([]float64, n)
-	parFill(pr, 1.0/float64(n))
-	iters := 0
-	for ; iters < maxIters; iters++ {
-		dangling := spread(v, contrib, pr, false)
-		base := (1-damping)/float64(n) + damping*dangling/float64(n)
-		diff := par.Reduce(n, 0.0, func(lo, hi int) float64 {
-			var dsum float64
-			for i := lo; i < hi; i++ {
-				next[i] = base + damping*gather(v, contrib, i)
-				dsum += math.Abs(next[i] - pr[i])
-			}
-			return dsum
-		}, func(a, b float64) float64 { return a + b })
-		pr, next = next, pr
-		if diff < tol {
-			iters++
-			break
-		}
-	}
-	return newScores(v.IDs(), pr), iters
 }

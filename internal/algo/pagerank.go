@@ -18,14 +18,7 @@ const DefaultDamping = 0.85
 // to 1. Scores are returned in ascending node-id order.
 func PageRankView(v *graph.View, damping float64, iters int) Scores {
 	defer report(timed("pagerank"))
-	return newScores(v.IDs(), pageRankFlat(v, damping, iters, true))
-}
-
-// PageRankSeq is the single-threaded PageRank used for the sequential
-// baselines and the parallel-vs-sequential ablation.
-func PageRankSeq(g *graph.Directed, damping float64, iters int) Scores {
-	v := graph.BuildView(g)
-	return newScores(v.IDs(), pageRankFlat(v, damping, iters, false))
+	return newScores(v.IDs(), pageRankFlat(v, damping, iters))
 }
 
 // spread fills contrib[i] = x[i]/outdeg(i), the rank node i hands each of
@@ -62,7 +55,7 @@ func gather(v *graph.View, contrib []float64, i int) float64 {
 	return sum
 }
 
-func pageRankFlat(v *graph.View, damping float64, iters int, parallel bool) []float64 {
+func pageRankFlat(v *graph.View, damping float64, iters int) []float64 {
 	n := v.NumNodes()
 	if n == 0 {
 		return nil
@@ -71,20 +64,11 @@ func pageRankFlat(v *graph.View, damping float64, iters int, parallel bool) []fl
 	next := make([]float64, n)
 	contrib := make([]float64, n)
 	parFill(pr, 1.0/float64(n))
-
-	runRange := func(fn func(lo, hi int)) {
-		if parallel {
-			par.For(n, fn)
-		} else {
-			fn(0, n)
-		}
-	}
-
 	for it := 0; it < iters; it++ {
 		// Mass parked on dangling nodes teleports uniformly.
-		dangling := spread(v, contrib, pr, parallel)
+		dangling := spread(v, contrib, pr, true)
 		base := (1-damping)/float64(n) + damping*dangling/float64(n)
-		runRange(func(lo, hi int) {
+		par.For(n, func(lo, hi int) {
 			for i := lo; i < hi; i++ {
 				next[i] = base + damping*gather(v, contrib, i)
 			}

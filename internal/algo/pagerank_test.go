@@ -2,6 +2,7 @@ package algo
 
 import (
 	"math"
+	"runtime"
 	"testing"
 
 	"ringo/internal/graph"
@@ -39,7 +40,7 @@ func TestPageRankUniformOnCycle(t *testing.T) {
 func TestPageRankSumsToOne(t *testing.T) {
 	g := starGraph(5) // hub is dangling
 	pr := PageRankView(graph.BuildView(g), DefaultDamping, 30)
-	if s := SumScores(pr); !approxEq(s, 1, 1e-9) {
+	if s := sumScores(pr); !approxEq(s, 1, 1e-9) {
 		t.Fatalf("PageRank sum = %v, want 1 (dangling mass lost?)", s)
 	}
 }
@@ -65,8 +66,13 @@ func TestPageRankSeqMatchesParallel(t *testing.T) {
 	for _, e := range edges {
 		g.AddEdge(e[0], e[1])
 	}
-	p := PageRankView(graph.BuildView(g), DefaultDamping, 25)
-	s := PageRankSeq(g, DefaultDamping, 25)
+	// One worker runs the kernel sequentially; four split every sweep.
+	v := graph.BuildView(g)
+	old := runtime.GOMAXPROCS(1)
+	s := PageRankView(v, DefaultDamping, 25)
+	runtime.GOMAXPROCS(4)
+	p := PageRankView(v, DefaultDamping, 25)
+	runtime.GOMAXPROCS(old)
 	for _, e := range p {
 		if !approxEq(e.Score, at(s, e.ID), 1e-12) {
 			t.Fatalf("node %d: parallel %v != sequential %v", e.ID, e.Score, at(s, e.ID))
@@ -103,7 +109,7 @@ func TestPersonalizedPageRank(t *testing.T) {
 	if at(ppr, 0) <= at(ppr, 3) {
 		t.Fatalf("seed rank %v <= distant rank %v", at(ppr, 0), at(ppr, 3))
 	}
-	if s := SumScores(ppr); !approxEq(s, 1, 1e-6) {
+	if s := sumScores(ppr); !approxEq(s, 1, 1e-6) {
 		t.Fatalf("PPR sum = %v", s)
 	}
 	// No seed in the graph: an empty vector, but not nil — core.Object.Kind

@@ -67,13 +67,3 @@ func TopK(scores Scores, k int) []Scored {
 	}
 	return slices.Clone(all[:k]) // do not pin V entries behind a k-entry result
 }
-
-// SumScores returns the sum of all scores (used by tests to check that
-// PageRank is a probability distribution).
-func SumScores(scores Scores) float64 {
-	var s float64
-	for _, e := range scores {
-		s += e.Score
-	}
-	return s
-}

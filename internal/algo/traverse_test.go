@@ -228,36 +228,3 @@ func TestSCCDeepGraphNoStackOverflow(t *testing.T) {
 		t.Fatalf("deep path SCC count = %d", c.Count)
 	}
 }
-
-func TestLargestWCC(t *testing.T) {
-	g := graph.NewDirected()
-	// Component A: 4 nodes; component B: 2 nodes; isolated: 1.
-	g.AddEdge(1, 2)
-	g.AddEdge(2, 3)
-	g.AddEdge(3, 4)
-	g.AddEdge(10, 11)
-	g.AddNode(99)
-	sub := LargestWCC(g)
-	if sub.NumNodes() != 4 {
-		t.Fatalf("largest WCC nodes = %d", sub.NumNodes())
-	}
-	if sub.NumEdges() != 3 {
-		t.Fatalf("largest WCC edges = %d", sub.NumEdges())
-	}
-	if sub.HasNode(10) || sub.HasNode(99) {
-		t.Fatal("other components leaked")
-	}
-	if err := sub.Validate(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestWCCUndirected(t *testing.T) {
-	g := graph.NewUndirected()
-	g.AddEdge(1, 2)
-	g.AddEdge(3, 4)
-	c := WCCUndirectedView(graph.BuildUView(g))
-	if c.Count != 2 || c.MaxSize != 2 {
-		t.Fatalf("undirected WCC = (%d,%d)", c.Count, c.MaxSize)
-	}
-}

@@ -21,16 +21,6 @@ func TrianglesView(v *graph.UView) int64 {
 	})
 }
 
-// TrianglesSeqView is the single-threaded triangle count (parallel-vs-
-// sequential ablation baseline).
-func TrianglesSeqView(v *graph.UView) int64 {
-	var count int64
-	for u := 0; u < v.NumNodes(); u++ {
-		count += trianglesAt(v, int32(u))
-	}
-	return count
-}
-
 // trianglesAt counts triangles whose smallest dense index is u: for every
 // neighbor x > u, the common neighbors w of u and x with w > x each close
 // one triangle. Adjacency vectors are sorted, so common neighbors come from

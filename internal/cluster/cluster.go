@@ -55,6 +55,7 @@ import (
 
 	"ringo/internal/obs"
 	"ringo/internal/repl"
+	"ringo/internal/server"
 )
 
 // Route is the coordinator's dispatch decision for one request: the
@@ -450,9 +451,8 @@ func (c *Coordinator) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // re-ships before the response returns.
 func (c *Coordinator) handleQuery(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	body, err := io.ReadAll(r.Body)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("reading request body: %w", err))
+	body, ok := server.ReadBody(w, r)
+	if !ok {
 		return
 	}
 	var req struct {
@@ -474,9 +474,8 @@ func (c *Coordinator) handleQuery(w http.ResponseWriter, r *http.Request) {
 // classify read-only and file-free to reach a replica.
 func (c *Coordinator) handleScript(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	body, err := io.ReadAll(r.Body)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("reading request body: %w", err))
+	body, ok := server.ReadBody(w, r)
+	if !ok {
 		return
 	}
 	var req struct {
@@ -502,9 +501,8 @@ func (c *Coordinator) handleScript(w http.ResponseWriter, r *http.Request) {
 // refusal names the alternative.
 func (c *Coordinator) handleJobs(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	body, err := io.ReadAll(r.Body)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("reading request body: %w", err))
+	body, ok := server.ReadBody(w, r)
+	if !ok {
 		return
 	}
 	if id == c.session {
@@ -537,9 +535,8 @@ func (c *Coordinator) handleJobs(w http.ResponseWriter, r *http.Request) {
 // never invalidates "main"; POST /snapshot is exempt because it only
 // writes a host file and leaves the workspace untouched.
 func (c *Coordinator) handlePassthrough(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(r.Body)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("reading request body: %w", err))
+	body, ok := server.ReadBody(w, r)
+	if !ok {
 		return
 	}
 	base := "/sessions/" + c.session

@@ -19,6 +19,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -497,6 +498,27 @@ func TestClusterConsistencyModes(t *testing.T) {
 	}
 }
 
+// documentedVerbs lists the "### <verb>" sections of docs/COMMANDS.md,
+// which the repl package's doc drift test holds equal to the engine's verb
+// table (plus the shell-only quit).
+func documentedVerbs(t *testing.T) []string {
+	t.Helper()
+	data, err := os.ReadFile("../../docs/COMMANDS.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var verbs []string
+	for _, line := range strings.Split(string(data), "\n") {
+		if name, ok := strings.CutPrefix(line, "### "); ok {
+			verbs = append(verbs, strings.TrimSpace(name))
+		}
+	}
+	if len(verbs) < 20 {
+		t.Fatalf("docs/COMMANDS.md lists only %d verbs", len(verbs))
+	}
+	return verbs
+}
+
 // TestRoutingAgreesWithVerbTable drives the coordinator with randomized
 // commands and scripts and requires every observed routing decision
 // (X-Ringo-Target) to agree with the verb table: ReadOnly && !TouchesFiles
@@ -504,6 +526,7 @@ func TestClusterConsistencyModes(t *testing.T) {
 // spans every registered verb plus unknown ones, so a verb-table edit that
 // silently widens replica routing fails here.
 func TestRoutingAgreesWithVerbTable(t *testing.T) {
+	verbs := documentedVerbs(t)
 	// Random file verbs ("snapshot A") really execute on the primary with
 	// relative paths; keep their droppings out of the package directory.
 	t.Chdir(t.TempDir())
@@ -512,7 +535,6 @@ func TestRoutingAgreesWithVerbTable(t *testing.T) {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(7))
-	verbs := repl.Verbs()
 	randCmd := func() string {
 		if rng.Intn(8) == 0 {
 			return fmt.Sprintf("nosuchverb%d arg", rng.Intn(100))
@@ -866,4 +888,45 @@ func waitFor(t testing.TB, timeout time.Duration, cond func() bool, msg string) 
 		time.Sleep(5 * time.Millisecond)
 	}
 	t.Fatal(msg)
+}
+
+// TestClusterOversizedBodyRejected sends every body-reading coordinator
+// route a body over the server's bound: each answers 413 without
+// forwarding, so the primary's bindings and versions and the
+// coordinator's version stay where they were.
+func TestClusterOversizedBodyRejected(t *testing.T) {
+	coord, cts := newCluster(t, 1, nil)
+	if err := coord.Ship(); err != nil {
+		t.Fatal(err)
+	}
+	fingerprints := func() server.SessionFingerprints {
+		var fp server.SessionFingerprints
+		if code := doJSON(t, "GET", cts.URL+"/sessions/main/fingerprints", nil, &fp); code != http.StatusOK {
+			t.Fatalf("fingerprints: status %d", code)
+		}
+		return fp
+	}
+	before, version := fingerprints(), coord.Version()
+	pad := strings.Repeat("x", server.MaxBodyBytes)
+	for _, c := range []struct{ path, body string }{
+		{"/sessions/main/query", `{"cmd":"rm PR","pad":"` + pad + `"}`},
+		{"/sessions/main/script", `{"script":"rm PR","pad":"` + pad + `"}`},
+		{"/sessions/main/jobs", `{"cmd":"top PR 3","pad":"` + pad + `"}`},
+		{"/sessions", `{"id":"other","pad":"` + pad + `"}`},
+	} {
+		resp, err := http.Post(cts.URL+c.path, "application/json", strings.NewReader(c.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Errorf("POST %s: status %d, want 413", c.path, resp.StatusCode)
+		}
+	}
+	if after := fingerprints(); !reflect.DeepEqual(before, after) {
+		t.Fatalf("primary session changed by rejected bodies:\nbefore %+v\nafter  %+v", before, after)
+	}
+	if got := coord.Version(); got != version {
+		t.Fatalf("coordinator version %d after rejected bodies, want %d", got, version)
+	}
 }

@@ -49,22 +49,6 @@ func ToUndirected(t *table.Table, srcCol, dstCol string) (*graph.Undirected, err
 	return graph.BuildUndirectedCols(srcs, dsts)
 }
 
-// NaiveToDirected is the per-edge-insert baseline the sort-first algorithm
-// is benchmarked against (ablation for the conversion design choice): it
-// simply calls AddEdge for every row, paying a hash lookup plus a sorted
-// insertion per edge.
-func NaiveToDirected(t *table.Table, srcCol, dstCol string) (*graph.Directed, error) {
-	srcs, dsts, err := edgeColumns(t, srcCol, dstCol)
-	if err != nil {
-		return nil, err
-	}
-	g := graph.NewDirected()
-	for i := range srcs {
-		g.AddEdge(srcs[i], dsts[i])
-	}
-	return g, nil
-}
-
 // ToEdgeTable converts a directed graph to an edge table with the given
 // column names. Workers receive disjoint node partitions and write disjoint
 // pre-allocated output ranges, so the export runs in parallel without
@@ -87,48 +71,6 @@ func ToEdgeTable(g *graph.Directed, srcName, dstName string) (*table.Table, erro
 				srcCol[at] = id
 				dstCol[at] = dst
 				at++
-			}
-		}
-	})
-	return table.FromIntColumns([]string{srcName, dstName}, [][]int64{srcCol, dstCol})
-}
-
-// ToNodeTable converts a graph's node set to a single-column table of node
-// ids in ascending order.
-func ToNodeTable(g *graph.Directed, name string) (*table.Table, error) {
-	return table.FromIntColumns([]string{name}, [][]int64{g.Nodes()})
-}
-
-// ToUndirectedEdgeTable exports an undirected graph as an edge table with
-// one row per edge, src <= dst.
-func ToUndirectedEdgeTable(g *graph.Undirected, srcName, dstName string) (*table.Table, error) {
-	nodes := g.Nodes()
-	n := len(nodes)
-	offsets := make([]int64, n+1)
-	for i, id := range nodes {
-		// Count neighbors >= id: each edge emitted once from its smaller
-		// endpoint (self-loops once).
-		cnt := 0
-		for _, nbr := range g.Neighbors(id) {
-			if nbr >= id {
-				cnt++
-			}
-		}
-		offsets[i+1] = offsets[i] + int64(cnt)
-	}
-	total := offsets[n]
-	srcCol := make([]int64, total)
-	dstCol := make([]int64, total)
-	par.For(n, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			at := offsets[i]
-			id := nodes[i]
-			for _, nbr := range g.Neighbors(id) {
-				if nbr >= id {
-					srcCol[at] = id
-					dstCol[at] = nbr
-					at++
-				}
 			}
 		}
 	})

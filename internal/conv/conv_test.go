@@ -1,11 +1,30 @@
 package conv
 
 import (
+	"sync"
 	"testing"
 	"testing/quick"
 
+	"ringo/internal/gen"
+	"ringo/internal/graph"
 	"ringo/internal/table"
 )
+
+// naiveToDirected is the per-edge-insert baseline the sort-first algorithm
+// replaces: one AddEdge per row, paying a hash lookup plus a sorted
+// insertion per edge. It is the reference the oracle tests compare against
+// and the other side of the conversion ablation below.
+func naiveToDirected(t *table.Table, srcCol, dstCol string) (*graph.Directed, error) {
+	srcs, dsts, err := edgeColumns(t, srcCol, dstCol)
+	if err != nil {
+		return nil, err
+	}
+	g := graph.NewDirected()
+	for i := range srcs {
+		g.AddEdge(srcs[i], dsts[i])
+	}
+	return g, nil
+}
 
 func edgeTable(t *testing.T, edges ...[2]int64) *table.Table {
 	t.Helper()
@@ -150,7 +169,7 @@ func TestNaiveMatchesSortFirst(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	naive, err := NaiveToDirected(tbl, "src", "dst")
+	naive, err := naiveToDirected(tbl, "src", "dst")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,44 +209,6 @@ func TestToEdgeTableRoundTrip(t *testing.T) {
 			t.Fatalf("round trip lost %d->%d", src, dst)
 		}
 	})
-}
-
-func TestToNodeTable(t *testing.T) {
-	tbl := edgeTable(t, [2]int64{5, 1}, [2]int64{2, 5})
-	g, _ := ToDirected(tbl, "src", "dst")
-	nt, err := ToNodeTable(g, "node")
-	if err != nil {
-		t.Fatal(err)
-	}
-	col, _ := nt.IntCol("node")
-	want := []int64{1, 2, 5}
-	if len(col) != len(want) {
-		t.Fatalf("node table = %v", col)
-	}
-	for i, v := range col {
-		if v != want[i] {
-			t.Fatalf("node table = %v, want %v", col, want)
-		}
-	}
-}
-
-func TestToUndirectedEdgeTable(t *testing.T) {
-	tbl := edgeTable(t, [2]int64{1, 2}, [2]int64{2, 1}, [2]int64{3, 3})
-	g, _ := ToUndirected(tbl, "src", "dst")
-	et, err := ToUndirectedEdgeTable(g, "a", "b")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if int64(et.NumRows()) != g.NumEdges() {
-		t.Fatalf("edge table rows = %d, want %d", et.NumRows(), g.NumEdges())
-	}
-	a, _ := et.IntCol("a")
-	b, _ := et.IntCol("b")
-	for i := range a {
-		if a[i] > b[i] {
-			t.Fatalf("row %d not normalized: %d > %d", i, a[i], b[i])
-		}
-	}
 }
 
 // Property: sort-first conversion equals a reference map-based edge-set
@@ -334,12 +315,37 @@ func TestToDirectedLargeParallel(t *testing.T) {
 	if err := g.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	naive, err := NaiveToDirected(tbl, "s", "d")
+	naive, err := naiveToDirected(tbl, "s", "d")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if g.NumEdges() != naive.NumEdges() || g.NumNodes() != naive.NumNodes() {
 		t.Fatalf("fast (%d,%d) != naive (%d,%d)",
 			g.NumNodes(), g.NumEdges(), naive.NumNodes(), naive.NumEdges())
+	}
+}
+
+// The conversion ablation (§2.4): sort-first against per-edge insertion on
+// the LiveJournal stand-in at 1/500 scale (138K edge rows), the table the
+// root package's Table 5 benchmarks convert.
+var ablationTable = sync.OnceValue(func() *table.Table { return gen.RMATTable(13, 138_000, 101) })
+
+func BenchmarkAblationConversionSortFirst(b *testing.B) {
+	t := ablationTable()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := ToDirected(t, "src", "dst"); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkAblationConversionNaive(b *testing.B) {
+	t := ablationTable()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := naiveToDirected(t, "src", "dst"); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -210,16 +210,6 @@ func SaveBinaryFile(path string, g *Directed) error {
 	return f.Close()
 }
 
-// LoadBinaryFile is LoadBinary reading from the named file.
-func LoadBinaryFile(path string) (*Directed, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return LoadBinary(f)
-}
-
 func clampPrealloc(n uint64) int {
 	if n > maxBinaryPrealloc {
 		return maxBinaryPrealloc

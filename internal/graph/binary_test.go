@@ -72,7 +72,7 @@ func TestBinaryFileRoundTrip(t *testing.T) {
 	if err := SaveBinaryFile(path, g); err != nil {
 		t.Fatal(err)
 	}
-	back, err := LoadBinaryFile(path)
+	back, err := LoadFileAuto(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,9 +223,7 @@ func TestLoadFileAuto(t *testing.T) {
 	}
 
 	txtPath := dir + "/g.txt"
-	if err := SaveEdgeListFile(txtPath, g); err != nil {
-		t.Fatal(err)
-	}
+	writeEdgeListFile(t, txtPath, g)
 	fromTxt, err := LoadFileAuto(txtPath)
 	if err != nil {
 		t.Fatal(err)

@@ -76,24 +76,10 @@ func buildDirectedSorted(k1, v1, k2, v2 []int64) (*Directed, error) {
 	return BuildDirectedBulk(ids, in, out)
 }
 
-// BuildUndirected constructs an undirected graph from raw edge pairs with
-// the same sort-first approach; duplicates and reverse duplicates collapse,
-// self-loops are kept (stored once, as AddEdge stores them).
-func BuildUndirected(edges [][2]int64) (*Undirected, error) {
-	n := len(edges)
-	keys := make([]int64, 2*n)
-	vals := make([]int64, 2*n)
-	par.For(n, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			keys[i], vals[i] = edges[i][0], edges[i][1]
-			keys[n+i], vals[n+i] = edges[i][1], edges[i][0]
-		}
-	})
-	return buildUndirectedSorted(keys, vals)
-}
-
-// BuildUndirectedCols is BuildUndirected taking the edge list as two
-// parallel columns (see BuildDirectedCols).
+// BuildUndirectedCols constructs an undirected graph from an edge list
+// given as two parallel columns, with the same sort-first approach as
+// BuildDirectedCols; duplicates and reverse duplicates collapse, self-loops
+// are kept (stored once, as AddEdge stores them).
 func BuildUndirectedCols(srcs, dsts []int64) (*Undirected, error) {
 	if len(srcs) != len(dsts) {
 		return nil, fmt.Errorf("graph: bulk build column length mismatch: %d srcs, %d dsts", len(srcs), len(dsts))

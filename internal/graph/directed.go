@@ -4,8 +4,8 @@
 // node ids. Updates are cheap (deleting an edge is linear in the node
 // degree, not in the graph size), while sorted vectors keep neighborhood
 // scans and membership tests fast. The package also provides an undirected
-// variant, a multigraph with typed attributes (Network), and the static
-// Compressed Sparse Row representation the paper contrasts against.
+// variant and the flat Compressed Sparse Row views (View, UView) that
+// algorithms run over.
 package graph
 
 import (

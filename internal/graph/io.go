@@ -11,8 +11,8 @@ import (
 
 // LoadEdgeList reads a SNAP-style whitespace-separated edge list (lines of
 // "src dst", '#' comments and blank lines ignored) into a directed graph.
-// Comment lines of the form "# node <id>" declare a node without edges, the
-// convention SaveEdgeList uses so isolated nodes survive a text round trip.
+// Comment lines of the form "# node <id>" declare a node without edges, so
+// an edge list can carry isolated nodes.
 // This is the sequential reference loader; LoadEdgeListParallel accepts the
 // same inputs and builds the same graph using all cores.
 func LoadEdgeList(r io.Reader) (*Directed, error) {
@@ -82,50 +82,6 @@ func LoadEdgeListFile(path string) (*Directed, error) {
 	}
 	defer f.Close()
 	return LoadEdgeList(f)
-}
-
-// SaveEdgeList writes g as a tab-separated edge list in ascending source
-// order. Zero-degree nodes, which no edge line can carry, are written as
-// SNAP-compatible "# node <id>" comment lines so a save/load round trip
-// preserves the exact node set.
-func SaveEdgeList(w io.Writer, g *Directed) error {
-	bw := bufio.NewWriter(w)
-	var buf []byte
-	for _, src := range g.Nodes() {
-		if g.OutDeg(src) == 0 && g.InDeg(src) == 0 {
-			buf = append(buf[:0], "# node "...)
-			buf = strconv.AppendInt(buf, src, 10)
-			buf = append(buf, '\n')
-			if _, err := bw.Write(buf); err != nil {
-				return err
-			}
-			continue
-		}
-		for _, dst := range g.OutNeighbors(src) {
-			buf = buf[:0]
-			buf = strconv.AppendInt(buf, src, 10)
-			buf = append(buf, '\t')
-			buf = strconv.AppendInt(buf, dst, 10)
-			buf = append(buf, '\n')
-			if _, err := bw.Write(buf); err != nil {
-				return err
-			}
-		}
-	}
-	return bw.Flush()
-}
-
-// SaveEdgeListFile is SaveEdgeList writing to the named file.
-func SaveEdgeListFile(path string, g *Directed) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := SaveEdgeList(f, g); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }
 
 // Validate checks the structural invariants of a directed graph: adjacency

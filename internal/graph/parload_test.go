@@ -176,16 +176,13 @@ func TestSaveEdgeListKeepsIsolatedNodes(t *testing.T) {
 	g.AddEdge(2, 3)
 	g.AddNode(50) // isolated
 	g.AddNode(-7) // isolated, negative id
-	var sb strings.Builder
-	if err := SaveEdgeList(&sb, g); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(sb.String(), "# node 50\n") || !strings.Contains(sb.String(), "# node -7\n") {
-		t.Fatalf("isolated node comments missing from:\n%s", sb.String())
+	text := saveEdgeList(g)
+	if !strings.Contains(text, "# node 50\n") || !strings.Contains(text, "# node -7\n") {
+		t.Fatalf("isolated node comments missing from:\n%s", text)
 	}
 	for _, load := range []func() (*Directed, error){
-		func() (*Directed, error) { return LoadEdgeList(strings.NewReader(sb.String())) },
-		func() (*Directed, error) { return ParseEdgeList([]byte(sb.String())) },
+		func() (*Directed, error) { return LoadEdgeList(strings.NewReader(text)) },
+		func() (*Directed, error) { return ParseEdgeList([]byte(text)) },
 	} {
 		back, err := load()
 		if err != nil {
@@ -274,18 +271,19 @@ func TestBuildUndirectedMatchesAddEdge(t *testing.T) {
 	for seed := int64(0); seed < 6; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		n := 1000 + int(seed)*7000
-		edges := make([][2]int64, n)
+		srcs := make([]int64, n)
+		dsts := make([]int64, n)
 		ref := NewUndirected()
-		for i := range edges {
+		for i := range srcs {
 			src := rng.Int63n(300) - 150
 			dst := rng.Int63n(300) - 150
 			if rng.Intn(12) == 0 {
 				dst = src
 			}
-			edges[i] = [2]int64{src, dst}
+			srcs[i], dsts[i] = src, dst
 			ref.AddEdge(src, dst)
 		}
-		g, err := BuildUndirected(edges)
+		g, err := BuildUndirectedCols(srcs, dsts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -308,8 +306,8 @@ func TestBuildDirectedRejectsReservedID(t *testing.T) {
 	if _, err := BuildDirected([][2]int64{{tombstone, 1}}); err == nil {
 		t.Fatal("BuildDirected accepted the reserved id")
 	}
-	if _, err := BuildUndirected([][2]int64{{1, tombstone}}); err == nil {
-		t.Fatal("BuildUndirected accepted the reserved id")
+	if _, err := BuildUndirectedCols([]int64{1}, []int64{tombstone}); err == nil {
+		t.Fatal("BuildUndirectedCols accepted the reserved id")
 	}
 }
 

@@ -22,7 +22,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sort"
 	"strconv"
 	"strings"
 	"time"
@@ -171,16 +170,6 @@ var verbs = map[string]verb{
 // batch as workspace-replacing.
 func init() {
 	verbs["source"] = verb{run: (*Engine).cmdSource, mutates: true, files: true, replaces: true}
-}
-
-// Verbs returns the names of every command the engine evaluates, sorted.
-func Verbs() []string {
-	out := make([]string, 0, len(verbs))
-	for name := range verbs {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // ReadOnly reports whether the command line only reads workspace state.

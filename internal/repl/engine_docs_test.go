@@ -2,9 +2,20 @@ package repl
 
 import (
 	"os"
+	"sort"
 	"strings"
 	"testing"
 )
+
+// verbNames returns the names of every command the engine evaluates, sorted.
+func verbNames() []string {
+	out := make([]string, 0, len(verbs))
+	for name := range verbs {
+		out = append(out, name)
+	}
+	sort.Strings(out)
+	return out
+}
 
 // frontendVerbs are documented commands the engine never sees: the
 // terminal shell consumes them before Eval.
@@ -26,13 +37,13 @@ func TestCommandsDocCoversEveryVerb(t *testing.T) {
 			documented[strings.TrimSpace(name)] = true
 		}
 	}
-	for _, v := range Verbs() {
+	for _, v := range verbNames() {
 		if !documented[v] {
 			t.Errorf("verb %q is not documented in docs/COMMANDS.md (add a %q section)", v, "### "+v)
 		}
 	}
 	known := map[string]bool{}
-	for _, v := range Verbs() {
+	for _, v := range verbNames() {
 		known[v] = true
 	}
 	for name := range documented {
@@ -45,7 +56,7 @@ func TestCommandsDocCoversEveryVerb(t *testing.T) {
 // TestHelpTextCoversEveryVerb keeps the interactive help synopsis honest
 // the same way.
 func TestHelpTextCoversEveryVerb(t *testing.T) {
-	for _, v := range Verbs() {
+	for _, v := range verbNames() {
 		if !strings.Contains(HelpText, "\n  "+v+" ") && !strings.Contains(HelpText, "\n  "+v+"\n") {
 			t.Errorf("verb %q missing from HelpText", v)
 		}

@@ -1,6 +1,7 @@
 package repl
 
 import (
+	"fmt"
 	"os"
 	"reflect"
 	"strings"
@@ -15,7 +16,9 @@ import (
 // saveEdgeListForTest writes g as a text edge list, for loadgraph
 // format-sniffing tests.
 func saveEdgeListForTest(path string, g *graph.Directed) error {
-	return graph.SaveEdgeListFile(path, g)
+	var sb strings.Builder
+	g.ForEdges(func(src, dst int64) { fmt.Fprintf(&sb, "%d\t%d\n", src, dst) })
+	return os.WriteFile(path, []byte(sb.String()), 0o644)
 }
 
 // evalAll runs a script, failing the test on any error, and returns the

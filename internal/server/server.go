@@ -43,6 +43,7 @@
 package server
 
 import (
+	"bytes"
 	"crypto/subtle"
 	"encoding/json"
 	"errors"
@@ -734,10 +735,56 @@ func writeError(w http.ResponseWriter, status int, err error) {
 	writeJSON(w, status, map[string]string{"error": err.Error()})
 }
 
+// MaxBodyBytes bounds every request body the server and the coordinator
+// read. The largest body a client sends is a script, and the scripts in the
+// tree are a few KiB; 8 MiB leaves generated scripts room while one request
+// cannot make the process that holds every session buffer gigabytes.
+const MaxBodyBytes = 8 << 20
+
+// ReadHeaderTimeout is how long the server and coordinator binaries wait
+// for a connection's request headers, so a client that opens connections
+// and never finishes a request cannot pin them.
+const ReadHeaderTimeout = 10 * time.Second
+
+// ReadBody reads a request body of at most MaxBodyBytes, answering 413
+// past the bound and 400 when the read fails, and reports whether the
+// handler may go on. The coordinator reads bodies through it too, so it
+// never forwards a body the server would refuse.
+func ReadBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, MaxBodyBytes))
+	var tooBig *http.MaxBytesError
+	switch {
+	case err == nil:
+		return body, true
+	case errors.As(err, &tooBig):
+		writeError(w, http.StatusRequestEntityTooLarge, fmt.Errorf("request body over %d bytes", tooBig.Limit))
+	default:
+		writeError(w, http.StatusBadRequest, fmt.Errorf("reading request body: %w", err))
+	}
+	return nil, false
+}
+
+// decodeJSON decodes the request body into v, an empty body leaving v
+// zero, answering 400 for one that does not parse; it reports whether the
+// handler may go on.
+func decodeJSON(w http.ResponseWriter, r *http.Request, v any) bool {
+	body, ok := ReadBody(w, r)
+	if !ok {
+		return false
+	}
+	if len(bytes.TrimSpace(body)) == 0 {
+		return true
+	}
+	if err := json.Unmarshal(body, v); err != nil {
+		writeError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
+		return false
+	}
+	return true
+}
+
 func readCmd(w http.ResponseWriter, r *http.Request) (string, bool) {
 	var req cmdRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
+	if !decodeJSON(w, r, &req) {
 		return "", false
 	}
 	if strings.TrimSpace(req.Cmd) == "" {
@@ -751,10 +798,8 @@ func (s *Server) handleCreateSession(w http.ResponseWriter, r *http.Request) {
 	var req struct {
 		ID string `json:"id"`
 	}
-	// An empty body is fine (the server names the session); anything
-	// else must parse.
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil && err != io.EOF {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
+	// An empty body is fine: the server names the session.
+	if !decodeJSON(w, r, &req) {
 		return
 	}
 	id, err := s.CreateSession(req.ID)
@@ -867,8 +912,7 @@ func readScript(w http.ResponseWriter, r *http.Request) (*repl.Script, bool) {
 	var req struct {
 		Script string `json:"script"`
 	}
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
+	if !decodeJSON(w, r, &req) {
 		return nil, false
 	}
 	script, err := parseScriptBody(req.Script)
@@ -916,8 +960,7 @@ func (s *Server) handleSubmitJob(w http.ResponseWriter, r *http.Request) {
 		Cmd    string `json:"cmd"`
 		Script string `json:"script"`
 	}
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
+	if !decodeJSON(w, r, &req) {
 		return
 	}
 	cmd := strings.TrimSpace(req.Cmd)
@@ -956,8 +999,7 @@ func (s *Server) readPath(w http.ResponseWriter, r *http.Request) (string, bool)
 	var req struct {
 		Path string `json:"path"`
 	}
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
+	if !decodeJSON(w, r, &req) {
 		return "", false
 	}
 	if strings.TrimSpace(req.Path) == "" {

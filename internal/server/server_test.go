@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -967,5 +968,52 @@ func TestFingerprintsEndpoint(t *testing.T) {
 	// Unknown session: 404.
 	if code := doJSON(t, "GET", ts.URL+"/sessions/nope/fingerprints", nil, &struct{}{}); code != http.StatusNotFound {
 		t.Fatalf("missing session: status %d, want 404", code)
+	}
+}
+
+// oversized is a well-formed JSON body a few bytes over MaxBodyBytes whose
+// command, were it read, would mutate the session.
+func oversized(field, cmd string) []byte {
+	pad := strings.Repeat("x", MaxBodyBytes)
+	return []byte(`{"` + field + `":"` + cmd + `","pad":"` + pad + `"}`)
+}
+
+// TestOversizedBodyRejected sends each body-reading endpoint a body over
+// MaxBodyBytes: every one answers 413, and the session's bindings, their
+// versions and the session list are what they were before.
+func TestOversizedBodyRejected(t *testing.T) {
+	srv, ts := newTestServer(t, Config{AllowFileIO: true})
+	doJSON(t, "POST", ts.URL+"/sessions", map[string]string{"id": "s"}, nil)
+	query(t, ts.URL, "s", "gen rmat E 8 256 7")
+	query(t, ts.URL, "s", "tograph G E src dst")
+	before, err := srv.Fingerprints("s")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct{ path, field, cmd string }{
+		{"/sessions/s/query", "cmd", "rm E"},
+		{"/sessions/s/script", "script", "rm E"},
+		{"/sessions/s/jobs", "cmd", "rm E"},
+		{"/sessions/s/restore", "path", "elsewhere.rngs"},
+		{"/sessions", "id", "t"},
+	} {
+		resp, err := http.Post(ts.URL+c.path, "application/json", bytes.NewReader(oversized(c.field, c.cmd)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Errorf("POST %s: status %d, want 413", c.path, resp.StatusCode)
+		}
+	}
+	after, err := srv.Fingerprints("s")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(before, after) {
+		t.Fatalf("session changed by rejected bodies:\nbefore %+v\nafter  %+v", before, after)
+	}
+	if ids := srv.SessionIDs(); len(ids) != 1 {
+		t.Fatalf("sessions after rejected create = %v", ids)
 	}
 }

@@ -1,11 +1,11 @@
+// Package xhash is the integrity checksum of the workspace snapshot (RNGS)
+// and mapped graph image (RNGM) formats: a streaming 64-bit
+// FNV-1a hash finished with a splitmix64 avalanche. FNV-1a alone propagates
+// trailing-zero blocks weakly; the finalizer scrambles the state so that
+// single-bit corruption anywhere in an object payload flips roughly half the
+// checksum bits. This is an integrity check against truncation and bit rot,
+// not a cryptographic MAC.
 package xhash
-
-// Checksum support for the snapshot subsystem: a streaming 64-bit FNV-1a
-// hash finished with the same splitmix64 avalanche this package uses for
-// key mixing. FNV-1a alone propagates trailing-zero blocks weakly; the
-// finalizer scrambles the state so that single-bit corruption anywhere in
-// an object payload flips roughly half the checksum bits. This is an
-// integrity check against truncation and bit rot, not a cryptographic MAC.
 
 const (
 	fnvOffset = 14695981039346656037
@@ -49,4 +49,16 @@ func Checksum64(data []byte) uint64 {
 	d := NewDigest()
 	_, _ = d.Write(data)
 	return d.Sum64()
+}
+
+// mix is the splitmix64 finalizer. Every RNGS and RNGM checksum already
+// written to disk depends on it bit for bit, so it must never change.
+func mix(k int64) uint64 {
+	x := uint64(k)
+	x ^= x >> 30
+	x *= 0xbf58476d1ce4e5b9
+	x ^= x >> 27
+	x *= 0x94d049bb133111eb
+	x ^= x >> 31
+	return x
 }

@@ -209,7 +209,9 @@ func GetCommunities(g *UGraph, maxIters int, seed int64) map[int64]int {
 }
 
 // GetModularity scores a community assignment.
-func GetModularity(g *UGraph, comm map[int64]int) float64 { return algo.Modularity(g, comm) }
+func GetModularity(g *UGraph, comm map[int64]int) float64 {
+	return algo.ModularityView(graph.BuildUView(g), comm)
+}
 
 // Louvain maximizes modularity, returning the partition and its modularity.
 func Louvain(g *UGraph, maxPasses int) (map[int64]int, float64) {

@@ -1,13 +1,33 @@
 package ringo_test
 
 import (
+	"fmt"
+	"os"
+	"strings"
 	"testing"
 
 	"ringo"
-	"ringo/internal/conv"
 	"ringo/internal/gen"
 	"ringo/internal/graph"
 )
+
+// writeEdgeListFile writes g to path as a tab-separated edge list, each
+// zero-degree node as a "# node <id>" line so the node set survives.
+func writeEdgeListFile(t *testing.T, path string, g *graph.Directed) {
+	t.Helper()
+	var sb strings.Builder
+	for _, src := range g.Nodes() {
+		if g.OutDeg(src) == 0 && g.InDeg(src) == 0 {
+			fmt.Fprintf(&sb, "# node %d\n", src)
+		}
+		for _, dst := range g.OutNeighbors(src) {
+			fmt.Fprintf(&sb, "%d\t%d\n", src, dst)
+		}
+	}
+	if err := os.WriteFile(path, []byte(sb.String()), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
 
 // TestStackOverflowExpertDemo runs the paper's §4.1 demo end to end on the
 // synthetic posts table: load posts, select the Java ones, split questions
@@ -124,9 +144,7 @@ func TestFigure2Workflow(t *testing.T) {
 func TestRoundTripThroughEdgeListFile(t *testing.T) {
 	g := gen.GNM(50, 200, 9)
 	path := t.TempDir() + "/g.tsv"
-	if err := graph.SaveEdgeListFile(path, g); err != nil {
-		t.Fatal(err)
-	}
+	writeEdgeListFile(t, path, g)
 	back, err := graph.LoadEdgeListFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -153,12 +171,17 @@ func TestFacadeBulkBuild(t *testing.T) {
 	if g.NumNodes() != 4 || g.NumEdges() != 4 { // duplicate collapsed, self-loop kept
 		t.Fatalf("BuildDirected: %d nodes, %d edges", g.NumNodes(), g.NumEdges())
 	}
-	u, err := graph.BuildUndirected(edges)
+	srcs := make([]int64, len(edges))
+	dsts := make([]int64, len(edges))
+	for i, e := range edges {
+		srcs[i], dsts[i] = e[0], e[1]
+	}
+	u, err := graph.BuildUndirectedCols(srcs, dsts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if u.NumNodes() != 4 || u.NumEdges() != 4 {
-		t.Fatalf("BuildUndirected: %d nodes, %d edges", u.NumNodes(), u.NumEdges())
+		t.Fatalf("BuildUndirectedCols: %d nodes, %d edges", u.NumNodes(), u.NumEdges())
 	}
 }
 
@@ -167,9 +190,7 @@ func TestEdgeListRoundTripKeepsIsolatedNodes(t *testing.T) {
 	g.AddEdge(1, 2)
 	g.AddNode(99)
 	path := t.TempDir() + "/iso.tsv"
-	if err := graph.SaveEdgeListFile(path, g); err != nil {
-		t.Fatal(err)
-	}
+	writeEdgeListFile(t, path, g)
 	for _, load := range []func(string) (*ringo.Graph, error){
 		graph.LoadEdgeListFile, ringo.LoadEdgeListParallel, graph.LoadFileAuto,
 	} {
@@ -189,9 +210,12 @@ func TestNaiveToGraphMatches(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	naive, err := conv.NaiveToDirected(tbl, "src", "dst")
-	if err != nil {
-		t.Fatal(err)
+	// The per-edge-insert baseline: one AddEdge per row.
+	naive := graph.NewDirected()
+	src, _ := tbl.IntCol("src")
+	dst, _ := tbl.IntCol("dst")
+	for i := range src {
+		naive.AddEdge(src[i], dst[i])
 	}
 	if fast.NumNodes() != naive.NumNodes() || fast.NumEdges() != naive.NumEdges() {
 		t.Fatal("conversion variants disagree")

@@ -22,14 +22,15 @@
 package main
 
 import (
+	"context"
 	"flag"
-	"fmt"
 	"log"
 	"log/slog"
 	"net/http"
 	"os"
 	"os/signal"
 	"strings"
+	"syscall"
 	"time"
 
 	"ringo/internal/cluster"
@@ -105,18 +106,12 @@ func main() {
 	}
 	coord.Start()
 
-	httpSrv := &http.Server{Addr: *addr, Handler: coord, ReadHeaderTimeout: server.ReadHeaderTimeout}
-	go func() {
-		sig := make(chan os.Signal, 1)
-		signal.Notify(sig, os.Interrupt)
-		<-sig
-		fmt.Fprintln(os.Stderr, "ringo-coord: shutting down")
-		_ = httpSrv.Close()
-	}()
-
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
 	log.Printf("ringo-coord listening on %s (primary %s, %d replicas, session %q)",
 		*addr, *primary, len(replicaURLs), *session)
-	if err := httpSrv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
+	if err := server.ListenAndServe(ctx, &http.Server{Addr: *addr, Handler: coord}); err != nil {
 		log.Fatalf("ringo-coord: %v", err)
 	}
+	log.Print("ringo-coord: drained, shutting down")
 }

@@ -38,14 +38,15 @@
 package main
 
 import (
+	"context"
 	"flag"
-	"fmt"
 	"log"
 	"log/slog"
 	"net/http"
 	"net/http/pprof"
 	"os"
 	"os/signal"
+	"syscall"
 
 	"ringo/internal/server"
 )
@@ -113,17 +114,11 @@ func main() {
 		log.Printf("ringo-server: restored session %q from %s", *restoreSession, *restorePath)
 	}
 
-	httpSrv := &http.Server{Addr: *addr, Handler: srv, ReadHeaderTimeout: server.ReadHeaderTimeout}
-	go func() {
-		sig := make(chan os.Signal, 1)
-		signal.Notify(sig, os.Interrupt)
-		<-sig
-		fmt.Fprintln(os.Stderr, "ringo-server: shutting down")
-		_ = httpSrv.Close()
-	}()
-
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
 	log.Printf("ringo-server listening on %s", *addr)
-	if err := httpSrv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
+	if err := server.ListenAndServe(ctx, &http.Server{Addr: *addr, Handler: srv}); err != nil {
 		log.Fatalf("ringo-server: %v", err)
 	}
+	log.Print("ringo-server: drained, shutting down")
 }

@@ -2,8 +2,8 @@ package algo
 
 import (
 	"maps"
+	"math"
 	"path/filepath"
-	"slices"
 	"testing"
 
 	"ringo/internal/extmem"
@@ -11,9 +11,14 @@ import (
 	"ringo/internal/graph"
 )
 
+// The mapped tier has no kernels of its own: loadgraph serves an RNGM
+// image as a *graph.View and every verb runs the heap kernel over it. The
+// tests below are that tier's oracle — each kernel over the mapped view
+// must give exactly the answer it gives over the heap view.
+
 // mapView round-trips v through an RNGM file and returns the mapped view,
-// so the equivalence tests exercise the real storage tier (binary-searched
-// Index, aliased arenas), not just a second heap view.
+// so the tests exercise the real storage tier (binary-searched Index,
+// aliased arenas), not just a second heap view.
 func mapView(t testing.TB, v *graph.View) *graph.View {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "g.rngm")
@@ -28,18 +33,9 @@ func mapView(t testing.TB, v *graph.View) *graph.View {
 	return mg.View()
 }
 
-// shrinkBlocks forces multi-block semi-external schedules on test-sized
-// graphs so the skip logic actually runs.
-func shrinkBlocks(t *testing.T, size int) {
-	t.Helper()
-	old := extBlockSize
-	extBlockSize = size
-	t.Cleanup(func() { extBlockSize = old })
-}
-
-// extTestGraphs yields the awkward shapes the equality contract names:
-// random graphs, isolated nodes, tombstoned (deleted) slots, and a
-// multi-component graph where BFS leaves most blocks inactive.
+// extTestGraphs yields the awkward shapes for the mapped tier: random
+// graphs, isolated nodes, tombstoned (deleted) slots, and a graph of two
+// components far apart in the dense ordering.
 func extTestGraphs() map[string]*graph.Directed {
 	gs := map[string]*graph.Directed{
 		"gnm":  gen.GNM(500, 4000, 3),
@@ -65,35 +61,52 @@ func extTestGraphs() map[string]*graph.Directed {
 	return gs
 }
 
-func TestPageRankExtMatchesView(t *testing.T) {
-	shrinkBlocks(t, 37)
+// sameComponents reports whether two labelings agree on labels, count and
+// largest size.
+func sameComponents(a, b Components) bool {
+	return a.Count == b.Count && a.MaxSize == b.MaxSize && maps.Equal(a.Label, b.Label)
+}
+
+func TestMappedPageRankBitIdentical(t *testing.T) {
 	for name, g := range extTestGraphs() {
 		v := graph.BuildView(g)
-		mv := mapView(t, v)
 		want := PageRankView(v, DefaultDamping, 10)
-		got := PageRankExt(mv, DefaultDamping, 10)
-		if !slices.Equal(want, got) {
-			t.Errorf("%s: PageRankExt scores differ from PageRankView (want %d scores, got %d)", name, len(want), len(got))
+		got := PageRankView(mapView(t, v), DefaultDamping, 10)
+		if len(got) != len(want) {
+			t.Fatalf("%s: mapped PageRank scored %d nodes, heap %d", name, len(got), len(want))
+		}
+		for i := range want {
+			if got[i].ID != want[i].ID || math.Float64bits(got[i].Score) != math.Float64bits(want[i].Score) {
+				t.Fatalf("%s: mapped PageRank[%d] = (%d, %x), heap (%d, %x)", name, i,
+					got[i].ID, math.Float64bits(got[i].Score), want[i].ID, math.Float64bits(want[i].Score))
+			}
 		}
 	}
 }
 
-func TestWCCExtMatchesView(t *testing.T) {
-	shrinkBlocks(t, 41)
+func TestMappedWCCMatchesHeap(t *testing.T) {
 	for name, g := range extTestGraphs() {
 		v := graph.BuildView(g)
-		mv := mapView(t, v)
-		want := WCCView(v)
-		got := WCCExt(mv)
-		if want.Count != got.Count || want.MaxSize != got.MaxSize || !maps.Equal(want.Label, got.Label) {
-			t.Errorf("%s: WCCExt labeling differs from WCCView (count %d vs %d, max %d vs %d)",
-				name, want.Count, got.Count, want.MaxSize, got.MaxSize)
+		want, got := WCCView(v), WCCView(mapView(t, v))
+		if !sameComponents(want, got) {
+			t.Errorf("%s: mapped WCC differs from heap (count %d vs %d, max %d vs %d)",
+				name, got.Count, want.Count, got.MaxSize, want.MaxSize)
 		}
 	}
 }
 
-func TestBFSExtMatchesView(t *testing.T) {
-	shrinkBlocks(t, 29)
+func TestMappedSCCMatchesHeap(t *testing.T) {
+	for name, g := range extTestGraphs() {
+		v := graph.BuildView(g)
+		want, got := SCCView(v), SCCView(mapView(t, v))
+		if !sameComponents(want, got) {
+			t.Errorf("%s: mapped SCC differs from heap (count %d vs %d, max %d vs %d)",
+				name, got.Count, want.Count, got.MaxSize, want.MaxSize)
+		}
+	}
+}
+
+func TestMappedBFSMatchesHeap(t *testing.T) {
 	for name, g := range extTestGraphs() {
 		v := graph.BuildView(g)
 		if v.NumNodes() == 0 {
@@ -103,53 +116,42 @@ func TestBFSExtMatchesView(t *testing.T) {
 		srcs := []int64{v.ID(0), v.ID(int32(v.NumNodes() / 2)), v.ID(int32(v.NumNodes() - 1))}
 		for _, src := range srcs {
 			for _, dir := range []EdgeDir{Out, In, Both} {
-				want := BFSView(v, src, dir)
-				got := BFSExt(mv, src, dir)
+				want, got := BFSView(v, src, dir), BFSView(mv, src, dir)
 				if !maps.Equal(want, got) {
-					t.Errorf("%s: BFSExt(src=%d, dir=%d) differs from BFSView (%d vs %d reached)",
-						name, src, dir, len(want), len(got))
+					t.Errorf("%s: mapped BFS(src=%d, dir=%d) differs from heap (%d vs %d reached)",
+						name, src, dir, len(got), len(want))
 				}
 			}
 		}
 	}
 }
 
-func TestBFSExtUnknownSource(t *testing.T) {
-	v := graph.BuildView(gen.GNM(50, 200, 1))
-	if got := BFSExt(v, 1<<40, Out); got != nil {
-		t.Fatalf("BFSExt from absent source = %v, want nil", got)
+func TestMappedBFSUnknownSource(t *testing.T) {
+	mv := mapView(t, graph.BuildView(gen.GNM(50, 200, 1)))
+	if got := BFSView(mv, 1<<40, Out); got != nil {
+		t.Fatalf("mapped BFS from an absent source = %v, want nil", got)
 	}
 }
 
-func TestExtBlockStatsAdvance(t *testing.T) {
-	shrinkBlocks(t, 16)
-	// A two-component graph where one component is far from the other in
-	// the dense ordering: BFS from inside one component must skip the
-	// other's blocks.
-	g := gen.Ring(128)
-	far := gen.Ring(128)
-	far.ForEdges(func(src, dst int64) { g.AddEdge(src+100000, dst+100000) })
-	v := graph.BuildView(g)
-
-	s0, k0 := ExtBlockStats()
-	BFSExt(v, v.ID(0), Out)
-	s1, k1 := ExtBlockStats()
-	if s1 <= s0 {
-		t.Fatalf("scanned counter did not advance (%d -> %d)", s0, s1)
-	}
-	if k1 <= k0 {
-		t.Fatalf("skipped counter did not advance (%d -> %d): selective scheduling scanned every block", k0, k1)
+func TestMappedTrianglesMatchHeap(t *testing.T) {
+	for name, g := range extTestGraphs() {
+		v := graph.BuildView(g)
+		want := TrianglesView(graph.ProjectUView(v))
+		got := TrianglesView(graph.ProjectUView(mapView(t, v)))
+		if got != want {
+			t.Errorf("%s: mapped triangles = %d, heap %d", name, got, want)
+		}
 	}
 }
 
-// BenchmarkPageRankExt runs semi-external PageRank over a mapped RNGM
-// image — the number to put against BenchmarkPageRank-style in-heap runs
-// and the CI smoke that keeps the mapped pipeline compiling end to end.
-func BenchmarkPageRankExt(b *testing.B) {
+// BenchmarkPageRankMapped runs PageRank over a mapped RNGM image — the
+// number to put against an in-heap run of the same kernel and the CI
+// smoke that keeps the mapped pipeline compiling end to end.
+func BenchmarkPageRankMapped(b *testing.B) {
 	g := gen.GNM(1<<15, 1<<18, 42)
 	mv := mapView(b, graph.BuildView(g))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		PageRankExt(mv, DefaultDamping, 5)
+		PageRankView(mv, DefaultDamping, 5)
 	}
 }

@@ -116,13 +116,12 @@ func pageRankPerEdge(v *graph.View, damping float64, iters int, parallel bool) [
 	return pr
 }
 
-// TestPageRankBitIdentical pins PageRankView and PageRankExt
-// to the per-edge-division reference bit for bit, over the shape families
-// of the oracle suites (G(n,m), ring, star, isolated nodes, tombstoned
-// slots), on one core and on four — the dangling-mass fold order follows
-// the worker count, so each count is its own case.
+// TestPageRankBitIdentical pins PageRankView to the per-edge-division
+// reference bit for bit, over the shape families of the oracle suites
+// (G(n,m), ring, star, isolated nodes, tombstoned slots), on one core and
+// on four — the dangling-mass fold order follows the worker count, so each
+// count is its own case.
 func TestPageRankBitIdentical(t *testing.T) {
-	shrinkBlocks(t, 37)
 	graphs := extTestGraphs()
 	graphs["rmat"] = rmatGraph(10, 6000, 3)
 	for _, procs := range []int{1, 4} {
@@ -143,7 +142,6 @@ func TestPageRankBitIdentical(t *testing.T) {
 			}
 			want := pageRankPerEdge(v, DefaultDamping, 10, true)
 			same("PageRankView", PageRankView(v, DefaultDamping, 10), want)
-			same("PageRankExt", PageRankExt(v, DefaultDamping, 10), want)
 		}
 		runtime.GOMAXPROCS(old)
 	}

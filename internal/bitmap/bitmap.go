@@ -109,18 +109,6 @@ func (b *Bitmap) Or(o *Bitmap) {
 	})
 }
 
-// AndNot removes o's bits from b in place (b &^= o). Panics on length
-// mismatch.
-func (b *Bitmap) AndNot(o *Bitmap) {
-	b.sameLen(o)
-	bw, ow := b.words, o.words
-	par.For(len(bw), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			bw[i] &^= ow[i]
-		}
-	})
-}
-
 // Not complements b in place, masking the tail so bits past Len stay zero.
 func (b *Bitmap) Not() {
 	bw := b.words

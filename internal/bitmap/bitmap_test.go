@@ -88,14 +88,6 @@ func TestWordOpsAgainstReference(t *testing.T) {
 		}
 		checkAgainst(t, or, wantOr, "Or")
 
-		andNot := a.Clone()
-		andNot.AndNot(c)
-		wantAndNot := make([]bool, n)
-		for i := range wantAndNot {
-			wantAndNot[i] = ra[i] && !rc[i]
-		}
-		checkAgainst(t, andNot, wantAndNot, "AndNot")
-
 		not := a.Clone()
 		not.Not()
 		wantNot := make([]bool, n)

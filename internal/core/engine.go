@@ -180,8 +180,8 @@ type Workspace struct {
 
 // NewWorkspace returns an empty workspace with a view cache of
 // DefaultViewCacheEntries and an equality-index cache of
-// DefaultIndexCacheEntries; resize or disable them with ConfigureViewCache
-// and ConfigureIndexCache.
+// DefaultIndexCacheEntries; resize or disable the view cache with
+// ConfigureViewCache.
 func NewWorkspace() *Workspace {
 	return &Workspace{
 		objs:       make(map[string]Object),
@@ -209,15 +209,6 @@ func (w *Workspace) ViewCacheStats() (hits, misses uint64, entries int, bytes in
 	w.mu.RLock()
 	defer w.mu.RUnlock()
 	return w.views.Stats()
-}
-
-// ConfigureIndexCache resizes the workspace's equality-index cache;
-// maxEntries < 1 disables caching (every TableEqIndex call rebuilds). The
-// previous cache's contents are discarded.
-func (w *Workspace) ConfigureIndexCache(maxEntries int) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	w.indexes = lru.New[indexKey, cachedIndex](maxEntries)
 }
 
 // IndexCacheStats reports the equality-index cache's cumulative hits and
@@ -561,20 +552,6 @@ func (w *Workspace) Names() []string {
 	w.mu.RLock()
 	defer w.mu.RUnlock()
 	return append([]string(nil), w.order...)
-}
-
-// MappedGraph returns the mapped graph bound to name or an error.
-func (w *Workspace) MappedGraph(name string) (*extmem.Graph, error) {
-	w.mu.RLock()
-	defer w.mu.RUnlock()
-	o, ok := w.objs[name]
-	if !ok {
-		return nil, fmt.Errorf("no object named %q", name)
-	}
-	if o.Mapped == nil {
-		return nil, fmt.Errorf("%q is a %s, not a mapped graph", name, o.Kind())
-	}
-	return o.Mapped, nil
 }
 
 // MappedBytes reports the total size of RNGM images bound in the

@@ -75,9 +75,6 @@ func TestWorkspaceMappedBinding(t *testing.T) {
 	if _, err := ws.Graph("m"); err == nil {
 		t.Fatalf("Graph() handed out a mutable handle to a mapped graph")
 	}
-	if _, err := ws.MappedGraph("m"); err != nil {
-		t.Fatalf("MappedGraph: %v", err)
-	}
 
 	// Snapshots exclude mapped bindings with a pointed error.
 	var buf bytes.Buffer

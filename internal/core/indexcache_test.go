@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"ringo/internal/lru"
 	"ringo/internal/table"
 )
 
@@ -218,7 +219,7 @@ func TestIndexBuildErrorsCached(t *testing.T) {
 	ws := NewWorkspace()
 	tbl := testTable(t, 300, 300, 7) // k has ~300 distinct values
 	ws.Set("t", Object{Table: tbl})
-	ws.ConfigureIndexCache(8)
+	ws.indexes = lru.New[indexKey, cachedIndex](8)
 
 	warm(t, ws, "t", "score")
 	warm(t, ws, "t", "none")
@@ -285,7 +286,7 @@ func TestIndexPurgeExactName(t *testing.T) {
 
 func TestIndexCacheLRUBound(t *testing.T) {
 	ws := NewWorkspace()
-	ws.ConfigureIndexCache(2)
+	ws.indexes = lru.New[indexKey, cachedIndex](2)
 	for i := 0; i < 4; i++ {
 		name := fmt.Sprintf("t%d", i)
 		ws.Set(name, Object{Table: testTable(t, 100, 5, int64(i))})
@@ -301,7 +302,7 @@ func TestIndexCacheLRUBound(t *testing.T) {
 
 func TestIndexCacheDisabled(t *testing.T) {
 	ws := NewWorkspace()
-	ws.ConfigureIndexCache(0)
+	ws.indexes = lru.New[indexKey, cachedIndex](0)
 	ws.Set("t", Object{Table: testTable(t, 200, 5, 11)})
 	x1, err := ws.TableEqIndex("t", "k")
 	if err != nil {

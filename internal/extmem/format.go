@@ -3,8 +3,8 @@
 // paper (Perez et al., SIGMOD 2015) assumes a big-memory machine; GraphMP's
 // semi-external recipe — vertex state in RAM, edge arrays in mapped on-disk
 // blocks — removes that assumption. This package provides the on-disk
-// format (RNGM) plus the mapped loader; internal/algo provides the
-// semi-external algorithm variants that stream blocks from a mapped view.
+// format (RNGM) plus the mapped loader; the mapped view it serves is an
+// ordinary graph.View, so the heap kernels run over it unchanged.
 //
 // RNGM layout (all integers little endian):
 //

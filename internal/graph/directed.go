@@ -246,18 +246,6 @@ func (g *Directed) IDAtSlot(s int) (int64, bool) {
 	return id, id != tombstone
 }
 
-// SlotOf returns the slot of a node id.
-func (g *Directed) SlotOf(id int64) (int, bool) {
-	s, ok := g.idx[id]
-	return int(s), ok
-}
-
-// OutAtSlot returns the sorted out-neighbors of the node at slot s.
-func (g *Directed) OutAtSlot(s int) []int64 { return g.outAdj[s] }
-
-// InAtSlot returns the sorted in-neighbors of the node at slot s.
-func (g *Directed) InAtSlot(s int) []int64 { return g.inAdj[s] }
-
 // setAdjBulk installs pre-sorted adjacency vectors for a node created by
 // the bulk builder. It trusts the caller (internal/conv) to pass vectors
 // that are sorted and duplicate-free.

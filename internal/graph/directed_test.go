@@ -201,16 +201,17 @@ func TestDirectedBytesScalesWithEdges(t *testing.T) {
 func TestDirectedSlotAccess(t *testing.T) {
 	g := NewDirected()
 	g.AddEdge(5, 6)
-	s, ok := g.SlotOf(5)
+	slot, ok := g.idx[5]
 	if !ok {
-		t.Fatal("SlotOf missing")
+		t.Fatal("slot of 5 missing")
 	}
+	s := int(slot)
 	id, live := g.IDAtSlot(s)
 	if !live || id != 5 {
 		t.Fatalf("IDAtSlot = (%d,%v)", id, live)
 	}
-	if len(g.OutAtSlot(s)) != 1 || g.OutAtSlot(s)[0] != 6 {
-		t.Fatal("OutAtSlot wrong")
+	if len(g.outAdj[s]) != 1 || g.outAdj[s][0] != 6 {
+		t.Fatal("out-neighbors at slot wrong")
 	}
 	g.DelNode(5)
 	if _, live := g.IDAtSlot(s); live {

@@ -197,15 +197,6 @@ func (g *Undirected) IDAtSlot(s int) (int64, bool) {
 	return id, id != tombstone
 }
 
-// SlotOf returns the slot of a node id.
-func (g *Undirected) SlotOf(id int64) (int, bool) {
-	s, ok := g.idx[id]
-	return int(s), ok
-}
-
-// AdjAtSlot returns the sorted neighbors of the node at slot s.
-func (g *Undirected) AdjAtSlot(s int) []int64 { return g.adj[s] }
-
 // setAdjBulk installs a pre-sorted adjacency vector (bulk build fast path).
 func (g *Undirected) setAdjBulk(id int64, adj []int64) {
 	s := g.idx[id]

@@ -110,17 +110,6 @@ func (s *Script) TouchesFiles() int {
 	return -1
 }
 
-// ReplacesWorkspace reports whether any step swaps out the entire
-// workspace contents (restore, or a nested source).
-func (s *Script) ReplacesWorkspace() bool {
-	for _, st := range s.Steps {
-		if ReplacesWorkspace(st.Cmd) {
-			return true
-		}
-	}
-	return false
-}
-
 // StepResult is the outcome of one executed script step: either Result or
 // Error is set. ElapsedNS is the step's wall-clock time, which includes
 // lock-free engine dispatch but no queueing — the per-step cost a batched

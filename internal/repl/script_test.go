@@ -3,9 +3,14 @@ package repl
 import (
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
+
+// replacesWorkspace reports whether a script step swaps out the entire
+// workspace, the per-step test the server applies.
+func replacesWorkspace(st Step) bool { return ReplacesWorkspace(st.Cmd) }
 
 func TestParseScript(t *testing.T) {
 	src := `
@@ -63,7 +68,7 @@ func TestParseScriptErrors(t *testing.T) {
 
 func TestScriptClassification(t *testing.T) {
 	ro, _ := ParseScript("ls\nalgo G wcc\ntop PR")
-	if !ro.ReadOnly() || ro.TouchesFiles() != -1 || ro.ReplacesWorkspace() {
+	if !ro.ReadOnly() || ro.TouchesFiles() != -1 || slices.ContainsFunc(ro.Steps, replacesWorkspace) {
 		t.Error("read-only script misclassified")
 	}
 	mut, _ := ParseScript("ls\ngen rmat E 8 100 1")
@@ -75,7 +80,7 @@ func TestScriptClassification(t *testing.T) {
 		t.Errorf("TouchesFiles: got step %d, want 1", got)
 	}
 	repl, _ := ParseScript("ls\nrestore /tmp/x")
-	if !repl.ReplacesWorkspace() {
+	if !slices.ContainsFunc(repl.Steps, replacesWorkspace) {
 		t.Error("restore script not classified workspace-replacing")
 	}
 }

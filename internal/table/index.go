@@ -26,7 +26,6 @@ var ErrHighCardinality = errors.New("table: column cardinality exceeds equality-
 // core layer, so staleness is impossible by construction: any workspace
 // mutation moves the fingerprint and the index is dropped.
 type EqIndex struct {
-	col   string
 	typ   Type
 	rows  int
 	vals  map[int64]*bitmap.Bitmap
@@ -52,7 +51,7 @@ func BuildEqIndex(t *Table, col string, maxCard int) (*EqIndex, error) {
 	}
 	// Count distinct values first, so an over-cap column allocates no bitmap.
 	n := t.NumRows()
-	idx := &EqIndex{col: col, typ: t.cols[i].Type, rows: n, vals: make(map[int64]*bitmap.Bitmap)}
+	idx := &EqIndex{typ: t.cols[i].Type, rows: n, vals: make(map[int64]*bitmap.Bitmap)}
 	for _, v := range t.ints[i] {
 		if _, ok := idx.vals[v]; !ok {
 			if len(idx.vals) >= maxCard {
@@ -72,14 +71,8 @@ func BuildEqIndex(t *Table, col string, maxCard int) (*EqIndex, error) {
 	return idx, nil
 }
 
-// Col returns the indexed column's name.
-func (x *EqIndex) Col() string { return x.col }
-
 // Rows returns the row count the index was built over.
 func (x *EqIndex) Rows() int { return x.rows }
-
-// Cardinality returns the number of distinct values indexed.
-func (x *EqIndex) Cardinality() int { return len(x.vals) }
 
 // Bytes estimates the index's resident size, for cache accounting.
 func (x *EqIndex) Bytes() int64 { return x.bytes }

@@ -118,9 +118,9 @@ func (t *Table) Select(col string, op CmpOp, val any) (*Table, error) {
 //
 // Aliasing contract: the receiver keeps its own column storage (rows are
 // compacted forward and the slices truncated, preserving capacity) and its
-// string-pool identity — a *strpool.Pool obtained from Pool() before the
-// call remains the table's pool after it. Raw column slices previously
-// obtained from IntCol/FloatCol alias the compacted storage.
+// string-pool identity — the table's *strpool.Pool before the call remains
+// its pool after it. Raw column slices previously obtained from
+// IntCol/FloatCol alias the compacted storage.
 func (t *Table) SelectInPlace(col string, op CmpOp, val any) (int, error) {
 	leaf, err := t.resolveLeaf(col, op, val)
 	if err != nil {

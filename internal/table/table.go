@@ -189,9 +189,6 @@ func (t *Table) ColType(name string) (Type, error) {
 // slice is the table's own storage; callers must not modify it.
 func (t *Table) RowIDs() []int64 { return t.rowIDs }
 
-// Pool returns the table's string pool.
-func (t *Table) Pool() *strpool.Pool { return t.pool }
-
 // AppendRow appends one row. vals must match the schema; accepted Go types
 // are int, int32, int64 for Int columns, float64 (or int) for Float columns,
 // and string for String columns.

@@ -164,7 +164,7 @@ func TestSelectInPlaceMatchesSelect(t *testing.T) {
 		if err != nil {
 			continue // both paths reject identically; covered above
 		}
-		if _, err := b.SelectExprInPlace(expr); err != nil {
+		if _, err := selectExprInPlace(b, expr); err != nil {
 			t.Fatalf("in-place rejected %q the copying path accepted: %v", expr, err)
 		}
 		sameSelection(t, b, out, fmt.Sprintf("in-place expr %q", expr))
@@ -188,17 +188,17 @@ func TestSelectInPlaceMatchesSelect(t *testing.T) {
 // retained pool must observe those ids in the table.
 func TestSelectInPlaceKeepsPoolIdentity(t *testing.T) {
 	tbl := postsTable(t)
-	pool := tbl.Pool()
-	if _, err := tbl.SelectExprInPlace("Tag = Java"); err != nil {
+	pool := tbl.pool
+	if _, err := selectExprInPlace(tbl, "Tag = Java"); err != nil {
 		t.Fatal(err)
 	}
-	if tbl.Pool() != pool {
-		t.Fatal("SelectExprInPlace replaced the table's string pool")
+	if tbl.pool != pool {
+		t.Fatal("in-place expression select replaced the table's string pool")
 	}
 	if _, err := tbl.SelectInPlace("Type", EQ, "question"); err != nil {
 		t.Fatal(err)
 	}
-	if tbl.Pool() != pool {
+	if tbl.pool != pool {
 		t.Fatal("SelectInPlace replaced the table's string pool")
 	}
 	// The surviving table still round-trips through the retained pool.

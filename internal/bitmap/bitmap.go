@@ -66,11 +66,6 @@ func (b *Bitmap) tailMask() uint64 {
 	return ^uint64(0)
 }
 
-// Reset zeroes every bit.
-func (b *Bitmap) Reset() {
-	clear(b.words)
-}
-
 // SetAll sets every bit in [0, Len).
 func (b *Bitmap) SetAll() {
 	for i := range b.words {

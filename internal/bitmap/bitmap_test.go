@@ -113,11 +113,6 @@ func TestSetAllReset(t *testing.T) {
 		if b.Count() != 0 {
 			t.Fatalf("n=%d: complement of all-ones counts %d", n, b.Count())
 		}
-		b.SetAll()
-		b.Reset()
-		if b.Count() != 0 {
-			t.Fatalf("n=%d: Reset left %d bits", n, b.Count())
-		}
 	}
 }
 

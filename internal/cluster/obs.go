@@ -50,19 +50,6 @@ const (
 	metricTargetIndexMisses  = "ringo_cluster_index_cache_misses_total"
 )
 
-// metricNames lists every family this package registers, for the
-// docs-drift test.
-func metricNames() []string {
-	return []string{
-		metricReplicas, metricGeneration, metricRequests, metricErrors,
-		metricRequestDuration, metricRetries, metricShips, metricShipFailures,
-		metricShipRejects, metricShipBytes, metricShipDuration, metricTargetUp,
-		metricTargetResultHits, metricTargetResultMisses,
-		metricTargetViewHits, metricTargetViewMisses,
-		metricTargetIndexHits, metricTargetIndexMisses,
-	}
-}
-
 // cacheBlock mirrors one hits/misses/entries/bytes block of the server's
 // GET /stats JSON.
 type cacheBlock struct {

@@ -231,3 +231,16 @@ func checkExposition(t *testing.T, out string) {
 		}
 	}
 }
+
+// metricNames lists every family this package registers, for the
+// docs-drift test.
+func metricNames() []string {
+	return []string{
+		metricReplicas, metricGeneration, metricRequests, metricErrors,
+		metricRequestDuration, metricRetries, metricShips, metricShipFailures,
+		metricShipRejects, metricShipBytes, metricShipDuration, metricTargetUp,
+		metricTargetResultHits, metricTargetResultMisses,
+		metricTargetViewHits, metricTargetViewMisses,
+		metricTargetIndexHits, metricTargetIndexMisses,
+	}
+}

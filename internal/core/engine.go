@@ -153,7 +153,7 @@ func schemaString(t *table.Table) string {
 // are different: they bump the version but keep the binding's cached views
 // resident and append to its delta log, so the next query patches the
 // pending deltas onto a cached base view (graph.PatchView) instead of
-// rebuilding — as long as the batch stays under the ConfigurePatching
+// rebuilding — as long as the batch stays under the DefaultPatchRatio
 // threshold. That query's view then supersedes its base: the fill drops
 // the binding's lower-version views of its orientation. See incremental.go
 // for the delta-log machinery.
@@ -169,9 +169,10 @@ type Workspace struct {
 	views   *viewCache // nil when disabled, like indexes
 	indexes *indexCache
 	// deltas holds each graph binding's pending mutation log; patchRatio
-	// is the patch-vs-rebuild threshold; patches/rebuilds count how view
-	// materializations were served (they are touched inside cache build
-	// closures, outside mu — hence atomics).
+	// is the patch-vs-rebuild threshold (DefaultPatchRatio; tests set
+	// their own, and <= 0 rebuilds on every miss); patches/rebuilds count
+	// how view materializations were served (they are touched inside
+	// cache build closures, outside mu — hence atomics).
 	deltas     map[string]*deltaLog
 	patchRatio float64
 	patches    atomic.Uint64

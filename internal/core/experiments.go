@@ -1,10 +1,8 @@
 package core
 
 import (
-	"bytes"
 	"fmt"
 	"math/rand"
-	"os"
 	"sort"
 	"time"
 
@@ -12,8 +10,6 @@ import (
 	"ringo/internal/catalog"
 	"ringo/internal/conv"
 	"ringo/internal/graph"
-	"ringo/internal/obs"
-	"ringo/internal/par"
 	"ringo/internal/table"
 )
 
@@ -298,282 +294,5 @@ func Footprint(spec Spec) (Report, error) {
 	d = HeapDelta(func() { algo.TrianglesView(graph.BuildUView(u)) })
 	r.Rows = append(r.Rows, []string{"Triangle Counting", MB(ub), MB(d), fmt.Sprintf("%.2fx", float64(d)/float64(ub))})
 	r.Notes = append(r.Notes, "paper shape: footprint below 2x the graph object size")
-	return r, nil
-}
-
-// ObsOverhead measures the observability layer's tax on the hot path: the
-// per-op cost of the lock-free internal/obs primitives, the per-call cost
-// of the algo timing hook in both states (uninstalled: one atomic load;
-// installed: a clock read plus a histogram record), the end-to-end effect
-// on a real kernel, and the cost of rendering a /metrics scrape.
-func ObsOverhead(spec Spec) (Report, error) {
-	r := Report{
-		Title:  "Observability overhead: internal/obs primitives and the algo timing hook",
-		Header: []string{"Operation", "Iterations", "Total", "Per Op"},
-	}
-	reg := obs.NewRegistry()
-	c := reg.Counter("bench_ops_total", "Benchmark counter.")
-	g := reg.Gauge("bench_gauge", "Benchmark gauge.")
-	h := reg.Histogram("bench_duration_seconds", "Benchmark histogram.", obs.L("op", "bench"))
-
-	row := func(label string, iters int, dt time.Duration) {
-		r.Rows = append(r.Rows, []string{label, fmt.Sprintf("%d", iters),
-			dt.Round(time.Microsecond).String(),
-			fmt.Sprintf("%.1fns", float64(dt.Nanoseconds())/float64(iters))})
-	}
-
-	const n = 5_000_000
-	row("Counter.Inc", n, Timed(func() {
-		for i := 0; i < n; i++ {
-			c.Inc()
-		}
-	}))
-	row("Gauge.Set", n, Timed(func() {
-		for i := 0; i < n; i++ {
-			g.Set(int64(i))
-		}
-	}))
-	row("Histogram.Observe", n, Timed(func() {
-		for i := 0; i < n; i++ {
-			h.Observe(time.Duration(i))
-		}
-	}))
-
-	// The timing hook around every instrumented algo entry point, measured
-	// through a trivially cheap kernel (single-node WCC view) so the hook
-	// is a visible fraction of the call rather than noise under a long run.
-	g1, err := conv.ToDirected(spec.CachedEdgeTable(), "src", "dst")
-	if err != nil {
-		return Report{}, err
-	}
-	ws := NewWorkspace()
-	ws.Set("g", Object{Graph: g1})
-	v, err := ws.DirectedView("g")
-	if err != nil {
-		return Report{}, err
-	}
-
-	const runs = 10
-	algo.SetTimer(nil)
-	off := Timed(func() {
-		for i := 0; i < runs; i++ {
-			algo.PageRankView(v, algo.DefaultDamping, 10)
-		}
-	})
-	algoHist := reg.Histogram("ringo_algo_duration_seconds", "Algorithm kernel wall time.", obs.L("algo", "pagerank"))
-	algo.SetTimer(func(name string, elapsed time.Duration) { algoHist.Observe(elapsed) })
-	on := Timed(func() {
-		for i := 0; i < runs; i++ {
-			algo.PageRankView(v, algo.DefaultDamping, 10)
-		}
-	})
-	algo.SetTimer(nil)
-	r.Rows = append(r.Rows, []string{"PageRank (10 iter), hook off", fmt.Sprintf("%d", runs),
-		off.Round(time.Millisecond).String(), (off / runs).Round(time.Microsecond).String()})
-	r.Rows = append(r.Rows, []string{"PageRank (10 iter), hook on", fmt.Sprintf("%d", runs),
-		on.Round(time.Millisecond).String(), (on / runs).Round(time.Microsecond).String()})
-
-	const scrapes = 1000
-	var buf bytes.Buffer
-	var werr error
-	dt := Timed(func() {
-		for i := 0; i < scrapes; i++ {
-			buf.Reset()
-			if werr = reg.WritePrometheus(&buf); werr != nil {
-				return
-			}
-		}
-	})
-	if werr != nil {
-		return Report{}, werr
-	}
-	row("WritePrometheus scrape", scrapes, dt)
-
-	r.Notes = append(r.Notes,
-		"primitives are lock-free atomics: target well under 50ns/op so instrumentation never shows up in query latency",
-		fmt.Sprintf("hook on/off delta on a real kernel: %.2f%% (sub-noise — one clock read + one histogram record per kernel call)",
-			100*(on.Seconds()-off.Seconds())/off.Seconds()),
-		fmt.Sprintf("one /metrics render over %d series costs %s", scrapeSeries(reg), (dt/scrapes).Round(time.Microsecond)))
-	return r, nil
-}
-
-// scrapeSeries counts the series a registry currently exposes.
-func scrapeSeries(reg *obs.Registry) int {
-	n := 0
-	for _, name := range reg.Names() {
-		n += len(reg.Series(name))
-	}
-	return n
-}
-
-// Ingest measures text edge-list loading, the paper's headline interactive
-// cost ("load a billion-edge graph in minutes"): the sequential scanner
-// loader against the parallel chunk-parse + sort-first-build pipeline, on a
-// generated edge-list file per dataset.
-func Ingest(specs []Spec) (Report, error) {
-	r := Report{
-		Title: "Ingest: text edge-list load, sequential scanner vs parallel pipeline",
-		Header: []string{"Dataset", "File Size", "Edge Rows", "Seq Load", "Par Load",
-			"Speedup", "Par Throughput"},
-	}
-	for _, s := range specs {
-		t := s.CachedEdgeTable()
-		f, err := os.CreateTemp("", "ringo-ingest-*.txt")
-		if err != nil {
-			return Report{}, err
-		}
-		path := f.Name()
-		writeErr := t.SaveTSV(f, false)
-		closeErr := f.Close()
-		defer os.Remove(path)
-		if writeErr != nil {
-			return Report{}, writeErr
-		}
-		if closeErr != nil {
-			return Report{}, closeErr
-		}
-		info, err := os.Stat(path)
-		if err != nil {
-			return Report{}, err
-		}
-
-		var seqG, parG *graph.Directed
-		var seqErr, parErr error
-		seqT := Timed(func() { seqG, seqErr = graph.LoadEdgeListFile(path) })
-		parT := Timed(func() { parG, parErr = graph.LoadEdgeListParallelFile(path) })
-		if seqErr != nil {
-			return Report{}, seqErr
-		}
-		if parErr != nil {
-			return Report{}, parErr
-		}
-		if seqG.NumNodes() != parG.NumNodes() || seqG.NumEdges() != parG.NumEdges() {
-			return Report{}, fmt.Errorf("core: loader mismatch on %s: seq %d/%d, par %d/%d",
-				s.Name, seqG.NumNodes(), seqG.NumEdges(), parG.NumNodes(), parG.NumEdges())
-		}
-		r.Rows = append(r.Rows, []string{
-			s.Name, MB(info.Size()), fmt.Sprintf("%d", t.NumRows()),
-			seqT.Round(time.Millisecond).String(), parT.Round(time.Millisecond).String(),
-			fmt.Sprintf("%.1fx", seqT.Seconds()/parT.Seconds()),
-			fmt.Sprintf("%s rows (%s/s)", Rate(int64(t.NumRows()), parT), MB(int64(float64(info.Size())/parT.Seconds()))),
-		})
-	}
-	r.Notes = append(r.Notes,
-		fmt.Sprintf("both loaders produce identical graphs (equivalence- and fuzz-tested); GOMAXPROCS=%d", par.Workers()))
-	return r, nil
-}
-
-// Incr measures the incremental-analytics tier on an update-then-query
-// loop: a session holds a warm view, a batch of mutations lands, and the
-// next query either patches the cached CSR and runs dynamic PageRank from
-// the previous scores, or rebuilds from scratch and iterates PageRank
-// cold. Both paths are timed on the same post-mutation graph state; the
-// notes report where the crossover falls.
-func Incr(spec Spec) (Report, error) {
-	g, err := conv.ToDirected(spec.CachedEdgeTable(), "src", "dst")
-	if err != nil {
-		return Report{}, err
-	}
-	r := Report{
-		Title: "Incr: update-then-query on " + spec.Name + ", patched view + dynamic PageRank vs cold rebuild",
-		Header: []string{"Delta Edges", "Patch View", "Incr PageRank", "Patched Total",
-			"Rebuild", "Cold PageRank", "Cold Total", "Speedup"},
-	}
-
-	// Edge pool for deletions; additions extend it so later batches can
-	// delete what earlier batches added.
-	edges := make([][2]int64, 0, g.NumEdges())
-	g.ForEdges(func(src, dst int64) { edges = append(edges, [2]int64{src, dst}) })
-	rng := rand.New(rand.NewSource(17))
-	idSpace := int64(1) << spec.RMATScale
-
-	const tol = 1e-8
-	var prev algo.Scores
-	lastWin := int64(-1)
-	crossed := false
-	for _, batch := range []int{1, 64, 1024, 16384} {
-		// Fresh workspace per batch so the delta log starts empty: each row
-		// measures one warm view + one pending batch, not the cumulative
-		// history of earlier rows. The ratio is set absurdly high so the
-		// patch path is exercised at every batch size — the production
-		// default (DefaultPatchRatio) would rebuild past its cutoff.
-		ws := NewWorkspace()
-		ws.ConfigurePatching(1e9)
-		ws.Set("g", Object{Graph: g})
-		if _, err := ws.DirectedView("g"); err != nil {
-			return Report{}, err
-		}
-		if prev == nil {
-			v, _ := ws.DirectedView("g")
-			prev = algo.PageRankViewTol(v, algo.DefaultDamping, tol)
-		}
-
-		applied := 0
-		for applied < batch {
-			if rng.Intn(3) == 0 && len(edges) > 0 {
-				i := rng.Intn(len(edges))
-				if ok, err := ws.DelGraphEdge("g", edges[i][0], edges[i][1]); err != nil {
-					return Report{}, err
-				} else if ok {
-					edges[i] = edges[len(edges)-1]
-					edges = edges[:len(edges)-1]
-					applied++
-				}
-			} else {
-				s, d := rng.Int63n(idSpace), rng.Int63n(idSpace)
-				if ok, err := ws.AddGraphEdge("g", s, d); err != nil {
-					return Report{}, err
-				} else if ok {
-					edges = append(edges, [2]int64{s, d})
-					applied++
-				}
-			}
-		}
-
-		p0, _ := ws.PatchStats()
-		var v *graph.View
-		tPatch := Timed(func() { v, err = ws.DirectedView("g") })
-		if err != nil {
-			return Report{}, err
-		}
-		if p1, _ := ws.PatchStats(); p1 != p0+1 {
-			return Report{}, fmt.Errorf("core: incr report expected a patched view at batch %d", batch)
-		}
-		var incr algo.Scores
-		tIncr := Timed(func() { incr = algo.PageRankIncr(v, prev, algo.DefaultDamping, tol) })
-
-		var cold *graph.View
-		tRebuild := Timed(func() { cold = graph.BuildView(g) })
-		tColdPR := Timed(func() { algo.PageRankViewTol(cold, algo.DefaultDamping, tol) })
-
-		patched, coldTotal := tPatch+tIncr, tRebuild+tColdPR
-		speed := coldTotal.Seconds() / patched.Seconds()
-		if speed >= 1 {
-			lastWin = int64(batch)
-		} else {
-			crossed = true
-		}
-		r.Rows = append(r.Rows, []string{
-			fmt.Sprintf("%d", batch),
-			tPatch.Round(time.Microsecond).String(), tIncr.Round(time.Microsecond).String(),
-			patched.Round(time.Microsecond).String(),
-			tRebuild.Round(time.Microsecond).String(), tColdPR.Round(time.Microsecond).String(),
-			coldTotal.Round(time.Microsecond).String(),
-			fmt.Sprintf("%.1fx", speed),
-		})
-		prev = incr
-	}
-
-	switch {
-	case crossed && lastWin >= 0:
-		r.Notes = append(r.Notes, fmt.Sprintf("crossover: patching last wins at %d delta edges on this host", lastWin))
-	case crossed:
-		r.Notes = append(r.Notes, "crossover: cold rebuild won at every measured batch size on this host")
-	default:
-		r.Notes = append(r.Notes, "crossover: not reached — patching won at every measured batch size on this host")
-	}
-	r.Notes = append(r.Notes,
-		fmt.Sprintf("production default patches only up to %.0f%% of V+E (DefaultPatchRatio) and caps the delta log at %d entries; larger batches rebuild", 100*DefaultPatchRatio, maxDeltaLog),
-		"incremental PageRank chains from the previous batch's scores (equivalence to the cold oracle is test-enforced)")
 	return r, nil
 }

@@ -110,19 +110,6 @@ func TestWorkspaceMappedUndirectedBinding(t *testing.T) {
 	}
 }
 
-func TestExtMemReportSmoke(t *testing.T) {
-	if testing.Short() {
-		t.Skip("builds and times a dataset")
-	}
-	r, err := ExtMem(LJSim(0.001))
-	if err != nil {
-		t.Fatalf("ExtMem: %v", err)
-	}
-	if len(r.Rows) < 3 {
-		t.Fatalf("ExtMem report has %d rows", len(r.Rows))
-	}
-}
-
 // restoreFixture builds a ≥1M-edge graph once per benchmark run and lays
 // down both warm-start artifacts: the RNGS workspace snapshot (decode
 // path) and the RNGM image (map path).

@@ -235,7 +235,7 @@ func TestPatchThresholdBoundary(t *testing.T) {
 		g.AddNode(i) // 20 isolated nodes -> V+E = 100
 	}
 	ws := NewWorkspace()
-	ws.ConfigurePatching(0.1)
+	ws.patchRatio = 0.1
 	ws.Set("g", Object{Graph: g})
 	if _, err := ws.DirectedView("g"); err != nil {
 		t.Fatal(err)

@@ -9,9 +9,10 @@ import (
 // DefaultPatchRatio is the patch-vs-rebuild threshold: a pending delta
 // batch is patched onto a cached base view when it holds at most
 // ratio × (V+E) deltas (sized against the base), and triggers the full
-// rebuild otherwise. Patching wins clearly at small deltas (see
-// ringo-bench -table incr for the measured crossover); past a fifth of
-// the graph the merge bookkeeping stops paying for itself and the
+// rebuild otherwise. Patching wins clearly at small deltas
+// (BenchmarkViewPatch in internal/graph times one against a rebuild, and
+// the update-query benchmark workload patches every cycle); past a fifth
+// of the graph the merge bookkeeping stops paying for itself and the
 // incremental algorithms lose their locality advantage anyway.
 const DefaultPatchRatio = 0.2
 
@@ -37,16 +38,6 @@ type verDelta struct {
 type deltaLog struct {
 	baseVer uint64
 	deltas  []verDelta
-}
-
-// ConfigurePatching sets the patch-vs-rebuild threshold ratio (see
-// DefaultPatchRatio). ratio <= 0 disables patching: every view miss runs
-// the full build, which also serves as the oracle configuration in the
-// equivalence tests.
-func (w *Workspace) ConfigurePatching(ratio float64) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	w.patchRatio = ratio
 }
 
 // PatchStats reports how many view materializations were served by

@@ -26,7 +26,7 @@ func supersedeSequence(t *testing.T, seed int64, ratio float64) (patches, rebuil
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	ws := NewWorkspace()
-	ws.ConfigurePatching(ratio)
+	ws.patchRatio = ratio
 	ws.Set("g", Object{Graph: testGraph(60, 240, seed)})
 	query := func(undir bool) {
 		var err error

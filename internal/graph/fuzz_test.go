@@ -5,11 +5,12 @@ import (
 	"testing"
 )
 
-// FuzzLoadEdgeList drives the sequential and parallel loaders with arbitrary
-// bytes and requires them to agree: both reject the input, or both accept it
-// and build identical graphs that pass Validate. This is the contract that
-// lets LoadFileAuto route text through the parallel pipeline without
-// changing what any caller observes.
+// FuzzLoadEdgeList drives the sequential reference loader (seqload_test.go)
+// and the parallel pipeline with arbitrary bytes and requires them to
+// agree: both reject the input, or both accept it and build identical
+// graphs that pass Validate. This is the contract that lets LoadFileAuto
+// route text through the parallel pipeline without changing what any
+// caller observes.
 func FuzzLoadEdgeList(f *testing.F) {
 	seeds := []string{
 		"",
@@ -44,7 +45,7 @@ func FuzzLoadEdgeList(f *testing.F) {
 		if len(data) > 1<<20 {
 			t.Skip("outsized input") // avoid the scanner's deliberate line cap
 		}
-		seq, seqErr := LoadEdgeList(bytes.NewReader(data))
+		seq, seqErr := loadEdgeList(bytes.NewReader(data))
 		par, parErr := ParseEdgeList(data)
 		if (seqErr == nil) != (parErr == nil) {
 			t.Fatalf("loaders disagree on acceptance: seq=%v par=%v", seqErr, parErr)

@@ -1,67 +1,17 @@
 package graph
 
 import (
-	"bufio"
 	"fmt"
-	"io"
-	"os"
 	"strconv"
 	"strings"
 )
 
-// LoadEdgeList reads a SNAP-style whitespace-separated edge list (lines of
-// "src dst", '#' comments and blank lines ignored) into a directed graph.
-// Comment lines of the form "# node <id>" declare a node without edges, so
-// an edge list can carry isolated nodes.
-// This is the sequential reference loader; LoadEdgeListParallel accepts the
-// same inputs and builds the same graph using all cores.
-func LoadEdgeList(r io.Reader) (*Directed, error) {
-	g := NewDirected()
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 1<<16), 1<<22)
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" {
-			continue
-		}
-		if strings.HasPrefix(line, "#") {
-			if id, ok := nodeCommentID(line); ok {
-				g.AddNode(id)
-			}
-			continue
-		}
-		fields := strings.Fields(line)
-		if len(fields) < 2 {
-			return nil, fmt.Errorf("graph: line %d: need two fields, got %q", lineNo, line)
-		}
-		src, err := strconv.ParseInt(fields[0], 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("graph: line %d: %w", lineNo, err)
-		}
-		dst, err := strconv.ParseInt(fields[1], 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("graph: line %d: %w", lineNo, err)
-		}
-		if src == tombstone || dst == tombstone {
-			return nil, fmt.Errorf("graph: line %d: node id %d reserved", lineNo, int64(tombstone))
-		}
-		g.AddEdge(src, dst)
-	}
-	if err := sc.Err(); err != nil {
-		// The failing token is the line after the last one delivered; name
-		// it so a "token too long" on a 5 GB file is findable.
-		return nil, fmt.Errorf("graph: line %d: reading edge list: %w", lineNo+1, err)
-	}
-	return g, nil
-}
-
 // nodeCommentID recognizes the "# node <id>" comment convention that keeps
 // isolated nodes through a text round trip. The line must be trimmed and
 // start with '#'; anything that is not exactly a node declaration is an
-// ordinary comment. Both the sequential and parallel loaders call this, so
-// they cannot disagree on what counts as a declaration.
+// ordinary comment. The parallel loader and the sequential reference in
+// seqload_test.go both call this, so they cannot disagree on what counts
+// as a declaration.
 func nodeCommentID(line string) (int64, bool) {
 	fields := strings.Fields(line[1:])
 	if len(fields) != 2 || fields[0] != "node" {
@@ -72,16 +22,6 @@ func nodeCommentID(line string) (int64, bool) {
 		return 0, false
 	}
 	return id, true
-}
-
-// LoadEdgeListFile is LoadEdgeList reading from the named file.
-func LoadEdgeListFile(path string) (*Directed, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return LoadEdgeList(f)
 }
 
 // Validate checks the structural invariants of a directed graph: adjacency

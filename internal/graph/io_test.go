@@ -33,7 +33,7 @@ func writeEdgeListFile(t testing.TB, path string, g *Directed) {
 
 func TestEdgeListRoundTrip(t *testing.T) {
 	g := sampleDirected()
-	back, err := LoadEdgeList(strings.NewReader(saveEdgeList(g)))
+	back, err := loadEdgeList(strings.NewReader(saveEdgeList(g)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,17 +49,17 @@ func TestEdgeListRoundTrip(t *testing.T) {
 
 func TestLoadEdgeListFormat(t *testing.T) {
 	in := "# comment\n\n1\t2\n3 4\n  5   6  \n"
-	g, err := LoadEdgeList(strings.NewReader(in))
+	g, err := loadEdgeList(strings.NewReader(in))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if g.NumEdges() != 3 {
 		t.Fatalf("edges = %d", g.NumEdges())
 	}
-	if _, err := LoadEdgeList(strings.NewReader("1\n")); err == nil {
+	if _, err := loadEdgeList(strings.NewReader("1\n")); err == nil {
 		t.Fatal("single-field line accepted")
 	}
-	if _, err := LoadEdgeList(strings.NewReader("a b\n")); err == nil {
+	if _, err := loadEdgeList(strings.NewReader("a b\n")); err == nil {
 		t.Fatal("non-integer accepted")
 	}
 }
@@ -68,7 +68,7 @@ func TestEdgeListFileRoundTrip(t *testing.T) {
 	g := sampleDirected()
 	path := t.TempDir() + "/edges.tsv"
 	writeEdgeListFile(t, path, g)
-	back, err := LoadEdgeListFile(path)
+	back, err := LoadEdgeListParallelFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}

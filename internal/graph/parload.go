@@ -17,14 +17,17 @@ import (
 // it into one chunk per worker at newline boundaries, parses each chunk with
 // allocation-free byte-slice integer parsing into per-worker edge buffers,
 // and hands the concatenated pairs to the sort-first bulk constructor
-// (BuildDirected). The result is identical to LoadEdgeList — same node set,
-// same sorted adjacency vectors, same accepted and rejected inputs — which
-// the equivalence and fuzz tests enforce. The one deliberate difference:
-// this path has no line-length cap, so inputs the scanner rejects as "token
-// too long" parse fine here.
+// (BuildDirected). The result is identical to the sequential scanner
+// reference in seqload_test.go — same node set, same sorted adjacency
+// vectors, same accepted and rejected inputs — which the equivalence and
+// fuzz tests enforce. The one deliberate difference: this path has no
+// line-length cap, so inputs the scanner rejects as "token too long" parse
+// fine here.
 
 // LoadEdgeListParallel reads a SNAP-style whitespace-separated edge list
-// (see LoadEdgeList) into a directed graph, parsing and building in parallel.
+// (lines of "src dst", '#' comments and blank lines ignored, "# node <id>"
+// declaring an isolated node) into a directed graph, parsing and building
+// in parallel.
 func LoadEdgeListParallel(r io.Reader) (*Directed, error) {
 	data, err := io.ReadAll(r)
 	if err != nil {

@@ -75,7 +75,7 @@ func TestParallelMatchesSequentialRandomized(t *testing.T) {
 	for seed := int64(0); seed < 8; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		text := randomEdgeListText(rng, 2000)
-		seq, err := LoadEdgeList(strings.NewReader(text))
+		seq, err := loadEdgeList(strings.NewReader(text))
 		if err != nil {
 			t.Fatalf("seed %d: sequential load: %v", seed, err)
 		}
@@ -104,7 +104,7 @@ func TestParallelLoaderManyChunks(t *testing.T) {
 		fmt.Fprintf(&sb, "%d\t%d\n", rng.Int63n(5000), rng.Int63n(5000))
 	}
 	text := sb.String()
-	seq, err := LoadEdgeList(strings.NewReader(text))
+	seq, err := loadEdgeList(strings.NewReader(text))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +133,7 @@ func TestParallelLoaderErrorLineNumbers(t *testing.T) {
 		{"1 -9223372036854775808\n", 1},
 	}
 	for _, c := range cases {
-		_, seqErr := LoadEdgeList(strings.NewReader(c.in))
+		_, seqErr := loadEdgeList(strings.NewReader(c.in))
 		_, parErr := ParseEdgeList([]byte(c.in))
 		if seqErr == nil || parErr == nil {
 			t.Fatalf("input %q: expected both loaders to fail, got seq=%v par=%v", c.in, seqErr, parErr)
@@ -153,7 +153,7 @@ func TestScannerErrorCarriesLineNumber(t *testing.T) {
 	// name the failing line, not just say "token too long".
 	long := "# " + strings.Repeat("x", 1<<22+10)
 	in := "1 2\n2 3\n" + long + "\n4 5\n"
-	_, err := LoadEdgeList(strings.NewReader(in))
+	_, err := loadEdgeList(strings.NewReader(in))
 	if err == nil {
 		t.Fatal("expected scanner overflow error")
 	}
@@ -181,7 +181,7 @@ func TestSaveEdgeListKeepsIsolatedNodes(t *testing.T) {
 		t.Fatalf("isolated node comments missing from:\n%s", text)
 	}
 	for _, load := range []func() (*Directed, error){
-		func() (*Directed, error) { return LoadEdgeList(strings.NewReader(text)) },
+		func() (*Directed, error) { return loadEdgeList(strings.NewReader(text)) },
 		func() (*Directed, error) { return ParseEdgeList([]byte(text)) },
 	} {
 		back, err := load()
@@ -200,7 +200,7 @@ func TestSaveEdgeListKeepsIsolatedNodes(t *testing.T) {
 func TestNodeCommentVariants(t *testing.T) {
 	in := "# node 5\n#node 6\n# node 7 extra\n# nodes 8\n# node notanum\n1 2\n"
 	for name, load := range map[string]func() (*Directed, error){
-		"seq": func() (*Directed, error) { return LoadEdgeList(strings.NewReader(in)) },
+		"seq": func() (*Directed, error) { return loadEdgeList(strings.NewReader(in)) },
 		"par": func() (*Directed, error) { return ParseEdgeList([]byte(in)) },
 	} {
 		g, err := load()
@@ -373,7 +373,7 @@ func BenchmarkLoadEdgeListSeq(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := LoadEdgeList(bytes.NewReader(text)); err != nil {
+		if _, err := loadEdgeList(bytes.NewReader(text)); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -8,8 +8,7 @@ import (
 
 // The instrumentation budget: recording must stay well under 50ns/op so
 // the per-verb and per-request metrics can be left on unconditionally in
-// the hot paths. These run in the CI bench-smoke job; the ringo-bench
-// -table obs report prints the same figures wall-clock style.
+// the hot paths. These run in the CI bench-smoke job.
 
 func BenchmarkObsCounter(b *testing.B) {
 	reg := NewRegistry()

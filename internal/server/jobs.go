@@ -217,19 +217,6 @@ func (r *jobRunner) list(session string) []JobView {
 	return views
 }
 
-// counts reports job-state occupancy from the lifecycle metrics: queued
-// and running are current, done and failed are cumulative since startup —
-// so jobs pruned from the retention window (which GET /jobs no longer
-// lists) still show up in the totals.
-func (r *jobRunner) counts() map[string]int {
-	return map[string]int{
-		JobQueued:  int(r.queued.Value()),
-		JobRunning: int(r.running.Value()),
-		JobDone:    int(r.done.Value()),
-		JobFailed:  int(r.failed.Value()),
-	}
-}
-
 func (r *jobRunner) isClosed() bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()

@@ -471,8 +471,8 @@ func (s *Server) RestoreSession(id, path string) (objects int, err error) {
 // mapped CSR image (RNGM, written by savemapped) is validated and served
 // from mmap in place, bound as the read-only graph "g". Either way the
 // warm-start wall time is logged, so a restart's cost difference between
-// the two tiers shows up in the operator's log (`ringo-bench -table
-// extmem` quantifies it on synthetic data).
+// the two tiers shows up in the operator's log (BenchmarkRestoreDecode
+// and BenchmarkRestoreMapped in internal/core quantify it).
 func (s *Server) WarmStart(id, path string) error {
 	if _, err := s.CreateSession(id); err != nil {
 		return err

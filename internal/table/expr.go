@@ -21,8 +21,8 @@ import (
 // spaces.
 //
 // Parsing produces a predNode tree (pred.go). SelectExpr executes it with
-// the vectorized bitmap backend (vector.go); CompileExpr lowers it to the
-// per-row closure chain, the compatibility path and equivalence oracle.
+// the vectorized bitmap backend (vector.go); the tests hold that backend to
+// a per-row closure chain over the same tree (closure_test.go).
 
 // SelectExpr returns the rows satisfying the predicate expression,
 // evaluated column-at-a-time over bitmap selection vectors.
@@ -32,16 +32,6 @@ func (t *Table) SelectExpr(expr string) (*Table, error) {
 		return nil, err
 	}
 	return t.selectBitmap(t.evalNode(node)), nil
-}
-
-// CompileExpr compiles a predicate expression into a per-row function. The
-// function is safe for concurrent calls on distinct rows.
-func (t *Table) CompileExpr(expr string) (func(row int) bool, error) {
-	node, err := t.parseExpr(expr)
-	if err != nil {
-		return nil, err
-	}
-	return t.compileNode(node), nil
 }
 
 // parseExpr lexes and parses one predicate expression into a resolved tree.

@@ -42,7 +42,7 @@ func FuzzSelectExpr(f *testing.F) {
 			t.Skip("outsized expression")
 		}
 		tbl := fuzzPostsTable(t)
-		pred, cerr := tbl.CompileExpr(expr)
+		pred, cerr := tbl.compileExpr(expr)
 		vec, verr := tbl.SelectExpr(expr)
 		if (cerr == nil) != (verr == nil) {
 			t.Fatalf("paths disagree on acceptance of %q: closure=%v vectorized=%v", expr, cerr, verr)

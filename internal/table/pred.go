@@ -5,11 +5,9 @@ import "fmt"
 // This file defines the resolved predicate representation shared by the two
 // execution backends. Parsing (expr.go) and the Select API both lower to a
 // tree of predNodes whose leaves are column-resolved, constant-coerced
-// comparisons; the vectorized backend (vector.go) evaluates the tree
-// column-at-a-time into a selection bitmap, and the closure backend below
-// compiles it to a per-row func — kept as the compatibility path
-// (CompileExpr, SelectFunc) and as the equivalence oracle the fuzz and
-// randomized tests check the vectorized path against.
+// comparisons, which the vectorized backend (vector.go) evaluates
+// column-at-a-time into a selection bitmap. The per-row closure backend the
+// fuzz and randomized tests check it against lives in closure_test.go.
 
 type predKind uint8
 
@@ -86,59 +84,4 @@ func (t *Table) resolveLeaf(col string, op CmpOp, val any) (leafPred, error) {
 		}
 	}
 	return l, nil
-}
-
-// leafFunc compiles a resolved leaf to a per-row predicate, the row-at-a-time
-// backend. Benchmarked in Table 4 of the paper: "rows are chosen based on a
-// comparison with a constant value".
-func (t *Table) leafFunc(l leafPred) func(row int) bool {
-	switch l.typ {
-	case Int:
-		data, c, op := t.ints[l.col], l.ic, l.op
-		return func(row int) bool { return cmpInt(data[row], c, op) }
-	case Float:
-		data, c, op := t.floats[l.col], l.fc, l.op
-		return func(row int) bool { return cmpFloat(data[row], c, op) }
-	default:
-		if l.op == EQ || l.op == NE {
-			if l.missing {
-				if l.op == EQ {
-					return func(row int) bool { return false }
-				}
-				return func(row int) bool { return true }
-			}
-			data, c, op := t.ints[l.col], l.ic, l.op
-			return func(row int) bool { return cmpInt(data[row], c, op) }
-		}
-		data, pool, s, op := t.ints[l.col], t.pool, l.sc, l.op
-		return func(row int) bool { return cmpString(pool.Get(int32(data[row])), s, op) }
-	}
-}
-
-// compileNode lowers a predicate tree to the closure chain of the
-// row-at-a-time backend.
-func (t *Table) compileNode(n *predNode) func(row int) bool {
-	switch n.kind {
-	case predLeaf:
-		return t.leafFunc(n.leaf)
-	case predNot:
-		inner := t.compileNode(n.left)
-		return func(row int) bool { return !inner(row) }
-	case predAnd:
-		l, r := t.compileNode(n.left), t.compileNode(n.right)
-		return func(row int) bool { return l(row) && r(row) }
-	default: // predOr
-		l, r := t.compileNode(n.left), t.compileNode(n.right)
-		return func(row int) bool { return l(row) || r(row) }
-	}
-}
-
-// compilePred resolves and compiles a single comparison to a per-row
-// predicate — the closure-path equivalent of one leaf.
-func (t *Table) compilePred(col string, op CmpOp, val any) (func(row int) bool, error) {
-	l, err := t.resolveLeaf(col, op, val)
-	if err != nil {
-		return nil, err
-	}
-	return t.leafFunc(l), nil
 }

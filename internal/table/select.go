@@ -41,40 +41,6 @@ func (op CmpOp) String() string {
 	}
 }
 
-func cmpInt(a, b int64, op CmpOp) bool {
-	switch op {
-	case EQ:
-		return a == b
-	case NE:
-		return a != b
-	case LT:
-		return a < b
-	case LE:
-		return a <= b
-	case GT:
-		return a > b
-	default:
-		return a >= b
-	}
-}
-
-func cmpFloat(a, b float64, op CmpOp) bool {
-	switch op {
-	case EQ:
-		return a == b
-	case NE:
-		return a != b
-	case LT:
-		return a < b
-	case LE:
-		return a <= b
-	case GT:
-		return a > b
-	default:
-		return a >= b
-	}
-}
-
 func cmpString(a, b string, op CmpOp) bool {
 	switch op {
 	case EQ:

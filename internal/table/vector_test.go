@@ -7,10 +7,10 @@ import (
 )
 
 // The vectorized bitmap backend (vector.go) and the per-row closure path
-// (CompileExpr + SelectFunc) must be observationally identical: same rows,
-// same order, same row ids, for any expression either accepts. These tests
-// drive that equivalence with randomized tables and expression trees; the
-// closure path is the oracle.
+// (compileExpr + SelectFunc, closure_test.go) must be observationally
+// identical: same rows, same order, same row ids, for any expression either
+// accepts. These tests drive that equivalence with randomized tables and
+// expression trees; the closure path is the oracle.
 
 // equivTable builds a table whose columns exercise every leaf kind: small-
 // range ints (negative values included), wider ints, fractional floats, and
@@ -105,7 +105,7 @@ func TestVectorizedMatchesClosureRandom(t *testing.T) {
 	for iter := 0; iter < 60; iter++ {
 		tbl := equivTable(t, 100+rng.Intn(2000), rng)
 		expr := equivExpr(rng, 3)
-		pred, cerr := tbl.CompileExpr(expr)
+		pred, cerr := tbl.compileExpr(expr)
 		vec, verr := tbl.SelectExpr(expr)
 		if (cerr == nil) != (verr == nil) {
 			t.Fatalf("paths disagree on acceptance of %q: closure=%v vectorized=%v", expr, cerr, verr)
@@ -138,7 +138,7 @@ func TestOrEqFusionMatchesClosure(t *testing.T) {
 		"a = 1 or a = 1 or a = 1",     // duplicate constants
 		"a = 1000000 or a = -1000000", // wide span: list-compare fallback
 	} {
-		pred, err := tbl.CompileExpr(expr)
+		pred, err := tbl.compileExpr(expr)
 		if err != nil {
 			t.Fatalf("compile %q: %v", expr, err)
 		}
@@ -234,7 +234,7 @@ const benchRows = 1 << 17
 // BenchmarkSelectRow is the per-row closure path over the bench fixture.
 func BenchmarkSelectRow(b *testing.B) {
 	tbl := benchTable(b, benchRows)
-	pred, err := tbl.CompileExpr("k = 7")
+	pred, err := tbl.compileExpr("k = 7")
 	if err != nil {
 		b.Fatal(err)
 	}

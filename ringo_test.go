@@ -145,7 +145,7 @@ func TestRoundTripThroughEdgeListFile(t *testing.T) {
 	g := gen.GNM(50, 200, 9)
 	path := t.TempDir() + "/g.tsv"
 	writeEdgeListFile(t, path, g)
-	back, err := graph.LoadEdgeListFile(path)
+	back, err := graph.LoadFileAuto(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +192,7 @@ func TestEdgeListRoundTripKeepsIsolatedNodes(t *testing.T) {
 	path := t.TempDir() + "/iso.tsv"
 	writeEdgeListFile(t, path, g)
 	for _, load := range []func(string) (*ringo.Graph, error){
-		graph.LoadEdgeListFile, ringo.LoadEdgeListParallel, graph.LoadFileAuto,
+		ringo.LoadEdgeListParallel, graph.LoadFileAuto,
 	} {
 		back, err := load(path)
 		if err != nil {

@@ -2,6 +2,7 @@ package algo
 
 import (
 	"cmp"
+	"encoding/binary"
 	"fmt"
 	"math"
 	"math/rand"
@@ -40,38 +41,81 @@ func TestScoresGet(t *testing.T) {
 	}
 }
 
+// rankReference is the definition TopK must meet: sort a copy of
+// everything by (score descending, id ascending) and keep k.
+func rankReference(s Scores, k int) []Scored {
+	want := slices.Clone([]Scored(s))
+	slices.SortFunc(want, func(a, b Scored) int {
+		return cmp.Or(cmp.Compare(b.Score, a.Score), cmp.Compare(a.ID, b.ID))
+	})
+	return want[:max(0, min(k, len(s)))]
+}
+
+// sameScored compares entries by id and score bits, so NaN equals NaN and
+// -0 differs from 0.
+func sameScored(a, b []Scored) bool {
+	return slices.EqualFunc(a, b, func(x, y Scored) bool {
+		return x.ID == y.ID && math.Float64bits(x.Score) == math.Float64bits(y.Score)
+	})
+}
+
 // TestTopKMatchesFullSort holds the selection to the definition it
-// replaces: sort everything by (score descending, id ascending), keep k.
-// Scores are drawn from a handful of values so ties straddle the cut.
+// replaces. Scores are drawn from a handful of values so ties straddle the
+// cut; NaN, ±Inf and ±0 are among them, so the order must stay strict
+// weak where float comparison is not.
 func TestTopKMatchesFullSort(t *testing.T) {
+	values := []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0, math.Copysign(0, -1), 0.25, 0.5, 0.75}
 	rng := rand.New(rand.NewSource(15))
 	for trial := 0; trial < 200; trial++ {
 		n := rng.Intn(300)
-		levels := 1 + rng.Intn(6)
+		levels := values[:1+rng.Intn(len(values))]
 		s := make(Scores, n)
 		id := int64(rng.Intn(100)) - 50
 		for i := range s {
-			s[i] = Scored{id, float64(rng.Intn(levels)) / 4}
+			s[i] = Scored{id, levels[rng.Intn(len(levels))]}
 			id += 1 + int64(rng.Intn(3))
 		}
-		want := slices.Clone([]Scored(s))
-		slices.SortFunc(want, func(a, b Scored) int {
-			return cmp.Or(cmp.Compare(b.Score, a.Score), cmp.Compare(a.ID, b.ID))
-		})
 		before := slices.Clone(s)
 		for _, k := range []int{1, 10, n - 1, n, n + 5} {
-			got := TopK(s, k)
-			if ref := want[:max(0, min(k, n))]; !slices.Equal(got, ref) {
+			if got, ref := TopK(s, k), rankReference(s, k); !sameScored(got, ref) {
 				t.Fatalf("trial %d: TopK(n=%d, k=%d) = %v, want %v", trial, n, k, got, ref)
 			}
 		}
-		if !slices.Equal(s, before) {
+		if !sameScored(s, before) {
 			t.Fatalf("trial %d: TopK modified its input", trial)
 		}
 	}
 	if got := TopK(Scores{}, 10); len(got) != 0 {
 		t.Fatalf("TopK of the empty vector = %v", got)
 	}
+}
+
+// FuzzTopK holds TopK to the full-sort reference over arbitrary scores:
+// each 9-byte record is a score's raw float64 bits (NaN payloads, ±0 and
+// ±Inf included) and the gap to the next, strictly ascending, id.
+func FuzzTopK(f *testing.F) {
+	var seed []byte
+	for _, v := range []float64{1, math.NaN(), 0, math.Inf(1), math.Copysign(0, -1), math.Inf(-1), 1, math.NaN()} {
+		seed = append(binary.LittleEndian.AppendUint64(seed, math.Float64bits(v)), 0)
+	}
+	f.Add([]byte{}, 3)
+	f.Add(seed, 3)
+	f.Add(seed, 8)
+	f.Fuzz(func(t *testing.T, data []byte, k int) {
+		s := make(Scores, 0, len(data)/9)
+		id := int64(-1000)
+		for ; len(data) >= 9; data = data[9:] {
+			s = append(s, Scored{id, math.Float64frombits(binary.LittleEndian.Uint64(data))})
+			id += 1 + int64(data[8])
+		}
+		before := slices.Clone(s)
+		if got, ref := TopK(s, k), rankReference(s, k); !sameScored(got, ref) {
+			t.Fatalf("TopK(n=%d, k=%d) = %v, want %v", len(s), k, got, ref)
+		}
+		if !sameScored(s, before) {
+			t.Fatal("TopK modified its input")
+		}
+	})
 }
 
 // pageRankPerEdge is the kernel as it stood before the division was

@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"cmp"
 	"slices"
 
 	"ringo/internal/par"
@@ -34,10 +35,13 @@ type Delta struct {
 }
 
 // PatchView produces the CSR view of the current graph state by patching a
-// base view with a batch of deltas, instead of rebuilding from scratch: a
-// sorted overlay of net adjacency changes is merged with the base arena in
-// one parallel pass, so the cost is a flat O(V+E) copy plus work
-// proportional to the touched adjacency lists — no hashing, no re-sort.
+// base view with a batch of deltas, instead of rebuilding from scratch.
+// The net adjacency changes form a node-sorted list; every run of nodes
+// between two changed ones is copied from the base arena as one block —
+// verbatim when no fresh id sorts below a base id, else translated through
+// the dense-index shift — and only changed nodes merge their base list
+// with their sorted adds and deletes. The cost is one flat O(V+E) copy plus
+// O(log V) per delta endpoint: no hashing, no re-sort.
 //
 // The caller describes the *current* graph through the hasNode/hasEdge
 // callbacks; deltas only tell the patch which pairs to re-examine, so the
@@ -51,87 +55,43 @@ type Delta struct {
 // build stays as both fallback and oracle (see TestPatchViewMatchesRebuild
 // and FuzzIncrementalView).
 func PatchView(base *View, hasNode func(int64) bool, hasEdge func(src, dst int64) bool, deltas []Delta) *View {
-	type pair struct{ s, d int64 }
-	pairs := make(map[pair]struct{}, len(deltas))
-	touched := make(map[int64]struct{}, len(deltas))
+	m := mergeIDs(base.ids, hasNode, deltas)
+	// An edge is a net add iff it exists now but not in the base, a net
+	// delete iff the reverse — order- and duplicate-independent.
+	var out, in []edit
 	for _, d := range deltas {
-		touched[d.Src] = struct{}{}
-		if d.Op != DeltaAddNode {
-			touched[d.Dst] = struct{}{}
-			pairs[pair{d.Src, d.Dst}] = struct{}{}
+		if d.Op == DeltaAddNode {
+			continue
 		}
-	}
-
-	ids, oldToNew, newToOld, newIdx := mergeIDs(base.ids, base.Index, hasNode, touched)
-	n := len(ids)
-	index := func(id int64) int32 {
-		if i, ok := base.Index(id); ok {
-			return oldToNew[i]
-		}
-		return newIdx[id]
-	}
-
-	// Net changes per direction, in the new dense space. An edge is a net
-	// add iff it exists now but not in the base, a net delete iff the
-	// reverse — order- and duplicate-independent.
-	addOut := map[int32][]int32{}
-	delOut := map[int32][]int32{}
-	addIn := map[int32][]int32{}
-	delIn := map[int32][]int32{}
-	for p := range pairs {
-		cur := hasEdge(p.s, p.d)
+		cur := hasEdge(d.Src, d.Dst)
 		inBase := false
-		if si, ok := base.Index(p.s); ok {
-			if di, ok := base.Index(p.d); ok {
+		if si, ok := base.Index(d.Src); ok {
+			if di, ok := base.Index(d.Dst); ok {
 				_, inBase = slices.BinarySearch(base.Out(si), di)
 			}
 		}
 		if cur == inBase {
 			continue
 		}
-		ns, nd := index(p.s), index(p.d)
-		if cur {
-			addOut[ns] = append(addOut[ns], nd)
-			addIn[nd] = append(addIn[nd], ns)
-		} else {
-			delOut[ns] = append(delOut[ns], nd)
-			delIn[nd] = append(delIn[nd], ns)
-		}
+		s, t := m.index(d.Src), m.index(d.Dst)
+		out = append(out, edit{s, t, cur})
+		in = append(in, edit{t, s, cur})
 	}
-	for _, m := range []map[int32][]int32{addOut, delOut, addIn, delIn} {
-		for _, l := range m {
-			slices.Sort(l)
-		}
-	}
+	outChg, inChg := m.changes(out), m.changes(in)
 
-	v := &View{ids: ids}
-	v.outOff = make([]int64, n+1)
-	v.inOff = make([]int64, n+1)
-	for i := 0; i < n; i++ {
-		var od, id int
-		if o := newToOld[i]; o >= 0 {
-			od = base.OutDeg(o)
-			id = base.InDeg(o)
-		}
-		od += len(addOut[int32(i)]) - len(delOut[int32(i)])
-		id += len(addIn[int32(i)]) - len(delIn[int32(i)])
-		v.outOff[i+1] = v.outOff[i] + int64(od)
-		v.inOff[i+1] = v.inOff[i] + int64(id)
+	n := len(m.ids)
+	v := &View{
+		ids:    m.ids,
+		outOff: patchOffsets(n, base.outOff, outChg),
+		inOff:  patchOffsets(n, base.inOff, inChg),
 	}
 	e := v.outOff[n]
 	v.arena = make([]int32, e+v.inOff[n])
 	v.out = v.arena[:e:e]
 	v.in = v.arena[e:]
-
 	par.Do(
-		func() {
-			v.idx = make(map[int64]int32, n)
-			for i, id := range ids {
-				v.idx[id] = int32(i)
-			}
-		},
-		func() { patchAdj(n, v.out, v.outOff, newToOld, oldToNew, base.Out, addOut, delOut) },
-		func() { patchAdj(n, v.in, v.inOff, newToOld, oldToNew, base.In, addIn, delIn) },
+		func() { patchFill(v.out, v.outOff, base.out, base.outOff, m.oldToNew, outChg) },
+		func() { patchFill(v.in, v.inOff, base.in, base.inOff, m.oldToNew, inChg) },
 	)
 	return v
 }
@@ -140,168 +100,231 @@ func PatchView(base *View, hasNode func(int64) bool, hasEdge func(src, dst int64
 // in its arguments (for the undirected projection of a directed graph,
 // pass the closure over both orientations).
 func PatchUView(base *UView, hasNode func(int64) bool, hasEdge func(a, b int64) bool, deltas []Delta) *UView {
-	type pair struct{ a, b int64 }
-	canon := func(a, b int64) pair {
-		if a > b {
-			a, b = b, a
-		}
-		return pair{a, b}
-	}
-	pairs := make(map[pair]struct{}, len(deltas))
-	touched := make(map[int64]struct{}, len(deltas))
+	m := mergeIDs(base.ids, hasNode, deltas)
+	var edits []edit
 	for _, d := range deltas {
-		touched[d.Src] = struct{}{}
-		if d.Op != DeltaAddNode {
-			touched[d.Dst] = struct{}{}
-			pairs[canon(d.Src, d.Dst)] = struct{}{}
+		if d.Op == DeltaAddNode {
+			continue
 		}
-	}
-
-	ids, oldToNew, newToOld, newIdx := mergeIDs(base.ids, base.Index, hasNode, touched)
-	n := len(ids)
-	index := func(id int64) int32 {
-		if i, ok := base.Index(id); ok {
-			return oldToNew[i]
-		}
-		return newIdx[id]
-	}
-
-	add := map[int32][]int32{}
-	del := map[int32][]int32{}
-	for p := range pairs {
-		cur := hasEdge(p.a, p.b)
+		cur := hasEdge(d.Src, d.Dst)
 		inBase := false
-		if ai, ok := base.Index(p.a); ok {
-			if bi, ok := base.Index(p.b); ok {
+		if ai, ok := base.Index(d.Src); ok {
+			if bi, ok := base.Index(d.Dst); ok {
 				_, inBase = slices.BinarySearch(base.Adj(ai), bi)
 			}
 		}
 		if cur == inBase {
 			continue
 		}
-		na, nb := index(p.a), index(p.b)
-		m := add
-		if !cur {
-			m = del
-		}
 		// A self-loop appears once in its node's adjacency, like
 		// Undirected.AddEdge inserts it.
-		m[na] = append(m[na], nb)
-		if na != nb {
-			m[nb] = append(m[nb], na)
+		a, b := m.index(d.Src), m.index(d.Dst)
+		edits = append(edits, edit{a, b, cur})
+		if a != b {
+			edits = append(edits, edit{b, a, cur})
 		}
 	}
-	for _, m := range []map[int32][]int32{add, del} {
-		for _, l := range m {
-			slices.Sort(l)
-		}
-	}
+	chg := m.changes(edits)
 
-	v := &UView{ids: ids}
-	v.off = make([]int64, n+1)
-	for i := 0; i < n; i++ {
-		var deg int
-		if o := newToOld[i]; o >= 0 {
-			deg = base.Deg(o)
-		}
-		deg += len(add[int32(i)]) - len(del[int32(i)])
-		v.off[i+1] = v.off[i] + int64(deg)
-	}
+	n := len(m.ids)
+	v := &UView{ids: m.ids, off: patchOffsets(n, base.off, chg)}
 	v.arena = make([]int32, v.off[n])
-
-	par.Do(
-		func() {
-			v.idx = make(map[int64]int32, n)
-			for i, id := range ids {
-				v.idx[id] = int32(i)
-			}
-		},
-		func() { patchAdj(n, v.arena, v.off, newToOld, oldToNew, base.Adj, add, del) },
-	)
+	patchFill(v.arena, v.off, base.arena, base.off, m.oldToNew, chg)
 	return v
 }
 
-// mergeIDs merges the base id vector with the touched ids that are new to
-// it (present in the current graph, absent from the base), returning the
-// merged ascending id vector plus the dense-index translations both ways
-// (newToOld is -1 for freshly added nodes) and the dense index of each new
-// id.
-func mergeIDs(baseIDs []int64, baseIndex func(int64) (int32, bool), hasNode func(int64) bool, touched map[int64]struct{}) (ids []int64, oldToNew, newToOld []int32, newIdx map[int64]int32) {
+// idMerge is a patched view's node set: the base ids with the fresh ids —
+// touched by a delta, present now, absent from the base — merged in.
+type idMerge struct {
+	ids   []int64 // ascending
+	fresh []int32 // dense indices of the fresh ids in ids, ascending
+	// oldToNew maps a base dense index to its patched one: the base index
+	// plus the number of fresh ids sorting below it. It is nil when that
+	// number is always zero, so base neighbor lists copy verbatim.
+	oldToNew []int32
+}
+
+func mergeIDs(baseIDs []int64, hasNode func(int64) bool, deltas []Delta) idMerge {
 	var newIDs []int64
-	for id := range touched {
-		if !hasNode(id) {
-			continue
-		}
-		if _, ok := baseIndex(id); !ok {
+	touch := func(id int64) {
+		if _, ok := slices.BinarySearch(baseIDs, id); !ok && hasNode(id) {
 			newIDs = append(newIDs, id)
 		}
 	}
+	for _, d := range deltas {
+		touch(d.Src)
+		if d.Op != DeltaAddNode {
+			touch(d.Dst)
+		}
+	}
 	slices.Sort(newIDs)
+	newIDs = slices.Compact(newIDs)
 
 	oldN := len(baseIDs)
 	n := oldN + len(newIDs)
-	ids = make([]int64, 0, n)
-	oldToNew = make([]int32, oldN)
-	newToOld = make([]int32, n)
-	newIdx = make(map[int64]int32, len(newIDs))
+	m := idMerge{fresh: make([]int32, len(newIDs))}
+	if len(newIDs) == 0 || oldN == 0 || newIDs[0] > baseIDs[oldN-1] {
+		m.ids = slices.Concat(baseIDs, newIDs)
+		for j := range newIDs {
+			m.fresh[j] = int32(oldN + j)
+		}
+		return m
+	}
+	m.ids = make([]int64, 0, n)
+	m.oldToNew = make([]int32, oldN)
 	i, j := 0, 0
-	for len(ids) < n {
+	for len(m.ids) < n {
 		if j >= len(newIDs) || (i < oldN && baseIDs[i] < newIDs[j]) {
-			oldToNew[i] = int32(len(ids))
-			newToOld[len(ids)] = int32(i)
-			ids = append(ids, baseIDs[i])
+			m.oldToNew[i] = int32(len(m.ids))
+			m.ids = append(m.ids, baseIDs[i])
 			i++
 		} else {
-			newIdx[newIDs[j]] = int32(len(ids))
-			newToOld[len(ids)] = -1
-			ids = append(ids, newIDs[j])
+			m.fresh[j] = int32(len(m.ids))
+			m.ids = append(m.ids, newIDs[j])
 			j++
 		}
 	}
-	return ids, oldToNew, newToOld, newIdx
+	return m
 }
 
-// patchAdj fills one adjacency half of a patched view in parallel: nodes
-// with no pending changes translate their base list through the dense-index
-// shift; touched nodes merge the translated base list with the sorted add
-// overlay while skipping deletes; fresh nodes copy their adds. Translation
-// preserves sort order because oldToNew is strictly increasing.
-func patchAdj(n int, dst []int32, off []int64, newToOld, oldToNew []int32, baseAdj func(int32) []int32, adds, dels map[int32][]int32) {
-	par.ForEach(n, func(i int) {
-		at := off[i]
-		a := adds[int32(i)]
-		d := dels[int32(i)]
-		o := newToOld[i]
-		if o < 0 {
-			copy(dst[at:], a)
+// index returns the patched dense index of an id of the patched view.
+func (m idMerge) index(id int64) int32 {
+	i, _ := slices.BinarySearch(m.ids, id)
+	return int32(i)
+}
+
+// edit is one net adjacency change in patched dense indices: nbr enters
+// (add) or leaves node's list.
+type edit struct {
+	node, nbr int32
+	add       bool
+}
+
+// change is one node's net adjacency changes, each list sorted; fresh
+// marks a node the base view lacks.
+type change struct {
+	node     int32
+	fresh    bool
+	add, del []int32
+}
+
+// changes groups one adjacency half's edits into its node-sorted change
+// list. Every fresh node gets an entry, edits or not, so that patchWalk
+// never takes it for a base node.
+func (m idMerge) changes(edits []edit) []change {
+	slices.SortFunc(edits, func(a, b edit) int {
+		return cmp.Or(cmp.Compare(a.node, b.node), cmp.Compare(a.nbr, b.nbr))
+	})
+	edits = slices.Compact(edits)
+	var chg []change
+	fresh := m.fresh
+	for i := 0; i < len(edits) || len(fresh) > 0; {
+		var c change
+		if len(fresh) > 0 && (i == len(edits) || fresh[0] <= edits[i].node) {
+			c = change{node: fresh[0], fresh: true}
+			fresh = fresh[1:]
+		} else {
+			c.node = edits[i].node
+		}
+		for ; i < len(edits) && edits[i].node == c.node; i++ {
+			if edits[i].add {
+				c.add = append(c.add, edits[i].nbr)
+			} else {
+				c.del = append(c.del, edits[i].nbr)
+			}
+		}
+		chg = append(chg, c)
+	}
+	return chg
+}
+
+// patchWalk visits the patched dense space [0, n) in order, split at the
+// changed nodes: run(at, from, cnt) for each maximal run of cnt base nodes
+// with no net change, at patched indices [at, at+cnt) and base indices
+// [from, from+cnt); node(c, from) for each changed node, from being its
+// base index, or -1 when it is fresh.
+func patchWalk(n int, chg []change, run func(at, from, cnt int), node func(c change, from int)) {
+	at, from := 0, 0
+	for _, c := range chg {
+		if cnt := int(c.node) - at; cnt > 0 {
+			run(at, from, cnt)
+			from += cnt
+		}
+		at = int(c.node) + 1
+		if c.fresh {
+			node(c, -1)
+		} else {
+			node(c, from)
+			from++
+		}
+	}
+	if at < n {
+		run(at, from, n-at)
+	}
+}
+
+// patchOffsets is the offset vector of one patched adjacency half: a run
+// of unchanged nodes is its base offsets shifted by one constant.
+func patchOffsets(n int, baseOff []int64, chg []change) []int64 {
+	off := make([]int64, n+1)
+	patchWalk(n, chg, func(at, from, cnt int) {
+		shift := off[at] - baseOff[from]
+		for j := 1; j <= cnt; j++ {
+			off[at+j] = baseOff[from+j] + shift
+		}
+	}, func(c change, from int) {
+		deg := int64(len(c.add) - len(c.del))
+		if from >= 0 {
+			deg += baseOff[from+1] - baseOff[from]
+		}
+		off[c.node+1] = off[c.node] + deg
+	})
+	return off
+}
+
+// patchFill fills one patched adjacency half: each run of unchanged nodes
+// is one block of the base array, copied or translated through oldToNew;
+// a changed base node merges its translated base list with its adds while
+// skipping its deletes; a fresh node copies its adds. Translation keeps
+// lists sorted because oldToNew is strictly increasing.
+func patchFill(dst []int32, off []int64, base []int32, baseOff []int64, oldToNew []int32, chg []change) {
+	tr := func(x int32) int32 {
+		if oldToNew == nil {
+			return x
+		}
+		return oldToNew[x]
+	}
+	patchWalk(len(off)-1, chg, func(at, from, cnt int) {
+		src := base[baseOff[from]:baseOff[from+cnt]]
+		blk := dst[off[at]:off[at+cnt]]
+		if oldToNew == nil {
+			copy(blk, src)
 			return
 		}
-		src := baseAdj(o)
-		if len(a) == 0 && len(d) == 0 {
-			for _, x := range src {
-				dst[at] = oldToNew[x]
-				at++
-			}
+		for j, x := range src {
+			blk[j] = oldToNew[x]
+		}
+	}, func(c change, from int) {
+		at := off[c.node]
+		if from < 0 {
+			copy(dst[at:], c.add)
 			return
 		}
-		ai, di := 0, 0
-		for _, x := range src {
-			nx := oldToNew[x]
-			for ai < len(a) && a[ai] < nx {
-				dst[at] = a[ai]
+		a, d := c.add, c.del
+		for _, x := range base[baseOff[from]:baseOff[from+1]] {
+			nx := tr(x)
+			for len(a) > 0 && a[0] < nx {
+				dst[at] = a[0]
 				at++
-				ai++
+				a = a[1:]
 			}
-			if di < len(d) && d[di] == nx {
-				di++
+			if len(d) > 0 && d[0] == nx {
+				d = d[1:]
 				continue
 			}
 			dst[at] = nx
 			at++
 		}
-		for ; ai < len(a); ai++ {
-			dst[at] = a[ai]
-			at++
-		}
+		copy(dst[at:], a)
 	})
 }

@@ -238,6 +238,67 @@ func TestPatchViewEmptyBase(t *testing.T) {
 	}
 }
 
+// TestPatchViewAppendedIDs names both arms of the run copy. Fresh ids
+// above the base maximum leave every base dense index in place, so
+// unchanged runs are copied verbatim; one fresh id below it shifts the
+// base indices after it, so runs are translated. Each batch also deletes
+// an edge and adds one between existing nodes.
+func TestPatchViewAppendedIDs(t *testing.T) {
+	g := NewDirected()
+	for i := int64(0); i < 20; i++ {
+		g.AddEdge(i*10, ((i+1)%20)*10)
+		g.AddEdge(i*10, ((i+7)%20)*10)
+	}
+	batches := []struct {
+		name     string
+		identity bool
+		apply    func() []Delta
+	}{
+		{"appended", true, func() []Delta {
+			g.AddEdge(50, 1000)
+			g.AddEdge(1000, 1010)
+			g.AddEdge(1010, 1010)
+			g.AddNode(1020)
+			g.DelEdge(30, 40)
+			g.AddEdge(40, 30)
+			return []Delta{
+				{Op: DeltaAddEdge, Src: 50, Dst: 1000},
+				{Op: DeltaAddEdge, Src: 1000, Dst: 1010},
+				{Op: DeltaAddEdge, Src: 1010, Dst: 1010},
+				{Op: DeltaAddNode, Src: 1020},
+				{Op: DeltaDelEdge, Src: 30, Dst: 40},
+				{Op: DeltaAddEdge, Src: 40, Dst: 30},
+			}
+		}},
+		{"inserted", false, func() []Delta {
+			g.AddEdge(15, 120)
+			g.DelEdge(60, 70)
+			g.AddEdge(190, 0)
+			return []Delta{
+				{Op: DeltaAddEdge, Src: 15, Dst: 120},
+				{Op: DeltaDelEdge, Src: 60, Dst: 70},
+				{Op: DeltaAddEdge, Src: 190, Dst: 0},
+			}
+		}},
+	}
+	for _, b := range batches {
+		base := BuildView(g)
+		ubase := BuildUView(AsUndirected(g))
+		deltas := b.apply()
+		hasNode, hasEdge := directedDeltaClosures(g)
+		if identity := mergeIDs(base.ids, hasNode, deltas).oldToNew == nil; identity != b.identity {
+			t.Fatalf("%s: identity remap = %v, want %v", b.name, identity, b.identity)
+		}
+		if err := sameView(PatchView(base, hasNode, hasEdge, deltas), BuildView(g)); err != nil {
+			t.Fatalf("%s: patched directed view diverges: %v", b.name, err)
+		}
+		_, uHasEdge := projectionClosures(g)
+		if err := sameUView(PatchUView(ubase, hasNode, uHasEdge, deltas), BuildUView(AsUndirected(g))); err != nil {
+			t.Fatalf("%s: patched undirected view diverges: %v", b.name, err)
+		}
+	}
+}
+
 // FuzzIncrementalView interprets the fuzz input as a byte-encoded mutation
 // script — add/delete edges, add nodes, with ids drawn from a small space
 // so duplicates, self-loops and unknown-id deletes occur constantly — and
@@ -308,7 +369,9 @@ func FuzzIncrementalView(f *testing.F) {
 }
 
 // BenchmarkViewPatch measures patching a small delta batch onto a base
-// view against the full rebuild it replaces.
+// view against the full rebuild it replaces: patch is a random batch,
+// append a batch of edges to fresh ids above the base maximum (the shape
+// of an addedge-then-query session, whose unchanged runs copy verbatim).
 func BenchmarkViewPatch(b *testing.B) {
 	rng := rand.New(rand.NewSource(11))
 	g := NewDirected()
@@ -316,16 +379,29 @@ func BenchmarkViewPatch(b *testing.B) {
 		g.AddEdge(rng.Int63n(50000), rng.Int63n(50000))
 	}
 	base := BuildView(g)
+	ag := g.Clone()
 	var deltas []Delta
 	for len(deltas) < 64 {
 		if d, ok := randomDelta(rng, g, 50000); ok {
 			deltas = append(deltas, d)
 		}
 	}
+	var appended []Delta
+	for i := int64(0); i < 64; i++ {
+		src, dst := base.ids[rng.Intn(len(base.ids))], 50000+i
+		ag.AddEdge(src, dst)
+		appended = append(appended, Delta{Op: DeltaAddEdge, Src: src, Dst: dst})
+	}
 	hasNode, hasEdge := directedDeltaClosures(g)
 	b.Run("patch", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			PatchView(base, hasNode, hasEdge, deltas)
+		}
+	})
+	aHasNode, aHasEdge := directedDeltaClosures(ag)
+	b.Run("append", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			PatchView(base, aHasNode, aHasEdge, appended)
 		}
 	})
 	b.Run("rebuild", func(b *testing.B) {

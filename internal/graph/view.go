@@ -11,21 +11,20 @@ import (
 // ids are mapped to dense indices in ascending id order, and both adjacency
 // directions are translated into one arena-backed int32 array addressed
 // through offset vectors. Building a View costs O(V log V + E) once; every
-// algorithm over it then indexes flat arrays with no hashing. A View is an
+// algorithm over it then indexes flat arrays with no hashing, and the id
+// vector itself answers id lookups by binary search. A View is an
 // immutable snapshot — mutations to the source graph are not reflected —
 // and is safe for concurrent use by any number of readers, which is what
 // makes it cacheable across queries (see internal/core's view cache).
 type View struct {
 	ids    []int64 // dense index -> node id, ascending
-	idx    map[int64]int32
 	outOff []int64
 	inOff  []int64
 	arena  []int32 // out targets in arena[:E], in sources in arena[E:]
 	out    []int32 // arena[:E:E]
 	in     []int32 // arena[E:]
 	// retain pins whatever owns externally backed arrays (a file mapping)
-	// for the view's lifetime; nil for heap-built views. idx is nil for
-	// such views — Index falls back to binary search over ids.
+	// for the view's lifetime; nil for heap-built views.
 	retain any
 }
 
@@ -39,10 +38,7 @@ type View struct {
 func BuildView(g *Directed) *View {
 	nslots := g.NumSlots()
 	n := g.NumNodes()
-	v := &View{
-		ids: make([]int64, 0, n),
-		idx: make(map[int64]int32, n),
-	}
+	v := &View{ids: make([]int64, 0, n)}
 	for s := 0; s < nslots; s++ {
 		if id, ok := g.IDAtSlot(s); ok {
 			v.ids = append(v.ids, id)
@@ -83,15 +79,7 @@ func BuildView(g *Directed) *View {
 	v.out = v.arena[:e:e]
 	v.in = v.arena[e:]
 
-	// The id->dense map is only consulted for algorithm entry points
-	// (Index), never during translation, so it builds sequentially while
-	// the workers fill both arena halves.
 	par.Do(
-		func() {
-			for i, id := range v.ids {
-				v.idx[id] = int32(i)
-			}
-		},
 		func() {
 			par.ForEach(n, func(i int) {
 				s := int(denseSlot[i])
@@ -129,17 +117,12 @@ func (v *View) IDs() []int64 { return v.ids }
 // ID returns the node id at dense index i.
 func (v *View) ID(i int32) int64 { return v.ids[i] }
 
-// Index returns the dense index of a node id. Heap-built views answer from
-// the id->dense hash map; views assembled over external arrays (mapped
-// graphs) have no map and binary-search the ascending id vector instead —
-// Index is only consulted at algorithm entry points, never per edge, so the
-// O(log V) lookup costs nothing measurable while keeping a mapped file
-// usable with zero decoded state.
+// Index returns the dense index of a node id by binary search over the
+// ascending id vector, for heap-built and mapped views alike. Index is only
+// consulted at algorithm entry points and by the patch planner, never per
+// edge, so the O(log V) lookup costs nothing measurable, and a view carries
+// no id map to build, patch or book.
 func (v *View) Index(id int64) (int32, bool) {
-	if v.idx != nil {
-		i, ok := v.idx[id]
-		return i, ok
-	}
 	i, ok := slices.BinarySearch(v.ids, id)
 	if !ok {
 		return 0, false
@@ -166,15 +149,13 @@ func (v *View) InDeg(u int32) int { return int(v.inOff[u+1] - v.inOff[u]) }
 func (v *View) Bytes() int64 {
 	return int64(cap(v.ids))*8 +
 		int64(cap(v.outOff)+cap(v.inOff))*8 +
-		int64(cap(v.arena))*4 +
-		int64(len(v.idx))*16
+		int64(cap(v.arena))*4
 }
 
 // UView is the undirected counterpart of View: one offset vector and one
 // arena-backed neighbor array. Self-loops appear once, as in Undirected.
 type UView struct {
 	ids   []int64
-	idx   map[int64]int32
 	off   []int64
 	arena []int32
 	// retain pins external array owners; see View.retain.
@@ -186,10 +167,7 @@ type UView struct {
 func BuildUView(g *Undirected) *UView {
 	nslots := g.NumSlots()
 	n := g.NumNodes()
-	v := &UView{
-		ids: make([]int64, 0, n),
-		idx: make(map[int64]int32, n),
-	}
+	v := &UView{ids: make([]int64, 0, n)}
 	for s := 0; s < nslots; s++ {
 		if id, ok := g.IDAtSlot(s); ok {
 			v.ids = append(v.ids, id)
@@ -220,22 +198,13 @@ func BuildUView(g *Undirected) *UView {
 	}
 	v.arena = make([]int32, v.off[n])
 
-	par.Do(
-		func() {
-			for i, id := range v.ids {
-				v.idx[id] = int32(i)
-			}
-		},
-		func() {
-			par.ForEach(n, func(i int) {
-				at := v.off[i]
-				for _, nbr := range g.adj[denseSlot[i]] {
-					v.arena[at] = slotDense[g.idx[nbr]]
-					at++
-				}
-			})
-		},
-	)
+	par.ForEach(n, func(i int) {
+		at := v.off[i]
+		for _, nbr := range g.adj[denseSlot[i]] {
+			v.arena[at] = slotDense[g.idx[nbr]]
+			at++
+		}
+	})
 	return v
 }
 
@@ -260,13 +229,9 @@ func (v *UView) IDs() []int64 { return v.ids }
 // ID returns the node id at dense index i.
 func (v *UView) ID(i int32) int64 { return v.ids[i] }
 
-// Index returns the dense index of a node id (see View.Index: mapped views
-// binary-search the id vector instead of hashing).
+// Index returns the dense index of a node id by binary search over the id
+// vector (see View.Index).
 func (v *UView) Index(id int64) (int32, bool) {
-	if v.idx != nil {
-		i, ok := v.idx[id]
-		return i, ok
-	}
 	i, ok := slices.BinarySearch(v.ids, id)
 	if !ok {
 		return 0, false
@@ -285,6 +250,5 @@ func (v *UView) Deg(u int32) int { return int(v.off[u+1] - v.off[u]) }
 func (v *UView) Bytes() int64 {
 	return int64(cap(v.ids))*8 +
 		int64(cap(v.off))*8 +
-		int64(cap(v.arena))*4 +
-		int64(len(v.idx))*16
+		int64(cap(v.arena))*4
 }

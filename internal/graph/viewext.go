@@ -33,8 +33,8 @@ func (v *UView) UViewParts() (ids []int64, off []int64, arena []int32) {
 // ViewFromArrays assembles a directed CSR view directly over caller-owned
 // arrays — the zero-decode path for mmap-backed graphs: the arrays may
 // alias a file mapping, in which case retain must pin whatever owns the
-// mapping so it cannot be unmapped while the view is reachable. No id->
-// dense map is built; Index binary-searches ids instead.
+// mapping so it cannot be unmapped while the view is reachable. Index
+// binary-searches ids, as on every view, so nothing is decoded.
 //
 // The arrays are fully validated before the view is returned (strictly
 // ascending ids, monotone offset vectors that agree with the array

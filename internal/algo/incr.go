@@ -34,35 +34,26 @@ func PageRankViewTol(v *graph.View, damping, tol float64) Scores {
 	a := (1 - damping) / float64(n)
 	x := make([]float64, n)
 	parFill(x, 1.0/float64(n))
-	x = powerIterate(v, x, a, damping, tol)
+	powerIterate(v, newPullOrder(v, In), x, a, damping, tol)
 	normalizeSum(x)
 	return newScores(v.IDs(), x)
 }
 
-// powerIterate sweeps x ← a + d·Σ_in x/outdeg until the L1 change of a
-// sweep is at most (1-d)·tol, returning the converged vector. The sweep
-// contracts the error by d per round, so the iteration count is bounded by
-// log(tol)/log(d); the cap only guards degenerate damping values.
-func powerIterate(v *graph.View, x []float64, a, damping, tol float64) []float64 {
-	n := len(x)
-	next := make([]float64, n)
-	contrib := make([]float64, n)
+// powerIterate sweeps x ← a + d·Σ_in x/outdeg in place, through the pull
+// core's In order o, until the L1 change of a sweep is at most (1-d)·tol.
+// The sweep contracts the error by d per round, so the iteration count is
+// bounded by log(tol)/log(d); the cap only guards degenerate damping
+// values.
+func powerIterate(v *graph.View, o *pullOrder, x []float64, a, damping, tol float64) {
+	contrib := make([]float64, len(x))
+	sums := make([]float64, len(x))
+	spread(v, contrib, x, true)
 	for it := 0; it < 100000; it++ {
-		spread(v, contrib, x, true)
-		diff := par.Reduce(n, 0.0, func(lo, hi int) float64 {
-			var s float64
-			for i := lo; i < hi; i++ {
-				next[i] = a + damping*gather(v, contrib, i)
-				s += math.Abs(next[i] - x[i])
-			}
-			return s
-		}, func(p, q float64) float64 { return p + q })
-		x, next = next, x
-		if diff <= (1-damping)*tol {
+		o.pull(contrib, sums)
+		if _, diff := o.advance(v, x, contrib, sums, a, damping); diff <= (1-damping)*tol {
 			break
 		}
 	}
-	return x
 }
 
 // PageRankIncr is dynamic PageRank seeded from the previous score vector:
@@ -99,13 +90,16 @@ func PageRankIncr(v *graph.View, prev Scores, damping, tol float64) Scores {
 
 	// One full residual sweep against the new topology; after this the
 	// work is queue-driven and local.
-	rho := make([]float64, n)
+	o := newPullOrder(v, In)
 	contrib := make([]float64, n)
+	sums := make([]float64, n)
 	spread(v, contrib, x, true)
+	o.pull(contrib, sums)
+	rho := contrib // spent by the pull; the residual takes its storage
 	rsum := par.Reduce(n, 0.0, func(lo, hi int) float64 {
 		var s float64
 		for i := lo; i < hi; i++ {
-			rho[i] = a + damping*gather(v, contrib, i) - x[i]
+			rho[i] = a + damping*sums[o.rank[i]] - x[i]
 			s += rho[i]
 		}
 		return s
@@ -190,7 +184,7 @@ func PageRankIncr(v *graph.View, prev Scores, damping, tol float64) Scores {
 		return s
 	}, func(p, q float64) float64 { return p + q })
 	if diff > (1-damping)*tol {
-		x = powerIterate(v, x, a, damping, tol)
+		powerIterate(v, o, x, a, damping, tol)
 	}
 	normalizeSum(x)
 	return newScores(v.IDs(), x)

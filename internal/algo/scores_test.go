@@ -241,6 +241,19 @@ func BenchmarkPageRankView(b *testing.B) {
 	}
 }
 
+// BenchmarkHITSView is HITSView, the pull core over in- and out-edges, at
+// the update-query workload's graph size.
+func BenchmarkHITSView(b *testing.B) {
+	v := graph.BuildView(rmatGraph(15, 200000, 1))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if got := HITSView(v, 10); len(got.Hub) != v.NumNodes() {
+			b.Fatal(len(got.Hub))
+		}
+	}
+}
+
 // sumScores is the total of a score vector; a PageRank vector sums to 1.
 func sumScores(scores Scores) float64 {
 	var s float64

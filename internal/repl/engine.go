@@ -705,7 +705,7 @@ func (e *Engine) cmdScoresToTable(r *Result, args []string) error {
 }
 
 func (e *Engine) cmdAlgo(r *Result, args []string) error {
-	if err := need(args, 2, "algo <graph> triangles|wcc|scc|3core|diam"); err != nil {
+	if err := need(args, 2, "algo <graph> triangles|wcc|scc|3core|diam|motifs|bridges|cuts|toposort|clustering"); err != nil {
 		return err
 	}
 	key, cacheable := e.cacheKey("algo "+args[1], args[0])

@@ -94,3 +94,45 @@ func TestVerbTableProperties(t *testing.T) {
 		}
 	}
 }
+
+// TestAlgoUsageListsEveryAlgorithm holds the `algo` usage error to the
+// analyses the verb runs: its synopsis must equal the docs/COMMANDS.md
+// heading line, and every name it lists must run on a tiny graph rather
+// than answer "unknown algorithm".
+func TestAlgoUsageListsEveryAlgorithm(t *testing.T) {
+	e := New(nil)
+	_, err := e.Eval("algo G")
+	if err == nil {
+		t.Fatal(`"algo G" ran without an algorithm name`)
+	}
+	usage, ok := strings.CutPrefix(err.Error(), "usage: ")
+	if !ok {
+		t.Fatalf(`"algo G" error = %q, want a usage line`, err)
+	}
+	data, err := os.ReadFile("../../docs/COMMANDS.md")
+	if err != nil {
+		t.Fatalf("docs/COMMANDS.md missing: %v", err)
+	}
+	if !strings.Contains(string(data), "\n`"+usage+"`\n") {
+		t.Errorf("usage %q is not the docs/COMMANDS.md algo line", usage)
+	}
+	_, names, ok := strings.Cut(usage, "<graph> ")
+	if !ok {
+		t.Fatalf("usage %q names no algorithms", usage)
+	}
+	if _, err := e.Eval("gen rmat E 6 120 3"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.Eval("tograph G E src dst"); err != nil {
+		t.Fatal(err)
+	}
+	list := strings.Split(names, "|")
+	if len(list) != 10 {
+		t.Errorf("usage lists %d algorithms, want 10: %q", len(list), names)
+	}
+	for _, name := range list {
+		if _, err := e.Eval("algo G " + name); err != nil {
+			t.Errorf("algo G %s: %v", name, err)
+		}
+	}
+}

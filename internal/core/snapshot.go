@@ -4,8 +4,8 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 
+	"ringo/internal/frame"
 	"ringo/internal/snapshot"
 	"ringo/internal/xhash"
 )
@@ -109,39 +109,11 @@ func (w *Workspace) Digest() (string, error) {
 	return fmt.Sprintf("%016x", d.Sum64()), nil
 }
 
-// SnapshotFile is Snapshot writing to the named file. The snapshot is
-// written to a temporary file in the same directory and renamed into place
-// on success, so a failed or interrupted snapshot never destroys a
+// SnapshotFile is Snapshot writing to the named file through
+// frame.WriteFile, so a failed or interrupted snapshot never destroys a
 // previous good snapshot at the same path.
 func (w *Workspace) SnapshotFile(path string) error {
-	dir := filepath.Dir(path)
-	f, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
-	if err != nil {
-		return err
-	}
-	tmp := f.Name()
-	if err := w.Snapshot(f); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	// Flush data before the rename: without it, a crash after a journaled
-	// rename could leave the target pointing at unwritten blocks, losing
-	// the old good snapshot anyway.
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return nil
+	return frame.WriteFile(path, w.Snapshot)
 }
 
 // RestoreFile is Restore reading from the named file.

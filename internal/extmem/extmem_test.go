@@ -1,6 +1,7 @@
 package extmem
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"os"
@@ -336,4 +337,60 @@ func FuzzOpenMapped(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestMappedGolden holds both RNGM variants to bytes an earlier writer
+// produced for small graphs with a self-loop and an isolated node: each
+// view saves to exactly those bytes, and the bytes open to an equal view.
+func TestMappedGolden(t *testing.T) {
+	g := graph.NewDirected()
+	for _, e := range [][2]int64{{1, 2}, {2, 3}, {3, 1}, {2, 2}} {
+		g.AddEdge(e[0], e[1])
+	}
+	g.AddNode(9)
+	u := graph.NewUndirected()
+	for _, e := range [][2]int64{{1, 2}, {2, 3}, {3, 3}} {
+		u.AddEdge(e[0], e[1])
+	}
+	u.AddNode(9)
+	v, uv := graph.BuildView(g), graph.BuildUView(u)
+	dir := t.TempDir()
+	for _, tc := range []struct {
+		golden string
+		save   func(path string) error
+		check  func(m *Graph)
+	}{
+		{"testdata/directed.rngm", func(p string) error { return SaveMapped(p, v) },
+			func(m *Graph) { sameView(t, v, m.View()) }},
+		{"testdata/undirected.rngm", func(p string) error { return SaveMappedUndirected(p, uv) },
+			func(m *Graph) {
+				got := m.UView()
+				if got == nil || !slices.Equal(got.IDs(), uv.IDs()) || got.NumEdges() != uv.NumEdges() {
+					t.Fatalf("undirected golden opens to a different graph")
+				}
+				for i := 0; i < uv.NumNodes(); i++ {
+					if !slices.Equal(got.Adj(int32(i)), uv.Adj(int32(i))) {
+						t.Fatalf("adjacency of dense %d differs", i)
+					}
+				}
+			}},
+	} {
+		want, err := os.ReadFile(tc.golden)
+		if err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(dir, filepath.Base(tc.golden))
+		if err := tc.save(path); err != nil {
+			t.Fatal(err)
+		}
+		if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("%s: saved image differs from the golden bytes (%v)", tc.golden, err)
+		}
+		m, err := Open(tc.golden)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tc.check(m)
+		m.Close()
+	}
 }

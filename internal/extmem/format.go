@@ -31,13 +31,11 @@
 package extmem
 
 import (
-	"bufio"
 	"encoding/binary"
 	"fmt"
-	"os"
-	"path/filepath"
-	"unsafe"
+	"io"
 
+	"ringo/internal/frame"
 	"ringo/internal/graph"
 	"ringo/internal/xhash"
 )
@@ -58,11 +56,6 @@ const (
 	fixedHeaderLen = 40
 	// sectionEntryLen is one section-table entry (offset, length, checksum).
 	sectionEntryLen = 24
-
-	// maxMappedCount rejects node/edge counts no real dataset reaches,
-	// mirroring the RNGO/RNGU decoders: a header claiming more is corrupt,
-	// and section-length math must not be asked to overflow on it.
-	maxMappedCount = 1 << 44
 )
 
 func headerLen(nsections int) int64 {
@@ -73,19 +66,18 @@ func alignUp(off int64) int64 {
 	return (off + pageAlign - 1) &^ (pageAlign - 1)
 }
 
-// SaveMapped writes v to path as an RNGM image. The write goes to a
-// temporary file in path's directory and renames into place, so readers
-// never observe a half-written image.
+// SaveMapped writes v to path as an RNGM image through frame.WriteFile, so
+// readers never observe a half-written image.
 func SaveMapped(path string, v *graph.View) error {
 	ids, outOff, inOff, out, in := v.ViewParts()
-	secs := [][]byte{i64Bytes(ids), i64Bytes(outOff), i64Bytes(inOff), i32Bytes(out), i32Bytes(in)}
+	secs := [][]byte{frame.Image(ids), frame.Image(outOff), frame.Image(inOff), frame.Image(out), frame.Image(in)}
 	return save(path, kindDirected, uint64(len(ids)), uint64(len(out)), secs)
 }
 
 // SaveMappedUndirected writes u to path as the undirected RNGM variant.
 func SaveMappedUndirected(path string, u *graph.UView) error {
 	ids, off, arena := u.UViewParts()
-	secs := [][]byte{i64Bytes(ids), i64Bytes(off), i32Bytes(arena)}
+	secs := [][]byte{frame.Image(ids), frame.Image(off), frame.Image(arena)}
 	return save(path, kindUndirected, uint64(len(ids)), uint64(len(arena)), secs)
 }
 
@@ -113,146 +105,17 @@ func save(path string, kind uint32, nnodes, nentries uint64, secs [][]byte) erro
 	}
 	head = binary.LittleEndian.AppendUint64(head, xhash.Checksum64(head))
 
-	dir := filepath.Dir(path)
-	f, err := os.CreateTemp(dir, ".rngm-*")
-	if err != nil {
-		return err
-	}
-	tmp := f.Name()
-	fail := func(err error) error {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-
-	bw := bufio.NewWriterSize(f, 1<<20)
-	pos := int64(0)
-	write := func(p []byte) error {
-		n, err := bw.Write(p)
-		pos += int64(n)
-		return err
-	}
-	padTo := func(target int64) error {
-		var zeros [pageAlign]byte
-		for pos < target {
-			chunk := target - pos
-			if chunk > pageAlign {
-				chunk = pageAlign
-			}
-			if err := write(zeros[:chunk]); err != nil {
-				return err
-			}
+	return frame.WriteFile(path, func(w io.Writer) error {
+		fw := frame.NewWriter(w)
+		fw.Bytes(head)
+		end := hdr
+		for i, s := range secs {
+			fw.Bytes(make([]byte, offsets[i]-end)) // zero gap up to the aligned start
+			fw.Bytes(s)
+			end = offsets[i] + int64(len(s))
 		}
-		return nil
-	}
-
-	if err := write(head); err != nil {
-		return fail(err)
-	}
-	for i, s := range secs {
-		if err := padTo(offsets[i]); err != nil {
-			return fail(err)
-		}
-		if err := write(s); err != nil {
-			return fail(err)
-		}
-	}
-	if err := bw.Flush(); err != nil {
-		return fail(err)
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return nil
-}
-
-// hostLittle reports whether this host stores integers little endian, in
-// which case in-memory arrays alias their on-disk image byte for byte and
-// both save and open can skip per-value encoding.
-var hostLittle = func() bool {
-	var x uint16 = 1
-	return *(*byte)(unsafe.Pointer(&x)) == 1
-}()
-
-// i64Bytes returns the little-endian byte image of s — aliased on LE
-// hosts, encoded into a fresh buffer on BE hosts.
-func i64Bytes(s []int64) []byte {
-	if len(s) == 0 {
-		return nil
-	}
-	if hostLittle {
-		return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(s))), len(s)*8)
-	}
-	out := make([]byte, len(s)*8)
-	for i, v := range s {
-		binary.LittleEndian.PutUint64(out[i*8:], uint64(v))
-	}
-	return out
-}
-
-// u64Bytes views a []uint64 buffer as bytes; the read fallback allocates
-// its image through this so the base is always 8-byte aligned for section
-// aliasing.
-func u64Bytes(s []uint64) []byte {
-	if len(s) == 0 {
-		return nil
-	}
-	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(s))), len(s)*8)
-}
-
-// i32Bytes is i64Bytes for int32 arrays.
-func i32Bytes(s []int32) []byte {
-	if len(s) == 0 {
-		return nil
-	}
-	if hostLittle {
-		return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(s))), len(s)*4)
-	}
-	out := make([]byte, len(s)*4)
-	for i, v := range s {
-		binary.LittleEndian.PutUint32(out[i*4:], uint32(v))
-	}
-	return out
-}
-
-// i64Section interprets length bytes at off as []int64: zero-copy aliasing
-// when the host is little endian and the base is 8-byte aligned (always
-// true for page-aligned sections in a page-aligned mapping), decode-copy
-// otherwise.
-func i64Section(data []byte, off, length int64) []int64 {
-	if length == 0 {
-		return nil
-	}
-	base := &data[off]
-	if hostLittle && uintptr(unsafe.Pointer(base))%8 == 0 {
-		return unsafe.Slice((*int64)(unsafe.Pointer(base)), length/8)
-	}
-	out := make([]int64, length/8)
-	for i := range out {
-		out[i] = int64(binary.LittleEndian.Uint64(data[off+int64(i)*8:]))
-	}
-	return out
-}
-
-// i32Section is i64Section for []int32.
-func i32Section(data []byte, off, length int64) []int32 {
-	if length == 0 {
-		return nil
-	}
-	base := &data[off]
-	if hostLittle && uintptr(unsafe.Pointer(base))%4 == 0 {
-		return unsafe.Slice((*int32)(unsafe.Pointer(base)), length/4)
-	}
-	out := make([]int32, length/4)
-	for i := range out {
-		out[i] = int32(binary.LittleEndian.Uint32(data[off+int64(i)*4:]))
-	}
-	return out
+		return fw.Flush()
+	})
 }
 
 // kindName names a kind constant for errors and summaries.

@@ -8,6 +8,7 @@ import (
 	"runtime"
 	"sync"
 
+	"ringo/internal/frame"
 	"ringo/internal/graph"
 	"ringo/internal/par"
 	"ringo/internal/xhash"
@@ -95,9 +96,9 @@ func Open(path string) (*Graph, error) {
 	return openFallback(path)
 }
 
-// openFallback reads the whole file into a []uint64-backed buffer so the
-// base is 8-byte aligned and sections alias exactly as they do in a
-// mapping.
+// openFallback reads the whole file into memory. Sections alias the copy
+// where it is aligned for them, as they would a mapping, and are decoded
+// where it is not.
 func openFallback(path string) (*Graph, error) {
 	raw, err := os.ReadFile(path)
 	if err != nil {
@@ -106,10 +107,7 @@ func openFallback(path string) (*Graph, error) {
 	if len(raw) == 0 {
 		return nil, fmt.Errorf("extmem: %s: empty file", path)
 	}
-	backing := make([]uint64, (len(raw)+7)/8)
-	data := u64Bytes(backing)[:len(raw)]
-	copy(data, raw)
-	return finish(path, data, false, nil)
+	return finish(path, raw, false, nil)
 }
 
 // finish validates a raw image and assembles the Graph over it.
@@ -153,7 +151,7 @@ func (g *Graph) parse() error {
 	}
 	nnodes := binary.LittleEndian.Uint64(data[16:])
 	nentries := binary.LittleEndian.Uint64(data[24:])
-	if nnodes > maxMappedCount || nentries > maxMappedCount {
+	if nnodes > frame.MaxCount || nentries > frame.MaxCount {
 		return fmt.Errorf("implausible header counts (%d nodes, %d edge entries)", nnodes, nentries)
 	}
 	if got := binary.LittleEndian.Uint64(data[32:]); got != uint64(nsections) {
@@ -219,20 +217,20 @@ func (g *Graph) parse() error {
 
 	switch g.kind {
 	case kindDirected:
-		ids := i64Section(data, spans[0].off, spans[0].len)
-		outOff := i64Section(data, spans[1].off, spans[1].len)
-		inOff := i64Section(data, spans[2].off, spans[2].len)
-		out := i32Section(data, spans[3].off, spans[3].len)
-		in := i32Section(data, spans[4].off, spans[4].len)
+		ids := frame.Section[int64](data, spans[0].off, spans[0].len)
+		outOff := frame.Section[int64](data, spans[1].off, spans[1].len)
+		inOff := frame.Section[int64](data, spans[2].off, spans[2].len)
+		out := frame.Section[int32](data, spans[3].off, spans[3].len)
+		in := frame.Section[int32](data, spans[4].off, spans[4].len)
 		v, err := graph.ViewFromArrays(ids, outOff, inOff, out, in, g)
 		if err != nil {
 			return err
 		}
 		g.view = v
 	case kindUndirected:
-		ids := i64Section(data, spans[0].off, spans[0].len)
-		off := i64Section(data, spans[1].off, spans[1].len)
-		arena := i32Section(data, spans[2].off, spans[2].len)
+		ids := frame.Section[int64](data, spans[0].off, spans[0].len)
+		off := frame.Section[int64](data, spans[1].off, spans[1].len)
+		arena := frame.Section[int32](data, spans[2].off, spans[2].len)
 		u, err := graph.UViewFromArrays(ids, off, arena, g)
 		if err != nil {
 			return err

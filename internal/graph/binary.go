@@ -2,10 +2,11 @@ package graph
 
 import (
 	"bufio"
-	"encoding/binary"
 	"fmt"
 	"io"
 	"os"
+
+	"ringo/internal/frame"
 )
 
 // Binary graph serialization: a compact format that loads an order of
@@ -29,160 +30,116 @@ const (
 	// internal/extmem. This package only sniffs it so stream loaders can
 	// point callers at the mapped loader instead of failing on a parse.
 	mappedMagic = "RNGM"
-
-	// maxBinaryCount rejects node/edge counts no real dataset reaches
-	// (2^44 ≈ 17 trillion): a header claiming more is corrupt, and
-	// trusting it would mean absurd allocations before the stream runs
-	// dry. maxBinaryPrealloc additionally bounds how far any decoded
-	// count is trusted for pre-allocation; slices grow by append beyond
-	// it, so even a plausible-looking lie costs reads, not memory.
-	maxBinaryCount    = 1 << 44
-	maxBinaryPrealloc = 1 << 20
 )
 
 // SaveBinary writes g in the binary graph format.
 func SaveBinary(w io.Writer, g *Directed) error {
-	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString(binaryMagic); err != nil {
-		return err
-	}
-	var scratch [8]byte
-	writeU32 := func(v uint32) error {
-		binary.LittleEndian.PutUint32(scratch[:4], v)
-		_, err := bw.Write(scratch[:4])
-		return err
-	}
-	writeU64 := func(v uint64) error {
-		binary.LittleEndian.PutUint64(scratch[:], v)
-		_, err := bw.Write(scratch[:])
-		return err
-	}
-	if err := writeU32(binaryVersion); err != nil {
-		return err
-	}
-	nodes := g.Nodes()
-	if err := writeU64(uint64(len(nodes))); err != nil {
-		return err
-	}
-	if err := writeU64(uint64(g.NumEdges())); err != nil {
-		return err
-	}
+	return saveAdjacency(w, binaryMagic, g.Nodes(), g.NumEdges(), g.OutNeighbors)
+}
+
+// SaveBinaryUndirected writes g in the binary graph format's undirected
+// variant: magic "RNGU", version u32, node count u64, edge count u64, then
+// per node (ascending id): id i64, degree u32, sorted neighbor ids i64...
+// Each non-loop edge appears in both endpoints' vectors, a self-loop once,
+// mirroring the in-memory representation.
+func SaveBinaryUndirected(w io.Writer, g *Undirected) error {
+	return saveAdjacency(w, undirectedMagic, g.Nodes(), g.NumEdges(), g.Neighbors)
+}
+
+// SaveBinaryFile is SaveBinary writing to the named file, which is
+// replaced only once the whole graph is written.
+func SaveBinaryFile(path string, g *Directed) error {
+	return frame.WriteFile(path, func(w io.Writer) error { return SaveBinary(w, g) })
+}
+
+// saveAdjacency writes the record layout RNGO and RNGU share: header, node
+// and edge counts, then one record per node of nodes (ascending id): id,
+// degree and the sorted vector adj returns for it.
+func saveAdjacency(w io.Writer, magic string, nodes []int64, edges int64, adj func(int64) []int64) error {
+	fw := frame.NewWriter(w)
+	fw.Header(magic, binaryVersion)
+	fw.U64(uint64(len(nodes)))
+	fw.U64(uint64(edges))
 	for _, id := range nodes {
-		if err := writeU64(uint64(id)); err != nil {
-			return err
-		}
-		out := g.OutNeighbors(id)
-		if err := writeU32(uint32(len(out))); err != nil {
-			return err
-		}
-		for _, dst := range out {
-			if err := writeU64(uint64(dst)); err != nil {
-				return err
-			}
-		}
+		vec := adj(id)
+		fw.U64(uint64(id))
+		fw.U32(uint32(len(vec)))
+		fw.Int64s(vec)
 	}
-	return bw.Flush()
+	return fw.Flush()
+}
+
+// loadAdjacency reads what saveAdjacency writes under magic, returning the
+// node ids, their vectors and the header's edge count. Each edge may fill
+// up to perEdge vector entries (RNGO 1, RNGU 2 for its two endpoints), and
+// every declared degree is checked against the entries the header left
+// unclaimed before it is read: a corrupt degree costs reads until the
+// stream runs dry, never an oversized allocation.
+func loadAdjacency(r io.Reader, magic string, perEdge uint64) (ids []int64, vecs [][]int64, nEdges uint64, err error) {
+	fr := frame.NewReader(r)
+	fr.Header(magic, binaryVersion)
+	nNodes := fr.Count("node count")
+	nEdges = fr.Count("edge count")
+	if err := fr.Err(); err != nil {
+		return nil, nil, 0, fmt.Errorf("graph: %w", err)
+	}
+	ids = make([]int64, 0, frame.Prealloc(nNodes))
+	vecs = make([][]int64, 0, frame.Prealloc(nNodes))
+	budget := perEdge * nEdges
+	remaining := budget
+	for i := uint64(0); i < nNodes; i++ {
+		id := int64(fr.U64("node id"))
+		deg := uint64(fr.U32("degree"))
+		if fr.Err() == nil && deg > remaining {
+			return nil, nil, 0, fmt.Errorf("graph: node %d declares degree %d with only %d of %d entries unclaimed", id, deg, remaining, budget)
+		}
+		remaining -= deg
+		vec := fr.Int64s("neighbor ids", deg)
+		if err := fr.Err(); err != nil {
+			return nil, nil, 0, fmt.Errorf("graph: node record %d: %w", i, err)
+		}
+		ids = append(ids, id)
+		vecs = append(vecs, vec)
+	}
+	return ids, vecs, nEdges, nil
 }
 
 // LoadBinary reads a graph written by SaveBinary.
 func LoadBinary(r io.Reader) (*Directed, error) {
-	br := bufio.NewReader(r)
-	magic := make([]byte, 4)
-	if _, err := io.ReadFull(br, magic); err != nil {
-		return nil, fmt.Errorf("graph: reading magic: %w", err)
-	}
-	if string(magic) != binaryMagic {
-		return nil, fmt.Errorf("graph: not a Ringo binary graph (magic %q)", magic)
-	}
-	var scratch [8]byte
-	readU32 := func() (uint32, error) {
-		if _, err := io.ReadFull(br, scratch[:4]); err != nil {
-			return 0, err
-		}
-		return binary.LittleEndian.Uint32(scratch[:4]), nil
-	}
-	readU64 := func() (uint64, error) {
-		if _, err := io.ReadFull(br, scratch[:]); err != nil {
-			return 0, err
-		}
-		return binary.LittleEndian.Uint64(scratch[:]), nil
-	}
-	version, err := readU32()
+	ids, outs, nEdges, err := loadAdjacency(r, binaryMagic, 1)
 	if err != nil {
-		return nil, fmt.Errorf("graph: reading version: %w", err)
+		return nil, err
 	}
-	if version != binaryVersion {
-		return nil, fmt.Errorf("graph: unsupported binary version %d", version)
+	idx := make(map[int64]int, len(ids))
+	for i, id := range ids {
+		idx[id] = i
 	}
-	nNodes, err := readU64()
-	if err != nil {
-		return nil, fmt.Errorf("graph: reading node count: %w", err)
-	}
-	nEdges, err := readU64()
-	if err != nil {
-		return nil, fmt.Errorf("graph: reading edge count: %w", err)
-	}
-	if nNodes > maxBinaryCount {
-		return nil, fmt.Errorf("graph: implausible node count %d", nNodes)
-	}
-	if nEdges > maxBinaryCount {
-		return nil, fmt.Errorf("graph: implausible edge count %d", nEdges)
-	}
-
-	prealloc := clampPrealloc(nNodes)
-	ids := make([]int64, 0, prealloc)
-	outs := make([][]int64, 0, prealloc)
-	inDeg := make(map[int64]int, prealloc)
-	// Degrees are checked against the edge budget the header declared,
-	// and adjacency vectors start at a capped capacity and grow by
-	// append: a corrupt degree costs reads until the stream runs dry,
-	// never an oversized up-front allocation.
-	remaining := nEdges
-	for i := uint64(0); i < nNodes; i++ {
-		idU, err := readU64()
-		if err != nil {
-			return nil, fmt.Errorf("graph: reading node %d: %w", i, err)
-		}
-		id := int64(idU)
-		deg, err := readU32()
-		if err != nil {
-			return nil, fmt.Errorf("graph: reading degree of node %d: %w", id, err)
-		}
-		if uint64(deg) > remaining {
-			return nil, fmt.Errorf("graph: node %d declares degree %d with only %d of %d edges unclaimed", id, deg, remaining, nEdges)
-		}
-		remaining -= uint64(deg)
-		out := make([]int64, 0, clampPrealloc(uint64(deg)))
-		for j := uint32(0); j < deg; j++ {
-			dstU, err := readU64()
-			if err != nil {
-				return nil, fmt.Errorf("graph: reading edges of node %d: %w", id, err)
+	inDeg := make([]int, len(ids))
+	held := uint64(0)
+	for i, out := range outs {
+		held += uint64(len(out))
+		for _, dst := range out {
+			j, ok := idx[dst]
+			if !ok {
+				return nil, fmt.Errorf("graph: edge %d->%d targets unknown node", ids[i], dst)
 			}
-			out = append(out, int64(dstU))
-			inDeg[int64(dstU)]++
+			inDeg[j]++
 		}
-		ids = append(ids, id)
-		outs = append(outs, out)
 	}
-	if remaining != 0 {
-		return nil, fmt.Errorf("graph: header claims %d edges, vectors hold %d", nEdges, nEdges-remaining)
+	if held != nEdges {
+		return nil, fmt.Errorf("graph: header claims %d edges, vectors hold %d", nEdges, held)
 	}
 
 	// Reconstruct sorted in-vectors with exact sizing, then bulk-build.
-	idx := make(map[int64]int, len(ids))
 	ins := make([][]int64, len(ids))
-	for i, id := range ids {
-		idx[id] = i
-		if d := inDeg[id]; d > 0 {
-			ins[i] = make([]int64, 0, d)
+	for j, d := range inDeg {
+		if d > 0 {
+			ins[j] = make([]int64, 0, d)
 		}
 	}
 	for i, id := range ids {
 		for _, dst := range outs[i] {
-			j, ok := idx[dst]
-			if !ok {
-				return nil, fmt.Errorf("graph: edge %d->%d targets unknown node", id, dst)
-			}
+			j := idx[dst]
 			ins[j] = append(ins[j], id)
 		}
 	}
@@ -197,150 +154,13 @@ func LoadBinary(r io.Reader) (*Directed, error) {
 	return g, nil
 }
 
-// SaveBinaryFile is SaveBinary writing to the named file.
-func SaveBinaryFile(path string, g *Directed) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := SaveBinary(f, g); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-func clampPrealloc(n uint64) int {
-	if n > maxBinaryPrealloc {
-		return maxBinaryPrealloc
-	}
-	return int(n)
-}
-
-// SaveBinaryUndirected writes g in the binary graph format's undirected
-// variant: magic "RNGU", version u32, node count u64, edge count u64, then
-// per node (ascending id): id i64, degree u32, sorted neighbor ids i64...
-// Each non-loop edge appears in both endpoints' vectors, a self-loop once,
-// mirroring the in-memory representation.
-func SaveBinaryUndirected(w io.Writer, g *Undirected) error {
-	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString(undirectedMagic); err != nil {
-		return err
-	}
-	var scratch [8]byte
-	writeU32 := func(v uint32) error {
-		binary.LittleEndian.PutUint32(scratch[:4], v)
-		_, err := bw.Write(scratch[:4])
-		return err
-	}
-	writeU64 := func(v uint64) error {
-		binary.LittleEndian.PutUint64(scratch[:], v)
-		_, err := bw.Write(scratch[:])
-		return err
-	}
-	if err := writeU32(binaryVersion); err != nil {
-		return err
-	}
-	nodes := g.Nodes()
-	if err := writeU64(uint64(len(nodes))); err != nil {
-		return err
-	}
-	if err := writeU64(uint64(g.NumEdges())); err != nil {
-		return err
-	}
-	for _, id := range nodes {
-		if err := writeU64(uint64(id)); err != nil {
-			return err
-		}
-		adj := g.Neighbors(id)
-		if err := writeU32(uint32(len(adj))); err != nil {
-			return err
-		}
-		for _, nbr := range adj {
-			if err := writeU64(uint64(nbr)); err != nil {
-				return err
-			}
-		}
-	}
-	return bw.Flush()
-}
-
 // LoadBinaryUndirected reads a graph written by SaveBinaryUndirected, with
 // the same corruption guards as LoadBinary: truncation, absurd counts and
 // over-long degrees error out before any oversized allocation.
 func LoadBinaryUndirected(r io.Reader) (*Undirected, error) {
-	br := bufio.NewReader(r)
-	magic := make([]byte, 4)
-	if _, err := io.ReadFull(br, magic); err != nil {
-		return nil, fmt.Errorf("graph: reading magic: %w", err)
-	}
-	if string(magic) != undirectedMagic {
-		return nil, fmt.Errorf("graph: not a Ringo undirected binary graph (magic %q)", magic)
-	}
-	var scratch [8]byte
-	readU32 := func() (uint32, error) {
-		if _, err := io.ReadFull(br, scratch[:4]); err != nil {
-			return 0, err
-		}
-		return binary.LittleEndian.Uint32(scratch[:4]), nil
-	}
-	readU64 := func() (uint64, error) {
-		if _, err := io.ReadFull(br, scratch[:]); err != nil {
-			return 0, err
-		}
-		return binary.LittleEndian.Uint64(scratch[:]), nil
-	}
-	version, err := readU32()
+	ids, adjs, nEdges, err := loadAdjacency(r, undirectedMagic, 2)
 	if err != nil {
-		return nil, fmt.Errorf("graph: reading version: %w", err)
-	}
-	if version != binaryVersion {
-		return nil, fmt.Errorf("graph: unsupported binary version %d", version)
-	}
-	nNodes, err := readU64()
-	if err != nil {
-		return nil, fmt.Errorf("graph: reading node count: %w", err)
-	}
-	nEdges, err := readU64()
-	if err != nil {
-		return nil, fmt.Errorf("graph: reading edge count: %w", err)
-	}
-	if nNodes > maxBinaryCount {
-		return nil, fmt.Errorf("graph: implausible node count %d", nNodes)
-	}
-	if nEdges > maxBinaryCount {
-		return nil, fmt.Errorf("graph: implausible edge count %d", nEdges)
-	}
-
-	prealloc := clampPrealloc(nNodes)
-	ids := make([]int64, 0, prealloc)
-	adjs := make([][]int64, 0, prealloc)
-	// Each edge contributes at most two vector entries (one for a loop).
-	remaining := 2 * nEdges
-	for i := uint64(0); i < nNodes; i++ {
-		idU, err := readU64()
-		if err != nil {
-			return nil, fmt.Errorf("graph: reading node %d: %w", i, err)
-		}
-		id := int64(idU)
-		deg, err := readU32()
-		if err != nil {
-			return nil, fmt.Errorf("graph: reading degree of node %d: %w", id, err)
-		}
-		if uint64(deg) > remaining {
-			return nil, fmt.Errorf("graph: node %d declares degree %d beyond the %d-edge budget", id, deg, nEdges)
-		}
-		remaining -= uint64(deg)
-		adj := make([]int64, 0, clampPrealloc(uint64(deg)))
-		for j := uint32(0); j < deg; j++ {
-			nbrU, err := readU64()
-			if err != nil {
-				return nil, fmt.Errorf("graph: reading edges of node %d: %w", id, err)
-			}
-			adj = append(adj, int64(nbrU))
-		}
-		ids = append(ids, id)
-		adjs = append(adjs, adj)
+		return nil, err
 	}
 	g, err := BuildUndirectedBulk(ids, adjs)
 	if err != nil {

@@ -3,6 +3,7 @@ package graph
 import (
 	"bytes"
 	"os"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -281,5 +282,64 @@ func TestBinaryRoundTripProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// goldenDirected is the RNGO golden fixture: a self-loop and an isolated
+// node beside ordinary edges. sampleUndirectedBinary is the RNGU one.
+func goldenDirected() *Directed {
+	g := sampleDirected()
+	g.AddEdge(20, 20)
+	g.AddNode(99)
+	return g
+}
+
+// TestBinaryGolden holds both graph codecs to bytes an earlier encoder
+// wrote: each fixture encodes to exactly those bytes, and they decode to a
+// graph equal to the fixture.
+func TestBinaryGolden(t *testing.T) {
+	rngo, err := os.ReadFile("testdata/directed.rngo")
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := goldenDirected()
+	var buf bytes.Buffer
+	if err := SaveBinary(&buf, g); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf.Bytes(), rngo) {
+		t.Fatalf("RNGO encoding differs from the golden bytes:\n got %x\nwant %x", buf.Bytes(), rngo)
+	}
+	back, err := LoadBinary(bytes.NewReader(rngo))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sameDirected(back, g); err != nil {
+		t.Fatal(err)
+	}
+
+	rngu, err := os.ReadFile("testdata/undirected.rngu")
+	if err != nil {
+		t.Fatal(err)
+	}
+	u := sampleUndirectedBinary()
+	buf.Reset()
+	if err := SaveBinaryUndirected(&buf, u); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf.Bytes(), rngu) {
+		t.Fatalf("RNGU encoding differs from the golden bytes:\n got %x\nwant %x", buf.Bytes(), rngu)
+	}
+	ub, err := LoadBinaryUndirected(bytes.NewReader(rngu))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(ub.Nodes(), u.Nodes()) || ub.NumEdges() != u.NumEdges() {
+		t.Fatalf("RNGU decodes to %d nodes, %d edges; want %d, %d", ub.NumNodes(), ub.NumEdges(), u.NumNodes(), u.NumEdges())
+	}
+	for _, id := range u.Nodes() {
+		if !slices.Equal(ub.Neighbors(id), u.Neighbors(id)) {
+			t.Fatalf("RNGU neighbors of %d = %v, want %v", id, ub.Neighbors(id), u.Neighbors(id))
+		}
 	}
 }

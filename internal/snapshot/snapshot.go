@@ -33,7 +33,6 @@
 package snapshot
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/binary"
 	"fmt"
@@ -41,6 +40,7 @@ import (
 	"math"
 
 	"ringo/internal/algo"
+	"ringo/internal/frame"
 	"ringo/internal/graph"
 	"ringo/internal/par"
 	"ringo/internal/table"
@@ -57,14 +57,6 @@ const (
 	kindGraph  = 2
 	kindUGraph = 3
 	kindScores = 4
-
-	// maxStrLen bounds decoded name/provenance strings; maxObjects bounds
-	// the frame count; payloadChunk bounds how much a declared payload
-	// length is trusted at a time, so a lying frame fails with a read
-	// error instead of an absurd allocation.
-	maxStrLen    = 1 << 24
-	maxObjects   = 1 << 20
-	payloadChunk = 1 << 20
 )
 
 // Object is one workspace binding in transit: its name, provenance string,
@@ -112,66 +104,25 @@ func Write(w io.Writer, clock uint64, objs []Object) error {
 		}
 	}
 
-	bw := bufio.NewWriter(w)
-	var scratch [8]byte
-	writeU32 := func(v uint32) error {
-		binary.LittleEndian.PutUint32(scratch[:4], v)
-		_, err := bw.Write(scratch[:4])
-		return err
-	}
-	writeU64 := func(v uint64) error {
-		binary.LittleEndian.PutUint64(scratch[:], v)
-		_, err := bw.Write(scratch[:])
-		return err
-	}
-	writeStr := func(s string) error {
-		if err := writeU32(uint32(len(s))); err != nil {
-			return err
-		}
-		_, err := bw.WriteString(s)
-		return err
-	}
-	if _, err := bw.WriteString(Magic); err != nil {
-		return err
-	}
-	if err := writeU32(Version); err != nil {
-		return err
-	}
-	if err := writeU64(clock); err != nil {
-		return err
-	}
-	if err := writeU32(uint32(len(objs))); err != nil {
-		return err
-	}
+	fw := frame.NewWriter(w)
+	fw.Header(Magic, Version)
+	fw.U64(clock)
+	fw.U32(uint32(len(objs)))
 	for i := range objs {
 		o := &objs[i]
 		kind, err := o.kind()
 		if err != nil {
 			return err
 		}
-		if err := writeStr(o.Name); err != nil {
-			return err
-		}
-		if err := writeStr(o.Provenance); err != nil {
-			return err
-		}
-		if err := writeU64(o.Version); err != nil {
-			return err
-		}
-		if err := bw.WriteByte(kind); err != nil {
-			return err
-		}
-		if err := writeU64(uint64(len(payloads[i]))); err != nil {
-			return err
-		}
-		if err := writeU64(xhash.Checksum64(payloads[i])); err != nil {
-			return err
-		}
-		if _, err := bw.Write(payloads[i]); err != nil {
-			return err
-		}
+		fw.String(o.Name)
+		fw.String(o.Provenance)
+		fw.U64(o.Version)
+		fw.U8(kind)
+		fw.U64(uint64(len(payloads[i])))
+		fw.U64(xhash.Checksum64(payloads[i]))
+		fw.Bytes(payloads[i])
 	}
-	return bw.Flush()
+	return fw.Flush()
 }
 
 func encodePayload(o *Object) ([]byte, error) {
@@ -235,8 +186,8 @@ func decodeScores(payload []byte) (algo.Scores, error) {
 	return scores, nil
 }
 
-// frame is one undecoded object record: header fields plus raw payload.
-type frame struct {
+// record is one undecoded object frame: header fields plus raw payload.
+type record struct {
 	obj      Object // Name/Provenance/Version filled; value nil until decode
 	kind     byte
 	checksum uint64
@@ -248,152 +199,71 @@ type frame struct {
 // dictates that) but payloads are decoded and checksum-verified in
 // parallel. Any failure names the object whose frame caused it.
 func Read(r io.Reader) (clock uint64, objs []Object, err error) {
-	br := bufio.NewReader(r)
-	var scratch [8]byte
-	readU32 := func() (uint32, error) {
-		if _, err := io.ReadFull(br, scratch[:4]); err != nil {
-			return 0, err
-		}
-		return binary.LittleEndian.Uint32(scratch[:4]), nil
-	}
-	readU64 := func() (uint64, error) {
-		if _, err := io.ReadFull(br, scratch[:]); err != nil {
-			return 0, err
-		}
-		return binary.LittleEndian.Uint64(scratch[:]), nil
-	}
-	readStr := func(what string) (string, error) {
-		n, err := readU32()
-		if err != nil {
-			return "", fmt.Errorf("reading %s length: %w", what, err)
-		}
-		if n > maxStrLen {
-			return "", fmt.Errorf("%s length %d exceeds limit", what, n)
-		}
-		buf := make([]byte, n)
-		if _, err := io.ReadFull(br, buf); err != nil {
-			return "", fmt.Errorf("reading %s: %w", what, err)
-		}
-		return string(buf), nil
+	fr := frame.NewReader(r)
+	fr.Header(Magic, Version)
+	clock = fr.U64("clock")
+	count := fr.Count32("object count")
+	if err := fr.Err(); err != nil {
+		return 0, nil, fmt.Errorf("snapshot: %w", err)
 	}
 
-	magic := make([]byte, 4)
-	if _, err := io.ReadFull(br, magic); err != nil {
-		return 0, nil, fmt.Errorf("snapshot: reading magic: %w", err)
-	}
-	if string(magic) != Magic {
-		return 0, nil, fmt.Errorf("snapshot: not a Ringo snapshot (magic %q)", magic)
-	}
-	version, err := readU32()
-	if err != nil {
-		return 0, nil, fmt.Errorf("snapshot: reading version: %w", err)
-	}
-	if version != Version {
-		return 0, nil, fmt.Errorf("snapshot: unsupported snapshot version %d", version)
-	}
-	clock, err = readU64()
-	if err != nil {
-		return 0, nil, fmt.Errorf("snapshot: reading clock: %w", err)
-	}
-	count, err := readU32()
-	if err != nil {
-		return 0, nil, fmt.Errorf("snapshot: reading object count: %w", err)
-	}
-	if count > maxObjects {
-		return 0, nil, fmt.Errorf("snapshot: implausible object count %d", count)
-	}
-
-	frames := make([]frame, 0, count)
-	seen := make(map[string]bool, count)
+	var recs []record
+	seen := make(map[string]bool)
 	for i := uint32(0); i < count; i++ {
-		var f frame
-		if f.obj.Name, err = readStr("object name"); err != nil {
-			return 0, nil, fmt.Errorf("snapshot: frame %d: %w", i, err)
+		var rec record
+		if rec.obj.Name = fr.String("object name"); fr.Err() != nil {
+			return 0, nil, fmt.Errorf("snapshot: frame %d: %w", i, fr.Err())
 		}
-		if f.obj.Provenance, err = readStr("provenance"); err != nil {
-			return 0, nil, fmt.Errorf("snapshot: object %q: %w", f.obj.Name, err)
+		rec.obj.Provenance = fr.String("provenance")
+		rec.obj.Version = fr.U64("version")
+		rec.kind = fr.U8("kind")
+		n := fr.U64("payload length")
+		rec.checksum = fr.U64("checksum")
+		rec.payload = fr.Bytes("payload", n)
+		if err := fr.Err(); err != nil {
+			return 0, nil, fmt.Errorf("snapshot: object %q: %w", rec.obj.Name, err)
 		}
-		if seen[f.obj.Name] {
-			return 0, nil, fmt.Errorf("snapshot: object %q appears twice", f.obj.Name)
+		if seen[rec.obj.Name] {
+			return 0, nil, fmt.Errorf("snapshot: object %q appears twice", rec.obj.Name)
 		}
-		seen[f.obj.Name] = true
-		if f.obj.Version, err = readU64(); err != nil {
-			return 0, nil, fmt.Errorf("snapshot: object %q: reading version: %w", f.obj.Name, err)
-		}
-		if f.kind, err = br.ReadByte(); err != nil {
-			return 0, nil, fmt.Errorf("snapshot: object %q: reading kind: %w", f.obj.Name, err)
-		}
-		payLen, err := readU64()
-		if err != nil {
-			return 0, nil, fmt.Errorf("snapshot: object %q: reading payload length: %w", f.obj.Name, err)
-		}
-		if f.checksum, err = readU64(); err != nil {
-			return 0, nil, fmt.Errorf("snapshot: object %q: reading checksum: %w", f.obj.Name, err)
-		}
-		if f.payload, err = readPayload(br, payLen); err != nil {
-			return 0, nil, fmt.Errorf("snapshot: object %q: %w", f.obj.Name, err)
-		}
-		frames = append(frames, f)
+		seen[rec.obj.Name] = true
+		recs = append(recs, rec)
 	}
 
-	errs := make([]error, len(frames))
-	par.ForEach(len(frames), func(i int) {
-		errs[i] = frames[i].decode()
+	errs := make([]error, len(recs))
+	par.ForEach(len(recs), func(i int) {
+		errs[i] = recs[i].decode()
 	})
 	for i, err := range errs {
 		if err != nil {
-			return 0, nil, fmt.Errorf("snapshot: object %q: %w", frames[i].obj.Name, err)
+			return 0, nil, fmt.Errorf("snapshot: object %q: %w", recs[i].obj.Name, err)
 		}
 	}
-	objs = make([]Object, len(frames))
-	for i := range frames {
-		objs[i] = frames[i].obj
+	objs = make([]Object, len(recs))
+	for i := range recs {
+		objs[i] = recs[i].obj
 	}
 	return clock, objs, nil
 }
 
-// readPayload reads a declared payload length in bounded chunks: a frame
-// lying about its length exhausts the stream and fails cleanly instead of
-// provoking one huge up-front allocation.
-func readPayload(r io.Reader, n uint64) ([]byte, error) {
-	prealloc := n
-	if prealloc > payloadChunk {
-		prealloc = payloadChunk
-	}
-	buf := make([]byte, 0, prealloc)
-	chunk := make([]byte, payloadChunk)
-	for n > 0 {
-		want := n
-		if want > payloadChunk {
-			want = payloadChunk
-		}
-		if _, err := io.ReadFull(r, chunk[:want]); err != nil {
-			return nil, fmt.Errorf("reading payload: %w", err)
-		}
-		buf = append(buf, chunk[:want]...)
-		n -= want
-	}
-	return buf, nil
-}
-
-// decode verifies the frame checksum and decodes the payload into the
-// frame's Object value.
-func (f *frame) decode() error {
-	if got := xhash.Checksum64(f.payload); got != f.checksum {
-		return fmt.Errorf("checksum mismatch (stored %016x, computed %016x)", f.checksum, got)
+// decode verifies the record's checksum and decodes its payload into the
+// record's Object value.
+func (rec *record) decode() error {
+	if got := xhash.Checksum64(rec.payload); got != rec.checksum {
+		return fmt.Errorf("checksum mismatch (stored %016x, computed %016x)", rec.checksum, got)
 	}
 	var err error
-	switch f.kind {
+	switch rec.kind {
 	case kindTable:
-		f.obj.Table, err = table.DecodeBinary(bytes.NewReader(f.payload))
+		rec.obj.Table, err = table.DecodeBinary(bytes.NewReader(rec.payload))
 	case kindGraph:
-		f.obj.Graph, err = graph.LoadBinary(bytes.NewReader(f.payload))
+		rec.obj.Graph, err = graph.LoadBinary(bytes.NewReader(rec.payload))
 	case kindUGraph:
-		f.obj.UGraph, err = graph.LoadBinaryUndirected(bytes.NewReader(f.payload))
+		rec.obj.UGraph, err = graph.LoadBinaryUndirected(bytes.NewReader(rec.payload))
 	case kindScores:
-		f.obj.Scores, err = decodeScores(f.payload)
+		rec.obj.Scores, err = decodeScores(rec.payload)
 	default:
-		return fmt.Errorf("unknown object kind %d", f.kind)
+		return fmt.Errorf("unknown object kind %d", rec.kind)
 	}
 	return err
 }

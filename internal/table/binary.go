@@ -1,11 +1,11 @@
 package table
 
 import (
-	"bufio"
-	"encoding/binary"
 	"fmt"
 	"io"
-	"math"
+	"slices"
+
+	"ringo/internal/frame"
 )
 
 // Columnar binary table serialization, the table-side counterpart of the
@@ -26,88 +26,32 @@ import (
 const (
 	tableBinaryMagic   = "RTBL"
 	tableBinaryVersion = 1
-
-	// maxBinaryStrLen bounds a single column name or pool string, and
-	// maxBinaryPrealloc bounds trust in decoded element counts: slices
-	// start at most this large and grow by append, so a corrupt count
-	// fails with a read error instead of an absurd allocation.
-	maxBinaryStrLen   = 1 << 24
-	maxBinaryPrealloc = 1 << 20
 )
 
 // EncodeBinary writes t in the columnar binary table format.
 func (t *Table) EncodeBinary(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	var scratch [8]byte
-	writeU32 := func(v uint32) error {
-		binary.LittleEndian.PutUint32(scratch[:4], v)
-		_, err := bw.Write(scratch[:4])
-		return err
-	}
-	writeU64 := func(v uint64) error {
-		binary.LittleEndian.PutUint64(scratch[:], v)
-		_, err := bw.Write(scratch[:])
-		return err
-	}
-	writeStr := func(s string) error {
-		if err := writeU32(uint32(len(s))); err != nil {
-			return err
-		}
-		_, err := bw.WriteString(s)
-		return err
-	}
-	if _, err := bw.WriteString(tableBinaryMagic); err != nil {
-		return err
-	}
-	if err := writeU32(tableBinaryVersion); err != nil {
-		return err
-	}
-	if err := writeU32(uint32(len(t.cols))); err != nil {
-		return err
-	}
+	fw := frame.NewWriter(w)
+	fw.Header(tableBinaryMagic, tableBinaryVersion)
+	fw.U32(uint32(len(t.cols)))
 	for _, c := range t.cols {
-		if err := writeStr(c.Name); err != nil {
-			return err
-		}
-		if err := bw.WriteByte(byte(c.Type)); err != nil {
-			return err
-		}
+		fw.String(c.Name)
+		fw.U8(byte(c.Type))
 	}
-	if err := writeU64(uint64(t.NumRows())); err != nil {
-		return err
-	}
-	if err := writeU64(uint64(t.nextID)); err != nil {
-		return err
-	}
-	for _, id := range t.rowIDs {
-		if err := writeU64(uint64(id)); err != nil {
-			return err
-		}
-	}
-	if err := writeU32(uint32(t.pool.Len())); err != nil {
-		return err
-	}
+	fw.U64(uint64(t.NumRows()))
+	fw.U64(uint64(t.nextID))
+	fw.Int64s(t.rowIDs)
+	fw.U32(uint32(t.pool.Len()))
 	for i := 0; i < t.pool.Len(); i++ {
-		if err := writeStr(t.pool.Get(int32(i))); err != nil {
-			return err
-		}
+		fw.String(t.pool.Get(int32(i)))
 	}
 	for i, c := range t.cols {
 		if c.Type == Float {
-			for _, v := range t.floats[i] {
-				if err := writeU64(math.Float64bits(v)); err != nil {
-					return err
-				}
-			}
+			fw.Float64s(t.floats[i])
 		} else {
-			for _, v := range t.ints[i] {
-				if err := writeU64(uint64(v)); err != nil {
-					return err
-				}
-			}
+			fw.Int64s(t.ints[i])
 		}
 	}
-	return bw.Flush()
+	return fw.Flush()
 }
 
 // DecodeBinary reads a table written by EncodeBinary. All counts are
@@ -115,143 +59,67 @@ func (t *Table) EncodeBinary(w io.Writer) error {
 // are checked against the pool size, and allocations are bounded, so a
 // truncated or corrupt stream returns an error instead of panicking.
 func DecodeBinary(r io.Reader) (*Table, error) {
-	br := bufio.NewReader(r)
-	var scratch [8]byte
-	readU32 := func() (uint32, error) {
-		if _, err := io.ReadFull(br, scratch[:4]); err != nil {
-			return 0, err
-		}
-		return binary.LittleEndian.Uint32(scratch[:4]), nil
+	fr := frame.NewReader(r)
+	fr.Header(tableBinaryMagic, tableBinaryVersion)
+	nCols := fr.Count32("column count")
+	var schema Schema
+	for i := uint32(0); i < nCols && fr.Err() == nil; i++ {
+		schema = append(schema, Column{Name: fr.String("column name"), Type: Type(fr.U8("column type"))})
 	}
-	readU64 := func() (uint64, error) {
-		if _, err := io.ReadFull(br, scratch[:]); err != nil {
-			return 0, err
-		}
-		return binary.LittleEndian.Uint64(scratch[:]), nil
+	nRows := fr.Count("row count")
+	nextID := int64(fr.U64("next row id"))
+	if err := fr.Err(); err != nil {
+		return nil, fmt.Errorf("table: %w", err)
 	}
-	readStr := func(what string) (string, error) {
-		n, err := readU32()
-		if err != nil {
-			return "", fmt.Errorf("table: reading %s length: %w", what, err)
-		}
-		if n > maxBinaryStrLen {
-			return "", fmt.Errorf("table: %s length %d exceeds limit", what, n)
-		}
-		buf := make([]byte, n)
-		if _, err := io.ReadFull(br, buf); err != nil {
-			return "", fmt.Errorf("table: reading %s: %w", what, err)
-		}
-		return string(buf), nil
-	}
-
-	magic := make([]byte, 4)
-	if _, err := io.ReadFull(br, magic); err != nil {
-		return nil, fmt.Errorf("table: reading magic: %w", err)
-	}
-	if string(magic) != tableBinaryMagic {
-		return nil, fmt.Errorf("table: not a Ringo binary table (magic %q)", magic)
-	}
-	version, err := readU32()
-	if err != nil {
-		return nil, fmt.Errorf("table: reading version: %w", err)
-	}
-	if version != tableBinaryVersion {
-		return nil, fmt.Errorf("table: unsupported binary table version %d", version)
-	}
-	nCols, err := readU32()
-	if err != nil {
-		return nil, fmt.Errorf("table: reading column count: %w", err)
-	}
-	if nCols == 0 || nCols > maxBinaryPrealloc {
-		return nil, fmt.Errorf("table: implausible column count %d", nCols)
-	}
-	schema := make(Schema, 0, nCols)
-	for i := uint32(0); i < nCols; i++ {
-		name, err := readStr("column name")
-		if err != nil {
-			return nil, err
-		}
-		typ, err := br.ReadByte()
-		if err != nil {
-			return nil, fmt.Errorf("table: reading type of column %q: %w", name, err)
-		}
-		if Type(typ) != Int && Type(typ) != Float && Type(typ) != String {
-			return nil, fmt.Errorf("table: column %q has invalid type %d", name, typ)
-		}
-		schema = append(schema, Column{Name: name, Type: Type(typ)})
-	}
-	nRows64, err := readU64()
-	if err != nil {
-		return nil, fmt.Errorf("table: reading row count: %w", err)
-	}
-	if nRows64 > math.MaxInt32 {
-		return nil, fmt.Errorf("table: implausible row count %d", nRows64)
-	}
-	nRows := int(nRows64)
-	prealloc := nRows
-	if prealloc > maxBinaryPrealloc {
-		prealloc = maxBinaryPrealloc
-	}
-	t, err := NewWithCapacity(schema, prealloc)
+	t, err := New(schema)
 	if err != nil {
 		return nil, err
 	}
-	nextID, err := readU64()
-	if err != nil {
-		return nil, fmt.Errorf("table: reading next row id: %w", err)
+	t.nextID = nextID
+	if t.rowIDs = fr.Int64s("row ids", nRows); fr.Err() != nil {
+		return nil, fmt.Errorf("table: %w", fr.Err())
 	}
-	t.nextID = int64(nextID)
+	// Duplicate ids, or a nextID at or below an existing id, would break
+	// the persistent row-identity guarantee: future AppendRow calls could
+	// re-issue ids that rows already hold.
+	ids := t.rowIDs
+	if !slices.IsSorted(ids) {
+		ids = slices.Sorted(slices.Values(ids))
+	}
 	maxRowID := int64(-1)
-	seenIDs := make(map[int64]bool, prealloc)
-	for r := 0; r < nRows; r++ {
-		id, err := readU64()
-		if err != nil {
-			return nil, fmt.Errorf("table: reading row id %d: %w", r, err)
+	for i, id := range ids {
+		if i > 0 && id == ids[i-1] {
+			return nil, fmt.Errorf("table: row id %d appears twice", id)
 		}
-		if seenIDs[int64(id)] {
-			return nil, fmt.Errorf("table: row id %d appears twice", int64(id))
-		}
-		seenIDs[int64(id)] = true
-		t.rowIDs = append(t.rowIDs, int64(id))
-		if int64(id) > maxRowID {
-			maxRowID = int64(id)
-		}
+		maxRowID = max(maxRowID, id)
 	}
-	// Duplicate ids above, or a nextID at or below an existing id here,
-	// would break the persistent row-identity guarantee: future AppendRow
-	// calls could re-issue ids that rows already hold.
 	if t.nextID <= maxRowID {
 		return nil, fmt.Errorf("table: next row id %d not above max row id %d", t.nextID, maxRowID)
 	}
-	nStrs, err := readU32()
-	if err != nil {
-		return nil, fmt.Errorf("table: reading pool size: %w", err)
-	}
-	for i := uint32(0); i < nStrs; i++ {
-		s, err := readStr("pool string")
-		if err != nil {
-			return nil, err
-		}
-		if id := t.pool.Intern(s); id != int32(i) {
+	nStrs := fr.U32("pool size")
+	for i := uint32(0); i < nStrs && fr.Err() == nil; i++ {
+		if id := t.pool.Intern(fr.String("pool string")); fr.Err() == nil && id != int32(i) {
 			return nil, fmt.Errorf("table: pool string %d duplicates string %d", i, id)
 		}
 	}
 	for i, c := range schema {
-		for r := 0; r < nRows; r++ {
-			v, err := readU64()
-			if err != nil {
-				return nil, fmt.Errorf("table: reading column %q row %d: %w", c.Name, r, err)
-			}
-			if c.Type == Float {
-				t.floats[i] = append(t.floats[i], math.Float64frombits(v))
-				continue
-			}
-			cell := int64(v)
-			if c.Type == String && (cell < 0 || cell >= int64(nStrs)) {
+		field := fmt.Sprintf("column %q", c.Name)
+		if c.Type == Float {
+			t.floats[i] = fr.Float64s(field, nRows)
+			continue
+		}
+		t.ints[i] = fr.Int64s(field, nRows)
+		if c.Type != String {
+			continue
+		}
+		for r, cell := range t.ints[i] {
+			if cell < 0 || cell >= int64(nStrs) {
 				return nil, fmt.Errorf("table: column %q row %d: string id %d outside pool of %d", c.Name, r, cell, nStrs)
 			}
-			t.ints[i] = append(t.ints[i], cell)
 		}
+	}
+	if err := fr.Err(); err != nil {
+		return nil, fmt.Errorf("table: %w", err)
 	}
 	return t, nil
 }

@@ -2,6 +2,7 @@ package table
 
 import (
 	"bytes"
+	"os"
 	"strings"
 	"testing"
 )
@@ -180,5 +181,43 @@ func TestTableBinaryRejectsOutOfRangePoolID(t *testing.T) {
 	b[len(b)-8] = 7
 	if _, err := DecodeBinary(bytes.NewReader(b)); err == nil {
 		t.Fatal("decode accepted string id outside pool")
+	}
+}
+
+// goldenTable is the RTBL golden fixture: Int, Float and String columns,
+// strings holding a tab, a newline and the empty value, and non-contiguous
+// row ids (the filter drops row 1).
+func goldenTable(t *testing.T) *Table {
+	t.Helper()
+	tbl := binarySampleTable(t)
+	sel, err := tbl.Select("Score", GE, int64(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sel
+}
+
+// TestTableBinaryGolden holds the RTBL codec to bytes an earlier encoder
+// wrote: the fixture encodes to exactly those bytes, and they decode to a
+// table equal to the fixture.
+func TestTableBinaryGolden(t *testing.T) {
+	golden, err := os.ReadFile("testdata/table.rtbl")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := goldenTable(t)
+	var buf bytes.Buffer
+	if err := want.EncodeBinary(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf.Bytes(), golden) {
+		t.Fatalf("encoding differs from the golden bytes:\n got %x\nwant %x", buf.Bytes(), golden)
+	}
+	got, err := DecodeBinary(bytes.NewReader(golden))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := diffTables(got, want); d != "" {
+		t.Fatal(d)
 	}
 }

@@ -8,6 +8,8 @@ import (
 	"os"
 	"strconv"
 	"strings"
+
+	"ringo/internal/frame"
 )
 
 // maxTSVLine is the longest line the loader accepts, its newline excluded:
@@ -275,15 +277,8 @@ func (t *Table) SaveTSV(w io.Writer, header bool) error {
 	return bw.Flush()
 }
 
-// SaveTSVFile is SaveTSV writing to the named file.
+// SaveTSVFile is SaveTSV writing to the named file, which is replaced
+// only once the whole table is written.
 func (t *Table) SaveTSVFile(path string, header bool) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := t.SaveTSV(f, header); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+	return frame.WriteFile(path, func(w io.Writer) error { return t.SaveTSV(w, header) })
 }

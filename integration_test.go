@@ -72,8 +72,8 @@ func TestWorkflowInvariantsProperty(t *testing.T) {
 				return false
 			}
 			u := ringo.AsUndirected(g)
-			// Each triangle is counted once per corner by the sequential
-			// per-node kernel.
+			// Each triangle is counted once per corner by the per-node
+			// kernel and once in all by the total.
 			var corners int64
 			for _, c := range algo.NodeTrianglesView(graph.BuildUView(u)) {
 				corners += c

@@ -55,7 +55,7 @@ func ApproxBetweennessView(v *graph.View, samples int, seed int64) Scores {
 		scale = float64(n) / float64(samples)
 	}
 
-	adj := undirectedAdj(v, false)
+	adj := graph.ProjectUView(v)
 
 	// Brandes accumulation parallelized over sources: each worker owns a
 	// full set of per-source arrays and a private bc accumulator; the
@@ -85,7 +85,7 @@ func ApproxBetweennessView(v *graph.View, samples int, seed int64) Scores {
 				u := queue[0]
 				queue = queue[1:]
 				order = append(order, u)
-				for _, x := range adj[u] {
+				for _, x := range adj.Adj(u) {
 					if dist[x] < 0 {
 						dist[x] = dist[u] + 1
 						queue = append(queue, x)
@@ -120,35 +120,6 @@ func ApproxBetweennessView(v *graph.View, samples int, seed int64) Scores {
 		bc[i] *= scale / 2
 	}
 	return newScores(v.IDs(), bc)
-}
-
-// undirectedAdj merges each node's out- and in-vectors into a sorted,
-// deduplicated undirected adjacency (built in parallel), the form the
-// direction-ignoring algorithms traverse. dropSelf omits self-loops
-// (motif census ignores them; traversals keep them harmlessly).
-func undirectedAdj(v *graph.View, dropSelf bool) [][]int32 {
-	n := v.NumNodes()
-	adj := make([][]int32, n)
-	par.ForEach(n, func(u int) {
-		out, in := v.Out(int32(u)), v.In(int32(u))
-		merged := make([]int32, 0, len(out)+len(in))
-		merged = append(merged, out...)
-		merged = append(merged, in...)
-		sortInt32(merged)
-		// Dedup (and optionally drop self-loops) in place.
-		w := 0
-		for _, x := range merged {
-			if dropSelf && x == int32(u) {
-				continue
-			}
-			if w == 0 || x != merged[w-1] {
-				merged[w] = x
-				w++
-			}
-		}
-		adj[u] = merged[:w]
-	})
-	return adj
 }
 
 // EccentricityView returns the eccentricity of a node: the longest shortest

@@ -9,6 +9,7 @@ package algo
 
 import (
 	"math"
+	"slices"
 
 	"ringo/internal/graph"
 	"ringo/internal/par"
@@ -300,7 +301,7 @@ func TrianglesIncr(oldV, newV *graph.UView, oldCount int64, deltas []graph.Delta
 			if !okA || !okB {
 				continue
 			}
-			forEachCommon(v.Adj(ua), v.Adj(ub), func(w int32) {
+			intersect(v.Adj(ua), v.Adj(ub), func(w int32) {
 				if w == ua || w == ub {
 					return
 				}
@@ -332,34 +333,8 @@ func uviewHasEdge(v *graph.UView, a, b int64) bool {
 	if !ok {
 		return false
 	}
-	adj := v.Adj(ai)
-	lo, hi := 0, len(adj)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if adj[mid] < bi {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo < len(adj) && adj[lo] == bi
-}
-
-// forEachCommon visits every value present in both sorted slices.
-func forEachCommon(a, b []int32, fn func(w int32)) {
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] < b[j]:
-			i++
-		case a[i] > b[j]:
-			j++
-		default:
-			fn(a[i])
-			i++
-			j++
-		}
-	}
+	_, found := slices.BinarySearch(v.Adj(ai), bi)
+	return found
 }
 
 // normalizeSum scales a to sum to 1 (no-op for a zero vector).

@@ -142,11 +142,13 @@ func checkNeighbors(name string, off []int64, arena []int32, n int) error {
 
 // ProjectUView builds the undirected projection of a directed view: each
 // node's neighbor vector is the merged, deduplicated union of its out- and
-// in-vectors (both already sorted). This is how orientation-blind
-// algorithms (triangles, bridges, k-core) run over a mapped directed graph,
-// which has no in-heap Directed to project through AsUndirected: the
-// projection reads the mapped arenas once and materializes a heap UView
-// that caches like any other.
+// in-vectors (both already sorted), self-loops kept. This is how
+// orientation-blind algorithms (triangles, bridges, k-core) run over a
+// mapped directed graph, which has no in-heap Directed to project through
+// AsUndirected: the projection reads the mapped arenas once and
+// materializes a heap UView that caches like any other. The
+// direction-ignoring kernels that take a directed view (betweenness, the
+// motif census) project through it too.
 func ProjectUView(v *View) *UView {
 	n := v.NumNodes()
 	u := &UView{

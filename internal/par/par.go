@@ -14,12 +14,16 @@
 // disjoint index ranges (no locks, no work stealing), and every call
 // blocks until the loop completes. Callers own all cross-range
 // synchronization — typically by writing to disjoint slices sized in
-// advance.
+// advance. The one exception is ForDynamic, OpenMP's dynamic schedule:
+// workers take fixed 1024-index chunks from a shared counter until the
+// range runs out, for loops whose per-index cost is too skewed to split up
+// front (the triangle kernels over a power-law graph's hubs).
 package par
 
 import (
 	"runtime"
 	"sync"
+	"sync/atomic"
 )
 
 // Workers reports the degree of parallelism used by this package, which is
@@ -81,6 +85,43 @@ func For(n int, fn func(lo, hi int)) {
 	wg.Wait()
 }
 
+// dynamicChunk is ForDynamic's grain: small enough that a run of costly
+// indices spreads over every worker, large enough that taking one costs
+// nothing next to its work.
+const dynamicChunk = 1024
+
+// ForDynamic runs fn over [0, n) in 1024-index chunks that up to Workers()
+// goroutines take in turn from a shared counter, OpenMP's dynamic schedule:
+// a worker that drew cheap indices comes back for more, so a run of costly
+// ones (the hubs of a skewed graph) cannot hold the loop up the way it
+// holds one of For's static ranges. fn must be safe to call concurrently
+// on disjoint ranges. ForDynamic blocks until every chunk completes.
+func ForDynamic(n int, fn func(lo, hi int)) {
+	workers := min(Workers(), (n+dynamicChunk-1)/dynamicChunk)
+	if workers <= 1 {
+		if n > 0 {
+			fn(0, n)
+		}
+		return
+	}
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	wg.Add(workers)
+	for range workers {
+		go func() {
+			defer wg.Done()
+			for {
+				lo := int(next.Add(dynamicChunk)) - dynamicChunk
+				if lo >= n {
+					return
+				}
+				fn(lo, min(lo+dynamicChunk, n))
+			}
+		}()
+	}
+	wg.Wait()
+}
+
 // ForEach runs fn for every index in [0, n) using For's range partitioning.
 // It is a convenience wrapper for per-element loops.
 func ForEach(n int, fn func(i int)) {
@@ -138,8 +179,7 @@ func Reduce[T any](n int, identity T, mapRange func(lo, hi int) T, combine func(
 }
 
 // SumInt is Reduce specialized to summing int64 contributions, the most
-// common reduction in the benchmarks (e.g. counting selected rows or
-// triangles).
+// common reduction in the benchmarks (e.g. counting selected rows).
 func SumInt(n int, mapRange func(lo, hi int) int64) int64 {
 	return Reduce(n, 0, mapRange, func(a, b int64) int64 { return a + b })
 }

@@ -105,3 +105,24 @@ func TestDoSingleFunction(t *testing.T) {
 		t.Fatal("Do(single) did not run")
 	}
 }
+
+func TestForDynamicVisitsEachIndexOnce(t *testing.T) {
+	withWorkers(t, 4, func() {
+		for _, n := range []int{0, 1, dynamicChunk, 3*dynamicChunk + 17} {
+			seen := make([]atomic.Int32, n)
+			ForDynamic(n, func(lo, hi int) {
+				if hi-lo > dynamicChunk {
+					t.Errorf("n=%d: chunk [%d, %d) exceeds %d", n, lo, hi, dynamicChunk)
+				}
+				for i := lo; i < hi; i++ {
+					seen[i].Add(1)
+				}
+			})
+			for i := range seen {
+				if c := seen[i].Load(); c != 1 {
+					t.Fatalf("n=%d: index %d visited %d times", n, i, c)
+				}
+			}
+		}
+	})
+}

@@ -93,12 +93,9 @@ var deadExportAllowlist = map[string]string{
 	"graph.NewDirected":          "empty graph grown by AddNode/AddEdge; programs bulk-build instead",
 
 	// Incremental kernels whose fate the incremental loop decides (each
-	// is bit- or exactly equal to its cold kernel, which its tests check).
-	"algo.PageRankIncr":       "incremental PageRank, not yet wired to a verb",
-	"algo.PageRankViewTol":    "cold PageRank to a tolerance, the oracle of PageRankIncr",
-	"algo.WCCIncr":            "incremental WCC, not yet wired to a verb",
-	"algo.TrianglesIncr":      "incremental triangle count, not yet wired to a verb",
-	"algo.DefaultPageRankTol": "tolerance of the incremental PageRank oracle",
+	// is exactly equal to its cold kernel, which its tests check).
+	"algo.WCCIncr":       "incremental WCC, not yet wired to a verb",
+	"algo.TrianglesIncr": "incremental triangle count, not yet wired to a verb",
 }
 
 // declKey names a declaration: the directory of its package (relative to

@@ -104,7 +104,7 @@ func TestFacadeExportsAreUsed(t *testing.T) {
 
 func TestFacadeStructuralAlgorithms(t *testing.T) {
 	// Two triangles joined at node 2, with a pendant 4-9 edge.
-	u := graph.NewUndirected()
+	u := graph.NewUndirectedCap(0)
 	for _, e := range [][2]int64{{0, 1}, {1, 2}, {0, 2}, {2, 3}, {3, 4}, {2, 4}, {4, 9}} {
 		u.AddEdge(e[0], e[1])
 	}
@@ -146,28 +146,19 @@ func TestFacadeDAGVerbs(t *testing.T) {
 	}
 }
 
-func TestFacadeMotifsAndConvergedPageRank(t *testing.T) {
+func TestFacadeMotifs(t *testing.T) {
 	g := graph.NewDirected()
 	g.AddEdge(1, 2)
 	g.AddEdge(2, 3)
 	g.AddEdge(3, 1)
-	v := graph.BuildView(g)
-	mc := algo.CountMotifsView(v)
+	mc := algo.CountMotifsView(graph.BuildView(g))
 	if mc.CyclicTriangles != 1 {
 		t.Fatalf("motifs = %+v", mc)
-	}
-	pr := algo.PageRankViewTol(v, 0.85, 1e-10)
-	var sum float64
-	for _, e := range pr {
-		sum += e.Score
-	}
-	if sum < 0.999 || sum > 1.001 {
-		t.Fatalf("converged sum = %v", sum)
 	}
 }
 
 func TestFacadeLinkPredictionAndStats(t *testing.T) {
-	u := graph.NewUndirected()
+	u := graph.NewUndirectedCap(0)
 	for _, e := range [][2]int64{{1, 2}, {2, 3}, {3, 4}, {4, 1}, {5, 1}, {5, 2}, {5, 3}} {
 		u.AddEdge(e[0], e[1])
 	}

@@ -50,7 +50,7 @@ func TestIndependentCascadeDeterministicAndDirectional(t *testing.T) {
 }
 
 func TestSIREverythingInfectedAtBetaOne(t *testing.T) {
-	g := graph.NewUndirected()
+	g := graph.NewUndirectedCap(0)
 	for i := int64(0); i < 8; i++ {
 		g.AddEdge(i, (i+1)%8)
 	}
@@ -64,7 +64,7 @@ func TestSIREverythingInfectedAtBetaOne(t *testing.T) {
 }
 
 func TestSIRNoSpreadAtBetaZero(t *testing.T) {
-	g := graph.NewUndirected()
+	g := graph.NewUndirectedCap(0)
 	g.AddEdge(1, 2)
 	res := SIR(g, []int64{1}, 0, 1, 3)
 	if len(res.Infected) != 1 {
@@ -92,7 +92,7 @@ func TestSIRDeterministic(t *testing.T) {
 func TestSIRTerminatesWithZeroGamma(t *testing.T) {
 	// With gamma=0 nodes never recover; the simulation must still stop
 	// once the epidemic saturates (no state change in a round).
-	g := graph.NewUndirected()
+	g := graph.NewUndirectedCap(0)
 	g.AddEdge(1, 2)
 	g.AddEdge(2, 3)
 	res := SIR(g, []int64{1}, 1.0, 0.0, 3)

@@ -105,14 +105,14 @@ func TestDegreeStatsAndHistogram(t *testing.T) {
 }
 
 func TestDegreeCentrality(t *testing.T) {
-	g := graph.NewUndirected()
+	g := graph.NewUndirectedCap(0)
 	g.AddEdge(0, 1)
 	g.AddEdge(0, 2)
 	dc := DegreeCentrality(g)
 	if !approxEq(at(dc, 0), 1, 1e-12) || !approxEq(at(dc, 1), 0.5, 1e-12) {
 		t.Fatalf("degree centrality = %v", dc)
 	}
-	single := graph.NewUndirected()
+	single := graph.NewUndirectedCap(0)
 	single.AddNode(7)
 	if dc := DegreeCentrality(single); len(dc) != 1 || dc[0] != (Scored{7, 0}) {
 		t.Fatal("singleton centrality nonzero")

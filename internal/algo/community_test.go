@@ -9,7 +9,7 @@ import (
 
 // twoCliques builds two k-cliques bridged by a single edge.
 func twoCliques(k int) *graph.Undirected {
-	g := graph.NewUndirected()
+	g := graph.NewUndirectedCap(0)
 	for i := 0; i < k; i++ {
 		for j := i + 1; j < k; j++ {
 			g.AddEdge(int64(i), int64(j))
@@ -85,7 +85,7 @@ func TestModularityPerfectSplitBeatsMonolith(t *testing.T) {
 	if qs <= 0.3 {
 		t.Fatalf("split modularity = %v, want > 0.3", qs)
 	}
-	if ModularityView(graph.BuildUView(graph.NewUndirected()), nil) != 0 {
+	if ModularityView(graph.BuildUView(graph.NewUndirectedCap(0)), nil) != 0 {
 		t.Fatal("empty graph modularity nonzero")
 	}
 }
@@ -95,7 +95,7 @@ func TestModularityPerfectSplitBeatsMonolith(t *testing.T) {
 // as if it were given a community of its own (its self-loop counts as
 // inside it), and repeated calls return the same bits.
 func TestModularityMissingNodeIsSingleton(t *testing.T) {
-	g := graph.NewUndirected()
+	g := graph.NewUndirectedCap(0)
 	for _, e := range [][2]int64{{0, 1}, {1, 2}, {0, 2}, {3, 3}} {
 		g.AddEdge(e[0], e[1])
 	}

@@ -4,23 +4,11 @@ import (
 	"ringo/internal/graph"
 )
 
-// CoreNumbersView computes the core number (coreness) of every node of an
-// undirected graph with the linear-time peeling algorithm of Batagelj and
-// Zaveršnik: nodes are bucketed by degree and repeatedly peeled from the
-// lowest bucket, decrementing their neighbors. Self-loops are ignored for
-// degree purposes.
-func CoreNumbersView(v *graph.UView) map[int64]int {
-	core := coreNumbersFlat(v)
-	n := v.NumNodes()
-	out := make(map[int64]int, n)
-	for u, id := range v.IDs() {
-		out[id] = int(core[u])
-	}
-	return out
-}
-
-// coreNumbersFlat runs the peeling over the view, returning core numbers
-// indexed by dense index.
+// coreNumbersFlat computes the core number (coreness) of every node of an
+// undirected view, indexed by dense index, with the linear-time peeling
+// algorithm of Batagelj and Zaveršnik: nodes are bucketed by degree and
+// repeatedly peeled from the lowest bucket, decrementing their neighbors.
+// Self-loops are ignored for degree purposes.
 func coreNumbersFlat(v *graph.UView) []int32 {
 	n := v.NumNodes()
 	deg := make([]int32, n)
@@ -86,21 +74,31 @@ func coreNumbersFlat(v *graph.UView) []int32 {
 
 // KCore returns the k-core of g: the maximal subgraph in which every node
 // has degree at least k. Table 6 benchmarks the 3-core. The result is a new
-// graph; g is unmodified.
+// graph, built in bulk from the kept nodes' neighbor lists filtered to
+// kept neighbors, with its nodes in g's ForNodes order; g is unmodified.
 func KCore(g *graph.Undirected, k int) *graph.Undirected {
-	cores := CoreNumbersView(graph.BuildUView(g))
-	sub := graph.NewUndirected()
-	keep := func(id int64) bool { return cores[id] >= k }
+	v := graph.BuildUView(g)
+	core := coreNumbersFlat(v)
+	var ids []int64
+	var adj [][]int64
 	g.ForNodes(func(id int64) {
-		if keep(id) {
-			sub.AddNode(id)
+		u, _ := v.Index(id)
+		if int(core[u]) < k {
+			return
 		}
-	})
-	g.ForEdges(func(src, dst int64) {
-		if keep(src) && keep(dst) {
-			sub.AddEdge(src, dst)
+		nbrs := make([]int64, 0, len(v.Adj(u)))
+		for _, w := range v.Adj(u) {
+			if int(core[w]) >= k {
+				nbrs = append(nbrs, v.ID(w))
+			}
 		}
+		ids = append(ids, id)
+		adj = append(adj, nbrs)
 	})
+	sub, err := graph.BuildUndirectedBulk(ids, adj)
+	if err != nil {
+		panic(err) // unreachable: ids are g's distinct nodes
+	}
 	return sub
 }
 

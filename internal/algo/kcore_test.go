@@ -1,11 +1,22 @@
 package algo
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"ringo/internal/graph"
 )
+
+// coreNumbers is coreNumbersFlat keyed by node id.
+func coreNumbers(v *graph.UView) map[int64]int {
+	core := coreNumbersFlat(v)
+	out := make(map[int64]int, len(core))
+	for u, id := range v.IDs() {
+		out[id] = int(core[u])
+	}
+	return out
+}
 
 func TestCoreNumbersKnown(t *testing.T) {
 	// K4 plus a tail 3-4-5: clique nodes have core 3 (node 3 included),
@@ -13,7 +24,7 @@ func TestCoreNumbersKnown(t *testing.T) {
 	g := completeUndirected(4)
 	g.AddEdge(3, 4)
 	g.AddEdge(4, 5)
-	cores := CoreNumbersView(graph.BuildUView(g))
+	cores := coreNumbers(graph.BuildUView(g))
 	for _, id := range []int64{0, 1, 2, 3} {
 		if cores[id] != 3 {
 			t.Fatalf("core[%d] = %d, want 3", id, cores[id])
@@ -25,11 +36,11 @@ func TestCoreNumbersKnown(t *testing.T) {
 }
 
 func TestCoreNumbersStar(t *testing.T) {
-	g := graph.NewUndirected()
+	g := graph.NewUndirectedCap(0)
 	for i := int64(1); i <= 5; i++ {
 		g.AddEdge(0, i)
 	}
-	cores := CoreNumbersView(graph.BuildUView(g))
+	cores := coreNumbers(graph.BuildUView(g))
 	for id, c := range cores {
 		if c != 1 {
 			t.Fatalf("star core[%d] = %d, want 1", id, c)
@@ -84,20 +95,72 @@ func TestKCoreDirected(t *testing.T) {
 	}
 }
 
+// kcorePerEdge is KCore as one AddEdge per kept edge, the reference the
+// bulk build is held to.
+func kcorePerEdge(g *graph.Undirected, k int) *graph.Undirected {
+	cores := coreNumbers(graph.BuildUView(g))
+	sub := graph.NewUndirectedCap(0)
+	keep := func(id int64) bool { return cores[id] >= k }
+	g.ForNodes(func(id int64) {
+		if keep(id) {
+			sub.AddNode(id)
+		}
+	})
+	g.ForEdges(func(src, dst int64) {
+		if keep(src) && keep(dst) {
+			sub.AddEdge(src, dst)
+		}
+	})
+	return sub
+}
+
+// sameSubgraph reports whether a and b visit the same nodes in the same
+// order with the same edge count and neighbor lists.
+func sameSubgraph(a, b *graph.Undirected) bool {
+	var an, bn []int64
+	a.ForNodes(func(id int64) { an = append(an, id) })
+	b.ForNodes(func(id int64) { bn = append(bn, id) })
+	if !slices.Equal(an, bn) || a.NumEdges() != b.NumEdges() {
+		return false
+	}
+	for _, id := range an {
+		if !slices.Equal(a.Neighbors(id), b.Neighbors(id)) {
+			return false
+		}
+	}
+	return true
+}
+
 // Property: the k-core is the maximal subgraph with min degree >= k; its
-// nodes are exactly those with core number >= k.
+// nodes are exactly those with core number >= k; and it equals the
+// per-edge build, self-loops, isolated nodes and k = 0 included.
 func TestKCoreMatchesPeelingProperty(t *testing.T) {
-	f := func(edges [][2]int8, kk uint8) bool {
-		k := int(kk%4) + 1
-		g := graph.NewUndirected()
+	f := func(edges [][2]int8, isolated []uint8, kk uint8) bool {
+		k := int(kk % 5)
+		g := graph.NewUndirectedCap(0)
+		for _, id := range isolated {
+			g.AddNode(int64(id % 30))
+		}
 		for _, e := range edges {
 			a, b := int64(e[0]%20), int64(e[1]%20)
 			if a != b {
 				g.AddEdge(a, b)
 			}
 		}
-		cores := CoreNumbersView(graph.BuildUView(g))
+		looped := g.Clone()
+		for _, e := range edges {
+			if e[0]%7 == 0 {
+				looped.AddEdge(int64(e[1]%20), int64(e[1]%20))
+			}
+		}
+		if !sameSubgraph(KCore(looped, k), kcorePerEdge(looped, k)) {
+			return false
+		}
+		cores := coreNumbers(graph.BuildUView(g))
 		sub := KCore(g, k)
+		if !sameSubgraph(sub, kcorePerEdge(g, k)) {
+			return false
+		}
 		// Every kept node has core >= k and degree >= k in the subgraph.
 		ok := true
 		sub.ForNodes(func(id int64) {
@@ -135,5 +198,18 @@ func TestKCoreMatchesPeelingProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// BenchmarkKCore is Table 6's 3-core subgraph at the update-query
+// workload's graph size: R-MAT 2^15 with 200 000 edges, projected.
+func BenchmarkKCore(b *testing.B) {
+	u := graph.AsUndirected(rmatGraph(15, 200000, 1))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if sub := KCore(u, 3); sub.NumNodes() == 0 {
+			b.Fatal("empty 3-core")
+		}
 	}
 }

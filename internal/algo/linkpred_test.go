@@ -10,7 +10,7 @@ import (
 // lollipop builds the test graph: square 1-2-3-4 plus a diagonal hub 5
 // adjacent to 1, 2, 3.
 func lollipop() *graph.Undirected {
-	g := graph.NewUndirected()
+	g := graph.NewUndirectedCap(0)
 	for _, e := range [][2]int64{{1, 2}, {2, 3}, {3, 4}, {4, 1}, {5, 1}, {5, 2}, {5, 3}} {
 		g.AddEdge(e[0], e[1])
 	}
@@ -38,7 +38,7 @@ func TestJaccard(t *testing.T) {
 	if got := Jaccard(g, 1, 3); !approxEq(got, 1, 1e-12) {
 		t.Fatalf("Jaccard(1,3) = %v", got)
 	}
-	iso := graph.NewUndirected()
+	iso := graph.NewUndirectedCap(0)
 	iso.AddNode(1)
 	iso.AddNode(2)
 	if got := Jaccard(iso, 1, 2); got != 0 {
@@ -116,7 +116,7 @@ func TestReciprocity(t *testing.T) {
 
 func TestDegreeAssortativity(t *testing.T) {
 	// A star is maximally disassortative: r = -1.
-	star := graph.NewUndirected()
+	star := graph.NewUndirectedCap(0)
 	for i := int64(1); i <= 6; i++ {
 		star.AddEdge(0, i)
 	}
@@ -124,14 +124,14 @@ func TestDegreeAssortativity(t *testing.T) {
 		t.Fatalf("star assortativity = %v", got)
 	}
 	// A regular graph has zero degree variance: r defined as 0.
-	cyc := graph.NewUndirected()
+	cyc := graph.NewUndirectedCap(0)
 	for i := int64(0); i < 6; i++ {
 		cyc.AddEdge(i, (i+1)%6)
 	}
 	if got := DegreeAssortativity(cyc); got != 0 {
 		t.Fatalf("cycle assortativity = %v", got)
 	}
-	if DegreeAssortativity(graph.NewUndirected()) != 0 {
+	if DegreeAssortativity(graph.NewUndirectedCap(0)) != 0 {
 		t.Fatal("empty assortativity nonzero")
 	}
 }
@@ -163,7 +163,7 @@ func TestPowerLawExponent(t *testing.T) {
 		t.Fatalf("BA alpha = %v, want near 3", alpha)
 	}
 	// Too few qualifying nodes.
-	small := graph.NewUndirected()
+	small := graph.NewUndirectedCap(0)
 	small.AddEdge(1, 2)
 	if _, ok := PowerLawExponent(small, 1); ok {
 		t.Fatal("fit on 2 nodes accepted")
@@ -173,7 +173,7 @@ func TestPowerLawExponent(t *testing.T) {
 // barabasiForTest is a local preferential-attachment generator (gen imports
 // algo-free packages only, so tests build their own to avoid a cycle).
 func barabasiForTest(n, m int) *graph.Undirected {
-	g := graph.NewUndirected()
+	g := graph.NewUndirectedCap(0)
 	endpoints := []int64{}
 	for i := 0; i <= m; i++ {
 		for j := i + 1; j <= m; j++ {

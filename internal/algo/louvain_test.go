@@ -28,7 +28,7 @@ func TestLouvainSeparatesCliques(t *testing.T) {
 func TestLouvainRingOfCliques(t *testing.T) {
 	// Four 5-cliques in a ring, bridged by single edges: the canonical
 	// Louvain test — each clique is one community.
-	g := graph.NewUndirected()
+	g := graph.NewUndirectedCap(0)
 	const k = 5
 	base := func(c int) int64 { return int64(100 * c) }
 	for c := 0; c < 4; c++ {
@@ -71,12 +71,12 @@ func TestLouvainBeatsOrMatchesLabelPropagation(t *testing.T) {
 }
 
 func TestLouvainDegenerateInputs(t *testing.T) {
-	comm, q := LouvainView(graph.BuildUView(graph.NewUndirected()), 5)
+	comm, q := LouvainView(graph.BuildUView(graph.NewUndirectedCap(0)), 5)
 	if len(comm) != 0 || q != 0 {
 		t.Fatal("empty graph")
 	}
 	// Edgeless graph: every node its own community.
-	iso := graph.NewUndirected()
+	iso := graph.NewUndirectedCap(0)
 	iso.AddNode(1)
 	iso.AddNode(2)
 	comm, _ = LouvainView(graph.BuildUView(iso), 5)
@@ -111,7 +111,7 @@ func TestGreedyColoringProper(t *testing.T) {
 		}
 	})
 	// A path is 2-colorable and Welsh-Powell achieves it.
-	p := graph.NewUndirected()
+	p := graph.NewUndirectedCap(0)
 	for i := int64(0); i < 10; i++ {
 		p.AddEdge(i, i+1)
 	}
@@ -119,13 +119,13 @@ func TestGreedyColoringProper(t *testing.T) {
 	if k != 2 {
 		t.Fatalf("path colors = %d", k)
 	}
-	if _, k := GreedyColoring(graph.NewUndirected()); k != 0 {
+	if _, k := GreedyColoring(graph.NewUndirectedCap(0)); k != 0 {
 		t.Fatal("empty graph colors != 0")
 	}
 }
 
 func TestMaximalMatching(t *testing.T) {
-	p := graph.NewUndirected()
+	p := graph.NewUndirectedCap(0)
 	p.AddEdge(1, 2)
 	p.AddEdge(2, 3)
 	p.AddEdge(3, 4)
@@ -165,7 +165,7 @@ func TestIndependentSetGreedy(t *testing.T) {
 		}
 	}
 	// Star: all leaves are independent.
-	star := graph.NewUndirected()
+	star := graph.NewUndirectedCap(0)
 	for i := int64(1); i <= 5; i++ {
 		star.AddEdge(0, i)
 	}

@@ -195,18 +195,15 @@ func (o *pullOrder) pullRange(x, sums []float64, lo, hi int) {
 // advance settles one PageRank sweep of an In order in index order: it
 // sets x[i] = base + damping·sums[rank[i]] and, in the same pass, spreads
 // the new x into contrib as spread does. It returns the new x's dangling
-// mass and the sweep's L1 change, each folded over par's static ranges in
-// range order — the fold spread and the per-node sweep use, so both keep
-// their bits at any worker count.
-func (o *pullOrder) advance(v *graph.View, x, contrib, sums []float64, base, damping float64) (dangling, diff float64) {
+// mass, folded over par's static ranges in range order — the fold spread
+// uses, so it keeps its bits at any worker count.
+func (o *pullOrder) advance(v *graph.View, x, contrib, sums []float64, base, damping float64) float64 {
 	_, outOff, _, _, _ := v.ViewParts()
-	type fold struct{ dangling, diff float64 }
-	f := par.Reduce(len(x), fold{}, func(lo, hi int) fold {
+	return par.Reduce(len(x), 0.0, func(lo, hi int) float64 {
 		rank, xs, cs, off := o.rank[lo:hi], x[lo:hi], contrib[lo:hi], outOff[lo:hi+1]
-		var dangling, diff float64
+		var dangling float64
 		for k, r := range rank {
 			xk := base + damping*sums[r]
-			diff += math.Abs(xk - xs[k])
 			xs[k] = xk
 			// Branch-free, as which nodes dangle is data: a dangling
 			// node's contrib is never read, so it may hold xk/1, and the
@@ -215,9 +212,8 @@ func (o *pullOrder) advance(v *graph.View, x, contrib, sums []float64, base, dam
 			cs[k] = xk / float64(max(d, 1))
 			dangling += math.Float64frombits(math.Float64bits(xk) & uint64((d-1)>>63))
 		}
-		return fold{dangling, diff}
-	}, func(a, b fold) fold { return fold{a.dangling + b.dangling, a.diff + b.diff} })
-	return f.dangling, f.diff
+		return dangling
+	}, func(a, b float64) float64 { return a + b })
 }
 
 func pageRankFlat(v *graph.View, damping float64, iters int) []float64 {
@@ -235,7 +231,7 @@ func pageRankFlat(v *graph.View, damping float64, iters int) []float64 {
 		// Mass parked on dangling nodes teleports uniformly.
 		base := (1-damping)/float64(n) + damping*dangling/float64(n)
 		o.pull(contrib, sums)
-		dangling, _ = o.advance(v, pr, contrib, sums, base, damping)
+		dangling = o.advance(v, pr, contrib, sums, base, damping)
 	}
 	return pr
 }

@@ -26,22 +26,16 @@ func gatherPerNode(v *graph.View, contrib []float64, i int) float64 {
 }
 
 // spreadPerNode is spread as the per-node kernels called it.
-func spreadPerNode(v *graph.View, contrib, x []float64, parallel bool) float64 {
-	fill := func(lo, hi int) float64 {
-		var dangling float64
-		for i := lo; i < hi; i++ {
-			if d := v.OutDeg(int32(i)); d > 0 {
-				contrib[i] = x[i] / float64(d)
-			} else {
-				dangling += x[i]
-			}
+func spreadPerNode(v *graph.View, contrib, x []float64) float64 {
+	var dangling float64
+	for i := range x {
+		if d := v.OutDeg(int32(i)); d > 0 {
+			contrib[i] = x[i] / float64(d)
+		} else {
+			dangling += x[i]
 		}
-		return dangling
 	}
-	if parallel {
-		return par.Reduce(len(x), 0.0, fill, func(a, b float64) float64 { return a + b })
-	}
-	return fill(0, len(x))
+	return dangling
 }
 
 func pprPerNode(v *graph.View, seeds []int64, damping float64, iters int) Scores {
@@ -64,7 +58,7 @@ func pprPerNode(v *graph.View, seeds []int64, damping float64, iters int) Scores
 	contrib := make([]float64, n)
 	copy(pr, teleport)
 	for it := 0; it < iters; it++ {
-		dangling := spreadPerNode(v, contrib, pr, false)
+		dangling := spreadPerNode(v, contrib, pr)
 		par.For(n, func(lo, hi int) {
 			for i := lo; i < hi; i++ {
 				next[i] = (1-damping)*teleport[i] + damping*(gatherPerNode(v, contrib, i)+dangling*teleport[i])
@@ -125,35 +119,6 @@ func normalizePerNode(a []float64) {
 	}
 }
 
-func pageRankTolPerNode(v *graph.View, damping, tol float64) Scores {
-	n := v.NumNodes()
-	if n == 0 {
-		return Scores{}
-	}
-	a := (1 - damping) / float64(n)
-	x := make([]float64, n)
-	parFill(x, 1.0/float64(n))
-	next := make([]float64, n)
-	contrib := make([]float64, n)
-	for it := 0; it < 100000; it++ {
-		spreadPerNode(v, contrib, x, true)
-		diff := par.Reduce(n, 0.0, func(lo, hi int) float64 {
-			var s float64
-			for i := lo; i < hi; i++ {
-				next[i] = a + damping*gatherPerNode(v, contrib, i)
-				s += math.Abs(next[i] - x[i])
-			}
-			return s
-		}, func(p, q float64) float64 { return p + q })
-		x, next = next, x
-		if diff <= (1-damping)*tol {
-			break
-		}
-	}
-	normalizeSum(x)
-	return newScores(v.IDs(), x)
-}
-
 // sameBits fails unless got and want score the same ids with the same
 // float64 bits.
 func sameBits(t *testing.T, what string, got, want Scores) {
@@ -209,8 +174,8 @@ func pullTestGraphs() map[string]*graph.Directed {
 }
 
 // TestPullKernelsBitIdentical holds every kernel on the pull core —
-// PageRank, personalized PageRank, HITS and PageRank to a tolerance — to
-// their per-node forms bit for bit, at one, two and four workers.
+// PageRank, personalized PageRank and HITS — to their per-node forms bit
+// for bit, at one, two and four workers.
 func TestPullKernelsBitIdentical(t *testing.T) {
 	graphs := pullTestGraphs()
 	for _, procs := range []int{1, 2, 4} {
@@ -229,8 +194,6 @@ func TestPullKernelsBitIdentical(t *testing.T) {
 			got, want := HITSView(v, 8), hitsPerNode(v, 8)
 			sameBits(t, what("HITSView hub"), got.Hub, want.Hub)
 			sameBits(t, what("HITSView authority"), got.Authority, want.Authority)
-			sameBits(t, what("PageRankViewTol"),
-				PageRankViewTol(v, DefaultDamping, 1e-9), pageRankTolPerNode(v, DefaultDamping, 1e-9))
 		}
 		runtime.GOMAXPROCS(old)
 	}

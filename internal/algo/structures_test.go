@@ -10,7 +10,7 @@ import (
 func TestArticulationPointsBarbell(t *testing.T) {
 	// Two triangles joined through node 2: {0,1,2} and {2,3,4}. Node 2 is
 	// the only cut vertex.
-	g := graph.NewUndirected()
+	g := graph.NewUndirectedCap(0)
 	for _, e := range [][2]int64{{0, 1}, {1, 2}, {0, 2}, {2, 3}, {3, 4}, {2, 4}} {
 		g.AddEdge(e[0], e[1])
 	}
@@ -22,7 +22,7 @@ func TestArticulationPointsBarbell(t *testing.T) {
 
 func TestArticulationPointsPath(t *testing.T) {
 	// On a path 0-1-2-3, the interior nodes are cut vertices.
-	g := graph.NewUndirected()
+	g := graph.NewUndirectedCap(0)
 	g.AddEdge(0, 1)
 	g.AddEdge(1, 2)
 	g.AddEdge(2, 3)
@@ -33,7 +33,7 @@ func TestArticulationPointsPath(t *testing.T) {
 }
 
 func TestArticulationPointsCycleHasNone(t *testing.T) {
-	g := graph.NewUndirected()
+	g := graph.NewUndirectedCap(0)
 	for i := int64(0); i < 6; i++ {
 		g.AddEdge(i, (i+1)%6)
 	}
@@ -44,7 +44,7 @@ func TestArticulationPointsCycleHasNone(t *testing.T) {
 
 func TestBridgesKnown(t *testing.T) {
 	// Triangle {0,1,2} with a pendant edge 2-3: only 2-3 is a bridge.
-	g := graph.NewUndirected()
+	g := graph.NewUndirectedCap(0)
 	for _, e := range [][2]int64{{0, 1}, {1, 2}, {0, 2}, {2, 3}} {
 		g.AddEdge(e[0], e[1])
 	}
@@ -53,7 +53,7 @@ func TestBridgesKnown(t *testing.T) {
 		t.Fatalf("bridges = %v", br)
 	}
 	// Every edge of a tree is a bridge.
-	tree := graph.NewUndirected()
+	tree := graph.NewUndirectedCap(0)
 	tree.AddEdge(0, 1)
 	tree.AddEdge(1, 2)
 	tree.AddEdge(1, 3)
@@ -61,7 +61,7 @@ func TestBridgesKnown(t *testing.T) {
 		t.Fatalf("tree bridges = %v", br)
 	}
 	// A cycle has none.
-	cyc := graph.NewUndirected()
+	cyc := graph.NewUndirectedCap(0)
 	for i := int64(0); i < 5; i++ {
 		cyc.AddEdge(i, (i+1)%5)
 	}
@@ -74,7 +74,7 @@ func TestBridgesKnown(t *testing.T) {
 // from v.
 func TestBridgesMatchReferenceProperty(t *testing.T) {
 	f := func(edges [][2]int8) bool {
-		g := graph.NewUndirected()
+		g := graph.NewUndirectedCap(0)
 		for _, e := range edges {
 			a, b := int64(e[0]%10), int64(e[1]%10)
 			if a != b {
@@ -154,7 +154,7 @@ func TestTopoSort(t *testing.T) {
 
 func TestBipartition(t *testing.T) {
 	// Even cycle is bipartite.
-	even := graph.NewUndirected()
+	even := graph.NewUndirectedCap(0)
 	for i := int64(0); i < 6; i++ {
 		even.AddEdge(i, (i+1)%6)
 	}
@@ -168,7 +168,7 @@ func TestBipartition(t *testing.T) {
 		}
 	})
 	// Odd cycle is not.
-	odd := graph.NewUndirected()
+	odd := graph.NewUndirectedCap(0)
 	for i := int64(0); i < 5; i++ {
 		odd.AddEdge(i, (i+1)%5)
 	}
@@ -176,13 +176,13 @@ func TestBipartition(t *testing.T) {
 		t.Fatal("odd cycle reported bipartite")
 	}
 	// Self-loop is not.
-	loop := graph.NewUndirected()
+	loop := graph.NewUndirectedCap(0)
 	loop.AddEdge(1, 1)
 	if _, ok := BipartitionView(graph.BuildUView(loop)); ok {
 		t.Fatal("self-loop reported bipartite")
 	}
 	// Disconnected bipartite graph.
-	two := graph.NewUndirected()
+	two := graph.NewUndirectedCap(0)
 	two.AddEdge(1, 2)
 	two.AddEdge(10, 11)
 	if _, ok := BipartitionView(graph.BuildUView(two)); !ok {
@@ -192,7 +192,7 @@ func TestBipartition(t *testing.T) {
 
 func TestMinimumSpanningForest(t *testing.T) {
 	// Square with a diagonal: MST picks the three cheapest edges.
-	g := graph.NewUndirected()
+	g := graph.NewUndirectedCap(0)
 	weights := map[[2]int64]float64{
 		{1, 2}: 1, {2, 3}: 2, {3, 4}: 3, {1, 4}: 4, {1, 3}: 5,
 	}
@@ -258,18 +258,5 @@ func TestMotifCounts(t *testing.T) {
 	mc = CountMotifsView(graph.BuildView(full))
 	if mc.CyclicTriangles != 2 {
 		t.Fatalf("reciprocal triangle cycles = %+v", mc)
-	}
-}
-
-func TestPageRankConverged(t *testing.T) {
-	g := cycleGraph(8)
-	pr := PageRankViewTol(graph.BuildView(g), DefaultDamping, 1e-12)
-	for _, e := range pr {
-		if !approxEq(e.Score, 1.0/8, 1e-9) {
-			t.Fatalf("converged rank = %v", e.Score)
-		}
-	}
-	if pr := PageRankViewTol(graph.BuildView(graph.NewDirected()), DefaultDamping, 1e-9); pr == nil || len(pr) != 0 {
-		t.Fatalf("empty graph = %#v, want empty non-nil scores", pr)
 	}
 }

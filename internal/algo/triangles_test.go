@@ -13,7 +13,7 @@ import (
 )
 
 func completeUndirected(n int) *graph.Undirected {
-	g := graph.NewUndirected()
+	g := graph.NewUndirectedCap(0)
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
 			g.AddEdge(int64(i), int64(j))
@@ -41,7 +41,7 @@ func TestTrianglesKnownCounts(t *testing.T) {
 }
 
 func TestTrianglesPathHasNone(t *testing.T) {
-	g := graph.NewUndirected()
+	g := graph.NewUndirectedCap(0)
 	for i := int64(0); i < 10; i++ {
 		g.AddEdge(i, i+1)
 	}
@@ -100,7 +100,7 @@ func bruteTriangles(g *graph.Undirected) int64 {
 
 func TestTrianglesMatchBruteForceProperty(t *testing.T) {
 	f := func(edges [][2]int8) bool {
-		g := graph.NewUndirected()
+		g := graph.NewUndirectedCap(0)
 		for _, e := range edges {
 			g.AddEdge(int64(e[0]%12), int64(e[1]%12))
 		}
@@ -120,7 +120,7 @@ func TestClusteringCoefficientComplete(t *testing.T) {
 }
 
 func TestClusteringCoefficientStarIsZero(t *testing.T) {
-	g := graph.NewUndirected()
+	g := graph.NewUndirectedCap(0)
 	for i := int64(1); i <= 6; i++ {
 		g.AddEdge(0, i)
 	}
@@ -132,7 +132,7 @@ func TestClusteringCoefficientStarIsZero(t *testing.T) {
 func TestClusteringCoefficientTrianglePlusTail(t *testing.T) {
 	// Triangle {0,1,2} plus tail 2-3. Nodes 0,1 have cc 1; node 2 has
 	// cc = 1/3 (one of three neighbor pairs connected); node 3 deg 1 → 0.
-	g := graph.NewUndirected()
+	g := graph.NewUndirectedCap(0)
 	g.AddEdge(0, 1)
 	g.AddEdge(1, 2)
 	g.AddEdge(0, 2)
@@ -144,7 +144,7 @@ func TestClusteringCoefficientTrianglePlusTail(t *testing.T) {
 }
 
 func TestClusteringEmptyGraph(t *testing.T) {
-	if cc := ClusteringCoefficientView(graph.BuildUView(graph.NewUndirected())); cc != 0 {
+	if cc := ClusteringCoefficientView(graph.BuildUView(graph.NewUndirectedCap(0))); cc != 0 {
 		t.Fatalf("clustering of empty graph = %v", cc)
 	}
 }
@@ -230,7 +230,7 @@ func bruteTriangles3(src, dst []int64) triangleRef {
 // brute-force reference at each worker count.
 func checkTriangleKernels(t *testing.T, src, dst []int64, procs ...int) {
 	t.Helper()
-	d, u := graph.NewDirected(), graph.NewUndirected()
+	d, u := graph.NewDirected(), graph.NewUndirectedCap(0)
 	for i := range src {
 		d.AddEdge(src[i], dst[i])
 		u.AddEdge(src[i], dst[i])

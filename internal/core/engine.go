@@ -314,10 +314,11 @@ func (w *Workspace) DirectedView(name string) (*graph.View, error) {
 }
 
 // UndirectedView returns the undirected CSR view of the graph bound to
-// name — for a directed graph, the view of its undirected projection
+// name — for a directed graph, graph.ProjectUView of its directed view
 // (edge directions dropped, duplicates merged), which is what triangle
 // counting, bridges, k-core and the other orientation-blind algorithms
-// consume. Cached like DirectedView.
+// consume. Cached like DirectedView; building it adds no directed view to
+// the cache.
 func (w *Workspace) UndirectedView(name string) (*graph.UView, error) {
 	w.mu.RLock()
 	o, ok := w.objs[name]
@@ -351,14 +352,9 @@ func (w *Workspace) UndirectedView(name string) (*graph.UView, error) {
 }
 
 // buildUView materializes the undirected view of o for a cache miss:
-// patched from a resident base when the plan allows, built otherwise.
+// patched from a resident base when the plan allows, built otherwise. A
+// directed binding's build is the projection of its directed view.
 func (w *Workspace) buildUView(o Object, plan patchPlan, views *viewCache, key viewKey) *graph.UView {
-	if o.Mapped != nil {
-		// The undirected projection of a mapped directed graph is a heap
-		// materialization, so it earns a cache slot like any conversion;
-		// the builder streams the mapped arenas once.
-		return graph.ProjectUView(o.Mapped.View())
-	}
 	base, pending, patch := plan.base(views, key)
 	if patch {
 		w.patches.Add(1)
@@ -376,7 +372,19 @@ func (w *Workspace) buildUView(o Object, plan patchPlan, views *viewCache, key v
 	case u != nil:
 		return graph.BuildUView(u)
 	default:
-		return graph.BuildUView(graph.AsUndirected(g))
+		// Project a directed view: the mapped one, else the one resident
+		// at this version (Peek: a projection is not a query), else a
+		// transient build that the cache never holds.
+		var dv *graph.View
+		key.undir = false
+		if o.Mapped != nil {
+			dv = o.Mapped.View()
+		} else if cv, ok := views.Peek(key); ok {
+			dv = cv.dir
+		} else {
+			dv = graph.BuildView(g)
+		}
+		return graph.ProjectUView(dv)
 	}
 }
 

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"reflect"
 	"sync"
@@ -82,7 +81,6 @@ func sameUViewT(t *testing.T, ctx string, got, want *graph.UView) {
 // identical to from-scratch builds and that the incremental algorithms
 // agree with their cold oracles. Run with -race in CI.
 func TestIncrementalOracle(t *testing.T) {
-	const tol = 1e-9
 	rng := rand.New(rand.NewSource(21))
 	for name, g := range incrShapes(rng) {
 		t.Run(name, func(t *testing.T) {
@@ -94,7 +92,6 @@ func TestIncrementalOracle(t *testing.T) {
 				t.Fatal(err)
 			}
 			uv, _ := ws.UndirectedView("g")
-			pr := algo.PageRankViewTol(dv, algo.DefaultDamping, tol)
 			wcc := algo.WCCView(dv)
 			tri := algo.TrianglesView(uv)
 
@@ -134,19 +131,9 @@ func TestIncrementalOracle(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				sameUViewT(t, ctx, newUV, graph.BuildUView(graph.AsUndirected(g)))
+				sameUViewT(t, ctx, newUV, graph.BuildUView(undirectedPerEdge(g)))
 
 				// Incremental algorithms against their cold oracles.
-				incrPR := algo.PageRankIncr(newDV, pr, algo.DefaultDamping, tol)
-				coldPR := algo.PageRankViewTol(newDV, algo.DefaultDamping, tol)
-				if len(incrPR) != len(coldPR) {
-					t.Fatalf("%s: incremental PageRank scored %d nodes, cold %d", ctx, len(incrPR), len(coldPR))
-				}
-				for i, c := range coldPR {
-					if incrPR[i].ID != c.ID || math.Abs(incrPR[i].Score-c.Score) > 1e-6 {
-						t.Fatalf("%s: incremental PageRank diverges at entry %d: %v vs %v", ctx, i, incrPR[i], c)
-					}
-				}
 				coldWCC := algo.WCCView(newDV)
 				if incrWCC, ok := algo.WCCIncr(newDV, wcc, deltas); ok {
 					if !reflect.DeepEqual(incrWCC, coldWCC) {
@@ -169,7 +156,7 @@ func TestIncrementalOracle(t *testing.T) {
 				}
 
 				dv, uv = newDV, newUV
-				pr, wcc, tri = incrPR, coldWCC, incrTri
+				wcc, tri = coldWCC, incrTri
 			}
 
 			patches, rebuilds := ws.PatchStats()
@@ -184,7 +171,7 @@ func TestIncrementalOracle(t *testing.T) {
 // undirected binding.
 func TestIncrementalOracleUndirected(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
-	g := graph.NewUndirected()
+	g := graph.NewUndirectedCap(0)
 	for i := 0; i < 80; i++ {
 		g.AddEdge(rng.Int63n(30), rng.Int63n(30))
 	}

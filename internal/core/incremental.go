@@ -64,8 +64,8 @@ func (w *Workspace) DeltaEdges() int {
 
 // PendingDeltas returns the binding's logged mutations since the oldest
 // patchable view state, oldest first — the batch callers hand to the
-// incremental algorithms (PageRankIncr, WCCIncr, TrianglesIncr) together
-// with the previous result.
+// incremental algorithms (WCCIncr, TrianglesIncr) together with the
+// previous result.
 func (w *Workspace) PendingDeltas(name string) []graph.Delta {
 	w.mu.RLock()
 	defer w.mu.RUnlock()

@@ -36,7 +36,7 @@ func snapshotWorkspace(t *testing.T) *Workspace {
 	g := graph.NewDirected()
 	g.AddEdge(1, 2)
 	g.AddEdge(2, 3)
-	u := graph.NewUndirected()
+	u := graph.NewUndirectedCap(0)
 	u.AddEdge(5, 6)
 	ws.SetWithProvenance("T", Object{Table: tbl}, "load T users.tsv User:string Posts:int")
 	ws.SetWithProvenance("G", Object{Graph: g}, "tograph G T src dst")

@@ -348,7 +348,7 @@ func TestMappedGolden(t *testing.T) {
 		g.AddEdge(e[0], e[1])
 	}
 	g.AddNode(9)
-	u := graph.NewUndirected()
+	u := graph.NewUndirectedCap(0)
 	for _, e := range [][2]int64{{1, 2}, {2, 3}, {3, 3}} {
 		u.AddEdge(e[0], e[1])
 	}

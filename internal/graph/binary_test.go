@@ -141,7 +141,7 @@ func TestBinaryRejectsMangledBuffers(t *testing.T) {
 }
 
 func sampleUndirectedBinary() *Undirected {
-	u := NewUndirected()
+	u := NewUndirectedCap(0)
 	u.AddEdge(1, 2)
 	u.AddEdge(2, 3)
 	u.AddEdge(3, 1)

@@ -137,14 +137,15 @@ func randomDelta(rng *rand.Rand, g *Directed, idSpace int64) (Delta, bool) {
 // TestPatchViewMatchesRebuild is the graph-level oracle: across every
 // shape, random mutation batches patched onto the base view must be
 // structurally identical to a from-scratch build of the mutated graph —
-// for both orientations, including the undirected projection.
+// for both orientations, including the undirected projection, which
+// AsUndirected and ProjectUView must build as the per-edge reference does.
 func TestPatchViewMatchesRebuild(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for name, g := range deltaTestShapes(rng) {
 		t.Run(name, func(t *testing.T) {
 			for round := 0; round < 8; round++ {
 				base := BuildView(g)
-				ubase := BuildUView(AsUndirected(g))
+				ubase := BuildUView(asUndirectedPerEdge(g))
 				var deltas []Delta
 				for i := 0; i < 1+rng.Intn(12); i++ {
 					if d, ok := randomDelta(rng, g, 60); ok {
@@ -158,8 +159,15 @@ func TestPatchViewMatchesRebuild(t *testing.T) {
 				}
 				_, uHasEdge := projectionClosures(g)
 				upatched := PatchUView(ubase, hasNode, uHasEdge, deltas)
-				if err := sameUView(upatched, BuildUView(AsUndirected(g))); err != nil {
+				ref := asUndirectedPerEdge(g)
+				if err := sameUView(upatched, BuildUView(ref)); err != nil {
 					t.Fatalf("round %d: patched undirected view diverges: %v", round, err)
+				}
+				if err := sameUndirected(AsUndirected(g), ref); err != nil {
+					t.Fatalf("round %d: AsUndirected diverges from the per-edge projection: %v", round, err)
+				}
+				if err := sameUView(ProjectUView(BuildView(g)), BuildUView(ref)); err != nil {
+					t.Fatalf("round %d: ProjectUView diverges from the per-edge projection: %v", round, err)
 				}
 			}
 		})
@@ -169,7 +177,7 @@ func TestPatchViewMatchesRebuild(t *testing.T) {
 // TestPatchUViewUndirectedGraph patches views of a native undirected
 // graph, exercising the self-loop single-entry convention.
 func TestPatchUViewUndirectedGraph(t *testing.T) {
-	g := NewUndirected()
+	g := NewUndirectedCap(0)
 	g.AddEdge(1, 2)
 	g.AddEdge(2, 3)
 	g.AddEdge(4, 4)
@@ -283,7 +291,7 @@ func TestPatchViewAppendedIDs(t *testing.T) {
 	}
 	for _, b := range batches {
 		base := BuildView(g)
-		ubase := BuildUView(AsUndirected(g))
+		ubase := BuildUView(asUndirectedPerEdge(g))
 		deltas := b.apply()
 		hasNode, hasEdge := directedDeltaClosures(g)
 		if identity := mergeIDs(base.ids, hasNode, deltas).oldToNew == nil; identity != b.identity {
@@ -293,7 +301,7 @@ func TestPatchViewAppendedIDs(t *testing.T) {
 			t.Fatalf("%s: patched directed view diverges: %v", b.name, err)
 		}
 		_, uHasEdge := projectionClosures(g)
-		if err := sameUView(PatchUView(ubase, hasNode, uHasEdge, deltas), BuildUView(AsUndirected(g))); err != nil {
+		if err := sameUView(PatchUView(ubase, hasNode, uHasEdge, deltas), BuildUView(asUndirectedPerEdge(g))); err != nil {
 			t.Fatalf("%s: patched undirected view diverges: %v", b.name, err)
 		}
 	}
@@ -317,7 +325,7 @@ func FuzzIncrementalView(f *testing.F) {
 		g := NewDirected()
 		g.AddEdge(1, 2) // seed so early deletes can hit something
 		base := BuildView(g)
-		ubase := BuildUView(AsUndirected(g))
+		ubase := BuildUView(asUndirectedPerEdge(g))
 		var deltas []Delta
 
 		check := func() {
@@ -326,8 +334,15 @@ func FuzzIncrementalView(f *testing.F) {
 				t.Fatalf("directed patch diverges from rebuild: %v", err)
 			}
 			_, uHasEdge := projectionClosures(g)
-			if err := sameUView(PatchUView(ubase, hasNode, uHasEdge, deltas), BuildUView(AsUndirected(g))); err != nil {
+			ref := asUndirectedPerEdge(g)
+			if err := sameUView(PatchUView(ubase, hasNode, uHasEdge, deltas), BuildUView(ref)); err != nil {
 				t.Fatalf("undirected patch diverges from rebuild: %v", err)
+			}
+			if err := sameUndirected(AsUndirected(g), ref); err != nil {
+				t.Fatalf("AsUndirected diverges from the per-edge projection: %v", err)
+			}
+			if err := sameUView(ProjectUView(BuildView(g)), BuildUView(ref)); err != nil {
+				t.Fatalf("ProjectUView diverges from the per-edge projection: %v", err)
 			}
 		}
 
@@ -337,7 +352,7 @@ func FuzzIncrementalView(f *testing.F) {
 			case 3: // snapshot point: verify, then rebase the patch window
 				check()
 				base = BuildView(g)
-				ubase = BuildUView(AsUndirected(g))
+				ubase = BuildUView(asUndirectedPerEdge(g))
 				deltas = deltas[:0]
 				i++
 			default:

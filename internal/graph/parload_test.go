@@ -273,7 +273,7 @@ func TestBuildUndirectedMatchesAddEdge(t *testing.T) {
 		n := 1000 + int(seed)*7000
 		srcs := make([]int64, n)
 		dsts := make([]int64, n)
-		ref := NewUndirected()
+		ref := NewUndirectedCap(0)
 		for i := range srcs {
 			src := rng.Int63n(300) - 150
 			dst := rng.Int63n(300) - 150

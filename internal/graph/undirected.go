@@ -17,9 +17,6 @@ type Undirected struct {
 	nEdges int64
 }
 
-// NewUndirected returns an empty undirected graph.
-func NewUndirected() *Undirected { return NewUndirectedCap(0) }
-
 // NewUndirectedCap returns an empty undirected graph preallocated for n
 // nodes.
 func NewUndirectedCap(n int) *Undirected {
@@ -257,10 +254,26 @@ func (g *Undirected) Bytes() int64 {
 }
 
 // AsUndirected returns the undirected view of a directed graph: each
-// directed edge becomes an undirected edge, duplicates merged.
+// directed edge becomes an undirected edge, duplicates merged. Each live
+// slot's neighbor vector is the sorted union of its out- and in-vectors,
+// taken in slot order, so the result visits its nodes in g's ForNodes
+// order.
 func AsUndirected(g *Directed) *Undirected {
-	u := NewUndirectedCap(g.NumNodes())
-	g.ForNodes(func(id int64) { u.AddNode(id) })
-	g.ForEdges(func(src, dst int64) { u.AddEdge(src, dst) })
+	ids := make([]int64, 0, g.NumNodes())
+	adj := make([][]int64, 0, g.NumNodes())
+	for s, id := range g.ids {
+		if id == tombstone {
+			continue
+		}
+		out, in := g.outAdj[s], g.inAdj[s]
+		merged := make([]int64, mergedLen(out, in))
+		mergeInto(merged, out, in)
+		ids = append(ids, id)
+		adj = append(adj, merged)
+	}
+	u, err := BuildUndirectedBulk(ids, adj)
+	if err != nil {
+		panic(err) // unreachable: ids are g's distinct live nodes
+	}
 	return u
 }

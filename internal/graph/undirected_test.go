@@ -1,12 +1,14 @@
 package graph
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 	"testing/quick"
 )
 
 func TestUndirectedBasics(t *testing.T) {
-	g := NewUndirected()
+	g := NewUndirectedCap(0)
 	if !g.AddEdge(1, 2) || g.AddEdge(2, 1) {
 		t.Fatal("undirected edge not symmetric on insert")
 	}
@@ -25,7 +27,7 @@ func TestUndirectedBasics(t *testing.T) {
 }
 
 func TestUndirectedSelfLoop(t *testing.T) {
-	g := NewUndirected()
+	g := NewUndirectedCap(0)
 	g.AddEdge(3, 3)
 	if g.NumEdges() != 1 || g.Deg(3) != 1 {
 		t.Fatalf("self-loop: edges=%d deg=%d", g.NumEdges(), g.Deg(3))
@@ -42,7 +44,7 @@ func TestUndirectedSelfLoop(t *testing.T) {
 }
 
 func TestUndirectedDelNode(t *testing.T) {
-	g := NewUndirected()
+	g := NewUndirectedCap(0)
 	g.AddEdge(1, 2)
 	g.AddEdge(2, 3)
 	g.AddEdge(1, 3)
@@ -58,7 +60,7 @@ func TestUndirectedDelNode(t *testing.T) {
 }
 
 func TestUndirectedDelEdgeSymmetric(t *testing.T) {
-	g := NewUndirected()
+	g := NewUndirectedCap(0)
 	g.AddEdge(1, 2)
 	if !g.DelEdge(2, 1) {
 		t.Fatal("DelEdge via reversed endpoints failed")
@@ -72,7 +74,7 @@ func TestUndirectedDelEdgeSymmetric(t *testing.T) {
 }
 
 func TestUndirectedForEdgesOncePerEdge(t *testing.T) {
-	g := NewUndirected()
+	g := NewUndirectedCap(0)
 	g.AddEdge(1, 2)
 	g.AddEdge(2, 3)
 	g.AddEdge(4, 4)
@@ -102,6 +104,33 @@ func TestAsUndirected(t *testing.T) {
 	}
 }
 
+// asUndirectedPerEdge is AsUndirected as one AddEdge per directed edge,
+// the reference the merged bulk build is held to.
+func asUndirectedPerEdge(g *Directed) *Undirected {
+	u := NewUndirectedCap(g.NumNodes())
+	g.ForNodes(func(id int64) { u.AddNode(id) })
+	g.ForEdges(func(src, dst int64) { u.AddEdge(src, dst) })
+	return u
+}
+
+// sameUndirected reports whether a is invalid or differs from b: in node
+// visiting order, edge count or any adjacency vector.
+func sameUndirected(a, b *Undirected) error {
+	if err := a.Validate(); err != nil {
+		return err
+	}
+	var an, bn []int64
+	a.ForNodes(func(id int64) { an = append(an, id) })
+	b.ForNodes(func(id int64) { bn = append(bn, id) })
+	if !slices.Equal(an, bn) {
+		return fmt.Errorf("node order differs: %v vs %v", an, bn)
+	}
+	if a.NumEdges() != b.NumEdges() {
+		return fmt.Errorf("edge counts differ: %d vs %d", a.NumEdges(), b.NumEdges())
+	}
+	return sameUView(BuildUView(a), BuildUView(b))
+}
+
 func TestUndirectedBulkBuild(t *testing.T) {
 	ids := []int64{1, 2, 3}
 	adj := [][]int64{{2, 3}, {1}, {1, 3}} // includes a self-loop at 3
@@ -121,7 +150,7 @@ func TestUndirectedBulkBuild(t *testing.T) {
 }
 
 func TestUndirectedClone(t *testing.T) {
-	g := NewUndirected()
+	g := NewUndirectedCap(0)
 	g.AddEdge(1, 2)
 	c := g.Clone()
 	c.AddEdge(3, 4)
@@ -145,7 +174,7 @@ func TestUndirectedMatchesReferenceModel(t *testing.T) {
 		return [2]int64{a, b}
 	}
 	f := func(ops []opcode) bool {
-		g := NewUndirected()
+		g := NewUndirectedCap(0)
 		ref := map[[2]int64]bool{}
 		refNodes := map[int64]bool{}
 		for _, o := range ops {

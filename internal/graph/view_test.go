@@ -88,7 +88,7 @@ func TestBuildViewEmptyAndLoops(t *testing.T) {
 
 func TestBuildUViewMatchesUndirected(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
-	g := NewUndirected()
+	g := NewUndirectedCap(0)
 	for i := 0; i < 800; i++ {
 		g.AddEdge(int64(rng.Intn(200)), int64(rng.Intn(200)))
 	}

@@ -142,13 +142,12 @@ func checkNeighbors(name string, off []int64, arena []int32, n int) error {
 
 // ProjectUView builds the undirected projection of a directed view: each
 // node's neighbor vector is the merged, deduplicated union of its out- and
-// in-vectors (both already sorted), self-loops kept. This is how
-// orientation-blind algorithms (triangles, bridges, k-core) run over a
-// mapped directed graph, which has no in-heap Directed to project through
-// AsUndirected: the projection reads the mapped arenas once and
-// materializes a heap UView that caches like any other. The
-// direction-ignoring kernels that take a directed view (betweenness, the
-// motif census) project through it too.
+// in-vectors (both already sorted), self-loops kept. It is the one way a
+// directed binding, heap or mapped, reaches the undirected view that
+// orientation-blind algorithms (triangles, bridges, k-core) run over: the
+// projection reads the directed arenas once and materializes a heap UView
+// that caches like any other. The direction-ignoring kernels that take a
+// directed view (betweenness, the motif census) project through it too.
 func ProjectUView(v *View) *UView {
 	n := v.NumNodes()
 	u := &UView{
@@ -173,8 +172,9 @@ func ProjectUView(v *View) *UView {
 	return u
 }
 
-// mergedLen counts the union size of two sorted int32 slices.
-func mergedLen(a, b []int32) int {
+// mergedLen counts the union size of two sorted vectors of dense indices
+// (a view's) or node ids (a graph's).
+func mergedLen[T int32 | int64](a, b []T) int {
 	n, i, j := 0, 0, 0
 	for i < len(a) && j < len(b) {
 		switch {
@@ -193,7 +193,7 @@ func mergedLen(a, b []int32) int {
 
 // mergeInto writes the sorted union of a and b into dst (sized by
 // mergedLen).
-func mergeInto(dst []int32, a, b []int32) {
+func mergeInto[T int32 | int64](dst, a, b []T) {
 	k, i, j := 0, 0, 0
 	for i < len(a) && j < len(b) {
 		switch {

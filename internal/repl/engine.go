@@ -717,10 +717,10 @@ func (e *Engine) cmdAlgo(r *Result, args []string) error {
 		}
 	}
 	// Every branch computes over the workspace's cached CSR views:
-	// direction-blind algorithms fetch the undirected view (which also
-	// subsumes the old AsUndirected projection cost), the rest the
-	// directed one. Repeat analytics on an unchanged graph do no O(V+E)
-	// conversion at all.
+	// direction-blind algorithms fetch the undirected view (for a directed
+	// graph, the projection of its directed CSR), the rest the directed
+	// one. Repeat analytics on an unchanged graph do no O(V+E) conversion
+	// at all.
 	start := time.Now()
 	switch args[1] {
 	case "triangles":
@@ -799,8 +799,12 @@ func (e *Engine) cmdAlgo(r *Result, args []string) error {
 		cc := algo.ClusteringCoefficientView(uv)
 		r.Message = fmt.Sprintf("average clustering coefficient %.4f", cc)
 	default:
-		if _, err := e.ws.Graph(args[0]); err != nil {
-			return err
+		o, ok := e.ws.Get(args[0])
+		if !ok {
+			return fmt.Errorf("no object named %q", args[0])
+		}
+		if o.Graph == nil && o.UGraph == nil && o.Mapped == nil {
+			return fmt.Errorf("%q is a %s, not a graph", args[0], o.Kind())
 		}
 		return fmt.Errorf("unknown algorithm %q", args[1])
 	}

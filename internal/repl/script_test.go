@@ -143,6 +143,41 @@ func TestEvalScriptContinue(t *testing.T) {
 	}
 }
 
+// TestAlgoUnknownNameAnyGraphKind runs an unknown algorithm name over a
+// heap graph, a mapped graph and a table: both graphs answer "unknown
+// algorithm" (the mapped one as it answers wcc), the table its kind.
+func TestAlgoUnknownNameAnyGraphKind(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "g.rngm")
+	s, err := ParseScript(`@continue
+gen rmat E 8 200 1
+tograph G E src dst
+savemapped G ` + path + `
+loadgraph M ` + path + `
+algo M wcc
+algo G nope
+algo M nope
+algo E nope
+algo X nope`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sr := New(nil).EvalScript(s)
+	want := []string{"", "", "", "", "",
+		`unknown algorithm "nope"`,
+		`unknown algorithm "nope"`,
+		`"E" is a table, not a graph`,
+		`no object named "X"`,
+	}
+	if len(sr.Steps) != len(want) {
+		t.Fatalf("ran %d steps, want %d", len(sr.Steps), len(want))
+	}
+	for i, st := range sr.Steps {
+		if !strings.Contains(st.Error, want[i]) || (want[i] == "") != (st.Error == "") {
+			t.Errorf("%s: error %q, want %q", st.Cmd, st.Error, want[i])
+		}
+	}
+}
+
 func TestSourceVerb(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "analysis.rng")

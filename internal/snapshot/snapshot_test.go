@@ -33,7 +33,7 @@ func sampleObjects(t *testing.T) []Object {
 	g.AddEdge(1, 2)
 	g.AddEdge(2, 3)
 	g.AddEdge(3, 1)
-	u := graph.NewUndirected()
+	u := graph.NewUndirectedCap(0)
 	u.AddEdge(10, 20)
 	u.AddEdge(20, 30)
 	return []Object{

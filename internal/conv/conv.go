@@ -1,14 +1,15 @@
 // Package conv implements Ringo's fast conversions between tables and
 // graphs (§2.4 of Perez et al., SIGMOD 2015).
 //
-// Table to graph uses the paper's "sort-first" algorithm: copy the source
-// and destination columns, sort the copies in parallel (par.SortPairs: a
-// radix sort per worker range, then a pairwise merge), compute the exact
-// number of neighbors for each node from the sorted runs, and then copy the
-// per-node neighbor vectors into the graph's node hash table. Sorting
-// parallelizes well, exact degree counts remove any need to guess hash
-// table or vector sizes in advance, and workers write disjoint vectors, so
-// there is no contention and no thread-safe data structure on the hot path.
+// Table to graph uses the paper's "sort-first" algorithm, here a dense
+// relabel plus a counting sort straight into the CSR form algorithms run
+// over (graph.BuildViewCols): every node id is mapped to a dense index in
+// ascending id order, two stable counting passes over those indices sort
+// the edges by (source, destination), each source's run is deduplicated
+// into the out-arrays and a counting transpose yields the in-arrays. Exact
+// degrees fall out of the counts, so nothing is guessed or resized, and no
+// hash table sits on the path. The hash-of-nodes graph the mutation verbs
+// need is derived from that view (graph.FromView), not built beside it.
 //
 // Graph to table partitions the graph's nodes among workers, pre-allocates
 // the output table, and assigns each worker a disjoint output range
@@ -23,13 +24,23 @@ import (
 	"ringo/internal/table"
 )
 
-// ToDirected converts an edge table to a directed graph using the
-// sort-first algorithm. srcCol and dstCol name the edge source and
+// ToView converts an edge table to the CSR view of its directed graph,
+// the form tograph binds. srcCol and dstCol name the edge source and
 // destination columns; they must be Int or String columns (string cells
 // become nodes identified by their pool ids). Duplicate rows collapse to a
-// single edge. The heavy lifting — parallel pair sort, dedup, flat-arena
-// adjacency materialization — lives in graph.BuildDirectedCols, shared with
-// the parallel text-ingest pipeline.
+// single edge.
+func ToView(t *table.Table, srcCol, dstCol string) (*graph.View, error) {
+	srcs, dsts, err := edgeColumns(t, srcCol, dstCol)
+	if err != nil {
+		return nil, err
+	}
+	return graph.BuildViewCols(srcs, dsts)
+}
+
+// ToDirected converts an edge table to a dynamic directed graph: the
+// sort-first build of ToView, thawed into a hash of nodes (graph.FromView)
+// in O(V+E) by graph.BuildDirectedCols. Columns and duplicates are treated
+// as by ToView.
 func ToDirected(t *table.Table, srcCol, dstCol string) (*graph.Directed, error) {
 	srcs, dsts, err := edgeColumns(t, srcCol, dstCol)
 	if err != nil {

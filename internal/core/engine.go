@@ -66,13 +66,20 @@ func TableFromIntMap(m map[int64]int, keyCol, valCol string) (*table.Table, erro
 	return table.FromIntColumns([]string{keyCol, valCol}, [][]int64{keys, vals})
 }
 
-// Object is a value held in a Workspace: a table, a graph (in-heap or
-// mapped from an RNGM image), or a score vector.
+// Object is a value held in a Workspace: a table, a graph (in-heap,
+// frozen as its CSR view, or mapped from an RNGM image), or a score
+// vector.
 type Object struct {
 	Table  *table.Table
 	Graph  *graph.Directed
 	UGraph *graph.Undirected
 	Scores algo.Scores
+	// View is a directed graph frozen in its CSR form, as tograph builds
+	// it: DirectedView serves it in place, with no fill and no cache
+	// traffic, and the first mutation thaws it into a Graph (see
+	// mutateGraph). It is the same graph a Graph binding holds, so every
+	// verb answers it alike.
+	View *graph.View
 	// Mapped is a read-only graph served in place from an RNGM file (the
 	// beyond-RAM tier): its views come straight from the mapping, never
 	// from the view cache, and mutating verbs reject it.
@@ -84,7 +91,7 @@ func (o Object) Kind() string {
 	switch {
 	case o.Table != nil:
 		return "table"
-	case o.Graph != nil:
+	case o.Graph != nil, o.View != nil:
 		return "graph"
 	case o.UGraph != nil:
 		return "ugraph"
@@ -104,6 +111,8 @@ func (o Object) Summary() string {
 		return fmt.Sprintf("table  %d rows × %d cols  (%s)", o.Table.NumRows(), o.Table.NumCols(), schemaString(o.Table))
 	case o.Graph != nil:
 		return fmt.Sprintf("graph  %d nodes, %d edges (directed)", o.Graph.NumNodes(), o.Graph.NumEdges())
+	case o.View != nil:
+		return fmt.Sprintf("graph  %d nodes, %d edges (directed)", o.View.NumNodes(), o.View.NumEdges())
 	case o.UGraph != nil:
 		return fmt.Sprintf("graph  %d nodes, %d edges (undirected)", o.UGraph.NumNodes(), o.UGraph.NumEdges())
 	case o.Scores != nil:
@@ -268,7 +277,8 @@ func (w *Workspace) TableEqIndex(name, col string) (*table.EqIndex, error) {
 
 // DirectedView returns the CSR view of the directed graph bound to name,
 // served from the view cache when possible: on a hit no O(V+E) conversion
-// runs, the paper's build-once-query-many model.
+// runs, the paper's build-once-query-many model. A frozen binding
+// (Object.View) and a mapped one are their views, served in place.
 func (w *Workspace) DirectedView(name string) (*graph.View, error) {
 	w.mu.RLock()
 	o, ok := w.objs[name]
@@ -278,6 +288,9 @@ func (w *Workspace) DirectedView(name string) (*graph.View, error) {
 	w.mu.RUnlock()
 	if !ok {
 		return nil, fmt.Errorf("no object named %q", name)
+	}
+	if o.View != nil {
+		return o.View, nil
 	}
 	if o.Mapped != nil {
 		// A mapped graph IS its view: no conversion to cache, no heap
@@ -333,7 +346,7 @@ func (w *Workspace) UndirectedView(name string) (*graph.UView, error) {
 	case o.Mapped != nil && o.Mapped.UView() != nil:
 		// An undirected mapped image is served in place, like DirectedView.
 		return o.Mapped.UView(), nil
-	case o.UGraph == nil && o.Graph == nil && o.Mapped == nil:
+	case o.UGraph == nil && o.Graph == nil && o.View == nil && o.Mapped == nil:
 		return nil, fmt.Errorf("%q is a %s, not a graph", name, o.Kind())
 	}
 	key := viewKey{name: name, ver: ver, undir: true}
@@ -372,17 +385,20 @@ func (w *Workspace) buildUView(o Object, plan patchPlan, views *viewCache, key v
 	case u != nil:
 		return graph.BuildUView(u)
 	default:
-		// Project a directed view: the mapped one, else the one resident
-		// at this version (Peek: a projection is not a query), else a
-		// transient build that the cache never holds.
-		var dv *graph.View
+		// Project a directed view: the frozen or mapped one, else the
+		// one resident at this version (Peek: a projection is not a
+		// query), else a transient build that the cache never holds.
+		dv := o.View
 		key.undir = false
 		if o.Mapped != nil {
 			dv = o.Mapped.View()
-		} else if cv, ok := views.Peek(key); ok {
-			dv = cv.dir
-		} else {
-			dv = graph.BuildView(g)
+		}
+		if dv == nil {
+			if cv, ok := views.Peek(key); ok {
+				dv = cv.dir
+			} else {
+				dv = graph.BuildView(g)
+			}
 		}
 		return graph.ProjectUView(dv)
 	}
@@ -527,15 +543,19 @@ func (w *Workspace) Table(name string) (*table.Table, error) {
 	return o.Table, nil
 }
 
-// Graph returns the directed graph bound to name or an error.
+// Graph returns the directed graph bound to name or an error. A frozen
+// binding answers with a transient thaw of its view (graph.FromView): the
+// same graph, which the binding does not keep.
 func (w *Workspace) Graph(name string) (*graph.Directed, error) {
 	w.mu.RLock()
-	defer w.mu.RUnlock()
 	o, ok := w.objs[name]
-	if !ok {
+	w.mu.RUnlock()
+	switch {
+	case !ok:
 		return nil, fmt.Errorf("no object named %q", name)
-	}
-	if o.Graph == nil {
+	case o.View != nil:
+		return graph.FromView(o.View), nil
+	case o.Graph == nil:
 		return nil, fmt.Errorf("%q is a %s, not a directed graph", name, o.Kind())
 	}
 	return o.Graph, nil

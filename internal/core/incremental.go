@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"ringo/internal/graph"
 )
@@ -105,12 +106,36 @@ func (w *Workspace) DelGraphEdge(name string, src, dst int64) (bool, error) {
 // in-place table sort, graph mutations require the host to serialize them
 // against running queries (the server's per-session lock does); the
 // workspace lock only protects its own registry state.
+//
+// It is the only door from a frozen binding (Object.View) to its hash
+// graph: the first mutation that changes the graph thaws the view
+// (graph.FromView, O(V+E), run outside the lock) and rebinds the name as
+// Object{Graph}, and the frozen view enters the view cache at the
+// pre-mutation version, where it is the patch base the next query
+// patches from. A mutation that changes nothing leaves the binding frozen.
 func (w *Workspace) mutateGraph(name string, d graph.Delta) (bool, error) {
 	if d.Src == graph.ReservedNodeID || (d.Op != graph.DeltaAddNode && d.Dst == graph.ReservedNodeID) {
 		return false, fmt.Errorf("node id %d is reserved", graph.ReservedNodeID)
 	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
+	for {
+		o, ok := w.objs[name]
+		if !ok || o.View == nil {
+			break
+		}
+		if !changes(o.View, d) {
+			return false, nil
+		}
+		ver := w.ver[name]
+		w.mu.Unlock()
+		g := graph.FromView(o.View)
+		w.mu.Lock()
+		if w.objs[name].View == o.View && w.ver[name] == ver {
+			w.objs[name] = Object{Graph: g}
+			w.views.Put(viewKey{name: name, ver: ver}, cachedView{dir: o.View}, o.View.Bytes())
+		}
+	}
 	o, ok := w.objs[name]
 	if !ok {
 		return false, fmt.Errorf("no object named %q", name)
@@ -157,6 +182,19 @@ func (w *Workspace) mutateGraph(name string, d graph.Delta) (bool, error) {
 		dl.deltas = append(dl.deltas, verDelta{ver: w.clock, d: d})
 	}
 	return true, nil
+}
+
+// changes reports whether applying d would change the graph v snapshots.
+func changes(v *graph.View, d graph.Delta) bool {
+	u, ok := v.Index(d.Src)
+	if d.Op == graph.DeltaAddNode {
+		return !ok
+	}
+	has := false
+	if x, found := v.Index(d.Dst); ok && found {
+		_, has = slices.BinarySearch(v.Out(u), x)
+	}
+	return has == (d.Op == graph.DeltaDelEdge)
 }
 
 // patchPlan is an immutable snapshot of a binding's delta log plus the

@@ -2,6 +2,7 @@ package core
 
 import (
 	"slices"
+	"sync"
 	"testing"
 
 	"ringo/internal/graph"
@@ -59,5 +60,104 @@ func TestNoOpMutationLeavesBindingUntouched(t *testing.T) {
 		if p, r := ws.PatchStats(); p != patches || r != rebuilds {
 			t.Fatalf("%s: next view was patched or rebuilt (%d/%d -> %d/%d)", name, patches, rebuilds, p, r)
 		}
+	}
+}
+
+// TestFrozenBindingThawsOnlyOnChange: on a frozen binding (Object.View) a
+// mutation that changes nothing keeps the binding frozen at its version,
+// and one that changes the graph thaws it into the equal hash graph plus
+// the mutation.
+func TestFrozenBindingThawsOnlyOnChange(t *testing.T) {
+	g := graph.NewDirected()
+	for i := int64(0); i < 10; i++ {
+		g.AddEdge(i, (i+1)%10)
+	}
+	for _, c := range []struct {
+		name    string
+		mutate  func(ws *Workspace) (bool, error)
+		changed bool
+	}{
+		{"addedge of a present edge", func(ws *Workspace) (bool, error) { return ws.AddGraphEdge("g", 0, 1) }, false},
+		{"deledge of an absent edge", func(ws *Workspace) (bool, error) { return ws.DelGraphEdge("g", 1, 0) }, false},
+		{"deledge with an absent endpoint", func(ws *Workspace) (bool, error) { return ws.DelGraphEdge("g", 1, 99) }, false},
+		{"addnode of a present node", func(ws *Workspace) (bool, error) { return ws.AddGraphNode("g", 3) }, false},
+		{"addedge of a new edge", func(ws *Workspace) (bool, error) { return ws.AddGraphEdge("g", 1, 0) }, true},
+		{"addedge to a new node", func(ws *Workspace) (bool, error) { return ws.AddGraphEdge("g", 1, 99) }, true},
+		{"deledge of a present edge", func(ws *Workspace) (bool, error) { return ws.DelGraphEdge("g", 0, 1) }, true},
+		{"addnode of a new node", func(ws *Workspace) (bool, error) { return ws.AddGraphNode("g", 42) }, true},
+	} {
+		ws := NewWorkspace()
+		ws.Set("g", Object{View: graph.BuildView(g)})
+		fp, _ := ws.Fingerprint("g")
+		changed, err := c.mutate(ws)
+		if err != nil || changed != c.changed {
+			t.Fatalf("%s: changed=%v err=%v, want changed=%v", c.name, changed, err, c.changed)
+		}
+		o, _ := ws.Get("g")
+		got, _ := ws.Fingerprint("g")
+		if frozen := o.View != nil && o.Graph == nil; frozen == changed || (got == fp) == changed {
+			t.Fatalf("%s: frozen %v, fingerprint %s -> %s", c.name, frozen, fp, got)
+		}
+		if !changed {
+			continue
+		}
+		ref := NewWorkspace()
+		ref.Set("g", Object{Graph: g.Clone()})
+		c.mutate(ref)
+		want, _ := ref.Graph("g")
+		if err := o.Graph.Validate(); err != nil {
+			t.Fatalf("%s: thawed graph: %v", c.name, err)
+		}
+		if !slices.Equal(o.Graph.Nodes(), want.Nodes()) || o.Graph.NumEdges() != want.NumEdges() {
+			t.Fatalf("%s: thawed graph differs from the mutated hash graph", c.name)
+		}
+		for _, id := range want.Nodes() {
+			if !slices.Equal(o.Graph.OutNeighbors(id), want.OutNeighbors(id)) {
+				t.Fatalf("%s: out-neighbors of %d differ", c.name, id)
+			}
+		}
+	}
+}
+
+// TestConcurrentFirstMutationsThawOnce: mutations racing to be a frozen
+// binding's first each thaw outside the workspace lock, but exactly one
+// thaw is bound, the frozen view is cached once as the patch base, and
+// every mutation lands on the one hash graph.
+func TestConcurrentFirstMutationsThawOnce(t *testing.T) {
+	g := graph.NewDirected()
+	for i := int64(0); i < 200; i++ {
+		g.AddEdge(i, (i*7+1)%200)
+	}
+	ws := NewWorkspace()
+	v := graph.BuildView(g)
+	ws.Set("g", Object{View: v})
+	ver, _ := ws.Version("g")
+	const writers = 8
+	var wg sync.WaitGroup
+	wg.Add(writers)
+	for i := int64(0); i < writers; i++ {
+		go func() {
+			defer wg.Done()
+			if ok, err := ws.AddGraphEdge("g", 1000+i, i); err != nil || !ok {
+				t.Errorf("AddGraphEdge(%d): ok=%v err=%v", 1000+i, ok, err)
+			}
+		}()
+	}
+	wg.Wait()
+	o, _ := ws.Get("g")
+	if o.Graph == nil || o.View != nil {
+		t.Fatal("binding not thawed")
+	}
+	if o.Graph.NumEdges() != g.NumEdges()+writers {
+		t.Fatalf("edges = %d, want %d", o.Graph.NumEdges(), g.NumEdges()+writers)
+	}
+	if now, _ := ws.Version("g"); now != ver+writers {
+		t.Fatalf("version %d -> %d, want +%d", ver, now, writers)
+	}
+	if base, ok := ws.views.Peek(viewKey{name: "g", ver: ver}); !ok || base.dir != v {
+		t.Fatal("the frozen view is not cached at the pre-mutation version")
+	}
+	if _, _, entries, _ := ws.ViewCacheStats(); entries != 1 {
+		t.Fatalf("view cache holds %d entries, want the one base", entries)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"os"
 
 	"ringo/internal/frame"
+	"ringo/internal/graph"
 	"ringo/internal/snapshot"
 	"ringo/internal/xhash"
 )
@@ -29,12 +30,18 @@ func (w *Workspace) Snapshot(out io.Writer) error {
 			return fmt.Errorf("core: %q is a mapped graph served from %s; snapshots exclude mapped bindings (drop it or re-open the RNGM file after restore)",
 				name, o.Mapped.Path())
 		}
+		g := o.Graph
+		if o.View != nil {
+			// A frozen binding is written as the graph it snapshots, so
+			// it digests and restores exactly as its thawed twin.
+			g = graph.FromView(o.View)
+		}
 		objs = append(objs, snapshot.Object{
 			Name:       name,
 			Provenance: w.prov[name],
 			Version:    w.ver[name],
 			Table:      o.Table,
-			Graph:      o.Graph,
+			Graph:      g,
 			UGraph:     o.UGraph,
 			Scores:     o.Scores,
 		})

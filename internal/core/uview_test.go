@@ -43,7 +43,8 @@ func randProjectionGraph(rng *rand.Rand) *graph.Directed {
 // TestUndirectedViewMatchesPerEdge holds each way UndirectedView builds a
 // directed binding's view to the per-edge projection, and pins what each
 // way books: a patch for a resident undirected base, else one rebuild and
-// no new directed view.
+// no new directed view. Every arm runs on a hash binding and on a frozen
+// one (Object.View, as tograph binds), whose first mutation thaws it.
 func TestUndirectedViewMatchesPerEdge(t *testing.T) {
 	mutate := func(ws *Workspace, rng *rand.Rand) {
 		for i := 0; i < 6; i++ {
@@ -82,14 +83,22 @@ func TestUndirectedViewMatchesPerEdge(t *testing.T) {
 			directed(ws)
 		}, false},
 	}
-	for seed := int64(1); seed <= 5; seed++ {
+	for seed := int64(1); seed <= 10; seed++ {
 		for _, arm := range arms {
-			ctx := fmt.Sprintf("seed %d, %s", seed, arm.name)
+			frozen := seed%2 == 0
+			ctx := fmt.Sprintf("seed %d, %s, frozen %v", seed, arm.name, frozen)
 			rng := rand.New(rand.NewSource(seed))
-			g := randProjectionGraph(rng)
 			ws := NewWorkspace()
-			ws.Set("g", Object{Graph: g})
+			if g := randProjectionGraph(rng); frozen {
+				ws.Set("g", Object{View: graph.BuildView(g)})
+			} else {
+				ws.Set("g", Object{Graph: g})
+			}
 			arm.prep(ws, rng)
+			g, err := ws.Graph("g")
+			if err != nil {
+				t.Fatal(err)
+			}
 			p0, r0 := ws.PatchStats()
 			_, _, n0, _ := ws.ViewCacheStats()
 			uv, err := ws.UndirectedView("g")

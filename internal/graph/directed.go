@@ -259,8 +259,8 @@ func (g *Directed) setAdjBulk(id int64, in, out []int64) {
 // BuildDirectedBulk assembles a directed graph from per-node pre-sorted
 // adjacency vectors. ids must be duplicate-free, and in/out[i] must be the
 // sorted, duplicate-free neighbor vectors of ids[i]; the total edge count
-// is taken from the out-vectors. The vectors are adopted, not copied. This
-// is the fast path used by the sort-first table-to-graph conversion.
+// is taken from the out-vectors. The vectors are adopted, not copied.
+// LoadBinary assembles the graphs it decodes through it.
 func BuildDirectedBulk(ids []int64, in, out [][]int64) (*Directed, error) {
 	if len(ids) != len(in) || len(ids) != len(out) {
 		return nil, fmt.Errorf("graph: bulk build length mismatch: %d ids, %d in, %d out",

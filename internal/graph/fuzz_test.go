@@ -2,6 +2,9 @@ package graph
 
 import (
 	"bytes"
+	"encoding/binary"
+	"math"
+	"slices"
 	"testing"
 )
 
@@ -62,5 +65,41 @@ func FuzzLoadEdgeList(f *testing.F) {
 		if err := sameDirected(seq, par); err != nil {
 			t.Fatalf("graphs differ: %v", err)
 		}
+	})
+}
+
+// FuzzBuildViewCols holds the column-to-CSR build to the per-edge
+// reference (checkBuildViewCols). Each 16 bytes of data is one (src, dst)
+// pair; shift narrows the ids (an arithmetic right shift, so negatives
+// stay negative) and moves the build between its relabel arms: a large
+// shift packs the ids into a span the presence bitmap takes, a small one
+// spreads them over the sorted-id arm. reserved plants the reserved id at
+// one endpoint.
+func FuzzBuildViewCols(f *testing.F) {
+	pair := func(s, d int64) []byte {
+		return binary.LittleEndian.AppendUint64(binary.LittleEndian.AppendUint64(nil, uint64(s)), uint64(d))
+	}
+	f.Add([]byte{}, uint8(0), uint8(0))
+	f.Add(slices.Concat(pair(1, 2), pair(2, 2), pair(1, 2), pair(-5, 1)), uint8(0), uint8(0))
+	f.Add(slices.Concat(pair(1<<40, -1<<40), pair(7, 7), pair(-1, 1<<62)), uint8(30), uint8(0))
+	f.Add(slices.Concat(pair(1, 2), pair(3, 4)), uint8(0), uint8(3))
+	f.Add(slices.Concat(pair(math.MinInt64, 2)), uint8(0), uint8(0))
+	f.Add(slices.Concat(pair(math.MaxInt64, math.MinInt64+1), pair(0, 0)), uint8(62), uint8(0))
+	f.Fuzz(func(t *testing.T, data []byte, shift, reserved uint8) {
+		m := min(len(data)/16, 4096)
+		srcs, dsts := make([]int64, m), make([]int64, m)
+		for i := range srcs {
+			srcs[i] = int64(binary.LittleEndian.Uint64(data[16*i:])) >> (shift % 64)
+			dsts[i] = int64(binary.LittleEndian.Uint64(data[16*i+8:])) >> (shift % 64)
+		}
+		if m > 0 && reserved > 0 {
+			at := int(reserved/2) % m
+			if reserved%2 == 0 {
+				srcs[at] = ReservedNodeID
+			} else {
+				dsts[at] = ReservedNodeID
+			}
+		}
+		checkBuildViewCols(t, srcs, dsts)
 	})
 }

@@ -18,8 +18,8 @@ func SortInt64s(a []int64) {
 
 // SortPairs sorts the parallel slices keys and vals lexicographically by
 // (key, val), permuting both together. It is the building block of the
-// "sort-first" table-to-graph conversion (§2.4), ordering (source,
-// destination) edge pairs so that each node's adjacency vector comes out
+// undirected "sort-first" table-to-graph conversion (§2.4), ordering
+// symmetrized edge pairs so that each node's adjacency vector comes out
 // sorted: each worker's range is radix sorted, then the ranges are merged
 // pairwise, which requires no thread-safe data structures and exhibits no
 // contention between workers. keys and vals must have equal length.

@@ -614,12 +614,12 @@ func (e *Engine) cmdToGraph(r *Result, args []string) error {
 	if err != nil {
 		return err
 	}
-	g, err := conv.ToDirected(t, args[2], args[3])
+	v, err := conv.ToView(t, args[2], args[3])
 	if err != nil {
 		return err
 	}
-	e.bind(r, args[0], core.Object{Graph: g})
-	r.Message = fmt.Sprintf("%s: %d nodes, %d edges", args[0], g.NumNodes(), g.NumEdges())
+	e.bind(r, args[0], core.Object{View: v})
+	r.Message = fmt.Sprintf("%s: %d nodes, %d edges", args[0], v.NumNodes(), v.NumEdges())
 	return nil
 }
 
@@ -803,8 +803,8 @@ func (e *Engine) cmdAlgo(r *Result, args []string) error {
 		if !ok {
 			return fmt.Errorf("no object named %q", args[0])
 		}
-		if o.Graph == nil && o.UGraph == nil && o.Mapped == nil {
-			return fmt.Errorf("%q is a %s, not a graph", args[0], o.Kind())
+		if k := o.Kind(); k != "graph" && k != "ugraph" && k != "mgraph" {
+			return fmt.Errorf("%q is a %s, not a graph", args[0], k)
 		}
 		return fmt.Errorf("unknown algorithm %q", args[1])
 	}
@@ -883,11 +883,15 @@ func (e *Engine) cmdSave(r *Result, args []string) error {
 			return err
 		}
 		r.Message = fmt.Sprintf("wrote %d rows to %s", o.Table.NumRows(), args[1])
-	case o.Graph != nil:
-		if err := graph.SaveBinaryFile(args[1], o.Graph); err != nil {
+	case o.Kind() == "graph":
+		g, err := e.ws.Graph(args[0])
+		if err != nil {
 			return err
 		}
-		r.Message = fmt.Sprintf("wrote %d nodes, %d edges to %s (binary)", o.Graph.NumNodes(), o.Graph.NumEdges(), args[1])
+		if err := graph.SaveBinaryFile(args[1], g); err != nil {
+			return err
+		}
+		r.Message = fmt.Sprintf("wrote %d nodes, %d edges to %s (binary)", g.NumNodes(), g.NumEdges(), args[1])
 	default:
 		return fmt.Errorf("%q is a %s; save handles tables and directed graphs (use snapshot for everything else)", args[0], o.Kind())
 	}
@@ -897,7 +901,7 @@ func (e *Engine) cmdSave(r *Result, args []string) error {
 // cmdSaveMapped writes a graph as an RNGM image, the mmap-ready CSR layout
 // loadgraph serves in place. The CSR views come from the workspace cache,
 // so saving a graph that was just analyzed reuses the views the analytics
-// built.
+// built; a frozen binding writes its own view.
 func (e *Engine) cmdSaveMapped(r *Result, args []string) error {
 	if err := need(args, 2, "savemapped <graph> <file>"); err != nil {
 		return err
@@ -907,7 +911,7 @@ func (e *Engine) cmdSaveMapped(r *Result, args []string) error {
 		return fmt.Errorf("no object named %q", args[0])
 	}
 	switch {
-	case o.Graph != nil:
+	case o.Kind() == "graph":
 		v, err := e.ws.DirectedView(args[0])
 		if err != nil {
 			return err

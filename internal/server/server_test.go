@@ -863,15 +863,19 @@ func TestWarmStart(t *testing.T) {
 // TestViewCacheStatsOnServer checks the second cache layer: distinct
 // analytics over one unchanged graph share its CSR view (hits climb), the
 // /stats endpoint surfaces the counters, and disabling the per-session
-// view cache via config turns the layer off.
+// view cache via config turns the layer off. A tograph binding is its own
+// view and never touches the cache, so the graph is mutated once first:
+// the mutation thaws it and leaves the frozen view cached as a patch base.
 func TestViewCacheStatsOnServer(t *testing.T) {
 	srv, ts := newTestServer(t, Config{})
 	doJSON(t, "POST", ts.URL+"/sessions", map[string]string{"id": "s"}, nil)
 	query(t, ts.URL, "s", "gen rmat E 9 800 3")
 	query(t, ts.URL, "s", "tograph G E src dst")
+	query(t, ts.URL, "s", "addnode G 100000")
 
-	// Three different directed analytics: one view build, two view hits
-	// (the result cache cannot serve them — the commands differ).
+	// Three different directed analytics: one view fill (patched from the
+	// thawed view, which it supersedes), two view hits (the result cache
+	// cannot serve them — the commands differ).
 	query(t, ts.URL, "s", "algo G wcc")
 	query(t, ts.URL, "s", "algo G scc")
 	query(t, ts.URL, "s", "pagerank PR G")
@@ -911,6 +915,7 @@ func TestViewCacheStatsOnServer(t *testing.T) {
 	doJSON(t, "POST", tsOff.URL+"/sessions", map[string]string{"id": "s"}, nil)
 	query(t, tsOff.URL, "s", "gen rmat E 8 300 2")
 	query(t, tsOff.URL, "s", "tograph G E src dst")
+	query(t, tsOff.URL, "s", "addnode G 100000")
 	query(t, tsOff.URL, "s", "algo G wcc")
 	query(t, tsOff.URL, "s", "algo G scc")
 	if h, m, _, _ := srvOff.ViewCacheStats(); h != 0 || m != 0 {

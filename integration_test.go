@@ -1,6 +1,8 @@
 package ringo_test
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -53,7 +55,7 @@ func TestWorkflowInvariantsProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		if err := g.Validate(); err != nil {
+		if err := validDirected(g); err != nil {
 			return false
 		}
 		// 4. Analytics invariants.
@@ -266,4 +268,27 @@ func TestLeftJoinEnrichment(t *testing.T) {
 	if enriched.NumRows() < users.NumRows() {
 		t.Fatalf("left join dropped rows: %d < %d", enriched.NumRows(), users.NumRows())
 	}
+}
+
+// validDirected holds g's adjacency vectors to the graph its own edge list
+// builds: BuildView translates the out- and in-vectors as stored, while
+// BuildViewCols sorts, deduplicates and transposes the out-edges, so the
+// two views agree only when every vector is sorted and duplicate-free, the
+// in-vectors mirror the out-vectors and the edge count is right.
+func validDirected(g *graph.Directed) error {
+	var srcs, dsts []int64
+	g.ForEdges(func(s, d int64) {
+		srcs, dsts = append(srcs, s), append(dsts, d)
+	})
+	want, err := graph.BuildViewCols(srcs, dsts, g.Nodes())
+	if err != nil {
+		return err
+	}
+	ids, outOff, inOff, out, in := graph.BuildView(g).ViewParts()
+	wids, wOutOff, wInOff, wOut, wIn := want.ViewParts()
+	if !slices.Equal(ids, wids) || !slices.Equal(outOff, wOutOff) || !slices.Equal(inOff, wInOff) ||
+		!slices.Equal(out, wOut) || !slices.Equal(in, wIn) || g.NumEdges() != int64(len(srcs)) {
+		return fmt.Errorf("graph of %d nodes, %d edges differs from the graph its edges build", g.NumNodes(), g.NumEdges())
+	}
+	return nil
 }

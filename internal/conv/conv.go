@@ -34,7 +34,7 @@ func ToView(t *table.Table, srcCol, dstCol string) (*graph.View, error) {
 	if err != nil {
 		return nil, err
 	}
-	return graph.BuildViewCols(srcs, dsts)
+	return graph.BuildViewCols(srcs, dsts, nil)
 }
 
 // ToDirected converts an edge table to a dynamic directed graph: the
@@ -49,15 +49,16 @@ func ToDirected(t *table.Table, srcCol, dstCol string) (*graph.Directed, error) 
 	return graph.BuildDirectedCols(srcs, dsts)
 }
 
-// ToUndirected converts an edge table to an undirected graph with the same
-// sort-first approach; each table row (u,v) contributes the edge {u,v},
-// duplicates and reverse duplicates collapse.
+// ToUndirected converts an edge table to an undirected graph: the
+// undirected form (graph.AsUndirected) of the directed graph ToDirected
+// builds, so each table row (u,v) contributes the edge {u,v}, duplicates
+// and reverse duplicates collapse.
 func ToUndirected(t *table.Table, srcCol, dstCol string) (*graph.Undirected, error) {
-	srcs, dsts, err := edgeColumns(t, srcCol, dstCol)
+	g, err := ToDirected(t, srcCol, dstCol)
 	if err != nil {
 		return nil, err
 	}
-	return graph.BuildUndirectedCols(srcs, dsts)
+	return graph.AsUndirected(g), nil
 }
 
 // ToEdgeTable converts a directed graph to an edge table with the given

@@ -1,6 +1,8 @@
 package conv
 
 import (
+	"fmt"
+	"slices"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -57,7 +59,7 @@ func TestToDirectedBasic(t *testing.T) {
 	if g.HasEdge(2, 1) {
 		t.Fatal("reverse edge invented")
 	}
-	if err := g.Validate(); err != nil {
+	if err := validDirected(g); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -85,7 +87,7 @@ func TestToDirectedSelfLoopsAndIsolatedSources(t *testing.T) {
 	if g.NumNodes() != 2 {
 		t.Fatalf("nodes = %d", g.NumNodes())
 	}
-	if err := g.Validate(); err != nil {
+	if err := validDirected(g); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -233,7 +235,7 @@ func TestToDirectedMatchesReferenceProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		if g.Validate() != nil {
+		if validDirected(g) != nil {
 			return false
 		}
 		if g.NumNodes() != len(nodes) || g.NumEdges() != int64(len(ref)) {
@@ -312,7 +314,7 @@ func TestToDirectedLargeParallel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := g.Validate(); err != nil {
+	if err := validDirected(g); err != nil {
 		t.Fatal(err)
 	}
 	naive, err := naiveToDirected(tbl, "s", "d")
@@ -348,4 +350,27 @@ func BenchmarkAblationConversionNaive(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// validDirected holds g's adjacency vectors to the graph its own edge list
+// builds: BuildView translates the out- and in-vectors as stored, while
+// BuildViewCols sorts, deduplicates and transposes the out-edges, so the
+// two views agree only when every vector is sorted and duplicate-free, the
+// in-vectors mirror the out-vectors and the edge count is right.
+func validDirected(g *graph.Directed) error {
+	var srcs, dsts []int64
+	g.ForEdges(func(s, d int64) {
+		srcs, dsts = append(srcs, s), append(dsts, d)
+	})
+	want, err := graph.BuildViewCols(srcs, dsts, g.Nodes())
+	if err != nil {
+		return err
+	}
+	ids, outOff, inOff, out, in := graph.BuildView(g).ViewParts()
+	wids, wOutOff, wInOff, wOut, wIn := want.ViewParts()
+	if !slices.Equal(ids, wids) || !slices.Equal(outOff, wOutOff) || !slices.Equal(inOff, wInOff) ||
+		!slices.Equal(out, wOut) || !slices.Equal(in, wIn) || g.NumEdges() != int64(len(srcs)) {
+		return fmt.Errorf("graph of %d nodes, %d edges differs from the graph its edges build", g.NumNodes(), g.NumEdges())
+	}
+	return nil
 }

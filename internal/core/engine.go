@@ -74,11 +74,11 @@ type Object struct {
 	Graph  *graph.Directed
 	UGraph *graph.Undirected
 	Scores algo.Scores
-	// View is a directed graph frozen in its CSR form, as tograph builds
-	// it: DirectedView serves it in place, with no fill and no cache
-	// traffic, and the first mutation thaws it into a Graph (see
-	// mutateGraph). It is the same graph a Graph binding holds, so every
-	// verb answers it alike.
+	// View is a directed graph frozen in its CSR form, as tograph,
+	// loadgraph and Restore bind it: DirectedView serves it in place, with
+	// no fill and no cache traffic, and the first mutation thaws it into a
+	// Graph (see mutateGraph). It is the same graph a Graph binding holds,
+	// so every verb answers it alike.
 	View *graph.View
 	// Mapped is a read-only graph served in place from an RNGM file (the
 	// beyond-RAM tier): its views come straight from the mapping, never

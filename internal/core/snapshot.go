@@ -30,23 +30,36 @@ func (w *Workspace) Snapshot(out io.Writer) error {
 			return fmt.Errorf("core: %q is a mapped graph served from %s; snapshots exclude mapped bindings (drop it or re-open the RNGM file after restore)",
 				name, o.Mapped.Path())
 		}
-		g := o.Graph
-		if o.View != nil {
-			// A frozen binding is written as the graph it snapshots, so
-			// it digests and restores exactly as its thawed twin.
-			g = graph.FromView(o.View)
-		}
 		objs = append(objs, snapshot.Object{
 			Name:       name,
 			Provenance: w.prov[name],
 			Version:    w.ver[name],
 			Table:      o.Table,
-			Graph:      g,
+			View:       w.snapshotView(name, o),
 			UGraph:     o.UGraph,
 			Scores:     o.Scores,
 		})
 	}
 	return snapshot.Write(out, w.clock, objs)
+}
+
+// snapshotView is the CSR view a directed binding is written from: a
+// frozen binding's own view, else the view resident at the binding's
+// version (Peek: writing a snapshot is not a query), else a transient
+// build the cache never holds. Every road yields the same arrays, so a
+// frozen binding and its hash twin write the same bytes. Callers hold
+// w.mu.
+func (w *Workspace) snapshotView(name string, o Object) *graph.View {
+	switch {
+	case o.View != nil:
+		return o.View
+	case o.Graph == nil:
+		return nil
+	}
+	if cv, ok := w.views.Peek(viewKey{name: name, ver: w.ver[name]}); ok {
+		return cv.dir
+	}
+	return graph.BuildView(o.Graph)
 }
 
 // Restore replaces the workspace contents with the objects of a snapshot.
@@ -76,7 +89,7 @@ func (w *Workspace) Restore(in io.Reader) error {
 	for _, so := range objs {
 		w.objs[so.Name] = Object{
 			Table:  so.Table,
-			Graph:  so.Graph,
+			View:   so.View,
 			UGraph: so.UGraph,
 			Scores: so.Scores,
 		}

@@ -282,3 +282,62 @@ func TestSnapshotGoldenScoreFrame(t *testing.T) {
 		t.Fatalf("digest = %s, want ab1c55ea23f63c61", d)
 	}
 }
+
+// TestSnapshotWritesTheBindingsView holds the three roads Snapshot takes
+// to a directed binding's CSR view to the same bytes: a hash binding with
+// no resident view (a transient build), the same binding with its view
+// resident (Peek, which moves no counter), and the frozen binding Restore
+// makes of it, which stays frozen, fills no cache and patches on the first
+// query after its first mutation.
+func TestSnapshotWritesTheBindingsView(t *testing.T) {
+	ws := NewWorkspace()
+	ws.Set("g", Object{Graph: testGraph(80, 300, 3)})
+	snap := func(ws *Workspace) []byte {
+		t.Helper()
+		var buf bytes.Buffer
+		if err := ws.Snapshot(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	transient := snap(ws)
+	if h, m, entries, _ := ws.ViewCacheStats(); h != 0 || m != 0 || entries != 0 {
+		t.Fatalf("snapshot of a hash binding touched the view cache: %d hits, %d misses, %d entries", h, m, entries)
+	}
+	if _, err := ws.DirectedView("g"); err != nil {
+		t.Fatal(err)
+	}
+	h0, m0, _, _ := ws.ViewCacheStats()
+	if resident := snap(ws); !bytes.Equal(resident, transient) {
+		t.Fatal("the resident view snapshots to other bytes than a transient build")
+	}
+	if h, m, _, _ := ws.ViewCacheStats(); h != h0 || m != m0 {
+		t.Fatalf("snapshot counted view-cache traffic: hits %d→%d, misses %d→%d", h0, h, m0, m)
+	}
+
+	restored := NewWorkspace()
+	if err := restored.Restore(bytes.NewReader(transient)); err != nil {
+		t.Fatal(err)
+	}
+	if o, _ := restored.Get("g"); o.View == nil || o.Graph != nil {
+		t.Fatal("restore did not bind a frozen view")
+	}
+	if !bytes.Equal(snap(restored), transient) {
+		t.Fatal("the restored binding snapshots to other bytes")
+	}
+	if _, err := restored.DirectedView("g"); err != nil {
+		t.Fatal(err)
+	}
+	if h, m, entries, _ := restored.ViewCacheStats(); h != 0 || m != 0 || entries != 0 {
+		t.Fatalf("a frozen binding's view went through the cache: %d hits, %d misses, %d entries", h, m, entries)
+	}
+	if _, err := restored.AddGraphEdge("g", 1000, 1001); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := restored.DirectedView("g"); err != nil {
+		t.Fatal(err)
+	}
+	if p, r := restored.PatchStats(); p != 1 || r != 0 {
+		t.Fatalf("first query after the thaw: %d patches, %d rebuilds; want one patch", p, r)
+	}
+}

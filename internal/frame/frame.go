@@ -220,16 +220,27 @@ func (r *Reader) Bytes(field string, n uint64) []byte { return readBlock[byte](r
 // Int64s reads a block of n little-endian i64s.
 func (r *Reader) Int64s(field string, n uint64) []int64 { return readBlock[int64](r, field, n) }
 
+// AppendInt64s reads a block of n little-endian i64s onto the end of dst,
+// so a decoder can stream many blocks into one flat column.
+func (r *Reader) AppendInt64s(field string, dst []int64, n uint64) []int64 {
+	return appendBlock(r, field, dst, n)
+}
+
 // Float64s reads a block of n little-endian f64 bit patterns.
 func (r *Reader) Float64s(field string, n uint64) []float64 { return readBlock[float64](r, field, n) }
 
-// readBlock reads n elements straight into the slice it returns, trusting
-// n at most 2^20 elements at a time.
+// readBlock reads n elements straight into the slice it returns.
 func readBlock[T word](r *Reader, field string, n uint64) []T {
-	out := make([]T, 0, Prealloc(n))
-	for r.err == nil && uint64(len(out)) < n {
+	return appendBlock(r, field, make([]T, 0, Prealloc(n)), n)
+}
+
+// appendBlock reads n elements straight onto the end of out, trusting n at
+// most 2^20 elements at a time.
+func appendBlock[T word](r *Reader, field string, out []T, n uint64) []T {
+	end := uint64(len(out)) + n
+	for r.err == nil && uint64(len(out)) < end {
 		at := len(out)
-		k := Prealloc(n - uint64(at))
+		k := Prealloc(end - uint64(at))
 		out = slices.Grow(out, k)[:at+k]
 		img := Image(out[at:]) // out's own memory on a little-endian host
 		if r.read(field, img) && !hostLittle {

@@ -207,3 +207,32 @@ func TestSectionMatchesImage(t *testing.T) {
 		t.Fatalf("int32 Section = %v", got)
 	}
 }
+
+// TestAppendInt64s: blocks appended onto one column land after what it
+// held, including a block longer than one bounded read, and a block the
+// stream cannot fill fails with the field named and no column returned.
+func TestAppendInt64s(t *testing.T) {
+	long := make([]int64, 1<<20+3)
+	for i := range long {
+		long[i] = int64(i) - 7
+	}
+	var buf bytes.Buffer
+	w := NewWriter(&buf)
+	w.Int64s([]int64{4, -5})
+	w.Int64s(long)
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	r := NewReader(bytes.NewReader(buf.Bytes()))
+	col := r.AppendInt64s("first", []int64{1}, 2)
+	col = r.AppendInt64s("second", col, uint64(len(long)))
+	if err := r.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if want := slices.Concat([]int64{1, 4, -5}, long); !slices.Equal(col, want) {
+		t.Fatalf("column holds %d values, want %d in order", len(col), len(want))
+	}
+	if got := r.AppendInt64s("third", col, 1); got != nil || r.Err() == nil || !strings.Contains(r.Err().Error(), "third") {
+		t.Fatalf("append past the stream: %d values, error %v", len(got), r.Err())
+	}
+}

@@ -1,10 +1,13 @@
 package gen
 
 import (
+	"fmt"
+	"slices"
 	"sort"
 	"testing"
 
 	"ringo/internal/conv"
+	"ringo/internal/graph"
 	"ringo/internal/table"
 )
 
@@ -62,7 +65,7 @@ func TestGNM(t *testing.T) {
 			t.Fatal("GNM produced self-loop")
 		}
 	})
-	if err := g.Validate(); err != nil {
+	if err := validDirected(g); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -247,4 +250,27 @@ func TestStackOverflowConfigValidation(t *testing.T) {
 	if _, err := StackOverflowPosts(SOConfig{Questions: 5, Users: 5, AcceptProb: 2}); err == nil {
 		t.Fatal("bad accept probability accepted")
 	}
+}
+
+// validDirected holds g's adjacency vectors to the graph its own edge list
+// builds: BuildView translates the out- and in-vectors as stored, while
+// BuildViewCols sorts, deduplicates and transposes the out-edges, so the
+// two views agree only when every vector is sorted and duplicate-free, the
+// in-vectors mirror the out-vectors and the edge count is right.
+func validDirected(g *graph.Directed) error {
+	var srcs, dsts []int64
+	g.ForEdges(func(s, d int64) {
+		srcs, dsts = append(srcs, s), append(dsts, d)
+	})
+	want, err := graph.BuildViewCols(srcs, dsts, g.Nodes())
+	if err != nil {
+		return err
+	}
+	ids, outOff, inOff, out, in := graph.BuildView(g).ViewParts()
+	wids, wOutOff, wInOff, wOut, wIn := want.ViewParts()
+	if !slices.Equal(ids, wids) || !slices.Equal(outOff, wOutOff) || !slices.Equal(inOff, wInOff) ||
+		!slices.Equal(out, wOut) || !slices.Equal(in, wIn) || g.NumEdges() != int64(len(srcs)) {
+		return fmt.Errorf("graph of %d nodes, %d edges differs from the graph its edges build", g.NumNodes(), g.NumEdges())
+	}
+	return nil
 }

@@ -15,8 +15,10 @@ import (
 // big-data side of Figure 1, then iterate in memory).
 //
 // Layout (little endian): magic "RNGO", format version u32, node count u64,
-// edge count u64, then per node: id i64, out-degree u32, out-neighbor ids
-// i64... In-vectors are reconstructed on load.
+// edge count u64, then per node in strictly ascending id order: id i64,
+// out-degree u32, strictly ascending out-neighbor ids i64... SaveBinary
+// writes a View's records in its id order, and LoadBinary enforces both
+// orders. In-vectors are reconstructed on load.
 
 const (
 	binaryMagic   = "RNGO"
@@ -32,9 +34,17 @@ const (
 	mappedMagic = "RNGM"
 )
 
-// SaveBinary writes g in the binary graph format.
-func SaveBinary(w io.Writer, g *Directed) error {
-	return saveAdjacency(w, binaryMagic, g.Nodes(), g.NumEdges(), g.OutNeighbors)
+// SaveBinary writes v in the binary graph format: one record per node in
+// the view's ascending id order, its out-vector translated back to ids.
+func SaveBinary(w io.Writer, v *View) error {
+	var vec []int64
+	return saveAdjacency(w, binaryMagic, v.ids, v.NumEdges(), func(i int) []int64 {
+		vec = vec[:0]
+		for _, x := range v.Out(int32(i)) {
+			vec = append(vec, v.ids[x])
+		}
+		return vec
+	})
 }
 
 // SaveBinaryUndirected writes g in the binary graph format's undirected
@@ -43,25 +53,26 @@ func SaveBinary(w io.Writer, g *Directed) error {
 // Each non-loop edge appears in both endpoints' vectors, a self-loop once,
 // mirroring the in-memory representation.
 func SaveBinaryUndirected(w io.Writer, g *Undirected) error {
-	return saveAdjacency(w, undirectedMagic, g.Nodes(), g.NumEdges(), g.Neighbors)
+	nodes := g.Nodes()
+	return saveAdjacency(w, undirectedMagic, nodes, g.NumEdges(), func(i int) []int64 { return g.Neighbors(nodes[i]) })
 }
 
 // SaveBinaryFile is SaveBinary writing to the named file, which is
 // replaced only once the whole graph is written.
-func SaveBinaryFile(path string, g *Directed) error {
-	return frame.WriteFile(path, func(w io.Writer) error { return SaveBinary(w, g) })
+func SaveBinaryFile(path string, v *View) error {
+	return frame.WriteFile(path, func(w io.Writer) error { return SaveBinary(w, v) })
 }
 
 // saveAdjacency writes the record layout RNGO and RNGU share: header, node
 // and edge counts, then one record per node of nodes (ascending id): id,
-// degree and the sorted vector adj returns for it.
-func saveAdjacency(w io.Writer, magic string, nodes []int64, edges int64, adj func(int64) []int64) error {
+// degree and the sorted vector adj returns for the node at that position.
+func saveAdjacency(w io.Writer, magic string, nodes []int64, edges int64, adj func(i int) []int64) error {
 	fw := frame.NewWriter(w)
 	fw.Header(magic, binaryVersion)
 	fw.U64(uint64(len(nodes)))
 	fw.U64(uint64(edges))
-	for _, id := range nodes {
-		vec := adj(id)
+	for i, id := range nodes {
+		vec := adj(i)
 		fw.U64(uint64(id))
 		fw.U32(uint32(len(vec)))
 		fw.Int64s(vec)
@@ -69,105 +80,127 @@ func saveAdjacency(w io.Writer, magic string, nodes []int64, edges int64, adj fu
 	return fw.Flush()
 }
 
-// loadAdjacency reads what saveAdjacency writes under magic, returning the
-// node ids, their vectors and the header's edge count. Each edge may fill
-// up to perEdge vector entries (RNGO 1, RNGU 2 for its two endpoints), and
-// every declared degree is checked against the entries the header left
-// unclaimed before it is read: a corrupt degree costs reads until the
-// stream runs dry, never an oversized allocation.
-func loadAdjacency(r io.Reader, magic string, perEdge uint64) (ids []int64, vecs [][]int64, nEdges uint64, err error) {
+// adjacency is what loadAdjacency decodes, in flat columns: the node ids
+// in record order, and one neighbor column holding record i's vector at
+// nbrs[off[i]:off[i+1]].
+type adjacency struct {
+	ids   []int64
+	off   []int
+	nbrs  []int64
+	edges uint64 // the header's edge count
+}
+
+// vec returns record i's vector, capped so an append to it cannot reach
+// the next record's.
+func (a *adjacency) vec(i int) []int64 { return a.nbrs[a.off[i]:a.off[i+1]:a.off[i+1]] }
+
+// loadAdjacency reads what saveAdjacency writes under magic. Each edge may
+// fill up to perEdge vector entries (RNGO 1, RNGU 2 for its two
+// endpoints), and every declared degree is checked against the entries the
+// header left unclaimed before it is read: a corrupt degree costs reads
+// until the stream runs dry, never an oversized allocation.
+func loadAdjacency(r io.Reader, magic string, perEdge uint64) (*adjacency, error) {
 	fr := frame.NewReader(r)
 	fr.Header(magic, binaryVersion)
 	nNodes := fr.Count("node count")
-	nEdges = fr.Count("edge count")
+	nEdges := fr.Count("edge count")
 	if err := fr.Err(); err != nil {
-		return nil, nil, 0, fmt.Errorf("graph: %w", err)
+		return nil, fmt.Errorf("graph: %w", err)
 	}
-	ids = make([]int64, 0, frame.Prealloc(nNodes))
-	vecs = make([][]int64, 0, frame.Prealloc(nNodes))
 	budget := perEdge * nEdges
-	remaining := budget
+	a := &adjacency{
+		ids:   make([]int64, 0, frame.Prealloc(nNodes)),
+		off:   append(make([]int, 0, frame.Prealloc(nNodes)+1), 0),
+		nbrs:  make([]int64, 0, frame.Prealloc(budget)),
+		edges: nEdges,
+	}
 	for i := uint64(0); i < nNodes; i++ {
 		id := int64(fr.U64("node id"))
 		deg := uint64(fr.U32("degree"))
-		if fr.Err() == nil && deg > remaining {
-			return nil, nil, 0, fmt.Errorf("graph: node %d declares degree %d with only %d of %d entries unclaimed", id, deg, remaining, budget)
+		if remaining := budget - uint64(len(a.nbrs)); fr.Err() == nil && deg > remaining {
+			return nil, fmt.Errorf("graph: node %d declares degree %d with only %d of %d entries unclaimed", id, deg, remaining, budget)
 		}
-		remaining -= deg
-		vec := fr.Int64s("neighbor ids", deg)
+		a.nbrs = fr.AppendInt64s("neighbor ids", a.nbrs, deg)
 		if err := fr.Err(); err != nil {
-			return nil, nil, 0, fmt.Errorf("graph: node record %d: %w", i, err)
+			return nil, fmt.Errorf("graph: node record %d: %w", i, err)
 		}
-		ids = append(ids, id)
-		vecs = append(vecs, vec)
+		a.ids = append(a.ids, id)
+		a.off = append(a.off, len(a.nbrs))
 	}
-	return ids, vecs, nEdges, nil
+	return a, nil
 }
 
-// LoadBinary reads a graph written by SaveBinary.
-func LoadBinary(r io.Reader) (*Directed, error) {
-	ids, outs, nEdges, err := loadAdjacency(r, binaryMagic, 1)
+// LoadBinary reads a graph written by SaveBinary straight into its CSR
+// view: the records stream into flat columns — the node ids, and one
+// (src, dst) pair per out-vector entry — which BuildViewCols builds, no
+// per-node vector or hash map on the way. Besides the framing checks of
+// loadAdjacency it rejects an edge count the vectors do not hold, node ids
+// out of strictly ascending order, an edge to an undeclared node and an
+// out-vector that is not strictly ascending.
+func LoadBinary(r io.Reader) (*View, error) {
+	a, err := loadAdjacency(r, binaryMagic, 1)
 	if err != nil {
 		return nil, err
 	}
-	idx := make(map[int64]int, len(ids))
-	for i, id := range ids {
-		idx[id] = i
+	if held := uint64(len(a.nbrs)); held != a.edges {
+		return nil, fmt.Errorf("graph: header claims %d edges, vectors hold %d", a.edges, held)
 	}
-	inDeg := make([]int, len(ids))
-	held := uint64(0)
-	for i, out := range outs {
-		held += uint64(len(out))
-		for _, dst := range out {
-			j, ok := idx[dst]
-			if !ok {
-				return nil, fmt.Errorf("graph: edge %d->%d targets unknown node", ids[i], dst)
+	srcs, unsorted := make([]int64, len(a.nbrs)), -1
+	for i, id := range a.ids {
+		if i > 0 && id <= a.ids[i-1] {
+			return nil, fmt.Errorf("graph: node %d follows node %d: ids not strictly ascending", id, a.ids[i-1])
+		}
+		out := a.vec(i)
+		for j := range out {
+			srcs[a.off[i]+j] = id
+			if j > 0 && out[j] <= out[j-1] && unsorted < 0 {
+				unsorted = i
 			}
-			inDeg[j]++
 		}
 	}
-	if held != nEdges {
-		return nil, fmt.Errorf("graph: header claims %d edges, vectors hold %d", nEdges, held)
-	}
-
-	// Reconstruct sorted in-vectors with exact sizing, then bulk-build.
-	ins := make([][]int64, len(ids))
-	for j, d := range inDeg {
-		if d > 0 {
-			ins[j] = make([]int64, 0, d)
-		}
-	}
-	for i, id := range ids {
-		for _, dst := range outs[i] {
-			j := idx[dst]
-			ins[j] = append(ins[j], id)
-		}
-	}
-	// ids are saved ascending, so appends above produced sorted in-vectors.
-	g, err := BuildDirectedBulk(ids, ins, outs)
+	// Only ids outlives the build, so the columns can go once it has
+	// relabelled them.
+	ids := a.ids
+	v, err := BuildViewCols(srcs, a.nbrs, ids)
 	if err != nil {
 		return nil, err
 	}
-	if err := g.Validate(); err != nil {
-		return nil, fmt.Errorf("graph: binary file inconsistent: %w", err)
+	if v.NumNodes() != len(ids) {
+		// Every id is a node and every source an id, so the view's extra
+		// nodes are targets no record declares: name the smallest, and
+		// the edge into it from the smallest source.
+		for x, id := range v.ids {
+			if x == len(ids) || ids[x] != id {
+				return nil, fmt.Errorf("graph: edge %d->%d targets unknown node", v.ids[v.In(int32(x))[0]], id)
+			}
+		}
 	}
-	return g, nil
+	// Reported after an unknown target, which may break its vector's order
+	// too.
+	if unsorted >= 0 {
+		return nil, fmt.Errorf("graph: node %d out-vector not strictly sorted", ids[unsorted])
+	}
+	return v, nil
 }
 
 // LoadBinaryUndirected reads a graph written by SaveBinaryUndirected, with
 // the same corruption guards as LoadBinary: truncation, absurd counts and
 // over-long degrees error out before any oversized allocation.
 func LoadBinaryUndirected(r io.Reader) (*Undirected, error) {
-	ids, adjs, nEdges, err := loadAdjacency(r, undirectedMagic, 2)
+	a, err := loadAdjacency(r, undirectedMagic, 2)
 	if err != nil {
 		return nil, err
 	}
-	g, err := BuildUndirectedBulk(ids, adjs)
+	adjs := make([][]int64, len(a.ids))
+	for i := range adjs {
+		adjs[i] = a.vec(i)
+	}
+	g, err := BuildUndirectedBulk(a.ids, adjs)
 	if err != nil {
 		return nil, err
 	}
-	if g.NumEdges() != int64(nEdges) {
-		return nil, fmt.Errorf("graph: header claims %d edges, vectors hold %d", nEdges, g.NumEdges())
+	if g.NumEdges() != int64(a.edges) {
+		return nil, fmt.Errorf("graph: header claims %d edges, vectors hold %d", a.edges, g.NumEdges())
 	}
 	if err := g.Validate(); err != nil {
 		return nil, fmt.Errorf("graph: undirected binary file inconsistent: %w", err)
@@ -175,14 +208,15 @@ func LoadBinaryUndirected(r io.Reader) (*Undirected, error) {
 	return g, nil
 }
 
-// LoadFileAuto loads a directed graph from path in whichever of the two
-// on-disk formats it is in, sniffing the leading magic bytes: files written
-// by SaveBinary load through the fast binary path, anything else is parsed
-// as a SNAP-style text edge list by the parallel ingest pipeline. This lets
+// LoadFileAuto loads the CSR view of a directed graph from path in
+// whichever of the two on-disk formats it is in, sniffing the leading
+// magic bytes: files written by SaveBinary load through the fast binary
+// path, anything else is parsed as a SNAP-style text edge list by the
+// parallel ingest pipeline. This lets
 // the shell's loadgraph verb (and the server sessions built on it) read back
 // binary files its save verb writes without a format flag, while text edge
 // lists load at full-machine speed.
-func LoadFileAuto(path string) (*Directed, error) {
+func LoadFileAuto(path string) (*View, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
@@ -199,8 +233,8 @@ func LoadFileAuto(path string) (*Directed, error) {
 		return nil, fmt.Errorf("graph: %s holds an undirected binary graph; this loader builds directed graphs (use LoadBinaryUndirected)", path)
 	}
 	if err == nil && string(head) == mappedMagic {
-		// Mapped CSR images are not decoded into a Directed at all; they
-		// are served in place by the extmem loader.
+		// Mapped CSR images are not decoded at all; they are served in
+		// place by the extmem loader.
 		return nil, fmt.Errorf("graph: %s holds a mapped CSR graph image; decode-style loaders cannot read it (use extmem.OpenMapped)", path)
 	}
 	return LoadEdgeListParallel(br)

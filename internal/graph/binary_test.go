@@ -13,13 +13,14 @@ func TestBinaryRoundTrip(t *testing.T) {
 	g := sampleDirected()
 	g.AddNode(99) // isolated node survives
 	var buf bytes.Buffer
-	if err := SaveBinary(&buf, g); err != nil {
+	if err := SaveBinary(&buf, BuildView(g)); err != nil {
 		t.Fatal(err)
 	}
-	back, err := LoadBinary(&buf)
+	v, err := LoadBinary(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
+	back := FromView(v)
 	if back.NumNodes() != g.NumNodes() || back.NumEdges() != g.NumEdges() {
 		t.Fatalf("round trip dims = (%d,%d)", back.NumNodes(), back.NumEdges())
 	}
@@ -56,7 +57,7 @@ func TestBinaryRejectsGarbage(t *testing.T) {
 func TestBinaryTruncatedBody(t *testing.T) {
 	g := sampleDirected()
 	var buf bytes.Buffer
-	if err := SaveBinary(&buf, g); err != nil {
+	if err := SaveBinary(&buf, BuildView(g)); err != nil {
 		t.Fatal(err)
 	}
 	data := buf.Bytes()
@@ -70,7 +71,7 @@ func TestBinaryTruncatedBody(t *testing.T) {
 func TestBinaryFileRoundTrip(t *testing.T) {
 	g := sampleDirected()
 	path := t.TempDir() + "/g.rngo"
-	if err := SaveBinaryFile(path, g); err != nil {
+	if err := SaveBinaryFile(path, BuildView(g)); err != nil {
 		t.Fatal(err)
 	}
 	back, err := LoadFileAuto(path)
@@ -88,7 +89,7 @@ func TestBinaryFileRoundTrip(t *testing.T) {
 func TestBinaryRejectsMangledBuffers(t *testing.T) {
 	g := sampleDirected()
 	var buf bytes.Buffer
-	if err := SaveBinary(&buf, g); err != nil {
+	if err := SaveBinary(&buf, BuildView(g)); err != nil {
 		t.Fatal(err)
 	}
 	good := buf.Bytes()
@@ -212,7 +213,7 @@ func TestLoadFileAuto(t *testing.T) {
 	dir := t.TempDir()
 
 	binPath := dir + "/g.rngo"
-	if err := SaveBinaryFile(binPath, g); err != nil {
+	if err := SaveBinaryFile(binPath, BuildView(g)); err != nil {
 		t.Fatal(err)
 	}
 	fromBin, err := LoadFileAuto(binPath)
@@ -262,13 +263,14 @@ func TestBinaryRoundTripProperty(t *testing.T) {
 			g.AddEdge(int64(e[0]%32), int64(e[1]%32))
 		}
 		var buf bytes.Buffer
-		if err := SaveBinary(&buf, g); err != nil {
+		if err := SaveBinary(&buf, BuildView(g)); err != nil {
 			return false
 		}
-		back, err := LoadBinary(&buf)
+		v, err := LoadBinary(&buf)
 		if err != nil {
 			return false
 		}
+		back := FromView(v)
 		if back.NumNodes() != g.NumNodes() || back.NumEdges() != g.NumEdges() {
 			return false
 		}
@@ -298,23 +300,23 @@ func goldenDirected() *Directed {
 // wrote: each fixture encodes to exactly those bytes, and they decode to a
 // graph equal to the fixture.
 func TestBinaryGolden(t *testing.T) {
-	rngo, err := os.ReadFile("testdata/directed.rngo")
+	golden, err := os.ReadFile("testdata/directed.rngo")
 	if err != nil {
 		t.Fatal(err)
 	}
 	g := goldenDirected()
 	var buf bytes.Buffer
-	if err := SaveBinary(&buf, g); err != nil {
+	if err := SaveBinary(&buf, BuildView(g)); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(buf.Bytes(), rngo) {
-		t.Fatalf("RNGO encoding differs from the golden bytes:\n got %x\nwant %x", buf.Bytes(), rngo)
+	if !bytes.Equal(buf.Bytes(), golden) {
+		t.Fatalf("RNGO encoding differs from the golden bytes:\n got %x\nwant %x", buf.Bytes(), golden)
 	}
-	back, err := LoadBinary(bytes.NewReader(rngo))
+	back, err := LoadBinary(bytes.NewReader(golden))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sameDirected(back, g); err != nil {
+	if err := identicalViews(back, BuildView(g)); err != nil {
 		t.Fatal(err)
 	}
 

@@ -19,29 +19,34 @@ import (
 // runs over — built with no per-node allocation and no hashing, and, for
 // the compact id spans tables and generators produce, no sort but the
 // counting passes; the hash-of-nodes Directed is derived from it
-// (FromView) only when a caller needs a mutable graph. This is the
-// construction path behind the table-to-graph conversions in internal/conv
-// and the parallel text-ingest pipeline (LoadEdgeListParallel).
+// (FromView) only when a caller needs a mutable graph. This is the one
+// construction path of a directed graph: behind the table-to-graph
+// conversions in internal/conv, the parallel text-ingest pipeline
+// (ParseEdgeList) and the RNGO decoder (LoadBinary).
 
 // relabelSpan bounds the relabel's bitmap arm: ids whose span max-min is
-// under relabelSpan × (edges + 64) are ranked through a presence bitmap
-// over [min, max] (R-MAT and string-pool ids), wider spans through a sort
-// of the distinct ids and a binary search per endpoint. Relabelling 25 000
-// edges on one core, the bitmap arm takes 0.4 ms against the sort arm's
-// 6.5 ms at spans up to 30 ids per edge, and the two meet only near 4 000;
-// but the bitmap and its rank grow with the span, and 8 caps them at 1.5
-// bytes per edge, under a fortieth of what the sort arm allocates.
+// under relabelSpan × (edges + declared nodes + 64) are ranked through a
+// presence bitmap over [min, max] (R-MAT and string-pool ids), wider spans
+// through a sort of the distinct ids and a binary search per endpoint.
+// Relabelling 25 000 edges on one core, the bitmap arm takes 0.4 ms against
+// the sort arm's 6.5 ms at spans up to 30 ids per edge, and the two meet
+// only near 4 000; but the bitmap and its rank grow with the span, and 8
+// caps them at 1.5 bytes per edge, under a fortieth of what the sort arm
+// allocates.
 const relabelSpan = 8
 
 // BuildViewCols builds the CSR view of the directed graph whose edges are
-// given as two parallel columns. Duplicate pairs collapse to a single
-// edge; self-loops are kept. The view equals BuildView of the graph that
-// feeding every pair through AddEdge produces, array for array.
-func BuildViewCols(srcs, dsts []int64) (*View, error) {
+// given as two parallel columns, and whose nodes are their endpoints plus
+// every id in nodes: the isolated nodes an RNGO record or a "# node <id>"
+// line declares (an id may repeat, or be an endpoint too). Duplicate
+// pairs collapse to a single edge; self-loops are kept. The view equals
+// BuildView of the graph that feeding every pair through AddEdge and
+// every id of nodes through AddNode produces, array for array.
+func BuildViewCols(srcs, dsts, nodes []int64) (*View, error) {
 	if len(srcs) != len(dsts) {
 		return nil, fmt.Errorf("graph: bulk build column length mismatch: %d srcs, %d dsts", len(srcs), len(dsts))
 	}
-	ids, s, d, err := relabel(srcs, dsts)
+	ids, s, d, err := relabel(srcs, dsts, nodes)
 	if err != nil {
 		return nil, err
 	}
@@ -117,12 +122,12 @@ func bucketStarts(keys []int32, n int) []int64 {
 }
 
 // relabel maps every endpoint of the edge columns to its dense index:
-// ids holds the distinct ids in ascending order, and s[i], d[i] are the
-// indices of srcs[i], dsts[i] in it.
-func relabel(srcs, dsts []int64) (ids []int64, s, d []int32, err error) {
+// ids holds the distinct ids of the columns and of nodes in ascending
+// order, and s[i], d[i] are the indices of srcs[i], dsts[i] in it.
+func relabel(srcs, dsts, nodes []int64) (ids []int64, s, d []int32, err error) {
 	m := len(srcs)
 	s, d = make([]int32, m), make([]int32, m)
-	if m == 0 {
+	if m == 0 && len(nodes) == 0 {
 		return []int64{}, s, d, nil
 	}
 	type span struct{ lo, hi int64 }
@@ -134,16 +139,17 @@ func relabel(srcs, dsts []int64) (ids []int64, s, d []int32, err error) {
 		}
 		return r
 	}, func(a, b span) span { return span{min(a.lo, b.lo), max(a.hi, b.hi)} })
+	for _, id := range nodes {
+		r.lo, r.hi = min(r.lo, id), max(r.hi, id)
+	}
 	if r.lo == tombstone {
 		return nil, nil, nil, fmt.Errorf("graph: node id %d reserved", int64(tombstone))
 	}
-	if width := uint64(r.hi) - uint64(r.lo); width < relabelSpan*uint64(m+64) {
-		ids = relabelDense(srcs, dsts, s, d, r.lo, width)
+	if width := uint64(r.hi) - uint64(r.lo); width < relabelSpan*uint64(m+len(nodes)+64) {
+		ids = relabelDense(srcs, dsts, nodes, s, d, r.lo, width)
 		return ids, s, d, nil
 	}
-	all := make([]int64, 2*m)
-	copy(all, srcs)
-	copy(all[m:], dsts)
+	all := slices.Concat(srcs, dsts, nodes)
 	par.SortInt64s(all)
 	distinct := slices.Compact(all)
 	ids = make([]int64, len(distinct)) // exact, so all can go
@@ -161,7 +167,7 @@ func relabel(srcs, dsts []int64) (ids []int64, s, d []int32, err error) {
 // relabelDense is relabel's bitmap arm for ids within [base, base+width]:
 // one presence bit per candidate id, a running popcount per word as the
 // rank, and a dense index is its word's rank plus the set bits below it.
-func relabelDense(srcs, dsts []int64, s, d []int32, base int64, width uint64) []int64 {
+func relabelDense(srcs, dsts, nodes []int64, s, d []int32, base int64, width uint64) []int64 {
 	words := make([]uint64, width/64+1)
 	mark := func(col []int64) {
 		for _, id := range col {
@@ -176,6 +182,7 @@ func relabelDense(srcs, dsts []int64, s, d []int32, base int64, width uint64) []
 		mark(srcs[lo:hi])
 		mark(dsts[lo:hi])
 	})
+	par.For(len(nodes), func(lo, hi int) { mark(nodes[lo:hi]) })
 	rank := make([]int32, len(words))
 	n := int32(0)
 	for w, word := range words {
@@ -240,134 +247,15 @@ func FromView(v *View) *Directed {
 	return g
 }
 
-// BuildDirected constructs a directed graph from raw (src, dst) edge pairs:
-// BuildDirectedCols over the pairs' two columns.
-func BuildDirected(edges [][2]int64) (*Directed, error) {
-	srcs := make([]int64, len(edges))
-	dsts := make([]int64, len(edges))
-	par.For(len(edges), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			srcs[i], dsts[i] = edges[i][0], edges[i][1]
-		}
-	})
-	return BuildDirectedCols(srcs, dsts)
-}
-
 // BuildDirectedCols constructs a directed graph from an edge list given as
 // two parallel columns: the thaw (FromView) of BuildViewCols. The result
 // is indistinguishable from feeding every pair through AddEdge — same node
 // set, same sorted duplicate-free adjacency vectors — at O(V+E) instead of
 // O(E · deg) sorted inserts.
 func BuildDirectedCols(srcs, dsts []int64) (*Directed, error) {
-	v, err := BuildViewCols(srcs, dsts)
+	v, err := BuildViewCols(srcs, dsts, nil)
 	if err != nil {
 		return nil, err
 	}
 	return FromView(v), nil
-}
-
-// BuildUndirectedCols constructs an undirected graph from an edge list
-// given as two parallel columns: both orientations of every pair are
-// sorted together (par.SortPairs) and each node's run is deduplicated into
-// one arena; duplicates and reverse duplicates collapse, self-loops are
-// kept (stored once, as AddEdge stores them).
-func BuildUndirectedCols(srcs, dsts []int64) (*Undirected, error) {
-	if len(srcs) != len(dsts) {
-		return nil, fmt.Errorf("graph: bulk build column length mismatch: %d srcs, %d dsts", len(srcs), len(dsts))
-	}
-	n := len(srcs)
-	keys := make([]int64, 2*n)
-	vals := make([]int64, 2*n)
-	par.For(n, func(lo, hi int) {
-		copy(keys[lo:hi], srcs[lo:hi])
-		copy(vals[lo:hi], dsts[lo:hi])
-		copy(keys[n+lo:n+hi], dsts[lo:hi])
-		copy(vals[n+lo:n+hi], srcs[lo:hi])
-	})
-	return buildUndirectedSorted(keys, vals)
-}
-
-// buildUndirectedSorted finishes an undirected bulk build from the unsorted
-// symmetrized (keys, vals) buffers, which it owns and sorts in place.
-func buildUndirectedSorted(keys, vals []int64) (*Undirected, error) {
-	par.SortPairs(keys, vals)
-	ids := uniqueSorted(keys)
-	if len(ids) > 0 && ids[0] == tombstone {
-		return nil, fmt.Errorf("graph: node id %d reserved", int64(tombstone))
-	}
-	return BuildUndirectedBulk(ids, arenaVectors(ids, keys, vals))
-}
-
-// arenaVectors materializes one adjacency direction: for each id (sorted,
-// unique) it deduplicates the id's run in the sorted (keys, vals) pairs and
-// copies it into a slice of one shared arena. Exact deduplicated counts are
-// computed first so the arena is allocated once and workers write disjoint
-// ranges. Each vector is capped with a full slice expression, so a later
-// AddEdge on one node reallocates that vector instead of clobbering its
-// arena neighbors.
-func arenaVectors(ids, keys, vals []int64) [][]int64 {
-	runs := runOffsets(ids, keys)
-	offs := make([]int64, len(ids)+1)
-	par.ForEach(len(ids), func(i int) {
-		seg := vals[runs[i][0]:runs[i][1]]
-		c := int64(0)
-		for j, v := range seg {
-			if j == 0 || v != seg[j-1] {
-				c++
-			}
-		}
-		offs[i+1] = c
-	})
-	for i := 0; i < len(ids); i++ {
-		offs[i+1] += offs[i]
-	}
-	arena := make([]int64, offs[len(ids)])
-	vecs := make([][]int64, len(ids))
-	par.ForEach(len(ids), func(i int) {
-		lo, hi := offs[i], offs[i+1]
-		if lo == hi {
-			return // empty vectors stay nil, carrying no allocation
-		}
-		dst := arena[lo:lo:hi]
-		seg := vals[runs[i][0]:runs[i][1]]
-		for j, v := range seg {
-			if j == 0 || v != seg[j-1] {
-				dst = append(dst, v)
-			}
-		}
-		vecs[i] = dst
-	})
-	return vecs
-}
-
-// uniqueSorted returns the distinct values of a sorted slice.
-func uniqueSorted(a []int64) []int64 {
-	out := make([]int64, 0, len(a)/2)
-	for i := 0; i < len(a); {
-		v := a[i]
-		out = append(out, v)
-		for i < len(a) && a[i] == v {
-			i++
-		}
-	}
-	return out
-}
-
-// runOffsets returns, for each id in ids (sorted unique), the [start, end)
-// range of its run in the sorted keys slice. Ids with no run get an empty
-// range.
-func runOffsets(ids, keys []int64) [][2]int {
-	runs := make([][2]int, len(ids))
-	p := 0
-	for i, id := range ids {
-		for p < len(keys) && keys[p] < id {
-			p++
-		}
-		start := p
-		for p < len(keys) && keys[p] == id {
-			p++
-		}
-		runs[i] = [2]int{start, p}
-	}
-	return runs
 }

@@ -8,11 +8,14 @@ import (
 )
 
 // perEdgeDirected is the reference the bulk builders answer to: one
-// AddEdge per column pair.
-func perEdgeDirected(srcs, dsts []int64) *Directed {
+// AddEdge per column pair, then one AddNode per declared node.
+func perEdgeDirected(srcs, dsts, nodes []int64) *Directed {
 	g := NewDirected()
 	for i := range srcs {
 		g.AddEdge(srcs[i], dsts[i])
+	}
+	for _, id := range nodes {
+		g.AddNode(id)
 	}
 	return g
 }
@@ -41,23 +44,25 @@ func identicalViews(a, b *View) error {
 // reference: the view equals BuildView of the reference, and FromView is
 // a valid graph with the reference's node set and vectors, its slots in
 // ascending id order.
-func checkBuildViewCols(t *testing.T, srcs, dsts []int64) {
+func checkBuildViewCols(t *testing.T, srcs, dsts, nodes []int64) {
 	t.Helper()
-	v, err := BuildViewCols(srcs, dsts)
-	if slices.Contains(srcs, ReservedNodeID) || slices.Contains(dsts, ReservedNodeID) {
+	v, err := BuildViewCols(srcs, dsts, nodes)
+	if slices.Contains(slices.Concat(srcs, dsts, nodes), ReservedNodeID) {
 		want := fmt.Sprintf("graph: node id %d reserved", int64(ReservedNodeID))
 		if err == nil || err.Error() != want {
 			t.Fatalf("reserved id: got error %v, want %q", err, want)
 		}
-		if _, err := BuildDirectedCols(srcs, dsts); err == nil || err.Error() != want {
-			t.Fatalf("reserved id: BuildDirectedCols error %v, want %q", err, want)
+		if len(nodes) == 0 {
+			if _, err := BuildDirectedCols(srcs, dsts); err == nil || err.Error() != want {
+				t.Fatalf("reserved id: BuildDirectedCols error %v, want %q", err, want)
+			}
 		}
 		return
 	}
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref := perEdgeDirected(srcs, dsts)
+	ref := perEdgeDirected(srcs, dsts, nodes)
 	if err := identicalViews(v, BuildView(ref)); err != nil {
 		t.Fatalf("BuildViewCols != BuildView(per-edge): %v", err)
 	}
@@ -96,13 +101,31 @@ func TestBuildViewColsMatchesPerEdge(t *testing.T) {
 						}
 					}
 				}
-				checkBuildViewCols(t, srcs, dsts)
+				checkBuildViewCols(t, srcs, dsts, nil)
+				// Declared nodes inside the edge span (most of them
+				// endpoints, some repeated) and outside it, on both sides:
+				// the outside ones widen the span past the bitmap arm's
+				// bound at the small sizes.
+				nodes := make([]int64, m/4+3)
+				for i := range nodes {
+					switch rng.Intn(4) {
+					case 0:
+						nodes[i] = -1000 - rng.Int63n(50)
+					case 1:
+						nodes[i] = 1000 + rng.Int63n(50)
+					default:
+						nodes[i] = id()
+					}
+				}
+				checkBuildViewCols(t, srcs, dsts, nodes)
 			}
 		})
 	}
-	checkBuildViewCols(t, []int64{1, ReservedNodeID}, []int64{2, 3})
-	checkBuildViewCols(t, []int64{1, 2}, []int64{ReservedNodeID, 3})
-	if _, err := BuildViewCols([]int64{1}, nil); err == nil {
+	checkBuildViewCols(t, nil, nil, []int64{5, -5, 5})
+	checkBuildViewCols(t, []int64{1, ReservedNodeID}, []int64{2, 3}, nil)
+	checkBuildViewCols(t, []int64{1, 2}, []int64{ReservedNodeID, 3}, nil)
+	checkBuildViewCols(t, []int64{1, 2}, []int64{2, 3}, []int64{4, ReservedNodeID})
+	if _, err := BuildViewCols([]int64{1}, nil, nil); err == nil {
 		t.Fatal("column length mismatch accepted")
 	}
 }

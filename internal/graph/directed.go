@@ -9,7 +9,6 @@
 package graph
 
 import (
-	"fmt"
 	"math"
 	"slices"
 )
@@ -246,36 +245,14 @@ func (g *Directed) IDAtSlot(s int) (int64, bool) {
 	return id, id != tombstone
 }
 
-// setAdjBulk installs pre-sorted adjacency vectors for a node created by
-// the bulk builder. It trusts the caller (internal/conv) to pass vectors
-// that are sorted and duplicate-free.
+// setAdjBulk installs pre-sorted adjacency vectors for a node (Clone's
+// copy). It trusts the caller to pass vectors that are sorted and
+// duplicate-free.
 func (g *Directed) setAdjBulk(id int64, in, out []int64) {
 	s := g.idx[id]
 	g.inAdj[s] = in
 	g.outAdj[s] = out
 	g.nEdges += int64(len(out))
-}
-
-// BuildDirectedBulk assembles a directed graph from per-node pre-sorted
-// adjacency vectors. ids must be duplicate-free, and in/out[i] must be the
-// sorted, duplicate-free neighbor vectors of ids[i]; the total edge count
-// is taken from the out-vectors. The vectors are adopted, not copied.
-// LoadBinary assembles the graphs it decodes through it.
-func BuildDirectedBulk(ids []int64, in, out [][]int64) (*Directed, error) {
-	if len(ids) != len(in) || len(ids) != len(out) {
-		return nil, fmt.Errorf("graph: bulk build length mismatch: %d ids, %d in, %d out",
-			len(ids), len(in), len(out))
-	}
-	g := NewDirectedCap(len(ids))
-	for _, id := range ids {
-		if !g.AddNode(id) {
-			return nil, fmt.Errorf("graph: bulk build duplicate node %d", id)
-		}
-	}
-	for i, id := range ids {
-		g.setAdjBulk(id, in[i], out[i])
-	}
-	return g, nil
 }
 
 // Clone returns a deep copy of the graph.

@@ -10,10 +10,10 @@ import (
 
 // FuzzLoadEdgeList drives the sequential reference loader (seqload_test.go)
 // and the parallel pipeline with arbitrary bytes and requires them to
-// agree: both reject the input, or both accept it and build identical
-// graphs that pass Validate. This is the contract that lets LoadFileAuto
-// route text through the parallel pipeline without changing what any
-// caller observes.
+// agree: both reject the input, or both accept it, the sequential graph
+// passes Validate and the parallel view equals its BuildView. This is the
+// contract that lets LoadFileAuto route text through the parallel
+// pipeline without changing what any caller observes.
 func FuzzLoadEdgeList(f *testing.F) {
 	seeds := []string{
 		"",
@@ -59,10 +59,7 @@ func FuzzLoadEdgeList(f *testing.F) {
 		if err := seq.Validate(); err != nil {
 			t.Fatalf("sequential graph invalid: %v", err)
 		}
-		if err := par.Validate(); err != nil {
-			t.Fatalf("parallel graph invalid: %v", err)
-		}
-		if err := sameDirected(seq, par); err != nil {
+		if err := identicalViews(par, BuildView(seq)); err != nil {
 			t.Fatalf("graphs differ: %v", err)
 		}
 	})
@@ -70,36 +67,45 @@ func FuzzLoadEdgeList(f *testing.F) {
 
 // FuzzBuildViewCols holds the column-to-CSR build to the per-edge
 // reference (checkBuildViewCols). Each 16 bytes of data is one (src, dst)
-// pair; shift narrows the ids (an arithmetic right shift, so negatives
-// stay negative) and moves the build between its relabel arms: a large
-// shift packs the ids into a span the presence bitmap takes, a small one
-// spreads them over the sorted-id arm. reserved plants the reserved id at
-// one endpoint.
+// pair and each 8 bytes of nodes one declared node; shift narrows every id
+// (an arithmetic right shift, so negatives stay negative) and moves the
+// build between its relabel arms: a large shift packs the ids into a span
+// the presence bitmap takes, a small one spreads them over the sorted-id
+// arm. A declared node may repeat, be an endpoint or lie outside the
+// edges' span. reserved plants the reserved id in a source, a destination
+// or a declared node.
 func FuzzBuildViewCols(f *testing.F) {
 	pair := func(s, d int64) []byte {
 		return binary.LittleEndian.AppendUint64(binary.LittleEndian.AppendUint64(nil, uint64(s)), uint64(d))
 	}
-	f.Add([]byte{}, uint8(0), uint8(0))
-	f.Add(slices.Concat(pair(1, 2), pair(2, 2), pair(1, 2), pair(-5, 1)), uint8(0), uint8(0))
-	f.Add(slices.Concat(pair(1<<40, -1<<40), pair(7, 7), pair(-1, 1<<62)), uint8(30), uint8(0))
-	f.Add(slices.Concat(pair(1, 2), pair(3, 4)), uint8(0), uint8(3))
-	f.Add(slices.Concat(pair(math.MinInt64, 2)), uint8(0), uint8(0))
-	f.Add(slices.Concat(pair(math.MaxInt64, math.MinInt64+1), pair(0, 0)), uint8(62), uint8(0))
-	f.Fuzz(func(t *testing.T, data []byte, shift, reserved uint8) {
-		m := min(len(data)/16, 4096)
-		srcs, dsts := make([]int64, m), make([]int64, m)
+	ids := func(xs ...int64) []byte {
+		var b []byte
+		for _, x := range xs {
+			b = binary.LittleEndian.AppendUint64(b, uint64(x))
+		}
+		return b
+	}
+	f.Add([]byte{}, []byte{}, uint8(0), uint8(0))
+	f.Add(slices.Concat(pair(1, 2), pair(2, 2), pair(1, 2), pair(-5, 1)), ids(2, 9, 9, -7), uint8(0), uint8(0))
+	f.Add(slices.Concat(pair(1<<40, -1<<40), pair(7, 7), pair(-1, 1<<62)), ids(1<<41, 7), uint8(30), uint8(0))
+	f.Add(slices.Concat(pair(1, 2), pair(3, 4)), ids(5), uint8(0), uint8(3))
+	f.Add(slices.Concat(pair(1, 2), pair(3, 4)), ids(5, 6), uint8(0), uint8(5))
+	f.Add(slices.Concat(pair(math.MinInt64, 2)), []byte{}, uint8(0), uint8(0))
+	f.Add(slices.Concat(pair(math.MaxInt64, math.MinInt64+1), pair(0, 0)), ids(math.MaxInt64, 1), uint8(62), uint8(0))
+	f.Add([]byte{}, ids(3, -3, 3), uint8(0), uint8(0))
+	f.Fuzz(func(t *testing.T, data, declared []byte, shift, reserved uint8) {
+		m, k := min(len(data)/16, 4096), min(len(declared)/8, 4096)
+		srcs, dsts, nodes := make([]int64, m), make([]int64, m), make([]int64, k)
 		for i := range srcs {
 			srcs[i] = int64(binary.LittleEndian.Uint64(data[16*i:])) >> (shift % 64)
 			dsts[i] = int64(binary.LittleEndian.Uint64(data[16*i+8:])) >> (shift % 64)
 		}
-		if m > 0 && reserved > 0 {
-			at := int(reserved/2) % m
-			if reserved%2 == 0 {
-				srcs[at] = ReservedNodeID
-			} else {
-				dsts[at] = ReservedNodeID
-			}
+		for i := range nodes {
+			nodes[i] = int64(binary.LittleEndian.Uint64(declared[8*i:])) >> (shift % 64)
 		}
-		checkBuildViewCols(t, srcs, dsts)
+		if col := [][]int64{srcs, dsts, nodes}[reserved%3]; len(col) > 0 && reserved > 0 {
+			col[int(reserved/3)%len(col)] = ReservedNodeID
+		}
+		checkBuildViewCols(t, srcs, dsts, nodes)
 	})
 }

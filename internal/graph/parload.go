@@ -15,20 +15,20 @@ import (
 // file must saturate cores, not a single scanner loop. The pipeline reads
 // the whole input into memory (the big-memory premise of the paper), splits
 // it into one chunk per worker at newline boundaries, parses each chunk with
-// allocation-free byte-slice integer parsing into per-worker edge buffers,
-// and hands the concatenated pairs to the sort-first bulk constructor
-// (BuildDirected). The result is identical to the sequential scanner
-// reference in seqload_test.go — same node set, same sorted adjacency
-// vectors, same accepted and rejected inputs — which the equivalence and
-// fuzz tests enforce. The one deliberate difference: this path has no
-// line-length cap, so inputs the scanner rejects as "token too long" parse
-// fine here.
+// allocation-free byte-slice integer parsing into per-worker src/dst
+// columns, and hands the concatenated columns and the declared nodes to
+// the sort-first builder (BuildViewCols). The result is identical to the
+// sequential scanner reference in seqload_test.go — same node set, same
+// sorted adjacency vectors, same accepted and rejected inputs — which the
+// equivalence and fuzz tests enforce. The one deliberate difference: this
+// path has no line-length cap, so inputs the scanner rejects as "token too
+// long" parse fine here.
 
 // LoadEdgeListParallel reads a SNAP-style whitespace-separated edge list
 // (lines of "src dst", '#' comments and blank lines ignored, "# node <id>"
-// declaring an isolated node) into a directed graph, parsing and building
-// in parallel.
-func LoadEdgeListParallel(r io.Reader) (*Directed, error) {
+// declaring an isolated node) into the CSR view of its directed graph,
+// parsing and building in parallel.
+func LoadEdgeListParallel(r io.Reader) (*View, error) {
 	data, err := io.ReadAll(r)
 	if err != nil {
 		return nil, fmt.Errorf("graph: reading edge list: %w", err)
@@ -37,7 +37,7 @@ func LoadEdgeListParallel(r io.Reader) (*Directed, error) {
 }
 
 // LoadEdgeListParallelFile is LoadEdgeListParallel reading the named file.
-func LoadEdgeListParallelFile(path string) (*Directed, error) {
+func LoadEdgeListParallelFile(path string) (*View, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
@@ -45,9 +45,9 @@ func LoadEdgeListParallelFile(path string) (*Directed, error) {
 	return ParseEdgeList(data)
 }
 
-// ParseEdgeList parses an in-memory edge-list text into a directed graph
-// using the parallel ingest pipeline.
-func ParseEdgeList(data []byte) (*Directed, error) {
+// ParseEdgeList parses an in-memory edge-list text into the CSR view of
+// its directed graph using the parallel ingest pipeline.
+func ParseEdgeList(data []byte) (*View, error) {
 	bounds := chunkBounds(data, par.Workers())
 	nc := len(bounds) - 1
 	results := make([]chunkResult, nc)
@@ -62,30 +62,21 @@ func ParseEdgeList(data []byte) (*Directed, error) {
 		lineBase += results[i].lines
 	}
 	offs := make([]int, nc+1)
+	var nodes []int64
 	for i := range results {
-		offs[i+1] = offs[i] + len(results[i].edges)
+		offs[i+1] = offs[i] + len(results[i].srcs)
+		nodes = append(nodes, results[i].nodes...)
 	}
-	edges := make([][2]int64, offs[nc])
+	srcs, dsts := make([]int64, offs[nc]), make([]int64, offs[nc])
 	par.ForEach(nc, func(i int) {
-		copy(edges[offs[i]:offs[i+1]], results[i].edges)
+		copy(srcs[offs[i]:offs[i+1]], results[i].srcs)
+		copy(dsts[offs[i]:offs[i+1]], results[i].dsts)
+		// This worker's columns are consumed; dropping them before the
+		// build allocates keeps peak memory the build's own, not build +
+		// parse leftovers.
+		results[i].srcs, results[i].dsts = nil, nil
 	})
-	// The per-worker buffers and the raw bytes are fully consumed; drop them
-	// before the build phase allocates its sort buffers and arenas, so peak
-	// memory is the build's own, not build + parse leftovers.
-	for i := range results {
-		results[i].edges = nil
-	}
-	data = nil
-	g, err := BuildDirected(edges)
-	if err != nil {
-		return nil, err
-	}
-	for i := range results {
-		for _, id := range results[i].nodes {
-			g.AddNode(id)
-		}
-	}
-	return g, nil
+	return BuildViewCols(srcs, dsts, nodes)
 }
 
 // chunkBounds partitions data into at most parts byte ranges whose interior
@@ -117,11 +108,18 @@ func chunkBounds(data []byte, parts int) []int {
 
 // chunkResult is one worker's parse of one chunk.
 type chunkResult struct {
-	edges   [][2]int64
+	srcs    []int64 // edge sources, in line order
+	dsts    []int64 // edge destinations, parallel to srcs
 	nodes   []int64 // isolated nodes declared by "# node <id>" comments
 	lines   int     // lines consumed (complete chunks) or seen before the error
 	errLine int     // 1-based line index of err within the chunk
 	err     error
+}
+
+// add appends the edge src->dst.
+func (res *chunkResult) add(src, dst int64) {
+	res.srcs = append(res.srcs, src)
+	res.dsts = append(res.dsts, dst)
 }
 
 // asciiSpace marks the ASCII bytes unicode.IsSpace reports as whitespace,
@@ -131,7 +129,8 @@ var asciiSpace = [256]bool{'\t': true, '\n': true, '\v': true, '\f': true, '\r':
 
 // parseChunk parses the complete lines of one chunk.
 func parseChunk(data []byte) chunkResult {
-	res := chunkResult{edges: make([][2]int64, 0, len(data)/12+1)}
+	guess := len(data)/12 + 1
+	res := chunkResult{srcs: make([]int64, 0, guess), dsts: make([]int64, 0, guess)}
 	pos := 0
 	for pos < len(data) {
 		end := pos
@@ -201,7 +200,7 @@ func parseLine(ln []byte, res *chunkResult) error {
 	if src == tombstone || dst == tombstone {
 		return fmt.Errorf("node id %d reserved", int64(tombstone))
 	}
-	res.edges = append(res.edges, [2]int64{src, dst})
+	res.add(src, dst)
 	return nil
 }
 
@@ -232,7 +231,7 @@ func parseLineSlow(line string, res *chunkResult) error {
 	if src == tombstone || dst == tombstone {
 		return fmt.Errorf("node id %d reserved", int64(tombstone))
 	}
-	res.edges = append(res.edges, [2]int64{src, dst})
+	res.add(src, dst)
 	return nil
 }
 

@@ -10,6 +10,14 @@ import (
 	"testing"
 )
 
+// thaw is FromView over a loader's result, for tests that compare graphs.
+func thaw(v *View, err error) (*Directed, error) {
+	if err != nil {
+		return nil, err
+	}
+	return FromView(v), nil
+}
+
 // sameDirected reports whether two directed graphs have identical node sets
 // and identical (sorted) adjacency vectors in both directions.
 func sameDirected(a, b *Directed) error {
@@ -86,10 +94,7 @@ func TestParallelMatchesSequentialRandomized(t *testing.T) {
 		if err := seq.Validate(); err != nil {
 			t.Fatalf("seed %d: sequential graph invalid: %v", seed, err)
 		}
-		if err := par.Validate(); err != nil {
-			t.Fatalf("seed %d: parallel graph invalid: %v", seed, err)
-		}
-		if err := sameDirected(seq, par); err != nil {
+		if err := identicalViews(par, BuildView(seq)); err != nil {
 			t.Fatalf("seed %d: loaders disagree: %v", seed, err)
 		}
 	}
@@ -112,10 +117,7 @@ func TestParallelLoaderManyChunks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := par.Validate(); err != nil {
-		t.Fatalf("parallel graph invalid: %v", err)
-	}
-	if err := sameDirected(seq, par); err != nil {
+	if err := identicalViews(par, BuildView(seq)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -161,12 +163,12 @@ func TestScannerErrorCarriesLineNumber(t *testing.T) {
 		t.Fatalf("error %q does not name line 3", err)
 	}
 	// The parallel path has no line cap; the same input must parse.
-	g, err := ParseEdgeList([]byte(in))
+	v, err := ParseEdgeList([]byte(in))
 	if err != nil {
 		t.Fatalf("parallel load of long line: %v", err)
 	}
-	if !g.HasEdge(4, 5) || g.NumEdges() != 3 {
-		t.Fatalf("parallel load mangled input: %d edges", g.NumEdges())
+	if !hasViewEdge(v, 4, 5) || v.NumEdges() != 3 {
+		t.Fatalf("parallel load mangled input: %d edges", v.NumEdges())
 	}
 }
 
@@ -182,7 +184,7 @@ func TestSaveEdgeListKeepsIsolatedNodes(t *testing.T) {
 	}
 	for _, load := range []func() (*Directed, error){
 		func() (*Directed, error) { return loadEdgeList(strings.NewReader(text)) },
-		func() (*Directed, error) { return ParseEdgeList([]byte(text)) },
+		func() (*Directed, error) { return thaw(ParseEdgeList([]byte(text))) },
 	} {
 		back, err := load()
 		if err != nil {
@@ -201,7 +203,7 @@ func TestNodeCommentVariants(t *testing.T) {
 	in := "# node 5\n#node 6\n# node 7 extra\n# nodes 8\n# node notanum\n1 2\n"
 	for name, load := range map[string]func() (*Directed, error){
 		"seq": func() (*Directed, error) { return loadEdgeList(strings.NewReader(in)) },
-		"par": func() (*Directed, error) { return ParseEdgeList([]byte(in)) },
+		"par": func() (*Directed, error) { return thaw(ParseEdgeList([]byte(in))) },
 	} {
 		g, err := load()
 		if err != nil {
@@ -224,16 +226,14 @@ func TestNodeCommentVariants(t *testing.T) {
 func TestBuildDirectedMatchesAddEdge(t *testing.T) {
 	for seed := int64(0); seed < 6; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		n := 1000 + int(seed)*7000 // crosses the parallel-sort threshold
-		edges := make([][2]int64, n)
+		n := 1000 + int(seed)*7000 // crosses the parallel relabel's threshold
+		srcs, dsts := make([]int64, n), make([]int64, n)
 		ref := NewDirected()
-		for i := range edges {
-			src := rng.Int63n(300) - 150
-			dst := rng.Int63n(300) - 150
-			edges[i] = [2]int64{src, dst}
-			ref.AddEdge(src, dst)
+		for i := range srcs {
+			srcs[i], dsts[i] = rng.Int63n(300)-150, rng.Int63n(300)-150
+			ref.AddEdge(srcs[i], dsts[i])
 		}
-		g, err := BuildDirected(edges)
+		g, err := BuildDirectedCols(srcs, dsts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -243,18 +243,6 @@ func TestBuildDirectedMatchesAddEdge(t *testing.T) {
 		if err := sameDirected(ref, g); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		srcs := make([]int64, len(edges))
-		dsts := make([]int64, len(edges))
-		for i, e := range edges {
-			srcs[i], dsts[i] = e[0], e[1]
-		}
-		cols, err := BuildDirectedCols(srcs, dsts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := sameDirected(ref, cols); err != nil {
-			t.Fatalf("seed %d: column form: %v", seed, err)
-		}
 	}
 }
 
@@ -262,11 +250,14 @@ func TestBuildColsLengthMismatch(t *testing.T) {
 	if _, err := BuildDirectedCols([]int64{1}, nil); err == nil {
 		t.Fatal("BuildDirectedCols accepted mismatched columns")
 	}
-	if _, err := BuildUndirectedCols(nil, []int64{1}); err == nil {
-		t.Fatal("BuildUndirectedCols accepted mismatched columns")
+	if _, err := BuildViewCols(nil, []int64{1}, []int64{1}); err == nil {
+		t.Fatal("BuildViewCols accepted mismatched columns")
 	}
 }
 
+// TestBuildUndirectedMatchesAddEdge holds the undirected form of a bulk
+// build — conv.ToUndirected's road — to per-edge AddEdge on an
+// undirected graph.
 func TestBuildUndirectedMatchesAddEdge(t *testing.T) {
 	for seed := int64(0); seed < 6; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -283,10 +274,11 @@ func TestBuildUndirectedMatchesAddEdge(t *testing.T) {
 			srcs[i], dsts[i] = src, dst
 			ref.AddEdge(src, dst)
 		}
-		g, err := BuildUndirectedCols(srcs, dsts)
+		d, err := BuildDirectedCols(srcs, dsts)
 		if err != nil {
 			t.Fatal(err)
 		}
+		g := AsUndirected(d)
 		if err := g.Validate(); err != nil {
 			t.Fatalf("seed %d: bulk graph invalid: %v", seed, err)
 		}
@@ -303,16 +295,16 @@ func TestBuildUndirectedMatchesAddEdge(t *testing.T) {
 }
 
 func TestBuildDirectedRejectsReservedID(t *testing.T) {
-	if _, err := BuildDirected([][2]int64{{tombstone, 1}}); err == nil {
-		t.Fatal("BuildDirected accepted the reserved id")
+	if _, err := BuildDirectedCols([]int64{tombstone}, []int64{1}); err == nil {
+		t.Fatal("BuildDirectedCols accepted the reserved id")
 	}
-	if _, err := BuildUndirectedCols([]int64{1}, []int64{tombstone}); err == nil {
-		t.Fatal("BuildUndirectedCols accepted the reserved id")
+	if _, err := BuildViewCols(nil, nil, []int64{1, tombstone}); err == nil {
+		t.Fatal("BuildViewCols accepted the reserved id as a declared node")
 	}
 }
 
 func TestBuildDirectedEmpty(t *testing.T) {
-	g, err := BuildDirected(nil)
+	g, err := BuildDirectedCols(nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -327,7 +319,7 @@ func TestBuildDirectedEmpty(t *testing.T) {
 // TestBuildDirectedArenaIsolation: vectors are carved from a shared arena;
 // growing one node's adjacency must not corrupt a neighbor's vector.
 func TestBuildDirectedArenaIsolation(t *testing.T) {
-	g, err := BuildDirected([][2]int64{{1, 2}, {1, 3}, {4, 5}, {4, 6}})
+	g, err := BuildDirectedCols([]int64{1, 1, 4, 4}, []int64{2, 3, 5, 6})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -342,30 +334,23 @@ func TestBuildDirectedArenaIsolation(t *testing.T) {
 
 // benchEdgeListText memoizes a ~1M-line generated edge list so the Seq/Par
 // benchmark pair parses identical bytes.
-var benchEdgeList struct {
-	text  []byte
-	edges [][2]int64
-}
+var benchEdgeList []byte
 
 func benchEdgeListText(b *testing.B) []byte {
-	if benchEdgeList.text == nil {
+	if benchEdgeList == nil {
 		const n = 1 << 20
 		rng := rand.New(rand.NewSource(1))
 		buf := make([]byte, 0, n*14)
-		edges := make([][2]int64, 0, n)
 		for i := 0; i < n; i++ {
-			src, dst := rng.Int63n(1<<18), rng.Int63n(1<<18)
-			buf = strconv.AppendInt(buf, src, 10)
+			buf = strconv.AppendInt(buf, rng.Int63n(1<<18), 10)
 			buf = append(buf, '\t')
-			buf = strconv.AppendInt(buf, dst, 10)
+			buf = strconv.AppendInt(buf, rng.Int63n(1<<18), 10)
 			buf = append(buf, '\n')
-			edges = append(edges, [2]int64{src, dst})
 		}
-		benchEdgeList.text = buf
-		benchEdgeList.edges = edges
+		benchEdgeList = buf
 	}
-	b.SetBytes(int64(len(benchEdgeList.text)))
-	return benchEdgeList.text
+	b.SetBytes(int64(len(benchEdgeList)))
+	return benchEdgeList
 }
 
 func BenchmarkLoadEdgeListSeq(b *testing.B) {
@@ -385,19 +370,6 @@ func BenchmarkLoadEdgeListPar(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := ParseEdgeList(text); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkBuildDirected(b *testing.B) {
-	benchEdgeListText(b)
-	edges := benchEdgeList.edges
-	b.SetBytes(int64(len(edges) * 16))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := BuildDirected(edges); err != nil {
 			b.Fatal(err)
 		}
 	}

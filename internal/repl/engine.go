@@ -411,9 +411,11 @@ func (e *Engine) cmdLoadGraph(r *Result, args []string) error {
 		return err
 	}
 	// Magic-byte sniffing: RNGM images are mapped in place (no decode, no
-	// heap copy — the beyond-RAM tier), files written by "save" load
+	// heap copy — the beyond-RAM tier), files written by "save" decode
 	// through the fast binary path, anything else parses as a text edge
-	// list on all cores (parallel chunk parse + sort-first bulk build).
+	// list on all cores (parallel chunk parse + sort-first build). Either
+	// way the binding is the CSR view built, frozen until its first
+	// mutation, as tograph binds it.
 	if isMappedFile(args[1]) {
 		mg, err := extmem.Open(args[1])
 		if err != nil {
@@ -428,12 +430,12 @@ func (e *Engine) cmdLoadGraph(r *Result, args []string) error {
 			args[0], mg.NumNodes(), mg.NumEdges(), mg.Kind(), via)
 		return nil
 	}
-	g, err := graph.LoadFileAuto(args[1])
+	v, err := graph.LoadFileAuto(args[1])
 	if err != nil {
 		return err
 	}
-	e.bind(r, args[0], core.Object{Graph: g})
-	r.Message = fmt.Sprintf("%s: %d nodes, %d edges", args[0], g.NumNodes(), g.NumEdges())
+	e.bind(r, args[0], core.Object{View: v})
+	r.Message = fmt.Sprintf("%s: %d nodes, %d edges", args[0], v.NumNodes(), v.NumEdges())
 	return nil
 }
 
@@ -884,14 +886,14 @@ func (e *Engine) cmdSave(r *Result, args []string) error {
 		}
 		r.Message = fmt.Sprintf("wrote %d rows to %s", o.Table.NumRows(), args[1])
 	case o.Kind() == "graph":
-		g, err := e.ws.Graph(args[0])
+		v, err := e.ws.DirectedView(args[0])
 		if err != nil {
 			return err
 		}
-		if err := graph.SaveBinaryFile(args[1], g); err != nil {
+		if err := graph.SaveBinaryFile(args[1], v); err != nil {
 			return err
 		}
-		r.Message = fmt.Sprintf("wrote %d nodes, %d edges to %s (binary)", g.NumNodes(), g.NumEdges(), args[1])
+		r.Message = fmt.Sprintf("wrote %d nodes, %d edges to %s (binary)", v.NumNodes(), v.NumEdges(), args[1])
 	default:
 		return fmt.Errorf("%q is a %s; save handles tables and directed graphs (use snapshot for everything else)", args[0], o.Kind())
 	}

@@ -26,7 +26,10 @@
 // format of table.EncodeBinary (shared string pool, bulk column blocks),
 // graphs embed graph.SaveBinary / graph.SaveBinaryUndirected, and score
 // vectors are (i64, f64) pairs in strictly ascending id order behind a u64
-// count. Every frame is
+// count. A directed graph travels as its CSR view (graph.View) both ways:
+// it is written from the view and decoded straight into one
+// (graph.LoadBinary), so a restored directed binding is frozen until its
+// first mutation, like one tograph binds. Every frame is
 // independently length-prefixed and checksummed, so corruption is detected
 // per object — errors name the failing object — and frames can be encoded
 // and decoded in parallel (internal/par), one worker per object.
@@ -69,7 +72,7 @@ type Object struct {
 	Version    uint64
 
 	Table  *table.Table
-	Graph  *graph.Directed
+	View   *graph.View // a directed graph, as its CSR view
 	UGraph *graph.Undirected
 	Scores algo.Scores
 }
@@ -78,7 +81,7 @@ func (o *Object) kind() (byte, error) {
 	switch {
 	case o.Table != nil:
 		return kindTable, nil
-	case o.Graph != nil:
+	case o.View != nil:
 		return kindGraph, nil
 	case o.UGraph != nil:
 		return kindUGraph, nil
@@ -132,8 +135,8 @@ func encodePayload(o *Object) ([]byte, error) {
 		if err := o.Table.EncodeBinary(&buf); err != nil {
 			return nil, err
 		}
-	case o.Graph != nil:
-		if err := graph.SaveBinary(&buf, o.Graph); err != nil {
+	case o.View != nil:
+		if err := graph.SaveBinary(&buf, o.View); err != nil {
 			return nil, err
 		}
 	case o.UGraph != nil:
@@ -257,7 +260,7 @@ func (rec *record) decode() error {
 	case kindTable:
 		rec.obj.Table, err = table.DecodeBinary(bytes.NewReader(rec.payload))
 	case kindGraph:
-		rec.obj.Graph, err = graph.LoadBinary(bytes.NewReader(rec.payload))
+		rec.obj.View, err = graph.LoadBinary(bytes.NewReader(rec.payload))
 	case kindUGraph:
 		rec.obj.UGraph, err = graph.LoadBinaryUndirected(bytes.NewReader(rec.payload))
 	case kindScores:

@@ -38,7 +38,7 @@ func sampleObjects(t *testing.T) []Object {
 	u.AddEdge(20, 30)
 	return []Object{
 		{Name: "T", Provenance: "load T posts.tsv", Version: 1, Table: tbl},
-		{Name: "G", Provenance: "tograph G T src dst", Version: 2, Graph: g},
+		{Name: "G", Provenance: "tograph G T src dst", Version: 2, View: graph.BuildView(g)},
 		{Name: "U", Provenance: "", Version: 3, UGraph: u},
 		{Name: "PR", Provenance: "pagerank PR G", Version: 7, Scores: algo.Scores{{ID: 1, Score: 0.5}, {ID: 2, Score: 0.25}, {ID: 3, Score: 0.25}}},
 	}
@@ -73,8 +73,8 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if v := tbl.Value(0, 1); v != "tab\tin\tvalue" {
 		t.Fatalf("string cell = %q", v)
 	}
-	g := got[1].Graph
-	if g == nil || g.NumEdges() != 3 || !g.HasEdge(3, 1) {
+	g := got[1].View
+	if g == nil || g.NumEdges() != 3 || !slices.Equal(g.IDs(), []int64{1, 2, 3}) {
 		t.Fatalf("graph not restored: %+v", got[1])
 	}
 	u := got[2].UGraph
@@ -308,7 +308,7 @@ func decodeAs(sel byte, data []byte) (uint64, []Object, error) {
 	case 1:
 		o.Table, err = table.DecodeBinary(r)
 	case 2:
-		o.Graph, err = graph.LoadBinary(r)
+		o.View, err = graph.LoadBinary(r)
 	default:
 		o.UGraph, err = graph.LoadBinaryUndirected(r)
 	}

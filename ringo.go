@@ -145,7 +145,11 @@ func AsUndirected(g *Graph) *UGraph { return graph.AsUndirected(g) }
 
 // LoadEdgeListParallel reads a SNAP-style edge list file on all cores.
 func LoadEdgeListParallel(path string) (*Graph, error) {
-	return graph.LoadEdgeListParallelFile(path)
+	v, err := graph.LoadEdgeListParallelFile(path)
+	if err != nil {
+		return nil, err
+	}
+	return graph.FromView(v), nil
 }
 
 // TableFromMap builds a (key, score) table, descending by score — the

@@ -14,7 +14,10 @@ type Components struct {
 }
 
 // WCCView computes weakly connected components of a directed graph (edge
-// direction ignored) with a union-find over the dense node space.
+// direction ignored) with a union-find over the dense node space. Each
+// union links the larger root under the smaller, so every root is its
+// tree's lowest index, and the scan keeps u's root at hand across u's
+// out-edges instead of finding it again per edge.
 func WCCView(v *graph.View) Components {
 	defer report(timed("wcc"))
 	n := v.NumNodes()
@@ -22,26 +25,24 @@ func WCCView(v *graph.View) Components {
 	for i := range parent {
 		parent[i] = int32(i)
 	}
-	var find func(x int32) int32
-	find = func(x int32) int32 {
+	find := func(x int32) int32 {
 		for parent[x] != x {
 			parent[x] = parent[parent[x]] // path halving
 			x = parent[x]
 		}
 		return x
 	}
-	union := func(a, b int32) {
-		ra, rb := find(a), find(b)
-		if ra != rb {
-			parent[ra] = rb
+	for u := range int32(n) {
+		ru := find(u)
+		for _, w := range v.Out(u) {
+			if rw := find(w); rw < ru {
+				parent[ru], ru = rw, rw
+			} else if ru < rw {
+				parent[rw] = ru
+			}
 		}
 	}
-	for u := 0; u < n; u++ {
-		for _, w := range v.Out(int32(u)) {
-			union(int32(u), w)
-		}
-	}
-	return labelComponents(v.IDs(), func(i int32) int32 { return find(i) })
+	return labelComponents(v.IDs(), n, find)
 }
 
 // SCCView computes strongly connected components with an iterative Tarjan
@@ -122,24 +123,25 @@ func SCCView(v *graph.View) Components {
 			}
 		}
 	}
-	return labelComponents(v.IDs(), func(i int32) int32 { return comp[i] })
+	return labelComponents(v.IDs(), n, func(i int32) int32 { return comp[i] })
 }
 
-// labelComponents converts per-dense-index raw labels into dense component
-// ids keyed by node id, with count and max-size statistics.
-func labelComponents(ids []int64, rawLabel func(i int32) int32) Components {
-	remap := make(map[int32]int)
+// labelComponents converts per-dense-index raw labels, each below span,
+// into dense component ids keyed by node id, numbered by the first dense
+// index carrying them, with count and max-size statistics.
+func labelComponents(ids []int64, span int, rawLabel func(i int32) int32) Components {
+	remap := make([]int32, span) // raw label -> component id + 1
 	label := make(map[int64]int, len(ids))
 	sizes := []int{}
 	for i, id := range ids {
 		raw := rawLabel(int32(i))
-		c, ok := remap[raw]
-		if !ok {
-			c = len(remap)
-			remap[raw] = c
+		c := remap[raw] - 1
+		if c < 0 {
+			c = int32(len(sizes))
+			remap[raw] = c + 1
 			sizes = append(sizes, 0)
 		}
-		label[id] = c
+		label[id] = int(c)
 		sizes[c]++
 	}
 	maxSize := 0
@@ -148,5 +150,5 @@ func labelComponents(ids []int64, rawLabel func(i int32) int32) Components {
 			maxSize = s
 		}
 	}
-	return Components{Label: label, Count: len(remap), MaxSize: maxSize}
+	return Components{Label: label, Count: len(sizes), MaxSize: maxSize}
 }

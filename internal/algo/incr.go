@@ -67,7 +67,7 @@ func WCCIncr(v *graph.View, prev Components, deltas []graph.Delta) (Components, 
 			parent[ra] = rb
 		}
 	}
-	return labelComponents(v.IDs(), func(i int32) int32 { return find(groups[i]) }), true
+	return labelComponents(v.IDs(), len(parent), func(i int32) int32 { return find(groups[i]) }), true
 }
 
 // TrianglesIncr maintains the global triangle count across a mutation

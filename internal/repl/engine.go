@@ -213,7 +213,7 @@ const HelpText = `Ringo interactive shell — verbs over named objects.
   gen rmat <name> <scale> <edges> [seed]   generate an R-MAT edge table
   gen posts <name> [questions]             generate a StackOverflow-like posts table
   load <name> <file> <col:type>...         load a TSV into a table
-  loadgraph <name> <file>                  load a graph: text edge list, binary (RNGO/RNGU),
+  loadgraph <name> <file>                  load a graph: text edge list, binary (RNGO),
                                            or mapped CSR image (RNGM, served from mmap)
   select <out> <tbl> <col> <op> <value>    filter rows (op: == != < <= > >=)
   filter <out> <tbl> <predicate>           filter with an expression, e.g. Tag = Java and Score > 3

@@ -233,9 +233,12 @@ func Read(r io.Reader) (clock uint64, objs []Object, err error) {
 		recs = append(recs, rec)
 	}
 
+	// Each payload is dropped once its object decodes, so the collector
+	// can free it while the other objects are still decoding.
 	errs := make([]error, len(recs))
 	par.ForEach(len(recs), func(i int) {
 		errs[i] = recs[i].decode()
+		recs[i].payload = nil
 	})
 	for i, err := range errs {
 		if err != nil {

@@ -3,8 +3,10 @@ package table
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"io"
+	"math/bits"
 	"os"
 	"strconv"
 	"strings"
@@ -43,98 +45,192 @@ func LoadTSVFile(path string, schema Schema, header bool) (*Table, error) {
 }
 
 // ParseTSV is LoadTSV over input already in memory; the table keeps no
-// reference to data. A first pass counts the data rows, so every column is
-// allocated once at its exact length; the second parses each field in
-// place, with no string per line and none per plain integer or
-// already-interned string cell.
+// reference to data. Every column is allocated once, at the input's line
+// count (bytes.Count of its newlines), and clipped by one copy at the end
+// only when blank, comment or header lines made that too long. One forward
+// scan then finds each cell's end while it parses it. An Int cell of an
+// optional '-' and one to eight digits followed by a tab or newline is
+// read eight bytes at once (digitRun finds its end, digitValue its value);
+// any other cell — a '+', nine or more digits, space, a carriage return, a
+// bad byte, or a cell starting under ten bytes from the input's end — is
+// cut at its tab and parsed on its own by appendTSVCell. No string is made
+// per line, nor per integer or already-interned string cell. Row ids are
+// written once the rows are known.
 func ParseTSV(data []byte, schema Schema, header bool) (*Table, error) {
-	rows := 0
-	for rest := data; len(rest) > 0; {
-		var line []byte
-		line, rest, _ = cutTSVLine(rest)
-		if len(line) > 0 && line[0] != '#' {
-			rows++
-		}
+	lines := bytes.Count(data, []byte{'\n'})
+	if len(data) > 0 && data[len(data)-1] != '\n' {
+		lines++
 	}
-	if header && rows > 0 {
-		rows--
+	if header && lines > 0 {
+		lines--
 	}
-	t, err := NewWithCapacity(schema, rows)
+	t, err := NewWithCapacity(schema, lines)
 	if err != nil {
 		return nil, err
 	}
-	skip := header
-	for lineNo, rest := 1, data; len(rest) > 0; lineNo++ {
-		line, next, raw := cutTSVLine(rest)
-		rest = next
-		if raw > maxTSVLine {
-			return nil, fmt.Errorf("table: reading TSV: %w", bufio.ErrTooLong)
-		}
-		if len(line) == 0 || line[0] == '#' {
+	cols, ints, last := t.cols, t.ints, len(t.cols)-1
+	rows, skip := 0, header
+	for p, lineNo := 0, 1; p < len(data); lineNo++ {
+		start, eol := p, -1 // eol: the line's newline (or len(data)) once found
+		c := data[p]
+		if blank := c == '#' || c == '\n' || c == '\r' && (p+1 == len(data) || data[p+1] == '\n'); blank || skip {
+			skip = skip && blank
+			eol = lineEnd(data, p)
+			if eol-start > maxTSVLine {
+				return nil, errTSVTooLong
+			}
+			p = eol + 1
 			continue
 		}
-		if skip {
-			skip = false
-			continue
+		end := p // the current cell's end: a tab, the newline, or len(data)
+		for i := range cols {
+			fast := false
+			if cols[i].Type == Int && len(data)-p > 9 {
+				q := p
+				if data[q] == '-' {
+					q++
+				}
+				w := binary.LittleEndian.Uint64(data[q:])
+				k := digitRun(w)
+				if d := data[q+k]; k > 0 && (d == '\t' || d == '\n') {
+					v := digitValue(w, k)
+					if q > p {
+						v = -v
+					}
+					ints[i] = append(ints[i], v)
+					end, fast = q+k, true
+				}
+			}
+			if !fast {
+				if eol < 0 {
+					eol = lineEnd(data, p)
+				}
+				end = eol
+				if tab := bytes.IndexByte(data[p:eol], '\t'); tab >= 0 {
+					end = p + tab
+				}
+			}
+			// A short row is reported before its last cell parses, as the
+			// line scanner reported it.
+			if i < last && (end == len(data) || data[end] != '\t') {
+				return nil, tsvLineError(data, start, p, fmt.Errorf("table: line %d: %d fields for %d columns", lineNo, i+1, len(cols)))
+			}
+			if !fast {
+				field := data[p:end]
+				if end == eol && end > p && data[end-1] == '\r' {
+					field = field[:len(field)-1]
+				}
+				if err := t.appendTSVCell(i, field, lineNo); err != nil {
+					return nil, tsvLineError(data, start, p, err)
+				}
+			}
+			p = end + 1
 		}
-		if err := t.appendTSVLine(line, lineNo); err != nil {
-			return nil, err
+		if end < len(data) && data[end] == '\n' {
+			eol = end
+		} else if eol < 0 {
+			eol = lineEnd(data, end)
+		}
+		if eol-start > maxTSVLine {
+			return nil, errTSVTooLong
+		}
+		p = eol + 1
+		rows++
+	}
+	t.rowIDs = t.rowIDs[:rows]
+	if rows < lines {
+		t.rowIDs = exactLen(t.rowIDs)
+		for i := range cols {
+			if cols[i].Type == Float {
+				t.floats[i] = exactLen(t.floats[i])
+			} else {
+				t.ints[i] = exactLen(t.ints[i])
+			}
 		}
 	}
+	for i := range t.rowIDs {
+		t.rowIDs[i] = int64(i)
+	}
+	t.nextID = int64(rows)
 	return t, nil
 }
 
-// cutTSVLine splits off data's first line, dropping its newline and then
-// one trailing carriage return (bufio.ScanLines' rule); raw is the line's
-// length before the carriage return is dropped.
-func cutTSVLine(data []byte) (line, rest []byte, raw int) {
-	line = data
-	if i := bytes.IndexByte(data, '\n'); i >= 0 {
-		line, rest = data[:i], data[i+1:]
+// errTSVTooLong is the error for a line over maxTSVLine.
+var errTSVTooLong = fmt.Errorf("table: reading TSV: %w", bufio.ErrTooLong)
+
+// lineEnd returns the index of the first newline at or after p, or
+// len(data) when there is none.
+func lineEnd(data []byte, p int) int {
+	if i := bytes.IndexByte(data[p:], '\n'); i >= 0 {
+		return p + i
 	}
-	raw = len(line)
-	if raw > 0 && line[raw-1] == '\r' {
-		line = line[:raw-1]
-	}
-	return line, rest, raw
+	return len(data)
 }
 
-func (t *Table) appendTSVLine(line []byte, lineNo int) error {
-	for i := range t.cols {
-		field := line
-		if tab := bytes.IndexByte(line, '\t'); tab >= 0 {
-			field, line = line[:tab], line[tab+1:]
-		} else if i < len(t.cols)-1 {
-			return fmt.Errorf("table: line %d: %d fields for %d columns", lineNo, i+1, len(t.cols))
-		}
-		switch t.cols[i].Type {
-		case Int:
-			n, ok := parseDecimal(field)
-			if !ok {
-				var err error
-				if n, err = strconv.ParseInt(strings.TrimSpace(string(field)), 10, 64); err != nil {
-					return fmt.Errorf("table: line %d column %q: %w", lineNo, t.cols[i].Name, err)
-				}
-			}
-			t.ints[i] = append(t.ints[i], n)
-		case Float:
-			f, err := strconv.ParseFloat(string(bytes.TrimSpace(field)), 64)
-			if err != nil {
+// tsvLineError reports err, the failure of the line starting at start at
+// or after p, unless that line is over maxTSVLine: the line scanner the
+// loader replaced rejected such a line before parsing any of it.
+func tsvLineError(data []byte, start, p int, err error) error {
+	if lineEnd(data, p)-start > maxTSVLine {
+		return errTSVTooLong
+	}
+	return err
+}
+
+// exactLen returns s's elements in a slice whose capacity is its length.
+func exactLen[T any](s []T) []T {
+	return append(make([]T, 0, len(s)), s...)
+}
+
+// digitRun returns how many of w's bytes, lowest first, are ASCII digits
+// before the first that is not (8 when all are). XOR with '0' maps digits
+// to 0..9; adding 0x76 to each byte's low seven bits sets its top bit
+// exactly when the byte is 10 or more, with no carry between bytes.
+func digitRun(w uint64) int {
+	x := w ^ 0x3030303030303030
+	return bits.TrailingZeros64((x&0x7f7f7f7f7f7f7f7f+0x7676767676767676|x)&0x8080808080808080) >> 3
+}
+
+// digitValue returns the value of the k ASCII digits in w's k lowest bytes,
+// 1 <= k <= 8, most significant first: it shifts them to the word's top,
+// leading zeros below, and three multiply-shifts fold byte pairs, then
+// pairs of pairs, into the value.
+func digitValue(w uint64, k int) int64 {
+	x := (w ^ 0x3030303030303030) << (64 - 8*k)
+	x = x * 2561 >> 8 & 0x00ff00ff00ff00ff
+	x = x * 6553601 >> 16 & 0x0000ffff0000ffff
+	return int64(x * 42949672960001 >> 32)
+}
+
+// appendTSVCell parses field into column i's next cell: an Int through
+// parseDecimal and then strconv, a Float through strconv, and a String
+// unescaped and interned.
+func (t *Table) appendTSVCell(i int, field []byte, lineNo int) error {
+	switch t.cols[i].Type {
+	case Int:
+		n, ok := parseDecimal(field)
+		if !ok {
+			var err error
+			if n, err = strconv.ParseInt(strings.TrimSpace(string(field)), 10, 64); err != nil {
 				return fmt.Errorf("table: line %d column %q: %w", lineNo, t.cols[i].Name, err)
 			}
-			t.floats[i] = append(t.floats[i], f)
-		default:
-			var id int32
-			if bytes.IndexByte(field, '\\') < 0 {
-				id = t.pool.InternBytes(field)
-			} else {
-				id = t.pool.Intern(unescapeTSV(string(field)))
-			}
-			t.ints[i] = append(t.ints[i], int64(id))
 		}
+		t.ints[i] = append(t.ints[i], n)
+	case Float:
+		f, err := strconv.ParseFloat(string(bytes.TrimSpace(field)), 64)
+		if err != nil {
+			return fmt.Errorf("table: line %d column %q: %w", lineNo, t.cols[i].Name, err)
+		}
+		t.floats[i] = append(t.floats[i], f)
+	default:
+		var id int32
+		if bytes.IndexByte(field, '\\') < 0 {
+			id = t.pool.InternBytes(field)
+		} else {
+			id = t.pool.Intern(unescapeTSV(string(field)))
+		}
+		t.ints[i] = append(t.ints[i], int64(id))
 	}
-	t.rowIDs = append(t.rowIDs, t.nextID)
-	t.nextID++
 	return nil
 }
 

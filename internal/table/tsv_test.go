@@ -176,6 +176,19 @@ var tsvSeeds = []string{
 	"a\t1.5\t7\nb\t-2\t8\n",
 	"caf\xe9\t1\n",
 	"1\t2\n\nx\t3\n",
+	// The eight-byte Int path: one to eight digits before a tab or newline
+	// take it, everything else falls back cell by cell.
+	"1234567\t7654321\n12345678\t87654321\n123456789\t987654321\n",
+	"12345678\t9\t10\n1\t12345678\t3\n",
+	"1\t123456789012345678\n1234567890123456789\t1\n99999999999999999999\t1\n",
+	"+1234567\t-1234567\n-12345678\t+12345678\n",
+	"12a\t1234567\n12 \t1234567\n",
+	"1234567\t12\r\n12\t1234567\r\n12345678\r\n",
+	"12345678\t1\n7\t8",
+	"1\t2\n12345678\t12345678",
+	"1:2\t12345678\n",
+	"12\r\t12345678\n",
+	"x\r\t1.5\r\n12\t345\n",
 }
 
 func TestLoadTSVMatchesReference(t *testing.T) {
@@ -188,9 +201,30 @@ func TestLoadTSVMatchesReference(t *testing.T) {
 	}
 }
 
+// TestLoadTSVIntWidths runs the oracle over integer cells of every width
+// from one to twenty digits, signed and unsigned, shifted through all eight
+// byte alignments and ended by a tab, a newline, CRLF and the end of input,
+// so each digit count reaches both sides of the eight-byte Int path.
+func TestLoadTSVIntWidths(t *testing.T) {
+	digits := "98765432109876543210"
+	for w := 1; w <= len(digits); w++ {
+		for _, sign := range []string{"", "-", "+"} {
+			cell := sign + digits[:w]
+			for pad := 0; pad < 8; pad++ {
+				lead := strings.Repeat("7", pad+1)
+				in := lead + "\t" + cell + "\n" + cell + "\t" + lead + "\r\n" + cell + "\t" + cell
+				for _, schema := range tsvSchemas[:2] {
+					checkLoadTSV(t, []byte(in), schema, false)
+				}
+			}
+		}
+	}
+}
+
 // TestLoadTSVLineCap pins the 4 MiB line cap at its edge, for a line in
 // the middle of the input and for a last line with no newline, and checks
-// that a bad line before an over-long one is the error reported.
+// that a bad line before an over-long one is the error reported, and the
+// over-long line's own error after a bad cell in it.
 func TestLoadTSVLineCap(t *testing.T) {
 	schema := Schema{{"a", String}}
 	for _, n := range []int{maxTSVLine, maxTSVLine + 1} {
@@ -201,6 +235,10 @@ func TestLoadTSVLineCap(t *testing.T) {
 	}
 	in := []byte("1\nx\n" + strings.Repeat("7", maxTSVLine+1) + "\n")
 	checkLoadTSV(t, in, Schema{{"a", Int}}, false)
+	// An over-long line is reported as such even when a cell before its
+	// cap fails to parse.
+	in = []byte("1\t2\nx\t" + strings.Repeat("7", maxTSVLine) + "\n")
+	checkLoadTSV(t, in, Schema{{"a", Int}, {"b", Int}}, false)
 }
 
 // TestLoadTSVFileFromDisk runs the oracle through LoadTSVFile.

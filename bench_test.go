@@ -10,6 +10,7 @@ import (
 	"sync"
 	"testing"
 
+	"ringo"
 	"ringo/internal/algo"
 	"ringo/internal/catalog"
 	"ringo/internal/conv"
@@ -167,7 +168,7 @@ func BenchmarkTable5GraphToTable(b *testing.B) {
 	g := benchGraphs[benchLJ.Name]
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		t, err := conv.ToEdgeTable(g, "src", "dst")
+		t, err := ringo.ToTable(g, "src", "dst")
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -202,50 +203,6 @@ func BenchmarkTable6SCC(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		algo.SCCView(graph.BuildView(g))
-	}
-}
-
-// --- Ablation: dynamic hash-graph vs CSR for single-edge deletion --------
-// The paper's §2.2 argument: CSR deletion is linear in the total edge
-// count; the hash-of-nodes design is linear in node degree. The CSR side is
-// the code that maintains CSR views under mutation, graph.PatchView. (The
-// §2.4 conversion ablation, sort-first vs per-edge insertion, lives beside
-// its oracle in internal/conv.)
-
-// sampleEdges returns up to n edges of g.
-func sampleEdges(g *graph.Directed, n int) [][2]int64 {
-	var edges [][2]int64
-	g.ForEdges(func(s, d int64) {
-		if len(edges) < n {
-			edges = append(edges, [2]int64{s, d})
-		}
-	})
-	return edges
-}
-
-func BenchmarkAblationDeleteEdgeHashGraph(b *testing.B) {
-	setupBench(b)
-	g := benchGraphs[benchLJ.Name].Clone()
-	edges := sampleEdges(g, 4096)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e := edges[i%len(edges)]
-		g.DelEdge(e[0], e[1])
-		g.AddEdge(e[0], e[1])
-	}
-}
-
-func BenchmarkAblationDeleteEdgeCSR(b *testing.B) {
-	setupBench(b)
-	g := benchGraphs[benchLJ.Name].Clone()
-	edges := sampleEdges(g, 4096)
-	base := graph.BuildView(g)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e := edges[i%len(edges)]
-		g.DelEdge(e[0], e[1])
-		graph.PatchView(base, g.HasNode, g.HasEdge, []graph.Delta{{Op: graph.DeltaDelEdge, Src: e[0], Dst: e[1]}})
-		g.AddEdge(e[0], e[1])
 	}
 }
 

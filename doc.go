@@ -38,13 +38,14 @@
 // and NewWorkspace construct these pieces programmatically; see README.md
 // for the HTTP API and a curl quickstart.
 //
-// Interactivity rests on a second cache beneath the result cache: every
-// workspace carries a fingerprint-keyed CSR view cache (Workspace
-// DirectedView/UndirectedView), so the optimized flat-array representation
-// of a graph (View/UView) is built once, on the first query, and every
-// later algorithm over the unchanged graph — even a different one — skips
-// the O(V+E) conversion and runs straight over resident arrays. Any
-// mutation moves the graph's fingerprint and purges its views. The
+// Interactivity rests on the graph representation beneath the result
+// cache: every graph binding is its optimized flat-array representation
+// (View/UView), built once when the graph is bound and served in place by
+// Workspace DirectedView/UndirectedView, so every algorithm over the
+// unchanged graph — even a different one — runs straight over resident
+// arrays; the undirected projection of a directed graph is cached by
+// fingerprint. A mutation is logged against the view and folded into it
+// by the next query. The
 // package-level Example below walks the load → query → snapshot loop.
 //
 // Whole analyses batch as scripts — one verb per line, # comments,

@@ -7,6 +7,7 @@ import (
 
 	"ringo"
 	"ringo/internal/core"
+	"ringo/internal/graph"
 )
 
 // TestSnapshotFacade round-trips a full workspace — table with strings,
@@ -24,7 +25,7 @@ func TestSnapshotFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ws.SetWithProvenance("U", core.Object{UGraph: u}, "tougraph U E src dst")
+	ws.SetWithProvenance("U", core.Object{UView: graph.BuildUView(u)}, "tougraph U E src dst")
 
 	var buf bytes.Buffer
 	if err := ringo.SnapshotWorkspace(ws, &buf); err != nil {

@@ -50,7 +50,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	comps, err := ringo.TableFromIntMap(wcc.Label, "node", "component")
+	comps, err := ringo.TableFromIntMap(wcc.Label(), "node", "component")
 	if err != nil {
 		log.Fatal(err)
 	}

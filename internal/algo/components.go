@@ -4,13 +4,25 @@ import (
 	"ringo/internal/graph"
 )
 
-// Components is the result of a component decomposition: a component label
-// per node (labels dense from 0), the number of components, and the size of
-// the largest one.
+// Components is the result of a component decomposition: a component per
+// node of the view it was computed on (Comp[i] is the component of IDs[i],
+// numbered densely from 0 by first appearance in ascending id order), the
+// number of components, and the size of the largest one.
 type Components struct {
-	Label   map[int64]int
+	IDs     []int64 // the view's ascending id vector, shared: read-only
+	Comp    []int32
 	Count   int
 	MaxSize int
+}
+
+// Label returns each node's component keyed by node id, for callers that
+// look components up by id (the facade's TableFromIntMap).
+func (c Components) Label() map[int64]int {
+	label := make(map[int64]int, len(c.IDs))
+	for i, id := range c.IDs {
+		label[id] = int(c.Comp[i])
+	}
+	return label
 }
 
 // WCCView computes weakly connected components of a directed graph (edge
@@ -127,13 +139,13 @@ func SCCView(v *graph.View) Components {
 }
 
 // labelComponents converts per-dense-index raw labels, each below span,
-// into dense component ids keyed by node id, numbered by the first dense
-// index carrying them, with count and max-size statistics.
+// into dense component ids, numbered by the first dense index carrying
+// them, with count and max-size statistics.
 func labelComponents(ids []int64, span int, rawLabel func(i int32) int32) Components {
 	remap := make([]int32, span) // raw label -> component id + 1
-	label := make(map[int64]int, len(ids))
+	comp := make([]int32, len(ids))
 	sizes := []int{}
-	for i, id := range ids {
+	for i := range ids {
 		raw := rawLabel(int32(i))
 		c := remap[raw] - 1
 		if c < 0 {
@@ -141,7 +153,7 @@ func labelComponents(ids []int64, span int, rawLabel func(i int32) int32) Compon
 			remap[raw] = c + 1
 			sizes = append(sizes, 0)
 		}
-		label[id] = int(c)
+		comp[i] = c
 		sizes[c]++
 	}
 	maxSize := 0
@@ -150,5 +162,5 @@ func labelComponents(ids []int64, span int, rawLabel func(i int32) int32) Compon
 			maxSize = s
 		}
 	}
-	return Components{Label: label, Count: len(sizes), MaxSize: maxSize}
+	return Components{IDs: ids, Comp: comp, Count: len(sizes), MaxSize: maxSize}
 }

@@ -12,8 +12,9 @@ import (
 // wccBFS is the weak-component oracle: a breadth-first search over both
 // edge directions from each unlabelled node in ascending id order, so
 // components are numbered by their smallest node id, as WCCView numbers
-// them by their first dense index.
-func wccBFS(srcs, dsts, nodes []int64) Components {
+// them by their first dense index. It returns the labels by node id, the
+// count and the largest size.
+func wccBFS(srcs, dsts, nodes []int64) (label map[int64]int, count, maxSize int) {
 	adj := map[int64][]int64{}
 	for _, id := range nodes {
 		if _, ok := adj[id]; !ok {
@@ -24,25 +25,25 @@ func wccBFS(srcs, dsts, nodes []int64) Components {
 		adj[srcs[i]] = append(adj[srcs[i]], dsts[i])
 		adj[dsts[i]] = append(adj[dsts[i]], srcs[i])
 	}
-	c := Components{Label: map[int64]int{}}
+	label = map[int64]int{}
 	for _, root := range slices.Sorted(maps.Keys(adj)) {
-		if _, seen := c.Label[root]; seen {
+		if _, seen := label[root]; seen {
 			continue
 		}
-		c.Label[root] = c.Count
+		label[root] = count
 		queue := []int64{root}
 		for head := 0; head < len(queue); head++ {
 			for _, w := range adj[queue[head]] {
-				if _, seen := c.Label[w]; !seen {
-					c.Label[w] = c.Count
+				if _, seen := label[w]; !seen {
+					label[w] = count
 					queue = append(queue, w)
 				}
 			}
 		}
-		c.Count++
-		c.MaxSize = max(c.MaxSize, len(queue))
+		count++
+		maxSize = max(maxSize, len(queue))
 	}
-	return c
+	return label, count, maxSize
 }
 
 // checkWCC holds WCCView of the columns' view to wccBFS: same labels,
@@ -53,10 +54,11 @@ func checkWCC(t *testing.T, srcs, dsts, nodes []int64) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, want := WCCView(v), wccBFS(srcs, dsts, nodes)
-	if got.Count != want.Count || got.MaxSize != want.MaxSize || !maps.Equal(got.Label, want.Label) {
+	got := WCCView(v)
+	label, count, maxSize := wccBFS(srcs, dsts, nodes)
+	if got.Count != count || got.MaxSize != maxSize || !maps.Equal(got.Label(), label) {
 		t.Fatalf("WCCView: %d components, largest %d, labels %v; BFS: %d, %d, %v",
-			got.Count, got.MaxSize, got.Label, want.Count, want.MaxSize, want.Label)
+			got.Count, got.MaxSize, got.Label(), count, maxSize, label)
 	}
 }
 

@@ -64,7 +64,7 @@ func extTestGraphs() map[string]*graph.Directed {
 // sameComponents reports whether two labelings agree on labels, count and
 // largest size.
 func sameComponents(a, b Components) bool {
-	return a.Count == b.Count && a.MaxSize == b.MaxSize && maps.Equal(a.Label, b.Label)
+	return a.Count == b.Count && a.MaxSize == b.MaxSize && maps.Equal(a.Label(), b.Label())
 }
 
 func TestMappedPageRankBitIdentical(t *testing.T) {

@@ -30,9 +30,13 @@ func WCCIncr(v *graph.View, prev Components, deltas []graph.Delta) (Components, 
 	n := v.NumNodes()
 	groups := make([]int32, n)
 	next := int32(prev.Count)
+	j := 0 // prev's ids are ascending, like v's, so one merge walk pairs them
 	for i, id := range v.IDs() {
-		if l, ok := prev.Label[id]; ok {
-			groups[i] = int32(l)
+		for j < len(prev.IDs) && prev.IDs[j] < id {
+			j++
+		}
+		if j < len(prev.IDs) && prev.IDs[j] == id {
+			groups[i] = prev.Comp[j]
 		} else {
 			groups[i] = next
 			next++

@@ -88,7 +88,7 @@ func TestBridgesMatchReferenceProperty(t *testing.T) {
 		ok := true
 		g.ForEdges(func(u, v int64) {
 			work := g.Clone()
-			work.DelEdge(u, v)
+			delUEdge(work, u, v)
 			reachable := false
 			// BFS from u looking for v.
 			seen := map[int64]bool{u: true}

@@ -139,8 +139,8 @@ func TestWCCTwoComponents(t *testing.T) {
 	if c.MaxSize != 3 {
 		t.Fatalf("WCC max size = %d, want 3", c.MaxSize)
 	}
-	if c.Label[1] != c.Label[3] || c.Label[1] == c.Label[10] {
-		t.Fatalf("labels = %v", c.Label)
+	if l := c.Label(); l[1] != l[3] || l[1] == l[10] {
+		t.Fatalf("labels = %v", l)
 	}
 }
 
@@ -178,11 +178,12 @@ func TestSCCRefinesWCC(t *testing.T) {
 		v := graph.BuildView(g)
 		wcc, scc := WCCView(v), SCCView(v)
 		weakOf := map[int]int{}
-		for id, s := range scc.Label {
-			if w, ok := weakOf[s]; ok && w != wcc.Label[id] {
+		weak := wcc.Label()
+		for id, s := range scc.Label() {
+			if w, ok := weakOf[s]; ok && w != weak[id] {
 				return false
 			}
-			weakOf[s] = wcc.Label[id]
+			weakOf[s] = weak[id]
 		}
 		return wcc.Count <= scc.Count
 	}
@@ -206,13 +207,14 @@ func TestSCCTextbookExample(t *testing.T) {
 	if c.Count != 3 {
 		t.Fatalf("SCC count = %d, want 3", c.Count)
 	}
-	if c.Label[1] != c.Label[2] || c.Label[2] != c.Label[3] {
+	l := c.Label()
+	if l[1] != l[2] || l[2] != l[3] {
 		t.Fatal("cycle A split")
 	}
-	if c.Label[4] != c.Label[5] {
+	if l[4] != l[5] {
 		t.Fatal("cycle B split")
 	}
-	if c.Label[1] == c.Label[4] || c.Label[4] == c.Label[6] || c.Label[1] == c.Label[6] {
+	if l[1] == l[4] || l[4] == l[6] || l[1] == l[6] {
 		t.Fatal("distinct components merged")
 	}
 	if c.MaxSize != 3 {

@@ -8,12 +8,12 @@
 // the edges by (source, destination), each source's run is deduplicated
 // into the out-arrays and a counting transpose yields the in-arrays. Exact
 // degrees fall out of the counts, so nothing is guessed or resized, and no
-// hash table sits on the path. The hash-of-nodes graph the mutation verbs
-// need is derived from that view (graph.FromView), not built beside it.
+// hash table sits on the path. The hash-of-nodes graph ToDirected returns
+// is derived from that view (graph.FromView), not built beside it.
 //
-// Graph to table partitions the graph's nodes among workers, pre-allocates
-// the output table, and assigns each worker a disjoint output range
-// computed by a prefix sum over node degrees.
+// Graph to table walks the CSR view: its offsets are the output row
+// ranges, so workers fill disjoint slices of the pre-allocated columns. A
+// hash graph's rows come from a prefix sum over its out-degrees.
 package conv
 
 import (
@@ -61,27 +61,42 @@ func ToUndirected(t *table.Table, srcCol, dstCol string) (*graph.Undirected, err
 	return graph.AsUndirected(g), nil
 }
 
-// ToEdgeTable converts a directed graph to an edge table with the given
-// column names. Workers receive disjoint node partitions and write disjoint
-// pre-allocated output ranges, so the export runs in parallel without
-// synchronization. Edges are emitted in (source, destination) sorted order.
-func ToEdgeTable(g *graph.Directed, srcName, dstName string) (*table.Table, error) {
+// ToEdgeTable converts the CSR view of a directed graph to an edge table
+// with the given column names. The view's offsets are the output row
+// ranges, so workers receive disjoint node partitions and write disjoint
+// pre-allocated output ranges in parallel without synchronization. Edges
+// are emitted in (source, destination) sorted order.
+func ToEdgeTable(v *graph.View, srcName, dstName string) (*table.Table, error) {
+	ids, off, _, out, _ := v.ViewParts()
+	srcCol := make([]int64, len(out))
+	dstCol := make([]int64, len(out))
+	par.For(len(ids), func(lo, hi int) {
+		for u := lo; u < hi; u++ {
+			for j := off[u]; j < off[u+1]; j++ {
+				srcCol[j], dstCol[j] = ids[u], ids[out[j]]
+			}
+		}
+	})
+	return table.FromIntColumns([]string{srcName, dstName}, [][]int64{srcCol, dstCol})
+}
+
+// HashToEdgeTable is ToEdgeTable for a hash-of-nodes graph (the facade's
+// Graph): a prefix sum over the out-degrees gives each node its output
+// rows, and workers fill them from its out-vector, so one export builds no
+// view.
+func HashToEdgeTable(g *graph.Directed, srcName, dstName string) (*table.Table, error) {
 	nodes := g.Nodes()
-	n := len(nodes)
-	offsets := make([]int64, n+1)
+	off := make([]int64, len(nodes)+1)
 	for i, id := range nodes {
-		offsets[i+1] = offsets[i] + int64(g.OutDeg(id))
+		off[i+1] = off[i] + int64(g.OutDeg(id))
 	}
-	total := offsets[n]
-	srcCol := make([]int64, total)
-	dstCol := make([]int64, total)
-	par.For(n, func(lo, hi int) {
+	srcCol := make([]int64, off[len(nodes)])
+	dstCol := make([]int64, off[len(nodes)])
+	par.For(len(nodes), func(lo, hi int) {
 		for i := lo; i < hi; i++ {
-			at := offsets[i]
-			id := nodes[i]
+			at, id := off[i], nodes[i]
 			for _, dst := range g.OutNeighbors(id) {
-				srcCol[at] = id
-				dstCol[at] = dst
+				srcCol[at], dstCol[at] = id, dst
 				at++
 			}
 		}

@@ -2,6 +2,8 @@ package conv
 
 import (
 	"fmt"
+	"math/rand"
+	"runtime"
 	"slices"
 	"sync"
 	"testing"
@@ -111,7 +113,7 @@ func TestToDirectedEmptyTable(t *testing.T) {
 	if u.NumNodes() != 0 {
 		t.Fatal("empty undirected conversion produced nodes")
 	}
-	back, err := ToEdgeTable(g, "a", "b")
+	back, err := ToEdgeTable(graph.BuildView(g), "a", "b")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +161,7 @@ func TestToUndirectedMergesDirections(t *testing.T) {
 	if g.NumEdges() != 3 { // {1,2}, {2,3}, {4,4}
 		t.Fatalf("undirected edges = %d, want 3", g.NumEdges())
 	}
-	if err := g.Validate(); err != nil {
+	if err := validUndirected(g); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -192,7 +194,7 @@ func TestToEdgeTableRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := ToEdgeTable(g, "src", "dst")
+	back, err := ToEdgeTable(graph.BuildView(g), "src", "dst")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,7 +271,7 @@ func TestConversionFixedPointProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		t2, err := ToEdgeTable(g1, "s", "d")
+		t2, err := ToEdgeTable(graph.BuildView(g1), "s", "d")
 		if err != nil {
 			return false
 		}
@@ -373,4 +375,58 @@ func validDirected(g *graph.Directed) error {
 		return fmt.Errorf("graph of %d nodes, %d edges differs from the graph its edges build", g.NumNodes(), g.NumEdges())
 	}
 	return nil
+}
+
+// validUndirected is validDirected for an undirected graph: its vectors
+// must equal the projection of the graph its own edge list builds, which
+// holds only when every vector is sorted and duplicate-free, every edge
+// sits in both endpoints' vectors and the edge count is right.
+func validUndirected(g *graph.Undirected) error {
+	var srcs, dsts []int64
+	g.ForEdges(func(a, b int64) {
+		srcs, dsts = append(srcs, a), append(dsts, b)
+	})
+	dv, err := graph.BuildViewCols(srcs, dsts, g.Nodes())
+	if err != nil {
+		return err
+	}
+	ids, off, arena := graph.BuildUView(g).UViewParts()
+	wids, woff, warena := graph.ProjectUView(dv).UViewParts()
+	if !slices.Equal(ids, wids) || !slices.Equal(off, woff) || !slices.Equal(arena, warena) || g.NumEdges() != int64(len(srcs)) {
+		return fmt.Errorf("graph of %d nodes, %d edges differs from the graph its edges build", g.NumNodes(), g.NumEdges())
+	}
+	return nil
+}
+
+// TestHashToEdgeTableMatchesView: the facade's hash-graph export writes
+// the same columns, row for row, as the view walk totable runs, on graphs
+// with self-loops and isolated nodes, at several worker counts.
+func TestHashToEdgeTableMatchesView(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for _, procs := range []int{1, 3} {
+		old := runtime.GOMAXPROCS(procs)
+		for trial := 0; trial < 20; trial++ {
+			g := graph.NewDirected()
+			for i := 0; i < rng.Intn(400); i++ {
+				g.AddEdge(rng.Int63n(90)-10, rng.Int63n(90)-10)
+			}
+			g.AddNode(1000)
+			want, err := ToEdgeTable(graph.BuildView(g), "s", "d")
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := HashToEdgeTable(g, "s", "d")
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, col := range []string{"s", "d"} {
+				w, _ := want.IntCol(col)
+				h, _ := got.IntCol(col)
+				if !slices.Equal(w, h) {
+					t.Fatalf("procs %d trial %d: column %s differs", procs, trial, col)
+				}
+			}
+		}
+		runtime.GOMAXPROCS(old)
+	}
 }

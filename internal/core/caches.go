@@ -27,36 +27,20 @@ const DefaultViewCacheEntries = 8
 // is looser than the view cache's.
 const DefaultIndexCacheEntries = 32
 
-// viewKey identifies one cached CSR snapshot: a binding state plus the
-// orientation. A directed graph has both a directed view (pagerank, scc,
-// bfs, ...) and an undirected one (triangles, bridges, ...); they cache
-// independently.
+// viewKey identifies one cached undirected view: a binding state. A
+// graph binding holds its own CSR view (directed or undirected) and needs
+// no cache; the cache holds the undirected projections of directed
+// bindings (triangles, bridges, k-core, ...). That is the heart of Ringo's
+// interactivity model (§2.2 of Perez et al.): the optimized flat-array
+// representation a query runs over is built once per graph state, on the
+// first query that needs it, and every later query over the unchanged
+// graph runs straight over it.
 type viewKey struct {
-	name  string
-	ver   uint64
-	undir bool
+	name string
+	ver  uint64
 }
 
-// cachedView is the view cache's value: dir or un is set, by key.undir.
-// The cache is the heart of Ringo's interactivity model (§2.2 of Perez et
-// al.): the optimized flat-array representation of a graph is built once,
-// on the first query, and every later query over the unchanged graph runs
-// straight over it.
-type cachedView struct {
-	dir *graph.View
-	un  *graph.UView
-}
-
-// size returns the view's node and edge counts, which the patch planner
-// measures a delta batch against.
-func (cv cachedView) size() (nodes int, edges int64) {
-	if cv.un != nil {
-		return cv.un.NumNodes(), cv.un.NumEdges()
-	}
-	return cv.dir.NumNodes(), cv.dir.NumEdges()
-}
-
-type viewCache = lru.Cache[viewKey, cachedView]
+type viewCache = lru.Cache[viewKey, *graph.UView]
 
 // indexKey identifies one cached equality index: a table binding state
 // plus the indexed column.
@@ -66,8 +50,8 @@ type indexKey struct {
 	col  string
 }
 
-// cachedIndex is the index cache's value — the relational sibling of
-// cachedView: a low-cardinality column's bitmap index is built on the
+// cachedIndex is the index cache's value — the relational sibling of a
+// cached view: a low-cardinality column's bitmap index is built on the
 // second equality filter (the first leaves an lru.Cache.Admit marker) and
 // serves every later filter over the unchanged table. Build failures
 // (missing column, high cardinality) are cached too: they are
@@ -90,16 +74,14 @@ func (w *Workspace) invalidateLocked(name string) {
 	delete(w.deltas, name)
 }
 
-// supersedeViews drops key's binding's views of key's orientation at
-// versions below key's, once a fill at key's version has landed. A
-// delta-logged mutation keeps the pre-mutation view resident as the patch
-// base; the fill is that base's successor — a fresher base for every later
-// version — and versions only grow, so nothing below it can be asked for
-// or patched from again.
+// supersedeViews drops key's binding's views at versions below key's,
+// once a fill at key's version has landed. A delta-logged mutation keeps
+// the pre-mutation view resident as the patch base; the fill is that
+// base's successor — a fresher base for every later version — and
+// versions only grow, so nothing below it can be asked for or patched from
+// again.
 func supersedeViews(views *viewCache, key viewKey) {
-	views.DeleteFunc(func(k viewKey) bool {
-		return k.name == key.name && k.undir == key.undir && k.ver < key.ver
-	})
+	views.DeleteFunc(func(k viewKey) bool { return k.name == key.name && k.ver < key.ver })
 }
 
 // stale reports whether the binding state (name, ver) was mutated away

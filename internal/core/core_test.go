@@ -20,7 +20,7 @@ func TestToGraphAndBack(t *testing.T) {
 	if g.NumNodes() == 0 || g.NumEdges() == 0 {
 		t.Fatal("empty graph from RMAT table")
 	}
-	back, err := conv.ToEdgeTable(g, "a", "b")
+	back, err := conv.ToEdgeTable(graph.BuildView(g), "a", "b")
 	if err != nil {
 		t.Fatal(err)
 	}

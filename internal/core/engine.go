@@ -66,23 +66,24 @@ func TableFromIntMap(m map[int64]int, keyCol, valCol string) (*table.Table, erro
 	return table.FromIntColumns([]string{keyCol, valCol}, [][]int64{keys, vals})
 }
 
-// Object is a value held in a Workspace: a table, a graph (in-heap,
-// frozen as its CSR view, or mapped from an RNGM image), or a score
-// vector.
+// Object is a value held in a Workspace: a table, a graph (as its CSR
+// view, or mapped from an RNGM image), or a score vector.
 type Object struct {
-	Table  *table.Table
-	Graph  *graph.Directed
-	UGraph *graph.Undirected
+	Table *table.Table
+	// Graph is an input form only: the first query of a binding set from
+	// it builds its CSR view (graph.BuildView) and rebinds that, so no
+	// binding a reader sees holds a hash graph.
+	Graph *graph.Directed
+	// View and UView are a directed and an undirected graph in their CSR
+	// form, as tograph, loadgraph and Restore bind them. Every query runs
+	// over the binding's view; mutations log deltas the next query folds
+	// into it (see incremental.go).
+	View   *graph.View
+	UView  *graph.UView
 	Scores algo.Scores
-	// View is a directed graph frozen in its CSR form, as tograph,
-	// loadgraph and Restore bind it: DirectedView serves it in place, with
-	// no fill and no cache traffic, and the first mutation thaws it into a
-	// Graph (see mutateGraph). It is the same graph a Graph binding holds,
-	// so every verb answers it alike.
-	View *graph.View
 	// Mapped is a read-only graph served in place from an RNGM file (the
-	// beyond-RAM tier): its views come straight from the mapping, never
-	// from the view cache, and mutating verbs reject it.
+	// beyond-RAM tier): its views come straight from the mapping, and
+	// mutating verbs reject it.
 	Mapped *extmem.Graph
 }
 
@@ -93,7 +94,7 @@ func (o Object) Kind() string {
 		return "table"
 	case o.Graph != nil, o.View != nil:
 		return "graph"
-	case o.UGraph != nil:
+	case o.UView != nil:
 		return "ugraph"
 	case o.Scores != nil:
 		return "scores"
@@ -109,12 +110,10 @@ func (o Object) Summary() string {
 	switch {
 	case o.Table != nil:
 		return fmt.Sprintf("table  %d rows × %d cols  (%s)", o.Table.NumRows(), o.Table.NumCols(), schemaString(o.Table))
-	case o.Graph != nil:
-		return fmt.Sprintf("graph  %d nodes, %d edges (directed)", o.Graph.NumNodes(), o.Graph.NumEdges())
 	case o.View != nil:
 		return fmt.Sprintf("graph  %d nodes, %d edges (directed)", o.View.NumNodes(), o.View.NumEdges())
-	case o.UGraph != nil:
-		return fmt.Sprintf("graph  %d nodes, %d edges (undirected)", o.UGraph.NumNodes(), o.UGraph.NumEdges())
+	case o.UView != nil:
+		return fmt.Sprintf("graph  %d nodes, %d edges (undirected)", o.UView.NumNodes(), o.UView.NumEdges())
 	case o.Scores != nil:
 		return fmt.Sprintf("scores %d nodes", len(o.Scores))
 	case o.Mapped != nil:
@@ -151,21 +150,23 @@ func schemaString(t *table.Table) string {
 // surfaced as Fingerprint — identify an object's exact state and make safe
 // cache keys: any mutation invalidates all fingerprints taken before it.
 //
-// Graph bindings are queried through DirectedView/UndirectedView, which
-// serve the flat CSR snapshot algorithms run over from a fingerprint-keyed
-// view cache: the first query on a graph pays the O(V+E) conversion, every
-// later query on the unchanged graph goes straight to flat-array compute.
-// Rebinding operations (Set, Delete, Rename, Touch, Restore) purge the
-// affected views — the new object shares nothing with the cached state.
+// A graph binding is its CSR view (graph.View or graph.UView), served in
+// place by DirectedView/UndirectedView: the paper's build-once-query-many
+// model, with the conversion paid when the graph is bound (for a hash
+// graph handed to Set, by its first query). The undirected
+// projection of a directed graph is built on its first query and kept in
+// a fingerprint-keyed view cache. Rebinding operations (Set, Delete,
+// Rename, Touch, Restore) purge the affected views — the new object shares
+// nothing with the cached state.
 //
 // Fine-grained graph mutations (AddGraphEdge, DelGraphEdge, AddGraphNode)
-// are different: they bump the version but keep the binding's cached views
-// resident and append to its delta log, so the next query patches the
-// pending deltas onto a cached base view (graph.PatchView) instead of
-// rebuilding — as long as the batch stays under the DefaultPatchRatio
-// threshold. That query's view then supersedes its base: the fill drops
-// the binding's lower-version views of its orientation. See incremental.go
-// for the delta-log machinery.
+// are different: they bump the version and append to the binding's delta
+// log, checked against the view plus an overlay of the deltas it does not
+// reflect yet. The next query folds those deltas into the view
+// (graph.PatchView) and rebinds the result at the same version; a cached
+// undirected projection is patched forward from its base the same way, as
+// long as the batch stays under the DefaultPatchRatio threshold, and then
+// supersedes that base. See incremental.go for the delta-log machinery.
 //
 // A Workspace is safe for concurrent use by multiple goroutines.
 type Workspace struct {
@@ -177,12 +178,14 @@ type Workspace struct {
 	order   []string
 	views   *viewCache // nil when disabled, like indexes
 	indexes *indexCache
-	// deltas holds each graph binding's pending mutation log; patchRatio
-	// is the patch-vs-rebuild threshold (DefaultPatchRatio; tests set
-	// their own, and <= 0 rebuilds on every miss); patches/rebuilds count
-	// how view materializations were served (they are touched inside
-	// cache build closures, outside mu — hence atomics).
+	// deltas holds each graph binding's mutation log; foldMu makes
+	// folding it into the binding's view single-flight; patchRatio is the
+	// patch-vs-project threshold for undirected projections
+	// (DefaultPatchRatio; tests set their own, and <= 0 projects on every
+	// miss); patches/rebuilds count how views were served (they are
+	// touched outside mu — hence atomics).
 	deltas     map[string]*deltaLog
+	foldMu     sync.Mutex
 	patchRatio float64
 	patches    atomic.Uint64
 	rebuilds   atomic.Uint64
@@ -197,20 +200,21 @@ func NewWorkspace() *Workspace {
 		objs:       make(map[string]Object),
 		prov:       make(map[string]string),
 		ver:        make(map[string]uint64),
-		views:      lru.New[viewKey, cachedView](DefaultViewCacheEntries),
+		views:      lru.New[viewKey, *graph.UView](DefaultViewCacheEntries),
 		indexes:    lru.New[indexKey, cachedIndex](DefaultIndexCacheEntries),
 		deltas:     make(map[string]*deltaLog),
 		patchRatio: DefaultPatchRatio,
 	}
 }
 
-// ConfigureViewCache resizes the workspace's CSR view cache; maxEntries < 1
-// disables caching (every query rebuilds its view). The previous cache's
-// contents are discarded.
+// ConfigureViewCache resizes the workspace's undirected view cache;
+// maxEntries < 1 disables caching (every undirected query of a directed
+// graph projects its view afresh). The previous cache's contents are
+// discarded.
 func (w *Workspace) ConfigureViewCache(maxEntries int) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	w.views = lru.New[viewKey, cachedView](maxEntries)
+	w.views = lru.New[viewKey, *graph.UView](maxEntries)
 }
 
 // ViewCacheStats reports the view cache's cumulative hits and misses, the
@@ -275,133 +279,73 @@ func (w *Workspace) TableEqIndex(name, col string) (*table.EqIndex, error) {
 	return ci.idx, ci.err
 }
 
-// DirectedView returns the CSR view of the directed graph bound to name,
-// served from the view cache when possible: on a hit no O(V+E) conversion
-// runs, the paper's build-once-query-many model. A frozen binding
-// (Object.View) and a mapped one are their views, served in place.
+// DirectedView returns the CSR view of the directed graph bound to name:
+// the binding's own view, served in place (a mapped graph's straight from
+// the mapping), with any pending deltas folded in first (see current).
 func (w *Workspace) DirectedView(name string) (*graph.View, error) {
-	w.mu.RLock()
-	o, ok := w.objs[name]
-	ver := w.ver[name]
-	views := w.views
-	plan := w.patchPlanLocked(name)
-	w.mu.RUnlock()
-	if !ok {
+	o, _, ok := w.current(name)
+	switch {
+	case !ok:
 		return nil, fmt.Errorf("no object named %q", name)
-	}
-	if o.View != nil {
+	case o.View != nil:
 		return o.View, nil
-	}
-	if o.Mapped != nil {
-		// A mapped graph IS its view: no conversion to cache, no heap
-		// bytes for the cache to account. Serve it straight from the
-		// mapping.
-		if mv := o.Mapped.View(); mv != nil {
-			return mv, nil
-		}
+	case o.Mapped != nil && o.Mapped.View() != nil:
+		return o.Mapped.View(), nil
+	case o.Mapped != nil:
 		return nil, fmt.Errorf("%q is an undirected mapped graph, not a directed one", name)
 	}
-	if o.Graph == nil {
-		return nil, fmt.Errorf("%q is a %s, not a directed graph", name, o.Kind())
-	}
-	key := viewKey{name: name, ver: ver}
-	if cv, hit := views.Get(key); hit {
-		return cv.dir, nil
-	}
-	cv := views.Build(key, func() (cachedView, int64) {
-		var v *graph.View
-		if base, pending, ok := plan.base(views, key); ok {
-			w.patches.Add(1)
-			v = graph.PatchView(base.dir, o.Graph.HasNode, o.Graph.HasEdge, pending)
-		} else {
-			w.rebuilds.Add(1)
-			v = graph.BuildView(o.Graph)
-		}
-		return cachedView{dir: v}, v.Bytes()
-	})
-	supersedeViews(views, key)
-	if w.stale(name, ver) {
-		views.DeleteFunc(func(k viewKey) bool { return k.name == name && k.ver == ver })
-	}
-	return cv.dir, nil
+	return nil, fmt.Errorf("%q is a %s, not a directed graph", name, o.Kind())
 }
 
 // UndirectedView returns the undirected CSR view of the graph bound to
-// name — for a directed graph, graph.ProjectUView of its directed view
-// (edge directions dropped, duplicates merged), which is what triangle
-// counting, bridges, k-core and the other orientation-blind algorithms
-// consume. Cached like DirectedView; building it adds no directed view to
-// the cache.
+// name — an undirected binding's own view, or for a directed graph
+// graph.ProjectUView of its directed view (edge directions dropped,
+// duplicates merged), which is what triangle counting, bridges, k-core and
+// the other orientation-blind algorithms consume. A projection is cached:
+// on a miss it is patched from a resident base at an older version when
+// the logged deltas allow (membership read from the directed view), and
+// projected afresh otherwise.
 func (w *Workspace) UndirectedView(name string) (*graph.UView, error) {
-	w.mu.RLock()
-	o, ok := w.objs[name]
-	ver := w.ver[name]
-	views := w.views
-	plan := w.patchPlanLocked(name)
-	w.mu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("no object named %q", name)
-	}
+	o, ver, ok := w.current(name)
+	dv := o.View
 	switch {
+	case !ok:
+		return nil, fmt.Errorf("no object named %q", name)
+	case o.UView != nil:
+		return o.UView, nil
 	case o.Mapped != nil && o.Mapped.UView() != nil:
-		// An undirected mapped image is served in place, like DirectedView.
 		return o.Mapped.UView(), nil
-	case o.UGraph == nil && o.Graph == nil && o.View == nil && o.Mapped == nil:
+	case o.Mapped != nil:
+		dv = o.Mapped.View()
+	case dv == nil:
 		return nil, fmt.Errorf("%q is a %s, not a graph", name, o.Kind())
 	}
-	key := viewKey{name: name, ver: ver, undir: true}
-	if cv, hit := views.Get(key); hit {
-		return cv.un, nil
+	w.mu.RLock()
+	views, plan := w.views, w.patchPlanLocked(name, ver)
+	w.mu.RUnlock()
+	key := viewKey{name: name, ver: ver}
+	if uv, hit := views.Get(key); hit {
+		return uv, nil
 	}
-	cv := views.Build(key, func() (cachedView, int64) {
-		v := w.buildUView(o, plan, views, key)
-		return cachedView{un: v}, v.Bytes()
+	uv := views.Build(key, func() (*graph.UView, int64) {
+		var uv *graph.UView
+		if base, pending, ok := plan.base(views, key); ok {
+			w.patches.Add(1)
+			// An undirected edge of the projection exists when either
+			// orientation does.
+			sym := func(a, b int64) bool { return dv.HasEdge(a, b) || dv.HasEdge(b, a) }
+			uv = graph.PatchUView(base, dv.HasNode, sym, pending)
+		} else {
+			w.rebuilds.Add(1)
+			uv = graph.ProjectUView(dv)
+		}
+		return uv, uv.Bytes()
 	})
 	supersedeViews(views, key)
 	if w.stale(name, ver) {
 		views.DeleteFunc(func(k viewKey) bool { return k.name == name && k.ver == ver })
 	}
-	return cv.un, nil
-}
-
-// buildUView materializes the undirected view of o for a cache miss:
-// patched from a resident base when the plan allows, built otherwise. A
-// directed binding's build is the projection of its directed view.
-func (w *Workspace) buildUView(o Object, plan patchPlan, views *viewCache, key viewKey) *graph.UView {
-	base, pending, patch := plan.base(views, key)
-	if patch {
-		w.patches.Add(1)
-	} else {
-		w.rebuilds.Add(1)
-	}
-	switch g, u := o.Graph, o.UGraph; {
-	case patch && u != nil:
-		return graph.PatchUView(base.un, u.HasNode, u.HasEdge, pending)
-	case patch:
-		// An undirected edge of the projection exists when either
-		// orientation does.
-		sym := func(a, b int64) bool { return g.HasEdge(a, b) || g.HasEdge(b, a) }
-		return graph.PatchUView(base.un, g.HasNode, sym, pending)
-	case u != nil:
-		return graph.BuildUView(u)
-	default:
-		// Project a directed view: the frozen or mapped one, else the
-		// one resident at this version (Peek: a projection is not a
-		// query), else a transient build that the cache never holds.
-		dv := o.View
-		key.undir = false
-		if o.Mapped != nil {
-			dv = o.Mapped.View()
-		}
-		if dv == nil {
-			if cv, ok := views.Peek(key); ok {
-				dv = cv.dir
-			} else {
-				dv = graph.BuildView(g)
-			}
-		}
-		return graph.ProjectUView(dv)
-	}
+	return uv, nil
 }
 
 // Set binds name to an object, replacing any previous binding.
@@ -410,7 +354,8 @@ func (w *Workspace) Set(name string, o Object) {
 }
 
 // SetWithProvenance binds name to an object and records the operation that
-// produced it.
+// produced it. A hash graph (Object.Graph) waits for its first query,
+// which builds its CSR view (see current).
 func (w *Workspace) SetWithProvenance(name string, o Object, prov string) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -448,7 +393,7 @@ func (w *Workspace) Delete(name string) bool {
 // binding gets a fresh version (its identity changed), and any existing
 // binding at newName is replaced.
 func (w *Workspace) Rename(oldName, newName string) error {
-	w.mu.Lock()
+	w.lockSettled(oldName, folded)
 	defer w.mu.Unlock()
 	o, ok := w.objs[oldName]
 	if !ok {
@@ -486,7 +431,7 @@ func (w *Workspace) Rename(oldName, newName string) error {
 // (e.g. an in-place sort), invalidating fingerprints taken before the
 // mutation. It is a no-op for unknown names.
 func (w *Workspace) Touch(name string) {
-	w.mu.Lock()
+	w.lockSettled(name, folded)
 	defer w.mu.Unlock()
 	if _, ok := w.objs[name]; ok {
 		w.clock++
@@ -521,12 +466,23 @@ func (w *Workspace) Provenance(name string) string {
 	return w.prov[name]
 }
 
-// Get returns the object bound to name.
+// Get returns the object bound to name, a graph binding's view built or
+// its pending deltas folded first (see current).
 func (w *Workspace) Get(name string) (Object, bool) {
+	o, _, ok := w.current(name)
+	return o, ok
+}
+
+// Kind reports what the binding holds (Object.Kind), "" when name is
+// unbound. Unlike Get it folds nothing, so a mutation verb can name the
+// kind it mutated without paying for a fold.
+func (w *Workspace) Kind(name string) string {
 	w.mu.RLock()
 	defer w.mu.RUnlock()
-	o, ok := w.objs[name]
-	return o, ok
+	if o, ok := w.objs[name]; ok {
+		return o.Kind()
+	}
+	return ""
 }
 
 // Table returns the table bound to name or an error.
@@ -543,22 +499,18 @@ func (w *Workspace) Table(name string) (*table.Table, error) {
 	return o.Table, nil
 }
 
-// Graph returns the directed graph bound to name or an error. A frozen
-// binding answers with a transient thaw of its view (graph.FromView): the
-// same graph, which the binding does not keep.
+// Graph returns the directed graph bound to name or an error: a transient
+// thaw (graph.FromView) of its view, which the binding does not keep. A
+// mapped graph has no heap graph to hand out.
 func (w *Workspace) Graph(name string) (*graph.Directed, error) {
-	w.mu.RLock()
-	o, ok := w.objs[name]
-	w.mu.RUnlock()
+	o, _, ok := w.current(name)
 	switch {
 	case !ok:
 		return nil, fmt.Errorf("no object named %q", name)
-	case o.View != nil:
-		return graph.FromView(o.View), nil
-	case o.Graph == nil:
+	case o.View == nil:
 		return nil, fmt.Errorf("%q is a %s, not a directed graph", name, o.Kind())
 	}
-	return o.Graph, nil
+	return graph.FromView(o.View), nil
 }
 
 // Scores returns the score vector bound to name or an error. The vector is

@@ -226,7 +226,7 @@ func Table5(specs []Spec) (Report, error) {
 			fmt.Sprintf("%d", t.NumRows()), dt.Round(time.Millisecond).String(), Rate(int64(t.NumRows()), dt)})
 
 		var back *table.Table
-		dt = Timed(func() { back, err = conv.ToEdgeTable(g, "src", "dst") })
+		dt = Timed(func() { back, err = conv.HashToEdgeTable(g, "src", "dst") })
 		if err != nil {
 			return Report{}, err
 		}

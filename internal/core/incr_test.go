@@ -77,9 +77,10 @@ func sameUViewT(t *testing.T, ctx string, got, want *graph.UView) {
 
 // TestIncrementalOracle is the archetype headline: randomized
 // interleavings of mutations and queries against a workspace binding,
-// asserting after every step that the patched views are structurally
-// identical to from-scratch builds and that the incremental algorithms
-// agree with their cold oracles. Run with -race in CI.
+// asserting after every step that the folded and patched views are
+// structurally identical to from-scratch builds of a hash graph that took
+// the same mutations, and that the incremental algorithms agree with
+// their cold oracles. Run with -race in CI.
 func TestIncrementalOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	for name, g := range incrShapes(rng) {
@@ -104,17 +105,23 @@ func TestIncrementalOracle(t *testing.T) {
 						id := rng.Int63n(80)
 						if ok, err := ws.AddGraphNode("g", id); err != nil {
 							t.Fatal(err)
+						} else if ok != g.AddNode(id) {
+							t.Fatalf("%s: addnode %d changed=%v", ctx, id, ok)
 						} else if ok {
 							deltas = append(deltas, graph.Delta{Op: graph.DeltaAddNode, Src: id})
 						}
 					case 1, 2:
 						s, d := rng.Int63n(60), rng.Int63n(60)
-						if ok, _ := ws.DelGraphEdge("g", s, d); ok {
+						if ok, _ := ws.DelGraphEdge("g", s, d); ok != delEdge(g, s, d) {
+							t.Fatalf("%s: deledge %d->%d changed=%v", ctx, s, d, ok)
+						} else if ok {
 							deltas = append(deltas, graph.Delta{Op: graph.DeltaDelEdge, Src: s, Dst: d})
 						}
 					default:
 						s, d := rng.Int63n(80), rng.Int63n(80)
-						if ok, _ := ws.AddGraphEdge("g", s, d); ok {
+						if ok, _ := ws.AddGraphEdge("g", s, d); ok != g.AddEdge(s, d) {
+							t.Fatalf("%s: addedge %d->%d changed=%v", ctx, s, d, ok)
+						} else if ok {
 							deltas = append(deltas, graph.Delta{Op: graph.DeltaAddEdge, Src: s, Dst: d})
 						}
 					}
@@ -176,23 +183,31 @@ func TestIncrementalOracleUndirected(t *testing.T) {
 		g.AddEdge(rng.Int63n(30), rng.Int63n(30))
 	}
 	ws := NewWorkspace()
-	ws.Set("u", Object{UGraph: g})
+	ws.Set("u", Object{UView: graph.BuildUView(g)})
 	uv, err := ws.UndirectedView("u")
 	if err != nil {
 		t.Fatal(err)
 	}
 	tri := algo.TrianglesView(uv)
+	var folds uint64
 	for step := 0; step < 12; step++ {
 		var deltas []graph.Delta
 		for i := 0; i < 1+rng.Intn(5); i++ {
 			s, d := rng.Int63n(40), rng.Int63n(40)
 			if rng.Intn(3) == 0 {
-				if ok, _ := ws.DelGraphEdge("u", s, d); ok {
+				if ok, _ := ws.DelGraphEdge("u", s, d); ok != delUEdge(g, s, d) {
+					t.Fatalf("step %d: deledge {%d,%d} changed=%v", step, s, d, ok)
+				} else if ok {
 					deltas = append(deltas, graph.Delta{Op: graph.DeltaDelEdge, Src: s, Dst: d})
 				}
-			} else if ok, _ := ws.AddGraphEdge("u", s, d); ok {
+			} else if ok, _ := ws.AddGraphEdge("u", s, d); ok != g.AddEdge(s, d) {
+				t.Fatalf("step %d: addedge {%d,%d} changed=%v", step, s, d, ok)
+			} else if ok {
 				deltas = append(deltas, graph.Delta{Op: graph.DeltaAddEdge, Src: s, Dst: d})
 			}
+		}
+		if len(deltas) > 0 {
+			folds++
 		}
 		newUV, err := ws.UndirectedView("u")
 		if err != nil {
@@ -205,14 +220,15 @@ func TestIncrementalOracleUndirected(t *testing.T) {
 		}
 		uv, tri = newUV, incrTri
 	}
-	if patches, _ := ws.PatchStats(); patches == 0 {
-		t.Fatal("no undirected query was served by patching")
+	if patches, rebuilds := ws.PatchStats(); patches != folds || rebuilds != 0 {
+		t.Fatalf("patches/rebuilds %d/%d, want %d folds (one per step that changed the graph) and no rebuild", patches, rebuilds, folds)
 	}
 }
 
-// TestPatchThresholdBoundary pins the rebuild cutoff exactly: with a base
-// of V+E = 100 and ratio 0.1, a 10-delta batch patches and an 11-delta
-// batch rebuilds.
+// TestPatchThresholdBoundary pins the patch-vs-project cutoff for a
+// directed binding's undirected view exactly: with a base of V+E = 100 and
+// ratio 0.1, a 10-delta batch patches the cached projection and an
+// 11-delta batch projects afresh. The binding's own view folds either way.
 func TestPatchThresholdBoundary(t *testing.T) {
 	g := graph.NewDirected()
 	for i := int64(0); i < 40; i++ {
@@ -223,59 +239,61 @@ func TestPatchThresholdBoundary(t *testing.T) {
 	}
 	ws := NewWorkspace()
 	ws.patchRatio = 0.1
-	ws.Set("g", Object{Graph: g})
-	if _, err := ws.DirectedView("g"); err != nil {
+	ws.Set("g", Object{View: graph.BuildView(g)})
+	if _, err := ws.UndirectedView("g"); err != nil {
 		t.Fatal(err)
 	}
 	if p, r := ws.PatchStats(); p != 0 || r != 1 {
 		t.Fatalf("after warm build: patches=%d rebuilds=%d, want 0/1", p, r)
 	}
+	mutate := func(ok bool, err error) {
+		t.Helper()
+		if err != nil || !ok {
+			t.Fatalf("mutation: ok=%v err=%v", ok, err)
+		}
+	}
 
 	// Exactly at the cutoff: 5 deletes + 5 adds keeps V+E at 100.
 	for i := int64(0); i < 5; i++ {
-		if ok, _ := ws.DelGraphEdge("g", 2*i, 2*i+1); !ok {
-			t.Fatalf("expected ring edge %d->%d", 2*i, 2*i+1)
-		}
-		if ok, _ := ws.AddGraphEdge("g", 40+2*i, 41+2*i); !ok {
-			t.Fatalf("expected fresh edge %d->%d", 40+2*i, 41+2*i)
-		}
+		delEdge(g, 2*i, 2*i+1)
+		mutate(ws.DelGraphEdge("g", 2*i, 2*i+1))
+		g.AddEdge(40+2*i, 41+2*i)
+		mutate(ws.AddGraphEdge("g", 40+2*i, 41+2*i))
 	}
-	v, err := ws.DirectedView("g")
+	v, err := ws.UndirectedView("g")
 	if err != nil {
 		t.Fatal(err)
 	}
-	sameViewT(t, "at cutoff", v, graph.BuildView(g))
-	if p, r := ws.PatchStats(); p != 1 || r != 1 {
-		t.Fatalf("batch at cutoff: patches=%d rebuilds=%d, want 1/1", p, r)
+	sameUViewT(t, "at cutoff", v, graph.BuildUView(undirectedPerEdge(g)))
+	if p, r := ws.PatchStats(); p != 2 || r != 1 {
+		t.Fatalf("batch at cutoff: patches=%d rebuilds=%d, want 2/1 (a fold and a patch)", p, r)
 	}
 
 	// One past the cutoff: 11 effective deltas against the freshly cached
-	// base (still V+E = 100) must rebuild.
+	// base (still V+E = 100) must project afresh.
 	for i := int64(5); i < 10; i++ {
-		if ok, _ := ws.DelGraphEdge("g", 2*i, 2*i+1); !ok {
-			t.Fatalf("expected ring edge %d->%d", 2*i, 2*i+1)
-		}
-		if ok, _ := ws.AddGraphEdge("g", 40+2*i, 41+2*i); !ok {
-			t.Fatalf("expected fresh edge %d->%d", 40+2*i, 41+2*i)
-		}
+		delEdge(g, 2*i, 2*i+1)
+		mutate(ws.DelGraphEdge("g", 2*i, 2*i+1))
+		g.AddEdge(40+2*i, 41+2*i)
+		mutate(ws.AddGraphEdge("g", 40+2*i, 41+2*i))
 	}
-	if ok, _ := ws.AddGraphEdge("g", 40, 42); !ok {
-		t.Fatal("expected fresh edge 40->42")
-	}
-	v, err = ws.DirectedView("g")
+	g.AddEdge(40, 42)
+	mutate(ws.AddGraphEdge("g", 40, 42))
+	v, err = ws.UndirectedView("g")
 	if err != nil {
 		t.Fatal(err)
 	}
-	sameViewT(t, "past cutoff", v, graph.BuildView(g))
-	if p, r := ws.PatchStats(); p != 1 || r != 2 {
-		t.Fatalf("batch past cutoff: patches=%d rebuilds=%d, want 1/2", p, r)
+	sameUViewT(t, "past cutoff", v, graph.BuildUView(undirectedPerEdge(g)))
+	if p, r := ws.PatchStats(); p != 3 || r != 2 {
+		t.Fatalf("batch past cutoff: patches=%d rebuilds=%d, want 3/2 (a fold and a projection)", p, r)
 	}
 }
 
 // TestMutationKeepsSiblingViews is the purge-granularity regression: a
 // mutation of binding X must not disturb the warm views of binding Y —
 // whether the mutation is a delta-logged edge update or a wholesale Touch
-// — and X's own pre-mutation view must stay resident as the patch base.
+// — and X's own pre-mutation undirected view must stay resident as the
+// patch base.
 func TestMutationKeepsSiblingViews(t *testing.T) {
 	mkRing := func(n int64) *graph.Directed {
 		g := graph.NewDirected()
@@ -285,14 +303,14 @@ func TestMutationKeepsSiblingViews(t *testing.T) {
 		return g
 	}
 	ws := NewWorkspace()
-	ws.Set("x", Object{Graph: mkRing(20)})
-	ws.Set("y", Object{Graph: mkRing(12)})
+	ws.Set("x", Object{View: graph.BuildView(mkRing(20))})
+	ws.Set("y", Object{View: graph.BuildView(mkRing(12))})
 
-	vy, err := ws.DirectedView("y")
+	uy, err := ws.UndirectedView("y")
 	if err != nil {
 		t.Fatal(err)
 	}
-	vx, err := ws.DirectedView("x")
+	ux, err := ws.UndirectedView("x")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -309,35 +327,35 @@ func TestMutationKeepsSiblingViews(t *testing.T) {
 	if _, _, entries, _ := ws.ViewCacheStats(); entries != entries0 {
 		t.Fatalf("mutation of x changed resident view count: %d -> %d", entries0, entries)
 	}
-	vy2, err := ws.DirectedView("y")
+	uy2, err := ws.UndirectedView("y")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if vy2 != vy {
+	if uy2 != uy {
 		t.Fatal("warm view of y did not survive a mutation of x")
 	}
 	hits1, _, _, _ := ws.ViewCacheStats()
 	if hits1 != hits0+1 {
 		t.Fatalf("y's re-query was not a cache hit: hits %d -> %d", hits0, hits1)
 	}
-	vx2, err := ws.DirectedView("x")
+	ux2, err := ws.UndirectedView("x")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if vx2 == vx {
+	if ux2 == ux {
 		t.Fatal("x's view was not refreshed after its mutation")
 	}
-	if p, _ := ws.PatchStats(); p != 1 {
-		t.Fatalf("x's refresh should have patched from the retained base, patches=%d", p)
+	if p, r := ws.PatchStats(); p != 2 || r != 2 {
+		t.Fatalf("x's refresh should fold x and patch its retained base: patches=%d rebuilds=%d, want 2/2", p, r)
 	}
 
 	// Wholesale Touch of x: y still untouched.
 	ws.Touch("x")
-	vy3, err := ws.DirectedView("y")
+	uy3, err := ws.UndirectedView("y")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if vy3 != vy {
+	if uy3 != uy {
 		t.Fatal("warm view of y did not survive a Touch of x")
 	}
 }
@@ -390,7 +408,9 @@ func TestIncrementalConcurrentReaders(t *testing.T) {
 	}
 	for round := 0; round < 6; round++ {
 		for i := 0; i < 4; i++ {
-			ws.AddGraphEdge("g", rng.Int63n(90), rng.Int63n(90))
+			s, d := rng.Int63n(90), rng.Int63n(90)
+			g.AddEdge(s, d)
+			ws.AddGraphEdge("g", s, d)
 		}
 		want := graph.BuildView(g)
 		var wg sync.WaitGroup

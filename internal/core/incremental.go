@@ -7,50 +7,232 @@ import (
 	"ringo/internal/graph"
 )
 
-// DefaultPatchRatio is the patch-vs-rebuild threshold: a pending delta
-// batch is patched onto a cached base view when it holds at most
-// ratio × (V+E) deltas (sized against the base), and triggers the full
-// rebuild otherwise. Patching wins clearly at small deltas
-// (BenchmarkViewPatch in internal/graph times one against a rebuild, and
-// the update-query benchmark workload patches every cycle); past a fifth
-// of the graph the merge bookkeeping stops paying for itself and the
-// incremental algorithms lose their locality advantage anyway.
+// DefaultPatchRatio is the patch-vs-project threshold for the undirected
+// view of a directed binding: a pending delta batch is patched onto a
+// cached undirected base when it holds at most ratio × (V+E) deltas
+// (sized against the base), and the view is projected afresh from the
+// binding's directed view otherwise. Patching wins clearly at small
+// deltas (BenchmarkViewPatch in internal/graph times one against a
+// rebuild); past a fifth of the graph the merge bookkeeping stops paying
+// for itself and the incremental algorithms lose their locality advantage
+// anyway. A binding's own view is always patched (folded), whatever the
+// batch: nothing else holds its graph to build from.
 const DefaultPatchRatio = 0.2
 
-// maxDeltaLog caps a binding's pending delta log. When a mutation would
-// grow the log past the cap, the log resets to the current version:
-// older cached views stop being patchable (the next query rebuilds), in
+// maxDeltaLog caps a binding's delta log. A mutation that finds the log
+// full first folds the pending deltas into the binding's view, then
+// restarts the log at the view's version: undirected views cached at older
+// versions stop being patchable (the next one is projected afresh), in
 // exchange for bounded memory under unbounded mutation streams.
 const maxDeltaLog = 1 << 14
 
 // verDelta is one logged mutation stamped with the binding version it
-// produced, so any cached view — at the log's base version or at any
-// intermediate version — can locate the exact delta suffix separating it
-// from the current state.
+// produced, so any view — the binding's own, or a cached undirected one at
+// the log's base version or any later one — can locate the exact delta
+// suffix separating it from the current state.
 type verDelta struct {
 	ver uint64
 	d   graph.Delta
 }
 
-// deltaLog is the pending mutation history of one graph binding, from the
-// version the oldest patchable view carries (baseVer) to the current one.
-// Mutating verbs append; Set/Delete/Rename/Touch/Restore discard the log
-// along with the binding's cached views.
+// deltaLog is the mutation history of one graph binding: the deltas from
+// baseVer, the version of the oldest patchable undirected view, to the
+// binding's current version. The binding's own view reflects viewVer; the
+// deltas past it are pending, and ov sums them up. Mutating verbs append;
+// Set/Delete/Rename/Touch/Restore discard the log along with the binding's
+// cached views.
 type deltaLog struct {
 	baseVer uint64
+	viewVer uint64
 	deltas  []verDelta
+	ov      overlay
 }
 
-// PatchStats reports how many view materializations were served by
-// patching a cached base versus running a full build.
+// pending returns the deltas the binding's view does not reflect yet,
+// capped so concurrent appends cannot write into them; nil for a nil log.
+func (dl *deltaLog) pending() []verDelta {
+	if dl == nil {
+		return nil
+	}
+	i := len(dl.deltas)
+	for i > 0 && dl.deltas[i-1].ver > dl.viewVer {
+		i--
+	}
+	return dl.deltas[i:len(dl.deltas):len(dl.deltas)]
+}
+
+// csr is a binding's view, directed or undirected, as membership tests.
+type csr interface {
+	HasNode(id int64) bool
+	HasEdge(a, b int64) bool
+}
+
+// overlay is what a run of deltas did, by pair and by node: the state each
+// touched pair is in after them (keyed (min, max) in an undirected graph)
+// and the nodes they touched. Over the view the run starts from it answers
+// membership in the graph the run ends at: a pair or node it holds is
+// decided by it, anything else by the view. Only mutations that change the
+// graph are logged and no delta deletes a node, so the last delta on a
+// pair is that pair's state and a touched node is present.
+type overlay struct {
+	undirected bool
+	edges      map[[2]int64]bool
+	nodes      map[int64]bool
+}
+
+func (ov *overlay) apply(d graph.Delta) {
+	if ov.nodes == nil {
+		ov.edges, ov.nodes = make(map[[2]int64]bool), make(map[int64]bool)
+	}
+	ov.nodes[d.Src] = true
+	if d.Op == graph.DeltaAddNode {
+		return
+	}
+	ov.nodes[d.Dst] = true
+	ov.edges[ov.key(d.Src, d.Dst)] = d.Op == graph.DeltaAddEdge
+}
+
+func (ov *overlay) key(a, b int64) [2]int64 {
+	if ov.undirected && b < a {
+		a, b = b, a
+	}
+	return [2]int64{a, b}
+}
+
+func (ov *overlay) hasNode(v csr, id int64) bool { return ov.nodes[id] || v.HasNode(id) }
+
+func (ov *overlay) hasEdge(v csr, a, b int64) bool {
+	if has, ok := ov.edges[ov.key(a, b)]; ok {
+		return has
+	}
+	return v.HasEdge(a, b)
+}
+
+// changes reports whether applying d would change the graph v plus the
+// overlay describes.
+func (ov *overlay) changes(v csr, d graph.Delta) bool {
+	if d.Op == graph.DeltaAddNode {
+		return !ov.hasNode(v, d.Src)
+	}
+	return ov.hasEdge(v, d.Src, d.Dst) == (d.Op == graph.DeltaDelEdge)
+}
+
+// fold returns the graph binding o with the pending deltas patched into
+// its view (graph.PatchView or PatchUView), membership answered by an
+// overlay of those deltas over the view. The overlay is rebuilt from the
+// deltas rather than shared with the log, so a fold reads nothing a
+// mutation writes.
+func fold(o Object, pending []verDelta) Object {
+	ds := make([]graph.Delta, len(pending))
+	ov := overlay{undirected: o.UView != nil}
+	for i, vd := range pending {
+		ds[i] = vd.d
+		ov.apply(vd.d)
+	}
+	if u := o.UView; u != nil {
+		has := func(a, b int64) bool { return ov.hasEdge(u, a, b) }
+		return Object{UView: graph.PatchUView(u, func(id int64) bool { return ov.hasNode(u, id) }, has, ds)}
+	}
+	v := o.View
+	has := func(a, b int64) bool { return ov.hasEdge(v, a, b) }
+	return Object{View: graph.PatchView(v, func(id int64) bool { return ov.hasNode(v, id) }, has, ds)}
+}
+
+// binding reads name's object, version and pending deltas under the read
+// lock.
+func (w *Workspace) binding(name string) (o Object, ver uint64, pending []verDelta, ok bool) {
+	w.mu.RLock()
+	defer w.mu.RUnlock()
+	o, ok = w.objs[name]
+	return o, w.ver[name], w.deltas[name].pending(), ok
+}
+
+// settled reports whether a binding's object is the view its version
+// names: no hash graph waits for its view to be built and no delta waits
+// to be folded.
+func settled(o Object, dl *deltaLog) bool { return o.Graph == nil && folded(o, dl) }
+
+// folded reports whether no delta waits to be folded into the binding's
+// view, for a change that drops its delta log (Rename, Touch).
+func folded(_ Object, dl *deltaLog) bool { return len(dl.pending()) == 0 }
+
+// current returns the object bound to name and its version, settled: the
+// first caller after Set of a hash graph builds its view (graph.BuildView,
+// one rebuild in PatchStats), and the first after mutations folds the
+// pending deltas into the view (one patch). Either way the result is
+// rebound at the same version, so fingerprints and result-cache keys do
+// not move; the work is single-flight (foldMu), so concurrent callers wait
+// for it and share its view. The O(V+E) build or patch runs outside w.mu.
+func (w *Workspace) current(name string) (Object, uint64, bool) {
+	o, ver, pending, ok := w.binding(name)
+	if o.Graph == nil && len(pending) == 0 {
+		return o, ver, ok
+	}
+	w.foldMu.Lock()
+	defer w.foldMu.Unlock()
+	if o, ver, pending, ok = w.binding(name); o.Graph == nil && len(pending) == 0 {
+		return o, ver, ok
+	}
+	if o.Graph != nil {
+		o = Object{View: graph.BuildView(o.Graph)}
+		w.rebuilds.Add(1)
+	} else {
+		o = fold(o, pending)
+		w.patches.Add(1)
+	}
+	w.mu.Lock()
+	if w.ver[name] == ver {
+		w.objs[name] = o
+		if dl := w.deltas[name]; dl != nil {
+			dl.viewVer, dl.ov = ver, overlay{undirected: dl.ov.undirected}
+		}
+	}
+	w.mu.Unlock()
+	return o, ver, true
+}
+
+// lockSettled takes w.mu for writing once done holds of name's binding,
+// settling it with current until then.
+func (w *Workspace) lockSettled(name string, done func(Object, *deltaLog) bool) {
+	for {
+		w.mu.Lock()
+		if done(w.objs[name], w.deltas[name]) {
+			return
+		}
+		w.mu.Unlock()
+		w.current(name)
+	}
+}
+
+// rlockSettled takes w.mu for reading once every binding is settled.
+func (w *Workspace) rlockSettled() {
+	for {
+		w.mu.RLock()
+		name, ok := "", true
+		for n, o := range w.objs {
+			if !settled(o, w.deltas[n]) {
+				name, ok = n, false
+				break
+			}
+		}
+		if ok {
+			return
+		}
+		w.mu.RUnlock()
+		w.current(name)
+	}
+}
+
+// PatchStats reports how many views were patched — a binding's view by a
+// fold, or an undirected projection from a cached base — versus built
+// afresh: a hash graph's view on its first query, or a projection.
 func (w *Workspace) PatchStats() (patches, rebuilds uint64) {
 	return w.patches.Load(), w.rebuilds.Load()
 }
 
 // DeltaEdges reports the number of deltas retained across every
-// binding's log. A log is kept even after the newest view absorbs it —
-// a cached view of the other orientation at an older version still
-// patches forward across it —
+// binding's log. A log is kept after a fold absorbs it — a cached
+// undirected view at an older version still patches forward across it —
 // and drops only when the binding is invalidated wholesale or the log
 // overflows maxDeltaLog. This is the ringo_delta_edges gauge.
 func (w *Workspace) DeltaEdges() int {
@@ -63,20 +245,14 @@ func (w *Workspace) DeltaEdges() int {
 	return total
 }
 
-// PendingDeltas returns the binding's logged mutations since the oldest
-// patchable view state, oldest first — the batch callers hand to the
-// incremental algorithms (WCCIncr, TrianglesIncr) together with the
-// previous result.
+// PendingDeltas returns the binding's logged mutations its view does not
+// reflect yet, oldest first: the next query folds them.
 func (w *Workspace) PendingDeltas(name string) []graph.Delta {
 	w.mu.RLock()
 	defer w.mu.RUnlock()
-	dl := w.deltas[name]
-	if dl == nil || len(dl.deltas) == 0 {
-		return nil
-	}
-	out := make([]graph.Delta, len(dl.deltas))
-	for i, vd := range dl.deltas {
-		out[i] = vd.d
+	var out []graph.Delta
+	for _, vd := range w.deltas[name].pending() {
+		out = append(out, vd.d)
 	}
 	return out
 }
@@ -102,117 +278,75 @@ func (w *Workspace) DelGraphEdge(name string, src, dst int64) (bool, error) {
 	return w.mutateGraph(name, graph.Delta{Op: graph.DeltaDelEdge, Src: src, Dst: dst})
 }
 
-// mutateGraph applies one delta to a graph binding. Like Touch and the
-// in-place table sort, graph mutations require the host to serialize them
-// against running queries (the server's per-session lock does); the
-// workspace lock only protects its own registry state.
-//
-// It is the only door from a frozen binding (Object.View) to its hash
-// graph: the first mutation that changes the graph thaws the view
-// (graph.FromView, O(V+E), run outside the lock) and rebinds the name as
-// Object{Graph}, and the frozen view enters the view cache at the
-// pre-mutation version, where it is the patch base the next query
-// patches from. A mutation that changes nothing leaves the binding frozen.
+// mutateGraph applies one delta to a graph binding: it checks d against
+// the binding's view plus the overlay of its pending deltas, and when d
+// changes the graph it logs d and bumps the version. The view itself is
+// untouched until the next query folds the pending deltas into it. Like
+// Touch and the in-place table sort, graph mutations require the host to
+// serialize them against running queries (the server's per-session lock
+// does); the workspace lock only protects its own registry state.
 func (w *Workspace) mutateGraph(name string, d graph.Delta) (bool, error) {
 	if d.Src == graph.ReservedNodeID || (d.Op != graph.DeltaAddNode && d.Dst == graph.ReservedNodeID) {
 		return false, fmt.Errorf("node id %d is reserved", graph.ReservedNodeID)
 	}
-	w.mu.Lock()
+	w.lockSettled(name, func(o Object, dl *deltaLog) bool {
+		return o.Graph == nil && (dl == nil || len(dl.deltas) < maxDeltaLog || len(dl.pending()) == 0)
+	})
 	defer w.mu.Unlock()
-	for {
-		o, ok := w.objs[name]
-		if !ok || o.View == nil {
-			break
-		}
-		if !changes(o.View, d) {
-			return false, nil
-		}
-		ver := w.ver[name]
-		w.mu.Unlock()
-		g := graph.FromView(o.View)
-		w.mu.Lock()
-		if w.objs[name].View == o.View && w.ver[name] == ver {
-			w.objs[name] = Object{Graph: g}
-			w.views.Put(viewKey{name: name, ver: ver}, cachedView{dir: o.View}, o.View.Bytes())
-		}
-	}
 	o, ok := w.objs[name]
-	if !ok {
-		return false, fmt.Errorf("no object named %q", name)
-	}
-	var changed bool
+	var v csr
 	switch {
-	case o.Graph != nil:
-		switch d.Op {
-		case graph.DeltaAddNode:
-			changed = o.Graph.AddNode(d.Src)
-		case graph.DeltaAddEdge:
-			changed = o.Graph.AddEdge(d.Src, d.Dst)
-		case graph.DeltaDelEdge:
-			changed = o.Graph.DelEdge(d.Src, d.Dst)
-		}
-	case o.UGraph != nil:
-		switch d.Op {
-		case graph.DeltaAddNode:
-			changed = o.UGraph.AddNode(d.Src)
-		case graph.DeltaAddEdge:
-			changed = o.UGraph.AddEdge(d.Src, d.Dst)
-		case graph.DeltaDelEdge:
-			changed = o.UGraph.DelEdge(d.Src, d.Dst)
-		}
+	case !ok:
+		return false, fmt.Errorf("no object named %q", name)
+	case o.View != nil:
+		v = o.View
+	case o.UView != nil:
+		v = o.UView
 	case o.Mapped != nil:
 		return false, fmt.Errorf("%q is a mapped graph (read-only)", name)
 	default:
 		return false, fmt.Errorf("%q is a %s, not a graph", name, o.Kind())
 	}
-	if !changed {
-		return false, nil
-	}
-	oldVer := w.ver[name]
-	w.clock++
-	w.ver[name] = w.clock
 	dl := w.deltas[name]
 	if dl == nil {
-		dl = &deltaLog{baseVer: oldVer}
-		w.deltas[name] = dl
+		ver := w.ver[name]
+		dl = &deltaLog{baseVer: ver, viewVer: ver, ov: overlay{undirected: o.UView != nil}}
 	}
+	if !dl.ov.changes(v, d) {
+		return false, nil
+	}
+	w.deltas[name] = dl
 	if len(dl.deltas) >= maxDeltaLog {
-		*dl = deltaLog{baseVer: w.clock}
-	} else {
-		dl.deltas = append(dl.deltas, verDelta{ver: w.clock, d: d})
+		dl.baseVer, dl.deltas = dl.viewVer, slices.Clone(dl.pending())
 	}
+	w.clock++
+	w.ver[name] = w.clock
+	dl.deltas = append(dl.deltas, verDelta{ver: w.clock, d: d})
+	dl.ov.apply(d)
 	return true, nil
 }
 
-// changes reports whether applying d would change the graph v snapshots.
-func changes(v *graph.View, d graph.Delta) bool {
-	u, ok := v.Index(d.Src)
-	if d.Op == graph.DeltaAddNode {
-		return !ok
-	}
-	has := false
-	if x, found := v.Index(d.Dst); ok && found {
-		_, has = slices.BinarySearch(v.Out(u), x)
-	}
-	return has == (d.Op == graph.DeltaDelEdge)
-}
-
-// patchPlan is an immutable snapshot of a binding's delta log plus the
-// patch threshold, taken under the workspace lock and consumed inside the
-// view cache's build closure — where no workspace lock is held.
+// patchPlan is an immutable snapshot of a binding's delta log up to one
+// version plus the patch threshold, taken under the workspace lock and
+// consumed inside the view cache's build closure — where no workspace
+// lock is held.
 type patchPlan struct {
 	ratio   float64
 	baseVer uint64
 	deltas  []verDelta
 }
 
-// patchPlanLocked snapshots name's pending deltas; callers hold w.mu.
-// The slice is capped so concurrent appends cannot write into it.
-func (w *Workspace) patchPlanLocked(name string) patchPlan {
+// patchPlanLocked snapshots name's logged deltas up to version ver;
+// callers hold w.mu. The slice is capped so concurrent appends cannot
+// write into it.
+func (w *Workspace) patchPlanLocked(name string, ver uint64) patchPlan {
 	p := patchPlan{ratio: w.patchRatio}
-	if dl := w.deltas[name]; dl != nil && len(dl.deltas) > 0 {
-		p.baseVer = dl.baseVer
-		p.deltas = dl.deltas[:len(dl.deltas):len(dl.deltas)]
+	if dl := w.deltas[name]; dl != nil {
+		i := len(dl.deltas)
+		for i > 0 && dl.deltas[i-1].ver > ver {
+			i--
+		}
+		p.baseVer, p.deltas = dl.baseVer, dl.deltas[:i:i]
 	}
 	return p
 }
@@ -236,31 +370,24 @@ func (p patchPlan) pending(i int) []graph.Delta {
 	return out
 }
 
-// withinCutoff applies the patch-vs-rebuild threshold: the pending batch
-// must be no larger than ratio × (V+E) of the base view. A batch exactly
-// at the cutoff patches; one past it rebuilds.
-func (p patchPlan) withinCutoff(pending int, base cachedView) bool {
-	nodes, edges := base.size()
-	return pending <= int(p.ratio*float64(int64(nodes)+edges))
-}
-
-// base finds the freshest resident view of key's binding and orientation
-// that the pending deltas can patch from, returning it with the delta
-// suffix to apply; ok is false when no base is resident or the batch
-// exceeds the cutoff. Peek, not Get: a patch base is not a query, so it
-// costs the cache no miss.
-func (p patchPlan) base(views *viewCache, key viewKey) (base cachedView, pending []graph.Delta, ok bool) {
+// base finds the freshest resident undirected view of key's binding that
+// the logged deltas can patch from, returning it with the delta suffix to
+// apply; ok is false when no base is resident or the batch holds more
+// than ratio × (V+E) of the base. Peek, not Get: a patch base is not a
+// query, so it costs the cache no miss.
+func (p patchPlan) base(views *viewCache, key viewKey) (base *graph.UView, pending []graph.Delta, ok bool) {
 	if p.ratio <= 0 {
-		return base, nil, false
+		return nil, nil, false
 	}
 	for i := len(p.deltas) - 1; i >= 0; i-- {
 		key.ver = p.candidateVer(i)
 		if base, ok = views.Peek(key); ok {
-			if !p.withinCutoff(len(p.deltas)-i, base) {
-				return base, nil, false
+			n := len(p.deltas) - i
+			if n > int(p.ratio*float64(int64(base.NumNodes())+base.NumEdges())) {
+				return nil, nil, false
 			}
 			return base, p.pending(i), true
 		}
 	}
-	return base, nil, false
+	return nil, nil, false
 }

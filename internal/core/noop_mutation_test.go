@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"slices"
 	"sync"
 	"testing"
@@ -12,8 +11,8 @@ import (
 // TestNoOpMutationLeavesBindingUntouched pins a feature, not an accident: a
 // mutation that changes nothing (edge already present, edge or node
 // already absent / present) is not a new state of the graph, so the
-// binding keeps its version, fingerprint and delta log, and everything
-// cached against that fingerprint keeps hitting.
+// binding keeps its version, fingerprint, delta log and view, and
+// everything cached against that fingerprint keeps hitting.
 func TestNoOpMutationLeavesBindingUntouched(t *testing.T) {
 	g := graph.NewDirected()
 	for i := int64(0); i < 10; i++ {
@@ -25,6 +24,10 @@ func TestNoOpMutationLeavesBindingUntouched(t *testing.T) {
 		t.Fatalf("AddGraphEdge: ok=%v err=%v", ok, err)
 	}
 	v, err := ws.DirectedView("g")
+	if err != nil {
+		t.Fatal(err)
+	}
+	uv, err := ws.UndirectedView("g")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,13 +50,16 @@ func TestNoOpMutationLeavesBindingUntouched(t *testing.T) {
 		if got := ws.PendingDeltas("g"); !slices.Equal(got, pending) {
 			t.Fatalf("%s changed the delta log: %v -> %v", name, pending, got)
 		}
-		v2, err := ws.DirectedView("g")
+		if v2, err := ws.DirectedView("g"); err != nil || v2 != v {
+			t.Fatalf("%s: the next DirectedView is a different view (err %v)", name, err)
+		}
+		uv2, err := ws.UndirectedView("g")
 		if err != nil {
 			t.Fatal(err)
 		}
 		hits++
-		if v2 != v {
-			t.Fatalf("%s: the next DirectedView is a different view", name)
+		if uv2 != uv {
+			t.Fatalf("%s: the next UndirectedView is a different view", name)
 		}
 		if h, m, _, _ := ws.ViewCacheStats(); h != hits || m != misses {
 			t.Fatalf("%s: view cache %d hits %d misses, want %d and %d", name, h, m, hits, misses)
@@ -64,10 +70,12 @@ func TestNoOpMutationLeavesBindingUntouched(t *testing.T) {
 	}
 }
 
-// TestFrozenBindingThawsOnlyOnChange: on a frozen binding (Object.View) a
-// mutation that changes nothing keeps the binding frozen at its version,
-// and one that changes the graph thaws it into the equal hash graph plus
-// the mutation.
+// TestFrozenBindingThawsOnlyOnChange: on a binding set as its view, a
+// mutation that changes nothing leaves the view, version and log alone,
+// and one that changes the graph is logged, moves the fingerprint and is
+// folded into the view by the next read — one patch, a view equal to
+// BuildView of the mutated hash graph — while the binding stays a CSR
+// view throughout: nothing thaws it into a hash graph.
 func TestFrozenBindingThawsOnlyOnChange(t *testing.T) {
 	g := graph.NewDirected()
 	for i := int64(0); i < 10; i++ {
@@ -75,65 +83,67 @@ func TestFrozenBindingThawsOnlyOnChange(t *testing.T) {
 	}
 	for _, c := range []struct {
 		name    string
-		mutate  func(ws *Workspace) (bool, error)
+		d       graph.Delta
 		changed bool
 	}{
-		{"addedge of a present edge", func(ws *Workspace) (bool, error) { return ws.AddGraphEdge("g", 0, 1) }, false},
-		{"deledge of an absent edge", func(ws *Workspace) (bool, error) { return ws.DelGraphEdge("g", 1, 0) }, false},
-		{"deledge with an absent endpoint", func(ws *Workspace) (bool, error) { return ws.DelGraphEdge("g", 1, 99) }, false},
-		{"addnode of a present node", func(ws *Workspace) (bool, error) { return ws.AddGraphNode("g", 3) }, false},
-		{"addedge of a new edge", func(ws *Workspace) (bool, error) { return ws.AddGraphEdge("g", 1, 0) }, true},
-		{"addedge to a new node", func(ws *Workspace) (bool, error) { return ws.AddGraphEdge("g", 1, 99) }, true},
-		{"deledge of a present edge", func(ws *Workspace) (bool, error) { return ws.DelGraphEdge("g", 0, 1) }, true},
-		{"addnode of a new node", func(ws *Workspace) (bool, error) { return ws.AddGraphNode("g", 42) }, true},
+		{"addedge of a present edge", graph.Delta{Op: graph.DeltaAddEdge, Src: 0, Dst: 1}, false},
+		{"deledge of an absent edge", graph.Delta{Op: graph.DeltaDelEdge, Src: 1, Dst: 0}, false},
+		{"deledge with an absent endpoint", graph.Delta{Op: graph.DeltaDelEdge, Src: 1, Dst: 99}, false},
+		{"addnode of a present node", graph.Delta{Op: graph.DeltaAddNode, Src: 3}, false},
+		{"addedge of a new edge", graph.Delta{Op: graph.DeltaAddEdge, Src: 1, Dst: 0}, true},
+		{"addedge to a new node", graph.Delta{Op: graph.DeltaAddEdge, Src: 1, Dst: 99}, true},
+		{"deledge of a present edge", graph.Delta{Op: graph.DeltaDelEdge, Src: 0, Dst: 1}, true},
+		{"addnode of a new node", graph.Delta{Op: graph.DeltaAddNode, Src: 42}, true},
 	} {
 		ws := NewWorkspace()
-		ws.Set("g", Object{View: graph.BuildView(g)})
+		v := graph.BuildView(g)
+		ws.Set("g", Object{View: v})
 		fp, _ := ws.Fingerprint("g")
-		changed, err := c.mutate(ws)
+		changed, err := ws.mutateGraph("g", c.d)
 		if err != nil || changed != c.changed {
 			t.Fatalf("%s: changed=%v err=%v, want changed=%v", c.name, changed, err, c.changed)
 		}
+		if got, _ := ws.Fingerprint("g"); (got == fp) == changed {
+			t.Fatalf("%s: fingerprint %s -> %s", c.name, fp, got)
+		}
+		if n := len(ws.PendingDeltas("g")); (n == 1) != changed {
+			t.Fatalf("%s: %d deltas logged", c.name, n)
+		}
 		o, _ := ws.Get("g")
-		got, _ := ws.Fingerprint("g")
-		if frozen := o.View != nil && o.Graph == nil; frozen == changed || (got == fp) == changed {
-			t.Fatalf("%s: frozen %v, fingerprint %s -> %s", c.name, frozen, fp, got)
+		if o.Graph != nil || o.View == nil || (o.View == v) == changed {
+			t.Fatalf("%s: bound %+v, want a folded view only after a change", c.name, o)
 		}
-		if !changed {
-			continue
+		if p, r := ws.PatchStats(); p > 1 || (p == 1) != changed || r != 0 {
+			t.Fatalf("%s: patches/rebuilds %d/%d", c.name, p, r)
 		}
-		ref := NewWorkspace()
-		ref.Set("g", Object{Graph: g.Clone()})
-		c.mutate(ref)
-		want, _ := ref.Graph("g")
-		if err := validDirected(o.Graph); err != nil {
-			t.Fatalf("%s: thawed graph: %v", c.name, err)
+		want := graph.NewDirected()
+		g.ForNodes(func(id int64) { want.AddNode(id) })
+		g.ForEdges(func(s, d int64) { want.AddEdge(s, d) })
+		switch c.d.Op {
+		case graph.DeltaAddNode:
+			want.AddNode(c.d.Src)
+		case graph.DeltaAddEdge:
+			want.AddEdge(c.d.Src, c.d.Dst)
+		default:
+			delEdge(want, c.d.Src, c.d.Dst)
 		}
-		if !slices.Equal(o.Graph.Nodes(), want.Nodes()) || o.Graph.NumEdges() != want.NumEdges() {
-			t.Fatalf("%s: thawed graph differs from the mutated hash graph", c.name)
-		}
-		for _, id := range want.Nodes() {
-			if !slices.Equal(o.Graph.OutNeighbors(id), want.OutNeighbors(id)) {
-				t.Fatalf("%s: out-neighbors of %d differ", c.name, id)
-			}
-		}
+		sameViewT(t, c.name, o.View, graph.BuildView(want))
 	}
 }
 
-// TestConcurrentFirstMutationsThawOnce: mutations racing to be a frozen
-// binding's first each thaw outside the workspace lock, but exactly one
-// thaw is bound, the frozen view is cached once as the patch base, and
-// every mutation lands on the one hash graph.
+// TestConcurrentFirstMutationsThawOnce: mutations racing to be a view
+// binding's first each land once without thawing it, and readers racing
+// to be the first after them fold the pending deltas exactly once and all
+// read the one folded view, which is BuildView of the mutated graph.
 func TestConcurrentFirstMutationsThawOnce(t *testing.T) {
 	g := graph.NewDirected()
 	for i := int64(0); i < 200; i++ {
 		g.AddEdge(i, (i*7+1)%200)
 	}
 	ws := NewWorkspace()
-	v := graph.BuildView(g)
-	ws.Set("g", Object{View: v})
+	ws.Set("g", Object{View: graph.BuildView(g)})
 	ver, _ := ws.Version("g")
-	const writers = 8
+	const writers, readers = 8, 8
 	var wg sync.WaitGroup
 	wg.Add(writers)
 	for i := int64(0); i < writers; i++ {
@@ -143,45 +153,34 @@ func TestConcurrentFirstMutationsThawOnce(t *testing.T) {
 				t.Errorf("AddGraphEdge(%d): ok=%v err=%v", 1000+i, ok, err)
 			}
 		}()
+		g.AddEdge(1000+i, i)
 	}
 	wg.Wait()
-	o, _ := ws.Get("g")
-	if o.Graph == nil || o.View != nil {
-		t.Fatal("binding not thawed")
-	}
-	if o.Graph.NumEdges() != g.NumEdges()+writers {
-		t.Fatalf("edges = %d, want %d", o.Graph.NumEdges(), g.NumEdges()+writers)
-	}
 	if now, _ := ws.Version("g"); now != ver+writers {
 		t.Fatalf("version %d -> %d, want +%d", ver, now, writers)
 	}
-	if base, ok := ws.views.Peek(viewKey{name: "g", ver: ver}); !ok || base.dir != v {
-		t.Fatal("the frozen view is not cached at the pre-mutation version")
+	views := make([]*graph.View, readers)
+	wg.Add(readers)
+	for r := range views {
+		go func() {
+			defer wg.Done()
+			var err error
+			if views[r], err = ws.DirectedView("g"); err != nil {
+				t.Error(err)
+			}
+		}()
 	}
-	if _, _, entries, _ := ws.ViewCacheStats(); entries != 1 {
-		t.Fatalf("view cache holds %d entries, want the one base", entries)
+	wg.Wait()
+	for _, v := range views[1:] {
+		if v != views[0] {
+			t.Fatal("concurrent first readers got different views")
+		}
 	}
-}
-
-// validDirected holds g's adjacency vectors to the graph its own edge list
-// builds: BuildView translates the out- and in-vectors as stored, while
-// BuildViewCols sorts, deduplicates and transposes the out-edges, so the
-// two views agree only when every vector is sorted and duplicate-free, the
-// in-vectors mirror the out-vectors and the edge count is right.
-func validDirected(g *graph.Directed) error {
-	var srcs, dsts []int64
-	g.ForEdges(func(s, d int64) {
-		srcs, dsts = append(srcs, s), append(dsts, d)
-	})
-	want, err := graph.BuildViewCols(srcs, dsts, g.Nodes())
-	if err != nil {
-		return err
+	sameViewT(t, "folded", views[0], graph.BuildView(g))
+	if p, r := ws.PatchStats(); p != 1 || r != 0 {
+		t.Fatalf("patches/rebuilds %d/%d, want one fold", p, r)
 	}
-	ids, outOff, inOff, out, in := graph.BuildView(g).ViewParts()
-	wids, wOutOff, wInOff, wOut, wIn := want.ViewParts()
-	if !slices.Equal(ids, wids) || !slices.Equal(outOff, wOutOff) || !slices.Equal(inOff, wInOff) ||
-		!slices.Equal(out, wOut) || !slices.Equal(in, wIn) || g.NumEdges() != int64(len(srcs)) {
-		return fmt.Errorf("graph of %d nodes, %d edges differs from the graph its edges build", g.NumNodes(), g.NumEdges())
+	if now, _ := ws.Version("g"); now != ver+writers {
+		t.Fatalf("the fold moved the version to %d, want %d", now, ver+writers)
 	}
-	return nil
 }

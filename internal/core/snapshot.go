@@ -4,9 +4,9 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 
 	"ringo/internal/frame"
-	"ringo/internal/graph"
 	"ringo/internal/snapshot"
 	"ringo/internal/xhash"
 )
@@ -15,9 +15,11 @@ import (
 // version, plus the version clock — to out in the binary snapshot format
 // (see internal/snapshot for the layout). The workspace read lock is held
 // for the whole write, so the snapshot is a consistent cut: no binding can
-// be added, dropped or rebound while it is being taken.
+// be added, dropped or rebound while it is being taken. Every graph
+// binding is settled first (see current), so the snapshot writes the view
+// its next query would read.
 func (w *Workspace) Snapshot(out io.Writer) error {
-	w.mu.RLock()
+	w.rlockSettled()
 	defer w.mu.RUnlock()
 	objs := make([]snapshot.Object, 0, len(w.order))
 	for _, name := range w.order {
@@ -35,31 +37,12 @@ func (w *Workspace) Snapshot(out io.Writer) error {
 			Provenance: w.prov[name],
 			Version:    w.ver[name],
 			Table:      o.Table,
-			View:       w.snapshotView(name, o),
-			UGraph:     o.UGraph,
+			View:       o.View,
+			UView:      o.UView,
 			Scores:     o.Scores,
 		})
 	}
 	return snapshot.Write(out, w.clock, objs)
-}
-
-// snapshotView is the CSR view a directed binding is written from: a
-// frozen binding's own view, else the view resident at the binding's
-// version (Peek: writing a snapshot is not a query), else a transient
-// build the cache never holds. Every road yields the same arrays, so a
-// frozen binding and its hash twin write the same bytes. Callers hold
-// w.mu.
-func (w *Workspace) snapshotView(name string, o Object) *graph.View {
-	switch {
-	case o.View != nil:
-		return o.View
-	case o.Graph == nil:
-		return nil
-	}
-	if cv, ok := w.views.Peek(viewKey{name: name, ver: w.ver[name]}); ok {
-		return cv.dir
-	}
-	return graph.BuildView(o.Graph)
 }
 
 // Restore replaces the workspace contents with the objects of a snapshot.
@@ -68,11 +51,13 @@ func (w *Workspace) snapshotView(name string, o Object) *graph.View {
 // workspace or the new one, never a mix — and a corrupt snapshot leaves the
 // workspace untouched.
 //
-// Versions are shifted by the workspace's current clock: restoring into a
-// fresh workspace (clock 0) reproduces every saved version — and therefore
-// every fingerprint — byte-for-byte, while restoring over a live workspace
-// bumps all versions past anything previously issued, so fingerprint-keyed
-// caches can never serve results computed against pre-restore objects.
+// Restoring into a fresh workspace (clock 0) reproduces every saved
+// version — and therefore every fingerprint — byte-for-byte. Restoring
+// over a live workspace renumbers the versions, in their saved order, to
+// the ones just past its clock, so fingerprint-keyed caches can never
+// serve results computed against pre-restore objects. (Shifting each by
+// the whole clock would double the clock on every restore of the
+// workspace's own snapshot and wrap it after 64.)
 func (w *Workspace) Restore(in io.Reader) error {
 	clock, objs, err := snapshot.Read(in)
 	if err != nil {
@@ -80,7 +65,19 @@ func (w *Workspace) Restore(in io.Reader) error {
 	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	base := w.clock
+	base, renumber := w.clock, func(v uint64) uint64 { return v }
+	if base > 0 {
+		vers := make([]uint64, len(objs))
+		for i, so := range objs {
+			vers[i] = so.Version
+		}
+		slices.Sort(vers)
+		renumber = func(v uint64) uint64 {
+			i, _ := slices.BinarySearch(vers, v)
+			return base + 1 + uint64(i)
+		}
+		clock = uint64(len(objs))
+	}
 	w.objs = make(map[string]Object, len(objs))
 	w.prov = make(map[string]string, len(objs))
 	w.ver = make(map[string]uint64, len(objs))
@@ -90,15 +87,13 @@ func (w *Workspace) Restore(in io.Reader) error {
 		w.objs[so.Name] = Object{
 			Table:  so.Table,
 			View:   so.View,
-			UGraph: so.UGraph,
+			UView:  so.UView,
 			Scores: so.Scores,
 		}
 		w.prov[so.Name] = so.Provenance
-		w.ver[so.Name] = base + so.Version
+		w.ver[so.Name] = renumber(so.Version)
 		w.order = append(w.order, so.Name)
-		if so.Version > maxVer {
-			maxVer = so.Version
-		}
+		maxVer = max(maxVer, w.ver[so.Name]-base)
 	}
 	w.clock = base + maxVer
 	// Every binding was replaced wholesale; no pre-restore view or index can

@@ -40,7 +40,7 @@ func snapshotWorkspace(t *testing.T) *Workspace {
 	u.AddEdge(5, 6)
 	ws.SetWithProvenance("T", Object{Table: tbl}, "load T users.tsv User:string Posts:int")
 	ws.SetWithProvenance("G", Object{Graph: g}, "tograph G T src dst")
-	ws.SetWithProvenance("U", Object{UGraph: u}, "")
+	ws.SetWithProvenance("U", Object{UView: graph.BuildUView(u)}, "")
 	ws.SetWithProvenance("PR", Object{Scores: algo.Scores{{ID: 1, Score: 0.7}, {ID: 2, Score: 0.3}}}, "pagerank PR G")
 	return ws
 }
@@ -90,7 +90,7 @@ func TestWorkspaceSnapshotRestoreRoundTrip(t *testing.T) {
 	if !g.HasEdge(2, 3) {
 		t.Fatal("graph edge lost")
 	}
-	if o, _ := fresh.Get("U"); o.UGraph == nil || !o.UGraph.HasEdge(6, 5) {
+	if o, _ := fresh.Get("U"); o.UView == nil || !o.UView.HasEdge(6, 5) {
 		t.Fatal("ugraph lost")
 	}
 	sc, err := fresh.Scores("PR")
@@ -283,15 +283,17 @@ func TestSnapshotGoldenScoreFrame(t *testing.T) {
 	}
 }
 
-// TestSnapshotWritesTheBindingsView holds the three roads Snapshot takes
-// to a directed binding's CSR view to the same bytes: a hash binding with
-// no resident view (a transient build), the same binding with its view
-// resident (Peek, which moves no counter), and the frozen binding Restore
-// makes of it, which stays frozen, fills no cache and patches on the first
-// query after its first mutation.
+// TestSnapshotWritesTheBindingsView holds the roads Snapshot takes to a
+// graph binding's view to the same bytes: the view a hash graph is bound
+// as (which the snapshot builds, once), the view Restore binds (which
+// fills no cache), and, once mutations are pending, the fold the snapshot
+// binds (one patch, which the next query does not repeat) — so Digest
+// reads the same before and after that fold, and the bytes restore to the
+// mutated graph.
 func TestSnapshotWritesTheBindingsView(t *testing.T) {
+	g := testGraph(80, 300, 3)
 	ws := NewWorkspace()
-	ws.Set("g", Object{Graph: testGraph(80, 300, 3)})
+	ws.Set("g", Object{Graph: g.Clone()})
 	snap := func(ws *Workspace) []byte {
 		t.Helper()
 		var buf bytes.Buffer
@@ -300,44 +302,106 @@ func TestSnapshotWritesTheBindingsView(t *testing.T) {
 		}
 		return buf.Bytes()
 	}
-	transient := snap(ws)
-	if h, m, entries, _ := ws.ViewCacheStats(); h != 0 || m != 0 || entries != 0 {
-		t.Fatalf("snapshot of a hash binding touched the view cache: %d hits, %d misses, %d entries", h, m, entries)
+	bound := snap(ws)
+	if p, r := ws.PatchStats(); p != 0 || r != 1 {
+		t.Fatalf("snapshot of a hash graph binding: %d patches, %d rebuilds; want its one build", p, r)
 	}
-	if _, err := ws.DirectedView("g"); err != nil {
-		t.Fatal(err)
-	}
-	h0, m0, _, _ := ws.ViewCacheStats()
-	if resident := snap(ws); !bytes.Equal(resident, transient) {
-		t.Fatal("the resident view snapshots to other bytes than a transient build")
-	}
-	if h, m, _, _ := ws.ViewCacheStats(); h != h0 || m != m0 {
-		t.Fatalf("snapshot counted view-cache traffic: hits %d→%d, misses %d→%d", h0, h, m0, m)
+	if o, _ := ws.Get("g"); o.View == nil || o.Graph != nil {
+		t.Fatal("the snapshot did not bind the view it built")
 	}
 
 	restored := NewWorkspace()
-	if err := restored.Restore(bytes.NewReader(transient)); err != nil {
+	if err := restored.Restore(bytes.NewReader(bound)); err != nil {
 		t.Fatal(err)
 	}
 	if o, _ := restored.Get("g"); o.View == nil || o.Graph != nil {
-		t.Fatal("restore did not bind a frozen view")
+		t.Fatal("restore did not bind a view")
 	}
-	if !bytes.Equal(snap(restored), transient) {
+	if !bytes.Equal(snap(restored), bound) {
 		t.Fatal("the restored binding snapshots to other bytes")
 	}
 	if _, err := restored.DirectedView("g"); err != nil {
 		t.Fatal(err)
 	}
 	if h, m, entries, _ := restored.ViewCacheStats(); h != 0 || m != 0 || entries != 0 {
-		t.Fatalf("a frozen binding's view went through the cache: %d hits, %d misses, %d entries", h, m, entries)
+		t.Fatalf("a binding's own view went through the cache: %d hits, %d misses, %d entries", h, m, entries)
 	}
-	if _, err := restored.AddGraphEdge("g", 1000, 1001); err != nil {
+
+	for _, e := range [][2]int64{{1000, 1001}, {1, 1000}} {
+		g.AddEdge(e[0], e[1])
+		if ok, err := restored.AddGraphEdge("g", e[0], e[1]); err != nil || !ok {
+			t.Fatalf("AddGraphEdge: ok=%v err=%v", ok, err)
+		}
+	}
+	before, err := restored.Digest()
+	if err != nil {
 		t.Fatal(err)
 	}
+	if p, r := restored.PatchStats(); p != 1 || r != 0 {
+		t.Fatalf("a digest with deltas pending: %d patches, %d rebuilds; want one fold", p, r)
+	}
+	folded := snap(restored)
 	if _, err := restored.DirectedView("g"); err != nil {
 		t.Fatal(err)
 	}
 	if p, r := restored.PatchStats(); p != 1 || r != 0 {
-		t.Fatalf("first query after the thaw: %d patches, %d rebuilds; want one patch", p, r)
+		t.Fatalf("first query after the snapshot: %d patches, %d rebuilds; want no second fold", p, r)
+	}
+	if after, _ := restored.Digest(); after != before || !bytes.Equal(snap(restored), folded) {
+		t.Fatalf("the fold moved the snapshot: digest %s -> %s", before, after)
+	}
+	again := NewWorkspace()
+	if err := again.Restore(bytes.NewReader(folded)); err != nil {
+		t.Fatal(err)
+	}
+	v, err := again.DirectedView("g")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameViewT(t, "restored after the mutations", v, graph.BuildView(g))
+}
+
+// TestRestoreOwnSnapshotKeepsClockBounded: restoring a workspace's own
+// snapshot over it again and again issues fresh versions each time, past
+// everything before and in the saved order, while the clock grows by the
+// number of bindings per restore rather than doubling (which wrapped it
+// after 64 restores, and with it the order pending deltas are told by).
+func TestRestoreOwnSnapshotKeepsClockBounded(t *testing.T) {
+	ws := snapshotWorkspace(t)
+	ws.Set("g", Object{View: graph.BuildView(testGraph(10, 20, 1))})
+	n := uint64(len(ws.Names()))
+	for i := 0; i < 100; i++ {
+		before := map[string]uint64{}
+		for _, name := range ws.Names() {
+			before[name], _ = ws.Version(name)
+		}
+		clock := ws.clock
+		var buf bytes.Buffer
+		if err := ws.Snapshot(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if err := ws.Restore(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if ws.clock != clock+n {
+			t.Fatalf("restore %d: clock %d -> %d, want +%d", i, clock, ws.clock, n)
+		}
+		for _, a := range ws.Names() {
+			va, _ := ws.Version(a)
+			if va <= clock {
+				t.Fatalf("restore %d: %s kept version %d, not past the clock %d", i, a, va, clock)
+			}
+			for _, b := range ws.Names() {
+				if vb, _ := ws.Version(b); (before[a] < before[b]) != (va < vb) {
+					t.Fatalf("restore %d: %s and %s changed order", i, a, b)
+				}
+			}
+		}
+	}
+	if ok, err := ws.AddGraphEdge("g", 100, 101); err != nil || !ok {
+		t.Fatalf("AddGraphEdge: ok=%v err=%v", ok, err)
+	}
+	if o, _ := ws.Get("g"); !o.View.HasEdge(100, 101) {
+		t.Fatal("the mutation after the restores was not folded")
 	}
 }

@@ -3,6 +3,8 @@ package core
 import (
 	"math/rand"
 	"testing"
+
+	"ringo/internal/graph"
 )
 
 // residentViews lists the view cache's keys without touching recency or
@@ -18,16 +20,15 @@ func residentViews(ws *Workspace) []viewKey {
 
 // supersedeSequence drives one graph binding through a seeded mix of
 // delta-logged mutation batches, wholesale touches and directed or
-// undirected queries, checking after every fill that no view of the filled
-// orientation at a lower version is resident — so the binding never holds
-// more than one view per orientation. It returns the patch and rebuild
-// counts.
+// undirected queries, checking after every undirected fill that no view at
+// a lower version is resident — so the binding never holds more than one
+// cached view. It returns the patch and rebuild counts.
 func supersedeSequence(t *testing.T, seed int64, ratio float64) (patches, rebuilds uint64) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	ws := NewWorkspace()
 	ws.patchRatio = ratio
-	ws.Set("g", Object{Graph: testGraph(60, 240, seed)})
+	ws.Set("g", Object{View: graph.BuildView(testGraph(60, 240, seed))})
 	query := func(undir bool) {
 		var err error
 		if undir {
@@ -40,7 +41,7 @@ func supersedeSequence(t *testing.T, seed int64, ratio float64) (patches, rebuil
 		}
 		ver, _ := ws.Version("g")
 		for _, k := range residentViews(ws) {
-			if k.undir == undir && k.ver < ver {
+			if undir && k.ver < ver {
 				t.Fatalf("seed %d: view %+v resident after a fill at version %d", seed, k, ver)
 			}
 		}
@@ -69,7 +70,7 @@ func supersedeSequence(t *testing.T, seed int64, ratio float64) (patches, rebuil
 			query(false)
 			query(true)
 		}
-		if n := len(residentViews(ws)); n > 2 {
+		if n := len(residentViews(ws)); n > 1 {
 			t.Fatalf("seed %d step %d: %d views resident for one binding", seed, step, n)
 		}
 	}
@@ -87,11 +88,11 @@ func TestFillSupersedesOlderViews(t *testing.T) {
 		ratio             float64
 		patches, rebuilds uint64
 	}{
-		{1, DefaultPatchRatio, 70, 10},
-		{2, DefaultPatchRatio, 69, 7},
-		{3, 0.02, 45, 23},
-		{4, 0.02, 51, 22},
-		{5, 0.05, 77, 9},
+		{1, DefaultPatchRatio, 96, 5},
+		{2, DefaultPatchRatio, 103, 4},
+		{3, 0.02, 78, 13},
+		{4, 0.02, 83, 10},
+		{5, 0.05, 101, 4},
 	} {
 		p, r := supersedeSequence(t, tc.seed, tc.ratio)
 		if p != tc.patches || r != tc.rebuilds {
@@ -100,20 +101,18 @@ func TestFillSupersedesOlderViews(t *testing.T) {
 	}
 }
 
-// TestFillKeepsSiblingViews: a fill supersedes only its own binding and
-// orientation — another binding's views, including one whose name extends
-// the filled one's, and the binding's view of the other orientation stay.
+// TestFillKeepsSiblingViews: a fill supersedes only its own binding —
+// another binding's views, including one whose name extends the filled
+// one's, stay; and a directed query, which folds, fills nothing, so the
+// binding's older undirected view stays resident as a patch base.
 func TestFillKeepsSiblingViews(t *testing.T) {
 	ws := NewWorkspace()
-	ws.Set("g", Object{Graph: testGraph(40, 150, 9)})
-	ws.Set("g#1", Object{Graph: testGraph(40, 150, 10)})
+	ws.Set("g", Object{View: graph.BuildView(testGraph(40, 150, 9))})
+	ws.Set("g#1", Object{View: graph.BuildView(testGraph(40, 150, 10))})
 	for _, name := range []string{"g", "g#1"} {
-		if _, err := ws.DirectedView(name); err != nil {
+		if _, err := ws.UndirectedView(name); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if _, err := ws.UndirectedView("g"); err != nil {
-		t.Fatal(err)
 	}
 	old, _ := ws.Version("g")
 	if ok, err := ws.AddGraphEdge("g", 100, 101); err != nil || !ok {
@@ -122,16 +121,23 @@ func TestFillKeepsSiblingViews(t *testing.T) {
 	if _, err := ws.DirectedView("g"); err != nil {
 		t.Fatal(err)
 	}
-	ver, _ := ws.Version("g")
 	sib, _ := ws.Version("g#1")
-	want := map[viewKey]bool{{"g", ver, false}: true, {"g", old, true}: true, {"g#1", sib, false}: true}
-	keys := residentViews(ws)
-	if len(keys) != len(want) {
-		t.Fatalf("resident views %+v, want %v", keys, want)
-	}
-	for _, k := range keys {
-		if !want[k] {
-			t.Fatalf("unexpected resident view %+v (want %v)", k, want)
+	expect := func(want map[viewKey]bool) {
+		t.Helper()
+		keys := residentViews(ws)
+		if len(keys) != len(want) {
+			t.Fatalf("resident views %+v, want %v", keys, want)
+		}
+		for _, k := range keys {
+			if !want[k] {
+				t.Fatalf("unexpected resident view %+v (want %v)", k, want)
+			}
 		}
 	}
+	expect(map[viewKey]bool{{"g", old}: true, {"g#1", sib}: true})
+	if _, err := ws.UndirectedView("g"); err != nil {
+		t.Fatal(err)
+	}
+	ver, _ := ws.Version("g")
+	expect(map[viewKey]bool{{"g", ver}: true, {"g#1", sib}: true})
 }

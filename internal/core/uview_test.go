@@ -42,9 +42,10 @@ func randProjectionGraph(rng *rand.Rand) *graph.Directed {
 
 // TestUndirectedViewMatchesPerEdge holds each way UndirectedView builds a
 // directed binding's view to the per-edge projection, and pins what each
-// way books: a patch for a resident undirected base, else one rebuild and
-// no new directed view. Every arm runs on a hash binding and on a frozen
-// one (Object.View, as tograph binds), whose first mutation thaws it.
+// way books: a patch for a resident undirected base, else one rebuild, and
+// one cache entry either way. Every arm runs on a binding set from a hash
+// graph (Object.Graph, bound as its view) and on one set from its view
+// (Object.View, as tograph binds).
 func TestUndirectedViewMatchesPerEdge(t *testing.T) {
 	mutate := func(ws *Workspace, rng *rand.Rand) {
 		for i := 0; i < 6; i++ {
@@ -86,7 +87,7 @@ func TestUndirectedViewMatchesPerEdge(t *testing.T) {
 	for seed := int64(1); seed <= 10; seed++ {
 		for _, arm := range arms {
 			frozen := seed%2 == 0
-			ctx := fmt.Sprintf("seed %d, %s, frozen %v", seed, arm.name, frozen)
+			ctx := fmt.Sprintf("seed %d, %s, set from a view %v", seed, arm.name, frozen)
 			rng := rand.New(rand.NewSource(seed))
 			ws := NewWorkspace()
 			if g := randProjectionGraph(rng); frozen {

@@ -32,8 +32,8 @@ func BenchmarkDenseViewBuild(b *testing.B) {
 	}
 }
 
-// BenchmarkDenseViewCached is the warm path: the fingerprint-keyed cache
-// answers with the resident view — near-zero allocations, no O(V+E) work.
+// BenchmarkDenseViewCached is the warm path: the binding is its view,
+// served in place — no allocations, no O(V+E) work.
 func BenchmarkDenseViewCached(b *testing.B) {
 	ws, _ := benchWorkspace(b)
 	if _, err := ws.DirectedView("g"); err != nil {
@@ -59,8 +59,8 @@ func BenchmarkPageRankCold(b *testing.B) {
 	}
 }
 
-// BenchmarkPageRankWarm measures every later query on the unchanged graph:
-// the cached view goes straight to flat-array compute.
+// BenchmarkPageRankWarm measures every query on the bound graph: its view
+// goes straight to flat-array compute.
 func BenchmarkPageRankWarm(b *testing.B) {
 	ws, _ := benchWorkspace(b)
 	if _, err := ws.DirectedView("g"); err != nil {

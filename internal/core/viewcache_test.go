@@ -22,19 +22,21 @@ func testGraph(n, m int, seed int64) *graph.Directed {
 
 func TestDirectedViewCachedUntilMutation(t *testing.T) {
 	ws := NewWorkspace()
-	g := testGraph(100, 400, 1)
-	ws.Set("g", Object{Graph: g})
+	ws.Set("g", Object{Graph: testGraph(100, 400, 1)})
 
 	v1, err := ws.DirectedView("g")
 	if err != nil {
 		t.Fatal(err)
 	}
-	v2, err := ws.DirectedView("g")
+	if v2, _ := ws.DirectedView("g"); v1 != v2 {
+		t.Fatal("second DirectedView on unchanged graph built another view")
+	}
+	u1, err := ws.UndirectedView("g")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v1 != v2 {
-		t.Fatal("second DirectedView on unchanged graph rebuilt the view")
+	if u2, _ := ws.UndirectedView("g"); u1 != u2 {
+		t.Fatal("second UndirectedView on unchanged graph rebuilt the view")
 	}
 	hits, misses, entries, bytes := ws.ViewCacheStats()
 	if hits != 1 || misses != 1 || entries != 1 {
@@ -44,12 +46,14 @@ func TestDirectedViewCachedUntilMutation(t *testing.T) {
 		t.Fatalf("cached view bytes = %d, want > 0", bytes)
 	}
 
-	// In-place mutation + Touch: the old view must be evicted and a fresh
-	// one built that sees the new edge.
-	g.AddEdge(1000, 2000)
+	// Touch evicts the projection; a mutation yields a fresh view that
+	// sees the new edge.
 	ws.Touch("g")
 	if _, _, entries, _ := ws.ViewCacheStats(); entries != 0 {
 		t.Fatalf("Touch left %d view entries", entries)
+	}
+	if ok, err := ws.AddGraphEdge("g", 1000, 2000); err != nil || !ok {
+		t.Fatalf("AddGraphEdge: ok=%v err=%v", ok, err)
 	}
 	v3, err := ws.DirectedView("g")
 	if err != nil {
@@ -67,10 +71,10 @@ func TestViewPurgeOnSetDeleteRename(t *testing.T) {
 	ws := NewWorkspace()
 	ws.Set("a", Object{Graph: testGraph(50, 200, 2)})
 	ws.Set("b", Object{Graph: testGraph(50, 200, 3)})
-	if _, err := ws.DirectedView("a"); err != nil {
+	if _, err := ws.UndirectedView("a"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ws.DirectedView("b"); err != nil {
+	if _, err := ws.UndirectedView("b"); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, entries, _ := ws.ViewCacheStats(); entries != 2 {
@@ -88,7 +92,7 @@ func TestViewPurgeOnSetDeleteRename(t *testing.T) {
 	if _, _, entries, _ := ws.ViewCacheStats(); entries != 0 {
 		t.Fatalf("rename: want 0 entries, got %d", entries)
 	}
-	if _, err := ws.DirectedView("c"); err != nil {
+	if _, err := ws.UndirectedView("c"); err != nil {
 		t.Fatal(err)
 	}
 	if !ws.Delete("c") {
@@ -102,7 +106,7 @@ func TestViewPurgeOnSetDeleteRename(t *testing.T) {
 func TestViewPurgeOnRestore(t *testing.T) {
 	ws := NewWorkspace()
 	ws.Set("g", Object{Graph: testGraph(50, 200, 5)})
-	v1, err := ws.DirectedView("g")
+	u1, err := ws.UndirectedView("g")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,11 +120,11 @@ func TestViewPurgeOnRestore(t *testing.T) {
 	if _, _, entries, _ := ws.ViewCacheStats(); entries != 0 {
 		t.Fatalf("restore left %d view entries", entries)
 	}
-	v2, err := ws.DirectedView("g")
+	u2, err := ws.UndirectedView("g")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v2 == v1 {
+	if u2 == u1 {
 		t.Fatal("view of restored object is the pre-restore snapshot")
 	}
 }
@@ -145,22 +149,19 @@ func TestUndirectedViewOfDirectedGraph(t *testing.T) {
 	if uv2 != uv {
 		t.Fatal("undirected view rebuilt on unchanged graph")
 	}
-	// The directed and undirected views of one binding cache independently.
+	// The binding's directed view is its own: it adds no cache entry.
 	if _, err := ws.DirectedView("g"); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, entries, _ := ws.ViewCacheStats(); entries != 2 {
-		t.Fatalf("want 2 entries (dir + undir), got %d", entries)
+	if _, _, entries, _ := ws.ViewCacheStats(); entries != 1 {
+		t.Fatalf("want 1 entry (the projection), got %d", entries)
 	}
 
 	// An undirected binding serves its own view through the same call.
-	ws.Set("u", Object{UGraph: u})
-	uv3, err := ws.UndirectedView("u")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if uv3.NumEdges() != u.NumEdges() {
-		t.Fatal("uview of undirected binding wrong")
+	bound := graph.BuildUView(u)
+	ws.Set("u", Object{UView: bound})
+	if uv3, err := ws.UndirectedView("u"); err != nil || uv3 != bound {
+		t.Fatalf("uview of undirected binding is not its own view (err %v)", err)
 	}
 }
 
@@ -236,10 +237,10 @@ func TestViewPurgeExactName(t *testing.T) {
 	ws := NewWorkspace()
 	ws.Set("g", Object{Graph: testGraph(40, 150, 9)})
 	ws.Set("g#1", Object{Graph: testGraph(40, 150, 10)})
-	if _, err := ws.DirectedView("g"); err != nil {
+	if _, err := ws.UndirectedView("g"); err != nil {
 		t.Fatal(err)
 	}
-	v1, err := ws.DirectedView("g#1")
+	u1, err := ws.UndirectedView("g#1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,11 +248,11 @@ func TestViewPurgeExactName(t *testing.T) {
 	if _, _, entries, _ := ws.ViewCacheStats(); entries != 1 {
 		t.Fatalf("purging %q left %d entries, want 1 (%q untouched)", "g", entries, "g#1")
 	}
-	v2, err := ws.DirectedView("g#1")
+	u2, err := ws.UndirectedView("g#1")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v1 != v2 {
+	if u1 != u2 {
 		t.Fatalf("view of %q was rebuilt after mutating %q", "g#1", "g")
 	}
 }
@@ -262,7 +263,7 @@ func TestViewCacheLRUBound(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		name := fmt.Sprintf("g%d", i)
 		ws.Set(name, Object{Graph: testGraph(30, 100, int64(i))})
-		if _, err := ws.DirectedView(name); err != nil {
+		if _, err := ws.UndirectedView(name); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -272,19 +273,23 @@ func TestViewCacheLRUBound(t *testing.T) {
 }
 
 // TestWarmViewAllocs pins the acceptance criterion: a warm view lookup must
-// not rebuild anything — just a fingerprint format and a cache probe.
+// not rebuild anything — a binding's own view is served in place, and a
+// cached projection costs a cache probe.
 func TestWarmViewAllocs(t *testing.T) {
 	ws := NewWorkspace()
 	ws.Set("g", Object{Graph: testGraph(200, 1000, 8)})
-	if _, err := ws.DirectedView("g"); err != nil {
+	if _, err := ws.UndirectedView("g"); err != nil {
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(100, func() {
 		if _, err := ws.DirectedView("g"); err != nil {
 			t.Fatal(err)
 		}
+		if _, err := ws.UndirectedView("g"); err != nil {
+			t.Fatal(err)
+		}
 	})
 	if allocs > 6 {
-		t.Fatalf("warm DirectedView does %v allocs/op; the O(V+E) build is not being skipped", allocs)
+		t.Fatalf("warm DirectedView + UndirectedView do %v allocs/op; the O(V+E) build is not being skipped", allocs)
 	}
 }

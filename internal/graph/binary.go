@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 
 	"ringo/internal/frame"
 )
@@ -47,14 +48,20 @@ func SaveBinary(w io.Writer, v *View) error {
 	})
 }
 
-// SaveBinaryUndirected writes g in the binary graph format's undirected
+// SaveBinaryUndirected writes v in the binary graph format's undirected
 // variant: magic "RNGU", version u32, node count u64, edge count u64, then
 // per node (ascending id): id i64, degree u32, sorted neighbor ids i64...
 // Each non-loop edge appears in both endpoints' vectors, a self-loop once,
-// mirroring the in-memory representation.
-func SaveBinaryUndirected(w io.Writer, g *Undirected) error {
-	nodes := g.Nodes()
-	return saveAdjacency(w, undirectedMagic, nodes, g.NumEdges(), func(i int) []int64 { return g.Neighbors(nodes[i]) })
+// mirroring the view's adjacency.
+func SaveBinaryUndirected(w io.Writer, v *UView) error {
+	var vec []int64
+	return saveAdjacency(w, undirectedMagic, v.ids, v.NumEdges(), func(i int) []int64 {
+		vec = vec[:0]
+		for _, x := range v.Adj(int32(i)) {
+			vec = append(vec, v.ids[x])
+		}
+		return vec
+	})
 }
 
 // SaveBinaryFile is SaveBinary writing to the named file, which is
@@ -183,29 +190,57 @@ func LoadBinary(r io.Reader) (*View, error) {
 	return v, nil
 }
 
-// LoadBinaryUndirected reads a graph written by SaveBinaryUndirected, with
-// the same corruption guards as LoadBinary: truncation, absurd counts and
-// over-long degrees error out before any oversized allocation.
-func LoadBinaryUndirected(r io.Reader) (*Undirected, error) {
+// LoadBinaryUndirected reads a graph written by SaveBinaryUndirected
+// straight into its CSR view: the records' neighbor ids are translated to
+// dense indices in place of a per-node vector. Besides the framing checks
+// of loadAdjacency it rejects the reserved id, node ids out of strictly
+// ascending order, a neighbor that is no node, a vector that is not
+// strictly ascending, an edge missing from its other endpoint's vector and
+// an edge count the vectors do not hold.
+func LoadBinaryUndirected(r io.Reader) (*UView, error) {
 	a, err := loadAdjacency(r, undirectedMagic, 2)
 	if err != nil {
 		return nil, err
 	}
-	adjs := make([][]int64, len(a.ids))
-	for i := range adjs {
-		adjs[i] = a.vec(i)
+	n := len(a.ids)
+	v := &UView{ids: a.ids, off: make([]int64, n+1), arena: make([]int32, len(a.nbrs))}
+	for i, id := range a.ids {
+		if id == tombstone {
+			return nil, fmt.Errorf("graph: node id %d reserved", id)
+		}
+		if i > 0 && id <= a.ids[i-1] {
+			return nil, fmt.Errorf("graph: node %d follows node %d: ids not strictly ascending", id, a.ids[i-1])
+		}
+		v.off[i+1] = int64(a.off[i+1])
 	}
-	g, err := BuildUndirectedBulk(a.ids, adjs)
-	if err != nil {
-		return nil, err
+	var halves uint64
+	for i, id := range a.ids {
+		for j, nbr := range a.vec(i) {
+			x, ok := v.Index(nbr)
+			if !ok {
+				return nil, fmt.Errorf("graph: edge {%d,%d} points at missing node", id, nbr)
+			}
+			if j > 0 && x <= v.arena[a.off[i]+j-1] {
+				return nil, fmt.Errorf("graph: node %d vector not strictly sorted", id)
+			}
+			v.arena[a.off[i]+j] = x
+			halves++
+			if nbr == id {
+				halves++ // a self-loop is stored once
+			}
+		}
 	}
-	if g.NumEdges() != int64(a.edges) {
-		return nil, fmt.Errorf("graph: header claims %d edges, vectors hold %d", a.edges, g.NumEdges())
+	for u := range int32(n) {
+		for _, x := range v.Adj(u) {
+			if _, found := slices.BinarySearch(v.Adj(x), u); !found {
+				return nil, fmt.Errorf("graph: edge {%d,%d} not symmetric", v.ids[u], v.ids[x])
+			}
+		}
 	}
-	if err := g.Validate(); err != nil {
-		return nil, fmt.Errorf("graph: undirected binary file inconsistent: %w", err)
+	if halves/2 != a.edges {
+		return nil, fmt.Errorf("graph: header claims %d edges, vectors hold %d", a.edges, halves/2)
 	}
-	return g, nil
+	return v, nil
 }
 
 // LoadFileAuto loads the CSR view of a directed graph from path in

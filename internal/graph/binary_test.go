@@ -32,9 +32,6 @@ func TestBinaryRoundTrip(t *testing.T) {
 	if !back.HasNode(99) {
 		t.Fatal("lost isolated node")
 	}
-	if err := back.Validate(); err != nil {
-		t.Fatal(err)
-	}
 }
 
 func TestBinaryRejectsGarbage(t *testing.T) {
@@ -154,7 +151,7 @@ func sampleUndirectedBinary() *Undirected {
 func TestBinaryUndirectedRoundTrip(t *testing.T) {
 	u := sampleUndirectedBinary()
 	var buf bytes.Buffer
-	if err := SaveBinaryUndirected(&buf, u); err != nil {
+	if err := SaveBinaryUndirected(&buf, BuildUView(u)); err != nil {
 		t.Fatal(err)
 	}
 	back, err := LoadBinaryUndirected(&buf)
@@ -173,15 +170,12 @@ func TestBinaryUndirectedRoundTrip(t *testing.T) {
 	if !back.HasNode(99) {
 		t.Fatal("lost isolated node")
 	}
-	if err := back.Validate(); err != nil {
-		t.Fatal(err)
-	}
 }
 
 func TestBinaryUndirectedRejectsCorruption(t *testing.T) {
 	u := sampleUndirectedBinary()
 	var buf bytes.Buffer
-	if err := SaveBinaryUndirected(&buf, u); err != nil {
+	if err := SaveBinaryUndirected(&buf, BuildUView(u)); err != nil {
 		t.Fatal(err)
 	}
 	good := buf.Bytes()
@@ -246,7 +240,7 @@ func TestLoadFileAuto(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := SaveBinaryUndirected(f, u); err != nil {
+	if err := SaveBinaryUndirected(f, BuildUView(u)); err != nil {
 		t.Fatal(err)
 	}
 	f.Close()
@@ -324,7 +318,7 @@ func TestBinaryGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	u := sampleUndirectedBinary()
+	u := BuildUView(sampleUndirectedBinary())
 	buf.Reset()
 	if err := SaveBinaryUndirected(&buf, u); err != nil {
 		t.Fatal(err)
@@ -336,12 +330,9 @@ func TestBinaryGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !slices.Equal(ub.Nodes(), u.Nodes()) || ub.NumEdges() != u.NumEdges() {
-		t.Fatalf("RNGU decodes to %d nodes, %d edges; want %d, %d", ub.NumNodes(), ub.NumEdges(), u.NumNodes(), u.NumEdges())
-	}
-	for _, id := range u.Nodes() {
-		if !slices.Equal(ub.Neighbors(id), u.Neighbors(id)) {
-			t.Fatalf("RNGU neighbors of %d = %v, want %v", id, ub.Neighbors(id), u.Neighbors(id))
-		}
+	ids, off, arena := ub.UViewParts()
+	wids, woff, warena := u.UViewParts()
+	if !slices.Equal(ids, wids) || !slices.Equal(off, woff) || !slices.Equal(arena, warena) {
+		t.Fatal("RNGU golden decodes to a view other than the fixture's")
 	}
 }

@@ -67,3 +67,48 @@ func BenchmarkLoadBinary(b *testing.B) {
 		}
 	}
 }
+
+// The paper's §2.2 argument: CSR deletion is linear in the total edge
+// count; the hash-of-nodes design is linear in node degree. The CSR side is
+// the code that maintains CSR views under mutation, graph.PatchView, timed
+// at R-MAT 2^16 with 400 000 edges, one edge of the first 4096 per op.
+
+// deletionBench returns the benchmark graph and the edges the deletion
+// ablation cycles through.
+func deletionBench(b *testing.B) (*graph.Directed, [][2]int64) {
+	src, dst := gen.RMATEdges(16, 400000, 0.57, 0.19, 0.19, 1)
+	v, err := graph.BuildViewCols(src, dst, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	g := graph.FromView(v)
+	var edges [][2]int64
+	g.ForEdges(func(s, d int64) {
+		if len(edges) < 4096 {
+			edges = append(edges, [2]int64{s, d})
+		}
+	})
+	return g, edges
+}
+
+func BenchmarkAblationDeleteEdgeHashGraph(b *testing.B) {
+	g, edges := deletionBench(b)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e := edges[i%len(edges)]
+		g.DelEdge(e[0], e[1])
+		g.AddEdge(e[0], e[1])
+	}
+}
+
+func BenchmarkAblationDeleteEdgeCSR(b *testing.B) {
+	g, edges := deletionBench(b)
+	base := graph.BuildView(g)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e := edges[i%len(edges)]
+		g.DelEdge(e[0], e[1])
+		graph.PatchView(base, g.HasNode, g.HasEdge, []graph.Delta{{Op: graph.DeltaDelEdge, Src: e[0], Dst: e[1]}})
+		g.AddEdge(e[0], e[1])
+	}
+}

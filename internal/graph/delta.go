@@ -64,13 +64,7 @@ func PatchView(base *View, hasNode func(int64) bool, hasEdge func(src, dst int64
 			continue
 		}
 		cur := hasEdge(d.Src, d.Dst)
-		inBase := false
-		if si, ok := base.Index(d.Src); ok {
-			if di, ok := base.Index(d.Dst); ok {
-				_, inBase = slices.BinarySearch(base.Out(si), di)
-			}
-		}
-		if cur == inBase {
+		if cur == base.HasEdge(d.Src, d.Dst) {
 			continue
 		}
 		s, t := m.index(d.Src), m.index(d.Dst)
@@ -107,13 +101,7 @@ func PatchUView(base *UView, hasNode func(int64) bool, hasEdge func(a, b int64) 
 			continue
 		}
 		cur := hasEdge(d.Src, d.Dst)
-		inBase := false
-		if ai, ok := base.Index(d.Src); ok {
-			if bi, ok := base.Index(d.Dst); ok {
-				_, inBase = slices.BinarySearch(base.Adj(ai), bi)
-			}
-		}
-		if cur == inBase {
+		if cur == base.HasEdge(d.Src, d.Dst) {
 			continue
 		}
 		// A self-loop appears once in its node's adjacency, like

@@ -135,27 +135,6 @@ func (g *Directed) AddEdge(src, dst int64) bool {
 	return true
 }
 
-// DelEdge removes the edge src->dst and reports whether it existed. Cost is
-// linear in the degrees of the two endpoints — the dynamic-graph property
-// the paper contrasts with CSR's O(E) single-edge deletion.
-func (g *Directed) DelEdge(src, dst int64) bool {
-	ss, ok := g.idx[src]
-	if !ok {
-		return false
-	}
-	ds, ok := g.idx[dst]
-	if !ok {
-		return false
-	}
-	if _, found := slices.BinarySearch(g.outAdj[ss], dst); !found {
-		return false
-	}
-	g.outAdj[ss] = removeSorted(g.outAdj[ss], dst)
-	g.inAdj[ds] = removeSorted(g.inAdj[ds], src)
-	g.nEdges--
-	return true
-}
-
 // HasEdge reports whether the edge src->dst exists (binary search on the
 // source's sorted out-vector).
 func (g *Directed) HasEdge(src, dst int64) bool {

@@ -104,27 +104,6 @@ func (g *Undirected) AddEdge(src, dst int64) bool {
 	return true
 }
 
-// DelEdge removes the edge {src,dst} and reports whether it existed.
-func (g *Undirected) DelEdge(src, dst int64) bool {
-	ss, ok := g.idx[src]
-	if !ok {
-		return false
-	}
-	ds, ok := g.idx[dst]
-	if !ok {
-		return false
-	}
-	if _, found := slices.BinarySearch(g.adj[ss], dst); !found {
-		return false
-	}
-	g.adj[ss] = removeSorted(g.adj[ss], dst)
-	if src != dst {
-		g.adj[ds] = removeSorted(g.adj[ds], src)
-	}
-	g.nEdges--
-	return true
-}
-
 // HasEdge reports whether {src,dst} is an edge.
 func (g *Undirected) HasEdge(src, dst int64) bool {
 	ss, ok := g.idx[src]

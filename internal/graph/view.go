@@ -130,6 +130,23 @@ func (v *View) Index(id int64) (int32, bool) {
 	return int32(i), true
 }
 
+// HasNode reports whether id is a node of the snapshot.
+func (v *View) HasNode(id int64) bool {
+	_, ok := v.Index(id)
+	return ok
+}
+
+// HasEdge reports whether the snapshot holds the edge src->dst.
+func (v *View) HasEdge(src, dst int64) bool {
+	s, ok := v.Index(src)
+	d, found := v.Index(dst)
+	if !ok || !found {
+		return false
+	}
+	_, has := slices.BinarySearch(v.Out(s), d)
+	return has
+}
+
 // Out returns the sorted dense out-neighbor indices of dense index u. The
 // slice aliases the view's arena; callers must not modify it.
 func (v *View) Out(u int32) []int32 { return v.out[v.outOff[u]:v.outOff[u+1]] }
@@ -237,6 +254,23 @@ func (v *UView) Index(id int64) (int32, bool) {
 		return 0, false
 	}
 	return int32(i), true
+}
+
+// HasNode reports whether id is a node of the snapshot.
+func (v *UView) HasNode(id int64) bool {
+	_, ok := v.Index(id)
+	return ok
+}
+
+// HasEdge reports whether the snapshot holds the edge {a, b}.
+func (v *UView) HasEdge(a, b int64) bool {
+	x, ok := v.Index(a)
+	y, found := v.Index(b)
+	if !ok || !found {
+		return false
+	}
+	_, has := slices.BinarySearch(v.Adj(x), y)
+	return has
 }
 
 // Adj returns the sorted dense neighbor indices of dense index u. The slice

@@ -1,6 +1,7 @@
 package par
 
 import (
+	"slices"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
@@ -161,63 +162,14 @@ func TestSortInt64sSmallAndLarge(t *testing.T) {
 	}
 }
 
-func TestSortPairsLexicographic(t *testing.T) {
-	for _, n := range []int{0, 1, 2, 37, 5000, parallelSortMin + 999} {
-		keys := make([]int64, n)
-		vals := make([]int64, n)
-		rngFill(keys, uint64(n)+3)
-		rngFill(vals, uint64(n)+11)
-		// Pair up keys and values so we can verify the permutation.
-		type pair struct{ k, v int64 }
-		orig := make(map[pair]int)
-		for i := 0; i < n; i++ {
-			orig[pair{keys[i], vals[i]}]++
+func TestSortInt64sQuick(t *testing.T) {
+	f := func(in []int16) bool {
+		a := make([]int64, len(in))
+		for i, x := range in {
+			a[i] = int64(x)
 		}
-		SortPairs(keys, vals)
-		for i := 1; i < n; i++ {
-			if keys[i-1] > keys[i] || (keys[i-1] == keys[i] && vals[i-1] > vals[i]) {
-				t.Fatalf("n=%d: pairs unsorted at %d: (%d,%d) > (%d,%d)",
-					n, i, keys[i-1], vals[i-1], keys[i], vals[i])
-			}
-		}
-		for i := 0; i < n; i++ {
-			p := pair{keys[i], vals[i]}
-			orig[p]--
-			if orig[p] < 0 {
-				t.Fatalf("n=%d: pair (%d,%d) appears more often after sort", n, p.k, p.v)
-			}
-		}
-	}
-}
-
-func TestSortPairsPanicsOnLengthMismatch(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic on unequal lengths")
-		}
-	}()
-	SortPairs(make([]int64, 3), make([]int64, 4))
-}
-
-func TestSortPairsQuick(t *testing.T) {
-	f := func(ks, vs []int16) bool {
-		n := len(ks)
-		if len(vs) < n {
-			n = len(vs)
-		}
-		keys := make([]int64, n)
-		vals := make([]int64, n)
-		for i := 0; i < n; i++ {
-			keys[i] = int64(ks[i])
-			vals[i] = int64(vs[i])
-		}
-		SortPairs(keys, vals)
-		for i := 1; i < n; i++ {
-			if keys[i-1] > keys[i] || (keys[i-1] == keys[i] && vals[i-1] > vals[i]) {
-				return false
-			}
-		}
-		return true
+		SortInt64s(a)
+		return slices.IsSorted(a)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)

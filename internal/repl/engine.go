@@ -414,8 +414,7 @@ func (e *Engine) cmdLoadGraph(r *Result, args []string) error {
 	// heap copy — the beyond-RAM tier), files written by "save" decode
 	// through the fast binary path, anything else parses as a text edge
 	// list on all cores (parallel chunk parse + sort-first build). Either
-	// way the binding is the CSR view built, frozen until its first
-	// mutation, as tograph binds it.
+	// way the binding is the CSR view built, as tograph binds it.
 	if isMappedFile(args[1]) {
 		mg, err := extmem.Open(args[1])
 		if err != nil {
@@ -629,11 +628,11 @@ func (e *Engine) cmdToTable(r *Result, args []string) error {
 	if err := need(args, 2, "totable <out> <graph>"); err != nil {
 		return err
 	}
-	g, err := e.ws.Graph(args[1])
+	v, err := e.ws.DirectedView(args[1])
 	if err != nil {
 		return err
 	}
-	t, err := conv.ToEdgeTable(g, "src", "dst")
+	t, err := conv.ToEdgeTable(v, "src", "dst")
 	if err != nil {
 		return err
 	}
@@ -801,11 +800,10 @@ func (e *Engine) cmdAlgo(r *Result, args []string) error {
 		cc := algo.ClusteringCoefficientView(uv)
 		r.Message = fmt.Sprintf("average clustering coefficient %.4f", cc)
 	default:
-		o, ok := e.ws.Get(args[0])
-		if !ok {
+		switch k := e.ws.Kind(args[0]); {
+		case k == "":
 			return fmt.Errorf("no object named %q", args[0])
-		}
-		if k := o.Kind(); k != "graph" && k != "ugraph" && k != "mgraph" {
+		case k != "graph" && k != "ugraph" && k != "mgraph":
 			return fmt.Errorf("%q is a %s, not a graph", args[0], k)
 		}
 		return fmt.Errorf("unknown algorithm %q", args[1])
@@ -901,9 +899,7 @@ func (e *Engine) cmdSave(r *Result, args []string) error {
 }
 
 // cmdSaveMapped writes a graph as an RNGM image, the mmap-ready CSR layout
-// loadgraph serves in place. The CSR views come from the workspace cache,
-// so saving a graph that was just analyzed reuses the views the analytics
-// built; a frozen binding writes its own view.
+// loadgraph serves in place, from the binding's own CSR view.
 func (e *Engine) cmdSaveMapped(r *Result, args []string) error {
 	if err := need(args, 2, "savemapped <graph> <file>"); err != nil {
 		return err
@@ -921,12 +917,8 @@ func (e *Engine) cmdSaveMapped(r *Result, args []string) error {
 		if err := extmem.SaveMapped(args[1], v); err != nil {
 			return err
 		}
-	case o.UGraph != nil:
-		uv, err := e.ws.UndirectedView(args[0])
-		if err != nil {
-			return err
-		}
-		if err := extmem.SaveMappedUndirected(args[1], uv); err != nil {
+	case o.UView != nil:
+		if err := extmem.SaveMappedUndirected(args[1], o.UView); err != nil {
 			return err
 		}
 	case o.Mapped != nil && o.Mapped.View() != nil:
@@ -985,9 +977,7 @@ func (e *Engine) cmdMv(r *Result, args []string) error {
 		return err
 	}
 	r.Bound = args[1]
-	if o, ok := e.ws.Get(args[1]); ok {
-		r.Kind = o.Kind()
-	}
+	r.Kind = e.ws.Kind(args[1])
 	r.Message = fmt.Sprintf("renamed %s to %s", args[0], args[1])
 	return nil
 }

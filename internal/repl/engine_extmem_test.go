@@ -3,6 +3,7 @@ package repl
 import (
 	"fmt"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -47,8 +48,8 @@ func TestSaveMappedLoadGraphRoundTrip(t *testing.T) {
 	}
 
 	// The read-only tier: graph-mutating verbs and snapshots reject it.
-	if _, err := e.Eval("totable bad m"); err == nil {
-		t.Fatalf("totable accepted a mapped graph as a mutable directed graph")
+	if _, err := e.Eval("addedge m 1 2"); err == nil || !strings.Contains(err.Error(), "read-only") {
+		t.Fatalf("addedge err = %v, want read-only rejection", err)
 	}
 	if _, err := e.Eval("snapshot " + filepath.Join(t.TempDir(), "ws.rngs")); err == nil || !strings.Contains(err.Error(), "mapped graph") {
 		t.Fatalf("snapshot err = %v, want mapped-binding rejection", err)
@@ -60,6 +61,41 @@ func TestSaveMappedLoadGraphRoundTrip(t *testing.T) {
 	r2 := mustEval("loadgraph m2 " + path2)
 	if r2.Kind != "mgraph" {
 		t.Fatalf("re-exported image bound kind %q", r2.Kind)
+	}
+}
+
+// TestToTableOfMappedGraph: totable walks a directed mapped graph's view
+// as it walks a heap binding's, so the two edge tables are equal.
+func TestToTableOfMappedGraph(t *testing.T) {
+	e := New(nil)
+	path := filepath.Join(t.TempDir(), "g.rngm")
+	for _, line := range []string{"gen rmat t 8 2000 3", "tograph g t src dst", "savemapped g " + path,
+		"loadgraph m " + path, "totable tg g", "totable tm m"} {
+		if _, err := e.Eval(line); err != nil {
+			t.Fatalf("%s: %v", line, err)
+		}
+	}
+	heap, err := e.Workspace().Table("tg")
+	if err != nil {
+		t.Fatal(err)
+	}
+	mapped, err := e.Workspace().Table("tm")
+	if err != nil {
+		t.Fatal(err)
+	}
+	v, err := e.Workspace().DirectedView("g")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if int64(heap.NumRows()) != v.NumEdges() || mapped.NumRows() != heap.NumRows() {
+		t.Fatalf("totable rows: heap %d, mapped %d", heap.NumRows(), mapped.NumRows())
+	}
+	for _, col := range []string{"src", "dst"} {
+		h, _ := heap.IntCol(col)
+		m, _ := mapped.IntCol(col)
+		if !slices.Equal(h, m) {
+			t.Fatalf("totable column %s of the mapped graph differs from the heap graph's", col)
+		}
 	}
 }
 

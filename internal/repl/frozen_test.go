@@ -19,15 +19,16 @@ import (
 // TestFrozenBindingMatchesHashBinding carry.
 const isoNode = 6000
 
-// TestFrozenBindingMatchesHashBinding runs the same verbs on a frozen
-// binding — a directed graph bound as its CSR view, which it stays until
-// its first mutation — and on a twin engine whose binding is the same
-// graph as a hash graph, set with the same provenance at the same version.
-// Every road that binds a view is checked: tograph, loadgraph of an RNGO
-// file save wrote, loadgraph of a text edge list with "# node" lines, and
-// restore. Every answer, every written byte and the workspace digest must
-// agree, before and after the mutations that thaw the frozen binding; the
-// first query after the thaw must patch the frozen view, not rebuild.
+// TestFrozenBindingMatchesHashBinding runs the same verbs on a binding
+// made by a verb — a directed graph bound as its CSR view — and on a twin
+// engine whose binding is set from the same graph as a hash graph (which
+// the workspace binds as its view), with the same provenance at the same
+// version. Every road that binds a view is checked: tograph, loadgraph of
+// an RNGO file save wrote, loadgraph of a text edge list with "# node"
+// lines, and restore. Every answer, every written byte and the workspace
+// digest must agree, before and after mutations; a mutation folds nothing
+// and the first query after it folds the pending deltas into the view
+// with one patch, never a rebuild.
 func TestFrozenBindingMatchesHashBinding(t *testing.T) {
 	const genE = "gen rmat E 9 2000 11"
 	files := t.TempDir()
@@ -86,14 +87,15 @@ func TestFrozenBindingMatchesHashBinding(t *testing.T) {
 	}
 }
 
-// checkFrozenTwins runs the read verbs, then the thawing mutations and
-// more reads, on binding G of a frozen engine and its hash twin, requiring
+// checkFrozenTwins runs the read verbs, then mutations and more reads, on
+// binding G of a verb-bound engine and its hash-set twin, requiring
 // the same results, bytes and digests throughout; G is the graph of the
 // edge columns, plus the isolated node isoNode when iso is set.
 func checkFrozenTwins(t *testing.T, frozen, hashed *Engine, srcs, dsts []int64, iso bool) {
 	t.Helper()
-	if o, _ := frozen.Workspace().Get("G"); o.View == nil || o.Graph != nil {
-		t.Fatal("the binding is not a frozen view")
+	bound, _ := frozen.Workspace().Get("G")
+	if bound.View == nil || bound.Graph != nil {
+		t.Fatal("the binding is not a view")
 	}
 	dir := t.TempDir()
 	// both runs one line on each engine and requires the same result.
@@ -151,23 +153,26 @@ func checkFrozenTwins(t *testing.T, frozen, hashed *Engine, srcs, dsts []int64, 
 	sameFile("savemapped", "g.rngm")
 	sameDigest("after the read verbs")
 
-	// A mutation that changes nothing leaves the binding frozen.
+	// A mutation that changes nothing leaves the binding's view alone.
 	src, dst := srcs[0], dsts[0]
 	edge := fmt.Sprintf("G %d %d", src, dst)
+	p0, r0 := frozen.Workspace().PatchStats()
 	both("addedge " + edge)
-	if o, _ := frozen.Workspace().Get("G"); o.View == nil {
-		t.Fatal("a no-op addedge thawed the binding")
+	if o, _ := frozen.Workspace().Get("G"); o.View != bound.View {
+		t.Fatal("a no-op addedge changed the binding's view")
 	}
 
-	// The thaw: the first query after it patches the frozen view.
-	p0, r0 := frozen.Workspace().PatchStats()
+	// The fold: the mutation logs, the first query after it patches.
 	both("addedge G 5000 5001")
-	if o, _ := frozen.Workspace().Get("G"); o.Graph == nil || o.View != nil {
-		t.Fatal("addedge did not thaw the binding into a hash graph")
+	if p, r := frozen.Workspace().PatchStats(); p != p0 || r != r0 {
+		t.Fatalf("addedge folded: patches %d→%d, rebuilds %d→%d", p0, p, r0, r)
 	}
 	both("pagerank PR G")
 	if p, r := frozen.Workspace().PatchStats(); p != p0+1 || r != r0 {
-		t.Fatalf("first query after the thaw: patches %d→%d, rebuilds %d→%d; want one patch", p0, p, r0, r)
+		t.Fatalf("first query after addedge: patches %d→%d, rebuilds %d→%d; want one fold", p0, p, r0, r)
+	}
+	if o, _ := frozen.Workspace().Get("G"); o.View == nil || o.View == bound.View || o.Graph != nil {
+		t.Fatal("the fold did not rebind the binding as its folded view")
 	}
 	both("deledge " + edge)
 	both("addnode G 7000")
@@ -196,6 +201,51 @@ func checkFrozenTwins(t *testing.T, frozen, hashed *Engine, srcs, dsts []int64, 
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got, want) {
-		t.Fatal("pagerank after the thaw differs from pagerank of the rebuilt graph")
+		t.Fatal("pagerank after the mutations differs from pagerank of the rebuilt graph")
+	}
+}
+
+// TestNoBindingHoldsAHashGraph: every road to a graph binding leaves a CSR
+// view in it, never a hash graph — Set of a hash graph, tograph, loadgraph,
+// restore of the golden snapshot (with its undirected object), and every
+// mutation verb followed by a query.
+func TestNoBindingHoldsAHashGraph(t *testing.T) {
+	e := New(nil)
+	rngo := filepath.Join(t.TempDir(), "g.rngo")
+	viewOnly := func(road, name string) {
+		t.Helper()
+		o, ok := e.Workspace().Get(name)
+		if !ok || o.Graph != nil || (o.View == nil && o.UView == nil) {
+			t.Fatalf("after %s, %s is bound as %+v", road, name, o)
+		}
+	}
+	g := graph.NewDirected()
+	g.AddEdge(1, 2)
+	e.Workspace().Set("H", core.Object{Graph: g})
+	viewOnly("Set of a hash graph", "H")
+	evalAll(t, e, "gen rmat E 7 300 5", "tograph G E src dst")
+	viewOnly("tograph", "G")
+	evalAll(t, e, "save G "+rngo, "loadgraph L "+rngo)
+	viewOnly("loadgraph", "L")
+	for _, line := range []string{"addedge G 1000 1001", "deledge G 1000 1001", "addnode G 2000"} {
+		evalAll(t, e, line, "pagerank PR G")
+		viewOnly(line, "G")
+	}
+	evalAll(t, e, "restore ../snapshot/testdata/workspace.rngs")
+	kinds := map[string]bool{}
+	for _, name := range e.Workspace().Names() {
+		if k := e.Workspace().Kind(name); k == "graph" || k == "ugraph" {
+			viewOnly("restore", name)
+			kinds[k] = true
+		}
+	}
+	if !kinds["graph"] || !kinds["ugraph"] {
+		t.Fatalf("the golden snapshot restored graph kinds %v, want both", kinds)
+	}
+	for _, name := range e.Workspace().Names() {
+		if e.Workspace().Kind(name) == "ugraph" {
+			evalAll(t, e, "addedge "+name+" 70 71", "algo "+name+" triangles")
+			viewOnly("a mutation of the undirected binding", name)
+		}
 	}
 }

@@ -6,10 +6,10 @@ import (
 )
 
 // The fine-grained graph mutation verbs (addedge, deledge, addnode) are
-// the shell surface of the incremental tier: they update a bound graph in
-// place through the workspace's delta log, so cached CSR views survive as
-// patch bases and the next analytics query patches instead of rebuilding
-// (see internal/core/incremental.go). Like every mutating verb they are
+// the shell surface of the incremental tier: they log a delta against a
+// bound graph's CSR view, which the next analytics query folds into it,
+// and cached undirected views survive as patch bases (see
+// internal/core/incremental.go). Like every mutating verb they are
 // serialized against queries by the host's session lock.
 
 // parseNodeID parses one node-id argument.
@@ -24,9 +24,7 @@ func parseNodeID(tok string) (int64, error) {
 // bindMutated records the mutated graph binding on the result.
 func (e *Engine) bindMutated(r *Result, name string) {
 	r.Bound = name
-	if o, ok := e.ws.Get(name); ok {
-		r.Kind = o.Kind()
-	}
+	r.Kind = e.ws.Kind(name)
 }
 
 func (e *Engine) cmdAddEdge(r *Result, args []string) error {

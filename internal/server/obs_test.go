@@ -228,10 +228,10 @@ func TestTotalsSurviveSessionDrop(t *testing.T) {
 	postCmd(t, ts, "gone", "select S E src = 1") // index-cache miss, built
 	postCmd(t, ts, "gone", "select S E src = 2") // index-cache hit
 	postCmd(t, ts, "gone", "tograph G E src dst")
-	postCmd(t, ts, "gone", "addedge G 9001 9002") // thaw: the frozen view is the patch base
-	postCmd(t, ts, "gone", "pagerank PR G")       // view-cache miss, patch
-	postCmd(t, ts, "gone", "algo G wcc")          // view-cache hit
 	postCmd(t, ts, "gone", "algo G triangles")    // view-cache miss, rebuild
+	postCmd(t, ts, "gone", "algo G 3core")        // view-cache hit
+	postCmd(t, ts, "gone", "addedge G 9001 9002") // logged, folded by the next query
+	postCmd(t, ts, "gone", "pagerank PR G")       // the fold: a patch
 
 	before := scrapeTotals(t, ts)
 	for _, name := range []string{metricViewCacheHits, metricViewCacheMisses, metricViewPatches,
@@ -350,7 +350,7 @@ func TestStatsReadsFromRegistry(t *testing.T) {
 	}
 	postCmd(t, ts, "s", "gen rmat E 8 500 7")
 	postCmd(t, ts, "s", "tograph G E src dst")
-	postCmd(t, ts, "s", "addnode G 9001") // thawed: its views go through the cache
+	postCmd(t, ts, "s", "algo G triangles") // the projection goes through the view cache
 	postCmd(t, ts, "s", "pagerank PR G")
 	postCmd(t, ts, "s", "pagerank PR G")
 

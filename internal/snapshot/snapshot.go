@@ -26,10 +26,10 @@
 // format of table.EncodeBinary (shared string pool, bulk column blocks),
 // graphs embed graph.SaveBinary / graph.SaveBinaryUndirected, and score
 // vectors are (i64, f64) pairs in strictly ascending id order behind a u64
-// count. A directed graph travels as its CSR view (graph.View) both ways:
-// it is written from the view and decoded straight into one
-// (graph.LoadBinary), so a restored directed binding is frozen until its
-// first mutation, like one tograph binds. Every frame is
+// count. A graph travels as its CSR view both ways: it is written from the
+// view and decoded straight into one (graph.LoadBinary for a View,
+// graph.LoadBinaryUndirected for a UView), the form every workspace graph
+// binding holds. Every frame is
 // independently length-prefixed and checksummed, so corruption is detected
 // per object — errors name the failing object — and frames can be encoded
 // and decoded in parallel (internal/par), one worker per object.
@@ -72,8 +72,8 @@ type Object struct {
 	Version    uint64
 
 	Table  *table.Table
-	View   *graph.View // a directed graph, as its CSR view
-	UGraph *graph.Undirected
+	View   *graph.View  // a directed graph, as its CSR view
+	UView  *graph.UView // an undirected graph, as its CSR view
 	Scores algo.Scores
 }
 
@@ -83,7 +83,7 @@ func (o *Object) kind() (byte, error) {
 		return kindTable, nil
 	case o.View != nil:
 		return kindGraph, nil
-	case o.UGraph != nil:
+	case o.UView != nil:
 		return kindUGraph, nil
 	case o.Scores != nil:
 		return kindScores, nil
@@ -139,8 +139,8 @@ func encodePayload(o *Object) ([]byte, error) {
 		if err := graph.SaveBinary(&buf, o.View); err != nil {
 			return nil, err
 		}
-	case o.UGraph != nil:
-		if err := graph.SaveBinaryUndirected(&buf, o.UGraph); err != nil {
+	case o.UView != nil:
+		if err := graph.SaveBinaryUndirected(&buf, o.UView); err != nil {
 			return nil, err
 		}
 	case o.Scores != nil:
@@ -265,7 +265,7 @@ func (rec *record) decode() error {
 	case kindGraph:
 		rec.obj.View, err = graph.LoadBinary(bytes.NewReader(rec.payload))
 	case kindUGraph:
-		rec.obj.UGraph, err = graph.LoadBinaryUndirected(bytes.NewReader(rec.payload))
+		rec.obj.UView, err = graph.LoadBinaryUndirected(bytes.NewReader(rec.payload))
 	case kindScores:
 		rec.obj.Scores, err = decodeScores(rec.payload)
 	default:

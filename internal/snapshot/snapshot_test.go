@@ -39,7 +39,7 @@ func sampleObjects(t *testing.T) []Object {
 	return []Object{
 		{Name: "T", Provenance: "load T posts.tsv", Version: 1, Table: tbl},
 		{Name: "G", Provenance: "tograph G T src dst", Version: 2, View: graph.BuildView(g)},
-		{Name: "U", Provenance: "", Version: 3, UGraph: u},
+		{Name: "U", Provenance: "", Version: 3, UView: graph.BuildUView(u)},
 		{Name: "PR", Provenance: "pagerank PR G", Version: 7, Scores: algo.Scores{{ID: 1, Score: 0.5}, {ID: 2, Score: 0.25}, {ID: 3, Score: 0.25}}},
 	}
 }
@@ -77,7 +77,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if g == nil || g.NumEdges() != 3 || !slices.Equal(g.IDs(), []int64{1, 2, 3}) {
 		t.Fatalf("graph not restored: %+v", got[1])
 	}
-	u := got[2].UGraph
+	u := got[2].UView
 	if u == nil || u.NumEdges() != 2 || !u.HasEdge(30, 20) {
 		t.Fatalf("ugraph not restored: %+v", got[2])
 	}
@@ -310,7 +310,7 @@ func decodeAs(sel byte, data []byte) (uint64, []Object, error) {
 	case 2:
 		o.View, err = graph.LoadBinary(r)
 	default:
-		o.UGraph, err = graph.LoadBinaryUndirected(r)
+		o.UView, err = graph.LoadBinaryUndirected(r)
 	}
 	return 0, []Object{o}, err
 }

@@ -137,7 +137,7 @@ func ToUGraph(t *Table, srcCol, dstCol string) (*UGraph, error) {
 
 // ToTable converts a directed graph back to an edge table, in parallel.
 func ToTable(g *Graph, srcName, dstName string) (*Table, error) {
-	return conv.ToEdgeTable(g, srcName, dstName)
+	return conv.HashToEdgeTable(g, srcName, dstName)
 }
 
 // AsUndirected returns the undirected view of a directed graph.

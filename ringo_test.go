@@ -112,7 +112,7 @@ func TestFigure2Workflow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	compTable, err := ringo.TableFromIntMap(wcc.Label, "node", "comp")
+	compTable, err := ringo.TableFromIntMap(wcc.Label(), "node", "comp")
 	if err != nil {
 		t.Fatal(err)
 	}

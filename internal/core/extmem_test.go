@@ -6,6 +6,8 @@ import (
 	"strings"
 	"testing"
 
+	"ringo/internal/algo"
+	"ringo/internal/conv"
 	"ringo/internal/extmem"
 	"ringo/internal/gen"
 	"ringo/internal/graph"
@@ -110,44 +112,58 @@ func TestWorkspaceMappedUndirectedBinding(t *testing.T) {
 	}
 }
 
-// restoreFixture builds a ≥1M-edge graph once per benchmark run and lays
-// down both warm-start artifacts: the RNGS workspace snapshot (decode
-// path) and the RNGM image (map path).
-func restoreFixture(b *testing.B) (snapPath, mapPath string) {
-	b.Helper()
-	g := gen.GNM(200_000, 1_000_000, 77)
-	dir := b.TempDir()
-	ws := NewWorkspace()
-	ws.Set("g", Object{Graph: g})
-	snapPath = filepath.Join(dir, "ws.rngs")
-	if err := ws.SnapshotFile(snapPath); err != nil {
-		b.Fatalf("SnapshotFile: %v", err)
-	}
-	mapPath = filepath.Join(dir, "g.rngm")
-	if err := extmem.SaveMapped(mapPath, graph.BuildView(g)); err != nil {
-		b.Fatalf("SaveMapped: %v", err)
-	}
-	return snapPath, mapPath
-}
-
-// BenchmarkRestoreDecode is the warm-start baseline: decode the RNGS
-// snapshot, rebuilding every adjacency vector and hash map on the heap.
+// BenchmarkRestoreDecode is the warm-start baseline: restore an RNGS
+// snapshot file into a fresh workspace — read each record, verify its
+// checksum, decode a table column by column and validate a graph's CSR
+// arrays in place. gnm-1M is one 1M-edge graph; warm-read is the session
+// the warm-read workload restores: an R-MAT scale-16 edge table of 400K
+// rows, the graph tograph builds from it and that graph's PageRank.
 func BenchmarkRestoreDecode(b *testing.B) {
-	snapPath, _ := restoreFixture(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ws := NewWorkspace()
-		if err := ws.RestoreFile(snapPath); err != nil {
-			b.Fatal(err)
-		}
+	for _, c := range []struct {
+		name string
+		ws   func(b *testing.B) *Workspace
+	}{
+		{"gnm-1M", func(b *testing.B) *Workspace {
+			ws := NewWorkspace()
+			ws.Set("g", Object{Graph: gen.GNM(200_000, 1_000_000, 77)})
+			return ws
+		}},
+		{"warm-read", func(b *testing.B) *Workspace {
+			t := gen.RMATTable(16, 400_000, 1)
+			v, err := conv.ToView(t, "src", "dst")
+			if err != nil {
+				b.Fatal(err)
+			}
+			ws := NewWorkspace()
+			ws.Set("E", Object{Table: t})
+			ws.Set("G", Object{View: v})
+			ws.Set("PR", Object{Scores: algo.PageRankView(v, algo.DefaultDamping, 10)})
+			return ws
+		}},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			path := filepath.Join(b.TempDir(), "ws.rngs")
+			if err := c.ws(b).SnapshotFile(path); err != nil {
+				b.Fatalf("SnapshotFile: %v", err)
+			}
+			b.ResetTimer()
+			for range b.N {
+				if err := NewWorkspace().RestoreFile(path); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 
 // BenchmarkRestoreMapped is the beyond-RAM warm start: validate and map
 // the RNGM image, serving a queryable view with no decode. Compare against
-// BenchmarkRestoreDecode on the same 1M-edge graph.
+// BenchmarkRestoreDecode/gnm-1M, the same graph.
 func BenchmarkRestoreMapped(b *testing.B) {
-	_, mapPath := restoreFixture(b)
+	mapPath := filepath.Join(b.TempDir(), "g.rngm")
+	if err := extmem.SaveMapped(mapPath, graph.BuildView(gen.GNM(200_000, 1_000_000, 77))); err != nil {
+		b.Fatalf("SaveMapped: %v", err)
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		mg, err := extmem.Open(mapPath)

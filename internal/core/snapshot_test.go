@@ -246,13 +246,14 @@ func TestWorkspaceSnapshotFileRoundTrip(t *testing.T) {
 	}
 }
 
-// TestSnapshotGoldenScoreFrame restores a snapshot written before scores
-// became id-sorted vectors (the map-based encoder sorted keys on the way
-// out, so the bytes were already in this order): the frame must decode to
-// the same pairs, re-encode byte for byte, and keep fingerprint and digest.
+// TestSnapshotGoldenScoreFrame restores a score frame written before
+// scores became id-sorted vectors (the map-based encoder sorted keys on the
+// way out, so the bytes were already in this order), under the version-2
+// header that changed only graph records: the frame must decode to the
+// same pairs, re-encode byte for byte, and keep fingerprint and digest.
 func TestSnapshotGoldenScoreFrame(t *testing.T) {
 	golden, err := hex.DecodeString("" +
-		"524e4753010000000100000000000000010000000200000050520d0000007061" +
+		"524e4753020000000100000000000000010000000200000050520d0000007061" +
 		"676572616e6b205052204701000000000000000448000000000000006e88dc14" +
 		"839ac4920400000000000000fdffffffffffffff000000000000c03f00000000" +
 		"00000000000000000000e03f0700000000000000000000000000d03f00000000" +
@@ -278,8 +279,8 @@ func TestSnapshotGoldenScoreFrame(t *testing.T) {
 	if !bytes.Equal(out.Bytes(), golden) {
 		t.Fatalf("re-encoded snapshot differs from the golden bytes:\n got %x\nwant %x", out.Bytes(), golden)
 	}
-	if d, _ := ws.Digest(); d != "ab1c55ea23f63c61" {
-		t.Fatalf("digest = %s, want ab1c55ea23f63c61", d)
+	if d, _ := ws.Digest(); d != "3d102ec32e67ec46" {
+		t.Fatalf("digest = %s, want 3d102ec32e67ec46", d)
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"ringo/internal/frame"
 	"ringo/internal/gen"
 	"ringo/internal/graph"
 	"ringo/internal/xhash"
@@ -280,6 +281,55 @@ func TestOpenRejectsCorruption(t *testing.T) {
 			if err == nil {
 				g.Close()
 				t.Fatalf("Open accepted corrupt image")
+			}
+			if !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("err = %v, want substring %q", err, tc.want)
+			}
+		})
+	}
+}
+
+// TestOpenRejectsInconsistentCSR: images whose every checksum is valid and
+// whose arrays are each well formed, but whose in-vectors are not the
+// transpose of the out-vectors or whose undirected arena is not symmetric,
+// are refused with the edge named.
+func TestOpenRejectsInconsistentCSR(t *testing.T) {
+	i32 := func(s ...int32) []byte { return frame.Image(s) }
+	i64 := func(s ...int64) []byte { return frame.Image(s) }
+	ids := i64(1, 2, 3)
+	for _, tc := range []struct {
+		name string
+		kind uint32
+		secs [][]byte
+		want string
+	}{
+		// 1->2 stored forward, but backward as 3<-1.
+		{"in is not out's transpose", kindDirected,
+			[][]byte{ids, i64(0, 1, 1, 1), i64(0, 0, 0, 1), i32(1), i32(0)},
+			"edge 1->2 has no matching reverse entry"},
+		// 1->2 and 2->3 forward, but backward both under 2, as 2<-1, 2<-2.
+		{"in splits at the wrong node", kindDirected,
+			[][]byte{ids, i64(0, 1, 2, 2), i64(0, 0, 2, 2), i32(1, 2), i32(0, 1)},
+			"edge 2->3 has no matching reverse entry"},
+		// {1,2} in 1's vector only.
+		{"asymmetric arena", kindUndirected,
+			[][]byte{ids, i64(0, 1, 1, 1), i32(1)},
+			"edge 1->2 has no matching reverse entry"},
+		// {1,2} in 2's vector only.
+		{"asymmetric arena, back half", kindUndirected,
+			[][]byte{ids, i64(0, 0, 1, 1), i32(0)},
+			"edge 2->1 has no matching reverse entry"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "bad.rngm")
+			e := uint64(len(tc.secs[len(tc.secs)-1]) / 4)
+			if err := save(path, tc.kind, 3, e, tc.secs); err != nil {
+				t.Fatal(err)
+			}
+			g, err := Open(path)
+			if err == nil {
+				g.Close()
+				t.Fatal("Open accepted an inconsistent image")
 			}
 			if !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("err = %v, want substring %q", err, tc.want)

@@ -26,8 +26,9 @@
 //	undirected: ids []i64, off []i64, arena []i32
 //
 // Because the section layout IS the in-memory layout, OpenMapped turns a
-// file into a queryable view by validating and aliasing — no per-node
-// decode loop, no hash-map build, no allocation proportional to the graph.
+// file into a queryable view by validating and aliasing — no decode, no
+// hash-map build; the only allocation proportional to the graph is the
+// transpose check's transient cursor per node (graph.ViewFromArrays).
 package extmem
 
 import (

@@ -125,9 +125,9 @@ func finish(path string, data []byte, mapped bool, unmap func() error) (*Graph, 
 
 // parse validates the header, section table, checksums and array
 // invariants, then aliases the sections into a view. Every check mirrors
-// the RNGO/RNGU hardening: truncation, absurd counts, lying lengths and
-// corrupt payloads all fail with a named error before any algorithm can
-// index out of bounds.
+// the other decoders' hardening: truncation, absurd counts, lying lengths,
+// corrupt payloads and inconsistent arrays all fail with a named error
+// before any algorithm can index out of bounds or answer wrongly.
 func (g *Graph) parse() error {
 	data := g.data
 	if int64(len(data)) < fixedHeaderLen+8 {

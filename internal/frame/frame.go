@@ -1,8 +1,9 @@
 // Package frame is the one binary codec under Ringo's on-disk formats
-// (docs/FORMATS.md): RNGS snapshots, RTBL tables, RNGO/RNGU graphs and the
+// (docs/FORMATS.md): RNGS snapshots, RTBL tables, RNGO graphs and the
 // RNGM mapped image. It owns what those formats share — little-endian
 // fields behind a magic + version header, length-prefixed strings, bulk
-// array blocks, the bounds a decoder puts on the counts it reads, and the
+// array blocks read in one allocation where the source vouches for their
+// length, the bounds a decoder puts on the counts it reads, and the
 // atomic replacement of a file on disk — so each format is a payload
 // schema over it.
 package frame
@@ -25,9 +26,10 @@ const (
 	MaxCount = 1 << 44
 	// maxPrealloc bounds how far a decoded count is trusted: slices and
 	// maps start at most this many elements large, and a declared length
-	// is read at most this many elements at a time, so a lying count
-	// costs reads until the stream runs dry, never an absurd allocation.
-	// It also bounds the u32 list lengths Count32 reads.
+	// the source cannot vouch for is read at most this many elements at a
+	// time, so a lying count costs reads until the stream runs dry, never
+	// an absurd allocation. It also bounds the u32 list lengths Count32
+	// reads.
 	maxPrealloc = 1 << 20
 	// maxString bounds one length-prefixed string.
 	maxString = 1 << 24
@@ -108,13 +110,39 @@ func (w *Writer) Flush() error {
 // zero values, so a decoder reads a run of fields and checks Err once,
 // before it trusts any value the run produced.
 type Reader struct {
-	r   *bufio.Reader
-	err error
-	buf [8]byte
+	r    *bufio.Reader
+	err  error
+	left int64 // bytes the source still holds, or -1 when it cannot tell
+	buf  [8]byte
 }
 
 // NewReader returns a Reader over r, buffering it unless it already is.
-func NewReader(r io.Reader) *Reader { return &Reader{r: bufio.NewReader(r)} }
+// When r can tell how many bytes it still holds — a byte reader's Len, a
+// regular file's size past its offset — every block is checked against
+// that count and read into one allocation of its size.
+func NewReader(r io.Reader) *Reader {
+	return &Reader{r: bufio.NewReader(r), left: sourceLen(r)}
+}
+
+// sourceLen returns how many unread bytes r holds, or -1 when it cannot
+// tell.
+func sourceLen(r io.Reader) int64 {
+	switch s := r.(type) {
+	case interface{ Len() int }: // bytes.Reader, bytes.Buffer, strings.Reader
+		return int64(s.Len())
+	case *os.File:
+		st, err := s.Stat()
+		if err != nil || !st.Mode().IsRegular() {
+			return -1
+		}
+		at, err := s.Seek(0, io.SeekCurrent)
+		if err != nil || at > st.Size() {
+			return -1
+		}
+		return st.Size() - at
+	}
+	return -1
+}
 
 // Err returns the first error the Reader met, or nil.
 func (r *Reader) Err() error { return r.err }
@@ -133,6 +161,9 @@ func (r *Reader) read(field string, p []byte) bool {
 	if _, err := io.ReadFull(r.r, p); err != nil {
 		r.err = fmt.Errorf("reading %s: %w", field, err)
 		return false
+	}
+	if r.left >= 0 {
+		r.left -= int64(len(p))
 	}
 	return true
 }
@@ -200,11 +231,14 @@ func (r *Reader) Count32(field string) uint32 {
 }
 
 // String reads a u32 byte length and that many bytes, failing on a length
-// above 16 MiB.
+// above 16 MiB or past the bytes the source holds.
 func (r *Reader) String(field string) string {
 	n := r.U32(field)
 	if n > maxString {
 		r.fail("%s length %d exceeds limit", field, n)
+		return ""
+	}
+	if r.step(field, uint64(n), 1); r.err != nil {
 		return ""
 	}
 	b := make([]byte, n)
@@ -229,18 +263,21 @@ func (r *Reader) AppendInt64s(field string, dst []int64, n uint64) []int64 {
 // Float64s reads a block of n little-endian f64 bit patterns.
 func (r *Reader) Float64s(field string, n uint64) []float64 { return readBlock[float64](r, field, n) }
 
-// readBlock reads n elements straight into the slice it returns.
+// readBlock reads n elements straight into the slice it returns, made at
+// once as large as the first read step.
 func readBlock[T word](r *Reader, field string, n uint64) []T {
-	return appendBlock(r, field, make([]T, 0, Prealloc(n)), n)
+	return appendBlock(r, field, make([]T, 0, min(n, r.step(field, n, sizeOf[T]()))), n)
 }
 
-// appendBlock reads n elements straight onto the end of out, trusting n at
-// most 2^20 elements at a time.
+// appendBlock reads n elements straight onto the end of out, in one read
+// when the source is known to hold them and at most 2^20 elements at a
+// time when it cannot tell.
 func appendBlock[T word](r *Reader, field string, out []T, n uint64) []T {
+	step := r.step(field, n, sizeOf[T]())
 	end := uint64(len(out)) + n
 	for r.err == nil && uint64(len(out)) < end {
 		at := len(out)
-		k := Prealloc(end - uint64(at))
+		k := int(min(end-uint64(at), step))
 		out = slices.Grow(out, k)[:at+k]
 		img := Image(out[at:]) // out's own memory on a little-endian host
 		if r.read(field, img) && !hostLittle {
@@ -253,10 +290,30 @@ func appendBlock[T word](r *Reader, field string, out []T, n uint64) []T {
 	return out
 }
 
+// step returns how many of n size-byte elements a block read may trust at
+// once: all of them when the source holds at least n*size more bytes, 2^20
+// when it cannot tell. A block longer than the bytes left fails here,
+// before anything is allocated for it.
+func (r *Reader) step(field string, n, size uint64) uint64 {
+	if r.left < 0 {
+		return maxPrealloc
+	}
+	if n > uint64(r.left)/size {
+		r.fail("reading %s: %d elements of %d bytes, only %d bytes left", field, n, size, r.left)
+		return 0
+	}
+	return max(n, 1)
+}
+
 // word is an element type whose little-endian image is its memory on a
 // little-endian host.
 type word interface {
 	byte | int32 | int64 | float64
+}
+
+func sizeOf[T word]() uint64 {
+	var zero T
+	return uint64(unsafe.Sizeof(zero))
 }
 
 // hostLittle reports whether this host stores integers little endian, in

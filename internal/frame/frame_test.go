@@ -236,3 +236,70 @@ func TestAppendInt64s(t *testing.T) {
 		t.Fatalf("append past the stream: %d values, error %v", len(got), r.Err())
 	}
 }
+
+// TestBlockReadsInOneAllocation: a block read from a source that knows its
+// length — a byte reader, a regular file — lands in one allocation of its
+// size, a block longer than the bytes left fails before anything is
+// allocated for it, and a source that cannot tell its length still reads
+// the block, 2^20 elements at a time.
+func TestBlockReadsInOneAllocation(t *testing.T) {
+	want := make([]int64, 3<<20) // 24 MiB, three bounded reads
+	for i := range want {
+		want[i] = int64(i) * 7
+	}
+	var buf bytes.Buffer
+	w := NewWriter(&buf)
+	w.Int64s(want)
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "block")
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	size := uint64(len(buf.Bytes()))
+	sources := []struct {
+		name  string
+		open  func() io.Reader
+		exact bool
+	}{
+		{"bytes", func() io.Reader { return bytes.NewReader(buf.Bytes()) }, true},
+		{"file", func() io.Reader {
+			f, err := os.Open(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { f.Close() })
+			return f
+		}, true},
+		{"opaque", func() io.Reader { return io.MultiReader(bytes.NewReader(buf.Bytes())) }, false},
+	}
+	for _, src := range sources {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		got := NewReader(src.open()).Int64s("block", uint64(len(want)))
+		runtime.ReadMemStats(&after)
+		if !slices.Equal(got, want) {
+			t.Fatalf("%s: block read back %d values, want %d in order", src.name, len(got), len(want))
+		}
+		grew := after.TotalAlloc - before.TotalAlloc
+		if src.exact && grew > size+64<<10 {
+			t.Fatalf("%s: reading a %d-byte block allocated %d bytes", src.name, size, grew)
+		}
+		if !src.exact && grew <= size+64<<10 {
+			t.Fatalf("%s: a source of unknown length read %d bytes in one allocation (%d bytes)", src.name, size, grew)
+		}
+		if src.exact {
+			r := NewReader(src.open())
+			runtime.ReadMemStats(&before)
+			lying := r.Int64s("lying", uint64(len(want))+1)
+			runtime.ReadMemStats(&after)
+			if lying != nil || r.Err() == nil || !strings.Contains(r.Err().Error(), "bytes left") {
+				t.Fatalf("%s: a block one element past the source gave %d values, error %v", src.name, len(lying), r.Err())
+			}
+			if grew := after.TotalAlloc - before.TotalAlloc; grew > 64<<10 {
+				t.Fatalf("%s: a lying block length allocated %d bytes", src.name, grew)
+			}
+		}
+	}
+}

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"slices"
 
 	"ringo/internal/frame"
 )
@@ -25,10 +24,6 @@ const (
 	binaryMagic   = "RNGO"
 	binaryVersion = 1
 
-	// undirectedMagic marks the undirected variant: same framing, one
-	// adjacency vector per node instead of an out-vector.
-	undirectedMagic = "RNGU"
-
 	// mappedMagic marks the mmap-friendly CSR image written by
 	// internal/extmem. This package only sniffs it so stream loaders can
 	// point callers at the mapped loader instead of failing on a parse.
@@ -38,30 +33,21 @@ const (
 // SaveBinary writes v in the binary graph format: one record per node in
 // the view's ascending id order, its out-vector translated back to ids.
 func SaveBinary(w io.Writer, v *View) error {
+	fw := frame.NewWriter(w)
+	fw.Header(binaryMagic, binaryVersion)
+	fw.U64(uint64(len(v.ids)))
+	fw.U64(uint64(v.NumEdges()))
 	var vec []int64
-	return saveAdjacency(w, binaryMagic, v.ids, v.NumEdges(), func(i int) []int64 {
+	for i, id := range v.ids {
 		vec = vec[:0]
 		for _, x := range v.Out(int32(i)) {
 			vec = append(vec, v.ids[x])
 		}
-		return vec
-	})
-}
-
-// SaveBinaryUndirected writes v in the binary graph format's undirected
-// variant: magic "RNGU", version u32, node count u64, edge count u64, then
-// per node (ascending id): id i64, degree u32, sorted neighbor ids i64...
-// Each non-loop edge appears in both endpoints' vectors, a self-loop once,
-// mirroring the view's adjacency.
-func SaveBinaryUndirected(w io.Writer, v *UView) error {
-	var vec []int64
-	return saveAdjacency(w, undirectedMagic, v.ids, v.NumEdges(), func(i int) []int64 {
-		vec = vec[:0]
-		for _, x := range v.Adj(int32(i)) {
-			vec = append(vec, v.ids[x])
-		}
-		return vec
-	})
+		fw.U64(uint64(id))
+		fw.U32(uint32(len(vec)))
+		fw.Int64s(vec)
+	}
+	return fw.Flush()
 }
 
 // SaveBinaryFile is SaveBinary writing to the named file, which is
@@ -70,27 +56,10 @@ func SaveBinaryFile(path string, v *View) error {
 	return frame.WriteFile(path, func(w io.Writer) error { return SaveBinary(w, v) })
 }
 
-// saveAdjacency writes the record layout RNGO and RNGU share: header, node
-// and edge counts, then one record per node of nodes (ascending id): id,
-// degree and the sorted vector adj returns for the node at that position.
-func saveAdjacency(w io.Writer, magic string, nodes []int64, edges int64, adj func(i int) []int64) error {
-	fw := frame.NewWriter(w)
-	fw.Header(magic, binaryVersion)
-	fw.U64(uint64(len(nodes)))
-	fw.U64(uint64(edges))
-	for i, id := range nodes {
-		vec := adj(i)
-		fw.U64(uint64(id))
-		fw.U32(uint32(len(vec)))
-		fw.Int64s(vec)
-	}
-	return fw.Flush()
-}
-
-// adjacency is what loadAdjacency decodes, in flat columns: the node ids
-// in record order, and one neighbor column holding record i's vector at
+// records is what loadRecords decodes, in flat columns: the node ids in
+// record order, and one neighbor column holding record i's out-vector at
 // nbrs[off[i]:off[i+1]].
-type adjacency struct {
+type records struct {
 	ids   []int64
 	off   []int
 	nbrs  []int64
@@ -99,33 +68,31 @@ type adjacency struct {
 
 // vec returns record i's vector, capped so an append to it cannot reach
 // the next record's.
-func (a *adjacency) vec(i int) []int64 { return a.nbrs[a.off[i]:a.off[i+1]:a.off[i+1]] }
+func (a *records) vec(i int) []int64 { return a.nbrs[a.off[i]:a.off[i+1]:a.off[i+1]] }
 
-// loadAdjacency reads what saveAdjacency writes under magic. Each edge may
-// fill up to perEdge vector entries (RNGO 1, RNGU 2 for its two
-// endpoints), and every declared degree is checked against the entries the
-// header left unclaimed before it is read: a corrupt degree costs reads
-// until the stream runs dry, never an oversized allocation.
-func loadAdjacency(r io.Reader, magic string, perEdge uint64) (*adjacency, error) {
+// loadRecords reads the records SaveBinary writes. Every declared degree
+// is checked against the edges the header left unclaimed before it is
+// read: a corrupt degree costs reads until the stream runs dry, never an
+// oversized allocation.
+func loadRecords(r io.Reader) (*records, error) {
 	fr := frame.NewReader(r)
-	fr.Header(magic, binaryVersion)
+	fr.Header(binaryMagic, binaryVersion)
 	nNodes := fr.Count("node count")
 	nEdges := fr.Count("edge count")
 	if err := fr.Err(); err != nil {
 		return nil, fmt.Errorf("graph: %w", err)
 	}
-	budget := perEdge * nEdges
-	a := &adjacency{
+	a := &records{
 		ids:   make([]int64, 0, frame.Prealloc(nNodes)),
 		off:   append(make([]int, 0, frame.Prealloc(nNodes)+1), 0),
-		nbrs:  make([]int64, 0, frame.Prealloc(budget)),
+		nbrs:  make([]int64, 0, frame.Prealloc(nEdges)),
 		edges: nEdges,
 	}
 	for i := uint64(0); i < nNodes; i++ {
 		id := int64(fr.U64("node id"))
 		deg := uint64(fr.U32("degree"))
-		if remaining := budget - uint64(len(a.nbrs)); fr.Err() == nil && deg > remaining {
-			return nil, fmt.Errorf("graph: node %d declares degree %d with only %d of %d entries unclaimed", id, deg, remaining, budget)
+		if remaining := nEdges - uint64(len(a.nbrs)); fr.Err() == nil && deg > remaining {
+			return nil, fmt.Errorf("graph: node %d declares degree %d with only %d of %d edges unclaimed", id, deg, remaining, nEdges)
 		}
 		a.nbrs = fr.AppendInt64s("neighbor ids", a.nbrs, deg)
 		if err := fr.Err(); err != nil {
@@ -141,11 +108,11 @@ func loadAdjacency(r io.Reader, magic string, perEdge uint64) (*adjacency, error
 // view: the records stream into flat columns — the node ids, and one
 // (src, dst) pair per out-vector entry — which BuildViewCols builds, no
 // per-node vector or hash map on the way. Besides the framing checks of
-// loadAdjacency it rejects an edge count the vectors do not hold, node ids
+// loadRecords it rejects an edge count the vectors do not hold, node ids
 // out of strictly ascending order, an edge to an undeclared node and an
 // out-vector that is not strictly ascending.
 func LoadBinary(r io.Reader) (*View, error) {
-	a, err := loadAdjacency(r, binaryMagic, 1)
+	a, err := loadRecords(r)
 	if err != nil {
 		return nil, err
 	}
@@ -190,59 +157,6 @@ func LoadBinary(r io.Reader) (*View, error) {
 	return v, nil
 }
 
-// LoadBinaryUndirected reads a graph written by SaveBinaryUndirected
-// straight into its CSR view: the records' neighbor ids are translated to
-// dense indices in place of a per-node vector. Besides the framing checks
-// of loadAdjacency it rejects the reserved id, node ids out of strictly
-// ascending order, a neighbor that is no node, a vector that is not
-// strictly ascending, an edge missing from its other endpoint's vector and
-// an edge count the vectors do not hold.
-func LoadBinaryUndirected(r io.Reader) (*UView, error) {
-	a, err := loadAdjacency(r, undirectedMagic, 2)
-	if err != nil {
-		return nil, err
-	}
-	n := len(a.ids)
-	v := &UView{ids: a.ids, off: make([]int64, n+1), arena: make([]int32, len(a.nbrs))}
-	for i, id := range a.ids {
-		if id == tombstone {
-			return nil, fmt.Errorf("graph: node id %d reserved", id)
-		}
-		if i > 0 && id <= a.ids[i-1] {
-			return nil, fmt.Errorf("graph: node %d follows node %d: ids not strictly ascending", id, a.ids[i-1])
-		}
-		v.off[i+1] = int64(a.off[i+1])
-	}
-	var halves uint64
-	for i, id := range a.ids {
-		for j, nbr := range a.vec(i) {
-			x, ok := v.Index(nbr)
-			if !ok {
-				return nil, fmt.Errorf("graph: edge {%d,%d} points at missing node", id, nbr)
-			}
-			if j > 0 && x <= v.arena[a.off[i]+j-1] {
-				return nil, fmt.Errorf("graph: node %d vector not strictly sorted", id)
-			}
-			v.arena[a.off[i]+j] = x
-			halves++
-			if nbr == id {
-				halves++ // a self-loop is stored once
-			}
-		}
-	}
-	for u := range int32(n) {
-		for _, x := range v.Adj(u) {
-			if _, found := slices.BinarySearch(v.Adj(x), u); !found {
-				return nil, fmt.Errorf("graph: edge {%d,%d} not symmetric", v.ids[u], v.ids[x])
-			}
-		}
-	}
-	if halves/2 != a.edges {
-		return nil, fmt.Errorf("graph: header claims %d edges, vectors hold %d", a.edges, halves/2)
-	}
-	return v, nil
-}
-
 // LoadFileAuto loads the CSR view of a directed graph from path in
 // whichever of the two on-disk formats it is in, sniffing the leading
 // magic bytes: files written by SaveBinary load through the fast binary
@@ -261,11 +175,6 @@ func LoadFileAuto(path string) (*View, error) {
 	head, err := br.Peek(len(binaryMagic))
 	if err == nil && string(head) == binaryMagic {
 		return LoadBinary(br)
-	}
-	if err == nil && string(head) == undirectedMagic {
-		// Feeding these bytes to the text parser would produce a baffling
-		// integer-parse error; name the actual mismatch instead.
-		return nil, fmt.Errorf("graph: %s holds an undirected binary graph; this loader builds directed graphs (use LoadBinaryUndirected)", path)
 	}
 	if err == nil && string(head) == mappedMagic {
 		// Mapped CSR images are not decoded at all; they are served in

@@ -3,7 +3,6 @@ package graph
 import (
 	"bytes"
 	"os"
-	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -138,70 +137,6 @@ func TestBinaryRejectsMangledBuffers(t *testing.T) {
 	}
 }
 
-func sampleUndirectedBinary() *Undirected {
-	u := NewUndirectedCap(0)
-	u.AddEdge(1, 2)
-	u.AddEdge(2, 3)
-	u.AddEdge(3, 1)
-	u.AddEdge(4, 4) // self-loop survives
-	u.AddNode(99)   // isolated node survives
-	return u
-}
-
-func TestBinaryUndirectedRoundTrip(t *testing.T) {
-	u := sampleUndirectedBinary()
-	var buf bytes.Buffer
-	if err := SaveBinaryUndirected(&buf, BuildUView(u)); err != nil {
-		t.Fatal(err)
-	}
-	back, err := LoadBinaryUndirected(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.NumNodes() != u.NumNodes() || back.NumEdges() != u.NumEdges() {
-		t.Fatalf("round trip dims = (%d,%d), want (%d,%d)",
-			back.NumNodes(), back.NumEdges(), u.NumNodes(), u.NumEdges())
-	}
-	u.ForEdges(func(src, dst int64) {
-		if !back.HasEdge(src, dst) {
-			t.Fatalf("lost edge {%d,%d}", src, dst)
-		}
-	})
-	if !back.HasNode(99) {
-		t.Fatal("lost isolated node")
-	}
-}
-
-func TestBinaryUndirectedRejectsCorruption(t *testing.T) {
-	u := sampleUndirectedBinary()
-	var buf bytes.Buffer
-	if err := SaveBinaryUndirected(&buf, BuildUView(u)); err != nil {
-		t.Fatal(err)
-	}
-	good := buf.Bytes()
-	// Directed magic must not load as undirected and vice versa.
-	if _, err := LoadBinaryUndirected(strings.NewReader("RNGO\x01\x00\x00\x00")); err == nil {
-		t.Fatal("directed magic accepted as undirected")
-	}
-	for _, cut := range []int{2, 6, 20, len(good) - 1} {
-		if _, err := LoadBinaryUndirected(bytes.NewReader(good[:cut])); err == nil {
-			t.Fatalf("truncation at %d accepted", cut)
-		}
-	}
-	mangled := append([]byte(nil), good...)
-	for i := 8; i < 16; i++ {
-		mangled[i] = 0xff
-	}
-	if _, err := LoadBinaryUndirected(bytes.NewReader(mangled)); err == nil {
-		t.Fatal("absurd node count accepted")
-	}
-	mangled = append([]byte(nil), good...)
-	mangled[16]++ // header edge count no longer matches the vectors
-	if _, err := LoadBinaryUndirected(bytes.NewReader(mangled)); err == nil {
-		t.Fatal("edge count mismatch accepted")
-	}
-}
-
 func TestLoadFileAuto(t *testing.T) {
 	g := sampleDirected()
 	dir := t.TempDir()
@@ -230,23 +165,6 @@ func TestLoadFileAuto(t *testing.T) {
 
 	if _, err := LoadFileAuto(dir + "/missing"); err == nil {
 		t.Fatal("missing file accepted")
-	}
-
-	// An undirected binary file must produce a clear mismatch error, not a
-	// baffling text-parse failure.
-	u := sampleUndirectedBinary()
-	uPath := dir + "/u.rngu"
-	f, err := os.Create(uPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := SaveBinaryUndirected(f, BuildUView(u)); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-	_, err = LoadFileAuto(uPath)
-	if err == nil || !strings.Contains(err.Error(), "undirected") {
-		t.Fatalf("undirected binary through LoadFileAuto: %v", err)
 	}
 }
 
@@ -282,7 +200,7 @@ func TestBinaryRoundTripProperty(t *testing.T) {
 }
 
 // goldenDirected is the RNGO golden fixture: a self-loop and an isolated
-// node beside ordinary edges. sampleUndirectedBinary is the RNGU one.
+// node beside ordinary edges.
 func goldenDirected() *Directed {
 	g := sampleDirected()
 	g.AddEdge(20, 20)
@@ -290,9 +208,9 @@ func goldenDirected() *Directed {
 	return g
 }
 
-// TestBinaryGolden holds both graph codecs to bytes an earlier encoder
-// wrote: each fixture encodes to exactly those bytes, and they decode to a
-// graph equal to the fixture.
+// TestBinaryGolden holds the RNGO codec to bytes an earlier encoder wrote:
+// the fixture encodes to exactly those bytes, and they decode to a view
+// equal to the fixture's.
 func TestBinaryGolden(t *testing.T) {
 	golden, err := os.ReadFile("testdata/directed.rngo")
 	if err != nil {
@@ -312,27 +230,5 @@ func TestBinaryGolden(t *testing.T) {
 	}
 	if err := identicalViews(back, BuildView(g)); err != nil {
 		t.Fatal(err)
-	}
-
-	rngu, err := os.ReadFile("testdata/undirected.rngu")
-	if err != nil {
-		t.Fatal(err)
-	}
-	u := BuildUView(sampleUndirectedBinary())
-	buf.Reset()
-	if err := SaveBinaryUndirected(&buf, u); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(buf.Bytes(), rngu) {
-		t.Fatalf("RNGU encoding differs from the golden bytes:\n got %x\nwant %x", buf.Bytes(), rngu)
-	}
-	ub, err := LoadBinaryUndirected(bytes.NewReader(rngu))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ids, off, arena := ub.UViewParts()
-	wids, woff, warena := u.UViewParts()
-	if !slices.Equal(ids, wids) || !slices.Equal(off, woff) || !slices.Equal(arena, warena) {
-		t.Fatal("RNGU golden decodes to a view other than the fixture's")
 	}
 }

@@ -5,8 +5,9 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"slices"
 	"testing"
+
+	"ringo/internal/frame"
 )
 
 // The hash-of-nodes RNGO decoder LoadBinary replaced, kept as its oracle:
@@ -20,7 +21,7 @@ import (
 // LoadBinaryHash is the reference decoder; it is exported to this
 // package's external tests, where BenchmarkLoadBinary times it.
 func LoadBinaryHash(r io.Reader) (*Directed, error) {
-	a, err := loadAdjacency(r, binaryMagic, 1)
+	a, err := loadRecords(r)
 	if err != nil {
 		return nil, err
 	}
@@ -145,11 +146,16 @@ func (g *Directed) Validate() error {
 // given, so a test can write node records SaveBinary never would.
 func rngo(edges int, recs ...[]int64) []byte {
 	var buf bytes.Buffer
-	ids := make([]int64, len(recs))
-	for i, r := range recs {
-		ids[i] = r[0]
+	fw := frame.NewWriter(&buf)
+	fw.Header(binaryMagic, binaryVersion)
+	fw.U64(uint64(len(recs)))
+	fw.U64(uint64(edges))
+	for _, r := range recs {
+		fw.U64(uint64(r[0]))
+		fw.U32(uint32(len(r) - 1))
+		fw.Int64s(r[1:])
 	}
-	if err := saveAdjacency(&buf, binaryMagic, ids, int64(edges), func(i int) []int64 { return recs[i][1:] }); err != nil {
+	if err := fw.Flush(); err != nil {
 		panic(err)
 	}
 	return buf.Bytes()
@@ -178,7 +184,7 @@ func FuzzLoadBinary(f *testing.F) {
 	f.Add(rngo(2, []int64{1, 2}, []int64{2, 1}, []int64{3})) // isolated node
 	f.Fuzz(func(t *testing.T, data []byte) {
 		v, err := LoadBinary(bytes.NewReader(data))
-		if a, ferr := loadAdjacency(bytes.NewReader(data), binaryMagic, 1); ferr == nil && checkIDs(a.ids) != nil {
+		if a, ferr := loadRecords(bytes.NewReader(data)); ferr == nil && checkIDs(a.ids) != nil {
 			if err == nil {
 				t.Fatal("records out of ascending id order accepted")
 			}
@@ -198,126 +204,6 @@ func FuzzLoadBinary(f *testing.F) {
 			t.Fatalf("view != BuildView(reference): %v", err)
 		}
 	})
-}
-
-// The hash-of-nodes RNGU decoder LoadBinaryUndirected replaced, kept as
-// its oracle the same way: the per-node vectors adopted by
-// BuildUndirectedBulk and the result checked by Validate. It takes records
-// in any id order, where LoadBinaryUndirected rejects all but ascending
-// ones; on ascending ids the two accept the same bytes and build the same
-// graph (FuzzLoadBinaryUndirected).
-func loadBinaryUndirectedHash(r io.Reader) (*Undirected, error) {
-	a, err := loadAdjacency(r, undirectedMagic, 2)
-	if err != nil {
-		return nil, err
-	}
-	adjs := make([][]int64, len(a.ids))
-	for i, id := range a.ids {
-		if id == tombstone {
-			return nil, fmt.Errorf("graph: node id %d reserved", id)
-		}
-		adjs[i] = a.vec(i)
-	}
-	g, err := BuildUndirectedBulk(a.ids, adjs)
-	if err != nil {
-		return nil, err
-	}
-	if g.NumEdges() != int64(a.edges) {
-		return nil, fmt.Errorf("graph: header claims %d edges, vectors hold %d", a.edges, g.NumEdges())
-	}
-	if err := g.Validate(); err != nil {
-		return nil, fmt.Errorf("graph: undirected binary file inconsistent: %w", err)
-	}
-	return g, nil
-}
-
-// rngu is rngo for the undirected variant.
-func rngu(edges int, recs ...[]int64) []byte {
-	var buf bytes.Buffer
-	ids := make([]int64, len(recs))
-	for i, r := range recs {
-		ids[i] = r[0]
-	}
-	if err := saveAdjacency(&buf, undirectedMagic, ids, int64(edges), func(i int) []int64 { return recs[i][1:] }); err != nil {
-		panic(err)
-	}
-	return buf.Bytes()
-}
-
-// FuzzLoadBinaryUndirected holds LoadBinaryUndirected to the hash
-// reference: on records in ascending id order both accept or both reject
-// the bytes, and an accepted view equals BuildUView of the reference array
-// for array; records out of ascending order are rejected.
-func FuzzLoadBinaryUndirected(f *testing.F) {
-	golden, err := os.ReadFile("testdata/undirected.rngu")
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add(golden)
-	f.Add(golden[:len(golden)/2])
-	f.Add(rngu(0))
-	f.Add(rngu(2, []int64{-4, -4, 9}, []int64{0}, []int64{9, -4}))
-	f.Add(rngu(1, []int64{5, 1}, []int64{1, 5}))             // descending ids
-	f.Add(rngu(1, []int64{1, 2}, []int64{2}))                // asymmetric edge
-	f.Add(rngu(1, []int64{1, 2}, []int64{2, 1, 1}))          // repeated neighbor
-	f.Add(rngu(1, []int64{1, 7}))                            // unknown neighbor
-	f.Add(rngu(1, []int64{tombstone, tombstone}))            // reserved node
-	f.Add(rngu(2, []int64{1, 2}, []int64{2, 1}, []int64{3})) // edge count too high
-	f.Fuzz(func(t *testing.T, data []byte) {
-		v, err := LoadBinaryUndirected(bytes.NewReader(data))
-		if a, ferr := loadAdjacency(bytes.NewReader(data), undirectedMagic, 2); ferr == nil && checkIDs(a.ids) != nil {
-			if err == nil {
-				t.Fatal("records out of ascending id order accepted")
-			}
-			return
-		}
-		ref, refErr := loadBinaryUndirectedHash(bytes.NewReader(data))
-		if (err == nil) != (refErr == nil) {
-			t.Fatalf("decoders disagree: view %v, hash %v", err, refErr)
-		}
-		if err != nil {
-			return
-		}
-		ids, off, arena := v.UViewParts()
-		wids, woff, warena := BuildUView(ref).UViewParts()
-		if !slices.Equal(ids, wids) || !slices.Equal(off, woff) || !slices.Equal(arena, warena) {
-			t.Fatal("view != BuildUView(reference)")
-		}
-	})
-}
-
-// Validate checks the invariants of an undirected graph.
-func (g *Undirected) Validate() error {
-	var halfEdges int64
-	for s, id := range g.ids {
-		if id == tombstone {
-			continue
-		}
-		if got, ok := g.idx[id]; !ok || got != int32(s) {
-			return fmt.Errorf("graph: node %d slot mapping broken", id)
-		}
-		for i, v := range g.adj[s] {
-			if i > 0 && g.adj[s][i-1] >= v {
-				return fmt.Errorf("graph: node %d vector not strictly sorted", id)
-			}
-			ns, ok := g.idx[v]
-			if !ok {
-				return fmt.Errorf("graph: edge {%d,%d} points at missing node", id, v)
-			}
-			if v != id {
-				if _, found := binarySearch(g.adj[ns], id); !found {
-					return fmt.Errorf("graph: edge {%d,%d} not symmetric", id, v)
-				}
-				halfEdges++
-			} else {
-				halfEdges += 2
-			}
-		}
-	}
-	if halfEdges%2 != 0 || halfEdges/2 != g.nEdges {
-		return fmt.Errorf("graph: edge count %d, vectors hold %d halves", g.nEdges, halfEdges)
-	}
-	return nil
 }
 
 func binarySearch(a []int64, v int64) (int, bool) {

@@ -90,9 +90,8 @@ func BuildViewCols(srcs, dsts, nodes []int64) (*View, error) {
 	}
 	outOff[n] = e
 
-	v := &View{ids: ids, outOff: outOff, arena: make([]int32, 2*e)}
-	v.out = v.arena[:e:e]
-	v.in = v.arena[e:]
+	arena := make([]int32, 2*e)
+	v := &View{ids: ids, outOff: outOff, out: arena[:e:e], in: arena[e:]}
 	copy(v.out, bySrc[:e])
 	// The in-CSR by counting transpose: sources are visited in ascending
 	// order, so every in-run comes out sorted.

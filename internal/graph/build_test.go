@@ -31,8 +31,8 @@ func identicalViews(a, b *View) error {
 			return fmt.Errorf("%s differ: %v vs %v", c.name, c.x, c.y)
 		}
 	}
-	if !slices.Equal(a.arena, b.arena) || len(a.out) != len(b.out) || len(a.in) != len(b.in) {
-		return fmt.Errorf("arenas differ: %v/%d vs %v/%d", a.arena, len(a.out), b.arena, len(b.out))
+	if !slices.Equal(a.out, b.out) || !slices.Equal(a.in, b.in) {
+		return fmt.Errorf("arrays differ: out %v / %v, in %v / %v", a.out, b.out, a.in, b.in)
 	}
 	if a.Bytes() != b.Bytes() {
 		return fmt.Errorf("bytes differ: %d vs %d", a.Bytes(), b.Bytes())

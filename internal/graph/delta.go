@@ -80,9 +80,8 @@ func PatchView(base *View, hasNode func(int64) bool, hasEdge func(src, dst int64
 		inOff:  patchOffsets(n, base.inOff, inChg),
 	}
 	e := v.outOff[n]
-	v.arena = make([]int32, e+v.inOff[n])
-	v.out = v.arena[:e:e]
-	v.in = v.arena[e:]
+	arena := make([]int32, e+v.inOff[n])
+	v.out, v.in = arena[:e:e], arena[e:]
 	par.Do(
 		func() { patchFill(v.out, v.outOff, base.out, base.outOff, m.oldToNew, outChg) },
 		func() { patchFill(v.in, v.inOff, base.in, base.inOff, m.oldToNew, inChg) },

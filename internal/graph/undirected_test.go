@@ -219,3 +219,37 @@ func TestUndirectedMatchesReferenceModel(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// Validate checks the invariants of an undirected graph.
+func (g *Undirected) Validate() error {
+	var halfEdges int64
+	for s, id := range g.ids {
+		if id == tombstone {
+			continue
+		}
+		if got, ok := g.idx[id]; !ok || got != int32(s) {
+			return fmt.Errorf("graph: node %d slot mapping broken", id)
+		}
+		for i, v := range g.adj[s] {
+			if i > 0 && g.adj[s][i-1] >= v {
+				return fmt.Errorf("graph: node %d vector not strictly sorted", id)
+			}
+			ns, ok := g.idx[v]
+			if !ok {
+				return fmt.Errorf("graph: edge {%d,%d} points at missing node", id, v)
+			}
+			if v != id {
+				if _, found := binarySearch(g.adj[ns], id); !found {
+					return fmt.Errorf("graph: edge {%d,%d} not symmetric", id, v)
+				}
+				halfEdges++
+			} else {
+				halfEdges += 2
+			}
+		}
+	}
+	if halfEdges%2 != 0 || halfEdges/2 != g.nEdges {
+		return fmt.Errorf("graph: edge count %d, vectors hold %d halves", g.nEdges, halfEdges)
+	}
+	return nil
+}

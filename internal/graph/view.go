@@ -20,9 +20,8 @@ type View struct {
 	ids    []int64 // dense index -> node id, ascending
 	outOff []int64
 	inOff  []int64
-	arena  []int32 // out targets in arena[:E], in sources in arena[E:]
-	out    []int32 // arena[:E:E]
-	in     []int32 // arena[E:]
+	out    []int32 // out targets; a built view allocates out and in as one block
+	in     []int32 // in sources
 	// retain pins whatever owns externally backed arrays (a file mapping)
 	// for the view's lifetime; nil for heap-built views.
 	retain any
@@ -75,9 +74,8 @@ func BuildView(g *Directed) *View {
 		v.inOff[i+1] += v.inOff[i]
 	}
 	e := v.outOff[n]
-	v.arena = make([]int32, e+v.inOff[n])
-	v.out = v.arena[:e:e]
-	v.in = v.arena[e:]
+	arena := make([]int32, e+v.inOff[n])
+	v.out, v.in = arena[:e:e], arena[e:]
 
 	par.Do(
 		func() {
@@ -166,7 +164,7 @@ func (v *View) InDeg(u int32) int { return int(v.inOff[u+1] - v.inOff[u]) }
 func (v *View) Bytes() int64 {
 	return int64(cap(v.ids))*8 +
 		int64(cap(v.outOff)+cap(v.inOff))*8 +
-		int64(cap(v.arena))*4
+		int64(cap(v.out)+cap(v.in))*4
 }
 
 // UView is the undirected counterpart of View: one offset vector and one

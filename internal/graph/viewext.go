@@ -2,13 +2,15 @@ package graph
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"ringo/internal/par"
 )
 
-// This file is the boundary between CSR views and external storage
-// (internal/extmem's mmap-backed RNGM images): constructors that assemble a
+// This file is the boundary between CSR views and their stored images
+// (internal/extmem's mmap-backed RNGM files, internal/snapshot's graph
+// records): constructors that assemble a
 // View/UView directly over caller-owned arrays without copying or hashing,
 // accessors that expose a view's backing arrays for zero-copy
 // serialization, and the undirected projection that lets orientation-blind
@@ -18,8 +20,8 @@ import (
 // ViewParts returns the view's backing arrays: the ascending id vector,
 // both offset vectors, and the out/in neighbor arrays. The slices are the
 // view's own storage — callers must treat them as read-only. This is what
-// a zero-copy serializer (extmem.SaveView) writes to disk section by
-// section.
+// a zero-copy serializer (extmem.SaveMapped, a snapshot's graph record)
+// writes section by section.
 func (v *View) ViewParts() (ids []int64, outOff, inOff []int64, out, in []int32) {
 	return v.ids, v.outOff, v.inOff, v.out, v.in
 }
@@ -31,16 +33,18 @@ func (v *UView) UViewParts() (ids []int64, off []int64, arena []int32) {
 }
 
 // ViewFromArrays assembles a directed CSR view directly over caller-owned
-// arrays — the zero-decode path for mmap-backed graphs: the arrays may
-// alias a file mapping, in which case retain must pin whatever owns the
-// mapping so it cannot be unmapped while the view is reachable. Index
-// binary-searches ids, as on every view, so nothing is decoded.
+// arrays — a snapshot record's or a file mapping's: the arrays may alias a
+// mapping, in which case retain must pin whatever owns it so it cannot be
+// unmapped while the view is reachable. Index binary-searches ids, as on
+// every view, so nothing is decoded.
 //
-// The arrays are fully validated before the view is returned (strictly
-// ascending ids, monotone offset vectors that agree with the array
-// lengths, every neighbor index in range, per-node neighbor vectors
-// sorted), so a corrupt or malicious file yields a named error here, never
-// an out-of-bounds panic in an algorithm later.
+// The arrays are fully validated before the view is returned, in O(V+E):
+// strictly ascending ids without the reserved one, monotone offset vectors
+// that agree with the array lengths, every neighbor index in range, each
+// vector strictly ascending, and in the exact transpose of out. These are
+// the arrays BuildViewCols makes of out's edges, so a corrupt or malicious
+// file yields a named error here, never a wrong answer or an
+// out-of-bounds panic in an algorithm later.
 func ViewFromArrays(ids []int64, outOff, inOff []int64, out, in []int32, retain any) (*View, error) {
 	n := len(ids)
 	if err := checkIDs(ids); err != nil {
@@ -61,11 +65,16 @@ func ViewFromArrays(ids []int64, outOff, inOff []int64, out, in []int32, retain 
 	if err := checkNeighbors("in", inOff, in, n); err != nil {
 		return nil, err
 	}
+	if err := checkTranspose(ids, outOff, out, inOff, in); err != nil {
+		return nil, fmt.Errorf("graph: in-vectors are not the transpose of the out-vectors: %w", err)
+	}
 	return &View{ids: ids, outOff: outOff, inOff: inOff, out: out, in: in, retain: retain}, nil
 }
 
 // UViewFromArrays is ViewFromArrays for the undirected view: one offset
-// vector and one neighbor arena, validated the same way.
+// vector and one neighbor arena, validated the same way, the arena being
+// its own transpose — every non-loop edge in both endpoints' vectors, a
+// self-loop once.
 func UViewFromArrays(ids []int64, off []int64, arena []int32, retain any) (*UView, error) {
 	n := len(ids)
 	if err := checkIDs(ids); err != nil {
@@ -77,10 +86,16 @@ func UViewFromArrays(ids []int64, off []int64, arena []int32, retain any) (*UVie
 	if err := checkNeighbors("adjacency", off, arena, n); err != nil {
 		return nil, err
 	}
+	if err := checkTranspose(ids, off, arena, off, arena); err != nil {
+		return nil, fmt.Errorf("graph: adjacency is not symmetric: %w", err)
+	}
 	return &UView{ids: ids, off: off, arena: arena, retain: retain}, nil
 }
 
 func checkIDs(ids []int64) error {
+	if len(ids) > 0 && ids[0] == tombstone {
+		return fmt.Errorf("graph: view id vector holds the reserved id %d", int64(tombstone))
+	}
 	for i := 1; i < len(ids); i++ {
 		if ids[i] <= ids[i-1] {
 			return fmt.Errorf("graph: view id vector not strictly ascending at index %d (%d after %d)", i, ids[i], ids[i-1])
@@ -108,7 +123,7 @@ func checkOffsets(name string, off []int64, n, arenaLen int) error {
 }
 
 // checkNeighbors validates every neighbor index is in [0, n) and each
-// node's vector is sorted ascending — the invariants algorithms index and
+// node's vector is strictly ascending — the invariants algorithms index and
 // binary-search by. The scan is O(E) over flat int32s, parallelized; it is
 // the price of trusting a file's arenas without decoding them.
 func checkNeighbors(name string, off []int64, arena []int32, n int) error {
@@ -129,8 +144,8 @@ func checkNeighbors(name string, off []int64, arena []int32, n int) error {
 					report(fmt.Errorf("graph: %s vector of dense node %d names index %d, outside [0,%d)", name, u, w, n))
 					return
 				}
-				if w < prev {
-					report(fmt.Errorf("graph: %s vector of dense node %d is not sorted", name, u))
+				if w <= prev {
+					report(fmt.Errorf("graph: %s vector of dense node %d is not sorted strictly ascending", name, u))
 					return
 				}
 				prev = w
@@ -138,6 +153,27 @@ func checkNeighbors(name string, off []int64, arena []int32, n int) error {
 		}
 	})
 	return bad
+}
+
+// checkTranspose checks, with one cursor per node, that in is the
+// transpose of out: walking the sources u in ascending order, each edge
+// u->w must be the next unread entry of w's in-vector. checkNeighbors and
+// checkOffsets have run, so the vectors are in range and equally long in
+// total, and no cursor running past its vector's end means every cursor
+// ends exactly there: each in-vector then lists its node's sources in
+// ascending order, as a counting transpose builds it.
+func checkTranspose(ids []int64, outOff []int64, out []int32, inOff []int64, in []int32) error {
+	next := slices.Clone(inOff[:len(ids)])
+	for u := range ids {
+		for _, w := range out[outOff[u]:outOff[u+1]] {
+			at := next[w]
+			if at == inOff[w+1] || in[at] != int32(u) {
+				return fmt.Errorf("edge %d->%d has no matching reverse entry", ids[u], ids[w])
+			}
+			next[w] = at + 1
+		}
+	}
+	return nil
 }
 
 // ProjectUView builds the undirected projection of a directed view: each

@@ -103,7 +103,7 @@ func TestMutationVerbErrors(t *testing.T) {
 }
 
 // TestMutationVerbUndirected checks the verbs work on undirected bindings
-// (loaded from a binary RNGU file).
+// (as a snapshot restores them).
 func TestMutationVerbUndirected(t *testing.T) {
 	e := New(nil)
 	if _, err := e.Eval("gen rmat E 6 120 7"); err != nil {

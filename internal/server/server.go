@@ -467,9 +467,10 @@ func (s *Server) RestoreSession(id, path string) (objects int, err error) {
 // WarmStart creates the named session and primes it from the file at path
 // — the server's warm-restart entry point, used by the -restore flag
 // before the listener comes up. The file's magic picks the path: a
-// workspace snapshot (RNGS) is decoded onto the heap as before, while a
-// mapped CSR image (RNGM, written by savemapped) is validated and served
-// from mmap in place, bound as the read-only graph "g". Either way the
+// workspace snapshot (RNGS) is read onto the heap — tables decoded, each
+// graph's stored CSR arrays validated and bound as read — while a mapped
+// CSR image (RNGM, written by savemapped) is validated and served from
+// mmap in place, bound as the read-only graph "g". Either way the
 // warm-start wall time is logged, so a restart's cost difference between
 // the two tiers shows up in the operator's log (BenchmarkRestoreDecode
 // and BenchmarkRestoreMapped in internal/core quantify it).

@@ -8,7 +8,7 @@
 // # File format (little endian)
 //
 //	magic   "RNGS"
-//	version u32 (currently 1)
+//	version u32 (currently 2)
 //	clock   u64   workspace version clock at snapshot time
 //	count   u32   number of object frames
 //
@@ -22,14 +22,19 @@
 //	checksum  u64                  xhash.Checksum64 of the payload bytes
 //	payload   paylen bytes
 //
-// Payloads reuse the per-type binary codecs: tables embed the columnar
-// format of table.EncodeBinary (shared string pool, bulk column blocks),
-// graphs embed graph.SaveBinary / graph.SaveBinaryUndirected, and score
-// vectors are (i64, f64) pairs in strictly ascending id order behind a u64
-// count. A graph travels as its CSR view both ways: it is written from the
-// view and decoded straight into one (graph.LoadBinary for a View,
-// graph.LoadBinaryUndirected for a UView), the form every workspace graph
-// binding holds. Every frame is
+// Tables embed the columnar format of table.EncodeBinary (shared string
+// pool, bulk column blocks), and score vectors are (i64, f64) pairs in
+// strictly ascending id order behind a u64 count. A graph record is its
+// CSR view's own arrays, the sections of an RNGM image (internal/extmem):
+// a u64 node count n and a u64 entry count e, then
+//
+//	graph:  ids i64[n], outOff i64[n+1], inOff i64[n+1], out i32[e], in i32[e]
+//	ugraph: ids i64[n], off i64[n+1], arena i32[e]
+//
+// each zero-padded to a multiple of 8 bytes. A payload is read into one
+// allocation, so its sections are aligned: Read aliases them as the view's
+// arrays (frame.Section) and validates them (graph.ViewFromArrays,
+// graph.UViewFromArrays) — no sort, no id lookup, no copy. Every frame is
 // independently length-prefixed and checksummed, so corruption is detected
 // per object — errors name the failing object — and frames can be encoded
 // and decoded in parallel (internal/par), one worker per object.
@@ -53,8 +58,9 @@ import (
 const (
 	// Magic identifies a Ringo workspace snapshot file.
 	Magic = "RNGS"
-	// Version is the current snapshot format version.
-	Version = 1
+	// Version is the current snapshot format version. Version 1 embedded
+	// graphs as RNGO/RNGU adjacency records; its files are refused.
+	Version = 2
 
 	kindTable  = 1
 	kindGraph  = 2
@@ -136,19 +142,67 @@ func encodePayload(o *Object) ([]byte, error) {
 			return nil, err
 		}
 	case o.View != nil:
-		if err := graph.SaveBinary(&buf, o.View); err != nil {
-			return nil, err
-		}
+		ids, outOff, inOff, out, in := o.View.ViewParts()
+		return encodeCSR(len(ids), len(out), frame.Image(ids), frame.Image(outOff), frame.Image(inOff), frame.Image(out), frame.Image(in)), nil
 	case o.UView != nil:
-		if err := graph.SaveBinaryUndirected(&buf, o.UView); err != nil {
-			return nil, err
-		}
+		ids, off, arena := o.UView.UViewParts()
+		return encodeCSR(len(ids), len(arena), frame.Image(ids), frame.Image(off), frame.Image(arena)), nil
 	case o.Scores != nil:
 		return encodeScores(o.Scores), nil
 	default:
 		return nil, fmt.Errorf("holds no value")
 	}
 	return buf.Bytes(), nil
+}
+
+// encodeCSR lays out a graph record: the node count n and entry count e,
+// then each section, zero-padded to a multiple of 8 bytes.
+func encodeCSR(n, e int, sections ...[]byte) []byte {
+	size := int64(16)
+	for _, sec := range sections {
+		size += pad8(int64(len(sec)))
+	}
+	out := make([]byte, size)
+	binary.LittleEndian.PutUint64(out, uint64(n))
+	binary.LittleEndian.PutUint64(out[8:], uint64(e))
+	at := int64(16)
+	for _, sec := range sections {
+		copy(out[at:], sec)
+		at += pad8(int64(len(sec)))
+	}
+	return out
+}
+
+func pad8(n int64) int64 { return (n + 7) &^ 7 }
+
+// csrSections checks a graph record's length against the counts it opens
+// with and returns its arrays over the payload's own memory, aliased where
+// it is aligned for them: the ids, then vectors offset vectors and vectors
+// neighbor arrays (2 of each for a directed view, 1 for an undirected one).
+// The caller validates them.
+func csrSections(p []byte, vectors int64) (ids []int64, offs [][]int64, arenas [][]int32, err error) {
+	if len(p) < 16 {
+		return nil, nil, nil, fmt.Errorf("graph record truncated at %d bytes", len(p))
+	}
+	n, e := binary.LittleEndian.Uint64(p), binary.LittleEndian.Uint64(p[8:])
+	if n > frame.MaxCount || e > frame.MaxCount {
+		return nil, nil, nil, fmt.Errorf("graph record claims %d nodes and %d entries", n, e)
+	}
+	idLen, offLen, arenaLen := 8*int64(n), 8*int64(n+1), 4*int64(e)
+	if size := 16 + idLen + vectors*(offLen+pad8(arenaLen)); size != int64(len(p)) {
+		return nil, nil, nil, fmt.Errorf("graph record of %d nodes and %d entries takes %d bytes, payload holds %d", n, e, size, len(p))
+	}
+	at := 16 + idLen
+	ids = frame.Section[int64](p, 16, idLen)
+	for range vectors {
+		offs = append(offs, frame.Section[int64](p, at, offLen))
+		at += offLen
+	}
+	for range vectors {
+		arenas = append(arenas, frame.Section[int32](p, at, arenaLen))
+		at += pad8(arenaLen)
+	}
+	return ids, offs, arenas, nil
 }
 
 // encodeScores writes a score vector as a u64 count followed by its
@@ -263,13 +317,29 @@ func (rec *record) decode() error {
 	case kindTable:
 		rec.obj.Table, err = table.DecodeBinary(bytes.NewReader(rec.payload))
 	case kindGraph:
-		rec.obj.View, err = graph.LoadBinary(bytes.NewReader(rec.payload))
+		rec.obj.View, err = decodeView(rec.payload)
 	case kindUGraph:
-		rec.obj.UView, err = graph.LoadBinaryUndirected(bytes.NewReader(rec.payload))
+		rec.obj.UView, err = decodeUView(rec.payload)
 	case kindScores:
 		rec.obj.Scores, err = decodeScores(rec.payload)
 	default:
 		return fmt.Errorf("unknown object kind %d", rec.kind)
 	}
 	return err
+}
+
+func decodeView(p []byte) (*graph.View, error) {
+	ids, offs, arenas, err := csrSections(p, 2)
+	if err != nil {
+		return nil, err
+	}
+	return graph.ViewFromArrays(ids, offs[0], offs[1], arenas[0], arenas[1], nil)
+}
+
+func decodeUView(p []byte) (*graph.UView, error) {
+	ids, offs, arenas, err := csrSections(p, 1)
+	if err != nil {
+		return nil, err
+	}
+	return graph.UViewFromArrays(ids, offs[0], arenas[0], nil)
 }

@@ -2,17 +2,25 @@ package snapshot
 
 import (
 	"bytes"
+	"encoding/binary"
+	"fmt"
+	"io"
+	"math/rand/v2"
 	"os"
+	"path/filepath"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
 
 	"ringo/internal/algo"
+	"ringo/internal/frame"
 	"ringo/internal/graph"
 	"ringo/internal/table"
+	"ringo/internal/xhash"
 )
 
-func sampleObjects(t *testing.T) []Object {
+func sampleObjects(t testing.TB) []Object {
 	t.Helper()
 	tbl, err := table.New(table.Schema{
 		{Name: "User", Type: table.String},
@@ -156,6 +164,203 @@ func TestSnapshotCorruptionNamesObject(t *testing.T) {
 	}
 }
 
+// TestGraphRecordsRoundTrip: directed and undirected views — empty, one
+// node, isolated nodes, self-loops and random graphs — come back from
+// Read(Write(x)) equal to x array for array.
+func TestGraphRecordsRoundTrip(t *testing.T) {
+	rng := rand.New(rand.NewPCG(7, 42))
+	type shape struct {
+		name         string
+		edges, nodes []int64 // edges as src, dst pairs
+	}
+	shapes := []shape{
+		{"empty", nil, nil},
+		{"one node", nil, []int64{5}},
+		{"one self-loop", []int64{3, 3}, nil},
+		{"isolated nodes and loops", []int64{1, 2, 2, 2, 2, 1, -9, 1}, []int64{-100, 0, 40, 1 << 40}},
+	}
+	for i := range 4 {
+		sh := shape{name: fmt.Sprintf("random %d", i)}
+		for range 20 + rng.IntN(400) {
+			sh.edges = append(sh.edges, rng.Int64N(60)-10, rng.Int64N(60)-10)
+		}
+		for range rng.IntN(10) {
+			sh.nodes = append(sh.nodes, rng.Int64N(1000))
+		}
+		shapes = append(shapes, sh)
+	}
+	for _, sh := range shapes {
+		t.Run(sh.name, func(t *testing.T) {
+			var srcs, dsts []int64
+			u := graph.NewUndirectedCap(0)
+			for i := 0; i < len(sh.edges); i += 2 {
+				srcs, dsts = append(srcs, sh.edges[i]), append(dsts, sh.edges[i+1])
+				u.AddEdge(sh.edges[i], sh.edges[i+1])
+			}
+			for _, id := range sh.nodes {
+				u.AddNode(id)
+			}
+			v, err := graph.BuildViewCols(srcs, dsts, sh.nodes)
+			if err != nil {
+				t.Fatal(err)
+			}
+			uv := graph.BuildUView(u)
+			var buf bytes.Buffer
+			if err := Write(&buf, 1, []Object{{Name: "G", View: v}, {Name: "U", UView: uv}}); err != nil {
+				t.Fatal(err)
+			}
+			_, got, err := Read(&buf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ids, outOff, inOff, out, in := v.ViewParts()
+			gids, goutOff, ginOff, gout, gin := got[0].View.ViewParts()
+			if !slices.Equal(ids, gids) || !slices.Equal(outOff, goutOff) || !slices.Equal(inOff, ginOff) ||
+				!slices.Equal(out, gout) || !slices.Equal(in, gin) {
+				t.Fatalf("directed view changed in a round trip")
+			}
+			uids, off, arena := uv.UViewParts()
+			guids, goff, garena := got[1].UView.UViewParts()
+			if !slices.Equal(uids, guids) || !slices.Equal(off, goff) || !slices.Equal(arena, garena) {
+				t.Fatalf("undirected view changed in a round trip")
+			}
+		})
+	}
+}
+
+// TestGraphRecordCorruptionNamesObject: a flipped byte in a graph record
+// fails the checksum, and the same flip behind a recomputed checksum —
+// an in-vector entry or an arena entry that breaks the transpose — fails
+// validation; either way the error names the object.
+func TestGraphRecordCorruptionNamesObject(t *testing.T) {
+	objs := sampleObjects(t)
+	for _, o := range objs[1:3] {
+		p, err := encodePayload(&o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The last neighbor entry: G's last in-vector entry, U's last
+		// arena entry, the record's last section before its padding.
+		e := int64(binary.LittleEndian.Uint64(p[8:]))
+		at := int64(len(p)) - pad8(4*e) + 4*e - 4
+		for _, fix := range []bool{false, true} {
+			bad := slices.Clone(p)
+			bad[at] ^= 1
+			sum := xhash.Checksum64(p)
+			if fix {
+				sum = xhash.Checksum64(bad)
+			}
+			snap := frameOf(o, bad, sum)
+			_, _, err := Read(bytes.NewReader(snap))
+			if err == nil || !strings.Contains(err.Error(), `"`+o.Name+`"`) {
+				t.Fatalf("flipped %q record (checksum fixed: %v): error %v", o.Name, fix, err)
+			}
+			want := "checksum mismatch"
+			if fix {
+				want = "no matching reverse entry"
+			}
+			if !strings.Contains(err.Error(), want) {
+				t.Fatalf("flipped %q record (checksum fixed: %v): error %v, want %q", o.Name, fix, err, want)
+			}
+		}
+	}
+}
+
+// TestGraphRecordRejectsBadGeometry: a graph record whose counts do not
+// fit its length fails before any array is read, behind a valid checksum,
+// with the object named.
+func TestGraphRecordRejectsBadGeometry(t *testing.T) {
+	objs := sampleObjects(t)
+	for _, o := range objs[1:3] {
+		good, err := encodePayload(&o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, tc := range []struct {
+			name   string
+			mangle func(p []byte) []byte
+			want   string
+		}{
+			{"truncated counts", func(p []byte) []byte { return p[:12] }, "truncated"},
+			{"absurd node count", func(p []byte) []byte {
+				binary.LittleEndian.PutUint64(p, 1<<50)
+				return p
+			}, "claims"},
+			{"two more entries", func(p []byte) []byte {
+				binary.LittleEndian.PutUint64(p[8:], binary.LittleEndian.Uint64(p[8:])+2)
+				return p
+			}, "takes"},
+			{"trailing bytes", func(p []byte) []byte { return append(p, make([]byte, 8)...) }, "takes"},
+		} {
+			bad := tc.mangle(slices.Clone(good))
+			_, _, err := Read(bytes.NewReader(frameOf(o, bad, xhash.Checksum64(bad))))
+			if err == nil || !strings.Contains(err.Error(), `"`+o.Name+`"`) || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("%s record, %s: error %v, want one naming the object and %q", o.Name, tc.name, err, tc.want)
+			}
+		}
+	}
+}
+
+// frameOf is a snapshot of one object whose payload and checksum are
+// given as is.
+func frameOf(o Object, payload []byte, sum uint64) []byte {
+	kind, _ := o.kind()
+	var buf bytes.Buffer
+	w := frame.NewWriter(&buf)
+	w.Header(Magic, Version)
+	w.U64(1)
+	w.U32(1)
+	w.String(o.Name)
+	w.String(o.Provenance)
+	w.U64(o.Version)
+	w.U8(kind)
+	w.U64(uint64(len(payload)))
+	w.U64(sum)
+	w.Bytes(payload)
+	w.Flush()
+	return buf.Bytes()
+}
+
+// TestLyingPayloadLengthAllocatesNothing: a payload length past the end of
+// the file fails before the payload is allocated, read from a file (the
+// restore path) and from a byte reader alike.
+func TestLyingPayloadLengthAllocatesNothing(t *testing.T) {
+	objs := sampleObjects(t)
+	payload, _ := encodePayload(&objs[1])
+	snap := frameOf(objs[1], payload, xhash.Checksum64(payload))
+	// paylen sits after the header (20 bytes), name, provenance, version
+	// and kind.
+	at := 20 + 4 + len(objs[1].Name) + 4 + len(objs[1].Provenance) + 8 + 1
+	binary.LittleEndian.PutUint64(snap[at:], 1<<34) // 16 GiB
+	path := filepath.Join(t.TempDir(), "lying.rngs")
+	if err := os.WriteFile(path, snap, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for name, open := range map[string]func() io.Reader{
+		"bytes": func() io.Reader { return bytes.NewReader(snap) },
+		"file": func() io.Reader {
+			f, err := os.Open(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { f.Close() })
+			return f
+		},
+	} {
+		r := open()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, _, err := Read(r)
+		runtime.ReadMemStats(&after)
+		if err == nil || !strings.Contains(err.Error(), "bytes left") || !strings.Contains(err.Error(), `"G"`) {
+			t.Fatalf("%s: error %v, want one naming the object and the bytes left", name, err)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+			t.Fatalf("%s: a lying payload length allocated %d bytes", name, grew)
+		}
+	}
+}
+
 func TestSnapshotRejectsStructuralCorruption(t *testing.T) {
 	objs := sampleObjects(t)
 	var buf bytes.Buffer
@@ -295,44 +500,58 @@ func TestSnapshotGolden(t *testing.T) {
 	}
 }
 
-// decodeAs decodes data with the stream decoder sel picks — the snapshot
-// reader or one of the three payload codecs it embeds — and returns what
-// it accepted as a snapshot's clock and objects.
+// decodeAs decodes data with the decoder sel picks — the snapshot reader,
+// one of the two stream codecs, or a graph or ugraph record — and returns
+// what it accepted as a snapshot's clock and objects.
 func decodeAs(sel byte, data []byte) (uint64, []Object, error) {
 	r := bytes.NewReader(data)
 	o := Object{Name: "x"}
 	var err error
-	switch sel % 4 {
+	switch sel % 5 {
 	case 0:
 		return Read(r)
 	case 1:
 		o.Table, err = table.DecodeBinary(r)
 	case 2:
 		o.View, err = graph.LoadBinary(r)
+	case 3:
+		o.View, err = decodeView(data)
 	default:
-		o.UView, err = graph.LoadBinaryUndirected(r)
+		o.UView, err = decodeUView(data)
 	}
 	return 0, []Object{o}, err
 }
 
 // FuzzDecodeFormats sends arbitrary bytes to snapshot.Read,
-// table.DecodeBinary, graph.LoadBinary or graph.LoadBinaryUndirected, as
-// the first byte selects. Each must return an error or a value and never
-// panic, and a value it accepts must re-encode to bytes that decode again
-// and re-encode to the same bytes: what was accepted survives a round trip.
+// table.DecodeBinary, graph.LoadBinary or a snapshot's graph or ugraph
+// record decoder, as the first byte selects. Each must return an error or
+// a value and never panic, and a value it accepts must re-encode to bytes
+// that decode again and re-encode to the same bytes: what was accepted
+// survives a round trip.
 func FuzzDecodeFormats(f *testing.F) {
-	for sel, path := range []string{
+	var seeds [][]byte
+	for _, path := range []string{
 		"testdata/workspace.rngs",
 		"../table/testdata/table.rtbl",
 		"../graph/testdata/directed.rngo",
-		"../graph/testdata/undirected.rngu",
 	} {
 		golden, err := os.ReadFile(path)
 		if err != nil {
 			f.Fatal(err)
 		}
-		f.Add(append([]byte{byte(sel)}, golden...))
-		f.Add(append([]byte{byte(sel)}, golden[:len(golden)/2]...))
+		seeds = append(seeds, golden)
+	}
+	objs := sampleObjects(f)
+	for _, o := range objs[1:3] { // the graph, then the ugraph
+		p, err := encodePayload(&o)
+		if err != nil {
+			f.Fatal(err)
+		}
+		seeds = append(seeds, p)
+	}
+	for sel, seed := range seeds {
+		f.Add(append([]byte{byte(sel)}, seed...))
+		f.Add(append([]byte{byte(sel)}, seed[:len(seed)/2]...))
 	}
 	f.Fuzz(func(t *testing.T, in []byte) {
 		if len(in) == 0 {

@@ -54,7 +54,6 @@ import (
 func main() {
 	addr := flag.String("addr", ":7475", "listen address")
 	cacheSize := flag.Int("cache", server.DefaultCacheSize, "result cache entries (negative disables)")
-	viewCache := flag.Int("view-cache", 0, "per-session CSR view cache entries (0 = default, negative disables)")
 	workers := flag.Int("workers", server.DefaultWorkers, "async job workers")
 	maxSessions := flag.Int("max-sessions", 0, "session cap (0 = unlimited)")
 	allowFileIO := flag.Bool("allow-file-io", false, "permit load/loadgraph/save/snapshot/restore (host filesystem access) over HTTP")
@@ -78,14 +77,13 @@ func main() {
 	logger := slog.New(handler)
 
 	srv := server.New(server.Config{
-		CacheSize:     *cacheSize,
-		ViewCacheSize: *viewCache,
-		Workers:       *workers,
-		MaxSessions:   *maxSessions,
-		AllowFileIO:   *allowFileIO,
-		AuthToken:     *token,
-		Logger:        logger,
-		SlowQuery:     *slowQuery,
+		CacheSize:   *cacheSize,
+		Workers:     *workers,
+		MaxSessions: *maxSessions,
+		AllowFileIO: *allowFileIO,
+		AuthToken:   *token,
+		Logger:      logger,
+		SlowQuery:   *slowQuery,
 	})
 	defer srv.Close()
 

@@ -1,6 +1,8 @@
 package main
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -135,6 +137,24 @@ func TestShellSelectValueParsing(t *testing.T) {
 	)
 	if !strings.Contains(out, "rows") {
 		t.Fatalf("output: %s", out)
+	}
+}
+
+// TestShellOrderFloatNaN: order over a float column holding NaN puts NaN
+// below every number — first ascending, last descending.
+func TestShellOrderFloatNaN(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "t.tsv")
+	if err := os.WriteFile(path, []byte("1\t3\n2\tNaN\n3\t1\n4\t2\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct{ dir, want string }{
+		{"asc", "x\n  2\tNaN\n  3\t1\n  4\t2\n  1\t3\n"},
+		{"desc", "x\n  1\t3\n  4\t2\n  3\t1\n  2\tNaN\n"},
+	} {
+		out := runScript(t, "load T "+path+" id:int x:float", "order T "+tc.dir+" x", "show T 10")
+		if !strings.HasSuffix(out, tc.want) {
+			t.Fatalf("order T %s x, then show T:\n%s", tc.dir, out)
+		}
 	}
 }
 

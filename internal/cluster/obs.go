@@ -180,9 +180,9 @@ func (c *Coordinator) initObs() {
 			cacheFn(func(s serverStats) float64 { return float64(s.Cache.Hits) }), obs.L("target", t.name))
 		reg.CounterFunc(metricTargetResultMisses, "Result cache misses, by target.",
 			cacheFn(func(s serverStats) float64 { return float64(s.Cache.Misses) }), obs.L("target", t.name))
-		reg.CounterFunc(metricTargetViewHits, "CSR view cache hits, by target.",
+		reg.CounterFunc(metricTargetViewHits, "Undirected projections served as held, by target.",
 			cacheFn(func(s serverStats) float64 { return float64(s.Views.Hits) }), obs.L("target", t.name))
-		reg.CounterFunc(metricTargetViewMisses, "CSR view cache misses, by target.",
+		reg.CounterFunc(metricTargetViewMisses, "Undirected projections patched or built, by target.",
 			cacheFn(func(s serverStats) float64 { return float64(s.Views.Misses) }), obs.L("target", t.name))
 		reg.CounterFunc(metricTargetIndexHits, "Equality-index cache hits, by target.",
 			cacheFn(func(s serverStats) float64 { return float64(s.Indexes.Hits) }), obs.L("target", t.name))

@@ -1,17 +1,16 @@
 // Package core is the Ringo engine's session layer: the Workspace holding a
-// session's tables, graphs and score vectors, the caches beneath it, the
-// score-to-table conversions that close the paper's loop (TableFromMap is
+// session's tables, graphs and score vectors, the index cache beneath it,
+// the score-to-table conversions that close the paper's loop (TableFromMap is
 // its TableFromHashMap) and the harness behind every evaluation table.
 // Conversions and kernels live in internal/conv and internal/algo;
 // internal/repl drives this package and the root ringo package curates it.
 //
-// The package's two stateful pieces implement the paper's session model:
-// Workspace is the named-object registry standing in for the Python
-// session (provenance-tracked bindings, versioned fingerprints, binary
-// snapshot/restore), and the view cache every workspace carries keeps the
-// flat CSR snapshots (graph.View/UView) that algorithms run over, keyed by
-// object fingerprint so a graph is converted to its optimized
-// representation once per state, not once per query.
+// Workspace implements the paper's session model: it is the named-object
+// registry standing in for the Python session (provenance-tracked
+// bindings, versioned fingerprints, binary snapshot/restore), and its
+// graph bindings are the flat CSR views (graph.View/UView) that algorithms
+// run over, so a graph is converted to its optimized representation once
+// per state, not once per query.
 package core
 
 import (
@@ -85,6 +84,13 @@ type Object struct {
 	// beyond-RAM tier): its views come straight from the mapping, and
 	// mutating verbs reject it.
 	Mapped *extmem.Graph
+
+	// proj is a directed binding's undirected projection as of version
+	// projVer, held for the next undirected query (see UndirectedView).
+	// Binding an object drops it (invalidateLocked), so a projection
+	// copied out with Get never outlives the binding it was made for.
+	proj    *graph.UView
+	projVer uint64
 }
 
 // Kind describes what an Object holds.
@@ -153,20 +159,19 @@ func schemaString(t *table.Table) string {
 // A graph binding is its CSR view (graph.View or graph.UView), served in
 // place by DirectedView/UndirectedView: the paper's build-once-query-many
 // model, with the conversion paid when the graph is bound (for a hash
-// graph handed to Set, by its first query). The undirected
-// projection of a directed graph is built on its first query and kept in
-// a fingerprint-keyed view cache. Rebinding operations (Set, Delete,
-// Rename, Touch, Restore) purge the affected views — the new object shares
-// nothing with the cached state.
+// graph handed to Set, by its first query). The undirected projection of
+// a directed graph is built on its first query and held by the binding,
+// stamped with the version it reflects. Set, Delete, Touch and Restore
+// drop it; Rename carries a current one to the new name.
 //
 // Fine-grained graph mutations (AddGraphEdge, DelGraphEdge, AddGraphNode)
 // are different: they bump the version and append to the binding's delta
 // log, checked against the view plus an overlay of the deltas it does not
 // reflect yet. The next query folds those deltas into the view
-// (graph.PatchView) and rebinds the result at the same version; a cached
-// undirected projection is patched forward from its base the same way, as
-// long as the batch stays under the DefaultPatchRatio threshold, and then
-// supersedes that base. See incremental.go for the delta-log machinery.
+// (graph.PatchView) and rebinds the result at the same version; the next
+// undirected query patches the held projection forward the same way, as
+// long as the deltas since it stay under the DefaultPatchRatio threshold.
+// See incremental.go for the delta-log machinery.
 //
 // A Workspace is safe for concurrent use by multiple goroutines.
 type Workspace struct {
@@ -176,53 +181,50 @@ type Workspace struct {
 	ver     map[string]uint64
 	clock   uint64
 	order   []string
-	views   *viewCache // nil when disabled, like indexes
 	indexes *indexCache
 	// deltas holds each graph binding's mutation log; foldMu makes
-	// folding it into the binding's view single-flight; patchRatio is the
-	// patch-vs-project threshold for undirected projections
-	// (DefaultPatchRatio; tests set their own, and <= 0 projects on every
-	// miss); patches/rebuilds count how views were served (they are
-	// touched outside mu — hence atomics).
+	// folding it into the binding's view, and projecting, single-flight;
+	// patchRatio is the patch-vs-project threshold for undirected
+	// projections (DefaultPatchRatio; tests set their own, and <= 0
+	// projects afresh whenever the held projection is behind);
+	// patches/rebuilds count how views were served and projHits/projMisses
+	// how undirected queries of directed bindings were (they are touched
+	// outside mu — hence atomics).
 	deltas     map[string]*deltaLog
 	foldMu     sync.Mutex
 	patchRatio float64
 	patches    atomic.Uint64
 	rebuilds   atomic.Uint64
+	projHits   atomic.Uint64
+	projMisses atomic.Uint64
 }
 
-// NewWorkspace returns an empty workspace with a view cache of
-// DefaultViewCacheEntries and an equality-index cache of
-// DefaultIndexCacheEntries; resize or disable the view cache with
-// ConfigureViewCache.
+// NewWorkspace returns an empty workspace with an equality-index cache of
+// DefaultIndexCacheEntries.
 func NewWorkspace() *Workspace {
 	return &Workspace{
 		objs:       make(map[string]Object),
 		prov:       make(map[string]string),
 		ver:        make(map[string]uint64),
-		views:      lru.New[viewKey, *graph.UView](DefaultViewCacheEntries),
 		indexes:    lru.New[indexKey, cachedIndex](DefaultIndexCacheEntries),
 		deltas:     make(map[string]*deltaLog),
 		patchRatio: DefaultPatchRatio,
 	}
 }
 
-// ConfigureViewCache resizes the workspace's undirected view cache;
-// maxEntries < 1 disables caching (every undirected query of a directed
-// graph projects its view afresh). The previous cache's contents are
-// discarded.
-func (w *Workspace) ConfigureViewCache(maxEntries int) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	w.views = lru.New[viewKey, *graph.UView](maxEntries)
-}
-
-// ViewCacheStats reports the view cache's cumulative hits and misses, the
-// current entry count and resident bytes (zeros when disabled).
+// ViewCacheStats reports the undirected projections of directed bindings:
+// cumulative hits (a held projection served) and misses (one patched or
+// built), and the projections held now with their resident bytes.
 func (w *Workspace) ViewCacheStats() (hits, misses uint64, entries int, bytes int64) {
 	w.mu.RLock()
 	defer w.mu.RUnlock()
-	return w.views.Stats()
+	for _, o := range w.objs {
+		if o.proj != nil {
+			entries++
+			bytes += o.proj.Bytes()
+		}
+	}
+	return w.projHits.Load(), w.projMisses.Load(), entries, bytes
 }
 
 // IndexCacheStats reports the equality-index cache's cumulative hits and
@@ -301,10 +303,9 @@ func (w *Workspace) DirectedView(name string) (*graph.View, error) {
 // name — an undirected binding's own view, or for a directed graph
 // graph.ProjectUView of its directed view (edge directions dropped,
 // duplicates merged), which is what triangle counting, bridges, k-core and
-// the other orientation-blind algorithms consume. A projection is cached:
-// on a miss it is patched from a resident base at an older version when
-// the logged deltas allow (membership read from the directed view), and
-// projected afresh otherwise.
+// the other orientation-blind algorithms consume. The binding holds its
+// projection: a query at the version it reflects is served it, and a
+// later one patches it forward or projects afresh (see project).
 func (w *Workspace) UndirectedView(name string) (*graph.UView, error) {
 	o, ver, ok := w.current(name)
 	dv := o.View
@@ -320,32 +321,11 @@ func (w *Workspace) UndirectedView(name string) (*graph.UView, error) {
 	case dv == nil:
 		return nil, fmt.Errorf("%q is a %s, not a graph", name, o.Kind())
 	}
-	w.mu.RLock()
-	views, plan := w.views, w.patchPlanLocked(name, ver)
-	w.mu.RUnlock()
-	key := viewKey{name: name, ver: ver}
-	if uv, hit := views.Get(key); hit {
-		return uv, nil
+	if o.proj != nil && o.projVer == ver {
+		w.projHits.Add(1)
+		return o.proj, nil
 	}
-	uv := views.Build(key, func() (*graph.UView, int64) {
-		var uv *graph.UView
-		if base, pending, ok := plan.base(views, key); ok {
-			w.patches.Add(1)
-			// An undirected edge of the projection exists when either
-			// orientation does.
-			sym := func(a, b int64) bool { return dv.HasEdge(a, b) || dv.HasEdge(b, a) }
-			uv = graph.PatchUView(base, dv.HasNode, sym, pending)
-		} else {
-			w.rebuilds.Add(1)
-			uv = graph.ProjectUView(dv)
-		}
-		return uv, uv.Bytes()
-	})
-	supersedeViews(views, key)
-	if w.stale(name, ver) {
-		views.DeleteFunc(func(k viewKey) bool { return k.name == name && k.ver == ver })
-	}
-	return uv, nil
+	return w.project(name, ver, dv), nil
 }
 
 // Set binds name to an object, replacing any previous binding.
@@ -391,7 +371,8 @@ func (w *Workspace) Delete(name string) bool {
 
 // Rename rebinds oldName as newName, carrying provenance along. The renamed
 // binding gets a fresh version (its identity changed), and any existing
-// binding at newName is replaced.
+// binding at newName is replaced. A projection of the renamed graph's
+// current state stays with it.
 func (w *Workspace) Rename(oldName, newName string) error {
 	w.lockSettled(oldName, folded)
 	defer w.mu.Unlock()
@@ -402,7 +383,7 @@ func (w *Workspace) Rename(oldName, newName string) error {
 	if oldName == newName {
 		return nil
 	}
-	prov := w.prov[oldName]
+	prov, oldVer := w.prov[oldName], w.ver[oldName]
 	delete(w.objs, oldName)
 	delete(w.prov, oldName)
 	delete(w.ver, oldName)
@@ -418,12 +399,17 @@ func (w *Workspace) Rename(oldName, newName string) error {
 			break
 		}
 	}
-	w.objs[newName] = o
 	w.prov[newName] = prov
 	w.clock++
 	w.ver[newName] = w.clock
 	w.invalidateLocked(oldName)
 	w.invalidateLocked(newName)
+	if o.proj != nil && o.projVer == oldVer {
+		o.projVer = w.clock
+	} else {
+		o.proj = nil
+	}
+	w.objs[newName] = o
 	return nil
 }
 
@@ -537,8 +523,8 @@ func (w *Workspace) Names() []string {
 
 // MappedBytes reports the total size of RNGM images bound in the
 // workspace. These bytes are file-backed (page cache, not Go heap), which
-// is why they are accounted separately from the view cache's resident
-// bytes in stats and metrics.
+// is why they are accounted separately from the held projections'
+// resident bytes in stats and metrics.
 func (w *Workspace) MappedBytes() int64 {
 	w.mu.RLock()
 	defer w.mu.RUnlock()

@@ -47,13 +47,14 @@ func TestWorkspaceMappedBinding(t *testing.T) {
 	if v != mg.View() {
 		t.Fatalf("DirectedView did not serve the mapped view in place")
 	}
-	// Mapped views bypass the cache entirely: no entry, no accounted bytes.
+	// A mapped view is served in place: no projection held, no bytes.
 	_, _, entries, _ := ws.ViewCacheStats()
 	if entries != 0 {
-		t.Fatalf("mapped DirectedView occupied %d cache entries", entries)
+		t.Fatalf("mapped DirectedView left %d projections held", entries)
 	}
 
-	// The undirected projection is a heap materialization and is cached.
+	// The undirected projection is a heap materialization the binding
+	// holds.
 	u1, err := ws.UndirectedView("m")
 	if err != nil {
 		t.Fatalf("UndirectedView: %v", err)

@@ -78,114 +78,145 @@ func sameUViewArrays(t *testing.T, ctx string, got, want *graph.UView) {
 // snapshot), the next bytes their initial edges, and the rest a script:
 // AddGraphNode, AddGraphEdge and DelGraphEdge on both bindings (each must
 // report the change the model reports, so no-op mutations occur as the
-// model dictates), directed and undirected queries, Get, and Snapshot +
-// Restore. After every query the directed binding's view must equal
-// BuildView of the model array for array and its undirected view
-// ProjectUView of that view; the undirected binding's must equal
-// BuildUView of its model.
+// model dictates), directed and undirected queries, Get, Snapshot +
+// Restore, a Rename round trip and Touch. After every query the directed
+// binding's view must equal BuildView of the model array for array and its
+// undirected view ProjectUView of that view; the undirected binding's must
+// equal BuildUView of its model. Every script runs twice: at
+// DefaultPatchRatio, and at ratio 0, where a projection that is behind is
+// always projected afresh — the reference that holds no projection.
 func FuzzBindingFold(f *testing.F) {
 	f.Add([]byte{0, 3, 1, 2, 2, 3, 3, 1, 9, 17, 4, 5, 25, 33, 12, 4, 5})
 	f.Add([]byte{1, 2, 0, 0, 5, 6, 11, 19, 27, 35, 6, 4, 5, 3, 18, 4, 5})
 	f.Add([]byte{2, 4, 1, 1, 2, 2, 3, 3, 4, 4, 9, 9, 10, 10, 4, 12, 13, 5, 6, 5, 4})
 	f.Add([]byte{0, 0, 8, 16, 24, 40, 48, 56, 4, 5, 7, 6, 4, 5})
+	// The lazy patch: an undirected query, mutations, directed queries
+	// that fold them, then an undirected query that patches the held
+	// projection forward; then the same with a Rename round trip between,
+	// and a Touch that drops the projection before a Rename that keeps it.
+	f.Add([]byte{1, 7, 4, 5, 5, 6, 6, 7, 7, 8, 8, 9, 9, 10, 10, 4, 5, 0, 0, 1, 4, 6, 4, 0, 0, 3, 4, 5, 4, 0, 0, 4, 0, 0, 5, 0, 0})
+	f.Add([]byte{0, 4, 5, 6, 6, 7, 7, 8, 8, 5, 5, 0, 0, 2, 9, 10, 4, 0, 0, 8, 0, 0, 5, 0, 0, 1, 11, 12, 4, 0, 0, 4, 0, 0, 5, 0, 0})
+	f.Add([]byte{2, 2, 5, 6, 6, 7, 5, 0, 0, 2, 7, 9, 4, 0, 0, 9, 0, 0, 2, 9, 5, 4, 0, 0, 5, 0, 0, 8, 0, 0, 5, 0, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 2 {
 			return
 		}
-		id := func(b byte) int64 { return int64(b%16) - 4 }
-		md, mu := graph.NewDirected(), graph.NewUndirectedCap(0)
-		rest := data[2:]
-		for i := 0; i < int(data[1]%8) && len(rest) >= 2; i++ {
-			md.AddEdge(id(rest[0]), id(rest[1]))
-			mu.AddEdge(id(rest[0]), id(rest[1]))
-			rest = rest[2:]
+		for _, ratio := range []float64{DefaultPatchRatio, 0} {
+			foldScript(t, data, ratio)
 		}
-		ws := NewWorkspace()
-		switch data[0] % 3 {
+	})
+}
+
+// foldScript runs one FuzzBindingFold input in a workspace whose
+// patch-vs-project threshold is ratio.
+func foldScript(t *testing.T, data []byte, ratio float64) {
+	t.Helper()
+	id := func(b byte) int64 { return int64(b%16) - 4 }
+	md, mu := graph.NewDirected(), graph.NewUndirectedCap(0)
+	rest := data[2:]
+	for i := 0; i < int(data[1]%8) && len(rest) >= 2; i++ {
+		md.AddEdge(id(rest[0]), id(rest[1]))
+		mu.AddEdge(id(rest[0]), id(rest[1]))
+		rest = rest[2:]
+	}
+	ws := NewWorkspace()
+	ws.patchRatio = ratio
+	switch data[0] % 3 {
+	case 0:
+		ws.Set("d", Object{Graph: md.Clone()})
+		ws.Set("u", Object{UView: graph.BuildUView(mu)})
+	case 1:
+		ws.Set("d", Object{View: graph.BuildView(md)})
+		ws.Set("u", Object{UView: graph.BuildUView(mu)})
+	default:
+		src := NewWorkspace()
+		src.Set("d", Object{Graph: md.Clone()})
+		src.Set("u", Object{UView: graph.BuildUView(mu)})
+		var buf bytes.Buffer
+		if err := src.Snapshot(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if err := ws.Restore(&buf); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check := func(ctx string, changed bool, err error, want bool) {
+		t.Helper()
+		if err != nil || changed != want {
+			t.Fatalf("%s: changed=%v err=%v, the model says %v", ctx, changed, err, want)
+		}
+	}
+	for len(rest) >= 3 {
+		op, s, d := rest[0]%10, id(rest[1]), id(rest[2])
+		rest = rest[3:]
+		switch op {
 		case 0:
-			ws.Set("d", Object{Graph: md.Clone()})
-			ws.Set("u", Object{UView: graph.BuildUView(mu)})
-		case 1:
-			ws.Set("d", Object{View: graph.BuildView(md)})
-			ws.Set("u", Object{UView: graph.BuildUView(mu)})
-		default:
-			src := NewWorkspace()
-			src.Set("d", Object{Graph: md.Clone()})
-			src.Set("u", Object{UView: graph.BuildUView(mu)})
+			ok, err := ws.AddGraphNode("d", s)
+			check("addnode d", ok, err, md.AddNode(s))
+			ok, err = ws.AddGraphNode("u", s)
+			check("addnode u", ok, err, mu.AddNode(s))
+		case 1, 2:
+			ok, err := ws.AddGraphEdge("d", s, d)
+			check("addedge d", ok, err, md.AddEdge(s, d))
+			ok, err = ws.AddGraphEdge("u", s, d)
+			check("addedge u", ok, err, mu.AddEdge(s, d))
+		case 3:
+			ok, err := ws.DelGraphEdge("d", s, d)
+			check("deledge d", ok, err, delEdge(md, s, d))
+			ok, err = ws.DelGraphEdge("u", s, d)
+			check("deledge u", ok, err, delUEdge(mu, s, d))
+		case 4:
+			v, err := ws.DirectedView("d")
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameViewArrays(t, "directed query", v, graph.BuildView(md))
+		case 5:
+			uv, err := ws.UndirectedView("d")
+			if err != nil {
+				t.Fatal(err)
+			}
+			v, err := ws.DirectedView("d")
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameViewArrays(t, "undirected query", v, graph.BuildView(md))
+			sameUViewArrays(t, "undirected query", uv, graph.ProjectUView(v))
+			uu, err := ws.UndirectedView("u")
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameUViewArrays(t, "undirected binding", uu, graph.BuildUView(mu))
+		case 6:
 			var buf bytes.Buffer
-			if err := src.Snapshot(&buf); err != nil {
+			if err := ws.Snapshot(&buf); err != nil {
 				t.Fatal(err)
 			}
 			if err := ws.Restore(&buf); err != nil {
 				t.Fatal(err)
 			}
-		}
-		check := func(ctx string, changed bool, err error, want bool) {
-			t.Helper()
-			if err != nil || changed != want {
-				t.Fatalf("%s: changed=%v err=%v, the model says %v", ctx, changed, err, want)
+		case 8:
+			for _, name := range []string{"d", "u"} {
+				if err := ws.Rename(name, name+"2"); err != nil {
+					t.Fatal(err)
+				}
+				if err := ws.Rename(name+"2", name); err != nil {
+					t.Fatal(err)
+				}
 			}
-		}
-		for len(rest) >= 3 {
-			op, s, d := rest[0]%8, id(rest[1]), id(rest[2])
-			rest = rest[3:]
-			switch op {
-			case 0:
-				ok, err := ws.AddGraphNode("d", s)
-				check("addnode d", ok, err, md.AddNode(s))
-				ok, err = ws.AddGraphNode("u", s)
-				check("addnode u", ok, err, mu.AddNode(s))
-			case 1, 2:
-				ok, err := ws.AddGraphEdge("d", s, d)
-				check("addedge d", ok, err, md.AddEdge(s, d))
-				ok, err = ws.AddGraphEdge("u", s, d)
-				check("addedge u", ok, err, mu.AddEdge(s, d))
-			case 3:
-				ok, err := ws.DelGraphEdge("d", s, d)
-				check("deledge d", ok, err, delEdge(md, s, d))
-				ok, err = ws.DelGraphEdge("u", s, d)
-				check("deledge u", ok, err, delUEdge(mu, s, d))
-			case 4:
-				v, err := ws.DirectedView("d")
-				if err != nil {
-					t.Fatal(err)
-				}
-				sameViewArrays(t, "directed query", v, graph.BuildView(md))
-			case 5:
-				uv, err := ws.UndirectedView("d")
-				if err != nil {
-					t.Fatal(err)
-				}
-				v, err := ws.DirectedView("d")
-				if err != nil {
-					t.Fatal(err)
-				}
-				sameViewArrays(t, "undirected query", v, graph.BuildView(md))
-				sameUViewArrays(t, "undirected query", uv, graph.ProjectUView(v))
-				uu, err := ws.UndirectedView("u")
-				if err != nil {
-					t.Fatal(err)
-				}
-				sameUViewArrays(t, "undirected binding", uu, graph.BuildUView(mu))
-			case 6:
-				var buf bytes.Buffer
-				if err := ws.Snapshot(&buf); err != nil {
-					t.Fatal(err)
-				}
-				if err := ws.Restore(&buf); err != nil {
-					t.Fatal(err)
-				}
-			default:
-				o, _ := ws.Get("d")
-				ou, _ := ws.Get("u")
-				if o.View == nil || o.Graph != nil || ou.UView == nil {
-					t.Fatalf("Get bound %+v and %+v, want views", o, ou)
-				}
-				sameViewArrays(t, "Get", o.View, graph.BuildView(md))
-				sameUViewArrays(t, "Get", ou.UView, graph.BuildUView(mu))
+		case 9:
+			ws.Touch("d")
+			ws.Touch("u")
+		default:
+			o, _ := ws.Get("d")
+			ou, _ := ws.Get("u")
+			if o.View == nil || o.Graph != nil || ou.UView == nil {
+				t.Fatalf("Get bound %+v and %+v, want views", o, ou)
 			}
+			sameViewArrays(t, "Get", o.View, graph.BuildView(md))
+			sameUViewArrays(t, "Get", ou.UView, graph.BuildUView(mu))
 		}
-	})
+	}
 }
 
 // TestDeltaLogOverflowFolds: a mutation that finds the log full folds the

@@ -227,7 +227,7 @@ func TestIncrementalOracleUndirected(t *testing.T) {
 
 // TestPatchThresholdBoundary pins the patch-vs-project cutoff for a
 // directed binding's undirected view exactly: with a base of V+E = 100 and
-// ratio 0.1, a 10-delta batch patches the cached projection and an
+// ratio 0.1, a 10-delta batch patches the held projection and an
 // 11-delta batch projects afresh. The binding's own view folds either way.
 func TestPatchThresholdBoundary(t *testing.T) {
 	g := graph.NewDirected()
@@ -269,7 +269,7 @@ func TestPatchThresholdBoundary(t *testing.T) {
 		t.Fatalf("batch at cutoff: patches=%d rebuilds=%d, want 2/1 (a fold and a patch)", p, r)
 	}
 
-	// One past the cutoff: 11 effective deltas against the freshly cached
+	// One past the cutoff: 11 effective deltas against the freshly patched
 	// base (still V+E = 100) must project afresh.
 	for i := int64(5); i < 10; i++ {
 		delEdge(g, 2*i, 2*i+1)
@@ -292,8 +292,8 @@ func TestPatchThresholdBoundary(t *testing.T) {
 // TestMutationKeepsSiblingViews is the purge-granularity regression: a
 // mutation of binding X must not disturb the warm views of binding Y —
 // whether the mutation is a delta-logged edge update or a wholesale Touch
-// — and X's own pre-mutation undirected view must stay resident as the
-// patch base.
+// — and X's own pre-mutation projection must stay held as the patch
+// base.
 func TestMutationKeepsSiblingViews(t *testing.T) {
 	mkRing := func(n int64) *graph.Directed {
 		g := graph.NewDirected()
@@ -325,7 +325,7 @@ func TestMutationKeepsSiblingViews(t *testing.T) {
 		t.Fatalf("AddGraphEdge: ok=%v err=%v", ok, err)
 	}
 	if _, _, entries, _ := ws.ViewCacheStats(); entries != entries0 {
-		t.Fatalf("mutation of x changed resident view count: %d -> %d", entries0, entries)
+		t.Fatalf("mutation of x changed the held projection count: %d -> %d", entries0, entries)
 	}
 	uy2, err := ws.UndirectedView("y")
 	if err != nil {
@@ -336,7 +336,7 @@ func TestMutationKeepsSiblingViews(t *testing.T) {
 	}
 	hits1, _, _, _ := ws.ViewCacheStats()
 	if hits1 != hits0+1 {
-		t.Fatalf("y's re-query was not a cache hit: hits %d -> %d", hits0, hits1)
+		t.Fatalf("y's re-query was not served its held projection: hits %d -> %d", hits0, hits1)
 	}
 	ux2, err := ws.UndirectedView("x")
 	if err != nil {

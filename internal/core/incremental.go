@@ -2,15 +2,14 @@ package core
 
 import (
 	"fmt"
-	"slices"
 
 	"ringo/internal/graph"
 )
 
 // DefaultPatchRatio is the patch-vs-project threshold for the undirected
-// view of a directed binding: a pending delta batch is patched onto a
-// cached undirected base when it holds at most ratio × (V+E) deltas
-// (sized against the base), and the view is projected afresh from the
+// projection a directed binding holds: the deltas logged since the
+// projection's version are patched onto it when they are at most
+// ratio × (V+E) of it, and the projection is built afresh from the
 // binding's directed view otherwise. Patching wins clearly at small
 // deltas (BenchmarkViewPatch in internal/graph times one against a
 // rebuild); past a fifth of the graph the merge bookkeeping stops paying
@@ -21,44 +20,69 @@ const DefaultPatchRatio = 0.2
 
 // maxDeltaLog caps a binding's delta log. A mutation that finds the log
 // full first folds the pending deltas into the binding's view, then
-// restarts the log at the view's version: undirected views cached at older
-// versions stop being patchable (the next one is projected afresh), in
-// exchange for bounded memory under unbounded mutation streams.
+// restarts the log and drops a projection the log was kept for (the next
+// undirected query projects afresh), in exchange for bounded memory under
+// unbounded mutation streams.
 const maxDeltaLog = 1 << 14
 
 // verDelta is one logged mutation stamped with the binding version it
-// produced, so any view — the binding's own, or a cached undirected one at
-// the log's base version or any later one — can locate the exact delta
-// suffix separating it from the current state.
+// produced, so a view — the binding's own, or the undirected projection it
+// holds — can locate the exact delta suffix separating it from the
+// current state.
 type verDelta struct {
 	ver uint64
 	d   graph.Delta
 }
 
-// deltaLog is the mutation history of one graph binding: the deltas from
-// baseVer, the version of the oldest patchable undirected view, to the
-// binding's current version. The binding's own view reflects viewVer; the
-// deltas past it are pending, and ov sums them up. Mutating verbs append;
-// Set/Delete/Rename/Touch/Restore discard the log along with the binding's
-// cached views.
+// deltaLog is the mutation history a graph binding's views still need:
+// the deltas past its view's version, viewVer, and past its projection's
+// when that is older. The deltas past viewVer are pending, and ov sums
+// them up. Mutating verbs append; a fold or a projection drops what no
+// held view needs (trim); Set/Delete/Rename/Touch/Restore discard the log
+// along with the binding's projection.
 type deltaLog struct {
-	baseVer uint64
 	viewVer uint64
 	deltas  []verDelta
 	ov      overlay
 }
 
-// pending returns the deltas the binding's view does not reflect yet,
-// capped so concurrent appends cannot write into them; nil for a nil log.
-func (dl *deltaLog) pending() []verDelta {
+// after returns the logged deltas past version v, capped so concurrent
+// appends cannot write into them; nil for a nil log.
+func (dl *deltaLog) after(v uint64) []verDelta {
 	if dl == nil {
 		return nil
 	}
 	i := len(dl.deltas)
-	for i > 0 && dl.deltas[i-1].ver > dl.viewVer {
+	for i > 0 && dl.deltas[i-1].ver > v {
 		i--
 	}
 	return dl.deltas[i:len(dl.deltas):len(dl.deltas)]
+}
+
+// pending returns the deltas the binding's view does not reflect yet.
+func (dl *deltaLog) pending() []verDelta {
+	if dl == nil {
+		return nil
+	}
+	return dl.after(dl.viewVer)
+}
+
+// trim drops the deltas that neither the binding's view nor o's projection
+// needs, reusing the log's array. Callers hold w.mu for writing and
+// foldMu, under which every reader of the log outside w.mu runs.
+func (dl *deltaLog) trim(o Object) {
+	if dl == nil {
+		return
+	}
+	keep := dl.viewVer
+	if o.proj != nil {
+		keep = min(keep, o.projVer)
+	}
+	i := 0
+	for i < len(dl.deltas) && dl.deltas[i].ver <= keep {
+		i++
+	}
+	dl.deltas = dl.deltas[:copy(dl.deltas, dl.deltas[i:])]
 }
 
 // csr is a binding's view, directed or undirected, as membership tests.
@@ -119,9 +143,9 @@ func (ov *overlay) changes(v csr, d graph.Delta) bool {
 
 // fold returns the graph binding o with the pending deltas patched into
 // its view (graph.PatchView or PatchUView), membership answered by an
-// overlay of those deltas over the view. The overlay is rebuilt from the
-// deltas rather than shared with the log, so a fold reads nothing a
-// mutation writes.
+// overlay of those deltas over the view; o's projection rides along. The
+// overlay is rebuilt from the deltas rather than shared with the log, so a
+// fold reads nothing a mutation writes.
 func fold(o Object, pending []verDelta) Object {
 	ds := make([]graph.Delta, len(pending))
 	ov := overlay{undirected: o.UView != nil}
@@ -131,11 +155,13 @@ func fold(o Object, pending []verDelta) Object {
 	}
 	if u := o.UView; u != nil {
 		has := func(a, b int64) bool { return ov.hasEdge(u, a, b) }
-		return Object{UView: graph.PatchUView(u, func(id int64) bool { return ov.hasNode(u, id) }, has, ds)}
+		o.UView = graph.PatchUView(u, func(id int64) bool { return ov.hasNode(u, id) }, has, ds)
+		return o
 	}
 	v := o.View
 	has := func(a, b int64) bool { return ov.hasEdge(v, a, b) }
-	return Object{View: graph.PatchView(v, func(id int64) bool { return ov.hasNode(v, id) }, has, ds)}
+	o.View = graph.PatchView(v, func(id int64) bool { return ov.hasNode(v, id) }, has, ds)
+	return o
 }
 
 // binding reads name's object, version and pending deltas under the read
@@ -161,8 +187,9 @@ func folded(_ Object, dl *deltaLog) bool { return len(dl.pending()) == 0 }
 // one rebuild in PatchStats), and the first after mutations folds the
 // pending deltas into the view (one patch). Either way the result is
 // rebound at the same version, so fingerprints and result-cache keys do
-// not move; the work is single-flight (foldMu), so concurrent callers wait
-// for it and share its view. The O(V+E) build or patch runs outside w.mu.
+// not move, and the log keeps only what a held projection still needs;
+// the work is single-flight (foldMu), so concurrent callers wait for it
+// and share its view. The O(V+E) build or patch runs outside w.mu.
 func (w *Workspace) current(name string) (Object, uint64, bool) {
 	o, ver, pending, ok := w.binding(name)
 	if o.Graph == nil && len(pending) == 0 {
@@ -185,6 +212,7 @@ func (w *Workspace) current(name string) (Object, uint64, bool) {
 		w.objs[name] = o
 		if dl := w.deltas[name]; dl != nil {
 			dl.viewVer, dl.ov = ver, overlay{undirected: dl.ov.undirected}
+			dl.trim(o)
 		}
 	}
 	w.mu.Unlock()
@@ -224,17 +252,17 @@ func (w *Workspace) rlockSettled() {
 }
 
 // PatchStats reports how many views were patched — a binding's view by a
-// fold, or an undirected projection from a cached base — versus built
-// afresh: a hash graph's view on its first query, or a projection.
+// fold, or its undirected projection forward from an older version —
+// versus built afresh: a hash graph's view on its first query, or a
+// projection.
 func (w *Workspace) PatchStats() (patches, rebuilds uint64) {
 	return w.patches.Load(), w.rebuilds.Load()
 }
 
 // DeltaEdges reports the number of deltas retained across every
-// binding's log. A log is kept after a fold absorbs it — a cached
-// undirected view at an older version still patches forward across it —
-// and drops only when the binding is invalidated wholesale or the log
-// overflows maxDeltaLog. This is the ringo_delta_edges gauge.
+// binding's log: those a held view still needs, pending for the binding's
+// view or kept past a fold for a projection at an older version. This is
+// the ringo_delta_edges gauge.
 func (w *Workspace) DeltaEdges() int {
 	w.mu.RLock()
 	defer w.mu.RUnlock()
@@ -259,8 +287,8 @@ func (w *Workspace) PendingDeltas(name string) []graph.Delta {
 
 // AddGraphNode adds an isolated node to the graph bound to name,
 // reporting whether the node was new. The mutation bumps the binding's
-// version and appends to its delta log without purging cached views —
-// they stay resident as patch bases.
+// version and appends to its delta log; the binding's view and projection
+// stay, for the next query to patch forward.
 func (w *Workspace) AddGraphNode(name string, id int64) (bool, error) {
 	return w.mutateGraph(name, graph.Delta{Op: graph.DeltaAddNode, Src: id})
 }
@@ -310,14 +338,17 @@ func (w *Workspace) mutateGraph(name string, d graph.Delta) (bool, error) {
 	dl := w.deltas[name]
 	if dl == nil {
 		ver := w.ver[name]
-		dl = &deltaLog{baseVer: ver, viewVer: ver, ov: overlay{undirected: o.UView != nil}}
+		dl = &deltaLog{viewVer: ver, ov: overlay{undirected: o.UView != nil}}
 	}
 	if !dl.ov.changes(v, d) {
 		return false, nil
 	}
 	w.deltas[name] = dl
 	if len(dl.deltas) >= maxDeltaLog {
-		dl.baseVer, dl.deltas = dl.viewVer, slices.Clone(dl.pending())
+		// Nothing is pending (lockSettled), so the log is held for a
+		// projection; a fresh array leaves a patch reading the old intact.
+		dl.deltas, o.proj = nil, nil
+		w.objs[name] = o
 	}
 	w.clock++
 	w.ver[name] = w.clock
@@ -326,68 +357,52 @@ func (w *Workspace) mutateGraph(name string, d graph.Delta) (bool, error) {
 	return true, nil
 }
 
-// patchPlan is an immutable snapshot of a binding's delta log up to one
-// version plus the patch threshold, taken under the workspace lock and
-// consumed inside the view cache's build closure — where no workspace
-// lock is held.
-type patchPlan struct {
-	ratio   float64
-	baseVer uint64
-	deltas  []verDelta
-}
-
-// patchPlanLocked snapshots name's logged deltas up to version ver;
-// callers hold w.mu. The slice is capped so concurrent appends cannot
-// write into it.
-func (w *Workspace) patchPlanLocked(name string, ver uint64) patchPlan {
-	p := patchPlan{ratio: w.patchRatio}
-	if dl := w.deltas[name]; dl != nil {
-		i := len(dl.deltas)
-		for i > 0 && dl.deltas[i-1].ver > ver {
-			i--
+// project returns the undirected projection of dv, the directed view name's
+// binding has at version ver: the projection the binding holds when it is
+// at ver (a hit); else, while the binding is still at ver, the held one
+// patched forward over the deltas logged since its version
+// (graph.PatchUView, membership read from dv) when those are at most
+// patchRatio × its V+E; else graph.ProjectUView(dv). The work is
+// single-flight under foldMu, and its result is held only if the binding
+// is still at ver, as current rebinds a fold.
+func (w *Workspace) project(name string, ver uint64, dv *graph.View) *graph.UView {
+	w.foldMu.Lock()
+	defer w.foldMu.Unlock()
+	w.mu.RLock()
+	o, atVer := w.objs[name], w.ver[name] == ver
+	var ds []verDelta
+	if atVer && o.proj != nil {
+		ds = w.deltas[name].after(o.projVer)
+	}
+	w.mu.RUnlock()
+	if o.proj != nil && o.projVer == ver {
+		w.projHits.Add(1)
+		return o.proj
+	}
+	w.projMisses.Add(1)
+	var uv *graph.UView
+	if base := o.proj; atVer && base != nil && w.patchRatio > 0 &&
+		len(ds) <= int(w.patchRatio*float64(int64(base.NumNodes())+base.NumEdges())) {
+		pending := make([]graph.Delta, len(ds))
+		for i, vd := range ds {
+			pending[i] = vd.d
 		}
-		p.baseVer, p.deltas = dl.baseVer, dl.deltas[:i:i]
+		// An undirected edge of the projection exists when either
+		// orientation does.
+		sym := func(a, b int64) bool { return dv.HasEdge(a, b) || dv.HasEdge(b, a) }
+		uv = graph.PatchUView(base, dv.HasNode, sym, pending)
+		w.patches.Add(1)
+	} else {
+		uv = graph.ProjectUView(dv)
+		w.rebuilds.Add(1)
 	}
-	return p
-}
-
-// candidateVer returns the binding version a cached view would carry if
-// it reflects the log state before deltas[i:] — the log's base for i = 0,
-// the version stamped on delta i-1 otherwise.
-func (p patchPlan) candidateVer(i int) uint64 {
-	if i == 0 {
-		return p.baseVer
+	w.mu.Lock()
+	if w.ver[name] == ver {
+		o := w.objs[name]
+		o.proj, o.projVer = uv, ver
+		w.objs[name] = o
+		w.deltas[name].trim(o)
 	}
-	return p.deltas[i-1].ver
-}
-
-// pending extracts the delta suffix from index i on.
-func (p patchPlan) pending(i int) []graph.Delta {
-	out := make([]graph.Delta, len(p.deltas)-i)
-	for j := i; j < len(p.deltas); j++ {
-		out[j-i] = p.deltas[j].d
-	}
-	return out
-}
-
-// base finds the freshest resident undirected view of key's binding that
-// the logged deltas can patch from, returning it with the delta suffix to
-// apply; ok is false when no base is resident or the batch holds more
-// than ratio × (V+E) of the base. Peek, not Get: a patch base is not a
-// query, so it costs the cache no miss.
-func (p patchPlan) base(views *viewCache, key viewKey) (base *graph.UView, pending []graph.Delta, ok bool) {
-	if p.ratio <= 0 {
-		return nil, nil, false
-	}
-	for i := len(p.deltas) - 1; i >= 0; i-- {
-		key.ver = p.candidateVer(i)
-		if base, ok = views.Peek(key); ok {
-			n := len(p.deltas) - i
-			if n > int(p.ratio*float64(int64(base.NumNodes())+base.NumEdges())) {
-				return nil, nil, false
-			}
-			return base, p.pending(i), true
-		}
-	}
-	return nil, nil, false
+	w.mu.Unlock()
+	return uv
 }

@@ -62,7 +62,7 @@ func TestNoOpMutationLeavesBindingUntouched(t *testing.T) {
 			t.Fatalf("%s: the next UndirectedView is a different view", name)
 		}
 		if h, m, _, _ := ws.ViewCacheStats(); h != hits || m != misses {
-			t.Fatalf("%s: view cache %d hits %d misses, want %d and %d", name, h, m, hits, misses)
+			t.Fatalf("%s: projection %d hits %d misses, want %d and %d", name, h, m, hits, misses)
 		}
 		if p, r := ws.PatchStats(); p != patches || r != rebuilds {
 			t.Fatalf("%s: next view was patched or rebuilt (%d/%d -> %d/%d)", name, patches, rebuilds, p, r)

@@ -96,10 +96,9 @@ func (w *Workspace) Restore(in io.Reader) error {
 		maxVer = max(maxVer, w.ver[so.Name]-base)
 	}
 	w.clock = base + maxVer
-	// Every binding was replaced wholesale; no pre-restore view or index can
-	// ever be asked for again, so drop them all — and the pending delta
-	// logs with them, since their base versions point at replaced objects.
-	w.views.Clear()
+	// Every binding was replaced wholesale; no pre-restore index can ever be
+	// asked for again, so drop them all — and the pending delta logs with
+	// them, since their versions point at replaced objects.
 	w.indexes.Clear()
 	clear(w.deltas)
 	return nil

@@ -325,7 +325,7 @@ func TestSnapshotWritesTheBindingsView(t *testing.T) {
 		t.Fatal(err)
 	}
 	if h, m, entries, _ := restored.ViewCacheStats(); h != 0 || m != 0 || entries != 0 {
-		t.Fatalf("a binding's own view went through the cache: %d hits, %d misses, %d entries", h, m, entries)
+		t.Fatalf("a directed query moved the projection counters: %d hits, %d misses, %d held", h, m, entries)
 	}
 
 	for _, e := range [][2]int64{{1000, 1001}, {1, 1000}} {

@@ -42,8 +42,8 @@ func randProjectionGraph(rng *rand.Rand) *graph.Directed {
 
 // TestUndirectedViewMatchesPerEdge holds each way UndirectedView builds a
 // directed binding's view to the per-edge projection, and pins what each
-// way books: a patch for a resident undirected base, else one rebuild, and
-// one cache entry either way. Every arm runs on a binding set from a hash
+// way books: a patch of the projection the binding holds, else one
+// rebuild, and one held projection either way. Every arm runs on a binding set from a hash
 // graph (Object.Graph, bound as its view) and on one set from its view
 // (Object.View, as tograph binds).
 func TestUndirectedViewMatchesPerEdge(t *testing.T) {
@@ -113,10 +113,10 @@ func TestUndirectedViewMatchesPerEdge(t *testing.T) {
 			}
 			want := n0 + 1
 			if arm.patch {
-				want = n0 // the patched view supersedes its base
+				want = n0 // the patched projection replaces the one held
 			}
 			if _, _, n1, _ := ws.ViewCacheStats(); n1 != want {
-				t.Fatalf("%s: view cache entries %d→%d, want %d", ctx, n0, n1, want)
+				t.Fatalf("%s: held projections %d→%d, want %d", ctx, n0, n1, want)
 			}
 		}
 	}

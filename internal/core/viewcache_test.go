@@ -2,7 +2,6 @@ package core
 
 import (
 	"bytes"
-	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
@@ -43,7 +42,7 @@ func TestDirectedViewCachedUntilMutation(t *testing.T) {
 		t.Fatalf("stats = %d hits, %d misses, %d entries; want 1/1/1", hits, misses, entries)
 	}
 	if bytes <= 0 {
-		t.Fatalf("cached view bytes = %d, want > 0", bytes)
+		t.Fatalf("held projection bytes = %d, want > 0", bytes)
 	}
 
 	// Touch evicts the projection; a mutation yields a fresh view that
@@ -85,21 +84,18 @@ func TestViewPurgeOnSetDeleteRename(t *testing.T) {
 	if _, _, entries, _ := ws.ViewCacheStats(); entries != 1 {
 		t.Fatalf("rebind: want 1 entry left, got %d", entries)
 	}
-	// Renaming b purges it too (its identity changed).
+	// Renaming b carries its projection along: the graph is unchanged.
 	if err := ws.Rename("b", "c"); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, entries, _ := ws.ViewCacheStats(); entries != 0 {
-		t.Fatalf("rename: want 0 entries, got %d", entries)
-	}
-	if _, err := ws.UndirectedView("c"); err != nil {
-		t.Fatal(err)
+	if _, _, entries, _ := ws.ViewCacheStats(); entries != 1 {
+		t.Fatalf("rename: want 1 entry, got %d", entries)
 	}
 	if !ws.Delete("c") {
 		t.Fatal("delete failed")
 	}
 	if _, _, entries, bytes := ws.ViewCacheStats(); entries != 0 || bytes != 0 {
-		t.Fatalf("delete: want empty cache, got %d entries, %d bytes", entries, bytes)
+		t.Fatalf("delete: want no projection held, got %d, %d bytes", entries, bytes)
 	}
 }
 
@@ -149,7 +145,7 @@ func TestUndirectedViewOfDirectedGraph(t *testing.T) {
 	if uv2 != uv {
 		t.Fatal("undirected view rebuilt on unchanged graph")
 	}
-	// The binding's directed view is its own: it adds no cache entry.
+	// The binding's directed view is its own: it holds no second entry.
 	if _, err := ws.DirectedView("g"); err != nil {
 		t.Fatal(err)
 	}
@@ -167,17 +163,16 @@ func TestUndirectedViewOfDirectedGraph(t *testing.T) {
 
 // TestAlgorithmsCachedVsBypassed is the cache-correctness gate: every
 // algorithm must return identical results whether its view came from the
-// cache (twice, to cover the hit path) or was built fresh with caching
-// disabled.
+// binding (twice, to cover the held projection) or was built fresh in a
+// new workspace each round.
 func TestAlgorithmsCachedVsBypassed(t *testing.T) {
 	g := testGraph(80, 400, 7)
 	cached := NewWorkspace()
 	cached.Set("g", Object{Graph: g})
-	bypass := NewWorkspace()
-	bypass.ConfigureViewCache(0)
-	bypass.Set("g", Object{Graph: g})
 
-	for round := 0; round < 2; round++ { // round 1 hits the cache
+	for round := 0; round < 2; round++ { // round 1 is served what round 0 built
+		bypass := NewWorkspace()
+		bypass.Set("g", Object{Graph: g})
 		cv, err := cached.DirectedView("g")
 		if err != nil {
 			t.Fatal(err)
@@ -257,24 +252,9 @@ func TestViewPurgeExactName(t *testing.T) {
 	}
 }
 
-func TestViewCacheLRUBound(t *testing.T) {
-	ws := NewWorkspace()
-	ws.ConfigureViewCache(2)
-	for i := 0; i < 4; i++ {
-		name := fmt.Sprintf("g%d", i)
-		ws.Set(name, Object{Graph: testGraph(30, 100, int64(i))})
-		if _, err := ws.UndirectedView(name); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, _, entries, _ := ws.ViewCacheStats(); entries != 2 {
-		t.Fatalf("LRU bound 2 violated: %d entries", entries)
-	}
-}
-
 // TestWarmViewAllocs pins the acceptance criterion: a warm view lookup must
-// not rebuild anything — a binding's own view is served in place, and a
-// cached projection costs a cache probe.
+// not rebuild anything — a binding's own view is served in place, and so
+// is the projection it holds.
 func TestWarmViewAllocs(t *testing.T) {
 	ws := NewWorkspace()
 	ws.Set("g", Object{Graph: testGraph(200, 1000, 8)})

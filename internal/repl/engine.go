@@ -9,12 +9,13 @@
 // Expensive analytics (pagerank, algo) are cached at two levels, both keyed
 // by the input object's workspace fingerprint. A result cache (SetCache)
 // stores finished answers, so repeating the exact command over an unchanged
-// graph is served without any computation. Beneath it, the workspace's CSR
-// view cache stores the flat-array snapshot the algorithms run over, so a
-// *different* analytics command over the same unchanged graph skips the
-// O(V+E) dense conversion and goes straight to flat-array compute — the
-// paper's build-once, query-many interactivity model. Any rebind, rename or
-// touch of the graph invalidates both by moving its fingerprint.
+// graph is served without any computation. Beneath it, a graph binding is
+// the flat-array CSR view the algorithms run over, and a directed one holds
+// its undirected projection once queried, so a *different* analytics
+// command over the same unchanged graph skips the O(V+E) dense conversion
+// and goes straight to flat-array compute — the paper's build-once,
+// query-many interactivity model. Any rebind or touch of the graph moves
+// its fingerprint, so no result cached for the old state is served.
 package repl
 
 import (
@@ -672,8 +673,8 @@ func (e *Engine) cmdPageRank(r *Result, args []string) error {
 		}
 	}
 	start := time.Now()
-	// The CSR view comes from the workspace's fingerprint-keyed cache: a
-	// repeat query on an unchanged graph skips the O(V+E) conversion.
+	// The CSR view is the binding itself: a repeat query on an unchanged
+	// graph skips the O(V+E) conversion.
 	v, err := e.ws.DirectedView(args[1])
 	if err != nil {
 		return err
@@ -717,10 +718,9 @@ func (e *Engine) cmdAlgo(r *Result, args []string) error {
 			return nil
 		}
 	}
-	// Every branch computes over the workspace's cached CSR views:
-	// direction-blind algorithms fetch the undirected view (for a directed
-	// graph, the projection of its directed CSR), the rest the directed
-	// one. Repeat analytics on an unchanged graph do no O(V+E) conversion
+	// Every branch computes over the binding's CSR views: direction-blind
+	// algorithms fetch the undirected view (for a directed graph, the
+	// projection of its directed CSR it holds), the rest the directed one. Repeat analytics on an unchanged graph do no O(V+E) conversion
 	// at all.
 	start := time.Now()
 	switch args[1] {

@@ -94,30 +94,30 @@ func (s *Server) initObs() {
 		return float64(b)
 	})
 
-	// CSR view caches, aggregated across every live session.
-	reg.CounterFunc(metricViewCacheHits, "CSR view cache hits across sessions.", func() float64 {
+	// The undirected projections directed graph bindings hold, aggregated
+	// across every live session.
+	reg.CounterFunc(metricViewCacheHits, "Undirected queries of directed graphs served the projection the binding holds, across sessions.", func() float64 {
 		h, _, _, _ := s.ViewCacheStats()
 		return float64(h)
 	})
-	reg.CounterFunc(metricViewCacheMisses, "CSR view cache misses across sessions.", func() float64 {
+	reg.CounterFunc(metricViewCacheMisses, "Undirected queries of directed graphs that patched or built the projection, across sessions.", func() float64 {
 		_, m, _, _ := s.ViewCacheStats()
 		return float64(m)
 	})
-	reg.GaugeFunc(metricViewCacheEntries, "CSR views resident across sessions.", func() float64 {
+	reg.GaugeFunc(metricViewCacheEntries, "Undirected projections held by directed graph bindings across sessions.", func() float64 {
 		_, _, n, _ := s.ViewCacheStats()
 		return float64(n)
 	})
-	reg.GaugeFunc(metricViewCacheBytes, "Estimated bytes held by resident CSR views.", func() float64 {
+	reg.GaugeFunc(metricViewCacheBytes, "Estimated bytes held by those undirected projections.", func() float64 {
 		_, _, _, b := s.ViewCacheStats()
 		return float64(b)
 	})
 
-	// The incremental tier: on a view-cache miss over a mutated graph, the
-	// workspace either patches the nearest resident base view forward or
-	// rebuilds from scratch; the ratio of these two counters is the
-	// delta-maintenance win, and the gauge is the delta-log volume stale
-	// cached views can still patch forward across.
-	reg.CounterFunc(metricViewPatches, "CSR view materializations served by patching a cached base.", func() float64 {
+	// The incremental tier: a query over a mutated graph patches the
+	// binding's view (or its held projection) forward, or builds it from
+	// scratch; the ratio of these two counters is the delta-maintenance
+	// win, and the gauge is the delta-log volume held views still need.
+	reg.CounterFunc(metricViewPatches, "CSR view materializations served by patching an older view forward.", func() float64 {
 		p, _ := s.PatchStats()
 		return float64(p)
 	})
@@ -125,7 +125,7 @@ func (s *Server) initObs() {
 		_, r := s.PatchStats()
 		return float64(r)
 	})
-	reg.GaugeFunc(metricDeltaEdges, "Graph mutation deltas retained in binding logs as patch material for stale cached views.", func() float64 {
+	reg.GaugeFunc(metricDeltaEdges, "Graph mutation deltas retained in binding logs: those a binding's view or held projection still needs.", func() float64 {
 		return float64(s.DeltaEdges())
 	})
 

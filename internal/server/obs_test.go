@@ -113,8 +113,9 @@ func TestMetricsEndpoint(t *testing.T) {
 // TestIncrementalMetrics drives the mutation verbs through a session and
 // asserts the incremental tier's counters move and are exposed on both
 // GET /metrics and GET /stats: a warm view mutated by a small batch is
-// patched (not rebuilt) on requery, and the pending delta gauge tracks
-// the unfolded mutation backlog.
+// patched (not rebuilt) on requery, and the delta gauge tracks the deltas
+// a held view still needs — here the undirected projection, until the
+// next undirected query patches it forward.
 func TestIncrementalMetrics(t *testing.T) {
 	srv := New(Config{})
 	defer srv.Close()
@@ -126,7 +127,8 @@ func TestIncrementalMetrics(t *testing.T) {
 	}
 	postCmd(t, ts, "inc", "gen rmat E 8 500 7")
 	postCmd(t, ts, "inc", "tograph G E src dst")
-	postCmd(t, ts, "inc", "algo G wcc") // builds + caches the directed view
+	postCmd(t, ts, "inc", "algo G wcc")       // runs on the binding's view
+	postCmd(t, ts, "inc", "algo G triangles") // the binding holds its projection
 	postCmd(t, ts, "inc", "addedge G 9001 9002")
 	postCmd(t, ts, "inc", "deledge G 9001 9002")
 	postCmd(t, ts, "inc", "addnode G 9003")
@@ -176,6 +178,11 @@ func TestIncrementalMetrics(t *testing.T) {
 	}
 	if stats.Views.Patches != 1 || stats.Views.DeltaEdges != 3 {
 		t.Fatalf("/stats views = %+v, want patches 1 and delta_edges 3", stats.Views)
+	}
+
+	postCmd(t, ts, "inc", "algo G triangles") // patches the projection forward
+	if p, _ := srv.PatchStats(); p != 2 || srv.DeltaEdges() != 0 {
+		t.Fatalf("after the undirected query: %d patches, %d deltas; want 2 and 0", p, srv.DeltaEdges())
 	}
 }
 
@@ -228,8 +235,8 @@ func TestTotalsSurviveSessionDrop(t *testing.T) {
 	postCmd(t, ts, "gone", "select S E src = 1") // index-cache miss, built
 	postCmd(t, ts, "gone", "select S E src = 2") // index-cache hit
 	postCmd(t, ts, "gone", "tograph G E src dst")
-	postCmd(t, ts, "gone", "algo G triangles")    // view-cache miss, rebuild
-	postCmd(t, ts, "gone", "algo G 3core")        // view-cache hit
+	postCmd(t, ts, "gone", "algo G triangles")    // projection miss, rebuild
+	postCmd(t, ts, "gone", "algo G 3core")        // projection hit
 	postCmd(t, ts, "gone", "addedge G 9001 9002") // logged, folded by the next query
 	postCmd(t, ts, "gone", "pagerank PR G")       // the fold: a patch
 

@@ -5,10 +5,11 @@
 // under the shared lock, while mutating commands serialize. All sessions
 // share one LRU result cache keyed by (session, object fingerprint,
 // command), so repeated analytics over unchanged objects are answered
-// without recomputation; beneath it, each session's workspace carries a
-// fingerprint-keyed CSR view cache, so even *new* analytics over an
-// unchanged graph skip the O(V+E) dense conversion (both cache layers
-// report hits and misses on GET /stats). Long-running commands can be
+// without recomputation; beneath it, each graph binding is its CSR view
+// and a directed one holds its undirected projection, so even *new*
+// analytics over an unchanged graph skip the O(V+E) dense conversion (the
+// result cache and the held projections report hits and misses on
+// GET /stats). Long-running commands can be
 // submitted as async jobs (POST /sessions/{id}/jobs) and polled
 // (GET /jobs/{id}) so no HTTP connection is held open for minutes.
 //
@@ -72,10 +73,6 @@ type Config struct {
 	// CacheSize bounds the shared result cache (entries). 0 means
 	// DefaultCacheSize; negative disables caching.
 	CacheSize int
-	// ViewCacheSize bounds each session's CSR view cache (entries). 0
-	// means the workspace default; negative disables view caching, so
-	// every analytics command rebuilds its flat view.
-	ViewCacheSize int
 	// Workers is the async job worker pool size (0 means DefaultWorkers).
 	Workers int
 	// MaxSessions caps concurrent sessions (0 means unlimited).
@@ -147,7 +144,6 @@ type Server struct {
 	nextSess   int
 	maxSess    int
 	allowFiles bool
-	viewCache  int
 	// cacheEpoch makes each session instance's cache namespace unique:
 	// dropping and recreating a session id must not inherit the old
 	// instance's entries (a fresh workspace restarts its version clock,
@@ -176,7 +172,6 @@ func New(cfg Config) *Server {
 		maxSess:    cfg.MaxSessions,
 		allowFiles: cfg.AllowFileIO,
 		authToken:  cfg.AuthToken,
-		viewCache:  cfg.ViewCacheSize,
 		reg:        cfg.Metrics,
 		logger:     cfg.Logger,
 		slowQuery:  cfg.SlowQuery,
@@ -271,9 +266,10 @@ func (s *Server) CacheStats() (hits, misses uint64, entries int, bytes int64) {
 	return s.cache.Stats()
 }
 
-// ViewCacheStats aggregates the per-session CSR view caches: hits and
-// misses cumulative since server start (dropped sessions included),
-// current entries and estimated resident bytes across every live session.
+// ViewCacheStats aggregates the undirected projections that sessions'
+// directed bindings hold (core.Workspace.ViewCacheStats): hits and misses
+// cumulative since server start (dropped sessions included), current
+// entries and estimated resident bytes across every live session.
 func (s *Server) ViewCacheStats() (hits, misses uint64, entries int, bytes int64) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -307,7 +303,7 @@ func (s *Server) IndexCacheStats() (hits, misses uint64, entries int, bytes int6
 
 // PatchStats aggregates the incremental tier's view-maintenance counters
 // since server start (dropped sessions included): how many CSR view
-// materializations were served by patching a cached base forward versus
+// materializations were served by patching an older view forward versus
 // running a full rebuild.
 func (s *Server) PatchStats() (patches, rebuilds uint64) {
 	s.mu.RLock()
@@ -321,9 +317,9 @@ func (s *Server) PatchStats() (patches, rebuilds uint64) {
 	return patches, rebuilds
 }
 
-// DeltaEdges sums the pending mutation-log entries across every live
-// session — graph mutations applied to live bindings but not yet folded
-// into a materialized view.
+// DeltaEdges sums the mutation-log entries across every live session —
+// graph mutations a binding's view or held projection does not reflect
+// yet.
 func (s *Server) DeltaEdges() int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -379,11 +375,7 @@ func (s *Server) CreateSession(name string) (string, error) {
 	} else if s.sessions[name] != nil {
 		return "", fmt.Errorf("session %q already exists", name)
 	}
-	ws := core.NewWorkspace()
-	if s.viewCache != 0 {
-		ws.ConfigureViewCache(s.viewCache) // negative disables
-	}
-	sess := &session{id: name, eng: repl.New(ws), created: time.Now()}
+	sess := &session{id: name, eng: repl.New(core.NewWorkspace()), created: time.Now()}
 	// Per-verb metrics aggregate into the server's registry; slow-query
 	// records carry the session id. The engine keeps its own registry
 	// too, which the read-only stats verb renders per session.

@@ -3,6 +3,7 @@ package table
 import (
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 )
 
@@ -262,6 +263,30 @@ func TestOrderBy(t *testing.T) {
 	for i := 1; i < len(s); i++ {
 		if s[i-1] < s[i] {
 			t.Fatalf("not descending: %v", s)
+		}
+	}
+}
+
+// TestOrderByFloatNaN: a float column holding NaN sorts as cmp.Compare
+// orders it — NaN below every number, so first ascending and last
+// descending — and -0 ties with 0; tied rows keep their input order.
+func TestOrderByFloatNaN(t *testing.T) {
+	nan := math.NaN()
+	for _, tc := range []struct {
+		desc bool
+		ids  []int64
+	}{
+		{false, []int64{1, 4, 3, 5, 2, 0}},
+		{true, []int64{0, 2, 3, 5, 1, 4}},
+	} {
+		tbl := mustTable(t, Schema{{"x", Float}})
+		mustAppend(t, tbl, []any{3.0}, []any{nan}, []any{1.0}, []any{0.0}, []any{nan}, []any{math.Copysign(0, -1)})
+		if err := tbl.OrderBy(tc.desc, "x"); err != nil {
+			t.Fatal(err)
+		}
+		if got := tbl.RowIDs(); !slices.Equal(got, tc.ids) {
+			x, _ := tbl.FloatCol("x")
+			t.Fatalf("desc=%v: row ids %v (x = %v), want %v", tc.desc, got, x, tc.ids)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package table
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -8,7 +9,8 @@ import (
 
 // OrderBy sorts the table rows in place by the named columns (most
 // significant first). desc sorts descending. The sort is stable, and row
-// identifiers travel with their rows.
+// identifiers travel with their rows. Floats compare as cmp.Compare does,
+// algo.ByRank's order: NaN below every number, -0 equal to 0.
 func (t *Table) OrderBy(desc bool, cols ...string) error {
 	if len(cols) == 0 {
 		return fmt.Errorf("table: OrderBy with no columns")
@@ -35,9 +37,8 @@ func (t *Table) OrderBy(desc bool, cols ...string) error {
 					return va < vb
 				}
 			case Float:
-				va, vb := t.floats[i][a], t.floats[i][b]
-				if va != vb {
-					return va < vb
+				if c := cmp.Compare(t.floats[i][a], t.floats[i][b]); c != 0 {
+					return c < 0
 				}
 			default:
 				va := t.pool.Get(int32(t.ints[i][a]))

@@ -27,22 +27,24 @@ var (
 	benchTW = core.TWSim(0.0001)
 
 	benchOnce   sync.Once
-	benchGraphs map[string]*graph.Directed
-	benchUndirs map[string]*graph.Undirected
+	benchGraphs map[string]*graph.View
+	benchUndirs map[string]*graph.UView
 )
 
+// setupBench builds each dataset's graph as tograph binds it and its
+// undirected projection, as the paper tables do.
 func setupBench(b *testing.B) {
 	b.Helper()
 	benchOnce.Do(func() {
-		benchGraphs = map[string]*graph.Directed{}
-		benchUndirs = map[string]*graph.Undirected{}
+		benchGraphs = map[string]*graph.View{}
+		benchUndirs = map[string]*graph.UView{}
 		for _, s := range []core.Spec{benchLJ, benchTW} {
-			g, err := conv.ToDirected(s.CachedEdgeTable(), "src", "dst")
+			v, err := conv.ToView(s.CachedEdgeTable(), "src", "dst")
 			if err != nil {
 				panic(err)
 			}
-			benchGraphs[s.Name] = g
-			benchUndirs[s.Name] = graph.AsUndirected(g)
+			benchGraphs[s.Name] = v
+			benchUndirs[s.Name] = graph.ProjectUView(v)
 		}
 	})
 }
@@ -78,7 +80,7 @@ func benchPageRank(b *testing.B, name string) {
 	g := benchGraphs[name]
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		algo.PageRankView(graph.BuildView(g), algo.DefaultDamping, 10)
+		algo.PageRankView(g, algo.DefaultDamping, 10)
 	}
 }
 
@@ -90,7 +92,7 @@ func benchTriangles(b *testing.B, name string) {
 	u := benchUndirs[name]
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		algo.TrianglesView(graph.BuildUView(u))
+		algo.TrianglesView(u)
 	}
 }
 
@@ -155,7 +157,7 @@ func BenchmarkTable5TableToGraph(b *testing.B) {
 	t := benchLJ.CachedEdgeTable()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		g, err := conv.ToDirected(t, "src", "dst")
+		g, err := conv.ToView(t, "src", "dst")
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -183,17 +185,17 @@ func BenchmarkTable6ThreeCore(b *testing.B) {
 	u := benchUndirs[benchLJ.Name]
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		algo.KCore(u, 3)
+		algo.KCoreStatsView(u, 3)
 	}
 }
 
 func BenchmarkTable6SSSP(b *testing.B) {
 	setupBench(b)
 	g := benchGraphs[benchLJ.Name]
-	nodes := g.Nodes()
+	nodes := g.IDs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		algo.SSSPUnweighted(g, nodes[i%len(nodes)])
+		algo.BFSView(g, nodes[i%len(nodes)], algo.Out)
 	}
 }
 
@@ -202,7 +204,7 @@ func BenchmarkTable6SCC(b *testing.B) {
 	g := benchGraphs[benchLJ.Name]
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		algo.SCCView(graph.BuildView(g))
+		algo.SCCView(g)
 	}
 }
 
@@ -210,16 +212,11 @@ func BenchmarkTable6SCC(b *testing.B) {
 
 func BenchmarkAblationTraverseHashGraph(b *testing.B) {
 	setupBench(b)
-	g := benchGraphs[benchLJ.Name]
-	nodes := g.Nodes()
+	g := graph.FromView(benchGraphs[benchLJ.Name])
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var sum int64
-		for _, id := range nodes {
-			for _, nbr := range g.OutNeighbors(id) {
-				sum += nbr
-			}
-		}
+		g.ForEdges(func(_, dst int64) { sum += dst })
 		if sum == 0 {
 			b.Fatal("no edges traversed")
 		}
@@ -228,7 +225,7 @@ func BenchmarkAblationTraverseHashGraph(b *testing.B) {
 
 func BenchmarkAblationTraverseCSR(b *testing.B) {
 	setupBench(b)
-	v := graph.BuildView(benchGraphs[benchLJ.Name])
+	v := benchGraphs[benchLJ.Name]
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var sum int64
@@ -260,8 +257,8 @@ func BenchmarkSnapshotRoundTrip(b *testing.B) {
 	ws := core.NewWorkspace()
 	g := benchGraphs[benchLJ.Name]
 	ws.Set("E", core.Object{Table: benchLJ.CachedEdgeTable()})
-	ws.Set("G", core.Object{Graph: g})
-	ws.Set("PR", core.Object{Scores: algo.PageRankView(graph.BuildView(g), algo.DefaultDamping, 10)})
+	ws.Set("G", core.Object{View: g})
+	ws.Set("PR", core.Object{Scores: algo.PageRankView(g, algo.DefaultDamping, 10)})
 	var buf bytes.Buffer
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -315,7 +312,7 @@ func BenchmarkLibLouvain(b *testing.B) {
 	u := benchUndirs[benchLJ.Name]
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		algo.LouvainView(graph.BuildUView(u), 5)
+		algo.LouvainView(u, 5)
 	}
 }
 
@@ -324,6 +321,6 @@ func BenchmarkLibApproxBetweenness(b *testing.B) {
 	g := benchGraphs[benchLJ.Name]
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		algo.ApproxBetweennessView(graph.BuildView(g), 4, 1)
+		algo.ApproxBetweennessView(g, 4, 1)
 	}
 }

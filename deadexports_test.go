@@ -87,7 +87,6 @@ var deadExportAllowlist = map[string]string{
 	"table.Table.RowIDs":         "persistent row ids in row order",
 	"table.Table.ColSumInt":      "column aggregate: sum of an Int column",
 	"table.Table.ColMinMaxFloat": "column aggregate: range of a numeric column",
-	"graph.Directed.InNeighbors": "in-side twin of OutNeighbors",
 	"graph.Directed.DelNode":     "mutation: delete a node and its edges",
 	"graph.Undirected.DelNode":   "mutation: delete a node and its edges",
 	"graph.NewDirected":          "empty graph grown by AddNode/AddEdge; programs bulk-build instead",

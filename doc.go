@@ -27,6 +27,10 @@
 //	pr := ringo.GetPageRank(g)
 //	experts, _ := ringo.TableFromMap(pr, "User", "Scr")
 //
+// A façade Graph is the read-only CSR view the shell's tograph verb binds,
+// and every Get* function runs the verb's kernel over it; mutation is the
+// addedge/deledge verbs' business.
+//
 // Beyond the library façade, the engine is exposed two interactive ways
 // over the same evaluator (internal/repl): cmd/ringo is the single-user
 // terminal shell, and cmd/ringo-server is a multi-session HTTP service.
@@ -43,8 +47,8 @@
 // (View/UView), built once when the graph is bound and served in place by
 // Workspace DirectedView/UndirectedView, so every algorithm over the
 // unchanged graph — even a different one — runs straight over resident
-// arrays; the undirected projection of a directed graph is cached by
-// fingerprint. A mutation is logged against the view and folded into it
+// arrays; a directed binding holds its undirected projection, stamped with
+// the version it reflects. A mutation is logged against the view and folded into it
 // by the next query. The
 // package-level Example below walks the load → query → snapshot loop.
 //

@@ -63,7 +63,7 @@ func main() {
 }
 
 func randomSeeds(g *ringo.Graph, k int) []int64 {
-	nodes := g.Nodes()
+	nodes := g.IDs()
 	// Deterministic spread across the id space.
 	out := make([]int64, 0, k)
 	for i := 0; i < k; i++ {
@@ -73,10 +73,10 @@ func randomSeeds(g *ringo.Graph, k int) []int64 {
 }
 
 func topDegreeSeeds(g *ringo.Graph, k int) []int64 {
-	nodes := g.Nodes() // ascending, as Scores requires
+	nodes := g.IDs() // ascending, as Scores requires
 	deg := make(ringo.Scores, len(nodes))
 	for i, id := range nodes {
-		deg[i] = ringo.Scored{ID: id, Score: float64(g.OutDeg(id))}
+		deg[i] = ringo.Scored{ID: id, Score: float64(g.OutDeg(int32(i)))}
 	}
 	scored := ringo.TopK(deg, k)
 	out := make([]int64, len(scored))

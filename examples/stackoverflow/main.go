@@ -81,8 +81,9 @@ func main() {
 	users, _ := experts.IntCol("User")
 	scores, _ := experts.FloatCol("Scr")
 	for i := 0; i < *topK && i < experts.NumRows(); i++ {
+		u, _ := g.Index(users[i])
 		fmt.Printf("  %2d. user %-8d score %.5f  (accepted answers: %d)\n",
-			i+1, users[i], scores[i], g.InDeg(users[i]))
+			i+1, users[i], scores[i], g.InDeg(u))
 	}
 
 	// Alternative expertise measure, as the demo invites: HITS authorities.

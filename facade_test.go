@@ -98,6 +98,42 @@ func TestFacadeExportsAreUsed(t *testing.T) {
 	}
 }
 
+// TestToUGraphMergesDirections: ToUGraph makes each row (u,v) the edge
+// {u,v}, so reverse duplicates collapse and a self-loop is one edge.
+func TestToUGraphMergesDirections(t *testing.T) {
+	tbl, err := ringo.NewTable(ringo.Schema{{Name: "src", Type: ringo.IntCol}, {Name: "dst", Type: ringo.IntCol}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range [][2]int64{{1, 2}, {2, 1}, {2, 3}, {4, 4}} {
+		if err := tbl.AppendRow(e[0], e[1]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	g, err := ringo.ToUGraph(tbl, "src", "dst")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g.NumEdges() != 3 { // {1,2}, {2,3}, {4,4}
+		t.Fatalf("undirected edges = %d, want 3", g.NumEdges())
+	}
+	if err := validUndirected(g, tbl, "src", "dst"); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// uviewOf is the CSR view of an undirected model graph, built from its
+// edge columns: BuildViewCols of one arc per edge, projected.
+func uviewOf(g *graph.Undirected) *graph.UView {
+	var srcs, dsts []int64
+	g.ForEdges(func(a, b int64) { srcs, dsts = append(srcs, a), append(dsts, b) })
+	v, err := graph.BuildViewCols(srcs, dsts, g.Nodes())
+	if err != nil {
+		panic(err)
+	}
+	return graph.ProjectUView(v)
+}
+
 // The tests below predate the curated facade. The capabilities they cover
 // left it but not the engine, so each now reaches them through its
 // internal package: the facade lost names, not behaviour.
@@ -108,7 +144,7 @@ func TestFacadeStructuralAlgorithms(t *testing.T) {
 	for _, e := range [][2]int64{{0, 1}, {1, 2}, {0, 2}, {2, 3}, {3, 4}, {2, 4}, {4, 9}} {
 		u.AddEdge(e[0], e[1])
 	}
-	uv := graph.BuildUView(u)
+	uv := uviewOf(u)
 	cuts := algo.ArticulationPointsView(uv)
 	if len(cuts) != 2 || cuts[0] != 2 || cuts[1] != 4 {
 		t.Fatalf("articulation points = %v", cuts)
@@ -203,15 +239,15 @@ func TestFacadeLinkPredictionAndStats(t *testing.T) {
 }
 
 func TestFacadeDiffusion(t *testing.T) {
-	g := graph.NewDirected()
+	g, u := graph.NewDirected(), graph.NewUndirectedCap(0)
 	for i := int64(0); i < 10; i++ {
 		g.AddEdge(i, i+1)
+		u.AddEdge(i, i+1)
 	}
-	active := ringo.SimulateCascade(g, []int64{0}, 1.0, 1)
+	active := ringo.SimulateCascade(graph.BuildView(g), []int64{0}, 1.0, 1)
 	if len(active) != 11 {
 		t.Fatalf("cascade reached %d", len(active))
 	}
-	u := ringo.AsUndirected(g)
 	res := algo.SIR(u, []int64{5}, 1.0, 1.0, 1)
 	if len(res.Infected) != 11 {
 		t.Fatalf("SIR reached %d", len(res.Infected))
@@ -236,11 +272,12 @@ func TestFacadeSelectExpr(t *testing.T) {
 
 func TestFacadeCombinatorialAlgorithms(t *testing.T) {
 	u := gen.BarabasiAlbert(120, 2, 9)
-	comm, q := ringo.Louvain(u, 10)
+	uv := uviewOf(u)
+	comm, q := ringo.Louvain(uv, 10)
 	if len(comm) != 120 {
 		t.Fatal("Louvain labels missing nodes")
 	}
-	if lp := ringo.GetModularity(u, ringo.GetCommunities(u, 15, 1)); q+1e-9 < lp {
+	if lp := ringo.GetModularity(uv, ringo.GetCommunities(uv, 15, 1)); q+1e-9 < lp {
 		t.Fatalf("Louvain modularity %v below label propagation %v", q, lp)
 	}
 	color, k := algo.GreedyColoring(u)

@@ -55,7 +55,7 @@ func TestWorkflowInvariantsProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		if err := validDirected(g); err != nil {
+		if err := validDirected(g, hi, "src", "dst"); err != nil {
 			return false
 		}
 		// 4. Analytics invariants.
@@ -77,7 +77,7 @@ func TestWorkflowInvariantsProperty(t *testing.T) {
 			// Each triangle is counted once per corner by the per-node
 			// kernel and once in all by the total.
 			var corners int64
-			for _, c := range algo.NodeTrianglesView(graph.BuildUView(u)) {
+			for _, c := range algo.NodeTrianglesView(u) {
 				corners += c
 			}
 			if 3*ringo.CountTriangles(u) != corners {
@@ -122,15 +122,16 @@ func itoa(n int64) string {
 	return string(buf[i:])
 }
 
-// TestAnalyticsAgreeAcrossRepresentations checks that the dynamic graph and
-// its CSR snapshot describe the same topology under a battery of measures.
+// TestAnalyticsAgreeAcrossRepresentations checks that the dynamic graph
+// one AddEdge per row builds and the CSR graph ToGraph builds describe the
+// same topology under a battery of measures.
 func TestAnalyticsAgreeAcrossRepresentations(t *testing.T) {
 	tbl := ringo.GenRMATTable(11, 6000, 21)
-	g, err := ringo.ToGraph(tbl, "src", "dst")
+	csr, err := ringo.ToGraph(tbl, "src", "dst")
 	if err != nil {
 		t.Fatal(err)
 	}
-	csr := graph.BuildView(g)
+	g := perEdgeGraph(tbl, "src", "dst", false)
 	if csr.NumEdges() != g.NumEdges() || csr.NumNodes() != g.NumNodes() {
 		t.Fatal("CSR dims differ")
 	}
@@ -144,12 +145,14 @@ func TestAnalyticsAgreeAcrossRepresentations(t *testing.T) {
 			t.Fatalf("node %d degree mismatch", id)
 		}
 	})
-	// Edge agreement: the same sorted out-neighbors per node.
+	// Edge agreement: with the degrees equal, every CSR out-neighbor must
+	// be an edge of the graph, in ascending order.
 	g.ForNodes(func(id int64) {
 		i, _ := csr.Index(id)
-		for j, x := range csr.Out(i) {
-			if csr.ID(x) != g.OutNeighbors(id)[j] {
-				t.Fatalf("node %d: CSR out-neighbor %d is %d, graph has %d", id, j, csr.ID(x), g.OutNeighbors(id)[j])
+		out := csr.Out(i)
+		for j, x := range out {
+			if !g.HasEdge(id, csr.ID(x)) || (j > 0 && out[j-1] >= x) {
+				t.Fatalf("node %d: CSR out-neighbor %d is %d, not the graph's", id, j, csr.ID(x))
 			}
 		}
 	})
@@ -187,7 +190,10 @@ func TestStackOverflowMultiTagSession(t *testing.T) {
 		}
 		pr := ringo.GetPageRank(g)
 		top := ringo.TopK(pr, 1)
-		if len(top) != 1 || g.InDeg(top[0].ID) == 0 {
+		if len(top) != 1 {
+			t.Fatalf("tag %s: no top expert", tag)
+		}
+		if u, _ := g.Index(top[0].ID); g.InDeg(u) == 0 {
 			t.Fatalf("tag %s: degenerate top expert", tag)
 		}
 	}
@@ -231,7 +237,7 @@ func TestCoAnswerGraphConstruction(t *testing.T) {
 	if g.NumNodes() == 0 {
 		t.Fatal("empty co-answer graph")
 	}
-	if err := validUndirected(g); err != nil {
+	if err := validUndirected(g, co, "UserId-1", "UserId-2"); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -270,46 +276,40 @@ func TestLeftJoinEnrichment(t *testing.T) {
 	}
 }
 
-// validDirected holds g's adjacency vectors to the graph its own edge list
-// builds: BuildView translates the out- and in-vectors as stored, while
-// BuildViewCols sorts, deduplicates and transposes the out-edges, so the
-// two views agree only when every vector is sorted and duplicate-free, the
-// in-vectors mirror the out-vectors and the edge count is right.
-func validDirected(g *graph.Directed) error {
-	var srcs, dsts []int64
-	g.ForEdges(func(s, d int64) {
-		srcs, dsts = append(srcs, s), append(dsts, d)
-	})
-	want, err := graph.BuildViewCols(srcs, dsts, g.Nodes())
-	if err != nil {
-		return err
+// perEdgeGraph is the graph one AddEdge per row of an edge table builds;
+// with both set, each row also adds its reverse arc.
+func perEdgeGraph(tbl *ringo.Table, srcCol, dstCol string, both bool) *graph.Directed {
+	srcs, _ := tbl.IntCol(srcCol)
+	dsts, _ := tbl.IntCol(dstCol)
+	g := graph.NewDirected()
+	for i := range srcs {
+		g.AddEdge(srcs[i], dsts[i])
+		if both {
+			g.AddEdge(dsts[i], srcs[i])
+		}
 	}
-	ids, outOff, inOff, out, in := graph.BuildView(g).ViewParts()
-	wids, wOutOff, wInOff, wOut, wIn := want.ViewParts()
+	return g
+}
+
+// validDirected holds the CSR graph ToGraph built from tbl, array for
+// array, to the view of the per-edge model of the same rows.
+func validDirected(v *ringo.Graph, tbl *ringo.Table, srcCol, dstCol string) error {
+	ids, outOff, inOff, out, in := v.ViewParts()
+	wids, wOutOff, wInOff, wOut, wIn := graph.BuildView(perEdgeGraph(tbl, srcCol, dstCol, false)).ViewParts()
 	if !slices.Equal(ids, wids) || !slices.Equal(outOff, wOutOff) || !slices.Equal(inOff, wInOff) ||
-		!slices.Equal(out, wOut) || !slices.Equal(in, wIn) || g.NumEdges() != int64(len(srcs)) {
-		return fmt.Errorf("graph of %d nodes, %d edges differs from the graph its edges build", g.NumNodes(), g.NumEdges())
+		!slices.Equal(out, wOut) || !slices.Equal(in, wIn) {
+		return fmt.Errorf("graph of %d nodes, %d edges differs from the per-edge graph of its rows", v.NumNodes(), v.NumEdges())
 	}
 	return nil
 }
 
-// validUndirected is validDirected for an undirected graph: its vectors
-// must equal the projection of the graph its own edge list builds, which
-// holds only when every vector is sorted and duplicate-free, every edge
-// sits in both endpoints' vectors and the edge count is right.
-func validUndirected(g *graph.Undirected) error {
-	var srcs, dsts []int64
-	g.ForEdges(func(a, b int64) {
-		srcs, dsts = append(srcs, a), append(dsts, b)
-	})
-	dv, err := graph.BuildViewCols(srcs, dsts, g.Nodes())
-	if err != nil {
-		return err
-	}
-	ids, off, arena := graph.BuildUView(g).UViewParts()
-	wids, woff, warena := graph.ProjectUView(dv).UViewParts()
-	if !slices.Equal(ids, wids) || !slices.Equal(off, woff) || !slices.Equal(arena, warena) || g.NumEdges() != int64(len(srcs)) {
-		return fmt.Errorf("graph of %d nodes, %d edges differs from the graph its edges build", g.NumNodes(), g.NumEdges())
+// validUndirected is validDirected for ToUGraph: the out-arrays of the
+// per-edge model with both arcs of every row are the undirected adjacency.
+func validUndirected(u *ringo.UGraph, tbl *ringo.Table, srcCol, dstCol string) error {
+	ids, off, arena := u.UViewParts()
+	wids, woff, _, warena, _ := graph.BuildView(perEdgeGraph(tbl, srcCol, dstCol, true)).ViewParts()
+	if !slices.Equal(ids, wids) || !slices.Equal(off, woff) || !slices.Equal(arena, warena) {
+		return fmt.Errorf("graph of %d nodes, %d edges differs from the per-edge graph of its rows", u.NumNodes(), u.NumEdges())
 	}
 	return nil
 }

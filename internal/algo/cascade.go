@@ -15,30 +15,31 @@ import (
 // out-neighbor with probability p. It returns every activated node with the
 // round in which it activated (seeds are round 0). Deterministic for a
 // fixed seed; unknown seed nodes are ignored.
-func IndependentCascade(g *graph.Directed, seeds []int64, p float64, seed int64) map[int64]int {
+func IndependentCascade(v *graph.View, seeds []int64, p float64, seed int64) map[int64]int {
 	rng := rand.New(rand.NewSource(seed))
 	active := make(map[int64]int)
-	var frontier []int64
+	var frontier []int32
 	for _, s := range seeds {
-		if g.HasNode(s) {
+		if u, ok := v.Index(s); ok {
 			if _, dup := active[s]; !dup {
 				active[s] = 0
-				frontier = append(frontier, s)
+				frontier = append(frontier, u)
 			}
 		}
 	}
 	round := 0
 	for len(frontier) > 0 {
 		round++
-		var next []int64
+		var next []int32
 		for _, u := range frontier {
-			for _, v := range g.OutNeighbors(u) {
-				if _, done := active[v]; done {
+			for _, w := range v.Out(u) {
+				id := v.ID(w)
+				if _, done := active[id]; done {
 					continue
 				}
 				if rng.Float64() < p {
-					active[v] = round
-					next = append(next, v)
+					active[id] = round
+					next = append(next, w)
 				}
 			}
 		}

@@ -8,7 +8,7 @@ import (
 
 func TestIndependentCascadeCertainSpread(t *testing.T) {
 	g := pathGraph(6)
-	active := IndependentCascade(g, []int64{0}, 1.0, 7)
+	active := IndependentCascade(graph.BuildView(g), []int64{0}, 1.0, 7)
 	if len(active) != 6 {
 		t.Fatalf("p=1 activated %d of 6", len(active))
 	}
@@ -22,7 +22,7 @@ func TestIndependentCascadeCertainSpread(t *testing.T) {
 
 func TestIndependentCascadeNoSpread(t *testing.T) {
 	g := pathGraph(6)
-	active := IndependentCascade(g, []int64{0}, 0.0, 7)
+	active := IndependentCascade(graph.BuildView(g), []int64{0}, 0.0, 7)
 	if len(active) != 1 {
 		t.Fatalf("p=0 activated %d", len(active))
 	}
@@ -33,8 +33,8 @@ func TestIndependentCascadeNoSpread(t *testing.T) {
 
 func TestIndependentCascadeDeterministicAndDirectional(t *testing.T) {
 	g := pathGraph(6)
-	a := IndependentCascade(g, []int64{3}, 0.7, 42)
-	b := IndependentCascade(g, []int64{3}, 0.7, 42)
+	a := IndependentCascade(graph.BuildView(g), []int64{3}, 0.7, 42)
+	b := IndependentCascade(graph.BuildView(g), []int64{3}, 0.7, 42)
 	if len(a) != len(b) {
 		t.Fatal("not deterministic")
 	}
@@ -43,7 +43,7 @@ func TestIndependentCascadeDeterministicAndDirectional(t *testing.T) {
 		t.Fatal("cascade ran against edge direction")
 	}
 	// Unknown seeds ignored, duplicates collapse.
-	c := IndependentCascade(g, []int64{0, 0, 99}, 1, 1)
+	c := IndependentCascade(graph.BuildView(g), []int64{0, 0, 99}, 1, 1)
 	if len(c) != 6 {
 		t.Fatalf("dup/unknown seeds activated %d", len(c))
 	}

@@ -86,11 +86,11 @@ func TestEccentricityAndDiameter(t *testing.T) {
 
 func TestDegreeStatsAndHistogram(t *testing.T) {
 	g := starGraph(4) // leaves 1..4 -> hub 0
-	out := OutDegreeStats(g)
+	out := OutDegreeStats(graph.BuildView(g))
 	if out.Min != 0 || out.Max != 1 || !approxEq(out.Mean, 4.0/5.0, 1e-12) {
 		t.Fatalf("out stats = %+v", out)
 	}
-	in := InDegreeStats(g)
+	in := InDegreeStats(graph.BuildView(g))
 	if in.Max != 4 {
 		t.Fatalf("in stats = %+v", in)
 	}
@@ -99,7 +99,7 @@ func TestDegreeStatsAndHistogram(t *testing.T) {
 	if len(hist) != 2 || hist[0] != [2]int64{0, 1} || hist[1] != [2]int64{1, 4} {
 		t.Fatalf("histogram = %v", hist)
 	}
-	if got := OutDegreeStats(graph.NewDirected()); got != (DegreeStats{}) {
+	if got := OutDegreeStats(graph.BuildView(graph.NewDirected())); got != (DegreeStats{}) {
 		t.Fatalf("empty stats = %+v", got)
 	}
 }
@@ -124,11 +124,11 @@ func TestMaxDegreeNode(t *testing.T) {
 	g.AddEdge(1, 2)
 	g.AddEdge(1, 3)
 	g.AddEdge(2, 3)
-	id, deg, ok := MaxDegreeNode(g)
+	id, deg, ok := MaxDegreeNode(graph.BuildView(g))
 	if !ok || id != 1 || deg != 2 {
 		t.Fatalf("MaxDegreeNode = (%d,%d,%v)", id, deg, ok)
 	}
-	if _, _, ok := MaxDegreeNode(graph.NewDirected()); ok {
+	if _, _, ok := MaxDegreeNode(graph.BuildView(graph.NewDirected())); ok {
 		t.Fatal("empty graph returned a max node")
 	}
 }

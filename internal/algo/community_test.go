@@ -24,7 +24,7 @@ func TestLabelPropagationSeparatesCliques(t *testing.T) {
 	g := twoCliques(6)
 	// Label propagation is seed-sensitive by design; this seed separates
 	// the cliques under the view's canonical (ascending-id) dense order.
-	comm := LabelPropagationView(graph.BuildUView(g), 20, 8)
+	comm := LabelPropagationView(uviewOf(g), 20, 8)
 	// All members of each clique share a label.
 	for i := int64(1); i < 6; i++ {
 		if comm[i] != comm[0] {
@@ -41,8 +41,8 @@ func TestLabelPropagationSeparatesCliques(t *testing.T) {
 
 func TestLabelPropagationDeterministic(t *testing.T) {
 	g := twoCliques(5)
-	a := LabelPropagationView(graph.BuildUView(g), 10, 3)
-	b := LabelPropagationView(graph.BuildUView(g), 10, 3)
+	a := LabelPropagationView(uviewOf(g), 10, 3)
+	b := LabelPropagationView(uviewOf(g), 10, 3)
 	for id, c := range a {
 		if b[id] != c {
 			t.Fatal("label propagation not deterministic for fixed seed")
@@ -52,7 +52,7 @@ func TestLabelPropagationDeterministic(t *testing.T) {
 
 func TestLabelPropagationLabelsDense(t *testing.T) {
 	g := twoCliques(4)
-	comm := LabelPropagationView(graph.BuildUView(g), 10, 1)
+	comm := LabelPropagationView(uviewOf(g), 10, 1)
 	seen := map[int]bool{}
 	for _, c := range comm {
 		seen[c] = true
@@ -76,7 +76,7 @@ func TestModularityPerfectSplitBeatsMonolith(t *testing.T) {
 	})
 	mono := map[int64]int{}
 	g.ForNodes(func(id int64) { mono[id] = 0 })
-	v := graph.BuildUView(g)
+	v := uviewOf(g)
 	qs := ModularityView(v, split)
 	qm := ModularityView(v, mono)
 	if !approxEq(qm, 0, 1e-12) {
@@ -85,7 +85,7 @@ func TestModularityPerfectSplitBeatsMonolith(t *testing.T) {
 	if qs <= 0.3 {
 		t.Fatalf("split modularity = %v, want > 0.3", qs)
 	}
-	if ModularityView(graph.BuildUView(graph.NewUndirectedCap(0)), nil) != 0 {
+	if ModularityView(uviewOf(graph.NewUndirectedCap(0)), nil) != 0 {
 		t.Fatal("empty graph modularity nonzero")
 	}
 }
@@ -99,7 +99,7 @@ func TestModularityMissingNodeIsSingleton(t *testing.T) {
 	for _, e := range [][2]int64{{0, 1}, {1, 2}, {0, 2}, {3, 3}} {
 		g.AddEdge(e[0], e[1])
 	}
-	v := graph.BuildUView(g)
+	v := uviewOf(g)
 	missing := ModularityView(v, map[int64]int{0: 0, 1: 0, 2: 0})
 	explicit := ModularityView(v, map[int64]int{0: 0, 1: 0, 2: 0, 3: 1})
 	if math.Float64bits(missing) != math.Float64bits(explicit) {
@@ -107,7 +107,7 @@ func TestModularityMissingNodeIsSingleton(t *testing.T) {
 	}
 
 	big := barabasiForTest(400, 3)
-	bv := graph.BuildUView(big)
+	bv := uviewOf(big)
 	comm := LabelPropagationView(bv, 20, 1)
 	for id := range comm {
 		if id%7 == 0 {

@@ -12,33 +12,25 @@ type DegreeStats struct {
 	Mean     float64
 }
 
-// OutDegreeStats returns out-degree statistics of a directed graph.
-func OutDegreeStats(g *graph.Directed) DegreeStats {
-	return degreeStats(g, func(id int64) int { return g.OutDeg(id) })
-}
+// OutDegreeStats returns out-degree statistics of a directed view.
+func OutDegreeStats(v *graph.View) DegreeStats { return degreeStats(v.NumNodes(), v.OutDeg) }
 
-// InDegreeStats returns in-degree statistics of a directed graph.
-func InDegreeStats(g *graph.Directed) DegreeStats {
-	return degreeStats(g, func(id int64) int { return g.InDeg(id) })
-}
+// InDegreeStats returns in-degree statistics of a directed view.
+func InDegreeStats(v *graph.View) DegreeStats { return degreeStats(v.NumNodes(), v.InDeg) }
 
-func degreeStats(g *graph.Directed, deg func(id int64) int) DegreeStats {
-	st := DegreeStats{Min: int(^uint(0) >> 1)}
-	n := 0
-	var total int64
-	g.ForNodes(func(id int64) {
-		d := deg(id)
-		if d < st.Min {
-			st.Min = d
-		}
-		if d > st.Max {
-			st.Max = d
-		}
-		total += int64(d)
-		n++
-	})
+// degreeStats summarizes deg over the dense indices [0, n): the offset
+// differences of one CSR direction.
+func degreeStats(n int, deg func(u int32) int) DegreeStats {
 	if n == 0 {
 		return DegreeStats{}
+	}
+	st := DegreeStats{Min: int(^uint(0) >> 1)}
+	var total int64
+	for u := int32(0); int(u) < n; u++ {
+		d := deg(u)
+		st.Min = min(st.Min, d)
+		st.Max = max(st.Max, d)
+		total += int64(d)
 	}
 	st.Mean = float64(total) / float64(n)
 	return st
@@ -78,18 +70,16 @@ func DegreeCentrality(g *graph.Undirected) Scores {
 }
 
 // MaxDegreeNode returns the node with the highest out-degree, breaking ties
-// toward the smaller id; ok is false on an empty graph.
-func MaxDegreeNode(g *graph.Directed) (id int64, deg int, ok bool) {
-	best := int64(0)
-	bestDeg := -1
-	g.ForNodes(func(n int64) {
-		d := g.OutDeg(n)
-		if d > bestDeg || (d == bestDeg && n < best) {
-			best, bestDeg = n, d
-		}
-	})
-	if bestDeg < 0 {
+// toward the smaller id; ok is false on an empty view.
+func MaxDegreeNode(v *graph.View) (id int64, deg int, ok bool) {
+	if v.NumNodes() == 0 {
 		return 0, 0, false
 	}
-	return best, bestDeg, true
+	best := int32(0)
+	for u := int32(1); int(u) < v.NumNodes(); u++ {
+		if v.OutDeg(u) > v.OutDeg(best) { // ascending ids: the first maximum is the smallest
+			best = u
+		}
+	}
+	return v.ID(best), v.OutDeg(best), true
 }

@@ -11,9 +11,8 @@
 // translated into arena-backed flat arrays, so iterative kernels index
 // arrays instead of hashing. Each algorithm has one exported name: the CSR
 // kernels take a prebuilt view (PageRankView, TrianglesView, ...) — the
-// form the fingerprint-keyed view cache in internal/core feeds, so repeated
-// queries on an unchanged graph skip the O(V+E) conversion entirely — and a
-// caller holding a graph writes XxxView(graph.BuildView(g)).
+// view a workspace binding or a façade graph holds, so repeated queries on
+// an unchanged graph skip the O(V+E) conversion entirely.
 package algo
 
 import "ringo/internal/par"

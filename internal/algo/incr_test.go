@@ -66,7 +66,7 @@ func TestTrianglesIncrMatchesCold(t *testing.T) {
 	for i := 0; i < 60; i++ {
 		g.AddEdge(rng.Int63n(25), rng.Int63n(25))
 	}
-	oldV := graph.BuildUView(g)
+	oldV := uviewOf(g)
 	count := TrianglesView(oldV)
 	for round := 0; round < 25; round++ {
 		var deltas []graph.Delta
@@ -89,7 +89,7 @@ func TestTrianglesIncrMatchesCold(t *testing.T) {
 		for i := 0; i < 6; i++ {
 			mutate(rng.Intn(3) != 0, rng.Int63n(30), rng.Int63n(30))
 		}
-		newV := graph.BuildUView(g)
+		newV := uviewOf(g)
 		got := TrianglesIncr(oldV, newV, count, deltas)
 		want := TrianglesView(newV)
 		if got != want {
@@ -105,10 +105,10 @@ func TestTrianglesIncrClosingEdge(t *testing.T) {
 	g := graph.NewUndirectedCap(0)
 	g.AddEdge(0, 1)
 	g.AddEdge(1, 2)
-	oldV := graph.BuildUView(g)
+	oldV := uviewOf(g)
 	g.AddEdge(0, 2)
 	deltas := []graph.Delta{{Op: graph.DeltaAddEdge, Src: 0, Dst: 2}}
-	if got := TrianglesIncr(oldV, graph.BuildUView(g), 0, deltas); got != 1 {
+	if got := TrianglesIncr(oldV, uviewOf(g), 0, deltas); got != 1 {
 		t.Fatalf("closing edge: incremental count %d, want 1", got)
 	}
 }

@@ -72,34 +72,40 @@ func coreNumbersFlat(v *graph.UView) []int32 {
 	return core
 }
 
-// KCore returns the k-core of g: the maximal subgraph in which every node
-// has degree at least k. Table 6 benchmarks the 3-core. The result is a new
-// graph, built in bulk from the kept nodes' neighbor lists filtered to
-// kept neighbors, with its nodes in g's ForNodes order; g is unmodified.
-func KCore(g *graph.Undirected, k int) *graph.Undirected {
-	v := graph.BuildUView(g)
+// KCore returns the k-core of v: the maximal subgraph in which every node
+// has degree at least k. Table 6 benchmarks the 3-core. The result is a
+// new view over the kept nodes, ascending as in v, each neighbor vector
+// filtered to kept neighbors; v is unmodified.
+func KCore(v *graph.UView, k int) *graph.UView {
 	core := coreNumbersFlat(v)
+	// sub maps a dense index of v to its index in the k-core, or -1.
+	sub := make([]int32, v.NumNodes())
 	var ids []int64
-	var adj [][]int64
-	g.ForNodes(func(id int64) {
-		u, _ := v.Index(id)
-		if int(core[u]) < k {
-			return
+	for u := range sub {
+		sub[u] = -1
+		if int(core[u]) >= k {
+			sub[u] = int32(len(ids))
+			ids = append(ids, v.ID(int32(u)))
 		}
-		nbrs := make([]int64, 0, len(v.Adj(u)))
-		for _, w := range v.Adj(u) {
-			if int(core[w]) >= k {
-				nbrs = append(nbrs, v.ID(w))
+	}
+	off := make([]int64, 1, len(ids)+1)
+	var arena []int32
+	for u, su := range sub {
+		if su < 0 {
+			continue
+		}
+		for _, w := range v.Adj(int32(u)) {
+			if sub[w] >= 0 {
+				arena = append(arena, sub[w])
 			}
 		}
-		ids = append(ids, id)
-		adj = append(adj, nbrs)
-	})
-	sub, err := graph.BuildUndirectedBulk(ids, adj)
-	if err != nil {
-		panic(err) // unreachable: ids are g's distinct nodes
+		off = append(off, int64(len(arena)))
 	}
-	return sub
+	kc, err := graph.UViewFromArrays(ids, off, arena, nil)
+	if err != nil {
+		panic(err) // unreachable: a kept node keeps every kept neighbor
+	}
+	return kc
 }
 
 // KCoreStatsView reports the size of the k-core — node count and edge count

@@ -24,7 +24,7 @@ func TestCoreNumbersKnown(t *testing.T) {
 	g := completeUndirected(4)
 	g.AddEdge(3, 4)
 	g.AddEdge(4, 5)
-	cores := coreNumbers(graph.BuildUView(g))
+	cores := coreNumbers(uviewOf(g))
 	for _, id := range []int64{0, 1, 2, 3} {
 		if cores[id] != 3 {
 			t.Fatalf("core[%d] = %d, want 3", id, cores[id])
@@ -40,7 +40,7 @@ func TestCoreNumbersStar(t *testing.T) {
 	for i := int64(1); i <= 5; i++ {
 		g.AddEdge(0, i)
 	}
-	cores := coreNumbers(graph.BuildUView(g))
+	cores := coreNumbers(uviewOf(g))
 	for id, c := range cores {
 		if c != 1 {
 			t.Fatalf("star core[%d] = %d, want 1", id, c)
@@ -52,7 +52,8 @@ func TestKCoreSubgraph(t *testing.T) {
 	g := completeUndirected(4)
 	g.AddEdge(3, 4)
 	g.AddEdge(4, 5)
-	core3 := KCore(g, 3)
+	v := uviewOf(g)
+	core3 := KCore(v, 3)
 	if core3.NumNodes() != 4 {
 		t.Fatalf("3-core nodes = %d, want 4", core3.NumNodes())
 	}
@@ -63,17 +64,17 @@ func TestKCoreSubgraph(t *testing.T) {
 		t.Fatal("tail nodes leaked into 3-core")
 	}
 	// Min-degree property: every node in the k-core has degree >= k there.
-	core3.ForNodes(func(id int64) {
-		if core3.Deg(id) < 3 {
-			t.Fatalf("node %d has degree %d in 3-core", id, core3.Deg(id))
+	for u, id := range core3.IDs() {
+		if core3.Deg(int32(u)) < 3 {
+			t.Fatalf("node %d has degree %d in 3-core", id, core3.Deg(int32(u)))
 		}
-	})
+	}
 	// 5-core of K4 is empty.
-	if KCore(g, 5).NumNodes() != 0 {
+	if KCore(v, 5).NumNodes() != 0 {
 		t.Fatal("5-core of K4+tail should be empty")
 	}
-	// Original graph unmodified.
-	if g.NumNodes() != 6 {
+	// Input view unmodified.
+	if !sameSubgraph(v, g) {
 		t.Fatal("KCore mutated input")
 	}
 }
@@ -89,16 +90,16 @@ func TestKCoreDirected(t *testing.T) {
 		}
 	}
 	d.AddEdge(3, 9)
-	core := KCore(graph.AsUndirected(d), 3)
+	core := KCore(graph.ProjectUView(graph.BuildView(d)), 3)
 	if core.NumNodes() != 4 || core.HasNode(9) {
 		t.Fatalf("directed 3-core nodes = %d", core.NumNodes())
 	}
 }
 
 // kcorePerEdge is KCore as one AddEdge per kept edge, the reference the
-// bulk build is held to.
+// filtered arrays are held to.
 func kcorePerEdge(g *graph.Undirected, k int) *graph.Undirected {
-	cores := coreNumbers(graph.BuildUView(g))
+	cores := coreNumbers(uviewOf(g))
 	sub := graph.NewUndirectedCap(0)
 	keep := func(id int64) bool { return cores[id] >= k }
 	g.ForNodes(func(id int64) {
@@ -114,21 +115,13 @@ func kcorePerEdge(g *graph.Undirected, k int) *graph.Undirected {
 	return sub
 }
 
-// sameSubgraph reports whether a and b visit the same nodes in the same
-// order with the same edge count and neighbor lists.
-func sameSubgraph(a, b *graph.Undirected) bool {
-	var an, bn []int64
-	a.ForNodes(func(id int64) { an = append(an, id) })
-	b.ForNodes(func(id int64) { bn = append(bn, id) })
-	if !slices.Equal(an, bn) || a.NumEdges() != b.NumEdges() {
-		return false
-	}
-	for _, id := range an {
-		if !slices.Equal(a.Neighbors(id), b.Neighbors(id)) {
-			return false
-		}
-	}
-	return true
+// sameSubgraph reports whether the view a holds exactly the model graph b:
+// the same ids, offsets and neighbor arena as b's own view.
+func sameSubgraph(a *graph.UView, b *graph.Undirected) bool {
+	ids, off, arena := a.UViewParts()
+	wids, woff, warena := uviewOf(b).UViewParts()
+	return slices.Equal(ids, wids) && slices.Equal(off, woff) && slices.Equal(arena, warena) &&
+		a.NumEdges() == b.NumEdges()
 }
 
 // Property: the k-core is the maximal subgraph with min degree >= k; its
@@ -153,23 +146,19 @@ func TestKCoreMatchesPeelingProperty(t *testing.T) {
 				looped.AddEdge(int64(e[1]%20), int64(e[1]%20))
 			}
 		}
-		if !sameSubgraph(KCore(looped, k), kcorePerEdge(looped, k)) {
+		if !sameSubgraph(KCore(uviewOf(looped), k), kcorePerEdge(looped, k)) {
 			return false
 		}
-		cores := coreNumbers(graph.BuildUView(g))
-		sub := KCore(g, k)
+		cores := coreNumbers(uviewOf(g))
+		sub := KCore(uviewOf(g), k)
 		if !sameSubgraph(sub, kcorePerEdge(g, k)) {
 			return false
 		}
 		// Every kept node has core >= k and degree >= k in the subgraph.
-		ok := true
-		sub.ForNodes(func(id int64) {
-			if cores[id] < k || sub.Deg(id) < k {
-				ok = false
+		for u, id := range sub.IDs() {
+			if cores[id] < k || sub.Deg(int32(u)) < k {
+				return false
 			}
-		})
-		if !ok {
-			return false
 		}
 		// Every node with core >= k is kept.
 		for id, c := range cores {
@@ -201,10 +190,11 @@ func TestKCoreMatchesPeelingProperty(t *testing.T) {
 	}
 }
 
-// BenchmarkKCore is Table 6's 3-core subgraph at the update-query
-// workload's graph size: R-MAT 2^15 with 200 000 edges, projected.
+// BenchmarkKCore is the 3-core subgraph of the facade's GetKCore at the
+// update-query workload's graph size: R-MAT 2^15 with 200 000 edges,
+// projected.
 func BenchmarkKCore(b *testing.B) {
-	u := graph.AsUndirected(rmatGraph(15, 200000, 1))
+	u := graph.ProjectUView(graph.BuildView(rmatGraph(15, 200000, 1)))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -8,7 +8,7 @@ import (
 
 func TestLouvainSeparatesCliques(t *testing.T) {
 	g := twoCliques(6)
-	comm, q := LouvainView(graph.BuildUView(g), 10)
+	comm, q := LouvainView(uviewOf(g), 10)
 	for i := int64(1); i < 6; i++ {
 		if comm[i] != comm[0] {
 			t.Fatalf("clique A split: %v", comm)
@@ -41,7 +41,7 @@ func TestLouvainRingOfCliques(t *testing.T) {
 	for c := 0; c < 4; c++ {
 		g.AddEdge(base(c), base((c+1)%4)+1)
 	}
-	comm, q := LouvainView(graph.BuildUView(g), 10)
+	comm, q := LouvainView(uviewOf(g), 10)
 	labels := map[int]bool{}
 	for c := 0; c < 4; c++ {
 		l := comm[base(c)]
@@ -62,16 +62,16 @@ func TestLouvainRingOfCliques(t *testing.T) {
 
 func TestLouvainBeatsOrMatchesLabelPropagation(t *testing.T) {
 	g := barabasiForTest(400, 3)
-	_, ql := LouvainView(graph.BuildUView(g), 10)
-	lp := LabelPropagationView(graph.BuildUView(g), 20, 1)
-	qlp := ModularityView(graph.BuildUView(g), lp)
+	_, ql := LouvainView(uviewOf(g), 10)
+	lp := LabelPropagationView(uviewOf(g), 20, 1)
+	qlp := ModularityView(uviewOf(g), lp)
 	if ql+1e-9 < qlp {
 		t.Fatalf("Louvain modularity %v below label propagation %v", ql, qlp)
 	}
 }
 
 func TestLouvainDegenerateInputs(t *testing.T) {
-	comm, q := LouvainView(graph.BuildUView(graph.NewUndirectedCap(0)), 5)
+	comm, q := LouvainView(uviewOf(graph.NewUndirectedCap(0)), 5)
 	if len(comm) != 0 || q != 0 {
 		t.Fatal("empty graph")
 	}
@@ -79,7 +79,7 @@ func TestLouvainDegenerateInputs(t *testing.T) {
 	iso := graph.NewUndirectedCap(0)
 	iso.AddNode(1)
 	iso.AddNode(2)
-	comm, _ = LouvainView(graph.BuildUView(iso), 5)
+	comm, _ = LouvainView(uviewOf(iso), 5)
 	if comm[1] == comm[2] {
 		t.Fatal("isolated nodes merged")
 	}
@@ -87,8 +87,8 @@ func TestLouvainDegenerateInputs(t *testing.T) {
 
 func TestLouvainDeterministic(t *testing.T) {
 	g := twoCliques(5)
-	a, qa := LouvainView(graph.BuildUView(g), 10)
-	b, qb := LouvainView(graph.BuildUView(g), 10)
+	a, qa := LouvainView(uviewOf(g), 10)
+	b, qb := LouvainView(uviewOf(g), 10)
 	if qa != qb {
 		t.Fatal("modularity differs across runs")
 	}

@@ -14,7 +14,7 @@ func TestArticulationPointsBarbell(t *testing.T) {
 	for _, e := range [][2]int64{{0, 1}, {1, 2}, {0, 2}, {2, 3}, {3, 4}, {2, 4}} {
 		g.AddEdge(e[0], e[1])
 	}
-	cuts := ArticulationPointsView(graph.BuildUView(g))
+	cuts := ArticulationPointsView(uviewOf(g))
 	if len(cuts) != 1 || cuts[0] != 2 {
 		t.Fatalf("articulation points = %v, want [2]", cuts)
 	}
@@ -26,7 +26,7 @@ func TestArticulationPointsPath(t *testing.T) {
 	g.AddEdge(0, 1)
 	g.AddEdge(1, 2)
 	g.AddEdge(2, 3)
-	cuts := ArticulationPointsView(graph.BuildUView(g))
+	cuts := ArticulationPointsView(uviewOf(g))
 	if len(cuts) != 2 || cuts[0] != 1 || cuts[1] != 2 {
 		t.Fatalf("path cut vertices = %v", cuts)
 	}
@@ -37,7 +37,7 @@ func TestArticulationPointsCycleHasNone(t *testing.T) {
 	for i := int64(0); i < 6; i++ {
 		g.AddEdge(i, (i+1)%6)
 	}
-	if cuts := ArticulationPointsView(graph.BuildUView(g)); len(cuts) != 0 {
+	if cuts := ArticulationPointsView(uviewOf(g)); len(cuts) != 0 {
 		t.Fatalf("cycle cut vertices = %v", cuts)
 	}
 }
@@ -48,7 +48,7 @@ func TestBridgesKnown(t *testing.T) {
 	for _, e := range [][2]int64{{0, 1}, {1, 2}, {0, 2}, {2, 3}} {
 		g.AddEdge(e[0], e[1])
 	}
-	br := BridgesView(graph.BuildUView(g))
+	br := BridgesView(uviewOf(g))
 	if len(br) != 1 || br[0] != [2]int64{2, 3} {
 		t.Fatalf("bridges = %v", br)
 	}
@@ -57,7 +57,7 @@ func TestBridgesKnown(t *testing.T) {
 	tree.AddEdge(0, 1)
 	tree.AddEdge(1, 2)
 	tree.AddEdge(1, 3)
-	if br := BridgesView(graph.BuildUView(tree)); len(br) != 3 {
+	if br := BridgesView(uviewOf(tree)); len(br) != 3 {
 		t.Fatalf("tree bridges = %v", br)
 	}
 	// A cycle has none.
@@ -65,7 +65,7 @@ func TestBridgesKnown(t *testing.T) {
 	for i := int64(0); i < 5; i++ {
 		cyc.AddEdge(i, (i+1)%5)
 	}
-	if br := BridgesView(graph.BuildUView(cyc)); len(br) != 0 {
+	if br := BridgesView(uviewOf(cyc)); len(br) != 0 {
 		t.Fatalf("cycle bridges = %v", br)
 	}
 }
@@ -82,7 +82,7 @@ func TestBridgesMatchReferenceProperty(t *testing.T) {
 			}
 		}
 		got := map[[2]int64]bool{}
-		for _, b := range BridgesView(graph.BuildUView(g)) {
+		for _, b := range BridgesView(uviewOf(g)) {
 			got[b] = true
 		}
 		ok := true
@@ -158,7 +158,7 @@ func TestBipartition(t *testing.T) {
 	for i := int64(0); i < 6; i++ {
 		even.AddEdge(i, (i+1)%6)
 	}
-	side, ok := BipartitionView(graph.BuildUView(even))
+	side, ok := BipartitionView(uviewOf(even))
 	if !ok {
 		t.Fatal("even cycle not bipartite")
 	}
@@ -172,20 +172,20 @@ func TestBipartition(t *testing.T) {
 	for i := int64(0); i < 5; i++ {
 		odd.AddEdge(i, (i+1)%5)
 	}
-	if _, ok := BipartitionView(graph.BuildUView(odd)); ok {
+	if _, ok := BipartitionView(uviewOf(odd)); ok {
 		t.Fatal("odd cycle reported bipartite")
 	}
 	// Self-loop is not.
 	loop := graph.NewUndirectedCap(0)
 	loop.AddEdge(1, 1)
-	if _, ok := BipartitionView(graph.BuildUView(loop)); ok {
+	if _, ok := BipartitionView(uviewOf(loop)); ok {
 		t.Fatal("self-loop reported bipartite")
 	}
 	// Disconnected bipartite graph.
 	two := graph.NewUndirectedCap(0)
 	two.AddEdge(1, 2)
 	two.AddEdge(10, 11)
-	if _, ok := BipartitionView(graph.BuildUView(two)); !ok {
+	if _, ok := BipartitionView(uviewOf(two)); !ok {
 		t.Fatal("disconnected bipartite rejected")
 	}
 }

@@ -70,13 +70,6 @@ func bfsFlat(v *graph.View, src int32, dir EdgeDir) []int32 {
 	return dist
 }
 
-// SSSPUnweighted returns single-source shortest-path hop distances from src
-// following out-edges — the unweighted SSSP benchmarked in Table 6, where
-// every edge has length 1 and BFS is the optimal algorithm.
-func SSSPUnweighted(g *graph.Directed, src int64) map[int64]int {
-	return BFSView(graph.BuildView(g), src, Out)
-}
-
 // ShortestPathView returns the hop distance from src to dst following
 // out-edges, or -1 if dst is unreachable.
 func ShortestPathView(v *graph.View, src, dst int64) int {

@@ -12,6 +12,18 @@ import (
 	"ringo/internal/graph"
 )
 
+// uviewOf is the CSR view of an undirected model graph, built from its edge
+// columns: BuildViewCols of one arc per edge, projected.
+func uviewOf(g *graph.Undirected) *graph.UView {
+	var srcs, dsts []int64
+	g.ForEdges(func(a, b int64) { srcs, dsts = append(srcs, a), append(dsts, b) })
+	v, err := graph.BuildViewCols(srcs, dsts, g.Nodes())
+	if err != nil {
+		panic(err)
+	}
+	return graph.ProjectUView(v)
+}
+
 func completeUndirected(n int) *graph.Undirected {
 	g := graph.NewUndirectedCap(0)
 	for i := 0; i < n; i++ {
@@ -34,7 +46,7 @@ func TestTrianglesKnownCounts(t *testing.T) {
 		{completeUndirected(6), 20, "K6"},
 	}
 	for _, c := range cases {
-		if got := TrianglesView(graph.BuildUView(c.g)); got != c.want {
+		if got := TrianglesView(uviewOf(c.g)); got != c.want {
 			t.Fatalf("%s: Triangles = %d, want %d", c.name, got, c.want)
 		}
 	}
@@ -45,7 +57,7 @@ func TestTrianglesPathHasNone(t *testing.T) {
 	for i := int64(0); i < 10; i++ {
 		g.AddEdge(i, i+1)
 	}
-	if got := TrianglesView(graph.BuildUView(g)); got != 0 {
+	if got := TrianglesView(uviewOf(g)); got != 0 {
 		t.Fatalf("path triangles = %d", got)
 	}
 }
@@ -53,7 +65,7 @@ func TestTrianglesPathHasNone(t *testing.T) {
 func TestTrianglesIgnoreSelfLoops(t *testing.T) {
 	g := completeUndirected(3)
 	g.AddEdge(0, 0)
-	if got := TrianglesView(graph.BuildUView(g)); got != 1 {
+	if got := TrianglesView(uviewOf(g)); got != 1 {
 		t.Fatalf("triangles with self-loop = %d, want 1", got)
 	}
 }
@@ -61,12 +73,12 @@ func TestTrianglesIgnoreSelfLoops(t *testing.T) {
 func TestNodeTrianglesSumIsThreeTimesTotal(t *testing.T) {
 	g := completeUndirected(5)
 	g.AddEdge(10, 11) // isolated edge, no triangles
-	per := NodeTrianglesView(graph.BuildUView(g))
+	per := NodeTrianglesView(uviewOf(g))
 	var sum int64
 	for _, c := range per {
 		sum += c
 	}
-	total := TrianglesView(graph.BuildUView(g))
+	total := TrianglesView(uviewOf(g))
 	if sum != 3*total {
 		t.Fatalf("sum of per-node counts %d != 3×%d", sum, total)
 	}
@@ -105,7 +117,7 @@ func TestTrianglesMatchBruteForceProperty(t *testing.T) {
 			g.AddEdge(int64(e[0]%12), int64(e[1]%12))
 		}
 		want := bruteTriangles(g)
-		return TrianglesView(graph.BuildUView(g)) == want
+		return TrianglesView(uviewOf(g)) == want
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {
 		t.Fatal(err)
@@ -114,7 +126,7 @@ func TestTrianglesMatchBruteForceProperty(t *testing.T) {
 
 func TestClusteringCoefficientComplete(t *testing.T) {
 	g := completeUndirected(6)
-	if cc := ClusteringCoefficientView(graph.BuildUView(g)); !approxEq(cc, 1, 1e-12) {
+	if cc := ClusteringCoefficientView(uviewOf(g)); !approxEq(cc, 1, 1e-12) {
 		t.Fatalf("clustering of K6 = %v, want 1", cc)
 	}
 }
@@ -124,7 +136,7 @@ func TestClusteringCoefficientStarIsZero(t *testing.T) {
 	for i := int64(1); i <= 6; i++ {
 		g.AddEdge(0, i)
 	}
-	if cc := ClusteringCoefficientView(graph.BuildUView(g)); cc != 0 {
+	if cc := ClusteringCoefficientView(uviewOf(g)); cc != 0 {
 		t.Fatalf("clustering of star = %v", cc)
 	}
 }
@@ -138,13 +150,13 @@ func TestClusteringCoefficientTrianglePlusTail(t *testing.T) {
 	g.AddEdge(0, 2)
 	g.AddEdge(2, 3)
 	want := (1.0 + 1.0 + 1.0/3.0 + 0.0) / 4.0
-	if cc := ClusteringCoefficientView(graph.BuildUView(g)); !approxEq(cc, want, 1e-12) {
+	if cc := ClusteringCoefficientView(uviewOf(g)); !approxEq(cc, want, 1e-12) {
 		t.Fatalf("clustering = %v, want %v", cc, want)
 	}
 }
 
 func TestClusteringEmptyGraph(t *testing.T) {
-	if cc := ClusteringCoefficientView(graph.BuildUView(graph.NewUndirectedCap(0))); cc != 0 {
+	if cc := ClusteringCoefficientView(uviewOf(graph.NewUndirectedCap(0))); cc != 0 {
 		t.Fatalf("clustering of empty graph = %v", cc)
 	}
 }
@@ -235,7 +247,7 @@ func checkTriangleKernels(t *testing.T, src, dst []int64, procs ...int) {
 		d.AddEdge(src[i], dst[i])
 		u.AddEdge(src[i], dst[i])
 	}
-	v, uv := graph.BuildView(d), graph.BuildUView(u)
+	v, uv := graph.BuildView(d), uviewOf(u)
 	want := bruteTriangles3(src, dst)
 	old := runtime.GOMAXPROCS(1)
 	defer runtime.GOMAXPROCS(old)

@@ -8,12 +8,13 @@
 // the edges by (source, destination), each source's run is deduplicated
 // into the out-arrays and a counting transpose yields the in-arrays. Exact
 // degrees fall out of the counts, so nothing is guessed or resized, and no
-// hash table sits on the path. The hash-of-nodes graph ToDirected returns
-// is derived from that view (graph.FromView), not built beside it.
+// hash table sits on the path. The undirected form of a table is the
+// projection of that view (graph.ProjectUView). ToDirected, which thaws
+// the view into a hash-of-nodes graph (graph.FromView), is kept for the
+// benchmark module's workspace binding only.
 //
 // Graph to table walks the CSR view: its offsets are the output row
-// ranges, so workers fill disjoint slices of the pre-allocated columns. A
-// hash graph's rows come from a prefix sum over its out-degrees.
+// ranges, so workers fill disjoint slices of the pre-allocated columns.
 package conv
 
 import (
@@ -49,18 +50,6 @@ func ToDirected(t *table.Table, srcCol, dstCol string) (*graph.Directed, error) 
 	return graph.BuildDirectedCols(srcs, dsts)
 }
 
-// ToUndirected converts an edge table to an undirected graph: the
-// undirected form (graph.AsUndirected) of the directed graph ToDirected
-// builds, so each table row (u,v) contributes the edge {u,v}, duplicates
-// and reverse duplicates collapse.
-func ToUndirected(t *table.Table, srcCol, dstCol string) (*graph.Undirected, error) {
-	g, err := ToDirected(t, srcCol, dstCol)
-	if err != nil {
-		return nil, err
-	}
-	return graph.AsUndirected(g), nil
-}
-
 // ToEdgeTable converts the CSR view of a directed graph to an edge table
 // with the given column names. The view's offsets are the output row
 // ranges, so workers receive disjoint node partitions and write disjoint
@@ -74,30 +63,6 @@ func ToEdgeTable(v *graph.View, srcName, dstName string) (*table.Table, error) {
 		for u := lo; u < hi; u++ {
 			for j := off[u]; j < off[u+1]; j++ {
 				srcCol[j], dstCol[j] = ids[u], ids[out[j]]
-			}
-		}
-	})
-	return table.FromIntColumns([]string{srcName, dstName}, [][]int64{srcCol, dstCol})
-}
-
-// HashToEdgeTable is ToEdgeTable for a hash-of-nodes graph (the facade's
-// Graph): a prefix sum over the out-degrees gives each node its output
-// rows, and workers fill them from its out-vector, so one export builds no
-// view.
-func HashToEdgeTable(g *graph.Directed, srcName, dstName string) (*table.Table, error) {
-	nodes := g.Nodes()
-	off := make([]int64, len(nodes)+1)
-	for i, id := range nodes {
-		off[i+1] = off[i] + int64(g.OutDeg(id))
-	}
-	srcCol := make([]int64, off[len(nodes)])
-	dstCol := make([]int64, off[len(nodes)])
-	par.For(len(nodes), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			at, id := off[i], nodes[i]
-			for _, dst := range g.OutNeighbors(id) {
-				srcCol[at], dstCol[at] = id, dst
-				at++
 			}
 		}
 	})

@@ -2,8 +2,6 @@ package conv
 
 import (
 	"fmt"
-	"math/rand"
-	"runtime"
 	"slices"
 	"sync"
 	"testing"
@@ -106,11 +104,11 @@ func TestToDirectedEmptyTable(t *testing.T) {
 	if g.NumNodes() != 0 || g.NumEdges() != 0 {
 		t.Fatalf("empty table produced (%d,%d)", g.NumNodes(), g.NumEdges())
 	}
-	u, err := ToUndirected(tbl, "src", "dst")
+	v, err := ToView(tbl, "src", "dst")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if u.NumNodes() != 0 {
+	if graph.ProjectUView(v).NumNodes() != 0 {
 		t.Fatal("empty undirected conversion produced nodes")
 	}
 	back, err := ToEdgeTable(graph.BuildView(g), "a", "b")
@@ -149,20 +147,6 @@ func TestToDirectedStringColumns(t *testing.T) {
 	}
 	if g.NumNodes() != 3 || g.NumEdges() != 2 {
 		t.Fatalf("string graph dims = (%d,%d)", g.NumNodes(), g.NumEdges())
-	}
-}
-
-func TestToUndirectedMergesDirections(t *testing.T) {
-	tbl := edgeTable(t, [2]int64{1, 2}, [2]int64{2, 1}, [2]int64{2, 3}, [2]int64{4, 4})
-	g, err := ToUndirected(tbl, "src", "dst")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g.NumEdges() != 3 { // {1,2}, {2,3}, {4,4}
-		t.Fatalf("undirected edges = %d, want 3", g.NumEdges())
-	}
-	if err := validUndirected(g); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -375,58 +359,4 @@ func validDirected(g *graph.Directed) error {
 		return fmt.Errorf("graph of %d nodes, %d edges differs from the graph its edges build", g.NumNodes(), g.NumEdges())
 	}
 	return nil
-}
-
-// validUndirected is validDirected for an undirected graph: its vectors
-// must equal the projection of the graph its own edge list builds, which
-// holds only when every vector is sorted and duplicate-free, every edge
-// sits in both endpoints' vectors and the edge count is right.
-func validUndirected(g *graph.Undirected) error {
-	var srcs, dsts []int64
-	g.ForEdges(func(a, b int64) {
-		srcs, dsts = append(srcs, a), append(dsts, b)
-	})
-	dv, err := graph.BuildViewCols(srcs, dsts, g.Nodes())
-	if err != nil {
-		return err
-	}
-	ids, off, arena := graph.BuildUView(g).UViewParts()
-	wids, woff, warena := graph.ProjectUView(dv).UViewParts()
-	if !slices.Equal(ids, wids) || !slices.Equal(off, woff) || !slices.Equal(arena, warena) || g.NumEdges() != int64(len(srcs)) {
-		return fmt.Errorf("graph of %d nodes, %d edges differs from the graph its edges build", g.NumNodes(), g.NumEdges())
-	}
-	return nil
-}
-
-// TestHashToEdgeTableMatchesView: the facade's hash-graph export writes
-// the same columns, row for row, as the view walk totable runs, on graphs
-// with self-loops and isolated nodes, at several worker counts.
-func TestHashToEdgeTableMatchesView(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	for _, procs := range []int{1, 3} {
-		old := runtime.GOMAXPROCS(procs)
-		for trial := 0; trial < 20; trial++ {
-			g := graph.NewDirected()
-			for i := 0; i < rng.Intn(400); i++ {
-				g.AddEdge(rng.Int63n(90)-10, rng.Int63n(90)-10)
-			}
-			g.AddNode(1000)
-			want, err := ToEdgeTable(graph.BuildView(g), "s", "d")
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := HashToEdgeTable(g, "s", "d")
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, col := range []string{"s", "d"} {
-				w, _ := want.IntCol(col)
-				h, _ := got.IntCol(col)
-				if !slices.Equal(w, h) {
-					t.Fatalf("procs %d trial %d: column %s differs", procs, trial, col)
-				}
-			}
-		}
-		runtime.GOMAXPROCS(old)
-	}
 }

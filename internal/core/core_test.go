@@ -27,11 +27,11 @@ func TestToGraphAndBack(t *testing.T) {
 	if int64(back.NumRows()) != g.NumEdges() {
 		t.Fatalf("edge table rows %d != edges %d", back.NumRows(), g.NumEdges())
 	}
-	u, err := conv.ToUndirected(tbl, "src", "dst")
+	v, err := conv.ToView(tbl, "src", "dst")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if u.NumNodes() != g.NumNodes() {
+	if graph.ProjectUView(v).NumNodes() != g.NumNodes() {
 		t.Fatal("undirected node count differs")
 	}
 }

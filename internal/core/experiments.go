@@ -18,6 +18,10 @@ import (
 // 80-hyperthread 1TB machine; the shapes the paper argues from (relative
 // operation costs, flat conversion rates, graph smaller than table,
 // footprint < 2× graph) are what the report notes track.
+//
+// Every table builds its graph as the tograph verb does (conv.ToView, and
+// graph.ProjectUView for the undirected rows), runs the kernel the verb
+// runs, and times only the conversion or kernel its row names.
 
 // Table1 reproduces Table 1: the size histogram of the 71 public graphs in
 // the SNAP collection.
@@ -48,14 +52,14 @@ func Table2(specs []Spec) (Report, error) {
 		if err := t.SaveTSV(&cw, false); err != nil {
 			return Report{}, err
 		}
-		g, err := conv.ToDirected(t, "src", "dst")
+		v, err := conv.ToView(t, "src", "dst")
 		if err != nil {
 			return Report{}, err
 		}
 		r.Rows = append(r.Rows, []string{
 			s.Name, s.PaperName,
-			fmt.Sprintf("%d", g.NumNodes()), fmt.Sprintf("%d", g.NumEdges()),
-			MB(cw.n), MB(g.Bytes()), MB(t.Bytes()),
+			fmt.Sprintf("%d", v.NumNodes()), fmt.Sprintf("%d", v.NumEdges()),
+			MB(cw.n), MB(v.Bytes()), MB(t.Bytes()),
 		})
 	}
 	r.Notes = append(r.Notes,
@@ -71,18 +75,18 @@ func Table3(specs []Spec) (Report, error) {
 		Header: []string{"Operation", "Dataset", "Time", "Result"},
 	}
 	for _, s := range specs {
-		g, err := conv.ToDirected(s.CachedEdgeTable(), "src", "dst")
+		v, err := conv.ToView(s.CachedEdgeTable(), "src", "dst")
 		if err != nil {
 			return Report{}, err
 		}
 		var pr algo.Scores
-		dt := Timed(func() { pr = algo.PageRankView(graph.BuildView(g), algo.DefaultDamping, 10) })
+		dt := Timed(func() { pr = algo.PageRankView(v, algo.DefaultDamping, 10) })
 		r.Rows = append(r.Rows, []string{"PageRank (10 iter)", s.Name, dt.Round(time.Millisecond).String(),
 			fmt.Sprintf("%d nodes scored", len(pr))})
 
-		u := graph.AsUndirected(g)
+		u := graph.ProjectUView(v)
 		var tri int64
-		dt = Timed(func() { tri = algo.TrianglesView(graph.BuildUView(u)) })
+		dt = Timed(func() { tri = algo.TrianglesView(u) })
 		r.Rows = append(r.Rows, []string{"Triangle Counting", s.Name, dt.Round(time.Millisecond).String(),
 			fmt.Sprintf("%d triangles", tri)})
 	}
@@ -216,9 +220,9 @@ func Table5(specs []Spec) (Report, error) {
 	}
 	for _, s := range specs {
 		t := s.CachedEdgeTable()
-		var g *graph.Directed
+		var v *graph.View
 		var err error
-		dt := Timed(func() { g, err = conv.ToDirected(t, "src", "dst") })
+		dt := Timed(func() { v, err = conv.ToView(t, "src", "dst") })
 		if err != nil {
 			return Report{}, err
 		}
@@ -226,12 +230,12 @@ func Table5(specs []Spec) (Report, error) {
 			fmt.Sprintf("%d", t.NumRows()), dt.Round(time.Millisecond).String(), Rate(int64(t.NumRows()), dt)})
 
 		var back *table.Table
-		dt = Timed(func() { back, err = conv.HashToEdgeTable(g, "src", "dst") })
+		dt = Timed(func() { back, err = conv.ToEdgeTable(v, "src", "dst") })
 		if err != nil {
 			return Report{}, err
 		}
 		r.Rows = append(r.Rows, []string{"Graph to table", s.Name,
-			fmt.Sprintf("%d", back.NumRows()), dt.Round(time.Millisecond).String(), Rate(g.NumEdges(), dt)})
+			fmt.Sprintf("%d", back.NumRows()), dt.Round(time.Millisecond).String(), Rate(v.NumEdges(), dt)})
 	}
 	r.Notes = append(r.Notes, "shape check: rates roughly flat across dataset scales (conversion scales well)")
 	return r, nil
@@ -240,7 +244,7 @@ func Table5(specs []Spec) (Report, error) {
 // Table6 reproduces Table 6: single-threaded 3-core, SSSP (averaged over 10
 // random sources) and SCC on the LiveJournal stand-in.
 func Table6(spec Spec) (Report, error) {
-	g, err := conv.ToDirected(spec.CachedEdgeTable(), "src", "dst")
+	v, err := conv.ToView(spec.CachedEdgeTable(), "src", "dst")
 	if err != nil {
 		return Report{}, err
 	}
@@ -249,35 +253,37 @@ func Table6(spec Spec) (Report, error) {
 		Header: []string{"Algorithm", "Time", "Result"},
 	}
 
-	u := graph.AsUndirected(g)
-	var core3 *graph.Undirected
-	dt := Timed(func() { core3 = algo.KCore(u, 3) })
+	u := graph.ProjectUView(v)
+	var nodes int
+	var edges int64
+	dt := Timed(func() { nodes, edges = algo.KCoreStatsView(u, 3) })
 	r.Rows = append(r.Rows, []string{"3-core", dt.Round(time.Millisecond).String(),
-		fmt.Sprintf("%d nodes, %d edges", core3.NumNodes(), core3.NumEdges())})
+		fmt.Sprintf("%d nodes, %d edges", nodes, edges)})
 
-	nodes := g.Nodes()
+	ids := v.IDs()
 	rng := rand.New(rand.NewSource(7))
 	var reached int
 	total := time.Duration(0)
 	for i := 0; i < 10; i++ {
-		src := nodes[rng.Intn(len(nodes))]
-		total += Timed(func() { reached = len(algo.SSSPUnweighted(g, src)) })
+		src := ids[rng.Intn(len(ids))]
+		total += Timed(func() { reached = len(algo.BFSView(v, src, algo.Out)) })
 	}
 	r.Rows = append(r.Rows, []string{"SSSP (avg of 10 sources)", (total / 10).Round(time.Millisecond).String(),
 		fmt.Sprintf("last run reached %d nodes", reached)})
 
 	var comps algo.Components
-	dt = Timed(func() { comps = algo.SCCView(graph.BuildView(g)) })
+	dt = Timed(func() { comps = algo.SCCView(v) })
 	r.Rows = append(r.Rows, []string{"SCC", dt.Round(time.Millisecond).String(),
 		fmt.Sprintf("%d components, largest %d", comps.Count, comps.MaxSize)})
 	return r, nil
 }
 
 // Footprint reproduces the §3 memory-footprint measurement: the peak extra
-// heap during parallel PageRank and triangle counting, compared with the
-// graph object size (the paper reports < 2× for both on Twitter2010).
+// heap during parallel PageRank and triangle counting on the resident
+// view, compared with that view's size (the paper reports < 2× for both
+// on Twitter2010).
 func Footprint(spec Spec) (Report, error) {
-	g, err := conv.ToDirected(spec.CachedEdgeTable(), "src", "dst")
+	v, err := conv.ToView(spec.CachedEdgeTable(), "src", "dst")
 	if err != nil {
 		return Report{}, err
 	}
@@ -285,13 +291,13 @@ func Footprint(spec Spec) (Report, error) {
 		Title:  "Memory footprint (§3) on " + spec.Name,
 		Header: []string{"Computation", "Graph Size", "Peak Extra Heap", "Ratio"},
 	}
-	gb := g.Bytes()
-	d := HeapDelta(func() { algo.PageRankView(graph.BuildView(g), algo.DefaultDamping, 10) })
+	gb := v.Bytes()
+	d := HeapDelta(func() { algo.PageRankView(v, algo.DefaultDamping, 10) })
 	r.Rows = append(r.Rows, []string{"PageRank (10 iter)", MB(gb), MB(d), fmt.Sprintf("%.2fx", float64(d)/float64(gb))})
 
-	u := graph.AsUndirected(g)
+	u := graph.ProjectUView(v)
 	ub := u.Bytes()
-	d = HeapDelta(func() { algo.TrianglesView(graph.BuildUView(u)) })
+	d = HeapDelta(func() { algo.TrianglesView(u) })
 	r.Rows = append(r.Rows, []string{"Triangle Counting", MB(ub), MB(d), fmt.Sprintf("%.2fx", float64(d)/float64(ub))})
 	r.Notes = append(r.Notes, "paper shape: footprint below 2x the graph object size")
 	return r, nil

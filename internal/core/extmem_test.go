@@ -88,7 +88,7 @@ func TestWorkspaceMappedBinding(t *testing.T) {
 }
 
 func TestWorkspaceMappedUndirectedBinding(t *testing.T) {
-	u := graph.BuildUView(gen.BarabasiAlbert(200, 3, 5))
+	u := uviewOf(gen.BarabasiAlbert(200, 3, 5))
 	path := filepath.Join(t.TempDir(), "u.rngm")
 	if err := extmem.SaveMappedUndirected(path, u); err != nil {
 		t.Fatalf("SaveMappedUndirected: %v", err)

@@ -45,7 +45,15 @@ func delEdge(g *graph.Directed, src, dst int64) bool {
 	if !g.HasEdge(src, dst) {
 		return false
 	}
-	out, in := slices.Clone(g.OutNeighbors(src)), slices.Clone(g.InNeighbors(src))
+	var out, in []int64
+	g.ForEdges(func(s, d int64) {
+		if s == src {
+			out = append(out, d)
+		}
+		if d == src {
+			in = append(in, s)
+		}
+	})
 	g.DelNode(src)
 	g.AddNode(src)
 	for _, d := range out {
@@ -124,14 +132,14 @@ func foldScript(t *testing.T, data []byte, ratio float64) {
 	switch data[0] % 3 {
 	case 0:
 		ws.Set("d", Object{Graph: md.Clone()})
-		ws.Set("u", Object{UView: graph.BuildUView(mu)})
+		ws.Set("u", Object{UView: uviewOf(mu)})
 	case 1:
 		ws.Set("d", Object{View: graph.BuildView(md)})
-		ws.Set("u", Object{UView: graph.BuildUView(mu)})
+		ws.Set("u", Object{UView: uviewOf(mu)})
 	default:
 		src := NewWorkspace()
 		src.Set("d", Object{Graph: md.Clone()})
-		src.Set("u", Object{UView: graph.BuildUView(mu)})
+		src.Set("u", Object{UView: uviewOf(mu)})
 		var buf bytes.Buffer
 		if err := src.Snapshot(&buf); err != nil {
 			t.Fatal(err)
@@ -186,7 +194,7 @@ func foldScript(t *testing.T, data []byte, ratio float64) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			sameUViewArrays(t, "undirected binding", uu, graph.BuildUView(mu))
+			sameUViewArrays(t, "undirected binding", uu, uviewOf(mu))
 		case 6:
 			var buf bytes.Buffer
 			if err := ws.Snapshot(&buf); err != nil {
@@ -214,7 +222,7 @@ func foldScript(t *testing.T, data []byte, ratio float64) {
 				t.Fatalf("Get bound %+v and %+v, want views", o, ou)
 			}
 			sameViewArrays(t, "Get", o.View, graph.BuildView(md))
-			sameUViewArrays(t, "Get", ou.UView, graph.BuildUView(mu))
+			sameUViewArrays(t, "Get", ou.UView, uviewOf(mu))
 		}
 	}
 }

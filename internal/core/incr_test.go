@@ -138,7 +138,7 @@ func TestIncrementalOracle(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				sameUViewT(t, ctx, newUV, graph.BuildUView(undirectedPerEdge(g)))
+				sameUViewT(t, ctx, newUV, uviewOf(undirectedPerEdge(g)))
 
 				// Incremental algorithms against their cold oracles.
 				coldWCC := algo.WCCView(newDV)
@@ -183,7 +183,7 @@ func TestIncrementalOracleUndirected(t *testing.T) {
 		g.AddEdge(rng.Int63n(30), rng.Int63n(30))
 	}
 	ws := NewWorkspace()
-	ws.Set("u", Object{UView: graph.BuildUView(g)})
+	ws.Set("u", Object{UView: uviewOf(g)})
 	uv, err := ws.UndirectedView("u")
 	if err != nil {
 		t.Fatal(err)
@@ -213,7 +213,7 @@ func TestIncrementalOracleUndirected(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sameUViewT(t, fmt.Sprintf("step %d", step), newUV, graph.BuildUView(g))
+		sameUViewT(t, fmt.Sprintf("step %d", step), newUV, uviewOf(g))
 		incrTri := algo.TrianglesIncr(uv, newUV, tri, deltas)
 		if coldTri := algo.TrianglesView(newUV); incrTri != coldTri {
 			t.Fatalf("step %d: incremental triangles %d, cold says %d", step, incrTri, coldTri)
@@ -264,7 +264,7 @@ func TestPatchThresholdBoundary(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sameUViewT(t, "at cutoff", v, graph.BuildUView(undirectedPerEdge(g)))
+	sameUViewT(t, "at cutoff", v, uviewOf(undirectedPerEdge(g)))
 	if p, r := ws.PatchStats(); p != 2 || r != 1 {
 		t.Fatalf("batch at cutoff: patches=%d rebuilds=%d, want 2/1 (a fold and a patch)", p, r)
 	}
@@ -283,7 +283,7 @@ func TestPatchThresholdBoundary(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sameUViewT(t, "past cutoff", v, graph.BuildUView(undirectedPerEdge(g)))
+	sameUViewT(t, "past cutoff", v, uviewOf(undirectedPerEdge(g)))
 	if p, r := ws.PatchStats(); p != 3 || r != 2 {
 		t.Fatalf("batch past cutoff: patches=%d rebuilds=%d, want 3/2 (a fold and a projection)", p, r)
 	}

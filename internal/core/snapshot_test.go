@@ -40,7 +40,7 @@ func snapshotWorkspace(t *testing.T) *Workspace {
 	u.AddEdge(5, 6)
 	ws.SetWithProvenance("T", Object{Table: tbl}, "load T users.tsv User:string Posts:int")
 	ws.SetWithProvenance("G", Object{Graph: g}, "tograph G T src dst")
-	ws.SetWithProvenance("U", Object{UView: graph.BuildUView(u)}, "")
+	ws.SetWithProvenance("U", Object{UView: uviewOf(u)}, "")
 	ws.SetWithProvenance("PR", Object{Scores: algo.Scores{{ID: 1, Score: 0.7}, {ID: 2, Score: 0.3}}}, "pagerank PR G")
 	return ws
 }

@@ -133,7 +133,7 @@ func TestUndirectedViewOfDirectedGraph(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	u := graph.AsUndirected(g)
+	u := uviewOf(undirectedPerEdge(g))
 	if uv.NumNodes() != u.NumNodes() || uv.NumEdges() != u.NumEdges() {
 		t.Fatalf("uview %d/%d, projection %d/%d",
 			uv.NumNodes(), uv.NumEdges(), u.NumNodes(), u.NumEdges())
@@ -154,7 +154,7 @@ func TestUndirectedViewOfDirectedGraph(t *testing.T) {
 	}
 
 	// An undirected binding serves its own view through the same call.
-	bound := graph.BuildUView(u)
+	bound := u
 	ws.Set("u", Object{UView: bound})
 	if uv3, err := ws.UndirectedView("u"); err != nil || uv3 != bound {
 		t.Fatalf("uview of undirected binding is not its own view (err %v)", err)
@@ -212,8 +212,8 @@ func TestAlgorithmsCachedVsBypassed(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		u := graph.AsUndirected(g)
-		if tc, tb, td := algo.TrianglesView(cu), algo.TrianglesView(bu), algo.TrianglesView(graph.BuildUView(u)); tc != td || tb != td {
+		u := graph.ProjectUView(dv)
+		if tc, tb, td := algo.TrianglesView(cu), algo.TrianglesView(bu), algo.TrianglesView(u); tc != td || tb != td {
 			t.Fatalf("round %d: triangles diverge: %d/%d/%d", round, tc, tb, td)
 		}
 		nodes, edges := algo.KCoreStatsView(cu, 3)

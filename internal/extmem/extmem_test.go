@@ -40,7 +40,19 @@ func testUView(t testing.TB) *graph.UView {
 	for id := int64(0); id < 30; id += 4 {
 		g.DelNode(id)
 	}
-	return graph.BuildUView(g)
+	return uviewOf(g)
+}
+
+// uviewOf is the CSR view of an undirected model graph, built from its
+// edge columns: BuildViewCols of one arc per edge, projected.
+func uviewOf(g *graph.Undirected) *graph.UView {
+	var srcs, dsts []int64
+	g.ForEdges(func(a, b int64) { srcs, dsts = append(srcs, a), append(dsts, b) })
+	v, err := graph.BuildViewCols(srcs, dsts, g.Nodes())
+	if err != nil {
+		panic(err)
+	}
+	return graph.ProjectUView(v)
 }
 
 func saveTemp(t testing.TB, v *graph.View) string {
@@ -403,7 +415,7 @@ func TestMappedGolden(t *testing.T) {
 		u.AddEdge(e[0], e[1])
 	}
 	u.AddNode(9)
-	v, uv := graph.BuildView(g), graph.BuildUView(u)
+	v, uv := graph.BuildView(g), uviewOf(u)
 	dir := t.TempDir()
 	for _, tc := range []struct {
 		golden string

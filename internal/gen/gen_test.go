@@ -288,9 +288,16 @@ func validUndirected(g *graph.Undirected) error {
 	if err != nil {
 		return err
 	}
-	ids, off, arena := graph.BuildUView(g).UViewParts()
-	wids, woff, warena := graph.ProjectUView(dv).UViewParts()
-	if !slices.Equal(ids, wids) || !slices.Equal(off, woff) || !slices.Equal(arena, warena) || g.NumEdges() != int64(len(srcs)) {
+	pv := graph.ProjectUView(dv)
+	same := pv.NumNodes() == g.NumNodes() && g.NumEdges() == int64(len(srcs))
+	for u, id := range pv.IDs() {
+		adj, nbrs := pv.Adj(int32(u)), g.Neighbors(id)
+		same = same && len(adj) == len(nbrs)
+		for j := 0; same && j < len(adj); j++ {
+			same = pv.ID(adj[j]) == nbrs[j]
+		}
+	}
+	if !same {
 		return fmt.Errorf("graph of %d nodes, %d edges differs from the graph its edges build", g.NumNodes(), g.NumEdges())
 	}
 	return nil

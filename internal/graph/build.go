@@ -19,7 +19,7 @@ import (
 // runs over — built with no per-node allocation and no hashing, and, for
 // the compact id spans tables and generators produce, no sort but the
 // counting passes; the hash-of-nodes Directed is derived from it
-// (FromView) only when a caller needs a mutable graph. This is the one
+// (FromView) only for the benchmark module's binding. This is the one
 // construction path of a directed graph: behind the table-to-graph
 // conversions in internal/conv, the parallel text-ingest pipeline
 // (ParseEdgeList) and the RNGO decoder (LoadBinary).

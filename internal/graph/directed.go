@@ -1,11 +1,11 @@
 // Package graph implements Ringo's in-memory graph objects (§2.2 of Perez
-// et al., SIGMOD 2015). The primary representation is dynamic: a hash table
-// of nodes where each node maintains sorted adjacency vectors of neighboring
-// node ids. Updates are cheap (deleting an edge is linear in the node
-// degree, not in the graph size), while sorted vectors keep neighborhood
-// scans and membership tests fast. The package also provides an undirected
-// variant and the flat Compressed Sparse Row views (View, UView) that
-// algorithms run over.
+// et al., SIGMOD 2015). Every workspace binding, every façade graph and
+// every algorithm runs over the flat Compressed Sparse Row views (View,
+// UView), built by BuildViewCols, projected by ProjectUView and updated
+// by PatchView/PatchUView. The paper's dynamic form — a hash table of
+// nodes, each with sorted adjacency vectors, where deleting an edge is
+// linear in the node degree — is Directed and its undirected variant; the
+// generators and a few analyses still build it.
 package graph
 
 import (
@@ -162,25 +162,6 @@ func (g *Directed) InDeg(id int64) int {
 	return 0
 }
 
-// OutNeighbors returns the sorted out-neighbor ids of id. The slice is the
-// graph's own storage: callers must not modify it and must not hold it
-// across mutations.
-func (g *Directed) OutNeighbors(id int64) []int64 {
-	if s, ok := g.idx[id]; ok {
-		return g.outAdj[s]
-	}
-	return nil
-}
-
-// InNeighbors returns the sorted in-neighbor ids of id (see OutNeighbors
-// for aliasing rules).
-func (g *Directed) InNeighbors(id int64) []int64 {
-	if s, ok := g.idx[id]; ok {
-		return g.inAdj[s]
-	}
-	return nil
-}
-
 // Nodes returns all node ids in ascending order (a fresh slice).
 func (g *Directed) Nodes() []int64 {
 	out := make([]int64, 0, len(g.idx))
@@ -242,21 +223,6 @@ func (g *Directed) Clone() *Directed {
 		out.setAdjBulk(id, slices.Clone(g.inAdj[s]), slices.Clone(g.outAdj[s]))
 	}
 	return out
-}
-
-// Bytes estimates the in-memory size of the graph: adjacency vector
-// storage, slot bookkeeping, and hash-table entries. This is the quantity
-// reported as "In-memory Graph Size" in Table 2.
-func (g *Directed) Bytes() int64 {
-	var b int64
-	for s := range g.ids {
-		b += int64(cap(g.inAdj[s])+cap(g.outAdj[s])) * 8
-		b += 2 * 24 // slice headers
-	}
-	b += int64(cap(g.ids)) * 8
-	b += int64(cap(g.free)) * 4
-	b += int64(len(g.idx)) * 16 // map entries: key + slot + bucket overhead
-	return b
 }
 
 // removeSorted deletes v from the sorted slice a, preserving order.

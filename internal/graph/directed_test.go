@@ -275,3 +275,37 @@ func TestDirectedMatchesReferenceModel(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// OutNeighbors returns the sorted out-neighbor ids of id. The slice is the
+// graph's own storage: callers must not modify it and must not hold it
+// across mutations.
+func (g *Directed) OutNeighbors(id int64) []int64 {
+	if s, ok := g.idx[id]; ok {
+		return g.outAdj[s]
+	}
+	return nil
+}
+
+// InNeighbors returns the sorted in-neighbor ids of id (see OutNeighbors
+// for aliasing rules).
+func (g *Directed) InNeighbors(id int64) []int64 {
+	if s, ok := g.idx[id]; ok {
+		return g.inAdj[s]
+	}
+	return nil
+}
+
+// Bytes estimates the in-memory size of the graph: adjacency vector
+// storage, slot bookkeeping, and hash-table entries — what the paper's
+// dynamic form costs beside its CSR view.
+func (g *Directed) Bytes() int64 {
+	var b int64
+	for s := range g.ids {
+		b += int64(cap(g.inAdj[s])+cap(g.outAdj[s])) * 8
+		b += 2 * 24 // slice headers
+	}
+	b += int64(cap(g.ids)) * 8
+	b += int64(cap(g.free)) * 4
+	b += int64(len(g.idx)) * 16 // map entries: key + slot + bucket overhead
+	return b
+}

@@ -255,8 +255,8 @@ func TestBuildColsLengthMismatch(t *testing.T) {
 	}
 }
 
-// TestBuildUndirectedMatchesAddEdge holds the undirected form of a bulk
-// build — conv.ToUndirected's road — to per-edge AddEdge on an
+// TestBuildUndirectedMatchesAddEdge holds the undirected projection of a
+// bulk build — the facade's ToUGraph road — to per-edge AddEdge on an
 // undirected graph.
 func TestBuildUndirectedMatchesAddEdge(t *testing.T) {
 	for seed := int64(0); seed < 6; seed++ {
@@ -274,22 +274,17 @@ func TestBuildUndirectedMatchesAddEdge(t *testing.T) {
 			srcs[i], dsts[i] = src, dst
 			ref.AddEdge(src, dst)
 		}
-		d, err := BuildDirectedCols(srcs, dsts)
+		d, err := BuildViewCols(srcs, dsts, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		g := AsUndirected(d)
-		if err := g.Validate(); err != nil {
-			t.Fatalf("seed %d: bulk graph invalid: %v", seed, err)
-		}
+		g := ProjectUView(d)
 		if ref.NumNodes() != g.NumNodes() || ref.NumEdges() != g.NumEdges() {
 			t.Fatalf("seed %d: size mismatch: %d/%d nodes, %d/%d edges",
 				seed, ref.NumNodes(), g.NumNodes(), ref.NumEdges(), g.NumEdges())
 		}
-		for _, id := range ref.Nodes() {
-			if !slices.Equal(ref.Neighbors(id), g.Neighbors(id)) {
-				t.Fatalf("seed %d: neighbors of %d differ", seed, id)
-			}
+		if err := sameUView(g, buildUView(ref)); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
 		}
 	}
 }

@@ -1,9 +1,6 @@
 package graph
 
-import (
-	"fmt"
-	"slices"
-)
+import "slices"
 
 // Undirected is a dynamic undirected graph with the same design as
 // Directed: a hash table of nodes, each holding one sorted adjacency
@@ -164,49 +161,10 @@ func (g *Undirected) ForEdges(fn func(src, dst int64)) {
 	}
 }
 
-// NumSlots reports the slot-space size (see Directed.NumSlots).
-func (g *Undirected) NumSlots() int { return len(g.ids) }
-
-// IDAtSlot returns the node id at slot s, or false for tombstones.
-func (g *Undirected) IDAtSlot(s int) (int64, bool) {
-	id := g.ids[s]
-	return id, id != tombstone
-}
-
 // setAdjBulk installs a pre-sorted adjacency vector (bulk build fast path).
 func (g *Undirected) setAdjBulk(id int64, adj []int64) {
 	s := g.idx[id]
 	g.adj[s] = adj
-}
-
-// BuildUndirectedBulk assembles an undirected graph from per-node
-// pre-sorted adjacency vectors; adj[i] lists the sorted, duplicate-free
-// neighbors of ids[i], with each non-loop edge present in both endpoint
-// vectors and each self-loop present once. nEdges is recomputed from the
-// vectors. The vectors are adopted, not copied.
-func BuildUndirectedBulk(ids []int64, adj [][]int64) (*Undirected, error) {
-	if len(ids) != len(adj) {
-		return nil, fmt.Errorf("graph: bulk build length mismatch: %d ids, %d adj", len(ids), len(adj))
-	}
-	g := NewUndirectedCap(len(ids))
-	for _, id := range ids {
-		if !g.AddNode(id) {
-			return nil, fmt.Errorf("graph: bulk build duplicate node %d", id)
-		}
-	}
-	var halfEdges int64
-	for i, id := range ids {
-		g.setAdjBulk(id, adj[i])
-		for _, nbr := range adj[i] {
-			if nbr == id {
-				halfEdges += 2 // self-loop stored once, count as full edge
-			} else {
-				halfEdges++
-			}
-		}
-	}
-	g.nEdges = halfEdges / 2
-	return g, nil
 }
 
 // Clone returns a deep copy of the graph.
@@ -218,41 +176,4 @@ func (g *Undirected) Clone() *Undirected {
 	}
 	out.nEdges = g.nEdges
 	return out
-}
-
-// Bytes estimates the in-memory size of the graph (see Directed.Bytes).
-func (g *Undirected) Bytes() int64 {
-	var b int64
-	for s := range g.ids {
-		b += int64(cap(g.adj[s]))*8 + 24
-	}
-	b += int64(cap(g.ids)) * 8
-	b += int64(cap(g.free)) * 4
-	b += int64(len(g.idx)) * 16
-	return b
-}
-
-// AsUndirected returns the undirected view of a directed graph: each
-// directed edge becomes an undirected edge, duplicates merged. Each live
-// slot's neighbor vector is the sorted union of its out- and in-vectors,
-// taken in slot order, so the result visits its nodes in g's ForNodes
-// order.
-func AsUndirected(g *Directed) *Undirected {
-	ids := make([]int64, 0, g.NumNodes())
-	adj := make([][]int64, 0, g.NumNodes())
-	for s, id := range g.ids {
-		if id == tombstone {
-			continue
-		}
-		out, in := g.outAdj[s], g.inAdj[s]
-		merged := make([]int64, mergedLen(out, in))
-		mergeInto(merged, out, in)
-		ids = append(ids, id)
-		adj = append(adj, merged)
-	}
-	u, err := BuildUndirectedBulk(ids, adj)
-	if err != nil {
-		panic(err) // unreachable: ids are g's distinct live nodes
-	}
-	return u
 }

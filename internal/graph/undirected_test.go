@@ -90,22 +90,25 @@ func TestUndirectedForEdgesOncePerEdge(t *testing.T) {
 	}
 }
 
+// TestAsUndirected holds the undirected projection of a directed graph
+// to merging both directions of an edge into one.
 func TestAsUndirected(t *testing.T) {
 	d := NewDirected()
 	d.AddEdge(1, 2)
 	d.AddEdge(2, 1) // merges into one undirected edge
 	d.AddEdge(2, 3)
-	u := AsUndirected(d)
+	u := ProjectUView(BuildView(d))
 	if u.NumEdges() != 2 {
 		t.Fatalf("undirected edges = %d, want 2", u.NumEdges())
 	}
-	if err := u.Validate(); err != nil {
+	ids, off, arena := u.UViewParts()
+	if _, err := UViewFromArrays(ids, off, arena, nil); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// asUndirectedPerEdge is AsUndirected as one AddEdge per directed edge,
-// the reference the merged bulk build is held to.
+// asUndirectedPerEdge is the undirected projection of g as one AddEdge
+// per directed edge, the reference ProjectUView is held to.
 func asUndirectedPerEdge(g *Directed) *Undirected {
 	u := NewUndirectedCap(g.NumNodes())
 	g.ForNodes(func(id int64) { u.AddNode(id) })
@@ -113,40 +116,23 @@ func asUndirectedPerEdge(g *Directed) *Undirected {
 	return u
 }
 
-// sameUndirected reports whether a is invalid or differs from b: in node
-// visiting order, edge count or any adjacency vector.
-func sameUndirected(a, b *Undirected) error {
-	if err := a.Validate(); err != nil {
-		return err
+// buildUView is the CSR view of the per-edge model: its ids ascending and
+// each node's neighbors translated to dense indices, one at a time. It is
+// the reference every undirected view builder is held to.
+func buildUView(g *Undirected) *UView {
+	ids := g.Nodes()
+	off := make([]int64, len(ids)+1)
+	for i, id := range ids {
+		off[i+1] = off[i] + int64(g.Deg(id))
 	}
-	var an, bn []int64
-	a.ForNodes(func(id int64) { an = append(an, id) })
-	b.ForNodes(func(id int64) { bn = append(bn, id) })
-	if !slices.Equal(an, bn) {
-		return fmt.Errorf("node order differs: %v vs %v", an, bn)
+	arena := make([]int32, 0, off[len(ids)])
+	for _, id := range ids {
+		for _, nbr := range g.Neighbors(id) {
+			j, _ := slices.BinarySearch(ids, nbr)
+			arena = append(arena, int32(j))
+		}
 	}
-	if a.NumEdges() != b.NumEdges() {
-		return fmt.Errorf("edge counts differ: %d vs %d", a.NumEdges(), b.NumEdges())
-	}
-	return sameUView(BuildUView(a), BuildUView(b))
-}
-
-func TestUndirectedBulkBuild(t *testing.T) {
-	ids := []int64{1, 2, 3}
-	adj := [][]int64{{2, 3}, {1}, {1, 3}} // includes a self-loop at 3
-	g, err := BuildUndirectedBulk(ids, adj)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g.NumEdges() != 3 {
-		t.Fatalf("bulk edges = %d, want 3", g.NumEdges())
-	}
-	if err := g.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := BuildUndirectedBulk([]int64{1}, nil); err == nil {
-		t.Fatal("length mismatch accepted")
-	}
+	return &UView{ids: ids, off: off, arena: arena}
 }
 
 func TestUndirectedClone(t *testing.T) {

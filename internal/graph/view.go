@@ -6,16 +6,16 @@ import (
 	"ringo/internal/par"
 )
 
-// View is a flat CSR snapshot of a Directed graph, the optimized read-only
+// View is the flat CSR form of a directed graph, the optimized read-only
 // representation Ringo's algorithms run over (§2.2 of Perez et al.): node
 // ids are mapped to dense indices in ascending id order, and both adjacency
 // directions are translated into one arena-backed int32 array addressed
 // through offset vectors. Building a View costs O(V log V + E) once; every
 // algorithm over it then indexes flat arrays with no hashing, and the id
 // vector itself answers id lookups by binary search. A View is an
-// immutable snapshot — mutations to the source graph are not reflected —
-// and is safe for concurrent use by any number of readers, which is what
-// makes it cacheable across queries (see internal/core's view cache).
+// immutable snapshot — a mutation makes a new view (PatchView) — and is
+// safe for concurrent use by any number of readers, which is what lets a
+// workspace binding serve one view to every query.
 type View struct {
 	ids    []int64 // dense index -> node id, ascending
 	outOff []int64
@@ -175,52 +175,6 @@ type UView struct {
 	arena []int32
 	// retain pins external array owners; see View.retain.
 	retain any
-}
-
-// BuildUView snapshots an undirected graph into its CSR view (see BuildView
-// for the construction strategy).
-func BuildUView(g *Undirected) *UView {
-	nslots := g.NumSlots()
-	n := g.NumNodes()
-	v := &UView{ids: make([]int64, 0, n)}
-	for s := 0; s < nslots; s++ {
-		if id, ok := g.IDAtSlot(s); ok {
-			v.ids = append(v.ids, id)
-		}
-	}
-	par.SortInt64s(v.ids)
-
-	denseSlot := make([]int32, n)
-	slotDense := make([]int32, nslots)
-	par.For(nslots, func(lo, hi int) {
-		for s := lo; s < hi; s++ {
-			id, ok := g.IDAtSlot(s)
-			if !ok {
-				continue
-			}
-			d, _ := slices.BinarySearch(v.ids, id)
-			denseSlot[d] = int32(s)
-			slotDense[s] = int32(d)
-		}
-	})
-
-	v.off = make([]int64, n+1)
-	par.ForEach(n, func(i int) {
-		v.off[i+1] = int64(len(g.adj[denseSlot[i]]))
-	})
-	for i := 0; i < n; i++ {
-		v.off[i+1] += v.off[i]
-	}
-	v.arena = make([]int32, v.off[n])
-
-	par.ForEach(n, func(i int) {
-		at := v.off[i]
-		for _, nbr := range g.adj[denseSlot[i]] {
-			v.arena[at] = slotDense[g.idx[nbr]]
-			at++
-		}
-	})
-	return v
 }
 
 // NumNodes reports the number of nodes in the snapshot.

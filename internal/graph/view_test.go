@@ -95,7 +95,7 @@ func TestBuildUViewMatchesUndirected(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		g.DelNode(int64(rng.Intn(200)))
 	}
-	v := BuildUView(g)
+	v := buildUView(g)
 	if v.NumNodes() != g.NumNodes() {
 		t.Fatalf("uview has %d nodes, graph %d", v.NumNodes(), g.NumNodes())
 	}

@@ -121,7 +121,7 @@ func csrArrays[T int32 | int64](b []byte) []T {
 // FuzzViewFromArrays holds the validation of stored CSR arrays to the
 // builders: arrays ViewFromArrays accepts are exactly the view
 // BuildViewCols makes of their own out-edges and ids, and an arena
-// UViewFromArrays accepts is exactly the view BuildUView makes of a
+// UViewFromArrays accepts is exactly the view buildUView makes of a
 // per-edge graph of its edges. So no accepted array set can hold an
 // in-vector that is not the out-vectors' transpose, an asymmetric arena,
 // unsorted or repeated neighbors, or the reserved id.
@@ -140,7 +140,7 @@ func FuzzViewFromArrays(f *testing.F) {
 		u.AddEdge(e[0], e[1])
 	}
 	u.AddNode(7)
-	ids, off, arena := BuildUView(u).UViewParts()
+	ids, off, arena := buildUView(u).UViewParts()
 	add(ids, off, off, arena, arena)
 	// 1->2 forward but 3<-1 backward.
 	add([]int64{1, 2, 3}, []int64{0, 1, 1, 1}, []int64{0, 0, 0, 1}, []int32{1}, []int32{0})
@@ -187,9 +187,9 @@ func FuzzViewFromArrays(f *testing.F) {
 					ref.AddEdge(ids[u], ids[w])
 				}
 			}
-			rids, roff, rarena := BuildUView(ref).UViewParts()
+			rids, roff, rarena := buildUView(ref).UViewParts()
 			if !slices.Equal(ids, rids) || !slices.Equal(outOff, roff) || !slices.Equal(out, rarena) {
-				t.Fatalf("accepted arena %v %v %v, BuildUView of its edges gives %v %v %v", ids, outOff, out, rids, roff, rarena)
+				t.Fatalf("accepted arena %v %v %v, buildUView of its edges gives %v %v %v", ids, outOff, out, rids, roff, rarena)
 			}
 		}
 	})

@@ -1,8 +1,8 @@
 // Package lru is Ringo's one cache: a count-bounded, concurrency-safe,
 // least-recently-used map with single-flight fills. The server's result
-// cache and each workspace's CSR view and equality-index caches are three
-// instances of it; what differs between them is the key type, the bound
-// and who purges what.
+// cache and each workspace's equality-index cache are its two instances;
+// what differs between them is the key type, the bound and who purges
+// what.
 package lru
 
 import (
@@ -14,7 +14,7 @@ import (
 // Besides the entry count it books a caller-supplied byte estimate per
 // entry, so Stats can report resident size.
 //
-// A nil *Cache stores nothing: Get and Peek miss without counting, Build
+// A nil *Cache stores nothing: Get misses without counting, Build
 // runs its function on every call, the rest are no-ops and Stats is all
 // zeros. That is how a disabled cache is spelled — callers never branch.
 type Cache[K comparable, V any] struct {
@@ -29,7 +29,7 @@ type Cache[K comparable, V any] struct {
 
 // entry is one slot. A Put entry is born ready; a Build or Admit entry
 // becomes ready — under the cache lock — when its once has run, which is
-// what lets Get and Peek serve val without joining the once.
+// what lets Get serve val without joining the once.
 type entry[K comparable, V any] struct {
 	key   K
 	once  sync.Once
@@ -50,14 +50,7 @@ func New[K comparable, V any](max int) *Cache[K, V] {
 // Get returns the finished entry for k, marking it most recently used and
 // counting a hit; an absent or still-building entry counts a miss. Get
 // never waits on a build.
-func (c *Cache[K, V]) Get(k K) (V, bool) { return c.find(k, true) }
-
-// Peek is Get without the hit/miss accounting: a lookup on behalf of some
-// other request (the patch planner's base view) rather than a request of
-// its own. A found entry still moves to the front — it is in active use.
-func (c *Cache[K, V]) Peek(k K) (V, bool) { return c.find(k, false) }
-
-func (c *Cache[K, V]) find(k K, count bool) (v V, ok bool) {
+func (c *Cache[K, V]) Get(k K) (v V, ok bool) {
 	if c == nil {
 		return v, false
 	}
@@ -69,9 +62,9 @@ func (c *Cache[K, V]) find(k K, count bool) (v V, ok bool) {
 			v, ok = ent.val, true
 		}
 	}
-	if count && ok {
+	if ok {
 		c.hits++
-	} else if count {
+	} else {
 		c.misses++
 	}
 	return v, ok
@@ -133,7 +126,7 @@ func (c *Cache[K, V]) Build(k K, build func() (V, int64)) V {
 // Admit reports whether k already has an entry — finished, building, or
 // admitted by an earlier call. If not, it inserts an empty entry that
 // books no bytes and reports false: the caller skips the build this time,
-// and the next Build of k fills that entry. Get and Peek miss on it until
+// and the next Build of k fills that entry. Get misses on it until
 // then. Admit counts neither hit nor miss. A nil cache remembers nothing
 // and admits every key.
 func (c *Cache[K, V]) Admit(k K) bool {

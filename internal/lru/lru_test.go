@@ -24,19 +24,15 @@ type modelEntry struct {
 	marker   bool
 }
 
-func (m *model) find(k int, count bool) (int, bool) {
+func (m *model) get(k int) (int, bool) {
 	i := slices.IndexFunc(m.ents, func(e modelEntry) bool { return e.key == k })
 	if i < 0 || m.ents[i].marker {
-		if count {
-			m.misses++
-		}
+		m.misses++
 		return 0, false
 	}
 	e := m.ents[i]
 	m.front(i)
-	if count {
-		m.hits++
-	}
+	m.hits++
 	return e.val, true
 }
 
@@ -55,16 +51,16 @@ func (m *model) put(k, v int, bytes int64) {
 }
 
 func (m *model) build(k, v int, bytes int64) int {
-	if got, ok := m.find(k, false); ok {
-		return got
-	}
-	if i := slices.IndexFunc(m.ents, func(e modelEntry) bool { return e.key == k }); i >= 0 {
-		m.front(i) // an Admit marker: filled in place
-		m.ents[0] = modelEntry{k, v, bytes, false}
+	i := slices.IndexFunc(m.ents, func(e modelEntry) bool { return e.key == k })
+	if i < 0 {
+		m.put(k, v, bytes)
 		return v
 	}
-	m.put(k, v, bytes)
-	return v
+	m.front(i)
+	if m.ents[0].marker { // an Admit marker: filled in place
+		m.ents[0] = modelEntry{k, v, bytes, false}
+	}
+	return m.ents[0].val
 }
 
 func (m *model) admit(k int) bool {
@@ -110,12 +106,9 @@ func TestRandomOpsMatchModel(t *testing.T) {
 			var gotOK, wantOK bool
 			op := rng.Intn(22)
 			switch {
-			case op < 5:
-				got, gotOK = c.Get(k)
-				want, wantOK = m.find(k, true)
 			case op < 8:
-				got, gotOK = c.Peek(k)
-				want, wantOK = m.find(k, false)
+				got, gotOK = c.Get(k)
+				want, wantOK = m.get(k)
 			case op < 12:
 				c.Put(k, v, b)
 				m.put(k, v, b)
@@ -221,7 +214,7 @@ func TestRemovedWhileBuilding(t *testing.T) {
 			if _, _, _, bytes := c.Stats(); bytes != tc.wantBytes {
 				t.Fatalf("bytes %d after the late build, want %d", bytes, tc.wantBytes)
 			}
-			if v, ok := c.Peek(1); ok && v != "put" {
+			if v, ok := c.Get(1); ok && v != "put" {
 				t.Fatalf("late build result %q became resident", v)
 			}
 			c.Clear()
@@ -243,9 +236,6 @@ func TestNilCacheStoresNothing(t *testing.T) {
 	}
 	if _, ok := c.Get("k"); ok {
 		t.Fatal("Get hit on a nil cache")
-	}
-	if _, ok := c.Peek("k"); ok {
-		t.Fatal("Peek hit on a nil cache")
 	}
 	builds := 0
 	for i := 0; i < 3; i++ {

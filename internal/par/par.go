@@ -6,8 +6,8 @@
 // implementation (Perez et al., SIGMOD 2015, §2.5): a handful of primitives
 // that parallelize the critical loops of table and graph processing — the
 // sort-first bulk graph construction, the text-ingest pipeline, the CSR
-// view builders (graph.BuildView/BuildUView) and the parallel algorithm
-// variants all run on these loops.
+// view builders and projection (graph.BuildView, graph.ProjectUView) and
+// the parallel algorithm variants all run on these loops.
 //
 // The primitives mirror OpenMP's static schedule deliberately: work splits
 // into at most Workers() contiguous ranges up front, workers touch

@@ -41,13 +41,13 @@ func sampleObjects(t testing.TB) []Object {
 	g.AddEdge(1, 2)
 	g.AddEdge(2, 3)
 	g.AddEdge(3, 1)
-	u := graph.NewUndirectedCap(0)
+	u := graph.NewDirected() // projected: the undirected path 10-20-30
 	u.AddEdge(10, 20)
 	u.AddEdge(20, 30)
 	return []Object{
 		{Name: "T", Provenance: "load T posts.tsv", Version: 1, Table: tbl},
 		{Name: "G", Provenance: "tograph G T src dst", Version: 2, View: graph.BuildView(g)},
-		{Name: "U", Provenance: "", Version: 3, UView: graph.BuildUView(u)},
+		{Name: "U", Provenance: "", Version: 3, UView: graph.ProjectUView(graph.BuildView(u))},
 		{Name: "PR", Provenance: "pagerank PR G", Version: 7, Scores: algo.Scores{{ID: 1, Score: 0.5}, {ID: 2, Score: 0.25}, {ID: 3, Score: 0.25}}},
 	}
 }
@@ -192,19 +192,14 @@ func TestGraphRecordsRoundTrip(t *testing.T) {
 	for _, sh := range shapes {
 		t.Run(sh.name, func(t *testing.T) {
 			var srcs, dsts []int64
-			u := graph.NewUndirectedCap(0)
 			for i := 0; i < len(sh.edges); i += 2 {
 				srcs, dsts = append(srcs, sh.edges[i]), append(dsts, sh.edges[i+1])
-				u.AddEdge(sh.edges[i], sh.edges[i+1])
-			}
-			for _, id := range sh.nodes {
-				u.AddNode(id)
 			}
 			v, err := graph.BuildViewCols(srcs, dsts, sh.nodes)
 			if err != nil {
 				t.Fatal(err)
 			}
-			uv := graph.BuildUView(u)
+			uv := graph.ProjectUView(v)
 			var buf bytes.Buffer
 			if err := Write(&buf, 1, []Object{{Name: "G", View: v}, {Name: "U", UView: uv}}); err != nil {
 				t.Fatal(err)

@@ -119,37 +119,40 @@ func SimJoinTables(left, right *Table, leftCols, rightCols []string, threshold f
 
 // Graphs (§2.2) and the conversions between tables and graphs (§2.4).
 type (
-	// Graph is the dynamic directed graph: hashed nodes, sorted adjacency.
-	Graph = graph.Directed
-	// UGraph is the undirected variant.
-	UGraph = graph.Undirected
+	// Graph is the read-only directed graph the verbs bind: node ids in
+	// ascending order, both adjacency directions as CSR arrays. Out, In,
+	// OutDeg and InDeg take a node's dense index; Index maps an id to it.
+	Graph = graph.View
+	// UGraph is its undirected counterpart, one CSR adjacency array.
+	UGraph = graph.UView
 )
 
 // ToGraph converts an edge table to a directed graph (parallel sort-first).
 func ToGraph(t *Table, srcCol, dstCol string) (*Graph, error) {
-	return conv.ToDirected(t, srcCol, dstCol)
+	return conv.ToView(t, srcCol, dstCol)
 }
 
-// ToUGraph converts an edge table to an undirected graph.
+// ToUGraph converts an edge table to an undirected graph: each row (u,v)
+// contributes the edge {u,v}, duplicates and reverse duplicates collapse.
 func ToUGraph(t *Table, srcCol, dstCol string) (*UGraph, error) {
-	return conv.ToUndirected(t, srcCol, dstCol)
+	g, err := conv.ToView(t, srcCol, dstCol)
+	if err != nil {
+		return nil, err
+	}
+	return graph.ProjectUView(g), nil
 }
 
 // ToTable converts a directed graph back to an edge table, in parallel.
 func ToTable(g *Graph, srcName, dstName string) (*Table, error) {
-	return conv.HashToEdgeTable(g, srcName, dstName)
+	return conv.ToEdgeTable(g, srcName, dstName)
 }
 
-// AsUndirected returns the undirected view of a directed graph.
-func AsUndirected(g *Graph) *UGraph { return graph.AsUndirected(g) }
+// AsUndirected returns the undirected projection of a directed graph.
+func AsUndirected(g *Graph) *UGraph { return graph.ProjectUView(g) }
 
 // LoadEdgeListParallel reads a SNAP-style edge list file on all cores.
 func LoadEdgeListParallel(path string) (*Graph, error) {
-	v, err := graph.LoadEdgeListParallelFile(path)
-	if err != nil {
-		return nil, err
-	}
-	return graph.FromView(v), nil
+	return graph.LoadEdgeListParallelFile(path)
 }
 
 // TableFromMap builds a (key, score) table, descending by score — the
@@ -178,48 +181,44 @@ type (
 )
 
 // GetPageRank runs Table 3's PageRank: 10 parallel iterations, damping 0.85.
-func GetPageRank(g *Graph) Scores {
-	return algo.PageRankView(graph.BuildView(g), algo.DefaultDamping, 10)
-}
+func GetPageRank(g *Graph) Scores { return algo.PageRankView(g, algo.DefaultDamping, 10) }
 
 // GetHits computes hub and authority scores (Kleinberg's HITS).
-func GetHits(g *Graph, iters int) HITSScores { return algo.HITSView(graph.BuildView(g), iters) }
+func GetHits(g *Graph, iters int) HITSScores { return algo.HITSView(g, iters) }
 
 // GetWCC computes weakly connected components.
-func GetWCC(g *Graph) Components { return algo.WCCView(graph.BuildView(g)) }
+func GetWCC(g *Graph) Components { return algo.WCCView(g) }
 
 // GetSCC computes strongly connected components (iterative Tarjan, Table 6).
-func GetSCC(g *Graph) Components { return algo.SCCView(graph.BuildView(g)) }
+func GetSCC(g *Graph) Components { return algo.SCCView(g) }
 
 // CountTriangles counts undirected triangles in parallel (Table 3).
-func CountTriangles(g *UGraph) int64 { return algo.TrianglesView(graph.BuildUView(g)) }
+func CountTriangles(g *UGraph) int64 { return algo.TrianglesView(g) }
 
 // GetClusteringCoefficient returns the average local clustering coefficient.
-func GetClusteringCoefficient(g *UGraph) float64 {
-	return algo.ClusteringCoefficientView(graph.BuildUView(g))
-}
+func GetClusteringCoefficient(g *UGraph) float64 { return algo.ClusteringCoefficientView(g) }
 
 // GetKCore returns the k-core subgraph (Table 6 benchmarks the 3-core).
 func GetKCore(g *UGraph, k int) *UGraph { return algo.KCore(g, k) }
 
 // GetApproxDiameter estimates the diameter from sampled BFS runs.
 func GetApproxDiameter(g *Graph, samples int, seed int64) int {
-	return algo.ApproxDiameterView(graph.BuildView(g), samples, seed)
+	return algo.ApproxDiameterView(g, samples, seed)
 }
 
 // GetCommunities runs label-propagation community detection.
 func GetCommunities(g *UGraph, maxIters int, seed int64) map[int64]int {
-	return algo.LabelPropagationView(graph.BuildUView(g), maxIters, seed)
+	return algo.LabelPropagationView(g, maxIters, seed)
 }
 
 // GetModularity scores a community assignment.
 func GetModularity(g *UGraph, comm map[int64]int) float64 {
-	return algo.ModularityView(graph.BuildUView(g), comm)
+	return algo.ModularityView(g, comm)
 }
 
 // Louvain maximizes modularity, returning the partition and its modularity.
 func Louvain(g *UGraph, maxPasses int) (map[int64]int, float64) {
-	return algo.LouvainView(graph.BuildUView(g), maxPasses)
+	return algo.LouvainView(g, maxPasses)
 }
 
 // GetOutDegreeStats summarizes the out-degree distribution.

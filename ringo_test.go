@@ -16,14 +16,12 @@ import (
 func writeEdgeListFile(t *testing.T, path string, g *graph.Directed) {
 	t.Helper()
 	var sb strings.Builder
-	for _, src := range g.Nodes() {
-		if g.OutDeg(src) == 0 && g.InDeg(src) == 0 {
-			fmt.Fprintf(&sb, "# node %d\n", src)
-		}
-		for _, dst := range g.OutNeighbors(src) {
-			fmt.Fprintf(&sb, "%d\t%d\n", src, dst)
+	for _, id := range g.Nodes() {
+		if g.OutDeg(id) == 0 && g.InDeg(id) == 0 {
+			fmt.Fprintf(&sb, "# node %d\n", id)
 		}
 	}
+	g.ForEdges(func(src, dst int64) { fmt.Fprintf(&sb, "%d\t%d\n", src, dst) })
 	if err := os.WriteFile(path, []byte(sb.String()), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +84,7 @@ func TestStackOverflowExpertDemo(t *testing.T) {
 		}
 	}
 	users, _ := experts.IntCol("User")
-	if g.InDeg(users[0]) == 0 {
+	if top, _ := g.Index(users[0]); g.InDeg(top) == 0 {
 		t.Fatalf("top expert %d has no accepted answers", users[0])
 	}
 }
@@ -165,12 +163,12 @@ func TestRoundTripThroughEdgeListFile(t *testing.T) {
 func TestFacadeBulkBuild(t *testing.T) {
 	srcs := []int64{1, 2, 3, 1, 4}
 	dsts := []int64{2, 3, 1, 2, 4}
-	g, err := graph.BuildDirectedCols(srcs, dsts)
+	g, err := graph.BuildViewCols(srcs, dsts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if g.NumNodes() != 4 || g.NumEdges() != 4 { // duplicate collapsed, self-loop kept
-		t.Fatalf("BuildDirectedCols: %d nodes, %d edges", g.NumNodes(), g.NumEdges())
+		t.Fatalf("BuildViewCols: %d nodes, %d edges", g.NumNodes(), g.NumEdges())
 	}
 	u := ringo.AsUndirected(g)
 	if u.NumNodes() != 4 || u.NumEdges() != 4 {

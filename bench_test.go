@@ -208,38 +208,6 @@ func BenchmarkTable6SCC(b *testing.B) {
 	}
 }
 
-// --- Ablation: hash-graph traversal vs CSR traversal ----------------------
-
-func BenchmarkAblationTraverseHashGraph(b *testing.B) {
-	setupBench(b)
-	g := graph.FromView(benchGraphs[benchLJ.Name])
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var sum int64
-		g.ForEdges(func(_, dst int64) { sum += dst })
-		if sum == 0 {
-			b.Fatal("no edges traversed")
-		}
-	}
-}
-
-func BenchmarkAblationTraverseCSR(b *testing.B) {
-	setupBench(b)
-	v := benchGraphs[benchLJ.Name]
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var sum int64
-		for u := int32(0); u < int32(v.NumNodes()); u++ {
-			for _, nbr := range v.Out(u) {
-				sum += int64(nbr)
-			}
-		}
-		if sum == 0 {
-			b.Fatal("no edges traversed")
-		}
-	}
-}
-
 // --- Ablation: parallel vs sequential algorithms -------------------------
 // The parallel kernels run sequentially on one worker, so this ablation is
 // the Table 3 benchmarks at -cpu 1 against more cores:

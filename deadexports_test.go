@@ -38,7 +38,6 @@ var deadExportAllowlist = map[string]string{
 	"algo.EffectiveDiameterView":    "statistics: 90th-percentile effective diameter",
 	"algo.GreedyColoring":           "combinatorics: greedy vertex coloring",
 	"algo.IndependentSetGreedy":     "combinatorics: greedy independent set",
-	"algo.IsDAG":                    "structure: acyclicity test",
 	"algo.Jaccard":                  "link prediction: Jaccard similarity",
 	"algo.MaximalMatching":          "combinatorics: greedy maximal matching",
 	"algo.MinimumSpanningForest":    "structure: Kruskal minimum spanning forest",
@@ -51,8 +50,9 @@ var deadExportAllowlist = map[string]string{
 	"algo.SIR":                      "diffusion: SIR epidemic model",
 	"algo.ShortestPathView":         "traversal: unweighted point-to-point distance",
 
-	// Generators of the library's synthetic graphs; tests build their
-	// inputs with them, the programs use R-MAT and the posts generator.
+	// Generators of the library's synthetic graphs, each emitting a CSR
+	// view: the programs use R-MAT and the posts generator, and tests
+	// build views with the rest.
 	"gen.BarabasiAlbert": "generator: preferential attachment",
 	"gen.Complete":       "generator: complete graph",
 	"gen.GNM":            "generator: Erdős–Rényi G(n,m)",
@@ -81,15 +81,12 @@ var deadExportAllowlist = map[string]string{
 	"table.Table.AddIntColumnFunc":   "computed Int column, one call per row",
 	"table.Table.AddFloatColumnFunc": "computed Float column, one call per row",
 
-	// The rest of the table and graph library surface: accessors,
-	// column aggregates and node deletion no program calls yet.
+	// The rest of the table library surface: accessors and column
+	// aggregates no program calls yet.
 	"table.Table.ColType":        "schema: the type of a named column",
 	"table.Table.RowIDs":         "persistent row ids in row order",
 	"table.Table.ColSumInt":      "column aggregate: sum of an Int column",
 	"table.Table.ColMinMaxFloat": "column aggregate: range of a numeric column",
-	"graph.Directed.DelNode":     "mutation: delete a node and its edges",
-	"graph.Undirected.DelNode":   "mutation: delete a node and its edges",
-	"graph.NewDirected":          "empty graph grown by AddNode/AddEdge; programs bulk-build instead",
 
 	// Incremental kernels whose fate the incremental loop decides (each
 	// is exactly equal to its cold kernel, which its tests check).

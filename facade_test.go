@@ -122,12 +122,14 @@ func TestToUGraphMergesDirections(t *testing.T) {
 	}
 }
 
-// uviewOf is the CSR view of an undirected model graph, built from its
-// edge columns: BuildViewCols of one arc per edge, projected.
-func uviewOf(g *graph.Undirected) *graph.UView {
+// uview is the CSR view of the undirected graph with the given edges:
+// BuildViewCols of one arc per edge, projected.
+func uview(edges [][2]int64) *graph.UView {
 	var srcs, dsts []int64
-	g.ForEdges(func(a, b int64) { srcs, dsts = append(srcs, a), append(dsts, b) })
-	v, err := graph.BuildViewCols(srcs, dsts, g.Nodes())
+	for _, e := range edges {
+		srcs, dsts = append(srcs, e[0]), append(dsts, e[1])
+	}
+	v, err := graph.BuildViewCols(srcs, dsts, nil)
 	if err != nil {
 		panic(err)
 	}
@@ -140,11 +142,7 @@ func uviewOf(g *graph.Undirected) *graph.UView {
 
 func TestFacadeStructuralAlgorithms(t *testing.T) {
 	// Two triangles joined at node 2, with a pendant 4-9 edge.
-	u := graph.NewUndirectedCap(0)
-	for _, e := range [][2]int64{{0, 1}, {1, 2}, {0, 2}, {2, 3}, {3, 4}, {2, 4}, {4, 9}} {
-		u.AddEdge(e[0], e[1])
-	}
-	uv := uviewOf(u)
+	uv := uview([][2]int64{{0, 1}, {1, 2}, {0, 2}, {2, 3}, {3, 4}, {2, 4}, {4, 9}})
 	cuts := algo.ArticulationPointsView(uv)
 	if len(cuts) != 2 || cuts[0] != 2 || cuts[1] != 4 {
 		t.Fatalf("articulation points = %v", cuts)
@@ -156,48 +154,47 @@ func TestFacadeStructuralAlgorithms(t *testing.T) {
 	if _, ok := algo.BipartitionView(uv); ok {
 		t.Fatal("triangle-containing graph reported bipartite")
 	}
-	edges, total := algo.MinimumSpanningForest(u, func(a, b int64) float64 { return 1 })
-	if len(edges) != u.NumNodes()-1 {
+	edges, total := algo.MinimumSpanningForest(uv, func(a, b int64) float64 { return 1 })
+	if len(edges) != uv.NumNodes()-1 {
 		t.Fatalf("spanning tree edges = %d", len(edges))
 	}
-	if total != float64(u.NumNodes()-1) {
+	if total != float64(uv.NumNodes()-1) {
 		t.Fatalf("unit-weight MST total = %v", total)
 	}
 }
 
 func TestFacadeDAGVerbs(t *testing.T) {
-	g := gen.GNM(10, 0, 1) // nodes only
-	g.AddEdge(1, 2)
-	g.AddEdge(2, 3)
-	if !algo.IsDAG(g) {
-		t.Fatal("acyclic graph rejected")
+	nodes := gen.GNM(10, 0, 1).IDs() // nodes only
+	g, err := graph.BuildViewCols([]int64{1, 2}, []int64{2, 3}, nodes)
+	if err != nil {
+		t.Fatal(err)
 	}
-	order, err := algo.TopoSortView(graph.BuildView(g))
+	order, err := algo.TopoSortView(g)
 	if err != nil || len(order) != 10 {
 		t.Fatalf("topo sort = (%d, %v)", len(order), err)
 	}
-	g.AddEdge(3, 1)
-	if algo.IsDAG(g) {
+	cyclic, err := graph.BuildViewCols([]int64{1, 2, 3}, []int64{2, 3, 1}, nodes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := algo.TopoSortView(cyclic); err == nil {
 		t.Fatal("cycle accepted as DAG")
 	}
 }
 
 func TestFacadeMotifs(t *testing.T) {
-	g := graph.NewDirected()
-	g.AddEdge(1, 2)
-	g.AddEdge(2, 3)
-	g.AddEdge(3, 1)
-	mc := algo.CountMotifsView(graph.BuildView(g))
+	g, err := graph.BuildViewCols([]int64{1, 2, 3}, []int64{2, 3, 1}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mc := algo.CountMotifsView(g)
 	if mc.CyclicTriangles != 1 {
 		t.Fatalf("motifs = %+v", mc)
 	}
 }
 
 func TestFacadeLinkPredictionAndStats(t *testing.T) {
-	u := graph.NewUndirectedCap(0)
-	for _, e := range [][2]int64{{1, 2}, {2, 3}, {3, 4}, {4, 1}, {5, 1}, {5, 2}, {5, 3}} {
-		u.AddEdge(e[0], e[1])
-	}
+	u := uview([][2]int64{{1, 2}, {2, 3}, {3, 4}, {4, 1}, {5, 1}, {5, 2}, {5, 3}})
 	if algo.CommonNeighbors(u, 1, 3) != 3 {
 		t.Fatal("common neighbors")
 	}
@@ -215,10 +212,10 @@ func TestFacadeLinkPredictionAndStats(t *testing.T) {
 		t.Fatalf("predictions = %v", preds)
 	}
 
-	g := graph.NewDirected()
-	g.AddEdge(1, 2)
-	g.AddEdge(2, 1)
-	g.AddEdge(2, 3)
+	g, err := graph.BuildViewCols([]int64{1, 2, 2}, []int64{2, 1, 3}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if r := algo.Reciprocity(g); r < 0.6 || r > 0.7 {
 		t.Fatalf("reciprocity = %v", r)
 	}
@@ -230,7 +227,7 @@ func TestFacadeLinkPredictionAndStats(t *testing.T) {
 		t.Fatal("power law fit failed")
 	}
 	d := gen.GNM(200, 1200, 3)
-	if e := algo.EffectiveDiameterView(graph.BuildView(d), 20, 1); e <= 0 {
+	if e := algo.EffectiveDiameterView(d, 20, 1); e <= 0 {
 		t.Fatalf("effective diameter = %v", e)
 	}
 	if p := algo.DegreePercentiles(d, []float64{50, 90}); p[1] < p[0] {
@@ -239,16 +236,19 @@ func TestFacadeLinkPredictionAndStats(t *testing.T) {
 }
 
 func TestFacadeDiffusion(t *testing.T) {
-	g, u := graph.NewDirected(), graph.NewUndirectedCap(0)
+	var srcs, dsts []int64
 	for i := int64(0); i < 10; i++ {
-		g.AddEdge(i, i+1)
-		u.AddEdge(i, i+1)
+		srcs, dsts = append(srcs, i), append(dsts, i+1)
 	}
-	active := ringo.SimulateCascade(graph.BuildView(g), []int64{0}, 1.0, 1)
+	g, err := graph.BuildViewCols(srcs, dsts, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	active := ringo.SimulateCascade(g, []int64{0}, 1.0, 1)
 	if len(active) != 11 {
 		t.Fatalf("cascade reached %d", len(active))
 	}
-	res := algo.SIR(u, []int64{5}, 1.0, 1.0, 1)
+	res := algo.SIR(graph.ProjectUView(g), []int64{5}, 1.0, 1.0, 1)
 	if len(res.Infected) != 11 {
 		t.Fatalf("SIR reached %d", len(res.Infected))
 	}
@@ -271,8 +271,7 @@ func TestFacadeSelectExpr(t *testing.T) {
 }
 
 func TestFacadeCombinatorialAlgorithms(t *testing.T) {
-	u := gen.BarabasiAlbert(120, 2, 9)
-	uv := uviewOf(u)
+	uv := gen.BarabasiAlbert(120, 2, 9)
 	comm, q := ringo.Louvain(uv, 10)
 	if len(comm) != 120 {
 		t.Fatal("Louvain labels missing nodes")
@@ -280,20 +279,22 @@ func TestFacadeCombinatorialAlgorithms(t *testing.T) {
 	if lp := ringo.GetModularity(uv, ringo.GetCommunities(uv, 15, 1)); q+1e-9 < lp {
 		t.Fatalf("Louvain modularity %v below label propagation %v", q, lp)
 	}
-	color, k := algo.GreedyColoring(u)
+	color, k := algo.GreedyColoring(uv)
 	if k < 2 {
 		t.Fatalf("colors = %d", k)
 	}
-	u.ForEdges(func(a, b int64) {
-		if a != b && color[a] == color[b] {
-			t.Fatal("improper coloring")
+	for a, id := range uv.IDs() {
+		for _, b := range uv.Adj(int32(a)) {
+			if b != int32(a) && color[id] == color[uv.ID(b)] {
+				t.Fatal("improper coloring")
+			}
 		}
-	})
-	m := algo.MaximalMatching(u)
+	}
+	m := algo.MaximalMatching(uv)
 	if len(m) == 0 {
 		t.Fatal("empty matching")
 	}
-	is := algo.IndependentSetGreedy(u)
+	is := algo.IndependentSetGreedy(uv)
 	if len(is) == 0 {
 		t.Fatal("empty independent set")
 	}

@@ -8,7 +8,6 @@ import (
 
 	"ringo"
 	"ringo/internal/algo"
-	"ringo/internal/graph"
 )
 
 // Integration tests exercising long operation chains across the table
@@ -122,9 +121,9 @@ func itoa(n int64) string {
 	return string(buf[i:])
 }
 
-// TestAnalyticsAgreeAcrossRepresentations checks that the dynamic graph
-// one AddEdge per row builds and the CSR graph ToGraph builds describe the
-// same topology under a battery of measures.
+// TestAnalyticsAgreeAcrossRepresentations checks that the per-edge model
+// of the rows and the CSR graph ToGraph builds describe the same topology:
+// node for node the same degrees and the same out-neighbors.
 func TestAnalyticsAgreeAcrossRepresentations(t *testing.T) {
 	tbl := ringo.GenRMATTable(11, 6000, 21)
 	csr, err := ringo.ToGraph(tbl, "src", "dst")
@@ -132,30 +131,23 @@ func TestAnalyticsAgreeAcrossRepresentations(t *testing.T) {
 		t.Fatal(err)
 	}
 	g := perEdgeGraph(tbl, "src", "dst", false)
-	if csr.NumEdges() != g.NumEdges() || csr.NumNodes() != g.NumNodes() {
+	if csr.NumEdges() != g.edges() || csr.NumNodes() != len(g.out) {
 		t.Fatal("CSR dims differ")
 	}
-	// Degree agreement per node.
-	g.ForNodes(func(id int64) {
+	for id, out := range g.out {
 		i, ok := csr.Index(id)
 		if !ok {
 			t.Fatalf("node %d missing from CSR", id)
 		}
-		if csr.OutDeg(i) != g.OutDeg(id) || csr.InDeg(i) != g.InDeg(id) {
+		if csr.OutDeg(i) != len(out) || csr.InDeg(i) != len(g.in[id]) {
 			t.Fatalf("node %d degree mismatch", id)
 		}
-	})
-	// Edge agreement: with the degrees equal, every CSR out-neighbor must
-	// be an edge of the graph, in ascending order.
-	g.ForNodes(func(id int64) {
-		i, _ := csr.Index(id)
-		out := csr.Out(i)
-		for j, x := range out {
-			if !g.HasEdge(id, csr.ID(x)) || (j > 0 && out[j-1] >= x) {
-				t.Fatalf("node %d: CSR out-neighbor %d is %d, not the graph's", id, j, csr.ID(x))
+		for j, x := range csr.Out(i) {
+			if csr.ID(x) != out[j] {
+				t.Fatalf("node %d: CSR out-neighbor %d is %d, the model's %d", id, j, csr.ID(x), out[j])
 			}
 		}
-	})
+	}
 }
 
 // TestStackOverflowMultiTagSession reproduces the demo's "vary the
@@ -276,39 +268,81 @@ func TestLeftJoinEnrichment(t *testing.T) {
 	}
 }
 
-// perEdgeGraph is the graph one AddEdge per row of an edge table builds;
-// with both set, each row also adds its reverse arc.
-func perEdgeGraph(tbl *ringo.Table, srcCol, dstCol string, both bool) *graph.Directed {
+// perEdgeModel is the per-edge model of an edge table's rows: every
+// endpoint is a node and every row one arc (with both, its reverse too),
+// duplicate arcs collapsing. out and in map each node to its ascending
+// distinct out- and in-neighbors.
+type perEdgeModel struct{ out, in map[int64][]int64 }
+
+func perEdgeGraph(tbl *ringo.Table, srcCol, dstCol string, both bool) perEdgeModel {
 	srcs, _ := tbl.IntCol(srcCol)
 	dsts, _ := tbl.IntCol(dstCol)
-	g := graph.NewDirected()
+	m := perEdgeModel{map[int64][]int64{}, map[int64][]int64{}}
+	add := func(s, d int64) {
+		m.out[s], m.in[d] = append(m.out[s], d), append(m.in[d], s)
+		m.out[d], m.in[s] = m.out[d], m.in[s] // both endpoints are nodes
+	}
 	for i := range srcs {
-		g.AddEdge(srcs[i], dsts[i])
+		add(srcs[i], dsts[i])
 		if both {
-			g.AddEdge(dsts[i], srcs[i])
+			add(dsts[i], srcs[i])
 		}
 	}
-	return g
+	for _, adj := range []map[int64][]int64{m.out, m.in} {
+		for id, nbrs := range adj {
+			slices.Sort(nbrs)
+			adj[id] = slices.Compact(nbrs)
+		}
+	}
+	return m
+}
+
+// edges counts the model's arcs.
+func (m perEdgeModel) edges() int64 {
+	var n int64
+	for _, nbrs := range m.out {
+		n += int64(len(nbrs))
+	}
+	return n
+}
+
+// sameAdjacency reports whether the CSR arrays ids, off, arena hold
+// exactly adj: its node ids in ascending order, and at each node its
+// neighbor ids in ascending order.
+func sameAdjacency(ids, off []int64, arena []int32, adj map[int64][]int64) bool {
+	if len(ids) != len(adj) || !slices.IsSorted(ids) {
+		return false
+	}
+	for u, id := range ids {
+		nbrs, ok := adj[id]
+		if !ok || off[u+1]-off[u] != int64(len(nbrs)) {
+			return false
+		}
+		for j, x := range arena[off[u]:off[u+1]] {
+			if ids[x] != nbrs[j] {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // validDirected holds the CSR graph ToGraph built from tbl, array for
-// array, to the view of the per-edge model of the same rows.
+// array, to the per-edge model of the same rows.
 func validDirected(v *ringo.Graph, tbl *ringo.Table, srcCol, dstCol string) error {
+	m := perEdgeGraph(tbl, srcCol, dstCol, false)
 	ids, outOff, inOff, out, in := v.ViewParts()
-	wids, wOutOff, wInOff, wOut, wIn := graph.BuildView(perEdgeGraph(tbl, srcCol, dstCol, false)).ViewParts()
-	if !slices.Equal(ids, wids) || !slices.Equal(outOff, wOutOff) || !slices.Equal(inOff, wInOff) ||
-		!slices.Equal(out, wOut) || !slices.Equal(in, wIn) {
+	if !sameAdjacency(ids, outOff, out, m.out) || !sameAdjacency(ids, inOff, in, m.in) {
 		return fmt.Errorf("graph of %d nodes, %d edges differs from the per-edge graph of its rows", v.NumNodes(), v.NumEdges())
 	}
 	return nil
 }
 
-// validUndirected is validDirected for ToUGraph: the out-arrays of the
+// validUndirected is validDirected for ToUGraph: the out-lists of the
 // per-edge model with both arcs of every row are the undirected adjacency.
 func validUndirected(u *ringo.UGraph, tbl *ringo.Table, srcCol, dstCol string) error {
 	ids, off, arena := u.UViewParts()
-	wids, woff, _, warena, _ := graph.BuildView(perEdgeGraph(tbl, srcCol, dstCol, true)).ViewParts()
-	if !slices.Equal(ids, wids) || !slices.Equal(off, woff) || !slices.Equal(arena, warena) {
+	if !sameAdjacency(ids, off, arena, perEdgeGraph(tbl, srcCol, dstCol, true).out) {
 		return fmt.Errorf("graph of %d nodes, %d edges differs from the per-edge graph of its rows", u.NumNodes(), u.NumEdges())
 	}
 	return nil

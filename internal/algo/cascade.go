@@ -2,6 +2,7 @@ package algo
 
 import (
 	"math/rand"
+	"slices"
 
 	"ringo/internal/graph"
 )
@@ -59,73 +60,48 @@ type SIRResult struct {
 }
 
 // SIR simulates a discrete-time susceptible-infectious-recovered epidemic
-// on the undirected graph: each round every infectious node infects each
+// on the undirected view: each round every infectious node infects each
 // susceptible neighbor with probability beta, then recovers with
-// probability gamma. Deterministic for a fixed seed.
-func SIR(g *graph.Undirected, seeds []int64, beta, gamma float64, seed int64) SIRResult {
+// probability gamma. Deterministic for a fixed seed: infectious nodes act
+// in ascending id order, each over its neighbors in ascending id order.
+func SIR(v *graph.UView, seeds []int64, beta, gamma float64, seed int64) SIRResult {
 	rng := rand.New(rand.NewSource(seed))
 	res := SIRResult{Infected: make(map[int64]int)}
-	infectious := map[int64]bool{}
+	ever := make([]bool, v.NumNodes()) // infected at some round
+	var infectious []int32
 	for _, s := range seeds {
-		if g.HasNode(s) && !infectious[s] {
-			infectious[s] = true
+		if u, ok := v.Index(s); ok && !ever[u] {
+			ever[u] = true
+			infectious = append(infectious, u)
 			res.Infected[s] = 0
 		}
 	}
-	recovered := map[int64]bool{}
 	for len(infectious) > 0 {
-		if len(infectious) > res.PeakInfected {
-			res.PeakInfected = len(infectious)
-		}
+		res.PeakInfected = max(res.PeakInfected, len(infectious))
 		res.Rounds++
-		newlyInfected := []int64{}
-		// Deterministic iteration order over the infectious set.
-		order := make([]int64, 0, len(infectious))
-		for u := range infectious {
-			order = append(order, u)
-		}
-		sortInt64s(order)
-		for _, u := range order {
-			for _, v := range g.Neighbors(u) {
-				if _, ever := res.Infected[v]; ever {
-					continue
-				}
-				if recovered[v] {
-					continue
-				}
-				if rng.Float64() < beta {
-					res.Infected[v] = res.Rounds
-					newlyInfected = append(newlyInfected, v)
+		slices.Sort(infectious)
+		var newlyInfected []int32
+		for _, u := range infectious {
+			for _, x := range v.Adj(u) {
+				if !ever[x] && rng.Float64() < beta {
+					ever[x] = true
+					res.Infected[v.ID(x)] = res.Rounds
+					newlyInfected = append(newlyInfected, x)
 				}
 			}
 		}
-		recoveries := 0
-		for _, u := range order {
-			if rng.Float64() < gamma {
-				delete(infectious, u)
-				recovered[u] = true
-				recoveries++
+		still := infectious[:0]
+		for _, u := range infectious {
+			if rng.Float64() >= gamma { // stays infectious
+				still = append(still, u)
 			}
 		}
-		for _, v := range newlyInfected {
-			infectious[v] = true
-		}
+		recoveries := len(infectious) - len(still)
+		infectious = append(still, newlyInfected...)
 		if len(newlyInfected) == 0 && recoveries == 0 {
 			// gamma = 0 and the epidemic has saturated: nothing can change.
 			break
 		}
 	}
 	return res
-}
-
-func sortInt64s(a []int64) {
-	for i := 1; i < len(a); i++ {
-		v := a[i]
-		j := i - 1
-		for j >= 0 && a[j] > v {
-			a[j+1] = a[j]
-			j--
-		}
-		a[j+1] = v
-	}
 }

@@ -3,12 +3,13 @@ package algo
 import (
 	"testing"
 
+	"ringo/internal/gen"
 	"ringo/internal/graph"
 )
 
 func TestIndependentCascadeCertainSpread(t *testing.T) {
 	g := pathGraph(6)
-	active := IndependentCascade(graph.BuildView(g), []int64{0}, 1.0, 7)
+	active := IndependentCascade(g, []int64{0}, 1.0, 7)
 	if len(active) != 6 {
 		t.Fatalf("p=1 activated %d of 6", len(active))
 	}
@@ -22,7 +23,7 @@ func TestIndependentCascadeCertainSpread(t *testing.T) {
 
 func TestIndependentCascadeNoSpread(t *testing.T) {
 	g := pathGraph(6)
-	active := IndependentCascade(graph.BuildView(g), []int64{0}, 0.0, 7)
+	active := IndependentCascade(g, []int64{0}, 0.0, 7)
 	if len(active) != 1 {
 		t.Fatalf("p=0 activated %d", len(active))
 	}
@@ -33,8 +34,8 @@ func TestIndependentCascadeNoSpread(t *testing.T) {
 
 func TestIndependentCascadeDeterministicAndDirectional(t *testing.T) {
 	g := pathGraph(6)
-	a := IndependentCascade(graph.BuildView(g), []int64{3}, 0.7, 42)
-	b := IndependentCascade(graph.BuildView(g), []int64{3}, 0.7, 42)
+	a := IndependentCascade(g, []int64{3}, 0.7, 42)
+	b := IndependentCascade(g, []int64{3}, 0.7, 42)
 	if len(a) != len(b) {
 		t.Fatal("not deterministic")
 	}
@@ -43,18 +44,14 @@ func TestIndependentCascadeDeterministicAndDirectional(t *testing.T) {
 		t.Fatal("cascade ran against edge direction")
 	}
 	// Unknown seeds ignored, duplicates collapse.
-	c := IndependentCascade(graph.BuildView(g), []int64{0, 0, 99}, 1, 1)
+	c := IndependentCascade(g, []int64{0, 0, 99}, 1, 1)
 	if len(c) != 6 {
 		t.Fatalf("dup/unknown seeds activated %d", len(c))
 	}
 }
 
 func TestSIREverythingInfectedAtBetaOne(t *testing.T) {
-	g := graph.NewUndirectedCap(0)
-	for i := int64(0); i < 8; i++ {
-		g.AddEdge(i, (i+1)%8)
-	}
-	res := SIR(g, []int64{0}, 1.0, 1.0, 5)
+	res := SIR(graph.ProjectUView(gen.Ring(8)), []int64{0}, 1.0, 1.0, 5)
 	if len(res.Infected) != 8 {
 		t.Fatalf("beta=1 infected %d of 8", len(res.Infected))
 	}
@@ -64,9 +61,7 @@ func TestSIREverythingInfectedAtBetaOne(t *testing.T) {
 }
 
 func TestSIRNoSpreadAtBetaZero(t *testing.T) {
-	g := graph.NewUndirectedCap(0)
-	g.AddEdge(1, 2)
-	res := SIR(g, []int64{1}, 0, 1, 3)
+	res := SIR(undirected([][2]int64{{1, 2}}), []int64{1}, 0, 1, 3)
 	if len(res.Infected) != 1 {
 		t.Fatalf("beta=0 infected %d", len(res.Infected))
 	}
@@ -76,7 +71,7 @@ func TestSIRNoSpreadAtBetaZero(t *testing.T) {
 }
 
 func TestSIRDeterministic(t *testing.T) {
-	g := barabasiForTest(200, 2)
+	g := gen.BarabasiAlbert(200, 2, 1)
 	a := SIR(g, []int64{0}, 0.3, 0.5, 11)
 	b := SIR(g, []int64{0}, 0.3, 0.5, 11)
 	if len(a.Infected) != len(b.Infected) || a.Rounds != b.Rounds || a.PeakInfected != b.PeakInfected {
@@ -92,10 +87,7 @@ func TestSIRDeterministic(t *testing.T) {
 func TestSIRTerminatesWithZeroGamma(t *testing.T) {
 	// With gamma=0 nodes never recover; the simulation must still stop
 	// once the epidemic saturates (no state change in a round).
-	g := graph.NewUndirectedCap(0)
-	g.AddEdge(1, 2)
-	g.AddEdge(2, 3)
-	res := SIR(g, []int64{1}, 1.0, 0.0, 3)
+	res := SIR(undirected([][2]int64{{1, 2}, {2, 3}}), []int64{1}, 1.0, 0.0, 3)
 	if len(res.Infected) != 3 {
 		t.Fatalf("saturation infected %d of 3", len(res.Infected))
 	}

@@ -4,12 +4,12 @@ import (
 	"slices"
 	"testing"
 
-	"ringo/internal/graph"
+	"ringo/internal/gen"
 )
 
 func TestClosenessPathCenter(t *testing.T) {
 	g := pathGraph(5) // 0-1-2-3-4
-	v := graph.BuildView(g)
+	v := g
 	center := ClosenessView(v, 2)
 	end := ClosenessView(v, 0)
 	if center <= end {
@@ -21,17 +21,14 @@ func TestClosenessPathCenter(t *testing.T) {
 }
 
 func TestClosenessIsolatedNode(t *testing.T) {
-	g := graph.NewDirected()
-	g.AddNode(1)
-	g.AddEdge(2, 3)
-	if ClosenessView(graph.BuildView(g), 1) != 0 {
+	if ClosenessView(directed([][2]int64{{2, 3}}, 1), 1) != 0 {
 		t.Fatal("isolated node closeness nonzero")
 	}
 }
 
 func TestBetweennessPathMiddle(t *testing.T) {
 	g := pathGraph(5)
-	bc := ApproxBetweennessView(graph.BuildView(g), 1000, 1) // full computation (samples > n)
+	bc := ApproxBetweennessView(g, 1000, 1) // full computation (samples > n)
 	// On the 5-path, node 2 lies on the most shortest paths.
 	for _, id := range []int64{0, 1, 3, 4} {
 		if at(bc, 2) <= at(bc, id) {
@@ -45,27 +42,17 @@ func TestBetweennessPathMiddle(t *testing.T) {
 }
 
 func TestBetweennessSampledDeterministic(t *testing.T) {
-	g := completeUndirectedAsDirected(8)
-	a := ApproxBetweennessView(graph.BuildView(g), 4, 42)
-	b := ApproxBetweennessView(graph.BuildView(g), 4, 42)
+	g := directed(clique(8))
+	a := ApproxBetweennessView(g, 4, 42)
+	b := ApproxBetweennessView(g, 4, 42)
 	if !slices.Equal(a, b) {
 		t.Fatal("sampled betweenness not deterministic for fixed seed")
 	}
 }
 
-func completeUndirectedAsDirected(n int) *graph.Directed {
-	g := graph.NewDirected()
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			g.AddEdge(int64(i), int64(j))
-		}
-	}
-	return g
-}
-
 func TestEccentricityAndDiameter(t *testing.T) {
 	g := pathGraph(7) // diameter 6
-	v := graph.BuildView(g)
+	v := g
 	if e := EccentricityView(v, 0); e != 6 {
 		t.Fatalf("ecc(0) = %d", e)
 	}
@@ -79,18 +66,18 @@ func TestEccentricityAndDiameter(t *testing.T) {
 	if d := ApproxDiameterView(v, 7, 1); d != 6 {
 		t.Fatalf("diameter = %d, want 6", d)
 	}
-	if d := ApproxDiameterView(graph.BuildView(graph.NewDirected()), 3, 1); d != 0 {
+	if d := ApproxDiameterView(directed(nil), 3, 1); d != 0 {
 		t.Fatalf("empty graph diameter = %d", d)
 	}
 }
 
 func TestDegreeStatsAndHistogram(t *testing.T) {
-	g := starGraph(4) // leaves 1..4 -> hub 0
-	out := OutDegreeStats(graph.BuildView(g))
+	g := gen.Star(4) // leaves 1..4 -> hub 0
+	out := OutDegreeStats(g)
 	if out.Min != 0 || out.Max != 1 || !approxEq(out.Mean, 4.0/5.0, 1e-12) {
 		t.Fatalf("out stats = %+v", out)
 	}
-	in := InDegreeStats(graph.BuildView(g))
+	in := InDegreeStats(g)
 	if in.Max != 4 {
 		t.Fatalf("in stats = %+v", in)
 	}
@@ -99,36 +86,27 @@ func TestDegreeStatsAndHistogram(t *testing.T) {
 	if len(hist) != 2 || hist[0] != [2]int64{0, 1} || hist[1] != [2]int64{1, 4} {
 		t.Fatalf("histogram = %v", hist)
 	}
-	if got := OutDegreeStats(graph.BuildView(graph.NewDirected())); got != (DegreeStats{}) {
+	if got := OutDegreeStats(directed(nil)); got != (DegreeStats{}) {
 		t.Fatalf("empty stats = %+v", got)
 	}
 }
 
 func TestDegreeCentrality(t *testing.T) {
-	g := graph.NewUndirectedCap(0)
-	g.AddEdge(0, 1)
-	g.AddEdge(0, 2)
-	dc := DegreeCentrality(g)
+	dc := DegreeCentrality(undirected([][2]int64{{0, 1}, {0, 2}}))
 	if !approxEq(at(dc, 0), 1, 1e-12) || !approxEq(at(dc, 1), 0.5, 1e-12) {
 		t.Fatalf("degree centrality = %v", dc)
 	}
-	single := graph.NewUndirectedCap(0)
-	single.AddNode(7)
-	if dc := DegreeCentrality(single); len(dc) != 1 || dc[0] != (Scored{7, 0}) {
+	if dc := DegreeCentrality(undirected(nil, 7)); len(dc) != 1 || dc[0] != (Scored{7, 0}) {
 		t.Fatal("singleton centrality nonzero")
 	}
 }
 
 func TestMaxDegreeNode(t *testing.T) {
-	g := graph.NewDirected()
-	g.AddEdge(1, 2)
-	g.AddEdge(1, 3)
-	g.AddEdge(2, 3)
-	id, deg, ok := MaxDegreeNode(graph.BuildView(g))
+	id, deg, ok := MaxDegreeNode(directed([][2]int64{{1, 2}, {1, 3}, {2, 3}}))
 	if !ok || id != 1 || deg != 2 {
 		t.Fatalf("MaxDegreeNode = (%d,%d,%v)", id, deg, ok)
 	}
-	if _, _, ok := MaxDegreeNode(graph.BuildView(graph.NewDirected())); ok {
+	if _, _, ok := MaxDegreeNode(directed(nil)); ok {
 		t.Fatal("empty graph returned a max node")
 	}
 }

@@ -4,27 +4,24 @@ import (
 	"math"
 	"testing"
 
+	"ringo/internal/gen"
 	"ringo/internal/graph"
 )
 
 // twoCliques builds two k-cliques bridged by a single edge.
-func twoCliques(k int) *graph.Undirected {
-	g := graph.NewUndirectedCap(0)
-	for i := 0; i < k; i++ {
-		for j := i + 1; j < k; j++ {
-			g.AddEdge(int64(i), int64(j))
-			g.AddEdge(int64(100+i), int64(100+j))
-		}
+func twoCliques(k int) *graph.UView {
+	edges := [][2]int64{{0, 100}}
+	for _, e := range clique(k) {
+		edges = append(edges, e, [2]int64{100 + e[0], 100 + e[1]})
 	}
-	g.AddEdge(0, 100)
-	return g
+	return undirected(edges)
 }
 
 func TestLabelPropagationSeparatesCliques(t *testing.T) {
 	g := twoCliques(6)
 	// Label propagation is seed-sensitive by design; this seed separates
 	// the cliques under the view's canonical (ascending-id) dense order.
-	comm := LabelPropagationView(uviewOf(g), 20, 8)
+	comm := LabelPropagationView(g, 20, 8)
 	// All members of each clique share a label.
 	for i := int64(1); i < 6; i++ {
 		if comm[i] != comm[0] {
@@ -41,8 +38,8 @@ func TestLabelPropagationSeparatesCliques(t *testing.T) {
 
 func TestLabelPropagationDeterministic(t *testing.T) {
 	g := twoCliques(5)
-	a := LabelPropagationView(uviewOf(g), 10, 3)
-	b := LabelPropagationView(uviewOf(g), 10, 3)
+	a := LabelPropagationView(g, 10, 3)
+	b := LabelPropagationView(g, 10, 3)
 	for id, c := range a {
 		if b[id] != c {
 			t.Fatal("label propagation not deterministic for fixed seed")
@@ -52,7 +49,7 @@ func TestLabelPropagationDeterministic(t *testing.T) {
 
 func TestLabelPropagationLabelsDense(t *testing.T) {
 	g := twoCliques(4)
-	comm := LabelPropagationView(uviewOf(g), 10, 1)
+	comm := LabelPropagationView(g, 10, 1)
 	seen := map[int]bool{}
 	for _, c := range comm {
 		seen[c] = true
@@ -66,17 +63,12 @@ func TestLabelPropagationLabelsDense(t *testing.T) {
 
 func TestModularityPerfectSplitBeatsMonolith(t *testing.T) {
 	g := twoCliques(6)
-	split := map[int64]int{}
-	g.ForNodes(func(id int64) {
-		if id < 100 {
-			split[id] = 0
-		} else {
-			split[id] = 1
-		}
-	})
-	mono := map[int64]int{}
-	g.ForNodes(func(id int64) { mono[id] = 0 })
-	v := uviewOf(g)
+	split, mono := map[int64]int{}, map[int64]int{}
+	for _, id := range g.IDs() {
+		split[id] = int(id / 100)
+		mono[id] = 0
+	}
+	v := g
 	qs := ModularityView(v, split)
 	qm := ModularityView(v, mono)
 	if !approxEq(qm, 0, 1e-12) {
@@ -85,7 +77,7 @@ func TestModularityPerfectSplitBeatsMonolith(t *testing.T) {
 	if qs <= 0.3 {
 		t.Fatalf("split modularity = %v, want > 0.3", qs)
 	}
-	if ModularityView(uviewOf(graph.NewUndirectedCap(0)), nil) != 0 {
+	if ModularityView(undirected(nil), nil) != 0 {
 		t.Fatal("empty graph modularity nonzero")
 	}
 }
@@ -95,19 +87,14 @@ func TestModularityPerfectSplitBeatsMonolith(t *testing.T) {
 // as if it were given a community of its own (its self-loop counts as
 // inside it), and repeated calls return the same bits.
 func TestModularityMissingNodeIsSingleton(t *testing.T) {
-	g := graph.NewUndirectedCap(0)
-	for _, e := range [][2]int64{{0, 1}, {1, 2}, {0, 2}, {3, 3}} {
-		g.AddEdge(e[0], e[1])
-	}
-	v := uviewOf(g)
+	v := undirected([][2]int64{{0, 1}, {1, 2}, {0, 2}, {3, 3}})
 	missing := ModularityView(v, map[int64]int{0: 0, 1: 0, 2: 0})
 	explicit := ModularityView(v, map[int64]int{0: 0, 1: 0, 2: 0, 3: 1})
 	if math.Float64bits(missing) != math.Float64bits(explicit) {
 		t.Fatalf("node 3 missing: Q = %v, as explicit singleton: Q = %v", missing, explicit)
 	}
 
-	big := barabasiForTest(400, 3)
-	bv := uviewOf(big)
+	bv := gen.BarabasiAlbert(400, 3, 1)
 	comm := LabelPropagationView(bv, 20, 1)
 	for id := range comm {
 		if id%7 == 0 {

@@ -1,10 +1,6 @@
 package algo
 
-import (
-	"sort"
-
-	"ringo/internal/graph"
-)
+import "ringo/internal/graph"
 
 // DegreeStats summarizes a degree distribution.
 type DegreeStats struct {
@@ -37,33 +33,30 @@ func degreeStats(n int, deg func(u int32) int) DegreeStats {
 }
 
 // DegreeHistogram returns (degree, node count) pairs in ascending degree
-// order for the out-degrees of a directed graph — SNAP's GetOutDegCnt.
-func DegreeHistogram(g *graph.Directed) [][2]int64 {
-	counts := map[int]int64{}
-	g.ForNodes(func(id int64) {
-		counts[g.OutDeg(id)]++
-	})
-	degrees := make([]int, 0, len(counts))
-	for d := range counts {
-		degrees = append(degrees, d)
+// order for the out-degrees of a directed view — SNAP's GetOutDegCnt.
+func DegreeHistogram(v *graph.View) [][2]int64 {
+	counts := make([]int64, v.NumNodes()+1) // by degree; distinct targets bound it by n
+	for u := int32(0); int(u) < v.NumNodes(); u++ {
+		counts[v.OutDeg(u)]++
 	}
-	sort.Ints(degrees)
-	out := make([][2]int64, len(degrees))
-	for i, d := range degrees {
-		out[i] = [2]int64{int64(d), counts[d]}
+	var out [][2]int64
+	for d, c := range counts {
+		if c > 0 {
+			out = append(out, [2]int64{int64(d), c})
+		}
 	}
 	return out
 }
 
-// DegreeCentrality returns deg(v)/(n-1) per node of an undirected graph,
+// DegreeCentrality returns deg(v)/(n-1) per node of an undirected view,
 // the normalized degree centrality measure.
-func DegreeCentrality(g *graph.Undirected) Scores {
-	ids := g.Nodes()
-	out := make(Scores, len(ids))
-	for i, id := range ids {
+func DegreeCentrality(v *graph.UView) Scores {
+	n := v.NumNodes()
+	out := make(Scores, n)
+	for i, id := range v.IDs() {
 		out[i].ID = id
-		if len(ids) > 1 {
-			out[i].Score = float64(g.Deg(id)) / float64(len(ids)-1)
+		if n > 1 {
+			out[i].Score = float64(v.Deg(int32(i))) / float64(n-1)
 		}
 	}
 	return out

@@ -4,6 +4,7 @@ import (
 	"maps"
 	"math"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"ringo/internal/extmem"
@@ -34,30 +35,43 @@ func mapView(t testing.TB, v *graph.View) *graph.View {
 }
 
 // extTestGraphs yields the awkward shapes for the mapped tier: random
-// graphs, isolated nodes, tombstoned (deleted) slots, and a graph of two
-// components far apart in the dense ordering.
-func extTestGraphs() map[string]*graph.Directed {
-	gs := map[string]*graph.Directed{
+// graphs, isolated nodes, ids left unused by deleted nodes, and a graph of
+// two components far apart in the dense ordering.
+func extTestGraphs() map[string]*graph.View {
+	gs := map[string]*graph.View{
 		"gnm":  gen.GNM(500, 4000, 3),
 		"ring": gen.Ring(257),
 		"star": gen.Star(300),
 	}
 	withIso := gen.GNM(300, 1500, 5)
+	iso := slices.Clone(withIso.IDs())
 	for id := int64(300); id < 320; id++ {
-		withIso.AddNode(id)
+		iso = append(iso, id)
 	}
-	gs["isolated"] = withIso
+	gs["isolated"] = directed(edgesOf(withIso), iso...)
 
-	tomb := gen.GNM(400, 2500, 9)
-	for id := int64(0); id < 120; id += 2 {
-		tomb.DelNode(id)
+	// G(400, 2500) without the even ids under 120 and their edges.
+	deleted := func(id int64) bool { return id < 120 && id%2 == 0 }
+	var kept [][2]int64
+	for _, e := range edgesOf(gen.GNM(400, 2500, 9)) {
+		if !deleted(e[0]) && !deleted(e[1]) {
+			kept = append(kept, e)
+		}
 	}
-	gs["tombstoned"] = tomb
+	var live []int64
+	for id := int64(0); id < 400; id++ {
+		if !deleted(id) {
+			live = append(live, id)
+		}
+	}
+	gs["deleted-nodes"] = directed(kept, live...)
 
-	two := gen.GNM(200, 900, 13)
-	far := gen.Ring(100)
-	far.ForEdges(func(src, dst int64) { two.AddEdge(src+10000, dst+10000) })
-	gs["two-components"] = two
+	near := gen.GNM(200, 900, 13)
+	two := edgesOf(near)
+	for _, e := range edgesOf(gen.Ring(100)) {
+		two = append(two, [2]int64{e[0] + 10000, e[1] + 10000})
+	}
+	gs["two-components"] = directed(two, near.IDs()...)
 	return gs
 }
 
@@ -68,8 +82,7 @@ func sameComponents(a, b Components) bool {
 }
 
 func TestMappedPageRankBitIdentical(t *testing.T) {
-	for name, g := range extTestGraphs() {
-		v := graph.BuildView(g)
+	for name, v := range extTestGraphs() {
 		want := PageRankView(v, DefaultDamping, 10)
 		got := PageRankView(mapView(t, v), DefaultDamping, 10)
 		if len(got) != len(want) {
@@ -85,8 +98,7 @@ func TestMappedPageRankBitIdentical(t *testing.T) {
 }
 
 func TestMappedWCCMatchesHeap(t *testing.T) {
-	for name, g := range extTestGraphs() {
-		v := graph.BuildView(g)
+	for name, v := range extTestGraphs() {
 		want, got := WCCView(v), WCCView(mapView(t, v))
 		if !sameComponents(want, got) {
 			t.Errorf("%s: mapped WCC differs from heap (count %d vs %d, max %d vs %d)",
@@ -96,8 +108,7 @@ func TestMappedWCCMatchesHeap(t *testing.T) {
 }
 
 func TestMappedSCCMatchesHeap(t *testing.T) {
-	for name, g := range extTestGraphs() {
-		v := graph.BuildView(g)
+	for name, v := range extTestGraphs() {
 		want, got := SCCView(v), SCCView(mapView(t, v))
 		if !sameComponents(want, got) {
 			t.Errorf("%s: mapped SCC differs from heap (count %d vs %d, max %d vs %d)",
@@ -107,8 +118,7 @@ func TestMappedSCCMatchesHeap(t *testing.T) {
 }
 
 func TestMappedBFSMatchesHeap(t *testing.T) {
-	for name, g := range extTestGraphs() {
-		v := graph.BuildView(g)
+	for name, v := range extTestGraphs() {
 		if v.NumNodes() == 0 {
 			continue
 		}
@@ -127,15 +137,14 @@ func TestMappedBFSMatchesHeap(t *testing.T) {
 }
 
 func TestMappedBFSUnknownSource(t *testing.T) {
-	mv := mapView(t, graph.BuildView(gen.GNM(50, 200, 1)))
+	mv := mapView(t, gen.GNM(50, 200, 1))
 	if got := BFSView(mv, 1<<40, Out); got != nil {
 		t.Fatalf("mapped BFS from an absent source = %v, want nil", got)
 	}
 }
 
 func TestMappedTrianglesMatchHeap(t *testing.T) {
-	for name, g := range extTestGraphs() {
-		v := graph.BuildView(g)
+	for name, v := range extTestGraphs() {
 		want := TrianglesView(graph.ProjectUView(v))
 		got := TrianglesView(graph.ProjectUView(mapView(t, v)))
 		if got != want {
@@ -148,8 +157,7 @@ func TestMappedTrianglesMatchHeap(t *testing.T) {
 // number to put against an in-heap run of the same kernel and the CI
 // smoke that keeps the mapped pipeline compiling end to end.
 func BenchmarkPageRankMapped(b *testing.B) {
-	g := gen.GNM(1<<15, 1<<18, 42)
-	mv := mapView(b, graph.BuildView(g))
+	mv := mapView(b, gen.GNM(1<<15, 1<<18, 42))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		PageRankView(mv, DefaultDamping, 5)

@@ -3,7 +3,6 @@ package algo
 import (
 	"math/rand"
 	"reflect"
-	"slices"
 	"testing"
 
 	"ringo/internal/graph"
@@ -14,23 +13,23 @@ import (
 // count and max size — at every step.
 func TestWCCIncrMatchesCold(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	g := graph.NewDirected()
+	g := newEdgeSet(false)
 	for i := int64(0); i < 50; i++ {
-		g.AddNode(i)
+		g.addNode(i)
 	}
-	prev := WCCView(graph.BuildView(g))
+	prev := WCCView(g.view())
 	for round := 0; round < 20; round++ {
 		var deltas []graph.Delta
 		for i := 0; i < 4; i++ {
 			s, d := rng.Int63n(70), rng.Int63n(70)
-			if g.AddEdge(s, d) {
+			if g.set(true, s, d) {
 				deltas = append(deltas, graph.Delta{Op: graph.DeltaAddEdge, Src: s, Dst: d})
 			}
 		}
-		if id := rng.Int63n(100); g.AddNode(id) {
+		if id := rng.Int63n(100); g.addNode(id) {
 			deltas = append(deltas, graph.Delta{Op: graph.DeltaAddNode, Src: id})
 		}
-		v := graph.BuildView(g)
+		v := g.view()
 		got, ok := WCCIncr(v, prev, deltas)
 		if !ok {
 			t.Fatalf("round %d: WCCIncr refused an additions-only batch", round)
@@ -47,9 +46,7 @@ func TestWCCIncrMatchesCold(t *testing.T) {
 // TestWCCIncrRefusesDeletions: union-find cannot split components, so a
 // batch containing any deletion must signal fallback.
 func TestWCCIncrRefusesDeletions(t *testing.T) {
-	g := graph.NewDirected()
-	g.AddEdge(1, 2)
-	v := graph.BuildView(g)
+	v := directed([][2]int64{{1, 2}})
 	prev := WCCView(v)
 	if _, ok := WCCIncr(v, prev, []graph.Delta{{Op: graph.DeltaDelEdge, Src: 1, Dst: 2}}); ok {
 		t.Fatal("WCCIncr accepted a batch with a deletion")
@@ -62,22 +59,23 @@ func TestWCCIncrRefusesDeletions(t *testing.T) {
 // three edges changed, exercising the dedup rule) and self-loops.
 func TestTrianglesIncrMatchesCold(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
-	g := graph.NewUndirectedCap(0)
+	g := newEdgeSet(true)
 	for i := 0; i < 60; i++ {
-		g.AddEdge(rng.Int63n(25), rng.Int63n(25))
+		g.set(true, rng.Int63n(25), rng.Int63n(25))
 	}
-	oldV := uviewOf(g)
+	oldV := g.uview()
 	count := TrianglesView(oldV)
 	for round := 0; round < 25; round++ {
 		var deltas []graph.Delta
 		mutate := func(add bool, s, d int64) {
-			if add {
-				if g.AddEdge(s, d) {
-					deltas = append(deltas, graph.Delta{Op: graph.DeltaAddEdge, Src: s, Dst: d})
-				}
-			} else if delUEdge(g, s, d) {
-				deltas = append(deltas, graph.Delta{Op: graph.DeltaDelEdge, Src: s, Dst: d})
+			if !g.set(add, s, d) {
+				return
 			}
+			op := graph.DeltaAddEdge
+			if !add {
+				op = graph.DeltaDelEdge
+			}
+			deltas = append(deltas, graph.Delta{Op: op, Src: s, Dst: d})
 		}
 		if round%5 == 0 {
 			// A full fresh triangle in one batch.
@@ -89,7 +87,7 @@ func TestTrianglesIncrMatchesCold(t *testing.T) {
 		for i := 0; i < 6; i++ {
 			mutate(rng.Intn(3) != 0, rng.Int63n(30), rng.Int63n(30))
 		}
-		newV := uviewOf(g)
+		newV := g.uview()
 		got := TrianglesIncr(oldV, newV, count, deltas)
 		want := TrianglesView(newV)
 		if got != want {
@@ -102,31 +100,10 @@ func TestTrianglesIncrMatchesCold(t *testing.T) {
 // TestTrianglesIncrClosingEdge: one edge closing the wedge 0-1-2 adds
 // exactly one triangle.
 func TestTrianglesIncrClosingEdge(t *testing.T) {
-	g := graph.NewUndirectedCap(0)
-	g.AddEdge(0, 1)
-	g.AddEdge(1, 2)
-	oldV := uviewOf(g)
-	g.AddEdge(0, 2)
+	oldV := undirected([][2]int64{{0, 1}, {1, 2}})
+	newV := undirected([][2]int64{{0, 1}, {1, 2}, {0, 2}})
 	deltas := []graph.Delta{{Op: graph.DeltaAddEdge, Src: 0, Dst: 2}}
-	if got := TrianglesIncr(oldV, uviewOf(g), 0, deltas); got != 1 {
+	if got := TrianglesIncr(oldV, newV, 0, deltas); got != 1 {
 		t.Fatalf("closing edge: incremental count %d, want 1", got)
 	}
-}
-
-// delUEdge removes {a,b} from a model graph, reporting whether it was
-// there. Outside package graph a hash graph deletes only whole nodes, so
-// it drops a with DelNode and adds back every other edge a had.
-func delUEdge(g *graph.Undirected, a, b int64) bool {
-	if !g.HasEdge(a, b) {
-		return false
-	}
-	nbrs := slices.Clone(g.Neighbors(a))
-	g.DelNode(a)
-	g.AddNode(a)
-	for _, n := range nbrs {
-		if n != b {
-			g.AddEdge(a, n)
-		}
-	}
-	return true
 }

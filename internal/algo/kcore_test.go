@@ -21,10 +21,7 @@ func coreNumbers(v *graph.UView) map[int64]int {
 func TestCoreNumbersKnown(t *testing.T) {
 	// K4 plus a tail 3-4-5: clique nodes have core 3 (node 3 included),
 	// tail nodes 4,5 have core 1.
-	g := completeUndirected(4)
-	g.AddEdge(3, 4)
-	g.AddEdge(4, 5)
-	cores := coreNumbers(uviewOf(g))
+	cores := coreNumbers(undirected(append(clique(4), [2]int64{3, 4}, [2]int64{4, 5})))
 	for _, id := range []int64{0, 1, 2, 3} {
 		if cores[id] != 3 {
 			t.Fatalf("core[%d] = %d, want 3", id, cores[id])
@@ -36,11 +33,7 @@ func TestCoreNumbersKnown(t *testing.T) {
 }
 
 func TestCoreNumbersStar(t *testing.T) {
-	g := graph.NewUndirectedCap(0)
-	for i := int64(1); i <= 5; i++ {
-		g.AddEdge(0, i)
-	}
-	cores := coreNumbers(uviewOf(g))
+	cores := coreNumbers(undirected([][2]int64{{0, 1}, {0, 2}, {0, 3}, {0, 4}, {0, 5}}))
 	for id, c := range cores {
 		if c != 1 {
 			t.Fatalf("star core[%d] = %d, want 1", id, c)
@@ -49,10 +42,8 @@ func TestCoreNumbersStar(t *testing.T) {
 }
 
 func TestKCoreSubgraph(t *testing.T) {
-	g := completeUndirected(4)
-	g.AddEdge(3, 4)
-	g.AddEdge(4, 5)
-	v := uviewOf(g)
+	edges := append(clique(4), [2]int64{3, 4}, [2]int64{4, 5})
+	v := undirected(edges)
 	core3 := KCore(v, 3)
 	if core3.NumNodes() != 4 {
 		t.Fatalf("3-core nodes = %d, want 4", core3.NumNodes())
@@ -74,7 +65,7 @@ func TestKCoreSubgraph(t *testing.T) {
 		t.Fatal("5-core of K4+tail should be empty")
 	}
 	// Input view unmodified.
-	if !sameSubgraph(v, g) {
+	if !sameSubgraph(v, undirected(edges)) {
 		t.Fatal("KCore mutated input")
 	}
 }
@@ -82,76 +73,70 @@ func TestKCoreSubgraph(t *testing.T) {
 // TestKCoreDirected: the k-core of a directed graph is KCore of its
 // undirected projection, matching SNAP's KCore on directed edge lists.
 func TestKCoreDirected(t *testing.T) {
-	d := graph.NewDirected()
 	// Directed K4 (one direction per pair) has undirected 3-core = all.
-	for i := int64(0); i < 4; i++ {
-		for j := i + 1; j < 4; j++ {
-			d.AddEdge(i, j)
-		}
-	}
-	d.AddEdge(3, 9)
-	core := KCore(graph.ProjectUView(graph.BuildView(d)), 3)
+	d := directed(append(clique(4), [2]int64{3, 9}))
+	core := KCore(graph.ProjectUView(d), 3)
 	if core.NumNodes() != 4 || core.HasNode(9) {
 		t.Fatalf("directed 3-core nodes = %d", core.NumNodes())
 	}
 }
 
-// kcorePerEdge is KCore as one AddEdge per kept edge, the reference the
-// filtered arrays are held to.
-func kcorePerEdge(g *graph.Undirected, k int) *graph.Undirected {
-	cores := coreNumbers(uviewOf(g))
-	sub := graph.NewUndirectedCap(0)
-	keep := func(id int64) bool { return cores[id] >= k }
-	g.ForNodes(func(id int64) {
-		if keep(id) {
-			sub.AddNode(id)
+// kcoreRef is KCore as the view of the edges and nodes it keeps, the
+// reference the filtered arrays are held to.
+func kcoreRef(edges [][2]int64, nodes []int64, k int) *graph.UView {
+	cores := coreNumbers(undirected(edges, nodes...))
+	var kept [][2]int64
+	for _, e := range edges {
+		if cores[e[0]] >= k && cores[e[1]] >= k {
+			kept = append(kept, e)
 		}
-	})
-	g.ForEdges(func(src, dst int64) {
-		if keep(src) && keep(dst) {
-			sub.AddEdge(src, dst)
+	}
+	var keptNodes []int64
+	for id, c := range cores {
+		if c >= k {
+			keptNodes = append(keptNodes, id)
 		}
-	})
-	return sub
+	}
+	return undirected(kept, keptNodes...)
 }
 
-// sameSubgraph reports whether the view a holds exactly the model graph b:
-// the same ids, offsets and neighbor arena as b's own view.
-func sameSubgraph(a *graph.UView, b *graph.Undirected) bool {
+// sameSubgraph reports whether the views a and b hold the same ids,
+// offsets and neighbor arena.
+func sameSubgraph(a, b *graph.UView) bool {
 	ids, off, arena := a.UViewParts()
-	wids, woff, warena := uviewOf(b).UViewParts()
-	return slices.Equal(ids, wids) && slices.Equal(off, woff) && slices.Equal(arena, warena) &&
-		a.NumEdges() == b.NumEdges()
+	wids, woff, warena := b.UViewParts()
+	return slices.Equal(ids, wids) && slices.Equal(off, woff) && slices.Equal(arena, warena)
 }
 
 // Property: the k-core is the maximal subgraph with min degree >= k; its
-// nodes are exactly those with core number >= k; and it equals the
-// per-edge build, self-loops, isolated nodes and k = 0 included.
+// nodes are exactly those with core number >= k; and it equals the view of
+// the edges it keeps, self-loops, isolated nodes and k = 0 included.
 func TestKCoreMatchesPeelingProperty(t *testing.T) {
 	f := func(edges [][2]int8, isolated []uint8, kk uint8) bool {
 		k := int(kk % 5)
-		g := graph.NewUndirectedCap(0)
+		var nodes []int64
 		for _, id := range isolated {
-			g.AddNode(int64(id % 30))
+			nodes = append(nodes, int64(id%30))
 		}
+		var plain [][2]int64
 		for _, e := range edges {
-			a, b := int64(e[0]%20), int64(e[1]%20)
-			if a != b {
-				g.AddEdge(a, b)
+			if a, b := int64(e[0]%20), int64(e[1]%20); a != b {
+				plain = append(plain, [2]int64{a, b})
 			}
 		}
-		looped := g.Clone()
+		looped := slices.Clone(plain)
 		for _, e := range edges {
 			if e[0]%7 == 0 {
-				looped.AddEdge(int64(e[1]%20), int64(e[1]%20))
+				looped = append(looped, [2]int64{int64(e[1] % 20), int64(e[1] % 20)})
 			}
 		}
-		if !sameSubgraph(KCore(uviewOf(looped), k), kcorePerEdge(looped, k)) {
+		if !sameSubgraph(KCore(undirected(looped, nodes...), k), kcoreRef(looped, nodes, k)) {
 			return false
 		}
-		cores := coreNumbers(uviewOf(g))
-		sub := KCore(uviewOf(g), k)
-		if !sameSubgraph(sub, kcorePerEdge(g, k)) {
+		g := undirected(plain, nodes...)
+		cores := coreNumbers(g)
+		sub := KCore(g, k)
+		if !sameSubgraph(sub, kcoreRef(plain, nodes, k)) {
 			return false
 		}
 		// Every kept node has core >= k and degree >= k in the subgraph.
@@ -167,23 +152,35 @@ func TestKCoreMatchesPeelingProperty(t *testing.T) {
 			}
 		}
 		// Reference peeling: repeatedly remove nodes with degree < k.
-		ref := g.Clone()
-		for {
-			removed := false
-			for _, id := range ref.Nodes() {
-				if ref.Deg(id) < k {
-					ref.DelNode(id)
+		nbrs := map[int64]map[int64]bool{}
+		for _, id := range nodes {
+			nbrs[id] = map[int64]bool{}
+		}
+		for _, e := range plain {
+			for _, ab := range [][2]int64{e, {e[1], e[0]}} {
+				if nbrs[ab[0]] == nil {
+					nbrs[ab[0]] = map[int64]bool{}
+				}
+				nbrs[ab[0]][ab[1]] = true
+			}
+		}
+		for removed := true; removed; {
+			removed = false
+			for id, adj := range nbrs {
+				if len(adj) < k {
+					for x := range adj {
+						delete(nbrs[x], id)
+					}
+					delete(nbrs, id)
 					removed = true
 				}
 			}
-			if !removed {
-				break
-			}
 		}
-		if ref.NumNodes() != sub.NumNodes() || ref.NumEdges() != sub.NumEdges() {
-			return false
+		var refEdges int64
+		for _, adj := range nbrs {
+			refEdges += int64(len(adj))
 		}
-		return true
+		return len(nbrs) == sub.NumNodes() && refEdges/2 == sub.NumEdges()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
 		t.Fatal(err)
@@ -194,7 +191,7 @@ func TestKCoreMatchesPeelingProperty(t *testing.T) {
 // update-query workload's graph size: R-MAT 2^15 with 200 000 edges,
 // projected.
 func BenchmarkKCore(b *testing.B) {
-	u := graph.ProjectUView(graph.BuildView(rmatGraph(15, 200000, 1)))
+	u := graph.ProjectUView(rmatGraph(15, 200000, 1))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -2,6 +2,7 @@ package algo
 
 import (
 	"math"
+	"slices"
 	"sort"
 
 	"ringo/internal/graph"
@@ -13,16 +14,19 @@ import (
 // self-loops.
 
 // CommonNeighbors returns |N(u) ∩ N(v)|.
-func CommonNeighbors(g *graph.Undirected, u, v int64) int {
-	return len(commonNeighbors(g, u, v))
+func CommonNeighbors(g *graph.UView, u, v int64) int {
+	x, a := adj(g, u)
+	y, b := adj(g, v)
+	return len(commonNeighbors(a, b, x, y))
 }
 
 // Jaccard returns |N(u) ∩ N(v)| / |N(u) ∪ N(v)|, 0 when both neighborhoods
 // are empty.
-func Jaccard(g *graph.Undirected, u, v int64) float64 {
-	inter := len(commonNeighbors(g, u, v))
-	du, dv := properDeg(g, u), properDeg(g, v)
-	union := du + dv - inter
+func Jaccard(g *graph.UView, u, v int64) float64 {
+	x, a := adj(g, u)
+	y, b := adj(g, v)
+	inter := len(commonNeighbors(a, b, x, y))
+	union := properDeg(a, x) + properDeg(b, y) - inter
 	if union == 0 {
 		return 0
 	}
@@ -32,11 +36,12 @@ func Jaccard(g *graph.Undirected, u, v int64) float64 {
 // AdamicAdar returns the Adamic-Adar index: sum over common neighbors w of
 // 1/log(deg(w)). Common neighbors of degree 1 cannot occur (they are
 // adjacent to both u and v).
-func AdamicAdar(g *graph.Undirected, u, v int64) float64 {
+func AdamicAdar(g *graph.UView, u, v int64) float64 {
+	x, a := adj(g, u)
+	y, b := adj(g, v)
 	var s float64
-	for _, w := range commonNeighbors(g, u, v) {
-		d := properDeg(g, w)
-		if d > 1 {
+	for _, w := range commonNeighbors(a, b, x, y) {
+		if d := properDeg(g.Adj(w), w); d > 1 {
 			s += 1 / math.Log(float64(d))
 		}
 	}
@@ -44,24 +49,34 @@ func AdamicAdar(g *graph.Undirected, u, v int64) float64 {
 }
 
 // PreferentialAttachment returns deg(u) × deg(v).
-func PreferentialAttachment(g *graph.Undirected, u, v int64) int {
-	return properDeg(g, u) * properDeg(g, v)
+func PreferentialAttachment(g *graph.UView, u, v int64) int {
+	x, a := adj(g, u)
+	y, b := adj(g, v)
+	return properDeg(a, x) * properDeg(b, y)
 }
 
-// properDeg is the degree excluding self-loops.
-func properDeg(g *graph.Undirected, u int64) int {
-	d := g.Deg(u)
-	if g.HasEdge(u, u) {
-		d--
+// adj returns the dense index and the neighbor vector of node id; a node
+// not in g has index -1 and no neighbors.
+func adj(g *graph.UView, id int64) (int32, []int32) {
+	if x, ok := g.Index(id); ok {
+		return x, g.Adj(x)
 	}
-	return d
+	return -1, nil
 }
 
-// commonNeighbors merges the two sorted adjacency vectors, excluding the
-// endpoints themselves.
-func commonNeighbors(g *graph.Undirected, u, v int64) []int64 {
-	a, b := g.Neighbors(u), g.Neighbors(v)
-	var out []int64
+// properDeg is the length of x's neighbor vector nbrs without x's
+// self-loop.
+func properDeg(nbrs []int32, x int32) int {
+	if _, loop := slices.BinarySearch(nbrs, x); loop {
+		return len(nbrs) - 1
+	}
+	return len(nbrs)
+}
+
+// commonNeighbors merges the sorted neighbor vectors a of x and b of y,
+// excluding x and y themselves.
+func commonNeighbors(a, b []int32, x, y int32) []int32 {
+	var out []int32
 	i, j := 0, 0
 	for i < len(a) && j < len(b) {
 		switch {
@@ -70,7 +85,7 @@ func commonNeighbors(g *graph.Undirected, u, v int64) []int64 {
 		case a[i] > b[j]:
 			j++
 		default:
-			if a[i] != u && a[i] != v {
+			if a[i] != x && a[i] != y {
 				out = append(out, a[i])
 			}
 			i++
@@ -91,27 +106,27 @@ type PredictedLink struct {
 // (U, V) for determinism. Distance-2 pairs are the only ones any
 // common-neighbor measure can score above zero, which keeps the candidate
 // set near-linear in practice.
-func PredictLinks(g *graph.Undirected, k int) []PredictedLink {
-	seen := map[[2]int64]bool{}
+func PredictLinks(g *graph.UView, k int) []PredictedLink {
+	// seen[x] == u+1 marks the candidate (u, x) as scored.
+	seen := make([]int32, g.NumNodes())
 	var cands []PredictedLink
-	g.ForNodes(func(u int64) {
-		for _, w := range g.Neighbors(u) {
+	for u := int32(0); int(u) < g.NumNodes(); u++ {
+		for _, w := range g.Adj(u) {
 			if w == u {
 				continue
 			}
-			for _, v := range g.Neighbors(w) {
-				if v <= u || v == w || g.HasEdge(u, v) {
+			for _, x := range g.Adj(w) {
+				if x <= u || x == w || seen[x] == u+1 {
 					continue
 				}
-				key := [2]int64{u, v}
-				if seen[key] {
+				seen[x] = u + 1
+				if _, linked := slices.BinarySearch(g.Adj(u), x); linked {
 					continue
 				}
-				seen[key] = true
-				cands = append(cands, PredictedLink{u, v, AdamicAdar(g, u, v)})
+				cands = append(cands, PredictedLink{g.ID(u), g.ID(x), AdamicAdar(g, g.ID(u), g.ID(x))})
 			}
 		}
-	})
+	}
 	sort.Slice(cands, func(i, j int) bool {
 		if cands[i].Score != cands[j].Score {
 			return cands[i].Score > cands[j].Score

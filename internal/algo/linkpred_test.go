@@ -4,18 +4,15 @@ import (
 	"math"
 	"testing"
 
+	"ringo/internal/gen"
 	"ringo/internal/graph"
 )
 
-// lollipop builds the test graph: square 1-2-3-4 plus a diagonal hub 5
+// lollipopEdges is the test graph: square 1-2-3-4 plus a diagonal hub 5
 // adjacent to 1, 2, 3.
-func lollipop() *graph.Undirected {
-	g := graph.NewUndirectedCap(0)
-	for _, e := range [][2]int64{{1, 2}, {2, 3}, {3, 4}, {4, 1}, {5, 1}, {5, 2}, {5, 3}} {
-		g.AddEdge(e[0], e[1])
-	}
-	return g
-}
+var lollipopEdges = [][2]int64{{1, 2}, {2, 3}, {3, 4}, {4, 1}, {5, 1}, {5, 2}, {5, 3}}
+
+func lollipop() *graph.UView { return undirected(lollipopEdges) }
 
 func TestCommonNeighbors(t *testing.T) {
 	g := lollipop()
@@ -38,10 +35,7 @@ func TestJaccard(t *testing.T) {
 	if got := Jaccard(g, 1, 3); !approxEq(got, 1, 1e-12) {
 		t.Fatalf("Jaccard(1,3) = %v", got)
 	}
-	iso := graph.NewUndirectedCap(0)
-	iso.AddNode(1)
-	iso.AddNode(2)
-	if got := Jaccard(iso, 1, 2); got != 0 {
+	if got := Jaccard(undirected(nil, 1, 2), 1, 2); got != 0 {
 		t.Fatalf("isolated Jaccard = %v", got)
 	}
 }
@@ -61,7 +55,7 @@ func TestPreferentialAttachment(t *testing.T) {
 		t.Fatalf("PA(1,3) = %d", got)
 	}
 	// Self-loop excluded from degree.
-	g.AddEdge(1, 1)
+	g = undirected(append(lollipopEdges, [2]int64{1, 1}))
 	if got := PreferentialAttachment(g, 1, 3); got != 9 {
 		t.Fatalf("PA with self-loop = %d", got)
 	}
@@ -96,50 +90,37 @@ func TestPredictLinks(t *testing.T) {
 }
 
 func TestReciprocity(t *testing.T) {
-	g := graph.NewDirected()
-	g.AddEdge(1, 2)
-	g.AddEdge(2, 1)
-	g.AddEdge(2, 3)
-	if got := Reciprocity(g); !approxEq(got, 2.0/3.0, 1e-12) {
+	if got := Reciprocity(directed([][2]int64{{1, 2}, {2, 1}, {2, 3}})); !approxEq(got, 2.0/3.0, 1e-12) {
 		t.Fatalf("reciprocity = %v", got)
 	}
-	if Reciprocity(graph.NewDirected()) != 0 {
+	if Reciprocity(directed(nil)) != 0 {
 		t.Fatal("empty reciprocity nonzero")
 	}
-	full := graph.NewDirected()
-	full.AddEdge(1, 2)
-	full.AddEdge(2, 1)
-	if Reciprocity(full) != 1 {
+	if Reciprocity(directed([][2]int64{{1, 2}, {2, 1}})) != 1 {
 		t.Fatal("fully reciprocal graph != 1")
 	}
 }
 
 func TestDegreeAssortativity(t *testing.T) {
 	// A star is maximally disassortative: r = -1.
-	star := graph.NewUndirectedCap(0)
-	for i := int64(1); i <= 6; i++ {
-		star.AddEdge(0, i)
-	}
+	star := undirected([][2]int64{{0, 1}, {0, 2}, {0, 3}, {0, 4}, {0, 5}, {0, 6}})
 	if got := DegreeAssortativity(star); !approxEq(got, -1, 1e-9) {
 		t.Fatalf("star assortativity = %v", got)
 	}
 	// A regular graph has zero degree variance: r defined as 0.
-	cyc := graph.NewUndirectedCap(0)
-	for i := int64(0); i < 6; i++ {
-		cyc.AddEdge(i, (i+1)%6)
-	}
+	cyc := graph.ProjectUView(gen.Ring(6))
 	if got := DegreeAssortativity(cyc); got != 0 {
 		t.Fatalf("cycle assortativity = %v", got)
 	}
-	if DegreeAssortativity(graph.NewUndirectedCap(0)) != 0 {
+	if DegreeAssortativity(undirected(nil)) != 0 {
 		t.Fatal("empty assortativity nonzero")
 	}
 }
 
 func TestEffectiveDiameterPath(t *testing.T) {
 	g := pathGraph(11) // distances 1..10 from the ends
-	eff := EffectiveDiameterView(graph.BuildView(g), 11, 1)
-	diam := float64(ApproxDiameterView(graph.BuildView(g), 11, 1))
+	eff := EffectiveDiameterView(g, 11, 1)
+	diam := float64(ApproxDiameterView(g, 11, 1))
 	if eff <= 0 || eff > diam {
 		t.Fatalf("effective diameter %v outside (0, %v]", eff, diam)
 	}
@@ -147,14 +128,14 @@ func TestEffectiveDiameterPath(t *testing.T) {
 	if eff < 5 {
 		t.Fatalf("effective diameter %v implausibly small", eff)
 	}
-	if EffectiveDiameterView(graph.BuildView(graph.NewDirected()), 3, 1) != 0 {
+	if EffectiveDiameterView(directed(nil), 3, 1) != 0 {
 		t.Fatal("empty effective diameter nonzero")
 	}
 }
 
 func TestPowerLawExponent(t *testing.T) {
 	// A BA graph has a power-law tail with alpha near 3.
-	g := barabasiForTest(2000, 3)
+	g := gen.BarabasiAlbert(2000, 3, 1)
 	alpha, ok := PowerLawExponent(g, 3)
 	if !ok {
 		t.Fatal("fit failed")
@@ -163,54 +144,18 @@ func TestPowerLawExponent(t *testing.T) {
 		t.Fatalf("BA alpha = %v, want near 3", alpha)
 	}
 	// Too few qualifying nodes.
-	small := graph.NewUndirectedCap(0)
-	small.AddEdge(1, 2)
-	if _, ok := PowerLawExponent(small, 1); ok {
+	if _, ok := PowerLawExponent(undirected([][2]int64{{1, 2}}), 1); ok {
 		t.Fatal("fit on 2 nodes accepted")
 	}
 }
 
-// barabasiForTest is a local preferential-attachment generator (gen imports
-// algo-free packages only, so tests build their own to avoid a cycle).
-func barabasiForTest(n, m int) *graph.Undirected {
-	g := graph.NewUndirectedCap(0)
-	endpoints := []int64{}
-	for i := 0; i <= m; i++ {
-		for j := i + 1; j <= m; j++ {
-			g.AddEdge(int64(i), int64(j))
-			endpoints = append(endpoints, int64(i), int64(j))
-		}
-	}
-	state := uint64(12345)
-	next := func(bound int) int {
-		state ^= state << 13
-		state ^= state >> 7
-		state ^= state << 17
-		return int(state % uint64(bound))
-	}
-	for v := m + 1; v < n; v++ {
-		chosen := map[int64]bool{}
-		for len(chosen) < m {
-			t := endpoints[next(len(endpoints))]
-			if t != int64(v) {
-				chosen[t] = true
-			}
-		}
-		for t := range chosen {
-			g.AddEdge(int64(v), t)
-			endpoints = append(endpoints, int64(v), t)
-		}
-	}
-	return g
-}
-
 func TestDegreePercentiles(t *testing.T) {
-	g := starGraph(9) // out-degrees: nine 1s and one 0
+	g := gen.Star(9) // out-degrees: nine 1s and one 0
 	pcts := DegreePercentiles(g, []float64{0, 50, 100})
 	if pcts[0] != 0 || pcts[2] != 1 {
 		t.Fatalf("percentiles = %v", pcts)
 	}
-	if got := DegreePercentiles(graph.NewDirected(), []float64{50}); got[0] != 0 {
+	if got := DegreePercentiles(directed(nil), []float64{50}); got[0] != 0 {
 		t.Fatal("empty percentile nonzero")
 	}
 }

@@ -3,12 +3,12 @@ package algo
 import (
 	"testing"
 
-	"ringo/internal/graph"
+	"ringo/internal/gen"
 )
 
 func TestLouvainSeparatesCliques(t *testing.T) {
 	g := twoCliques(6)
-	comm, q := LouvainView(uviewOf(g), 10)
+	comm, q := LouvainView(g, 10)
 	for i := int64(1); i < 6; i++ {
 		if comm[i] != comm[0] {
 			t.Fatalf("clique A split: %v", comm)
@@ -28,20 +28,16 @@ func TestLouvainSeparatesCliques(t *testing.T) {
 func TestLouvainRingOfCliques(t *testing.T) {
 	// Four 5-cliques in a ring, bridged by single edges: the canonical
 	// Louvain test — each clique is one community.
-	g := graph.NewUndirectedCap(0)
 	const k = 5
 	base := func(c int) int64 { return int64(100 * c) }
+	var edges [][2]int64
 	for c := 0; c < 4; c++ {
-		for i := int64(0); i < k; i++ {
-			for j := i + 1; j < k; j++ {
-				g.AddEdge(base(c)+i, base(c)+j)
-			}
+		for _, e := range clique(k) {
+			edges = append(edges, [2]int64{base(c) + e[0], base(c) + e[1]})
 		}
+		edges = append(edges, [2]int64{base(c), base((c+1)%4) + 1})
 	}
-	for c := 0; c < 4; c++ {
-		g.AddEdge(base(c), base((c+1)%4)+1)
-	}
-	comm, q := LouvainView(uviewOf(g), 10)
+	comm, q := LouvainView(undirected(edges), 10)
 	labels := map[int]bool{}
 	for c := 0; c < 4; c++ {
 		l := comm[base(c)]
@@ -61,25 +57,22 @@ func TestLouvainRingOfCliques(t *testing.T) {
 }
 
 func TestLouvainBeatsOrMatchesLabelPropagation(t *testing.T) {
-	g := barabasiForTest(400, 3)
-	_, ql := LouvainView(uviewOf(g), 10)
-	lp := LabelPropagationView(uviewOf(g), 20, 1)
-	qlp := ModularityView(uviewOf(g), lp)
+	g := gen.BarabasiAlbert(400, 3, 1)
+	_, ql := LouvainView(g, 10)
+	lp := LabelPropagationView(g, 20, 1)
+	qlp := ModularityView(g, lp)
 	if ql+1e-9 < qlp {
 		t.Fatalf("Louvain modularity %v below label propagation %v", ql, qlp)
 	}
 }
 
 func TestLouvainDegenerateInputs(t *testing.T) {
-	comm, q := LouvainView(uviewOf(graph.NewUndirectedCap(0)), 5)
+	comm, q := LouvainView(undirected(nil), 5)
 	if len(comm) != 0 || q != 0 {
 		t.Fatal("empty graph")
 	}
 	// Edgeless graph: every node its own community.
-	iso := graph.NewUndirectedCap(0)
-	iso.AddNode(1)
-	iso.AddNode(2)
-	comm, _ = LouvainView(uviewOf(iso), 5)
+	comm, _ = LouvainView(undirected(nil, 1, 2), 5)
 	if comm[1] == comm[2] {
 		t.Fatal("isolated nodes merged")
 	}
@@ -87,8 +80,8 @@ func TestLouvainDegenerateInputs(t *testing.T) {
 
 func TestLouvainDeterministic(t *testing.T) {
 	g := twoCliques(5)
-	a, qa := LouvainView(uviewOf(g), 10)
-	b, qb := LouvainView(uviewOf(g), 10)
+	a, qa := LouvainView(g, 10)
+	b, qb := LouvainView(g, 10)
 	if qa != qb {
 		t.Fatal("modularity differs across runs")
 	}
@@ -100,35 +93,34 @@ func TestLouvainDeterministic(t *testing.T) {
 }
 
 func TestGreedyColoringProper(t *testing.T) {
-	g := completeUndirected(5)
+	g := gen.Complete(5)
 	color, k := GreedyColoring(g)
 	if k != 5 {
 		t.Fatalf("K5 colors = %d", k)
 	}
-	g.ForEdges(func(u, v int64) {
-		if u != v && color[u] == color[v] {
-			t.Fatalf("edge %d-%d monochromatic", u, v)
+	for u, id := range g.IDs() {
+		for _, x := range g.Adj(int32(u)) {
+			if x != int32(u) && color[id] == color[g.ID(x)] {
+				t.Fatalf("edge %d-%d monochromatic", id, g.ID(x))
+			}
 		}
-	})
-	// A path is 2-colorable and Welsh-Powell achieves it.
-	p := graph.NewUndirectedCap(0)
-	for i := int64(0); i < 10; i++ {
-		p.AddEdge(i, i+1)
 	}
-	_, k = GreedyColoring(p)
-	if k != 2 {
+	// A path is 2-colorable and Welsh-Powell achieves it.
+	var path [][2]int64
+	for i := int64(0); i < 10; i++ {
+		path = append(path, [2]int64{i, i + 1})
+	}
+	if _, k = GreedyColoring(undirected(path)); k != 2 {
 		t.Fatalf("path colors = %d", k)
 	}
-	if _, k := GreedyColoring(graph.NewUndirectedCap(0)); k != 0 {
+	if _, k := GreedyColoring(undirected(nil)); k != 0 {
 		t.Fatal("empty graph colors != 0")
 	}
 }
 
 func TestMaximalMatching(t *testing.T) {
-	p := graph.NewUndirectedCap(0)
-	p.AddEdge(1, 2)
-	p.AddEdge(2, 3)
-	p.AddEdge(3, 4)
+	edges := [][2]int64{{1, 2}, {2, 3}, {3, 4}}
+	p := undirected(edges)
 	m := MaximalMatching(p)
 	// Validity: no shared endpoints.
 	used := map[int64]bool{}
@@ -142,16 +134,15 @@ func TestMaximalMatching(t *testing.T) {
 		}
 	}
 	// Maximality: every edge touches a matched node.
-	p.ForEdges(func(u, v int64) {
-		if !used[u] && !used[v] {
-			t.Fatalf("matching not maximal: edge %d-%d free", u, v)
+	for _, e := range edges {
+		if !used[e[0]] && !used[e[1]] {
+			t.Fatalf("matching not maximal: edge %d-%d free", e[0], e[1])
 		}
-	})
+	}
 }
 
 func TestIndependentSetGreedy(t *testing.T) {
-	g := completeUndirected(4)
-	g.AddEdge(9, 9) // self-loop node can never join
+	g := undirected(append(clique(4), [2]int64{9, 9})) // self-loop node can never join
 	is := IndependentSetGreedy(g)
 	if len(is) != 1 {
 		t.Fatalf("K4 independent set = %v", is)
@@ -165,10 +156,7 @@ func TestIndependentSetGreedy(t *testing.T) {
 		}
 	}
 	// Star: all leaves are independent.
-	star := graph.NewUndirectedCap(0)
-	for i := int64(1); i <= 5; i++ {
-		star.AddEdge(0, i)
-	}
+	star := undirected([][2]int64{{0, 1}, {0, 2}, {0, 3}, {0, 4}, {0, 5}})
 	if is := IndependentSetGreedy(star); len(is) != 5 {
 		t.Fatalf("star independent set = %v", is)
 	}

@@ -1,40 +1,31 @@
 package algo
 
 import (
-	"sort"
+	"slices"
 
 	"ringo/internal/graph"
 )
 
-// GreedyColoring colors the nodes of an undirected graph so no edge is
+// GreedyColoring colors the nodes of an undirected view so no edge is
 // monochromatic, using the Welsh-Powell heuristic: visit nodes in
 // descending degree order (ties by id) and give each the smallest color
 // unused by its neighbors. Returns the coloring and the number of colors.
 // Self-loops are ignored.
-func GreedyColoring(g *graph.Undirected) (map[int64]int, int) {
-	nodes := g.Nodes()
-	sort.SliceStable(nodes, func(i, j int) bool {
-		di, dj := g.Deg(nodes[i]), g.Deg(nodes[j])
-		if di != dj {
-			return di > dj
-		}
-		return nodes[i] < nodes[j]
-	})
-	color := make(map[int64]int, len(nodes))
-	for _, id := range nodes {
-		color[id] = -1
+func GreedyColoring(v *graph.UView) (map[int64]int, int) {
+	n := v.NumNodes()
+	color := make([]int, n)
+	for i := range color {
+		color[i] = -1
 	}
 	maxColor := 0
 	used := []bool{}
-	for _, u := range nodes {
-		for i := range used {
-			used[i] = false
-		}
-		for _, v := range g.Neighbors(u) {
-			if v == u {
+	for _, u := range degreeOrder(v, true) {
+		clear(used)
+		for _, x := range v.Adj(u) {
+			if x == u {
 				continue
 			}
-			if c := color[v]; c >= 0 {
+			if c := color[x]; c >= 0 {
 				for c >= len(used) {
 					used = append(used, false)
 				}
@@ -46,37 +37,49 @@ func GreedyColoring(g *graph.Undirected) (map[int64]int, int) {
 			c++
 		}
 		color[u] = c
-		if c+1 > maxColor {
-			maxColor = c + 1
-		}
+		maxColor = max(maxColor, c+1)
 	}
-	if len(nodes) == 0 {
-		return color, 0
+	out := make(map[int64]int, n)
+	for i, id := range v.IDs() {
+		out[id] = color[i]
 	}
-	return color, maxColor
+	return out, maxColor
 }
 
-// MaximalMatching returns a maximal matching of the undirected graph:
+// degreeOrder returns the dense indices of v by degree, descending or
+// ascending, ties by index (which is id order).
+func degreeOrder(v *graph.UView, descending bool) []int32 {
+	order := make([]int32, v.NumNodes())
+	for i := range order {
+		order[i] = int32(i)
+	}
+	slices.SortStableFunc(order, func(a, b int32) int {
+		if descending {
+			return v.Deg(b) - v.Deg(a)
+		}
+		return v.Deg(a) - v.Deg(b)
+	})
+	return order
+}
+
+// MaximalMatching returns a maximal matching of the undirected view:
 // greedy over edges in (src, dst) order, so the result is deterministic.
 // The matching is maximal (no edge can be added), not necessarily maximum.
 // Self-loops are skipped.
-func MaximalMatching(g *graph.Undirected) [][2]int64 {
-	matched := map[int64]bool{}
+func MaximalMatching(v *graph.UView) [][2]int64 {
+	matched := make([]bool, v.NumNodes())
 	var out [][2]int64
-	for _, u := range g.Nodes() {
+	for u := int32(0); int(u) < v.NumNodes(); u++ {
 		if matched[u] {
 			continue
 		}
-		for _, v := range g.Neighbors(u) {
-			if v == u || matched[v] {
+		for _, x := range v.Adj(u) {
+			if x == u || matched[x] {
 				continue
 			}
-			matched[u], matched[v] = true, true
-			a, b := u, v
-			if a > b {
-				a, b = b, a
-			}
-			out = append(out, [2]int64{a, b})
+			matched[u], matched[x] = true, true
+			a, b := min(u, x), max(u, x)
+			out = append(out, [2]int64{v.ID(a), v.ID(b)})
 			break
 		}
 	}
@@ -86,28 +89,22 @@ func MaximalMatching(g *graph.Undirected) [][2]int64 {
 // IndependentSetGreedy returns a maximal independent set: visit nodes in
 // ascending degree order and take every node none of whose neighbors is
 // already taken.
-func IndependentSetGreedy(g *graph.Undirected) []int64 {
-	nodes := g.Nodes()
-	sort.SliceStable(nodes, func(i, j int) bool {
-		di, dj := g.Deg(nodes[i]), g.Deg(nodes[j])
-		if di != dj {
-			return di < dj
-		}
-		return nodes[i] < nodes[j]
-	})
-	taken := map[int64]bool{}
-	blocked := map[int64]bool{}
-	var out []int64
-	for _, u := range nodes {
-		if blocked[u] || g.HasEdge(u, u) {
+func IndependentSetGreedy(v *graph.UView) []int64 {
+	blocked := make([]bool, v.NumNodes())
+	var taken []int32
+	for _, u := range degreeOrder(v, false) {
+		if _, loop := slices.BinarySearch(v.Adj(u), u); blocked[u] || loop {
 			continue
 		}
-		taken[u] = true
-		out = append(out, u)
-		for _, v := range g.Neighbors(u) {
-			blocked[v] = true
+		taken = append(taken, u)
+		for _, x := range v.Adj(u) {
+			blocked[x] = true
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(taken)
+	out := make([]int64, len(taken))
+	for i, u := range taken {
+		out[i] = v.ID(u)
+	}
 	return out
 }

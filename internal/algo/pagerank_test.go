@@ -5,31 +5,14 @@ import (
 	"runtime"
 	"testing"
 
-	"ringo/internal/graph"
+	"ringo/internal/gen"
 )
-
-func cycleGraph(n int) *graph.Directed {
-	g := graph.NewDirected()
-	for i := 0; i < n; i++ {
-		g.AddEdge(int64(i), int64((i+1)%n))
-	}
-	return g
-}
-
-func starGraph(leaves int) *graph.Directed {
-	// Edges point from leaves to the hub (node 0).
-	g := graph.NewDirected()
-	for i := 1; i <= leaves; i++ {
-		g.AddEdge(int64(i), 0)
-	}
-	return g
-}
 
 func approxEq(a, b, eps float64) bool { return math.Abs(a-b) <= eps }
 
 func TestPageRankUniformOnCycle(t *testing.T) {
-	g := cycleGraph(10)
-	pr := PageRankView(graph.BuildView(g), DefaultDamping, 50)
+	g := gen.Ring(10)
+	pr := PageRankView(g, DefaultDamping, 50)
 	for _, e := range pr {
 		if !approxEq(e.Score, 0.1, 1e-9) {
 			t.Fatalf("node %d rank %v, want 0.1", e.ID, e.Score)
@@ -38,16 +21,16 @@ func TestPageRankUniformOnCycle(t *testing.T) {
 }
 
 func TestPageRankSumsToOne(t *testing.T) {
-	g := starGraph(5) // hub is dangling
-	pr := PageRankView(graph.BuildView(g), DefaultDamping, 30)
+	g := gen.Star(5) // hub is dangling
+	pr := PageRankView(g, DefaultDamping, 30)
 	if s := sumScores(pr); !approxEq(s, 1, 1e-9) {
 		t.Fatalf("PageRank sum = %v, want 1 (dangling mass lost?)", s)
 	}
 }
 
 func TestPageRankHubHighest(t *testing.T) {
-	g := starGraph(8)
-	pr := PageRankView(graph.BuildView(g), DefaultDamping, 30)
+	g := gen.Star(8)
+	pr := PageRankView(g, DefaultDamping, 30)
 	top := TopK(pr, 1)
 	if top[0].ID != 0 {
 		t.Fatalf("top node = %d, want hub 0", top[0].ID)
@@ -60,14 +43,9 @@ func TestPageRankHubHighest(t *testing.T) {
 }
 
 func TestPageRankSeqMatchesParallel(t *testing.T) {
-	g := graph.NewDirected()
 	// Irregular graph.
-	edges := [][2]int64{{1, 2}, {2, 3}, {3, 1}, {3, 4}, {4, 5}, {5, 3}, {6, 1}, {2, 6}}
-	for _, e := range edges {
-		g.AddEdge(e[0], e[1])
-	}
+	v := directed([][2]int64{{1, 2}, {2, 3}, {3, 1}, {3, 4}, {4, 5}, {5, 3}, {6, 1}, {2, 6}})
 	// One worker runs the kernel sequentially; four split every sweep.
-	v := graph.BuildView(g)
 	old := runtime.GOMAXPROCS(1)
 	s := PageRankView(v, DefaultDamping, 25)
 	runtime.GOMAXPROCS(4)
@@ -81,27 +59,23 @@ func TestPageRankSeqMatchesParallel(t *testing.T) {
 }
 
 func TestPageRankEmptyGraph(t *testing.T) {
-	g := graph.NewDirected()
 	// Non-nil, so an Object holding it still reports kind "scores".
-	if pr := PageRankView(graph.BuildView(g), DefaultDamping, 10); pr == nil || len(pr) != 0 {
+	if pr := PageRankView(directed(nil), DefaultDamping, 10); pr == nil || len(pr) != 0 {
 		t.Fatalf("PageRank on empty graph = %#v", pr)
 	}
 }
 
 func TestPageRankConvergesToStationary(t *testing.T) {
 	// Two-node graph 1<->2: stationary distribution is (0.5, 0.5).
-	g := graph.NewDirected()
-	g.AddEdge(1, 2)
-	g.AddEdge(2, 1)
-	pr := PageRankView(graph.BuildView(g), DefaultDamping, 60)
+	pr := PageRankView(directed([][2]int64{{1, 2}, {2, 1}}), DefaultDamping, 60)
 	if !approxEq(at(pr, 1), 0.5, 1e-9) || !approxEq(at(pr, 2), 0.5, 1e-9) {
 		t.Fatalf("pr = %v", pr)
 	}
 }
 
 func TestPersonalizedPageRank(t *testing.T) {
-	g := cycleGraph(6)
-	ppr := PersonalizedPageRankView(graph.BuildView(g), []int64{0}, DefaultDamping, 40)
+	g := gen.Ring(6)
+	ppr := PersonalizedPageRankView(g, []int64{0}, DefaultDamping, 40)
 	if ppr == nil {
 		t.Fatal("nil result for valid seed")
 	}
@@ -114,20 +88,20 @@ func TestPersonalizedPageRank(t *testing.T) {
 	}
 	// No seed in the graph: an empty vector, but not nil — core.Object.Kind
 	// tells "scores" from "empty" by nil-ness.
-	if got := PersonalizedPageRankView(graph.BuildView(g), []int64{999}, DefaultDamping, 5); got == nil || len(got) != 0 {
+	if got := PersonalizedPageRankView(g, []int64{999}, DefaultDamping, 5); got == nil || len(got) != 0 {
 		t.Fatalf("unknown seed: got %v, want a non-nil empty vector", got)
 	}
 }
 
 func TestHITSBipartite(t *testing.T) {
 	// Hubs {1,2} point at authorities {10,11,12}.
-	g := graph.NewDirected()
+	var edges [][2]int64
 	for _, h := range []int64{1, 2} {
 		for _, a := range []int64{10, 11, 12} {
-			g.AddEdge(h, a)
+			edges = append(edges, [2]int64{h, a})
 		}
 	}
-	hs := HITSView(graph.BuildView(g), 30)
+	hs := HITSView(directed(edges), 30)
 	for _, h := range []int64{1, 2} {
 		if at(hs.Hub, h) <= at(hs.Hub, 10) {
 			t.Fatalf("hub score of %d (%v) not above authority node (%v)", h, at(hs.Hub, h), at(hs.Hub, 10))

@@ -137,39 +137,35 @@ func sameBits(t *testing.T, what string, got, want Scores) {
 // equalDegreeRuns has, for k = 1..7, a run of exactly k nodes sharing an
 // in-degree no other run has, so the four-lane groups start, end and
 // fall short at every offset; the sources' out-degrees vary as well.
-func equalDegreeRuns() *graph.Directed {
-	g := graph.NewDirected()
+func equalDegreeRuns() *graph.View {
+	var edges [][2]int64
 	src := int64(1000)
 	for k := 1; k <= 7; k++ {
 		for j := 0; j < k; j++ {
 			dst := int64(100*k + j)
 			for d := 0; d < 2*k+1; d++ {
-				g.AddEdge(src+int64((j+d)%(3*k)), dst)
+				edges = append(edges, [2]int64{src + int64((j+d)%(3*k)), dst})
 			}
 		}
 		src += 100
 	}
-	return g
+	return directed(edges)
 }
 
 // pullTestGraphs is the mapped tier's shape set plus the shapes that stress
 // the lanes: a skewed graph of many degree-sorted blocks and worker
 // ranges, all degree 1, equal-degree runs of every length 1–7, one hub,
 // no edges at all, and no nodes.
-func pullTestGraphs() map[string]*graph.Directed {
+func pullTestGraphs() map[string]*graph.View {
 	gs := extTestGraphs()
 	gs["rmat"] = rmatGraph(10, 6000, 3)
 	gs["rmat14"] = rmatGraph(14, 60000, 5)
 	gs["ring1"] = gen.Ring(1)
 	gs["ring7"] = gen.Ring(7)
 	gs["runs"] = equalDegreeRuns()
-	gs["hub"] = starGraph(1)
-	dangling := graph.NewDirected()
-	for id := int64(0); id < 9; id++ {
-		dangling.AddNode(id * 7)
-	}
-	gs["all-dangling"] = dangling
-	gs["empty"] = graph.NewDirected()
+	gs["hub"] = gen.Star(1)
+	gs["all-dangling"] = directed(nil, 0, 7, 14, 21, 28, 35, 42, 49, 56)
+	gs["empty"] = directed(nil)
 	return gs
 }
 
@@ -180,8 +176,7 @@ func TestPullKernelsBitIdentical(t *testing.T) {
 	graphs := pullTestGraphs()
 	for _, procs := range []int{1, 2, 4} {
 		old := runtime.GOMAXPROCS(procs)
-		for name, g := range graphs {
-			v := graph.BuildView(g)
+		for name, v := range graphs {
 			var seeds []int64
 			if n := v.NumNodes(); n > 0 {
 				seeds = []int64{v.ID(0), v.ID(int32(n / 2)), v.ID(int32(n - 1)), -1}
@@ -209,16 +204,17 @@ func FuzzPageRankBits(f *testing.F) {
 	f.Add([]byte{1, 2, 2, 3, 3, 1, 4, 4, 250, 9})
 	f.Add([]byte{0, 1, 2, 1, 3, 1, 4, 1, 5, 6, 7, 6, 8, 6, 9, 6, 10, 10})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		g := graph.NewDirected()
+		var edges [][2]int64
+		var nodes []int64
 		for ; len(data) >= 2; data = data[2:] {
 			src, dst := int64(data[0]%48), int64(data[1]%48)
 			if data[0] >= 240 {
-				g.AddNode(dst)
+				nodes = append(nodes, dst)
 				continue
 			}
-			g.AddEdge(src, dst)
+			edges = append(edges, [2]int64{src, dst})
 		}
-		v := graph.BuildView(g)
+		v := directed(edges, nodes...)
 		old := runtime.GOMAXPROCS(1)
 		defer runtime.GOMAXPROCS(old)
 		for _, procs := range []int{1, 4} {

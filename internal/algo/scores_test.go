@@ -10,7 +10,6 @@ import (
 	"slices"
 	"testing"
 
-	"ringo/internal/gen"
 	"ringo/internal/graph"
 	"ringo/internal/par"
 )
@@ -162,7 +161,7 @@ func pageRankPerEdge(v *graph.View, damping float64, iters int, parallel bool) [
 
 // TestPageRankBitIdentical pins PageRankView to the per-edge-division
 // reference bit for bit, over the shape families of the oracle suites
-// (G(n,m), ring, star, isolated nodes, tombstoned slots), on one core and
+// (G(n,m), ring, star, isolated nodes, deleted nodes), on one core and
 // on four — the dangling-mass fold order follows the worker count, so each
 // count is its own case.
 func TestPageRankBitIdentical(t *testing.T) {
@@ -170,8 +169,7 @@ func TestPageRankBitIdentical(t *testing.T) {
 	graphs["rmat"] = rmatGraph(10, 6000, 3)
 	for _, procs := range []int{1, 4} {
 		old := runtime.GOMAXPROCS(procs)
-		for name, g := range graphs {
-			v := graph.BuildView(g)
+		for name, v := range graphs {
 			same := func(kernel string, got Scores, want []float64) {
 				t.Helper()
 				if len(got) != len(want) {
@@ -189,17 +187,6 @@ func TestPageRankBitIdentical(t *testing.T) {
 		}
 		runtime.GOMAXPROCS(old)
 	}
-}
-
-// rmatGraph builds the directed graph of an R-MAT edge list with the
-// benchmark's parameters.
-func rmatGraph(scale int, edges, seed int64) *graph.Directed {
-	src, dst := gen.RMATEdges(scale, edges, 0.57, 0.19, 0.19, seed)
-	g := graph.NewDirected()
-	for i := range src {
-		g.AddEdge(src[i], dst[i])
-	}
-	return g
 }
 
 // rankedVector builds an id-sorted vector of n distinct-ish scores.
@@ -231,7 +218,7 @@ func BenchmarkTopK(b *testing.B) {
 // BenchmarkPageRankView is the `pagerank` verb's kernel plus result
 // materialization at the update-query workload's graph size.
 func BenchmarkPageRankView(b *testing.B) {
-	v := graph.BuildView(rmatGraph(15, 200000, 1))
+	v := rmatGraph(15, 200000, 1)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -244,7 +231,7 @@ func BenchmarkPageRankView(b *testing.B) {
 // BenchmarkHITSView is HITSView, the pull core over in- and out-edges, at
 // the update-query workload's graph size.
 func BenchmarkHITSView(b *testing.B) {
-	v := graph.BuildView(rmatGraph(15, 200000, 1))
+	v := rmatGraph(15, 200000, 1)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -3,7 +3,7 @@ package algo
 import (
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"ringo/internal/graph"
 )
@@ -15,17 +15,19 @@ import (
 
 // Reciprocity returns the fraction of directed edges whose reverse edge
 // also exists (self-loops count as reciprocated). Zero for edgeless graphs.
-func Reciprocity(g *graph.Directed) float64 {
-	if g.NumEdges() == 0 {
+func Reciprocity(v *graph.View) float64 {
+	if v.NumEdges() == 0 {
 		return 0
 	}
 	var recip int64
-	g.ForEdges(func(src, dst int64) {
-		if g.HasEdge(dst, src) {
-			recip++
+	for u := int32(0); int(u) < v.NumNodes(); u++ {
+		for _, x := range v.Out(u) {
+			if _, back := slices.BinarySearch(v.Out(x), u); back {
+				recip++
+			}
 		}
-	})
-	return float64(recip) / float64(g.NumEdges())
+	}
+	return float64(recip) / float64(v.NumEdges())
 }
 
 // DegreeAssortativity returns the Pearson correlation of degrees across
@@ -33,22 +35,24 @@ func Reciprocity(g *graph.Directed) float64 {
 // mean high-degree nodes attach to high-degree nodes; social networks are
 // typically assortative, technological graphs disassortative. Returns 0
 // when degenerate (no edges or zero variance).
-func DegreeAssortativity(g *graph.Undirected) float64 {
+func DegreeAssortativity(v *graph.UView) float64 {
 	var m float64
 	var sumXY, sumX, sumY, sumX2, sumY2 float64
-	g.ForEdges(func(u, v int64) {
-		if u == v {
-			return
+	for u := int32(0); int(u) < v.NumNodes(); u++ {
+		for _, x := range v.Adj(u) {
+			if x <= u {
+				continue // each edge once, self-loops skipped
+			}
+			du, dv := float64(v.Deg(u)), float64(v.Deg(x))
+			// Each undirected edge contributes both orientations.
+			sumXY += 2 * du * dv
+			sumX += du + dv
+			sumY += du + dv
+			sumX2 += du*du + dv*dv
+			sumY2 += du*du + dv*dv
+			m += 2
 		}
-		du, dv := float64(g.Deg(u)), float64(g.Deg(v))
-		// Each undirected edge contributes both orientations.
-		sumXY += 2 * du * dv
-		sumX += du + dv
-		sumY += du + dv
-		sumX2 += du*du + dv*dv
-		sumY2 += du*du + dv*dv
-		m += 2
-	})
+	}
 	if m == 0 {
 		return 0
 	}
@@ -114,19 +118,18 @@ func EffectiveDiameterView(v *graph.View, samples int, seed int64) float64 {
 // distribution with the discrete maximum-likelihood estimator of Clauset,
 // Shalizi & Newman (alpha = 1 + n / Σ ln(d_i / (dmin - 0.5))) over degrees
 // >= dmin. ok is false when fewer than 10 nodes reach dmin.
-func PowerLawExponent(g *graph.Undirected, dmin int) (alpha float64, ok bool) {
+func PowerLawExponent(v *graph.UView, dmin int) (alpha float64, ok bool) {
 	if dmin < 1 {
 		dmin = 1
 	}
 	var sum float64
 	n := 0
-	g.ForNodes(func(id int64) {
-		d := g.Deg(id)
-		if d >= dmin {
+	for u := int32(0); int(u) < v.NumNodes(); u++ {
+		if d := v.Deg(u); d >= dmin {
 			sum += math.Log(float64(d) / (float64(dmin) - 0.5))
 			n++
 		}
-	})
+	}
 	if n < 10 || sum == 0 {
 		return 0, false
 	}
@@ -135,10 +138,12 @@ func PowerLawExponent(g *graph.Undirected, dmin int) (alpha float64, ok bool) {
 
 // DegreePercentiles returns the requested percentiles (0-100) of the
 // out-degree distribution.
-func DegreePercentiles(g *graph.Directed, pcts []float64) []int {
-	degs := make([]int, 0, g.NumNodes())
-	g.ForNodes(func(id int64) { degs = append(degs, g.OutDeg(id)) })
-	sort.Ints(degs)
+func DegreePercentiles(v *graph.View, pcts []float64) []int {
+	degs := make([]int, v.NumNodes())
+	for u := range degs {
+		degs[u] = v.OutDeg(int32(u))
+	}
+	slices.Sort(degs)
 	out := make([]int, len(pcts))
 	for i, p := range pcts {
 		if len(degs) == 0 {

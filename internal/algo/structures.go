@@ -197,12 +197,6 @@ func TopoSortView(v *graph.View) ([]int64, error) {
 	return order, nil
 }
 
-// IsDAG reports whether the directed graph is acyclic.
-func IsDAG(g *graph.Directed) bool {
-	_, err := TopoSortView(graph.BuildView(g))
-	return err == nil
-}
-
 // BipartitionView two-colors an undirected graph. ok is false if the graph
 // contains an odd cycle (not bipartite); otherwise side maps every node to
 // 0 or 1 with no monochromatic edge.
@@ -248,44 +242,48 @@ type MSTEdge struct {
 }
 
 // MinimumSpanningForest computes a minimum spanning forest of an undirected
-// graph under the given edge weights (Kruskal with union-find). Self-loops
-// are ignored. The total weight and the chosen edges are returned; for a
-// connected graph the forest is a spanning tree.
-func MinimumSpanningForest(g *graph.Undirected, w func(u, v int64) float64) (edges []MSTEdge, total float64) {
-	all := make([]MSTEdge, 0, g.NumEdges())
-	g.ForEdges(func(u, v int64) {
-		if u != v {
-			all = append(all, MSTEdge{u, v, w(u, v)})
-		}
-	})
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].Weight != all[j].Weight {
-			return all[i].Weight < all[j].Weight
-		}
-		if all[i].Src != all[j].Src {
-			return all[i].Src < all[j].Src
-		}
-		return all[i].Dst < all[j].Dst
-	})
-	parent := map[int64]int64{}
-	var find func(x int64) int64
-	find = func(x int64) int64 {
-		p, ok := parent[x]
-		if !ok || p == x {
-			return x
-		}
-		r := find(p)
-		parent[x] = r
-		return r
+// view under the given edge weights, called with node ids (Kruskal with
+// union-find). Self-loops are ignored. The total weight and the chosen
+// edges are returned; for a connected graph the forest is a spanning tree.
+func MinimumSpanningForest(v *graph.UView, w func(a, b int64) float64) (edges []MSTEdge, total float64) {
+	// Dense indices ascend with ids, so (weight, u, x) is the
+	// (Weight, Src, Dst) order.
+	type arc struct {
+		u, x int32
+		w    float64
 	}
-	for _, e := range all {
-		ra, rb := find(e.Src), find(e.Dst)
-		if ra == rb {
-			continue
+	var all []arc
+	for u := int32(0); int(u) < v.NumNodes(); u++ {
+		for _, x := range v.Adj(u) {
+			if x > u {
+				all = append(all, arc{u, x, w(v.ID(u), v.ID(x))})
+			}
 		}
-		parent[ra] = rb
-		edges = append(edges, e)
-		total += e.Weight
+	}
+	sort.Slice(all, func(i, j int) bool {
+		a, b := all[i], all[j]
+		if a.w != b.w {
+			return a.w < b.w
+		}
+		return a.u < b.u || a.u == b.u && a.x < b.x
+	})
+	parent := make([]int32, v.NumNodes())
+	for i := range parent {
+		parent[i] = int32(i)
+	}
+	var find func(x int32) int32
+	find = func(x int32) int32 {
+		if parent[x] != x {
+			parent[x] = find(parent[x])
+		}
+		return parent[x]
+	}
+	for _, a := range all {
+		if ra, rb := find(a.u), find(a.x); ra != rb {
+			parent[ra] = rb
+			edges = append(edges, MSTEdge{v.ID(a.u), v.ID(a.x), a.w})
+			total += a.w
+		}
 	}
 	return edges, total
 }

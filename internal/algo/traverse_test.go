@@ -5,20 +5,11 @@ import (
 	"testing"
 	"testing/quick"
 
-	"ringo/internal/graph"
+	"ringo/internal/gen"
 )
 
-func pathGraph(n int) *graph.Directed {
-	g := graph.NewDirected()
-	for i := 0; i < n-1; i++ {
-		g.AddEdge(int64(i), int64(i+1))
-	}
-	return g
-}
-
 func TestBFSDistancesOnPath(t *testing.T) {
-	g := pathGraph(6)
-	v := graph.BuildView(g)
+	v := pathGraph(6)
 	dist := BFSView(v, 0, Out)
 	for i := 0; i < 6; i++ {
 		if dist[int64(i)] != i {
@@ -43,7 +34,7 @@ func TestBFSDistancesOnPath(t *testing.T) {
 }
 
 func TestBFSMissingSource(t *testing.T) {
-	if BFSView(graph.BuildView(pathGraph(3)), 99, Out) != nil {
+	if BFSView(pathGraph(3), 99, Out) != nil {
 		t.Fatal("BFS from missing node returned non-nil")
 	}
 }
@@ -51,9 +42,7 @@ func TestBFSMissingSource(t *testing.T) {
 // TestSSSPUnweightedMatchesBFS holds unit-length SSSP (Table 6), which is
 // out-edge BFS, to the hop distances a shortcut edge makes.
 func TestSSSPUnweightedMatchesBFS(t *testing.T) {
-	g := pathGraph(5)
-	g.AddEdge(0, 3) // shortcut
-	dist := BFSView(graph.BuildView(g), 0, Out)
+	dist := BFSView(pathGraph(5, [2]int64{0, 3}), 0, Out) // 0->3 a shortcut
 	want := map[int64]int{0: 0, 1: 1, 2: 2, 3: 1, 4: 2}
 	if !reflect.DeepEqual(dist, want) {
 		t.Fatalf("shortcut distances = %v, want %v", dist, want)
@@ -61,8 +50,7 @@ func TestSSSPUnweightedMatchesBFS(t *testing.T) {
 }
 
 func TestShortestPath(t *testing.T) {
-	g := pathGraph(4)
-	v := graph.BuildView(g)
+	v := pathGraph(4)
 	if d := ShortestPathView(v, 2, 2); d != 0 {
 		t.Fatalf("self distance = %d", d)
 	}
@@ -81,17 +69,15 @@ func TestShortestPath(t *testing.T) {
 }
 
 func TestDijkstraPrefersLightPath(t *testing.T) {
-	g := graph.NewDirected()
-	g.AddEdge(1, 2) // weight 10 (direct)
-	g.AddEdge(1, 3) // weight 1
-	g.AddEdge(3, 2) // weight 1
+	// 1->2 weighs 10, 1->3 and 3->2 weigh 1.
+	g := directed([][2]int64{{1, 2}, {1, 3}, {3, 2}})
 	w := func(src, dst int64) float64 {
 		if src == 1 && dst == 2 {
 			return 10
 		}
 		return 1
 	}
-	dist := DijkstraView(graph.BuildView(g), 1, w)
+	dist := DijkstraView(g, 1, w)
 	if !approxEq(at(dist, 2), 2, 1e-12) {
 		t.Fatalf("dist[2] = %v, want 2 (via node 3)", at(dist, 2))
 	}
@@ -101,24 +87,21 @@ func TestDijkstraPrefersLightPath(t *testing.T) {
 }
 
 func TestDijkstraUnreachableAbsent(t *testing.T) {
-	g := graph.NewDirected()
-	g.AddEdge(1, 2)
-	g.AddNode(3)
-	dist := DijkstraView(graph.BuildView(g), 1, func(a, b int64) float64 { return 1 })
+	g := directed([][2]int64{{1, 2}}, 3)
+	dist := DijkstraView(g, 1, func(a, b int64) float64 { return 1 })
 	if _, ok := dist.Get(3); ok {
 		t.Fatal("unreachable node present in Dijkstra result")
 	}
-	if DijkstraView(graph.BuildView(g), 99, func(a, b int64) float64 { return 1 }) != nil {
+	if DijkstraView(g, 99, func(a, b int64) float64 { return 1 }) != nil {
 		t.Fatal("Dijkstra from missing node returned non-nil")
 	}
 }
 
 func TestDijkstraMatchesBFSWithUnitWeights(t *testing.T) {
-	g := pathGraph(8)
-	g.AddEdge(2, 6)
+	g := pathGraph(8, [2]int64{2, 6})
 	unit := func(a, b int64) float64 { return 1 }
-	dd := DijkstraView(graph.BuildView(g), 0, unit)
-	bd := BFSView(graph.BuildView(g), 0, Out)
+	dd := DijkstraView(g, 0, unit)
+	bd := BFSView(g, 0, Out)
 	for id, hops := range bd {
 		if !approxEq(at(dd, id), float64(hops), 1e-12) {
 			t.Fatalf("node %d: dijkstra %v != bfs %d", id, at(dd, id), hops)
@@ -127,12 +110,7 @@ func TestDijkstraMatchesBFSWithUnitWeights(t *testing.T) {
 }
 
 func TestWCCTwoComponents(t *testing.T) {
-	g := graph.NewDirected()
-	g.AddEdge(1, 2)
-	g.AddEdge(2, 3)
-	g.AddEdge(10, 11)
-	g.AddNode(99)
-	c := WCCView(graph.BuildView(g))
+	c := WCCView(directed([][2]int64{{1, 2}, {2, 3}, {10, 11}}, 99))
 	if c.Count != 3 {
 		t.Fatalf("WCC count = %d, want 3", c.Count)
 	}
@@ -145,23 +123,18 @@ func TestWCCTwoComponents(t *testing.T) {
 }
 
 func TestWCCDirectionIgnored(t *testing.T) {
-	g := graph.NewDirected()
-	g.AddEdge(1, 2)
-	g.AddEdge(3, 2) // converging arrows still connect weakly
-	c := WCCView(graph.BuildView(g))
+	c := WCCView(directed([][2]int64{{1, 2}, {3, 2}})) // converging arrows still connect weakly
 	if c.Count != 1 {
 		t.Fatalf("WCC count = %d, want 1", c.Count)
 	}
 }
 
 func TestSCCCycleAndDAG(t *testing.T) {
-	cyc := cycleGraph(5)
-	c := SCCView(graph.BuildView(cyc))
+	c := SCCView(gen.Ring(5))
 	if c.Count != 1 || c.MaxSize != 5 {
 		t.Fatalf("cycle SCC = (%d comps, max %d)", c.Count, c.MaxSize)
 	}
-	dag := pathGraph(5)
-	c = SCCView(graph.BuildView(dag))
+	c = SCCView(pathGraph(5))
 	if c.Count != 5 || c.MaxSize != 1 {
 		t.Fatalf("path SCC = (%d comps, max %d)", c.Count, c.MaxSize)
 	}
@@ -171,11 +144,11 @@ func TestSCCCycleAndDAG(t *testing.T) {
 // weak component, so SCC labels refine WCC labels and WCC never counts more.
 func TestSCCRefinesWCC(t *testing.T) {
 	f := func(edges [][2]int8) bool {
-		g := graph.NewDirected()
+		var wide [][2]int64
 		for _, e := range edges {
-			g.AddEdge(int64(e[0]%20), int64(e[1]%20))
+			wide = append(wide, [2]int64{int64(e[0] % 20), int64(e[1] % 20)})
 		}
-		v := graph.BuildView(g)
+		v := directed(wide)
 		wcc, scc := WCCView(v), SCCView(v)
 		weakOf := map[int]int{}
 		weak := wcc.Label()
@@ -194,16 +167,12 @@ func TestSCCRefinesWCC(t *testing.T) {
 
 func TestSCCTextbookExample(t *testing.T) {
 	// Components: {1,2,3}, {4,5}, {6}.
-	g := graph.NewDirected()
-	for _, e := range [][2]int64{
+	c := SCCView(directed([][2]int64{
 		{1, 2}, {2, 3}, {3, 1}, // cycle A
 		{3, 4},
 		{4, 5}, {5, 4}, // cycle B
 		{5, 6},
-	} {
-		g.AddEdge(e[0], e[1])
-	}
-	c := SCCView(graph.BuildView(g))
+	}))
 	if c.Count != 3 {
 		t.Fatalf("SCC count = %d, want 3", c.Count)
 	}
@@ -224,8 +193,7 @@ func TestSCCTextbookExample(t *testing.T) {
 
 func TestSCCDeepGraphNoStackOverflow(t *testing.T) {
 	// A 200k-node path would overflow a recursive Tarjan.
-	g := pathGraph(200_000)
-	c := SCCView(graph.BuildView(g))
+	c := SCCView(pathGraph(200_000))
 	if c.Count != 200_000 {
 		t.Fatalf("deep path SCC count = %d", c.Count)
 	}

@@ -12,73 +12,38 @@ import (
 	"ringo/internal/graph"
 )
 
-// uviewOf is the CSR view of an undirected model graph, built from its edge
-// columns: BuildViewCols of one arc per edge, projected.
-func uviewOf(g *graph.Undirected) *graph.UView {
-	var srcs, dsts []int64
-	g.ForEdges(func(a, b int64) { srcs, dsts = append(srcs, a), append(dsts, b) })
-	v, err := graph.BuildViewCols(srcs, dsts, g.Nodes())
-	if err != nil {
-		panic(err)
-	}
-	return graph.ProjectUView(v)
-}
-
-func completeUndirected(n int) *graph.Undirected {
-	g := graph.NewUndirectedCap(0)
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			g.AddEdge(int64(i), int64(j))
-		}
-	}
-	return g
-}
-
 func TestTrianglesKnownCounts(t *testing.T) {
-	cases := []struct {
-		g    *graph.Undirected
-		want int64
-		name string
-	}{
-		{completeUndirected(3), 1, "K3"},
-		{completeUndirected(4), 4, "K4"},
-		{completeUndirected(5), 10, "K5"},
-		{completeUndirected(6), 20, "K6"},
-	}
-	for _, c := range cases {
-		if got := TrianglesView(uviewOf(c.g)); got != c.want {
-			t.Fatalf("%s: Triangles = %d, want %d", c.name, got, c.want)
+	for n, want := range map[int]int64{3: 1, 4: 4, 5: 10, 6: 20} {
+		if got := TrianglesView(gen.Complete(n)); got != want {
+			t.Fatalf("K%d: Triangles = %d, want %d", n, got, want)
 		}
 	}
 }
 
 func TestTrianglesPathHasNone(t *testing.T) {
-	g := graph.NewUndirectedCap(0)
+	var path [][2]int64
 	for i := int64(0); i < 10; i++ {
-		g.AddEdge(i, i+1)
+		path = append(path, [2]int64{i, i + 1})
 	}
-	if got := TrianglesView(uviewOf(g)); got != 0 {
+	if got := TrianglesView(undirected(path)); got != 0 {
 		t.Fatalf("path triangles = %d", got)
 	}
 }
 
 func TestTrianglesIgnoreSelfLoops(t *testing.T) {
-	g := completeUndirected(3)
-	g.AddEdge(0, 0)
-	if got := TrianglesView(uviewOf(g)); got != 1 {
+	if got := TrianglesView(undirected(append(clique(3), [2]int64{0, 0}))); got != 1 {
 		t.Fatalf("triangles with self-loop = %d, want 1", got)
 	}
 }
 
 func TestNodeTrianglesSumIsThreeTimesTotal(t *testing.T) {
-	g := completeUndirected(5)
-	g.AddEdge(10, 11) // isolated edge, no triangles
-	per := NodeTrianglesView(uviewOf(g))
+	g := undirected(append(clique(5), [2]int64{10, 11})) // isolated edge, no triangles
+	per := NodeTrianglesView(g)
 	var sum int64
 	for _, c := range per {
 		sum += c
 	}
-	total := TrianglesView(uviewOf(g))
+	total := TrianglesView(g)
 	if sum != 3*total {
 		t.Fatalf("sum of per-node counts %d != 3×%d", sum, total)
 	}
@@ -91,33 +56,16 @@ func TestNodeTrianglesSumIsThreeTimesTotal(t *testing.T) {
 	}
 }
 
-// brute-force reference: count triples with all three edges.
-func bruteTriangles(g *graph.Undirected) int64 {
-	nodes := g.Nodes()
-	var count int64
-	for i := 0; i < len(nodes); i++ {
-		for j := i + 1; j < len(nodes); j++ {
-			if !g.HasEdge(nodes[i], nodes[j]) {
-				continue
-			}
-			for k := j + 1; k < len(nodes); k++ {
-				if g.HasEdge(nodes[j], nodes[k]) && g.HasEdge(nodes[i], nodes[k]) {
-					count++
-				}
-			}
-		}
-	}
-	return count
-}
-
 func TestTrianglesMatchBruteForceProperty(t *testing.T) {
 	f := func(edges [][2]int8) bool {
-		g := graph.NewUndirectedCap(0)
+		var wide [][2]int64
+		var src, dst []int64
 		for _, e := range edges {
-			g.AddEdge(int64(e[0]%12), int64(e[1]%12))
+			a, b := int64(e[0]%12), int64(e[1]%12)
+			wide = append(wide, [2]int64{a, b})
+			src, dst = append(src, a), append(dst, b)
 		}
-		want := bruteTriangles(g)
-		return TrianglesView(uviewOf(g)) == want
+		return TrianglesView(undirected(wide)) == bruteTriangles3(src, dst).total
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {
 		t.Fatal(err)
@@ -125,18 +73,17 @@ func TestTrianglesMatchBruteForceProperty(t *testing.T) {
 }
 
 func TestClusteringCoefficientComplete(t *testing.T) {
-	g := completeUndirected(6)
-	if cc := ClusteringCoefficientView(uviewOf(g)); !approxEq(cc, 1, 1e-12) {
+	if cc := ClusteringCoefficientView(gen.Complete(6)); !approxEq(cc, 1, 1e-12) {
 		t.Fatalf("clustering of K6 = %v, want 1", cc)
 	}
 }
 
 func TestClusteringCoefficientStarIsZero(t *testing.T) {
-	g := graph.NewUndirectedCap(0)
+	var star [][2]int64
 	for i := int64(1); i <= 6; i++ {
-		g.AddEdge(0, i)
+		star = append(star, [2]int64{0, i})
 	}
-	if cc := ClusteringCoefficientView(uviewOf(g)); cc != 0 {
+	if cc := ClusteringCoefficientView(undirected(star)); cc != 0 {
 		t.Fatalf("clustering of star = %v", cc)
 	}
 }
@@ -144,19 +91,15 @@ func TestClusteringCoefficientStarIsZero(t *testing.T) {
 func TestClusteringCoefficientTrianglePlusTail(t *testing.T) {
 	// Triangle {0,1,2} plus tail 2-3. Nodes 0,1 have cc 1; node 2 has
 	// cc = 1/3 (one of three neighbor pairs connected); node 3 deg 1 → 0.
-	g := graph.NewUndirectedCap(0)
-	g.AddEdge(0, 1)
-	g.AddEdge(1, 2)
-	g.AddEdge(0, 2)
-	g.AddEdge(2, 3)
+	g := undirected([][2]int64{{0, 1}, {1, 2}, {0, 2}, {2, 3}})
 	want := (1.0 + 1.0 + 1.0/3.0 + 0.0) / 4.0
-	if cc := ClusteringCoefficientView(uviewOf(g)); !approxEq(cc, want, 1e-12) {
+	if cc := ClusteringCoefficientView(g); !approxEq(cc, want, 1e-12) {
 		t.Fatalf("clustering = %v, want %v", cc, want)
 	}
 }
 
 func TestClusteringEmptyGraph(t *testing.T) {
-	if cc := ClusteringCoefficientView(uviewOf(graph.NewUndirectedCap(0))); cc != 0 {
+	if cc := ClusteringCoefficientView(undirected(nil)); cc != 0 {
 		t.Fatalf("clustering of empty graph = %v", cc)
 	}
 }
@@ -242,12 +185,11 @@ func bruteTriangles3(src, dst []int64) triangleRef {
 // brute-force reference at each worker count.
 func checkTriangleKernels(t *testing.T, src, dst []int64, procs ...int) {
 	t.Helper()
-	d, u := graph.NewDirected(), graph.NewUndirectedCap(0)
-	for i := range src {
-		d.AddEdge(src[i], dst[i])
-		u.AddEdge(src[i], dst[i])
+	v, err := graph.BuildViewCols(src, dst, nil)
+	if err != nil {
+		t.Fatal(err)
 	}
-	v, uv := graph.BuildView(d), uviewOf(u)
+	uv := graph.ProjectUView(v)
 	want := bruteTriangles3(src, dst)
 	old := runtime.GOMAXPROCS(1)
 	defer runtime.GOMAXPROCS(old)
@@ -301,7 +243,7 @@ func FuzzTriangles(f *testing.F) {
 // BenchmarkClusteringView is the `clustering` verb's kernel at the
 // update-query workload's graph size.
 func BenchmarkClusteringView(b *testing.B) {
-	uv := graph.ProjectUView(graph.BuildView(rmatGraph(15, 200000, 1)))
+	uv := graph.ProjectUView(rmatGraph(15, 200000, 1))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -314,7 +256,7 @@ func BenchmarkClusteringView(b *testing.B) {
 // BenchmarkCountMotifsView is the `motifs` verb's kernel, projection
 // included, at the update-query workload's graph size.
 func BenchmarkCountMotifsView(b *testing.B) {
-	v := graph.BuildView(rmatGraph(15, 200000, 1))
+	v := rmatGraph(15, 200000, 1)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

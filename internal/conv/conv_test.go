@@ -12,20 +12,91 @@ import (
 	"ringo/internal/table"
 )
 
-// naiveToDirected is the per-edge-insert baseline the sort-first algorithm
-// replaces: one AddEdge per row, paying a hash lookup plus a sorted
-// insertion per edge. It is the reference the oracle tests compare against
-// and the other side of the conversion ablation below.
-func naiveToDirected(t *table.Table, srcCol, dstCol string) (*graph.Directed, error) {
+// naiveGraph is the per-edge-insert baseline the sort-first algorithm
+// replaces: one hash lookup plus one sorted insertion per row and
+// direction, the way a hash-of-nodes graph grows an edge at a time. It is
+// the reference the oracle tests compare against and the other side of
+// the conversion ablation below.
+type naiveGraph struct {
+	out, in map[int64][]int64 // every node is a key of both
+	edges   int64
+}
+
+func naiveToDirected(t *table.Table, srcCol, dstCol string) (*naiveGraph, error) {
 	srcs, dsts, err := edgeColumns(t, srcCol, dstCol)
 	if err != nil {
 		return nil, err
 	}
-	g := graph.NewDirected()
+	g := &naiveGraph{out: map[int64][]int64{}, in: map[int64][]int64{}}
+	insert := func(adj map[int64][]int64, at, v int64) bool {
+		pos, found := slices.BinarySearch(adj[at], v)
+		if !found {
+			adj[at] = slices.Insert(adj[at], pos, v)
+		}
+		return !found
+	}
 	for i := range srcs {
-		g.AddEdge(srcs[i], dsts[i])
+		s, d := srcs[i], dsts[i]
+		for _, id := range []int64{s, d} {
+			if _, ok := g.out[id]; !ok {
+				g.out[id], g.in[id] = nil, nil
+			}
+		}
+		if insert(g.out, s, d) {
+			insert(g.in, d, s)
+			g.edges++
+		}
 	}
 	return g, nil
+}
+
+// sameAsNaive reports whether view v holds exactly the naive graph g.
+func sameAsNaive(v *graph.View, g *naiveGraph) error {
+	if v.NumNodes() != len(g.out) || v.NumEdges() != g.edges {
+		return fmt.Errorf("view (%d,%d) != naive (%d,%d)", v.NumNodes(), v.NumEdges(), len(g.out), g.edges)
+	}
+	for u, id := range v.IDs() {
+		for _, dir := range []struct {
+			got  []int32
+			want []int64
+		}{{v.Out(int32(u)), g.out[id]}, {v.In(int32(u)), g.in[id]}} {
+			if len(dir.got) != len(dir.want) {
+				return fmt.Errorf("node %d: %d neighbours, naive %d", id, len(dir.got), len(dir.want))
+			}
+			for j, x := range dir.got {
+				if v.ID(x) != dir.want[j] {
+					return fmt.Errorf("node %d: neighbour %d is %d, naive %d", id, j, v.ID(x), dir.want[j])
+				}
+			}
+		}
+	}
+	return nil
+}
+
+// toDirected runs ToDirected and returns the graph as its view, after
+// holding it to ToView of the same columns: BuildView translates the
+// thawed out- and in-vectors as stored, while ToView sorts, deduplicates
+// and transposes, so the two agree only when every vector is sorted and
+// duplicate-free, the in-vectors mirror the out-vectors and the counts are
+// right.
+func toDirected(tbl *table.Table, srcCol, dstCol string) (*graph.View, error) {
+	g, err := ToDirected(tbl, srcCol, dstCol)
+	if err != nil {
+		return nil, err
+	}
+	want, err := ToView(tbl, srcCol, dstCol)
+	if err != nil {
+		return nil, err
+	}
+	v := graph.BuildView(g)
+	ids, outOff, inOff, out, in := v.ViewParts()
+	wids, wOutOff, wInOff, wOut, wIn := want.ViewParts()
+	if !slices.Equal(ids, wids) || !slices.Equal(outOff, wOutOff) || !slices.Equal(inOff, wInOff) ||
+		!slices.Equal(out, wOut) || !slices.Equal(in, wIn) ||
+		g.NumNodes() != v.NumNodes() || g.NumEdges() != v.NumEdges() {
+		return nil, fmt.Errorf("graph of %d nodes, %d edges differs from the view of its columns", g.NumNodes(), g.NumEdges())
+	}
+	return v, nil
 }
 
 func edgeTable(t *testing.T, edges ...[2]int64) *table.Table {
@@ -44,7 +115,7 @@ func edgeTable(t *testing.T, edges ...[2]int64) *table.Table {
 
 func TestToDirectedBasic(t *testing.T) {
 	tbl := edgeTable(t, [2]int64{1, 2}, [2]int64{1, 3}, [2]int64{2, 3}, [2]int64{3, 1})
-	g, err := ToDirected(tbl, "src", "dst")
+	g, err := toDirected(tbl, "src", "dst")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,14 +130,11 @@ func TestToDirectedBasic(t *testing.T) {
 	if g.HasEdge(2, 1) {
 		t.Fatal("reverse edge invented")
 	}
-	if err := validDirected(g); err != nil {
-		t.Fatal(err)
-	}
 }
 
 func TestToDirectedDeduplicatesRows(t *testing.T) {
 	tbl := edgeTable(t, [2]int64{1, 2}, [2]int64{1, 2}, [2]int64{1, 2})
-	g, err := ToDirected(tbl, "src", "dst")
+	g, err := toDirected(tbl, "src", "dst")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +145,7 @@ func TestToDirectedDeduplicatesRows(t *testing.T) {
 
 func TestToDirectedSelfLoopsAndIsolatedSources(t *testing.T) {
 	tbl := edgeTable(t, [2]int64{5, 5}, [2]int64{7, 5})
-	g, err := ToDirected(tbl, "src", "dst")
+	g, err := toDirected(tbl, "src", "dst")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,9 +155,6 @@ func TestToDirectedSelfLoopsAndIsolatedSources(t *testing.T) {
 	if g.NumNodes() != 2 {
 		t.Fatalf("nodes = %d", g.NumNodes())
 	}
-	if err := validDirected(g); err != nil {
-		t.Fatal(err)
-	}
 }
 
 func TestToDirectedEmptyTable(t *testing.T) {
@@ -97,7 +162,7 @@ func TestToDirectedEmptyTable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := ToDirected(tbl, "src", "dst")
+	g, err := toDirected(tbl, "src", "dst")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +176,7 @@ func TestToDirectedEmptyTable(t *testing.T) {
 	if graph.ProjectUView(v).NumNodes() != 0 {
 		t.Fatal("empty undirected conversion produced nodes")
 	}
-	back, err := ToEdgeTable(graph.BuildView(g), "a", "b")
+	back, err := ToEdgeTable(g, "a", "b")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +206,7 @@ func TestToDirectedStringColumns(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	g, err := ToDirected(tbl, "a", "b")
+	g, err := toDirected(tbl, "a", "b")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +218,7 @@ func TestToDirectedStringColumns(t *testing.T) {
 func TestNaiveMatchesSortFirst(t *testing.T) {
 	tbl := edgeTable(t,
 		[2]int64{1, 2}, [2]int64{3, 4}, [2]int64{1, 2}, [2]int64{4, 1}, [2]int64{2, 2})
-	fast, err := ToDirected(tbl, "src", "dst")
+	fast, err := toDirected(tbl, "src", "dst")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,42 +226,36 @@ func TestNaiveMatchesSortFirst(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fast.NumNodes() != naive.NumNodes() || fast.NumEdges() != naive.NumEdges() {
-		t.Fatalf("fast (%d,%d) != naive (%d,%d)",
-			fast.NumNodes(), fast.NumEdges(), naive.NumNodes(), naive.NumEdges())
+	if err := sameAsNaive(fast, naive); err != nil {
+		t.Fatal(err)
 	}
-	naive.ForEdges(func(src, dst int64) {
-		if !fast.HasEdge(src, dst) {
-			t.Fatalf("sort-first lost edge %d->%d", src, dst)
-		}
-	})
 }
 
 func TestToEdgeTableRoundTrip(t *testing.T) {
 	tbl := edgeTable(t, [2]int64{1, 2}, [2]int64{1, 3}, [2]int64{2, 3}, [2]int64{3, 1})
-	g, err := ToDirected(tbl, "src", "dst")
+	g, err := toDirected(tbl, "src", "dst")
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := ToEdgeTable(graph.BuildView(g), "src", "dst")
+	back, err := ToEdgeTable(g, "src", "dst")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if int64(back.NumRows()) != g.NumEdges() {
 		t.Fatalf("edge table rows = %d, graph edges = %d", back.NumRows(), g.NumEdges())
 	}
-	g2, err := ToDirected(back, "src", "dst")
+	g2, err := toDirected(back, "src", "dst")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if g2.NumNodes() != g.NumNodes() || g2.NumEdges() != g.NumEdges() {
+	if !slices.Equal(g2.IDs(), g.IDs()) || g2.NumEdges() != g.NumEdges() {
 		t.Fatal("round trip changed the graph")
 	}
-	g.ForEdges(func(src, dst int64) {
-		if !g2.HasEdge(src, dst) {
-			t.Fatalf("round trip lost %d->%d", src, dst)
+	for u := int32(0); int(u) < g.NumNodes(); u++ {
+		if !slices.Equal(g.Out(u), g2.Out(u)) {
+			t.Fatalf("round trip changed the out-edges of %d", g.ID(u))
 		}
-	})
+	}
 }
 
 // Property: sort-first conversion equals a reference map-based edge-set
@@ -217,11 +276,8 @@ func TestToDirectedMatchesReferenceProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		g, err := ToDirected(tbl, "s", "d")
+		g, err := toDirected(tbl, "s", "d")
 		if err != nil {
-			return false
-		}
-		if validDirected(g) != nil {
 			return false
 		}
 		if g.NumNodes() != len(nodes) || g.NumEdges() != int64(len(ref)) {
@@ -251,28 +307,21 @@ func TestConversionFixedPointProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		g1, err := ToDirected(tbl, "s", "d")
+		g1, err := toDirected(tbl, "s", "d")
 		if err != nil {
 			return false
 		}
-		t2, err := ToEdgeTable(graph.BuildView(g1), "s", "d")
+		t2, err := ToEdgeTable(g1, "s", "d")
 		if err != nil {
 			return false
 		}
-		g2, err := ToDirected(t2, "s", "d")
+		g2, err := toDirected(t2, "s", "d")
 		if err != nil {
 			return false
 		}
-		if g1.NumNodes() != g2.NumNodes() || g1.NumEdges() != g2.NumEdges() {
-			return false
-		}
-		ok := true
-		g1.ForEdges(func(s, d int64) {
-			if !g2.HasEdge(s, d) {
-				ok = false
-			}
-		})
-		return ok
+		_, off1, _, out1, _ := g1.ViewParts()
+		_, off2, _, out2, _ := g2.ViewParts()
+		return slices.Equal(g1.IDs(), g2.IDs()) && slices.Equal(off1, off2) && slices.Equal(out1, out2)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
 		t.Fatal(err)
@@ -296,20 +345,16 @@ func TestToDirectedLargeParallel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := ToDirected(tbl, "s", "d")
+	g, err := toDirected(tbl, "s", "d")
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := validDirected(g); err != nil {
 		t.Fatal(err)
 	}
 	naive, err := naiveToDirected(tbl, "s", "d")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if g.NumEdges() != naive.NumEdges() || g.NumNodes() != naive.NumNodes() {
-		t.Fatalf("fast (%d,%d) != naive (%d,%d)",
-			g.NumNodes(), g.NumEdges(), naive.NumNodes(), naive.NumEdges())
+	if err := sameAsNaive(g, naive); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -336,27 +381,4 @@ func BenchmarkAblationConversionNaive(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-}
-
-// validDirected holds g's adjacency vectors to the graph its own edge list
-// builds: BuildView translates the out- and in-vectors as stored, while
-// BuildViewCols sorts, deduplicates and transposes the out-edges, so the
-// two views agree only when every vector is sorted and duplicate-free, the
-// in-vectors mirror the out-vectors and the edge count is right.
-func validDirected(g *graph.Directed) error {
-	var srcs, dsts []int64
-	g.ForEdges(func(s, d int64) {
-		srcs, dsts = append(srcs, s), append(dsts, d)
-	})
-	want, err := graph.BuildViewCols(srcs, dsts, g.Nodes())
-	if err != nil {
-		return err
-	}
-	ids, outOff, inOff, out, in := graph.BuildView(g).ViewParts()
-	wids, wOutOff, wInOff, wOut, wIn := want.ViewParts()
-	if !slices.Equal(ids, wids) || !slices.Equal(outOff, wOutOff) || !slices.Equal(inOff, wInOff) ||
-		!slices.Equal(out, wOut) || !slices.Equal(in, wIn) || g.NumEdges() != int64(len(srcs)) {
-		return fmt.Errorf("graph of %d nodes, %d edges differs from the graph its edges build", g.NumNodes(), g.NumEdges())
-	}
-	return nil
 }

@@ -13,10 +13,10 @@ import (
 	"ringo/internal/graph"
 )
 
-func openMappedTestGraph(t testing.TB, g *graph.Directed) *extmem.Graph {
+func openMappedTestGraph(t testing.TB, v *graph.View) *extmem.Graph {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "g.rngm")
-	if err := extmem.SaveMapped(path, graph.BuildView(g)); err != nil {
+	if err := extmem.SaveMapped(path, v); err != nil {
 		t.Fatalf("SaveMapped: %v", err)
 	}
 	mg, err := extmem.Open(path)
@@ -88,7 +88,7 @@ func TestWorkspaceMappedBinding(t *testing.T) {
 }
 
 func TestWorkspaceMappedUndirectedBinding(t *testing.T) {
-	u := uviewOf(gen.BarabasiAlbert(200, 3, 5))
+	u := gen.BarabasiAlbert(200, 3, 5)
 	path := filepath.Join(t.TempDir(), "u.rngm")
 	if err := extmem.SaveMappedUndirected(path, u); err != nil {
 		t.Fatalf("SaveMappedUndirected: %v", err)
@@ -126,7 +126,7 @@ func BenchmarkRestoreDecode(b *testing.B) {
 	}{
 		{"gnm-1M", func(b *testing.B) *Workspace {
 			ws := NewWorkspace()
-			ws.Set("g", Object{Graph: gen.GNM(200_000, 1_000_000, 77)})
+			ws.Set("g", Object{View: gen.GNM(200_000, 1_000_000, 77)})
 			return ws
 		}},
 		{"warm-read", func(b *testing.B) *Workspace {
@@ -162,7 +162,7 @@ func BenchmarkRestoreDecode(b *testing.B) {
 // BenchmarkRestoreDecode/gnm-1M, the same graph.
 func BenchmarkRestoreMapped(b *testing.B) {
 	mapPath := filepath.Join(b.TempDir(), "g.rngm")
-	if err := extmem.SaveMapped(mapPath, graph.BuildView(gen.GNM(200_000, 1_000_000, 77))); err != nil {
+	if err := extmem.SaveMapped(mapPath, gen.GNM(200_000, 1_000_000, 77)); err != nil {
 		b.Fatalf("SaveMapped: %v", err)
 	}
 	b.ResetTimer()

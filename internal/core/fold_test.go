@@ -21,54 +21,6 @@ func sameViewArrays(t *testing.T, ctx string, got, want *graph.View) {
 	}
 }
 
-// delUEdge removes {a,b} from a model graph, reporting whether it was
-// there. Outside package graph a hash graph deletes only whole nodes, so
-// it drops a with DelNode and adds back every other edge a had.
-func delUEdge(g *graph.Undirected, a, b int64) bool {
-	if !g.HasEdge(a, b) {
-		return false
-	}
-	nbrs := slices.Clone(g.Neighbors(a))
-	g.DelNode(a)
-	g.AddNode(a)
-	for _, n := range nbrs {
-		if n != b {
-			g.AddEdge(a, n)
-		}
-	}
-	return true
-}
-
-// delEdge is delUEdge for a directed model graph: it drops src with
-// DelNode and adds back every other edge into and out of src.
-func delEdge(g *graph.Directed, src, dst int64) bool {
-	if !g.HasEdge(src, dst) {
-		return false
-	}
-	var out, in []int64
-	g.ForEdges(func(s, d int64) {
-		if s == src {
-			out = append(out, d)
-		}
-		if d == src {
-			in = append(in, s)
-		}
-	})
-	g.DelNode(src)
-	g.AddNode(src)
-	for _, d := range out {
-		if d != dst {
-			g.AddEdge(src, d)
-		}
-	}
-	for _, s := range in {
-		if s != src {
-			g.AddEdge(s, src)
-		}
-	}
-	return true
-}
-
 // sameUViewArrays is sameViewArrays for undirected views.
 func sameUViewArrays(t *testing.T, ctx string, got, want *graph.UView) {
 	t.Helper()
@@ -88,9 +40,9 @@ func sameUViewArrays(t *testing.T, ctx string, got, want *graph.UView) {
 // report the change the model reports, so no-op mutations occur as the
 // model dictates), directed and undirected queries, Get, Snapshot +
 // Restore, a Rename round trip and Touch. After every query the directed
-// binding's view must equal BuildView of the model array for array and its
-// undirected view ProjectUView of that view; the undirected binding's must
-// equal BuildUView of its model. Every script runs twice: at
+// binding's view must equal the view of the model's edge columns array for
+// array and its undirected view the model's symmetric columns'; so must
+// the undirected binding's view, of its own model. Every script runs twice: at
 // DefaultPatchRatio, and at ratio 0, where a projection that is behind is
 // always projected afresh — the reference that holds no projection.
 func FuzzBindingFold(f *testing.F) {
@@ -120,26 +72,26 @@ func FuzzBindingFold(f *testing.F) {
 func foldScript(t *testing.T, data []byte, ratio float64) {
 	t.Helper()
 	id := func(b byte) int64 { return int64(b%16) - 4 }
-	md, mu := graph.NewDirected(), graph.NewUndirectedCap(0)
+	md, mu := newModel(false), newModel(true)
 	rest := data[2:]
 	for i := 0; i < int(data[1]%8) && len(rest) >= 2; i++ {
-		md.AddEdge(id(rest[0]), id(rest[1]))
-		mu.AddEdge(id(rest[0]), id(rest[1]))
+		md.addEdge(id(rest[0]), id(rest[1]))
+		mu.addEdge(id(rest[0]), id(rest[1]))
 		rest = rest[2:]
 	}
 	ws := NewWorkspace()
 	ws.patchRatio = ratio
 	switch data[0] % 3 {
 	case 0:
-		ws.Set("d", Object{Graph: md.Clone()})
-		ws.Set("u", Object{UView: uviewOf(mu)})
+		ws.Set("d", Object{Graph: md.graph()})
+		ws.Set("u", Object{UView: mu.uview()})
 	case 1:
-		ws.Set("d", Object{View: graph.BuildView(md)})
-		ws.Set("u", Object{UView: uviewOf(mu)})
+		ws.Set("d", Object{View: md.view()})
+		ws.Set("u", Object{UView: mu.uview()})
 	default:
 		src := NewWorkspace()
-		src.Set("d", Object{Graph: md.Clone()})
-		src.Set("u", Object{UView: uviewOf(mu)})
+		src.Set("d", Object{Graph: md.graph()})
+		src.Set("u", Object{UView: mu.uview()})
 		var buf bytes.Buffer
 		if err := src.Snapshot(&buf); err != nil {
 			t.Fatal(err)
@@ -160,25 +112,25 @@ func foldScript(t *testing.T, data []byte, ratio float64) {
 		switch op {
 		case 0:
 			ok, err := ws.AddGraphNode("d", s)
-			check("addnode d", ok, err, md.AddNode(s))
+			check("addnode d", ok, err, md.addNode(s))
 			ok, err = ws.AddGraphNode("u", s)
-			check("addnode u", ok, err, mu.AddNode(s))
+			check("addnode u", ok, err, mu.addNode(s))
 		case 1, 2:
 			ok, err := ws.AddGraphEdge("d", s, d)
-			check("addedge d", ok, err, md.AddEdge(s, d))
+			check("addedge d", ok, err, md.addEdge(s, d))
 			ok, err = ws.AddGraphEdge("u", s, d)
-			check("addedge u", ok, err, mu.AddEdge(s, d))
+			check("addedge u", ok, err, mu.addEdge(s, d))
 		case 3:
 			ok, err := ws.DelGraphEdge("d", s, d)
-			check("deledge d", ok, err, delEdge(md, s, d))
+			check("deledge d", ok, err, md.delEdge(s, d))
 			ok, err = ws.DelGraphEdge("u", s, d)
-			check("deledge u", ok, err, delUEdge(mu, s, d))
+			check("deledge u", ok, err, mu.delEdge(s, d))
 		case 4:
 			v, err := ws.DirectedView("d")
 			if err != nil {
 				t.Fatal(err)
 			}
-			sameViewArrays(t, "directed query", v, graph.BuildView(md))
+			sameViewArrays(t, "directed query", v, md.view())
 		case 5:
 			uv, err := ws.UndirectedView("d")
 			if err != nil {
@@ -188,13 +140,13 @@ func foldScript(t *testing.T, data []byte, ratio float64) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			sameViewArrays(t, "undirected query", v, graph.BuildView(md))
-			sameUViewArrays(t, "undirected query", uv, graph.ProjectUView(v))
+			sameViewArrays(t, "undirected query", v, md.view())
+			sameUViewArrays(t, "undirected query", uv, md.uview())
 			uu, err := ws.UndirectedView("u")
 			if err != nil {
 				t.Fatal(err)
 			}
-			sameUViewArrays(t, "undirected binding", uu, uviewOf(mu))
+			sameUViewArrays(t, "undirected binding", uu, mu.uview())
 		case 6:
 			var buf bytes.Buffer
 			if err := ws.Snapshot(&buf); err != nil {
@@ -221,8 +173,8 @@ func foldScript(t *testing.T, data []byte, ratio float64) {
 			if o.View == nil || o.Graph != nil || ou.UView == nil {
 				t.Fatalf("Get bound %+v and %+v, want views", o, ou)
 			}
-			sameViewArrays(t, "Get", o.View, graph.BuildView(md))
-			sameUViewArrays(t, "Get", ou.UView, uviewOf(mu))
+			sameViewArrays(t, "Get", o.View, md.view())
+			sameUViewArrays(t, "Get", ou.UView, mu.uview())
 		}
 	}
 }
@@ -230,14 +182,14 @@ func foldScript(t *testing.T, data []byte, ratio float64) {
 // TestDeltaLogOverflowFolds: a mutation that finds the log full folds the
 // pending deltas into the binding's view and restarts the log, so the
 // binding never rebuilds and the log stays bounded, and the view still
-// equals BuildView of the mutated graph.
+// equals the view of the mutated graph.
 func TestDeltaLogOverflowFolds(t *testing.T) {
-	g := graph.NewDirected()
-	g.AddEdge(0, 1)
+	g := newModel(false)
+	g.addEdge(0, 1)
 	ws := NewWorkspace()
-	ws.Set("g", Object{View: graph.BuildView(g)})
+	ws.Set("g", Object{View: g.view()})
 	for i := int64(0); i <= maxDeltaLog; i++ {
-		g.AddEdge(i%97, i)
+		g.addEdge(i%97, i)
 		if ok, err := ws.AddGraphEdge("g", i%97, i); err != nil || !ok {
 			t.Fatalf("AddGraphEdge(%d): ok=%v err=%v", i, ok, err)
 		}
@@ -252,7 +204,7 @@ func TestDeltaLogOverflowFolds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sameViewArrays(t, "after the overflow", v, graph.BuildView(g))
+	sameViewArrays(t, "after the overflow", v, g.view())
 }
 
 // TestHashGraphBuildsOnFirstQuery: a binding set from a hash graph holds
@@ -263,7 +215,7 @@ func TestDeltaLogOverflowFolds(t *testing.T) {
 func TestHashGraphBuildsOnFirstQuery(t *testing.T) {
 	g := testGraph(50, 200, 4)
 	ws := NewWorkspace()
-	ws.Set("g", Object{Graph: g.Clone()})
+	ws.Set("g", Object{Graph: g.graph()})
 	fp, _ := ws.Fingerprint("g")
 	if p, r := ws.PatchStats(); p != 0 || r != 0 || ws.Kind("g") != "graph" {
 		t.Fatalf("Set: %d patches, %d rebuilds, kind %q; want nothing built", p, r, ws.Kind("g"))
@@ -295,9 +247,9 @@ func TestHashGraphBuildsOnFirstQuery(t *testing.T) {
 	if o, _ := ws.Get("g"); o.View != views[0] || o.Graph != nil {
 		t.Fatal("the built view was not rebound")
 	}
-	sameViewArrays(t, "first query", views[0], graph.BuildView(g))
+	sameViewArrays(t, "first query", views[0], g.view())
 
-	ws.Set("h", Object{Graph: g.Clone()})
+	ws.Set("h", Object{Graph: g.graph()})
 	if ok, err := ws.AddGraphEdge("h", 1000, 1); err != nil || !ok {
 		t.Fatalf("AddGraphEdge: ok=%v err=%v", ok, err)
 	}
@@ -309,8 +261,8 @@ func TestHashGraphBuildsOnFirstQuery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g.AddEdge(1000, 1)
-	sameViewArrays(t, "after the mutation", v, graph.BuildView(g))
+	g.addEdge(1000, 1)
+	sameViewArrays(t, "after the mutation", v, g.view())
 	if p, r := ws.PatchStats(); p != 1 || r != 2 {
 		t.Fatalf("query after the mutation: %d patches, %d rebuilds; want one fold", p, r)
 	}

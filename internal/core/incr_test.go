@@ -13,32 +13,28 @@ import (
 
 // incrShapes builds the graph shapes the oracle suite mutates, mirroring
 // the graph-level patch tests: G(n,m), ring, star, isolated nodes, and a
-// graph whose slot table carries tombstones from pre-binding deletions.
-func incrShapes(rng *rand.Rand) map[string]*graph.Directed {
-	gnm := graph.NewDirected()
+// graph whose nodes were partly deleted before binding (tombstoned).
+func incrShapes(rng *rand.Rand) map[string]model {
+	gnm, ring, star, isolated, tombstoned := newModel(false), newModel(false), newModel(false), newModel(false), newModel(false)
 	for i := 0; i < 150; i++ {
-		gnm.AddEdge(rng.Int63n(45), rng.Int63n(45))
+		gnm.addEdge(rng.Int63n(45), rng.Int63n(45))
 	}
-	ring := graph.NewDirected()
 	for i := int64(0); i < 32; i++ {
-		ring.AddEdge(i, (i+1)%32)
+		ring.addEdge(i, (i+1)%32)
 	}
-	star := graph.NewDirected()
 	for i := int64(1); i <= 24; i++ {
-		star.AddEdge(0, i)
+		star.addEdge(0, i)
 	}
-	isolated := graph.NewDirected()
 	for i := int64(0); i < 18; i++ {
-		isolated.AddNode(i * 5)
+		isolated.addNode(i * 5)
 	}
-	tombstoned := graph.NewDirected()
 	for i := int64(0); i < 36; i++ {
-		tombstoned.AddEdge(i, (i*5)%36)
+		tombstoned.addEdge(i, (i*5)%36)
 	}
 	for i := int64(0); i < 36; i += 4 {
-		tombstoned.DelNode(i)
+		tombstoned.delNode(i)
 	}
-	return map[string]*graph.Directed{
+	return map[string]model{
 		"gnm": gnm, "ring": ring, "star": star,
 		"isolated": isolated, "tombstoned": tombstoned,
 	}
@@ -78,7 +74,7 @@ func sameUViewT(t *testing.T, ctx string, got, want *graph.UView) {
 // TestIncrementalOracle is the archetype headline: randomized
 // interleavings of mutations and queries against a workspace binding,
 // asserting after every step that the folded and patched views are
-// structurally identical to from-scratch builds of a hash graph that took
+// structurally identical to from-scratch builds of a model graph that took
 // the same mutations, and that the incremental algorithms agree with
 // their cold oracles. Run with -race in CI.
 func TestIncrementalOracle(t *testing.T) {
@@ -86,7 +82,7 @@ func TestIncrementalOracle(t *testing.T) {
 	for name, g := range incrShapes(rng) {
 		t.Run(name, func(t *testing.T) {
 			ws := NewWorkspace()
-			ws.Set("g", Object{Graph: g})
+			ws.Set("g", Object{Graph: g.graph()})
 
 			dv, err := ws.DirectedView("g")
 			if err != nil {
@@ -105,21 +101,21 @@ func TestIncrementalOracle(t *testing.T) {
 						id := rng.Int63n(80)
 						if ok, err := ws.AddGraphNode("g", id); err != nil {
 							t.Fatal(err)
-						} else if ok != g.AddNode(id) {
+						} else if ok != g.addNode(id) {
 							t.Fatalf("%s: addnode %d changed=%v", ctx, id, ok)
 						} else if ok {
 							deltas = append(deltas, graph.Delta{Op: graph.DeltaAddNode, Src: id})
 						}
 					case 1, 2:
 						s, d := rng.Int63n(60), rng.Int63n(60)
-						if ok, _ := ws.DelGraphEdge("g", s, d); ok != delEdge(g, s, d) {
+						if ok, _ := ws.DelGraphEdge("g", s, d); ok != g.delEdge(s, d) {
 							t.Fatalf("%s: deledge %d->%d changed=%v", ctx, s, d, ok)
 						} else if ok {
 							deltas = append(deltas, graph.Delta{Op: graph.DeltaDelEdge, Src: s, Dst: d})
 						}
 					default:
 						s, d := rng.Int63n(80), rng.Int63n(80)
-						if ok, _ := ws.AddGraphEdge("g", s, d); ok != g.AddEdge(s, d) {
+						if ok, _ := ws.AddGraphEdge("g", s, d); ok != g.addEdge(s, d) {
 							t.Fatalf("%s: addedge %d->%d changed=%v", ctx, s, d, ok)
 						} else if ok {
 							deltas = append(deltas, graph.Delta{Op: graph.DeltaAddEdge, Src: s, Dst: d})
@@ -131,14 +127,14 @@ func TestIncrementalOracle(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				sameViewT(t, ctx, newDV, graph.BuildView(g))
+				sameViewT(t, ctx, newDV, g.view())
 				// The free function over the stale view lands on the same CSR.
-				sameViewT(t, ctx+" (PatchView)", graph.PatchView(dv, g.HasNode, g.HasEdge, deltas), newDV)
+				sameViewT(t, ctx+" (PatchView)", graph.PatchView(dv, g.hasNode, g.hasEdge, deltas), newDV)
 				newUV, err := ws.UndirectedView("g")
 				if err != nil {
 					t.Fatal(err)
 				}
-				sameUViewT(t, ctx, newUV, uviewOf(undirectedPerEdge(g)))
+				sameUViewT(t, ctx, newUV, g.uview())
 
 				// Incremental algorithms against their cold oracles.
 				coldWCC := algo.WCCView(newDV)
@@ -178,12 +174,12 @@ func TestIncrementalOracle(t *testing.T) {
 // undirected binding.
 func TestIncrementalOracleUndirected(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
-	g := graph.NewUndirectedCap(0)
+	g := newModel(true)
 	for i := 0; i < 80; i++ {
-		g.AddEdge(rng.Int63n(30), rng.Int63n(30))
+		g.addEdge(rng.Int63n(30), rng.Int63n(30))
 	}
 	ws := NewWorkspace()
-	ws.Set("u", Object{UView: uviewOf(g)})
+	ws.Set("u", Object{UView: g.uview()})
 	uv, err := ws.UndirectedView("u")
 	if err != nil {
 		t.Fatal(err)
@@ -195,12 +191,12 @@ func TestIncrementalOracleUndirected(t *testing.T) {
 		for i := 0; i < 1+rng.Intn(5); i++ {
 			s, d := rng.Int63n(40), rng.Int63n(40)
 			if rng.Intn(3) == 0 {
-				if ok, _ := ws.DelGraphEdge("u", s, d); ok != delUEdge(g, s, d) {
+				if ok, _ := ws.DelGraphEdge("u", s, d); ok != g.delEdge(s, d) {
 					t.Fatalf("step %d: deledge {%d,%d} changed=%v", step, s, d, ok)
 				} else if ok {
 					deltas = append(deltas, graph.Delta{Op: graph.DeltaDelEdge, Src: s, Dst: d})
 				}
-			} else if ok, _ := ws.AddGraphEdge("u", s, d); ok != g.AddEdge(s, d) {
+			} else if ok, _ := ws.AddGraphEdge("u", s, d); ok != g.addEdge(s, d) {
 				t.Fatalf("step %d: addedge {%d,%d} changed=%v", step, s, d, ok)
 			} else if ok {
 				deltas = append(deltas, graph.Delta{Op: graph.DeltaAddEdge, Src: s, Dst: d})
@@ -213,7 +209,7 @@ func TestIncrementalOracleUndirected(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sameUViewT(t, fmt.Sprintf("step %d", step), newUV, uviewOf(g))
+		sameUViewT(t, fmt.Sprintf("step %d", step), newUV, g.uview())
 		incrTri := algo.TrianglesIncr(uv, newUV, tri, deltas)
 		if coldTri := algo.TrianglesView(newUV); incrTri != coldTri {
 			t.Fatalf("step %d: incremental triangles %d, cold says %d", step, incrTri, coldTri)
@@ -230,16 +226,16 @@ func TestIncrementalOracleUndirected(t *testing.T) {
 // ratio 0.1, a 10-delta batch patches the held projection and an
 // 11-delta batch projects afresh. The binding's own view folds either way.
 func TestPatchThresholdBoundary(t *testing.T) {
-	g := graph.NewDirected()
+	g := newModel(false)
 	for i := int64(0); i < 40; i++ {
-		g.AddEdge(i, (i+1)%40) // ring: 40 nodes, 40 edges
+		g.addEdge(i, (i+1)%40) // ring: 40 nodes, 40 edges
 	}
 	for i := int64(40); i < 60; i++ {
-		g.AddNode(i) // 20 isolated nodes -> V+E = 100
+		g.addNode(i) // 20 isolated nodes -> V+E = 100
 	}
 	ws := NewWorkspace()
 	ws.patchRatio = 0.1
-	ws.Set("g", Object{View: graph.BuildView(g)})
+	ws.Set("g", Object{View: g.view()})
 	if _, err := ws.UndirectedView("g"); err != nil {
 		t.Fatal(err)
 	}
@@ -255,16 +251,16 @@ func TestPatchThresholdBoundary(t *testing.T) {
 
 	// Exactly at the cutoff: 5 deletes + 5 adds keeps V+E at 100.
 	for i := int64(0); i < 5; i++ {
-		delEdge(g, 2*i, 2*i+1)
+		g.delEdge(2*i, 2*i+1)
 		mutate(ws.DelGraphEdge("g", 2*i, 2*i+1))
-		g.AddEdge(40+2*i, 41+2*i)
+		g.addEdge(40+2*i, 41+2*i)
 		mutate(ws.AddGraphEdge("g", 40+2*i, 41+2*i))
 	}
 	v, err := ws.UndirectedView("g")
 	if err != nil {
 		t.Fatal(err)
 	}
-	sameUViewT(t, "at cutoff", v, uviewOf(undirectedPerEdge(g)))
+	sameUViewT(t, "at cutoff", v, g.uview())
 	if p, r := ws.PatchStats(); p != 2 || r != 1 {
 		t.Fatalf("batch at cutoff: patches=%d rebuilds=%d, want 2/1 (a fold and a patch)", p, r)
 	}
@@ -272,18 +268,18 @@ func TestPatchThresholdBoundary(t *testing.T) {
 	// One past the cutoff: 11 effective deltas against the freshly patched
 	// base (still V+E = 100) must project afresh.
 	for i := int64(5); i < 10; i++ {
-		delEdge(g, 2*i, 2*i+1)
+		g.delEdge(2*i, 2*i+1)
 		mutate(ws.DelGraphEdge("g", 2*i, 2*i+1))
-		g.AddEdge(40+2*i, 41+2*i)
+		g.addEdge(40+2*i, 41+2*i)
 		mutate(ws.AddGraphEdge("g", 40+2*i, 41+2*i))
 	}
-	g.AddEdge(40, 42)
+	g.addEdge(40, 42)
 	mutate(ws.AddGraphEdge("g", 40, 42))
 	v, err = ws.UndirectedView("g")
 	if err != nil {
 		t.Fatal(err)
 	}
-	sameUViewT(t, "past cutoff", v, uviewOf(undirectedPerEdge(g)))
+	sameUViewT(t, "past cutoff", v, g.uview())
 	if p, r := ws.PatchStats(); p != 3 || r != 2 {
 		t.Fatalf("batch past cutoff: patches=%d rebuilds=%d, want 3/2 (a fold and a projection)", p, r)
 	}
@@ -295,16 +291,16 @@ func TestPatchThresholdBoundary(t *testing.T) {
 // — and X's own pre-mutation projection must stay held as the patch
 // base.
 func TestMutationKeepsSiblingViews(t *testing.T) {
-	mkRing := func(n int64) *graph.Directed {
-		g := graph.NewDirected()
+	mkRing := func(n int64) *graph.View {
+		g := newModel(false)
 		for i := int64(0); i < n; i++ {
-			g.AddEdge(i, (i+1)%n)
+			g.addEdge(i, (i+1)%n)
 		}
-		return g
+		return g.view()
 	}
 	ws := NewWorkspace()
-	ws.Set("x", Object{View: graph.BuildView(mkRing(20))})
-	ws.Set("y", Object{View: graph.BuildView(mkRing(12))})
+	ws.Set("x", Object{View: mkRing(20)})
+	ws.Set("y", Object{View: mkRing(12)})
 
 	uy, err := ws.UndirectedView("y")
 	if err != nil {
@@ -370,7 +366,7 @@ func TestMutateGraphErrors(t *testing.T) {
 	if _, err := ws.AddGraphEdge("s", 1, 2); err == nil {
 		t.Fatal("expected error for non-graph binding")
 	}
-	ws.Set("g", Object{Graph: graph.NewDirected()})
+	ws.Set("g", Object{Graph: newModel(false).graph()})
 	if _, err := ws.AddGraphNode("g", graph.ReservedNodeID); err == nil {
 		t.Fatal("expected error for reserved node id")
 	}
@@ -397,22 +393,22 @@ func TestMutateGraphErrors(t *testing.T) {
 // materialize and read patched views of both orientations.
 func TestIncrementalConcurrentReaders(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
-	g := graph.NewDirected()
+	g := newModel(false)
 	for i := 0; i < 300; i++ {
-		g.AddEdge(rng.Int63n(80), rng.Int63n(80))
+		g.addEdge(rng.Int63n(80), rng.Int63n(80))
 	}
 	ws := NewWorkspace()
-	ws.Set("g", Object{Graph: g})
+	ws.Set("g", Object{Graph: g.graph()})
 	if _, err := ws.DirectedView("g"); err != nil {
 		t.Fatal(err)
 	}
 	for round := 0; round < 6; round++ {
 		for i := 0; i < 4; i++ {
 			s, d := rng.Int63n(90), rng.Int63n(90)
-			g.AddEdge(s, d)
+			g.addEdge(s, d)
 			ws.AddGraphEdge("g", s, d)
 		}
-		want := graph.BuildView(g)
+		want := g.view()
 		var wg sync.WaitGroup
 		for r := 0; r < 8; r++ {
 			wg.Add(1)

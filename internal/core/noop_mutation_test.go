@@ -14,12 +14,12 @@ import (
 // binding keeps its version, fingerprint, delta log and view, and
 // everything cached against that fingerprint keeps hitting.
 func TestNoOpMutationLeavesBindingUntouched(t *testing.T) {
-	g := graph.NewDirected()
+	g := newModel(false)
 	for i := int64(0); i < 10; i++ {
-		g.AddEdge(i, (i+1)%10)
+		g.addEdge(i, (i+1)%10)
 	}
 	ws := NewWorkspace()
-	ws.Set("g", Object{Graph: g})
+	ws.Set("g", Object{Graph: g.graph()})
 	if ok, err := ws.AddGraphEdge("g", 0, 5); err != nil || !ok {
 		t.Fatalf("AddGraphEdge: ok=%v err=%v", ok, err)
 	}
@@ -74,12 +74,12 @@ func TestNoOpMutationLeavesBindingUntouched(t *testing.T) {
 // mutation that changes nothing leaves the view, version and log alone,
 // and one that changes the graph is logged, moves the fingerprint and is
 // folded into the view by the next read — one patch, a view equal to
-// BuildView of the mutated hash graph — while the binding stays a CSR
+// the view of the mutated model graph — while the binding stays a CSR
 // view throughout: nothing thaws it into a hash graph.
 func TestFrozenBindingThawsOnlyOnChange(t *testing.T) {
-	g := graph.NewDirected()
+	var ring [][2]int64
 	for i := int64(0); i < 10; i++ {
-		g.AddEdge(i, (i+1)%10)
+		ring = append(ring, [2]int64{i, (i + 1) % 10})
 	}
 	for _, c := range []struct {
 		name    string
@@ -95,8 +95,12 @@ func TestFrozenBindingThawsOnlyOnChange(t *testing.T) {
 		{"deledge of a present edge", graph.Delta{Op: graph.DeltaDelEdge, Src: 0, Dst: 1}, true},
 		{"addnode of a new node", graph.Delta{Op: graph.DeltaAddNode, Src: 42}, true},
 	} {
+		want := newModel(false)
+		for _, e := range ring {
+			want.addEdge(e[0], e[1])
+		}
 		ws := NewWorkspace()
-		v := graph.BuildView(g)
+		v := want.view()
 		ws.Set("g", Object{View: v})
 		fp, _ := ws.Fingerprint("g")
 		changed, err := ws.mutateGraph("g", c.d)
@@ -116,32 +120,29 @@ func TestFrozenBindingThawsOnlyOnChange(t *testing.T) {
 		if p, r := ws.PatchStats(); p > 1 || (p == 1) != changed || r != 0 {
 			t.Fatalf("%s: patches/rebuilds %d/%d", c.name, p, r)
 		}
-		want := graph.NewDirected()
-		g.ForNodes(func(id int64) { want.AddNode(id) })
-		g.ForEdges(func(s, d int64) { want.AddEdge(s, d) })
 		switch c.d.Op {
 		case graph.DeltaAddNode:
-			want.AddNode(c.d.Src)
+			want.addNode(c.d.Src)
 		case graph.DeltaAddEdge:
-			want.AddEdge(c.d.Src, c.d.Dst)
+			want.addEdge(c.d.Src, c.d.Dst)
 		default:
-			delEdge(want, c.d.Src, c.d.Dst)
+			want.delEdge(c.d.Src, c.d.Dst)
 		}
-		sameViewT(t, c.name, o.View, graph.BuildView(want))
+		sameViewT(t, c.name, o.View, want.view())
 	}
 }
 
 // TestConcurrentFirstMutationsThawOnce: mutations racing to be a view
 // binding's first each land once without thawing it, and readers racing
 // to be the first after them fold the pending deltas exactly once and all
-// read the one folded view, which is BuildView of the mutated graph.
+// read the one folded view, which is the view of the mutated graph.
 func TestConcurrentFirstMutationsThawOnce(t *testing.T) {
-	g := graph.NewDirected()
+	g := newModel(false)
 	for i := int64(0); i < 200; i++ {
-		g.AddEdge(i, (i*7+1)%200)
+		g.addEdge(i, (i*7+1)%200)
 	}
 	ws := NewWorkspace()
-	ws.Set("g", Object{View: graph.BuildView(g)})
+	ws.Set("g", Object{View: g.view()})
 	ver, _ := ws.Version("g")
 	const writers, readers = 8, 8
 	var wg sync.WaitGroup
@@ -153,7 +154,7 @@ func TestConcurrentFirstMutationsThawOnce(t *testing.T) {
 				t.Errorf("AddGraphEdge(%d): ok=%v err=%v", 1000+i, ok, err)
 			}
 		}()
-		g.AddEdge(1000+i, i)
+		g.addEdge(1000+i, i)
 	}
 	wg.Wait()
 	if now, _ := ws.Version("g"); now != ver+writers {
@@ -176,7 +177,7 @@ func TestConcurrentFirstMutationsThawOnce(t *testing.T) {
 			t.Fatal("concurrent first readers got different views")
 		}
 	}
-	sameViewT(t, "folded", views[0], graph.BuildView(g))
+	sameViewT(t, "folded", views[0], g.view())
 	if p, r := ws.PatchStats(); p != 1 || r != 0 {
 		t.Fatalf("patches/rebuilds %d/%d, want one fold", p, r)
 	}

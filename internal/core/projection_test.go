@@ -27,7 +27,7 @@ func projectionSequence(t *testing.T, seed int64, ratio float64) (patches, rebui
 	rng := rand.New(rand.NewSource(seed))
 	ws := NewWorkspace()
 	ws.patchRatio = ratio
-	ws.Set("g", Object{View: graph.BuildView(testGraph(60, 240, seed))})
+	ws.Set("g", Object{View: testGraph(60, 240, seed).view()})
 	query := func(undir bool) {
 		if !undir {
 			if _, err := ws.DirectedView("g"); err != nil {
@@ -102,8 +102,8 @@ func TestHeldProjectionPatchCounts(t *testing.T) {
 // extends this one's, is untouched throughout.
 func TestDirectedQueryKeepsHeldProjection(t *testing.T) {
 	ws := NewWorkspace()
-	ws.Set("g", Object{View: graph.BuildView(testGraph(40, 150, 9))})
-	ws.Set("g#1", Object{View: graph.BuildView(testGraph(40, 150, 10))})
+	ws.Set("g", Object{View: testGraph(40, 150, 9).view()})
+	ws.Set("g#1", Object{View: testGraph(40, 150, 10).view()})
 	for _, name := range []string{"g", "g#1"} {
 		if _, err := ws.UndirectedView(name); err != nil {
 			t.Fatal(err)
@@ -151,7 +151,7 @@ func TestProjectionLifecycle(t *testing.T) {
 	ws := NewWorkspace()
 	bind := func(name string) *graph.UView {
 		t.Helper()
-		ws.Set(name, Object{View: graph.BuildView(testGraph(50, 200, 3))})
+		ws.Set(name, Object{View: testGraph(50, 200, 3).view()})
 		uv, err := ws.UndirectedView(name)
 		if err != nil {
 			t.Fatal(err)
@@ -185,7 +185,7 @@ func TestProjectionLifecycle(t *testing.T) {
 	ws.Touch("b")
 	held("touch", 0)
 	bind("b")
-	ws.Set("b", Object{View: graph.BuildView(testGraph(50, 200, 4))})
+	ws.Set("b", Object{View: testGraph(50, 200, 4).view()})
 	held("set", 0)
 	bind("b")
 	ws.Delete("b")
@@ -239,5 +239,5 @@ func TestProjectionLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sameUViewArrays(t, "after the restart", uv, graph.ProjectUView(v))
+	sameUViewArrays(t, "after the restart", uv, projectionRef(v))
 }

@@ -33,14 +33,13 @@ func snapshotWorkspace(t *testing.T) *Workspace {
 			t.Fatal(err)
 		}
 	}
-	g := graph.NewDirected()
-	g.AddEdge(1, 2)
-	g.AddEdge(2, 3)
-	u := graph.NewUndirectedCap(0)
-	u.AddEdge(5, 6)
+	g, err := graph.BuildDirectedCols([]int64{1, 2}, []int64{2, 3})
+	if err != nil {
+		t.Fatal(err)
+	}
 	ws.SetWithProvenance("T", Object{Table: tbl}, "load T users.tsv User:string Posts:int")
 	ws.SetWithProvenance("G", Object{Graph: g}, "tograph G T src dst")
-	ws.SetWithProvenance("U", Object{UView: uviewOf(u)}, "")
+	ws.SetWithProvenance("U", Object{UView: symmetricUView([]int64{5}, []int64{6}, nil)}, "")
 	ws.SetWithProvenance("PR", Object{Scores: algo.Scores{{ID: 1, Score: 0.7}, {ID: 2, Score: 0.3}}}, "pagerank PR G")
 	return ws
 }
@@ -83,7 +82,7 @@ func TestWorkspaceSnapshotRestoreRoundTrip(t *testing.T) {
 	if tbl.NumRows() != 3 || tbl.Value(0, 0) != "alice" || tbl.Value(0, 2) != "" {
 		t.Fatalf("table content lost: %d rows", tbl.NumRows())
 	}
-	g, err := fresh.Graph("G")
+	g, err := fresh.DirectedView("G")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -294,7 +293,7 @@ func TestSnapshotGoldenScoreFrame(t *testing.T) {
 func TestSnapshotWritesTheBindingsView(t *testing.T) {
 	g := testGraph(80, 300, 3)
 	ws := NewWorkspace()
-	ws.Set("g", Object{Graph: g.Clone()})
+	ws.Set("g", Object{Graph: g.graph()})
 	snap := func(ws *Workspace) []byte {
 		t.Helper()
 		var buf bytes.Buffer
@@ -329,7 +328,7 @@ func TestSnapshotWritesTheBindingsView(t *testing.T) {
 	}
 
 	for _, e := range [][2]int64{{1000, 1001}, {1, 1000}} {
-		g.AddEdge(e[0], e[1])
+		g.addEdge(e[0], e[1])
 		if ok, err := restored.AddGraphEdge("g", e[0], e[1]); err != nil || !ok {
 			t.Fatalf("AddGraphEdge: ok=%v err=%v", ok, err)
 		}
@@ -359,7 +358,7 @@ func TestSnapshotWritesTheBindingsView(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sameViewT(t, "restored after the mutations", v, graph.BuildView(g))
+	sameViewT(t, "restored after the mutations", v, g.view())
 }
 
 // TestRestoreOwnSnapshotKeepsClockBounded: restoring a workspace's own
@@ -369,7 +368,7 @@ func TestSnapshotWritesTheBindingsView(t *testing.T) {
 // after 64 restores, and with it the order pending deltas are told by).
 func TestRestoreOwnSnapshotKeepsClockBounded(t *testing.T) {
 	ws := snapshotWorkspace(t)
-	ws.Set("g", Object{View: graph.BuildView(testGraph(10, 20, 1))})
+	ws.Set("g", Object{View: testGraph(10, 20, 1).view()})
 	n := uint64(len(ws.Names()))
 	for i := 0; i < 100; i++ {
 		before := map[string]uint64{}

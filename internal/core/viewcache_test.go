@@ -7,21 +7,20 @@ import (
 	"testing"
 
 	"ringo/internal/algo"
-	"ringo/internal/graph"
 )
 
-func testGraph(n, m int, seed int64) *graph.Directed {
+func testGraph(n, m int, seed int64) model {
 	rng := rand.New(rand.NewSource(seed))
-	g := graph.NewDirected()
+	g := newModel(false)
 	for i := 0; i < m; i++ {
-		g.AddEdge(int64(rng.Intn(n)), int64(rng.Intn(n)))
+		g.addEdge(int64(rng.Intn(n)), int64(rng.Intn(n)))
 	}
 	return g
 }
 
 func TestDirectedViewCachedUntilMutation(t *testing.T) {
 	ws := NewWorkspace()
-	ws.Set("g", Object{Graph: testGraph(100, 400, 1)})
+	ws.Set("g", Object{Graph: testGraph(100, 400, 1).graph()})
 
 	v1, err := ws.DirectedView("g")
 	if err != nil {
@@ -68,8 +67,8 @@ func TestDirectedViewCachedUntilMutation(t *testing.T) {
 
 func TestViewPurgeOnSetDeleteRename(t *testing.T) {
 	ws := NewWorkspace()
-	ws.Set("a", Object{Graph: testGraph(50, 200, 2)})
-	ws.Set("b", Object{Graph: testGraph(50, 200, 3)})
+	ws.Set("a", Object{Graph: testGraph(50, 200, 2).graph()})
+	ws.Set("b", Object{Graph: testGraph(50, 200, 3).graph()})
 	if _, err := ws.UndirectedView("a"); err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +79,7 @@ func TestViewPurgeOnSetDeleteRename(t *testing.T) {
 		t.Fatalf("want 2 entries, got %d", entries)
 	}
 	// Rebinding a purges its view only.
-	ws.Set("a", Object{Graph: testGraph(50, 200, 4)})
+	ws.Set("a", Object{Graph: testGraph(50, 200, 4).graph()})
 	if _, _, entries, _ := ws.ViewCacheStats(); entries != 1 {
 		t.Fatalf("rebind: want 1 entry left, got %d", entries)
 	}
@@ -101,7 +100,7 @@ func TestViewPurgeOnSetDeleteRename(t *testing.T) {
 
 func TestViewPurgeOnRestore(t *testing.T) {
 	ws := NewWorkspace()
-	ws.Set("g", Object{Graph: testGraph(50, 200, 5)})
+	ws.Set("g", Object{Graph: testGraph(50, 200, 5).graph()})
 	u1, err := ws.UndirectedView("g")
 	if err != nil {
 		t.Fatal(err)
@@ -128,12 +127,12 @@ func TestViewPurgeOnRestore(t *testing.T) {
 func TestUndirectedViewOfDirectedGraph(t *testing.T) {
 	ws := NewWorkspace()
 	g := testGraph(60, 300, 6)
-	ws.Set("g", Object{Graph: g})
+	ws.Set("g", Object{Graph: g.graph()})
 	uv, err := ws.UndirectedView("g")
 	if err != nil {
 		t.Fatal(err)
 	}
-	u := uviewOf(undirectedPerEdge(g))
+	u := g.uview()
 	if uv.NumNodes() != u.NumNodes() || uv.NumEdges() != u.NumEdges() {
 		t.Fatalf("uview %d/%d, projection %d/%d",
 			uv.NumNodes(), uv.NumEdges(), u.NumNodes(), u.NumEdges())
@@ -168,11 +167,11 @@ func TestUndirectedViewOfDirectedGraph(t *testing.T) {
 func TestAlgorithmsCachedVsBypassed(t *testing.T) {
 	g := testGraph(80, 400, 7)
 	cached := NewWorkspace()
-	cached.Set("g", Object{Graph: g})
+	cached.Set("g", Object{Graph: g.graph()})
 
 	for round := 0; round < 2; round++ { // round 1 is served what round 0 built
 		bypass := NewWorkspace()
-		bypass.Set("g", Object{Graph: g})
+		bypass.Set("g", Object{Graph: g.graph()})
 		cv, err := cached.DirectedView("g")
 		if err != nil {
 			t.Fatal(err)
@@ -186,7 +185,7 @@ func TestAlgorithmsCachedVsBypassed(t *testing.T) {
 		}
 		prC := algo.PageRankView(cv, algo.DefaultDamping, 10)
 		prB := algo.PageRankView(bv, algo.DefaultDamping, 10)
-		dv := graph.BuildView(g) // the workspace-free oracle
+		dv := g.view() // the workspace-free oracle
 		prDirect := algo.PageRankView(dv, algo.DefaultDamping, 10)
 		// One kernel over structurally identical views: bit-equal results.
 		if !slices.Equal(prC, prDirect) {
@@ -212,7 +211,7 @@ func TestAlgorithmsCachedVsBypassed(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		u := graph.ProjectUView(dv)
+		u := g.uview()
 		if tc, tb, td := algo.TrianglesView(cu), algo.TrianglesView(bu), algo.TrianglesView(u); tc != td || tb != td {
 			t.Fatalf("round %d: triangles diverge: %d/%d/%d", round, tc, tb, td)
 		}
@@ -230,8 +229,8 @@ func TestAlgorithmsCachedVsBypassed(t *testing.T) {
 // containing '#', which a string-fingerprint prefix match would confuse.
 func TestViewPurgeExactName(t *testing.T) {
 	ws := NewWorkspace()
-	ws.Set("g", Object{Graph: testGraph(40, 150, 9)})
-	ws.Set("g#1", Object{Graph: testGraph(40, 150, 10)})
+	ws.Set("g", Object{Graph: testGraph(40, 150, 9).graph()})
+	ws.Set("g#1", Object{Graph: testGraph(40, 150, 10).graph()})
 	if _, err := ws.UndirectedView("g"); err != nil {
 		t.Fatal(err)
 	}
@@ -257,7 +256,7 @@ func TestViewPurgeExactName(t *testing.T) {
 // is the projection it holds.
 func TestWarmViewAllocs(t *testing.T) {
 	ws := NewWorkspace()
-	ws.Set("g", Object{Graph: testGraph(200, 1000, 8)})
+	ws.Set("g", Object{Graph: testGraph(200, 1000, 8).graph()})
 	if _, err := ws.UndirectedView("g"); err != nil {
 		t.Fatal(err)
 	}

@@ -17,40 +17,58 @@ import (
 )
 
 // testView builds a directed view with the awkward shapes the format must
-// preserve: isolated nodes, tombstoned slots (deleted nodes), and a node
+// preserve: isolated nodes, ids left unused by deleted nodes, and a node
 // with no out-edges but in-edges.
 func testView(t testing.TB) *graph.View {
 	t.Helper()
 	g := gen.GNM(400, 3000, 7)
+	deleted := func(id int64) bool { return id < 40 && id%3 == 0 }
+	var srcs, dsts, nodes []int64
+	for u, id := range g.IDs() {
+		if deleted(id) {
+			continue
+		}
+		nodes = append(nodes, id)
+		for _, x := range g.Out(int32(u)) {
+			if !deleted(g.ID(x)) {
+				srcs, dsts = append(srcs, id), append(dsts, g.ID(x))
+			}
+		}
+	}
 	for id := int64(400); id < 410; id++ {
-		g.AddNode(id) // isolated
+		nodes = append(nodes, id) // isolated
 	}
-	for id := int64(0); id < 40; id += 3 {
-		g.DelNode(id) // tombstoned slots
+	v, err := graph.BuildViewCols(srcs, dsts, nodes)
+	if err != nil {
+		t.Fatal(err)
 	}
-	return graph.BuildView(g)
+	return v
 }
 
+// testUView is testView's shapes on an undirected preferential-attachment
+// graph.
 func testUView(t testing.TB) *graph.UView {
 	t.Helper()
 	g := gen.BarabasiAlbert(300, 3, 11)
+	deleted := func(id int64) bool { return id < 30 && id%4 == 0 }
+	var srcs, dsts, nodes []int64
+	for u, id := range g.IDs() {
+		if deleted(id) {
+			continue
+		}
+		nodes = append(nodes, id)
+		for _, x := range g.Adj(int32(u)) {
+			if !deleted(g.ID(x)) {
+				srcs, dsts = append(srcs, id), append(dsts, g.ID(x))
+			}
+		}
+	}
 	for id := int64(300); id < 308; id++ {
-		g.AddNode(id)
+		nodes = append(nodes, id)
 	}
-	for id := int64(0); id < 30; id += 4 {
-		g.DelNode(id)
-	}
-	return uviewOf(g)
-}
-
-// uviewOf is the CSR view of an undirected model graph, built from its
-// edge columns: BuildViewCols of one arc per edge, projected.
-func uviewOf(g *graph.Undirected) *graph.UView {
-	var srcs, dsts []int64
-	g.ForEdges(func(a, b int64) { srcs, dsts = append(srcs, a), append(dsts, b) })
-	v, err := graph.BuildViewCols(srcs, dsts, g.Nodes())
+	v, err := graph.BuildViewCols(srcs, dsts, nodes)
 	if err != nil {
-		panic(err)
+		t.Fatal(err)
 	}
 	return graph.ProjectUView(v)
 }
@@ -142,9 +160,12 @@ func TestRoundTripUndirected(t *testing.T) {
 }
 
 func TestRoundTripEmpty(t *testing.T) {
-	g := graph.NewDirected()
+	g, err := graph.BuildViewCols(nil, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	path := filepath.Join(t.TempDir(), "empty.rngm")
-	if err := SaveMapped(path, graph.BuildView(g)); err != nil {
+	if err := SaveMapped(path, g); err != nil {
 		t.Fatalf("SaveMapped: %v", err)
 	}
 	m, err := Open(path)
@@ -405,17 +426,15 @@ func FuzzOpenMapped(f *testing.F) {
 // produced for small graphs with a self-loop and an isolated node: each
 // view saves to exactly those bytes, and the bytes open to an equal view.
 func TestMappedGolden(t *testing.T) {
-	g := graph.NewDirected()
-	for _, e := range [][2]int64{{1, 2}, {2, 3}, {3, 1}, {2, 2}} {
-		g.AddEdge(e[0], e[1])
+	v, err := graph.BuildViewCols([]int64{1, 2, 3, 2}, []int64{2, 3, 1, 2}, []int64{9})
+	if err != nil {
+		t.Fatal(err)
 	}
-	g.AddNode(9)
-	u := graph.NewUndirectedCap(0)
-	for _, e := range [][2]int64{{1, 2}, {2, 3}, {3, 3}} {
-		u.AddEdge(e[0], e[1])
+	ud, err := graph.BuildViewCols([]int64{1, 2, 3}, []int64{2, 3, 3}, []int64{9})
+	if err != nil {
+		t.Fatal(err)
 	}
-	u.AddNode(9)
-	v, uv := graph.BuildView(g), uviewOf(u)
+	uv := graph.ProjectUView(ud)
 	dir := t.TempDir()
 	for _, tc := range []struct {
 		golden string

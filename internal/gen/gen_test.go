@@ -1,9 +1,7 @@
 package gen
 
 import (
-	"fmt"
 	"slices"
-	"sort"
 	"testing"
 
 	"ringo/internal/conv"
@@ -38,20 +36,27 @@ func TestRMATDeterministicAndInRange(t *testing.T) {
 func TestRMATSkewedDegrees(t *testing.T) {
 	// R-MAT with canonical parameters must be much more skewed than uniform:
 	// the max out-degree should far exceed the mean.
-	tbl := RMATTable(12, 40_000, 7)
-	g, err := conv.ToDirected(tbl, "src", "dst")
+	g, err := conv.ToView(RMATTable(12, 40_000, 7), "src", "dst")
 	if err != nil {
 		t.Fatal(err)
 	}
 	maxDeg := 0
-	g.ForNodes(func(id int64) {
-		if d := g.OutDeg(id); d > maxDeg {
-			maxDeg = d
-		}
-	})
+	for u := int32(0); int(u) < g.NumNodes(); u++ {
+		maxDeg = max(maxDeg, g.OutDeg(u))
+	}
 	mean := float64(g.NumEdges()) / float64(g.NumNodes())
 	if float64(maxDeg) < 10*mean {
 		t.Fatalf("max degree %d not skewed vs mean %.1f", maxDeg, mean)
+	}
+}
+
+// noSelfLoops fails t if the directed view has an edge u->u.
+func noSelfLoops(t *testing.T, name string, g *graph.View) {
+	t.Helper()
+	for u := int32(0); int(u) < g.NumNodes(); u++ {
+		if _, loop := slices.BinarySearch(g.Out(u), u); loop {
+			t.Fatalf("%s produced a self-loop at %d", name, g.ID(u))
+		}
 	}
 }
 
@@ -60,14 +65,7 @@ func TestGNM(t *testing.T) {
 	if g.NumNodes() != 100 || g.NumEdges() != 500 {
 		t.Fatalf("GNM dims = (%d,%d)", g.NumNodes(), g.NumEdges())
 	}
-	g.ForEdges(func(s, d int64) {
-		if s == d {
-			t.Fatal("GNM produced self-loop")
-		}
-	})
-	if err := validDirected(g); err != nil {
-		t.Fatal(err)
-	}
+	noSelfLoops(t, "GNM", g)
 }
 
 func TestGNPEdgeCountNearExpectation(t *testing.T) {
@@ -79,12 +77,8 @@ func TestGNPEdgeCountNearExpectation(t *testing.T) {
 	if got < expect*0.8 || got > expect*1.2 {
 		t.Fatalf("GNP edges = %v, expected about %v", got, expect)
 	}
-	g.ForEdges(func(s, d int64) {
-		if s == d {
-			t.Fatal("GNP produced self-loop")
-		}
-	})
-	if GNP(50, 0, 1).NumEdges() != 0 {
+	noSelfLoops(t, "GNP", g)
+	if g := GNP(50, 0, 1); g.NumEdges() != 0 || g.NumNodes() != 50 {
 		t.Fatal("GNP(p=0) has edges")
 	}
 	full := GNP(10, 1, 1)
@@ -103,13 +97,12 @@ func TestBarabasiAlbert(t *testing.T) {
 	if g.NumEdges() != want {
 		t.Fatalf("BA edges = %d, want %d", g.NumEdges(), want)
 	}
-	if err := validUndirected(g); err != nil {
-		t.Fatal(err)
-	}
 	// Preferential attachment produces a hub far above the minimum degree.
-	degs := []int{}
-	g.ForNodes(func(id int64) { degs = append(degs, g.Deg(id)) })
-	sort.Ints(degs)
+	degs := make([]int, g.NumNodes())
+	for u := range degs {
+		degs[u] = g.Deg(int32(u))
+	}
+	slices.Sort(degs)
 	if degs[len(degs)-1] < 3*degs[0] {
 		t.Fatalf("BA degrees not skewed: min %d max %d", degs[0], degs[len(degs)-1])
 	}
@@ -124,8 +117,39 @@ func TestWattsStrogatz(t *testing.T) {
 	if g.NumEdges() < 180 || g.NumEdges() > 200 {
 		t.Fatalf("WS edges = %d, want about 200", g.NumEdges())
 	}
-	if err := validUndirected(g); err != nil {
-		t.Fatal(err)
+	for u := int32(0); int(u) < g.NumNodes(); u++ {
+		if _, loop := slices.BinarySearch(g.Adj(u), u); loop {
+			t.Fatalf("WS produced a self-loop at %d", g.ID(u))
+		}
+	}
+}
+
+// TestSeededGeneratorsReproducible calls every seeded generator twice with
+// one seed and requires the same view, array for array.
+func TestSeededGeneratorsReproducible(t *testing.T) {
+	directed := map[string]func() *graph.View{
+		"GNM": func() *graph.View { return GNM(200, 900, 7) },
+		"GNP": func() *graph.View { return GNP(200, 0.03, 7) },
+	}
+	for name, gen := range directed {
+		a, b := gen(), gen()
+		ids, outOff, inOff, out, in := a.ViewParts()
+		wids, wOutOff, wInOff, wOut, wIn := b.ViewParts()
+		if !slices.Equal(ids, wids) || !slices.Equal(outOff, wOutOff) || !slices.Equal(inOff, wInOff) ||
+			!slices.Equal(out, wOut) || !slices.Equal(in, wIn) {
+			t.Errorf("%s: two calls with one seed built different graphs", name)
+		}
+	}
+	undirected := map[string]func() *graph.UView{
+		"BarabasiAlbert": func() *graph.UView { return BarabasiAlbert(200, 3, 7) },
+		"WattsStrogatz":  func() *graph.UView { return WattsStrogatz(200, 3, 0.3, 7) },
+	}
+	for name, gen := range undirected {
+		ids, off, arena := gen().UViewParts()
+		wids, woff, warena := gen().UViewParts()
+		if !slices.Equal(ids, wids) || !slices.Equal(off, woff) || !slices.Equal(arena, warena) {
+			t.Errorf("%s: two calls with one seed built different graphs", name)
+		}
 	}
 }
 
@@ -250,55 +274,4 @@ func TestStackOverflowConfigValidation(t *testing.T) {
 	if _, err := StackOverflowPosts(SOConfig{Questions: 5, Users: 5, AcceptProb: 2}); err == nil {
 		t.Fatal("bad accept probability accepted")
 	}
-}
-
-// validDirected holds g's adjacency vectors to the graph its own edge list
-// builds: BuildView translates the out- and in-vectors as stored, while
-// BuildViewCols sorts, deduplicates and transposes the out-edges, so the
-// two views agree only when every vector is sorted and duplicate-free, the
-// in-vectors mirror the out-vectors and the edge count is right.
-func validDirected(g *graph.Directed) error {
-	var srcs, dsts []int64
-	g.ForEdges(func(s, d int64) {
-		srcs, dsts = append(srcs, s), append(dsts, d)
-	})
-	want, err := graph.BuildViewCols(srcs, dsts, g.Nodes())
-	if err != nil {
-		return err
-	}
-	ids, outOff, inOff, out, in := graph.BuildView(g).ViewParts()
-	wids, wOutOff, wInOff, wOut, wIn := want.ViewParts()
-	if !slices.Equal(ids, wids) || !slices.Equal(outOff, wOutOff) || !slices.Equal(inOff, wInOff) ||
-		!slices.Equal(out, wOut) || !slices.Equal(in, wIn) || g.NumEdges() != int64(len(srcs)) {
-		return fmt.Errorf("graph of %d nodes, %d edges differs from the graph its edges build", g.NumNodes(), g.NumEdges())
-	}
-	return nil
-}
-
-// validUndirected is validDirected for an undirected graph: its vectors
-// must equal the projection of the graph its own edge list builds, which
-// holds only when every vector is sorted and duplicate-free, every edge
-// sits in both endpoints' vectors and the edge count is right.
-func validUndirected(g *graph.Undirected) error {
-	var srcs, dsts []int64
-	g.ForEdges(func(a, b int64) {
-		srcs, dsts = append(srcs, a), append(dsts, b)
-	})
-	dv, err := graph.BuildViewCols(srcs, dsts, g.Nodes())
-	if err != nil {
-		return err
-	}
-	pv := graph.ProjectUView(dv)
-	same := pv.NumNodes() == g.NumNodes() && g.NumEdges() == int64(len(srcs))
-	for u, id := range pv.IDs() {
-		adj, nbrs := pv.Adj(int32(u)), g.Neighbors(id)
-		same = same && len(adj) == len(nbrs)
-		for j := 0; same && j < len(adj); j++ {
-			same = pv.ID(adj[j]) == nbrs[j]
-		}
-	}
-	if !same {
-		return fmt.Errorf("graph of %d nodes, %d edges differs from the graph its edges build", g.NumNodes(), g.NumEdges())
-	}
-	return nil
 }

@@ -112,3 +112,38 @@ func BenchmarkAblationDeleteEdgeCSR(b *testing.B) {
 		g.AddEdge(e[0], e[1])
 	}
 }
+
+// BenchmarkAblationTraverse walks every edge of R-MAT 2^15 with 200 000
+// edges, the update-query workload's graph, in the hash-of-nodes form
+// (ForEdges over per-node vectors, a thaw of the view) and in the CSR
+// view every kernel runs over.
+func BenchmarkAblationTraverse(b *testing.B) {
+	src, dst := gen.RMATEdges(15, 200000, 0.57, 0.19, 0.19, 1)
+	v, err := graph.BuildViewCols(src, dst, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	g := graph.FromView(v)
+	b.Run("hash", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			var sum int64
+			g.ForEdges(func(_, dst int64) { sum += dst })
+			if sum == 0 {
+				b.Fatal("no edges traversed")
+			}
+		}
+	})
+	b.Run("csr", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			var sum int64
+			for u := int32(0); u < int32(v.NumNodes()); u++ {
+				for _, nbr := range v.Out(u) {
+					sum += int64(nbr)
+				}
+			}
+			if sum == 0 {
+				b.Fatal("no edges traversed")
+			}
+		}
+	})
+}

@@ -7,9 +7,10 @@ import (
 	"ringo/internal/par"
 )
 
-// ReservedNodeID is the node id reserved for tombstoned slots; AddNode
-// panics on it, and hosts that accept ids from user input (the shell's
-// addnode/addedge verbs) reject it up front.
+// ReservedNodeID is the node id a hash graph's slot table reserves for
+// freed slots (IDAtSlot reads it as no node), so no graph may hold it:
+// hosts that accept ids from user input (the shell's addnode/addedge
+// verbs) reject it up front.
 const ReservedNodeID = tombstone
 
 // DeltaOp enumerates the mutations a graph delta log records. Node
@@ -22,7 +23,7 @@ const (
 	// DeltaAddNode records an isolated-node insertion (Src is the id).
 	DeltaAddNode DeltaOp = iota
 	// DeltaAddEdge records an edge insertion Src->Dst (endpoints created
-	// as needed, exactly like Directed.AddEdge / Undirected.AddEdge).
+	// as needed; in an undirected view the edge {Src, Dst}).
 	DeltaAddEdge
 	// DeltaDelEdge records an edge deletion Src->Dst.
 	DeltaDelEdge
@@ -103,8 +104,8 @@ func PatchUView(base *UView, hasNode func(int64) bool, hasEdge func(a, b int64) 
 		if cur == base.HasEdge(d.Src, d.Dst) {
 			continue
 		}
-		// A self-loop appears once in its node's adjacency, like
-		// Undirected.AddEdge inserts it.
+		// A self-loop appears once in its node's adjacency, as in every
+		// UView.
 		a, b := m.index(d.Src), m.index(d.Dst)
 		edits = append(edits, edit{a, b, cur})
 		if a != b {

@@ -2,10 +2,11 @@ package graph
 
 import "slices"
 
-// Undirected is a dynamic undirected graph with the same design as
-// Directed: a hash table of nodes, each holding one sorted adjacency
-// vector. An edge {u,v} appears in both endpoints' vectors; a self-loop
-// appears once in its node's vector.
+// Undirected is the per-edge undirected model graph the views are held
+// to (buildUView, FuzzIncrementalView, the delta tests). It has the same
+// design as Directed: a hash table of nodes, each holding one sorted
+// adjacency vector. An edge {u,v} appears in both endpoints' vectors; a
+// self-loop appears once in its node's vector.
 type Undirected struct {
 	idx    map[int64]int32
 	ids    []int64
@@ -176,4 +177,25 @@ func (g *Undirected) Clone() *Undirected {
 	}
 	out.nEdges = g.nEdges
 	return out
+}
+
+// DelEdge removes the edge {src,dst} and reports whether it existed.
+func (g *Undirected) DelEdge(src, dst int64) bool {
+	ss, ok := g.idx[src]
+	if !ok {
+		return false
+	}
+	ds, ok := g.idx[dst]
+	if !ok {
+		return false
+	}
+	if _, found := slices.BinarySearch(g.adj[ss], dst); !found {
+		return false
+	}
+	g.adj[ss] = removeSorted(g.adj[ss], dst)
+	if src != dst {
+		g.adj[ds] = removeSorted(g.adj[ds], src)
+	}
+	g.nEdges--
+	return true
 }

@@ -168,7 +168,8 @@ func (v *View) Bytes() int64 {
 }
 
 // UView is the undirected counterpart of View: one offset vector and one
-// arena-backed neighbor array. Self-loops appear once, as in Undirected.
+// arena-backed neighbor array. An edge {u, v} sits in both endpoints'
+// vectors; a self-loop appears once, in its node's.
 type UView struct {
 	ids   []int64
 	off   []int64

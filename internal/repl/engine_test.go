@@ -15,9 +15,13 @@ import (
 
 // saveEdgeListForTest writes g as a text edge list, for loadgraph
 // format-sniffing tests.
-func saveEdgeListForTest(path string, g *graph.Directed) error {
+func saveEdgeListForTest(path string, g *graph.View) error {
 	var sb strings.Builder
-	g.ForEdges(func(src, dst int64) { fmt.Fprintf(&sb, "%d\t%d\n", src, dst) })
+	for u, id := range g.IDs() {
+		for _, x := range g.Out(int32(u)) {
+			fmt.Fprintf(&sb, "%d\t%d\n", id, g.ID(x))
+		}
+	}
 	return os.WriteFile(path, []byte(sb.String()), 0o644)
 }
 
@@ -348,7 +352,7 @@ func TestEngineSaveGraphLoadGraphRoundTrip(t *testing.T) {
 	// Text edge lists still load through the same verb.
 	evalAll(t, e, "totable T G")
 	if err := func() error {
-		gr, err := e.Workspace().Graph("G")
+		gr, err := e.Workspace().DirectedView("G")
 		if err != nil {
 			return err
 		}

@@ -10,7 +10,6 @@ import (
 	"testing"
 
 	"ringo/internal/algo"
-	"ringo/internal/conv"
 	"ringo/internal/core"
 	"ringo/internal/graph"
 )
@@ -74,14 +73,15 @@ func TestFrozenBindingMatchesHashBinding(t *testing.T) {
 			}
 			evalAll(t, frozen, road.bind)
 			evalAll(t, hashed, genE)
-			g, err := conv.ToDirected(tbl, "src", "dst")
+			var nodes []int64
+			if road.iso {
+				nodes = []int64{isoNode}
+			}
+			v, err := graph.BuildViewCols(srcs, dsts, nodes)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if road.iso {
-				g.AddNode(isoNode)
-			}
-			hashed.Workspace().SetWithProvenance("G", core.Object{Graph: g}, road.prov)
+			hashed.Workspace().SetWithProvenance("G", core.Object{Graph: graph.FromView(v)}, road.prov)
 			checkFrozenTwins(t, frozen, hashed, srcs, dsts, road.iso)
 		})
 	}
@@ -182,20 +182,21 @@ func checkFrozenTwins(t *testing.T, frozen, hashed *Engine, srcs, dsts []int64, 
 	sameDigest("after the mutations")
 
 	// And the mutated graph answers as a graph rebuilt from its edges.
-	ref := graph.NewDirected()
+	refSrcs, refDsts := []int64{5000}, []int64{5001}
 	for i := range srcs {
 		if srcs[i] != src || dsts[i] != dst {
-			ref.AddEdge(srcs[i], dsts[i])
+			refSrcs, refDsts = append(refSrcs, srcs[i]), append(refDsts, dsts[i])
 		}
 	}
-	ref.AddEdge(5000, 5001)
-	ref.AddNode(src)
-	ref.AddNode(dst)
-	ref.AddNode(7000)
+	nodes := []int64{src, dst, 7000}
 	if iso {
-		ref.AddNode(isoNode)
+		nodes = append(nodes, isoNode)
 	}
-	want := algo.PageRankView(graph.BuildView(ref), algo.DefaultDamping, 10)
+	ref, err := graph.BuildViewCols(refSrcs, refDsts, nodes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := algo.PageRankView(ref, algo.DefaultDamping, 10)
 	got, err := frozen.Workspace().Scores("PR")
 	if err != nil {
 		t.Fatal(err)
@@ -219,8 +220,10 @@ func TestNoBindingHoldsAHashGraph(t *testing.T) {
 			t.Fatalf("after %s, %s is bound as %+v", road, name, o)
 		}
 	}
-	g := graph.NewDirected()
-	g.AddEdge(1, 2)
+	g, err := graph.BuildDirectedCols([]int64{1}, []int64{2})
+	if err != nil {
+		t.Fatal(err)
+	}
 	e.Workspace().Set("H", core.Object{Graph: g})
 	viewOnly("Set of a hash graph", "H")
 	evalAll(t, e, "gen rmat E 7 300 5", "tograph G E src dst")

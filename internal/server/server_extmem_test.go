@@ -10,7 +10,6 @@ import (
 
 	"ringo/internal/extmem"
 	"ringo/internal/gen"
-	"ringo/internal/graph"
 )
 
 // writeTruncated copies the first half of src to dst, producing an image
@@ -28,9 +27,8 @@ func writeTruncated(src, dst string) error {
 // decode) as the read-only graph "g", analytics work over it, and the
 // mapped bytes surface on GET /stats and GET /metrics.
 func TestWarmStartMapped(t *testing.T) {
-	g := gen.GNM(500, 4000, 11)
 	path := filepath.Join(t.TempDir(), "g.rngm")
-	if err := extmem.SaveMapped(path, graph.BuildView(g)); err != nil {
+	if err := extmem.SaveMapped(path, gen.GNM(500, 4000, 11)); err != nil {
 		t.Fatalf("SaveMapped: %v", err)
 	}
 

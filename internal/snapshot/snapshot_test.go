@@ -37,17 +37,18 @@ func sampleObjects(t testing.TB) []Object {
 			t.Fatal(err)
 		}
 	}
-	g := graph.NewDirected()
-	g.AddEdge(1, 2)
-	g.AddEdge(2, 3)
-	g.AddEdge(3, 1)
-	u := graph.NewDirected() // projected: the undirected path 10-20-30
-	u.AddEdge(10, 20)
-	u.AddEdge(20, 30)
+	g, err := graph.BuildViewCols([]int64{1, 2, 3}, []int64{2, 3, 1}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	u, err := graph.BuildViewCols([]int64{10, 20}, []int64{20, 30}, nil) // projected: the undirected path 10-20-30
+	if err != nil {
+		t.Fatal(err)
+	}
 	return []Object{
 		{Name: "T", Provenance: "load T posts.tsv", Version: 1, Table: tbl},
-		{Name: "G", Provenance: "tograph G T src dst", Version: 2, View: graph.BuildView(g)},
-		{Name: "U", Provenance: "", Version: 3, UView: graph.ProjectUView(graph.BuildView(u))},
+		{Name: "G", Provenance: "tograph G T src dst", Version: 2, View: g},
+		{Name: "U", Provenance: "", Version: 3, UView: graph.ProjectUView(u)},
 		{Name: "PR", Provenance: "pagerank PR G", Version: 7, Scores: algo.Scores{{ID: 1, Score: 0.5}, {ID: 2, Score: 0.25}, {ID: 3, Score: 0.25}}},
 	}
 }

@@ -13,15 +13,19 @@ import (
 
 // writeEdgeListFile writes g to path as a tab-separated edge list, each
 // zero-degree node as a "# node <id>" line so the node set survives.
-func writeEdgeListFile(t *testing.T, path string, g *graph.Directed) {
+func writeEdgeListFile(t *testing.T, path string, g *graph.View) {
 	t.Helper()
 	var sb strings.Builder
-	for _, id := range g.Nodes() {
-		if g.OutDeg(id) == 0 && g.InDeg(id) == 0 {
+	for u, id := range g.IDs() {
+		if g.OutDeg(int32(u)) == 0 && g.InDeg(int32(u)) == 0 {
 			fmt.Fprintf(&sb, "# node %d\n", id)
 		}
 	}
-	g.ForEdges(func(src, dst int64) { fmt.Fprintf(&sb, "%d\t%d\n", src, dst) })
+	for u, id := range g.IDs() {
+		for _, x := range g.Out(int32(u)) {
+			fmt.Fprintf(&sb, "%d\t%d\n", id, g.ID(x))
+		}
+	}
 	if err := os.WriteFile(path, []byte(sb.String()), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -177,9 +181,10 @@ func TestFacadeBulkBuild(t *testing.T) {
 }
 
 func TestEdgeListRoundTripKeepsIsolatedNodes(t *testing.T) {
-	g := graph.NewDirected()
-	g.AddEdge(1, 2)
-	g.AddNode(99)
+	g, err := graph.BuildViewCols([]int64{1}, []int64{2}, []int64{99})
+	if err != nil {
+		t.Fatal(err)
+	}
 	path := t.TempDir() + "/iso.tsv"
 	writeEdgeListFile(t, path, g)
 	back, err := ringo.LoadEdgeListParallel(path)
@@ -204,14 +209,9 @@ func TestNaiveToGraphMatches(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The per-edge-insert baseline: one AddEdge per row.
-	naive := graph.NewDirected()
-	src, _ := tbl.IntCol("src")
-	dst, _ := tbl.IntCol("dst")
-	for i := range src {
-		naive.AddEdge(src[i], dst[i])
-	}
-	if fast.NumNodes() != naive.NumNodes() || fast.NumEdges() != naive.NumEdges() {
+	// The per-edge baseline: one arc per row, duplicates collapsing.
+	naive := perEdgeGraph(tbl, "src", "dst", false)
+	if fast.NumNodes() != len(naive.out) || fast.NumEdges() != naive.edges() {
 		t.Fatal("conversion variants disagree")
 	}
 }

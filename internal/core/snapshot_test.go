@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"encoding/hex"
+	"fmt"
 	"slices"
 	"strings"
 	"testing"
@@ -247,14 +248,15 @@ func TestWorkspaceSnapshotFileRoundTrip(t *testing.T) {
 
 // TestSnapshotGoldenScoreFrame restores a score frame written before
 // scores became id-sorted vectors (the map-based encoder sorted keys on the
-// way out, so the bytes were already in this order), under the version-2
-// header that changed only graph records: the frame must decode to the
+// way out, so the bytes were already in this order), under the version-3
+// header: versions 2 and 3 changed graph records, table records and the
+// checksum, never a score payload's bytes. The frame must decode to the
 // same pairs, re-encode byte for byte, and keep fingerprint and digest.
 func TestSnapshotGoldenScoreFrame(t *testing.T) {
 	golden, err := hex.DecodeString("" +
-		"524e4753020000000100000000000000010000000200000050520d0000007061" +
-		"676572616e6b205052204701000000000000000448000000000000006e88dc14" +
-		"839ac4920400000000000000fdffffffffffffff000000000000c03f00000000" +
+		"524e4753030000000100000000000000010000000200000050520d0000007061" +
+		"676572616e6b2050522047010000000000000004480000000000000075126d78" +
+		"305c4e060400000000000000fdffffffffffffff000000000000c03f00000000" +
 		"00000000000000000000e03f0700000000000000000000000000d03f00000000" +
 		"00010000000000000000c03f")
 	if err != nil {
@@ -278,8 +280,8 @@ func TestSnapshotGoldenScoreFrame(t *testing.T) {
 	if !bytes.Equal(out.Bytes(), golden) {
 		t.Fatalf("re-encoded snapshot differs from the golden bytes:\n got %x\nwant %x", out.Bytes(), golden)
 	}
-	if d, _ := ws.Digest(); d != "3d102ec32e67ec46" {
-		t.Fatalf("digest = %s, want 3d102ec32e67ec46", d)
+	if d, _ := ws.Digest(); d != "c188346c30303644" {
+		t.Fatalf("digest = %s, want c188346c30303644", d)
 	}
 }
 
@@ -403,5 +405,116 @@ func TestRestoreOwnSnapshotKeepsClockBounded(t *testing.T) {
 	}
 	if o, _ := ws.Get("g"); !o.View.HasEdge(100, 101) {
 		t.Fatal("the mutation after the restores was not folded")
+	}
+}
+
+// TestRestoredTableEditsStayInItsBlocks: a restored table's row ids and
+// columns alias the payload its record was read into, block after block.
+// Each must end where its block does (cap == len), so editing the table in
+// place — select, append a row, order — changes the table the way the same
+// edits change the table it was saved from, and nothing else: the graph
+// and scores restored beside it stay as they were, and a second restore of
+// the same bytes equals the first.
+func TestRestoredTableEditsStayInItsBlocks(t *testing.T) {
+	tbl, err := table.New(table.Schema{
+		{Name: "User", Type: table.String},
+		{Name: "Posts", Type: table.Int},
+		{Name: "Rank", Type: table.Float},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range 40 {
+		if err := tbl.AppendRow(fmt.Sprintf("u%d", i%7), int64(i*37%11), float64(i)/8); err != nil {
+			t.Fatal(err)
+		}
+	}
+	g, err := graph.BuildViewCols([]int64{1, 2, 3, 3}, []int64{2, 3, 1, 4}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ws := NewWorkspace()
+	ws.Set("T", Object{Table: tbl})
+	ws.Set("G", Object{View: g})
+	ws.Set("PR", Object{Scores: algo.PageRankView(g, algo.DefaultDamping, 10)})
+	var buf bytes.Buffer
+	if err := ws.Snapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+
+	first := NewWorkspace()
+	if err := first.Restore(bytes.NewReader(buf.Bytes())); err != nil {
+		t.Fatal(err)
+	}
+	firstDigest, err := first.Digest()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt, err := first.Table("T")
+	if err != nil {
+		t.Fatal(err)
+	}
+	users, _ := rt.IntCol("User")
+	posts, _ := rt.IntCol("Posts")
+	ranks, _ := rt.FloatCol("Rank")
+	for name, c := range map[string][2]int{
+		"row ids": {len(rt.RowIDs()), cap(rt.RowIDs())},
+		"User":    {len(users), cap(users)},
+		"Posts":   {len(posts), cap(posts)},
+		"Rank":    {len(ranks), cap(ranks)},
+	} {
+		if c[0] != 40 || c[1] != c[0] {
+			t.Fatalf("restored %s: len %d, cap %d, want both 40", name, c[0], c[1])
+		}
+	}
+	rv, err := first.DirectedView("G")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids, outOff, inOff, out, in := rv.ViewParts()
+	graphBefore := [][]int64{slices.Clone(ids), slices.Clone(outOff), slices.Clone(inOff)}
+	arenasBefore := [][]int32{slices.Clone(out), slices.Clone(in)}
+	rs, err := first.Scores("PR")
+	if err != nil {
+		t.Fatal(err)
+	}
+	scoresBefore := slices.Clone(rs)
+
+	for _, tb := range []*table.Table{rt, tbl} {
+		if _, err := tb.SelectInPlace("Posts", table.GE, int64(3)); err != nil {
+			t.Fatal(err)
+		}
+		if err := tb.AppendRow("new", int64(99), -1.5); err != nil {
+			t.Fatal(err)
+		}
+		if err := tb.OrderBy(true, "Posts", "Rank"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !slices.Equal(rt.RowIDs(), tbl.RowIDs()) || rt.NumRows() != tbl.NumRows() {
+		t.Fatalf("edited restored table has rows %v, the edited original %v", rt.RowIDs(), tbl.RowIDs())
+	}
+	for c := range tbl.NumCols() {
+		for r := range tbl.NumRows() {
+			if got, want := rt.Value(c, r), tbl.Value(c, r); got != want {
+				t.Fatalf("edited restored table cell (%d,%d) = %v, the edited original %v", c, r, got, want)
+			}
+		}
+	}
+	ids, outOff, inOff, out, in = rv.ViewParts()
+	if !slices.Equal(ids, graphBefore[0]) || !slices.Equal(outOff, graphBefore[1]) || !slices.Equal(inOff, graphBefore[2]) ||
+		!slices.Equal(out, arenasBefore[0]) || !slices.Equal(in, arenasBefore[1]) {
+		t.Fatal("editing the restored table changed the restored graph")
+	}
+	if !slices.Equal(rs, scoresBefore) {
+		t.Fatal("editing the restored table changed the restored scores")
+	}
+
+	second := NewWorkspace()
+	if err := second.Restore(bytes.NewReader(buf.Bytes())); err != nil {
+		t.Fatal(err)
+	}
+	if d, err := second.Digest(); err != nil || d != firstDigest {
+		t.Fatalf("second restore digests %s (%v), the first %s", d, err, firstDigest)
 	}
 }

@@ -238,7 +238,7 @@ func TestOpenRejectsCorruption(t *testing.T) {
 			binary.LittleEndian.PutUint32(b[4:], 99)
 			fixChecksums(b)
 			return b
-		}, "unsupported format version"},
+		}, "unsupported RNGM version 99"},
 		{"bad kind", func(b []byte) []byte {
 			binary.LittleEndian.PutUint32(b[8:], 7)
 			return b
@@ -473,5 +473,23 @@ func TestMappedGolden(t *testing.T) {
 		}
 		tc.check(m)
 		m.Close()
+	}
+}
+
+// TestOpenRefusesVersion1: a version-1 image, whose checksums were
+// byte-serial FNV-1a, fails by its version even behind valid checksums.
+func TestOpenRefusesVersion1(t *testing.T) {
+	b, err := os.ReadFile(saveTemp(t, testView(t)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	binary.LittleEndian.PutUint32(b[4:], 1)
+	fixChecksums(b)
+	path := filepath.Join(t.TempDir(), "v1.rngm")
+	if err := os.WriteFile(path, b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Open(path); err == nil || !strings.Contains(err.Error(), "unsupported RNGM version 1") {
+		t.Fatalf("version-1 image: error %v", err)
 	}
 }

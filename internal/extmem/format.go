@@ -9,7 +9,8 @@
 // RNGM layout (all integers little endian):
 //
 //	[0:4)   magic "RNGM"
-//	[4:8)   format version u32 (currently 1)
+//	[4:8)   format version u32 (currently 2; version 1 checksummed with a
+//	        byte-serial FNV-1a and is refused)
 //	[8:12)  kind u32: 1 = directed view, 2 = undirected view
 //	[12:16) reserved u32 (zero)
 //	[16:24) node count u64
@@ -43,7 +44,7 @@ import (
 
 const (
 	mappedMagic   = "RNGM"
-	mappedVersion = 1
+	mappedVersion = 2
 
 	kindDirected   = 1
 	kindUndirected = 2

@@ -137,7 +137,7 @@ func (g *Graph) parse() error {
 		return fmt.Errorf("not a mapped graph image (magic %q)", data[:4])
 	}
 	if v := binary.LittleEndian.Uint32(data[4:]); v != mappedVersion {
-		return fmt.Errorf("unsupported format version %d", v)
+		return fmt.Errorf("unsupported %s version %d", mappedMagic, v)
 	}
 	g.kind = binary.LittleEndian.Uint32(data[8:])
 	var nsections int

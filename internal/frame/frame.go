@@ -45,6 +45,7 @@ func Prealloc(n uint64) int { return int(min(n, maxPrealloc)) }
 type Writer struct {
 	w   *bufio.Writer
 	err error
+	n   int64 // bytes written
 	buf [8]byte
 }
 
@@ -80,6 +81,7 @@ func (w *Writer) String(s string) {
 	w.U32(uint32(len(s)))
 	if w.err == nil {
 		_, w.err = w.w.WriteString(s)
+		w.n += int64(len(s))
 	}
 }
 
@@ -87,7 +89,16 @@ func (w *Writer) String(s string) {
 func (w *Writer) Bytes(p []byte) {
 	if w.err == nil {
 		_, w.err = w.w.Write(p)
+		w.n += int64(len(p))
 	}
+}
+
+// Pad8 writes zero bytes up to the next multiple of 8 bytes from the start
+// of the stream, so the block written next can be aliased as 8-byte words
+// from a buffer holding the stream (Section).
+func (w *Writer) Pad8() {
+	var zeros [8]byte
+	w.Bytes(zeros[:-w.n&7])
 }
 
 // Int64s writes s as one block of little-endian i64s; the count is the
@@ -112,6 +123,7 @@ func (w *Writer) Flush() error {
 type Reader struct {
 	r    *bufio.Reader
 	err  error
+	off  int64 // bytes read
 	left int64 // bytes the source still holds, or -1 when it cannot tell
 	buf  [8]byte
 }
@@ -162,11 +174,16 @@ func (r *Reader) read(field string, p []byte) bool {
 		r.err = fmt.Errorf("reading %s: %w", field, err)
 		return false
 	}
+	r.off += int64(len(p))
 	if r.left >= 0 {
 		r.left -= int64(len(p))
 	}
 	return true
 }
+
+// Offset returns how many bytes the Reader has consumed: where, in a
+// buffer holding the whole stream, the next field starts.
+func (r *Reader) Offset() int64 { return r.off }
 
 // Header reads a 4-byte magic and a u32 version and fails unless they are
 // the ones given: readers accept exactly the formats they know.
@@ -248,25 +265,16 @@ func (r *Reader) String(field string) string {
 	return string(b)
 }
 
-// Bytes reads n bytes.
-func (r *Reader) Bytes(field string, n uint64) []byte { return readBlock[byte](r, field, n) }
-
-// Int64s reads a block of n little-endian i64s.
-func (r *Reader) Int64s(field string, n uint64) []int64 { return readBlock[int64](r, field, n) }
+// Bytes reads n bytes into one allocation as large as the first read
+// step: all n when the source is known to hold them.
+func (r *Reader) Bytes(field string, n uint64) []byte {
+	return appendBlock(r, field, make([]byte, 0, min(n, r.step(field, n, 1))), n)
+}
 
 // AppendInt64s reads a block of n little-endian i64s onto the end of dst,
 // so a decoder can stream many blocks into one flat column.
 func (r *Reader) AppendInt64s(field string, dst []int64, n uint64) []int64 {
 	return appendBlock(r, field, dst, n)
-}
-
-// Float64s reads a block of n little-endian f64 bit patterns.
-func (r *Reader) Float64s(field string, n uint64) []float64 { return readBlock[float64](r, field, n) }
-
-// readBlock reads n elements straight into the slice it returns, made at
-// once as large as the first read step.
-func readBlock[T word](r *Reader, field string, n uint64) []T {
-	return appendBlock(r, field, make([]T, 0, min(n, r.step(field, n, sizeOf[T]()))), n)
 }
 
 // appendBlock reads n elements straight onto the end of out, in one read

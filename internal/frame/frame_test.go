@@ -123,10 +123,11 @@ func TestRoundTrip(t *testing.T) {
 	if s1, s2 := r.String("s1"), r.String("s2"); s1 != "tab\there" || s2 != "" {
 		t.Fatalf("strings = %q, %q", s1, s2)
 	}
-	if got := r.Int64s("ints", uint64(len(ints))); !slices.Equal(got, ints) {
+	if got := r.AppendInt64s("ints", nil, uint64(len(ints))); !slices.Equal(got, ints) {
 		t.Fatalf("Int64s = %v", got)
 	}
-	if got := r.Float64s("floats", uint64(len(floats))); !slices.EqualFunc(got, floats, func(a, b float64) bool {
+	img := r.Bytes("floats", uint64(8*len(floats)))
+	if got := Section[float64](img, 0, int64(len(img))); !slices.EqualFunc(got, floats, func(a, b float64) bool {
 		return math.Float64bits(a) == math.Float64bits(b)
 	}) {
 		t.Fatalf("Float64s = %v", got)
@@ -168,7 +169,7 @@ func TestReaderRejects(t *testing.T) {
 		{"lying block", u64(1), func(r *Reader) {
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
-			if got := r.Int64s("row ids", 1<<40); got != nil {
+			if got := r.AppendInt64s("row ids", nil, 1<<40); got != nil {
 				t.Errorf("lying block returned %d values", len(got))
 			}
 			runtime.ReadMemStats(&after)
@@ -205,6 +206,38 @@ func TestSectionMatchesImage(t *testing.T) {
 	small := []int32{-7, 9}
 	if got := Section[int32](Image(small), 0, 8); !slices.Equal(got, small) {
 		t.Fatalf("int32 Section = %v", got)
+	}
+}
+
+// TestPad8AlignsTheNextBlock: Pad8 writes zeros up to the next multiple of
+// 8 bytes from the stream's start, none when it is there already, and a
+// Reader's Offset after the same fields points at the padded block.
+func TestPad8AlignsTheNextBlock(t *testing.T) {
+	for _, name := range []string{"", "a", "abcd", "abcdefgh"} {
+		var buf bytes.Buffer
+		w := NewWriter(&buf)
+		w.Header("TEST", 1)
+		w.String(name)
+		w.Pad8()
+		w.Int64s([]int64{-2, 5})
+		if err := w.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		b := buf.Bytes()
+		r := NewReader(bytes.NewReader(b))
+		r.Header("TEST", 1)
+		r.String("name")
+		at := r.Offset()
+		if at != int64(12+len(name)) || r.Err() != nil {
+			t.Fatalf("%q: Offset = %d, error %v", name, at, r.Err())
+		}
+		pad := (at + 7) &^ 7
+		if int64(len(b)) != pad+16 || !bytes.Equal(b[at:pad], make([]byte, pad-at)) {
+			t.Fatalf("%q: %d bytes after a %d-byte prefix, padding %x", name, len(b), at, b[at:min(pad, int64(len(b)))])
+		}
+		if got := Section[int64](b, pad, 16); !slices.Equal(got, []int64{-2, 5}) {
+			t.Fatalf("%q: block after the padding = %v", name, got)
+		}
 	}
 }
 
@@ -277,10 +310,10 @@ func TestBlockReadsInOneAllocation(t *testing.T) {
 	for _, src := range sources {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		got := NewReader(src.open()).Int64s("block", uint64(len(want)))
+		got := NewReader(src.open()).Bytes("block", size)
 		runtime.ReadMemStats(&after)
-		if !slices.Equal(got, want) {
-			t.Fatalf("%s: block read back %d values, want %d in order", src.name, len(got), len(want))
+		if !bytes.Equal(got, buf.Bytes()) {
+			t.Fatalf("%s: block read back %d bytes, want %d in order", src.name, len(got), size)
 		}
 		grew := after.TotalAlloc - before.TotalAlloc
 		if src.exact && grew > size+64<<10 {
@@ -292,7 +325,7 @@ func TestBlockReadsInOneAllocation(t *testing.T) {
 		if src.exact {
 			r := NewReader(src.open())
 			runtime.ReadMemStats(&before)
-			lying := r.Int64s("lying", uint64(len(want))+1)
+			lying := r.Bytes("lying", size+1)
 			runtime.ReadMemStats(&after)
 			if lying != nil || r.Err() == nil || !strings.Contains(r.Err().Error(), "bytes left") {
 				t.Fatalf("%s: a block one element past the source gave %d values, error %v", src.name, len(lying), r.Err())

@@ -8,7 +8,7 @@
 // # File format (little endian)
 //
 //	magic   "RNGS"
-//	version u32 (currently 2)
+//	version u32 (currently 3)
 //	clock   u64   workspace version clock at snapshot time
 //	count   u32   number of object frames
 //
@@ -19,14 +19,14 @@
 //	version   u64                  the binding's workspace version
 //	kind      u8                   1 table, 2 graph, 3 ugraph, 4 scores
 //	paylen    u64                  payload byte count
-//	checksum  u64                  xhash.Checksum64 of the payload bytes
+//	checksum  u64                  xhash.Checksum64 of the payload bytes, read as 8-byte words
 //	payload   paylen bytes
 //
 // Tables embed the columnar format of table.EncodeBinary (shared string
-// pool, bulk column blocks), and score vectors are (i64, f64) pairs in
-// strictly ascending id order behind a u64 count. A graph record is its
-// CSR view's own arrays, the sections of an RNGM image (internal/extmem):
-// a u64 node count n and a u64 entry count e, then
+// pool, then 8-aligned row-id and column blocks), and score vectors are
+// (i64, f64) pairs in strictly ascending id order behind a u64 count. A
+// graph record is its CSR view's own arrays, the sections of an RNGM image
+// (internal/extmem): a u64 node count n and a u64 entry count e, then
 //
 //	graph:  ids i64[n], outOff i64[n+1], inOff i64[n+1], out i32[e], in i32[e]
 //	ugraph: ids i64[n], off i64[n+1], arena i32[e]
@@ -34,7 +34,8 @@
 // each zero-padded to a multiple of 8 bytes. A payload is read into one
 // allocation, so its sections are aligned: Read aliases them as the view's
 // arrays (frame.Section) and validates them (graph.ViewFromArrays,
-// graph.UViewFromArrays) — no sort, no id lookup, no copy. Every frame is
+// graph.UViewFromArrays) — no sort, no id lookup, no copy — and a table's
+// row ids and columns the same way (table.DecodeBinary). Every frame is
 // independently length-prefixed and checksummed, so corruption is detected
 // per object — errors name the failing object — and frames can be encoded
 // and decoded in parallel (internal/par), one worker per object.
@@ -59,8 +60,10 @@ const (
 	// Magic identifies a Ringo workspace snapshot file.
 	Magic = "RNGS"
 	// Version is the current snapshot format version. Version 1 embedded
-	// graphs as RNGO/RNGU adjacency records; its files are refused.
-	Version = 2
+	// graphs as RNGO/RNGU adjacency records; version 2 checksummed
+	// payloads with a byte-serial FNV-1a and embedded RTBL version 1
+	// tables. Files of either are refused.
+	Version = 3
 
 	kindTable  = 1
 	kindGraph  = 2
@@ -99,13 +102,15 @@ func (o *Object) kind() (byte, error) {
 }
 
 // Write serializes objs (with the workspace clock) to w. Object payloads
-// are encoded concurrently, one goroutine per par worker, then frames are
-// written out in binding order.
+// are encoded and checksummed concurrently, one goroutine per par worker,
+// then frames are written out in binding order.
 func Write(w io.Writer, clock uint64, objs []Object) error {
 	payloads := make([][]byte, len(objs))
+	sums := make([]uint64, len(objs))
 	errs := make([]error, len(objs))
 	par.ForEach(len(objs), func(i int) {
 		payloads[i], errs[i] = encodePayload(&objs[i])
+		sums[i] = xhash.Checksum64(payloads[i])
 	})
 	for i, err := range errs {
 		if err != nil {
@@ -128,7 +133,7 @@ func Write(w io.Writer, clock uint64, objs []Object) error {
 		fw.U64(o.Version)
 		fw.U8(kind)
 		fw.U64(uint64(len(payloads[i])))
-		fw.U64(xhash.Checksum64(payloads[i]))
+		fw.U64(sums[i])
 		fw.Bytes(payloads[i])
 	}
 	return fw.Flush()
@@ -287,8 +292,9 @@ func Read(r io.Reader) (clock uint64, objs []Object, err error) {
 		recs = append(recs, rec)
 	}
 
-	// Each payload is dropped once its object decodes, so the collector
-	// can free it while the other objects are still decoding.
+	// A table or graph record's payload becomes its object's memory; a
+	// score vector's is dropped once it decodes, so the collector can free
+	// it while the other objects are still decoding.
 	errs := make([]error, len(recs))
 	par.ForEach(len(recs), func(i int) {
 		errs[i] = recs[i].decode()
@@ -315,7 +321,7 @@ func (rec *record) decode() error {
 	var err error
 	switch rec.kind {
 	case kindTable:
-		rec.obj.Table, err = table.DecodeBinary(bytes.NewReader(rec.payload))
+		rec.obj.Table, err = table.DecodeBinary(rec.payload)
 	case kindGraph:
 		rec.obj.View, err = decodeView(rec.payload)
 	case kindUGraph:

@@ -407,6 +407,21 @@ func TestSnapshotRejectsStructuralCorruption(t *testing.T) {
 	}
 }
 
+// TestSnapshotRefusesVersion2: a version-2 snapshot, whose checksums were
+// byte-serial FNV-1a and whose tables were RTBL version 1, fails by its
+// version.
+func TestSnapshotRefusesVersion2(t *testing.T) {
+	var buf bytes.Buffer
+	if err := Write(&buf, 9, sampleObjects(t)); err != nil {
+		t.Fatal(err)
+	}
+	b := buf.Bytes()
+	binary.LittleEndian.PutUint32(b[4:], 2)
+	if _, _, err := Read(bytes.NewReader(b)); err == nil || !strings.Contains(err.Error(), "unsupported RNGS version 2") {
+		t.Fatalf("version-2 snapshot: error %v", err)
+	}
+}
+
 // TestDecodeScoresOverflowingCount: a crafted count near 2^60 makes 16*n
 // wrap modulo 2^64; the length check must reject it instead of letting the
 // decode loop index out of range.
@@ -497,9 +512,11 @@ func TestSnapshotGolden(t *testing.T) {
 }
 
 // decodeAs decodes data with the decoder sel picks — the snapshot reader,
-// one of the two stream codecs, or a graph or ugraph record — and returns
-// what it accepted as a snapshot's clock and objects.
-func decodeAs(sel byte, data []byte) (uint64, []Object, error) {
+// the RTBL or RNGO codec, or a graph or ugraph record — and returns what
+// it accepted as a snapshot's clock and objects. An RTBL table is decoded
+// twice, from an 8-aligned buffer, whose blocks it aliases, and at offset
+// 1 of one, whose blocks it copies out; the two must agree.
+func decodeAs(t *testing.T, sel byte, data []byte) (uint64, []Object, error) {
 	r := bytes.NewReader(data)
 	o := Object{Name: "x"}
 	var err error
@@ -507,7 +524,22 @@ func decodeAs(sel byte, data []byte) (uint64, []Object, error) {
 	case 0:
 		return Read(r)
 	case 1:
-		o.Table, err = table.DecodeBinary(r)
+		words := func() []byte { return frame.Image(make([]int64, len(data)/8+1)) }
+		aligned, shifted := words()[:len(data)], words()[1:len(data)+1]
+		copy(aligned, data)
+		copy(shifted, data)
+		o.Table, err = table.DecodeBinary(aligned)
+		copied, cerr := table.DecodeBinary(shifted)
+		if (err == nil) != (cerr == nil) {
+			t.Fatalf("RTBL decodes differ by alignment: aligned %v, at offset 1 %v", err, cerr)
+		}
+		if err == nil {
+			a, _ := encodePayload(&o)
+			c, _ := encodePayload(&Object{Table: copied})
+			if !bytes.Equal(a, c) {
+				t.Fatal("RTBL decodes to different tables by alignment")
+			}
+		}
 	case 2:
 		o.View, err = graph.LoadBinary(r)
 	case 3:
@@ -519,8 +551,8 @@ func decodeAs(sel byte, data []byte) (uint64, []Object, error) {
 }
 
 // FuzzDecodeFormats sends arbitrary bytes to snapshot.Read,
-// table.DecodeBinary, graph.LoadBinary or a snapshot's graph or ugraph
-// record decoder, as the first byte selects. Each must return an error or
+// table.DecodeBinary (aligned and misaligned), graph.LoadBinary or a
+// snapshot's graph or ugraph record decoder, as the first byte selects. Each must return an error or
 // a value and never panic, and a value it accepts must re-encode to bytes
 // that decode again and re-encode to the same bytes: what was accepted
 // survives a round trip.
@@ -553,7 +585,7 @@ func FuzzDecodeFormats(f *testing.F) {
 		if len(in) == 0 {
 			return
 		}
-		clock, objs, err := decodeAs(in[0], in[1:])
+		clock, objs, err := decodeAs(t, in[0], in[1:])
 		if err != nil {
 			return
 		}

@@ -1,6 +1,7 @@
 package table
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"slices"
@@ -11,21 +12,26 @@ import (
 // Columnar binary table serialization, the table-side counterpart of the
 // binary graph format: whole int64/float64 columns are written as
 // contiguous little-endian blocks and string columns as pool ids next to a
-// single shared string pool, so loading is a handful of bulk reads instead
-// of a per-cell text parse. This is the representation workspace snapshots
-// embed (see internal/snapshot); unlike TSV it round-trips every string
-// value byte-for-byte, including tabs, newlines and empty strings, and it
-// preserves persistent row identifiers.
+// single shared string pool. This is the representation workspace
+// snapshots embed (see internal/snapshot); unlike TSV it round-trips every
+// string value byte-for-byte, including tabs, newlines and empty strings,
+// and it preserves persistent row identifiers.
 //
 // Layout (little endian): magic "RTBL", format version u32, column count
 // u32, then per column: name (u32 length + bytes), type u8; row count u64,
-// next row id i64, row ids i64×rows; pool: distinct string count u32, then
-// per string u32 length + bytes; finally per column in schema order the
-// column block (i64×rows for Int and String columns, f64×rows for Float).
+// next row id i64; pool: distinct string count u32, then per string u32
+// length + bytes; zero padding up to the next multiple of 8 bytes; row ids
+// i64×rows; finally per column in schema order the column block (i64×rows
+// for Int and String columns, f64×rows for Float). Every block starts 8
+// bytes aligned from the start of the table, so a decoder holding the
+// table in an aligned buffer aliases them as the columns: loading copies
+// nothing past the pool.
 
 const (
-	tableBinaryMagic   = "RTBL"
-	tableBinaryVersion = 1
+	tableBinaryMagic = "RTBL"
+	// tableBinaryVersion 1 wrote the row ids before the pool and no
+	// padding; its tables are refused.
+	tableBinaryVersion = 2
 )
 
 // EncodeBinary writes t in the columnar binary table format.
@@ -39,11 +45,12 @@ func (t *Table) EncodeBinary(w io.Writer) error {
 	}
 	fw.U64(uint64(t.NumRows()))
 	fw.U64(uint64(t.nextID))
-	fw.Int64s(t.rowIDs)
 	fw.U32(uint32(t.pool.Len()))
 	for i := 0; i < t.pool.Len(); i++ {
 		fw.String(t.pool.Get(int32(i)))
 	}
+	fw.Pad8()
+	fw.Int64s(t.rowIDs)
 	for i, c := range t.cols {
 		if c.Type == Float {
 			fw.Float64s(t.floats[i])
@@ -54,12 +61,17 @@ func (t *Table) EncodeBinary(w io.Writer) error {
 	return fw.Flush()
 }
 
-// DecodeBinary reads a table written by EncodeBinary. All counts are
-// validated against what the stream actually delivers, string-column cells
-// are checked against the pool size, and allocations are bounded, so a
-// truncated or corrupt stream returns an error instead of panicking.
-func DecodeBinary(r io.Reader) (*Table, error) {
-	fr := frame.NewReader(r)
+// DecodeBinary decodes a table EncodeBinary wrote into p, which holds it
+// and nothing more. The row ids and the columns alias p where p's memory
+// is 8-byte aligned (frame.Section), and are copied out of it otherwise;
+// either way each has cap == len, so an append reallocates instead of
+// writing over the next block, and the table owns p from here on. All
+// counts are validated against the bytes p holds, string-column cells are
+// checked against the pool size, and row ids against each other and the
+// next row id, so a truncated or corrupt table returns an error instead of
+// panicking.
+func DecodeBinary(p []byte) (*Table, error) {
+	fr := frame.NewReader(bytes.NewReader(p))
 	fr.Header(tableBinaryMagic, tableBinaryVersion)
 	nCols := fr.Count32("column count")
 	var schema Schema
@@ -76,8 +88,26 @@ func DecodeBinary(r io.Reader) (*Table, error) {
 		return nil, err
 	}
 	t.nextID = nextID
-	if t.rowIDs = fr.Int64s("row ids", nRows); fr.Err() != nil {
-		return nil, fmt.Errorf("table: %w", fr.Err())
+	nStrs := fr.U32("pool size")
+	for i := uint32(0); i < nStrs && fr.Err() == nil; i++ {
+		if id := t.pool.Intern(fr.String("pool string")); fr.Err() == nil && id != int32(i) {
+			return nil, fmt.Errorf("table: pool string %d duplicates string %d", i, id)
+		}
+	}
+	if err := fr.Err(); err != nil {
+		return nil, fmt.Errorf("table: %w", err)
+	}
+	// The row ids and one block per column, each rows×8 bytes, fill what
+	// is left after the padding exactly. Divide, don't multiply: rows ×
+	// blocks × 8 can wrap.
+	at := (fr.Offset() + 7) &^ 7
+	blocks := uint64(len(schema) + 1)
+	if left := int64(len(p)) - at; left < 0 || nRows > uint64(left)/8/blocks || uint64(left) != 8*nRows*blocks {
+		return nil, fmt.Errorf("table: %d rows of %d columns and row ids do not fill the %d bytes after the pool", nRows, len(schema), max(left, 0))
+	}
+	size := int64(8 * nRows)
+	if size > 0 { // an empty table keeps New's empty slices
+		t.rowIDs = frame.Section[int64](p, at, size)
 	}
 	// Duplicate ids, or a nextID at or below an existing id, would break
 	// the persistent row-identity guarantee: future AppendRow calls could
@@ -96,19 +126,16 @@ func DecodeBinary(r io.Reader) (*Table, error) {
 	if t.nextID <= maxRowID {
 		return nil, fmt.Errorf("table: next row id %d not above max row id %d", t.nextID, maxRowID)
 	}
-	nStrs := fr.U32("pool size")
-	for i := uint32(0); i < nStrs && fr.Err() == nil; i++ {
-		if id := t.pool.Intern(fr.String("pool string")); fr.Err() == nil && id != int32(i) {
-			return nil, fmt.Errorf("table: pool string %d duplicates string %d", i, id)
-		}
-	}
 	for i, c := range schema {
-		field := fmt.Sprintf("column %q", c.Name)
+		at += size
+		if size == 0 {
+			break
+		}
 		if c.Type == Float {
-			t.floats[i] = fr.Float64s(field, nRows)
+			t.floats[i] = frame.Section[float64](p, at, size)
 			continue
 		}
-		t.ints[i] = fr.Int64s(field, nRows)
+		t.ints[i] = frame.Section[int64](p, at, size)
 		if c.Type != String {
 			continue
 		}
@@ -117,9 +144,6 @@ func DecodeBinary(r io.Reader) (*Table, error) {
 				return nil, fmt.Errorf("table: column %q row %d: string id %d outside pool of %d", c.Name, r, cell, nStrs)
 			}
 		}
-	}
-	if err := fr.Err(); err != nil {
-		return nil, fmt.Errorf("table: %w", err)
 	}
 	return t, nil
 }

@@ -2,9 +2,11 @@ package table
 
 import (
 	"bytes"
+	"encoding/binary"
 	"os"
 	"strings"
 	"testing"
+	"unsafe"
 )
 
 func binarySampleTable(t *testing.T) *Table {
@@ -48,7 +50,7 @@ func TestTableBinaryRoundTrip(t *testing.T) {
 	if err := sel.EncodeBinary(&buf); err != nil {
 		t.Fatal(err)
 	}
-	got, err := DecodeBinary(&buf)
+	got, err := DecodeBinary(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +118,7 @@ func TestTableBinaryRejectsCorruptInput(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, err := DecodeBinary(bytes.NewReader(tc.mangle(good)))
+			_, err := DecodeBinary(tc.mangle(good))
 			if err == nil {
 				t.Fatal("decode of corrupt input succeeded")
 			}
@@ -149,16 +151,18 @@ func TestTableBinaryRejectsStaleNextID(t *testing.T) {
 	for i := 26; i < 34; i++ {
 		b[i] = 0
 	}
-	_, err = DecodeBinary(bytes.NewReader(b))
+	_, err = DecodeBinary(b)
 	if err == nil || !strings.Contains(err.Error(), "next row id") {
 		t.Fatalf("stale nextID error = %v", err)
 	}
 
 	// Duplicate row ids break row-identity tracking just as badly; copy
-	// row 0's id (bytes [34,42)) over row 1's (bytes [42,50)).
+	// row 0's id over row 1's. The row ids are the first of the two
+	// 3-row blocks that end the table.
 	b = append([]byte(nil), buf.Bytes()...)
-	copy(b[42:50], b[34:42])
-	_, err = DecodeBinary(bytes.NewReader(b))
+	ids := len(b) - 2*3*8
+	copy(b[ids+8:ids+16], b[ids:ids+8])
+	_, err = DecodeBinary(b)
 	if err == nil || !strings.Contains(err.Error(), "twice") {
 		t.Fatalf("duplicate row id error = %v", err)
 	}
@@ -179,7 +183,7 @@ func TestTableBinaryRejectsOutOfRangePoolID(t *testing.T) {
 	// The single string cell is the last 8 bytes; point it outside the pool.
 	b := buf.Bytes()
 	b[len(b)-8] = 7
-	if _, err := DecodeBinary(bytes.NewReader(b)); err == nil {
+	if _, err := DecodeBinary(b); err == nil {
 		t.Fatal("decode accepted string id outside pool")
 	}
 }
@@ -213,11 +217,66 @@ func TestTableBinaryGolden(t *testing.T) {
 	if !bytes.Equal(buf.Bytes(), golden) {
 		t.Fatalf("encoding differs from the golden bytes:\n got %x\nwant %x", buf.Bytes(), golden)
 	}
-	got, err := DecodeBinary(bytes.NewReader(golden))
+	got, err := DecodeBinary(golden)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if d := diffTables(got, want); d != "" {
 		t.Fatal(d)
+	}
+}
+
+// TestTableBinaryRefusesVersion1: a version-1 table, whose row ids came
+// before the pool and whose blocks were not padded, fails by its version.
+func TestTableBinaryRefusesVersion1(t *testing.T) {
+	var buf bytes.Buffer
+	if err := goldenTable(t).EncodeBinary(&buf); err != nil {
+		t.Fatal(err)
+	}
+	b := buf.Bytes()
+	binary.LittleEndian.PutUint32(b[4:], 1)
+	if _, err := DecodeBinary(b); err == nil || !strings.Contains(err.Error(), "unsupported RTBL version 1") {
+		t.Fatalf("version-1 table: error %v", err)
+	}
+}
+
+// TestTableBinaryDecodeAlignment: a table decoded from an 8-aligned buffer
+// aliases its row ids and columns from it, one decoded from a misaligned
+// buffer copies them out; both equal the encoded table, and every block
+// has cap == len, so an append reallocates instead of writing over the
+// next block.
+func TestTableBinaryDecodeAlignment(t *testing.T) {
+	want := goldenTable(t)
+	var buf bytes.Buffer
+	if err := want.EncodeBinary(&buf); err != nil {
+		t.Fatal(err)
+	}
+	n := buf.Len()
+	aligned := unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(make([]int64, n/8+1)))), n)
+	copy(aligned, buf.Bytes())
+	misaligned := make([]byte, n+1)[1:]
+	copy(misaligned, buf.Bytes())
+	little := binary.NativeEndian.Uint16([]byte{1, 0}) == 1
+	for name, p := range map[string][]byte{"aligned": aligned, "misaligned": misaligned} {
+		got, err := DecodeBinary(p)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if d := diffTables(got, want); d != "" {
+			t.Fatalf("%s: %s", name, d)
+		}
+		blocks := [][]int64{got.rowIDs, got.ints[0], got.ints[1]}
+		for i, b := range blocks {
+			if cap(b) != len(b) {
+				t.Fatalf("%s: block %d has cap %d, len %d", name, i, cap(b), len(b))
+			}
+			inside := uintptr(unsafe.Pointer(&b[0]))-uintptr(unsafe.Pointer(&p[0])) < uintptr(len(p))
+			if inside != (little && name == "aligned") {
+				t.Fatalf("%s: block %d aliases the buffer: %v", name, i, inside)
+			}
+		}
+		if f := got.floats[2]; cap(f) != len(f) {
+			t.Fatalf("%s: float block has cap %d, len %d", name, cap(f), len(f))
+		}
 	}
 }

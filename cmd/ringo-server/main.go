@@ -24,7 +24,7 @@
 // binary workspace snapshots (POST /sessions/{id}/snapshot and /restore),
 // and -restore <file> warm-starts a restarted server from such a snapshot
 // before the listener comes up. -restore also accepts an RNGM mapped CSR
-// image (written by the savemapped verb): instead of decoding, the graph
+// image (written by the save verb): instead of decoding, the graph
 // is validated and served in place from mmap as the read-only binding "g",
 // turning a restart on a big graph from a decode-bound wait into
 // milliseconds (GET /stats reports the file-backed size as mapped_bytes).
@@ -46,8 +46,10 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
+	"strings"
 	"syscall"
 
+	"ringo/internal/repl"
 	"ringo/internal/server"
 )
 
@@ -56,7 +58,7 @@ func main() {
 	cacheSize := flag.Int("cache", server.DefaultCacheSize, "result cache entries (negative disables)")
 	workers := flag.Int("workers", server.DefaultWorkers, "async job workers")
 	maxSessions := flag.Int("max-sessions", 0, "session cap (0 = unlimited)")
-	allowFileIO := flag.Bool("allow-file-io", false, "permit load/loadgraph/save/snapshot/restore (host filesystem access) over HTTP")
+	allowFileIO := flag.Bool("allow-file-io", false, "permit "+strings.Join(repl.FileVerbs(), "/")+" (host filesystem access) over HTTP")
 	token := flag.String("token", "", "require 'Authorization: Bearer <token>' on every request (empty = no auth)")
 	restorePath := flag.String("restore", "", "warm start: restore this workspace snapshot into a session before serving")
 	restoreSession := flag.String("restore-session", "main", "session id the -restore snapshot is loaded into")

@@ -92,7 +92,7 @@ func TestFormatsDocNamesEveryMagic(t *testing.T) {
 	if err != nil {
 		t.Fatalf("docs/FORMATS.md missing: %v", err)
 	}
-	for _, magic := range []string{"RNGS", "RTBL", "RNGO", "RNGU", "RNGM", "# node "} {
+	for _, magic := range []string{"RNGS", "RTBL", "RNGU", "RNGM", "# node "} {
 		if !strings.Contains(string(data), magic) {
 			t.Errorf("docs/FORMATS.md does not mention the %q format", magic)
 		}

@@ -80,9 +80,9 @@ type Object struct {
 	View   *graph.View
 	UView  *graph.UView
 	Scores algo.Scores
-	// Mapped is a read-only graph served in place from an RNGM file (the
-	// beyond-RAM tier): its views come straight from the mapping, and
-	// mutating verbs reject it.
+	// Mapped is a read-only graph served in place from an RNGM file by
+	// mapgraph or a warm start (the beyond-RAM tier): its views come
+	// straight from the mapping, and mutating verbs reject it.
 	Mapped *extmem.Graph
 
 	// proj is a directed binding's undirected projection as of version

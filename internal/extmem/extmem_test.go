@@ -181,9 +181,9 @@ func TestRoundTripEmpty(t *testing.T) {
 func TestFallbackMatchesMapped(t *testing.T) {
 	v := testView(t)
 	path := saveTemp(t, v)
-	g, err := openFallback(path)
+	g, err := Read(path)
 	if err != nil {
-		t.Fatalf("openFallback: %v", err)
+		t.Fatalf("Read: %v", err)
 	}
 	defer g.Close()
 	if g.Mapped() {
@@ -391,7 +391,7 @@ func FuzzOpenMapped(f *testing.F) {
 	f.Add(dirBytes)
 	f.Add(undirBytes)
 	f.Add(dirBytes[:len(dirBytes)/2])
-	f.Add([]byte(mappedMagic))
+	f.Add([]byte(Magic))
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -491,5 +491,28 @@ func TestOpenRefusesVersion1(t *testing.T) {
 	}
 	if _, err := Open(path); err == nil || !strings.Contains(err.Error(), "unsupported RNGM version 1") {
 		t.Fatalf("version-1 image: error %v", err)
+	}
+}
+
+// TestSniff: an image sniffs as Magic, any other file as its first four
+// bytes, and a file that is missing or shorter than a magic as "".
+func TestSniff(t *testing.T) {
+	dir := t.TempDir()
+	write := func(name, body string) string {
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	for _, tc := range []struct{ path, want string }{
+		{saveTemp(t, testView(t)), Magic},
+		{write("text", "1\t2\n3\t4\n"), "1\t2\n"},
+		{write("short", "RNG"), ""},
+		{filepath.Join(dir, "missing"), ""},
+	} {
+		if got := Sniff(tc.path); got != tc.want {
+			t.Errorf("Sniff(%s) = %q, want %q", filepath.Base(tc.path), got, tc.want)
+		}
 	}
 }

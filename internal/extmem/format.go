@@ -3,8 +3,11 @@
 // paper (Perez et al., SIGMOD 2015) assumes a big-memory machine; GraphMP's
 // semi-external recipe — vertex state in RAM, edge arrays in mapped on-disk
 // blocks — removes that assumption. This package provides the on-disk
-// format (RNGM) plus the mapped loader; the mapped view it serves is an
-// ordinary graph.View, so the heap kernels run over it unchanged.
+// format (RNGM), Ringo's one graph file: the save verb writes it,
+// loadgraph reads it onto the heap (Read), and mapgraph and
+// ringo-server -restore serve it in place (Open). Either way the view it
+// serves is an ordinary graph.View, so the heap kernels run over it
+// unchanged.
 //
 // RNGM layout (all integers little endian):
 //
@@ -43,7 +46,8 @@ import (
 )
 
 const (
-	mappedMagic   = "RNGM"
+	// Magic opens every RNGM image.
+	Magic         = "RNGM"
 	mappedVersion = 2
 
 	kindDirected   = 1
@@ -93,7 +97,7 @@ func save(path string, kind uint32, nnodes, nentries uint64, secs [][]byte) erro
 	}
 
 	head := make([]byte, 0, hdr)
-	head = append(head, mappedMagic...)
+	head = append(head, Magic...)
 	head = binary.LittleEndian.AppendUint32(head, mappedVersion)
 	head = binary.LittleEndian.AppendUint32(head, kind)
 	head = binary.LittleEndian.AppendUint32(head, 0) // reserved

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"sync"
@@ -15,10 +16,9 @@ import (
 )
 
 // ErrNoMmap reports that this build has no mmap shim for the host platform.
-// OpenMapped fails with it; Open catches it and copies the file into an
-// aligned heap buffer instead, which is correct but loses the beyond-RAM
-// property.
-var ErrNoMmap = errors.New("extmem: no mmap support on this platform; RNGM graphs load by copying the file into memory (extmem.Open)")
+// OpenMapped fails with it; Open catches it and reads the file onto the
+// heap instead (Read), which is correct but loses the beyond-RAM property.
+var ErrNoMmap = errors.New("extmem: no mmap support on this platform; RNGM graphs load by reading the file into memory (extmem.Read)")
 
 // Graph is an opened RNGM image: the raw bytes (mapped or heap-copied) plus
 // a graph.View / graph.UView assembled directly over them. The view pins
@@ -87,19 +87,21 @@ func OpenMapped(path string) (*Graph, error) {
 }
 
 // Open opens an RNGM image, preferring the zero-copy mapped path and
-// falling back to an aligned in-memory copy where mmap is unavailable.
+// falling back to Read where mmap is unavailable.
 func Open(path string) (*Graph, error) {
 	g, err := OpenMapped(path)
 	if err == nil || !errors.Is(err, ErrNoMmap) {
 		return g, err
 	}
-	return openFallback(path)
+	return Read(path)
 }
 
-// openFallback reads the whole file into memory. Sections alias the copy
-// where it is aligned for them, as they would a mapping, and are decoded
-// where it is not.
-func openFallback(path string) (*Graph, error) {
+// Read reads the whole RNGM image at path onto the heap and validates it
+// as OpenMapped does. Sections alias the copy where it is aligned for
+// them, as they would a mapping, and are decoded where it is not; the
+// views own nothing else, so a binding over them can be patched and
+// snapshotted like any heap view.
+func Read(path string) (*Graph, error) {
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
@@ -108,6 +110,23 @@ func openFallback(path string) (*Graph, error) {
 		return nil, fmt.Errorf("extmem: %s: empty file", path)
 	}
 	return finish(path, raw, false, nil)
+}
+
+// Sniff returns the first four bytes of the file at path — Magic for an
+// RNGM image — or "" when the file cannot be read or is shorter. Loaders
+// branch on it before choosing a reader, whose own error then names what
+// is wrong with a file Sniff could not read.
+func Sniff(path string) string {
+	f, err := os.Open(path)
+	if err != nil {
+		return ""
+	}
+	defer f.Close()
+	var head [len(Magic)]byte
+	if _, err := io.ReadFull(f, head[:]); err != nil {
+		return ""
+	}
+	return string(head[:])
 }
 
 // finish validates a raw image and assembles the Graph over it.
@@ -133,11 +152,11 @@ func (g *Graph) parse() error {
 	if int64(len(data)) < fixedHeaderLen+8 {
 		return fmt.Errorf("truncated header (%d bytes)", len(data))
 	}
-	if string(data[:4]) != mappedMagic {
+	if string(data[:4]) != Magic {
 		return fmt.Errorf("not a mapped graph image (magic %q)", data[:4])
 	}
 	if v := binary.LittleEndian.Uint32(data[4:]); v != mappedVersion {
-		return fmt.Errorf("unsupported %s version %d", mappedMagic, v)
+		return fmt.Errorf("unsupported %s version %d", Magic, v)
 	}
 	g.kind = binary.LittleEndian.Uint32(data[8:])
 	var nsections int

@@ -1,11 +1,10 @@
 // Package frame is the one binary codec under Ringo's on-disk formats
-// (docs/FORMATS.md): RNGS snapshots, RTBL tables, RNGO graphs and the
-// RNGM mapped image. It owns what those formats share — little-endian
-// fields behind a magic + version header, length-prefixed strings, bulk
-// array blocks read in one allocation where the source vouches for their
-// length, the bounds a decoder puts on the counts it reads, and the
-// atomic replacement of a file on disk — so each format is a payload
-// schema over it.
+// (docs/FORMATS.md): RNGS snapshots, RTBL tables and RNGM graph images.
+// It owns what those formats share — little-endian fields behind a magic +
+// version header, length-prefixed strings, bulk array blocks read in one
+// allocation where the source vouches for their length, the bounds a
+// decoder puts on the counts it reads, and the atomic replacement of a
+// file on disk — so each format is a payload schema over it.
 package frame
 
 import (
@@ -24,20 +23,15 @@ const (
 	// (2^44 ≈ 17 trillion): a header claiming more is corrupt, and
 	// trusting it would ask length arithmetic to overflow.
 	MaxCount = 1 << 44
-	// maxPrealloc bounds how far a decoded count is trusted: slices and
-	// maps start at most this many elements large, and a declared length
-	// the source cannot vouch for is read at most this many elements at a
-	// time, so a lying count costs reads until the stream runs dry, never
-	// an absurd allocation. It also bounds the u32 list lengths Count32
-	// reads.
+	// maxPrealloc bounds how far a decoded count is trusted: a declared
+	// length the source cannot vouch for is read at most this many
+	// elements at a time, so a lying count costs reads until the stream
+	// runs dry, never an absurd allocation. It also bounds the u32 list
+	// lengths Count32 reads.
 	maxPrealloc = 1 << 20
 	// maxString bounds one length-prefixed string.
 	maxString = 1 << 24
 )
-
-// Prealloc returns the capacity to start a slice or map at for n decoded
-// elements: n, capped at 2^20.
-func Prealloc(n uint64) int { return int(min(n, maxPrealloc)) }
 
 // Writer encodes little-endian fields into a buffered stream. Its first
 // error sticks: later calls do nothing and Flush returns it, so an encoder
@@ -269,12 +263,6 @@ func (r *Reader) String(field string) string {
 // step: all n when the source is known to hold them.
 func (r *Reader) Bytes(field string, n uint64) []byte {
 	return appendBlock(r, field, make([]byte, 0, min(n, r.step(field, n, 1))), n)
-}
-
-// AppendInt64s reads a block of n little-endian i64s onto the end of dst,
-// so a decoder can stream many blocks into one flat column.
-func (r *Reader) AppendInt64s(field string, dst []int64, n uint64) []int64 {
-	return appendBlock(r, field, dst, n)
 }
 
 // appendBlock reads n elements straight onto the end of out, in one read

@@ -123,7 +123,7 @@ func TestRoundTrip(t *testing.T) {
 	if s1, s2 := r.String("s1"), r.String("s2"); s1 != "tab\there" || s2 != "" {
 		t.Fatalf("strings = %q, %q", s1, s2)
 	}
-	if got := r.AppendInt64s("ints", nil, uint64(len(ints))); !slices.Equal(got, ints) {
+	if got := appendBlock[int64](r, "ints", nil, uint64(len(ints))); !slices.Equal(got, ints) {
 		t.Fatalf("Int64s = %v", got)
 	}
 	img := r.Bytes("floats", uint64(8*len(floats)))
@@ -169,7 +169,7 @@ func TestReaderRejects(t *testing.T) {
 		{"lying block", u64(1), func(r *Reader) {
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
-			if got := r.AppendInt64s("row ids", nil, 1<<40); got != nil {
+			if got := appendBlock[int64](r, "row ids", nil, 1<<40); got != nil {
 				t.Errorf("lying block returned %d values", len(got))
 			}
 			runtime.ReadMemStats(&after)
@@ -241,9 +241,10 @@ func TestPad8AlignsTheNextBlock(t *testing.T) {
 	}
 }
 
-// TestAppendInt64s: blocks appended onto one column land after what it
-// held, including a block longer than one bounded read, and a block the
-// stream cannot fill fails with the field named and no column returned.
+// TestAppendInt64s: i64 blocks appendBlock reads onto one column land
+// after what it held, including a block longer than one bounded read, and
+// a block the stream cannot fill fails with the field named and no column
+// returned.
 func TestAppendInt64s(t *testing.T) {
 	long := make([]int64, 1<<20+3)
 	for i := range long {
@@ -257,15 +258,15 @@ func TestAppendInt64s(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := NewReader(bytes.NewReader(buf.Bytes()))
-	col := r.AppendInt64s("first", []int64{1}, 2)
-	col = r.AppendInt64s("second", col, uint64(len(long)))
+	col := appendBlock[int64](r, "first", []int64{1}, 2)
+	col = appendBlock[int64](r, "second", col, uint64(len(long)))
 	if err := r.Err(); err != nil {
 		t.Fatal(err)
 	}
 	if want := slices.Concat([]int64{1, 4, -5}, long); !slices.Equal(col, want) {
 		t.Fatalf("column holds %d values, want %d in order", len(col), len(want))
 	}
-	if got := r.AppendInt64s("third", col, 1); got != nil || r.Err() == nil || !strings.Contains(r.Err().Error(), "third") {
+	if got := appendBlock[int64](r, "third", col, 1); got != nil || r.Err() == nil || !strings.Contains(r.Err().Error(), "third") {
 		t.Fatalf("append past the stream: %d values, error %v", len(got), r.Err())
 	}
 }

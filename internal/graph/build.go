@@ -21,8 +21,8 @@ import (
 // counting passes; the hash-of-nodes Directed is derived from it
 // (FromView) only for the benchmark module's binding. This is the one
 // construction path of a directed graph: behind the table-to-graph
-// conversions in internal/conv, the parallel text-ingest pipeline
-// (ParseEdgeList) and the RNGO decoder (LoadBinary).
+// conversions in internal/conv and the parallel text-ingest pipeline
+// (ParseEdgeList).
 
 // relabelSpan bounds the relabel's bitmap arm: ids whose span max-min is
 // under relabelSpan × (edges + declared nodes + 64) are ranked through a
@@ -37,11 +37,11 @@ const relabelSpan = 8
 
 // BuildViewCols builds the CSR view of the directed graph whose edges are
 // given as two parallel columns, and whose nodes are their endpoints plus
-// every id in nodes: the isolated nodes an RNGO record or a "# node <id>"
-// line declares (an id may repeat, or be an endpoint too). Duplicate
-// pairs collapse to a single edge; self-loops are kept. The view equals
-// BuildView of the graph that feeding every pair through AddEdge and
-// every id of nodes through AddNode produces, array for array.
+// every id in nodes: the isolated nodes a "# node <id>" line declares (an
+// id may repeat, or be an endpoint too). Duplicate pairs collapse to a
+// single edge; self-loops are kept. The view equals BuildView of the graph
+// that feeding every pair through AddEdge and every id of nodes through
+// AddNode produces, array for array.
 func BuildViewCols(srcs, dsts, nodes []int64) (*View, error) {
 	if len(srcs) != len(dsts) {
 		return nil, fmt.Errorf("graph: bulk build column length mismatch: %d srcs, %d dsts", len(srcs), len(dsts))

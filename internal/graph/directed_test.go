@@ -164,31 +164,6 @@ func TestDirectedClone(t *testing.T) {
 	}
 }
 
-// TestDirectedBulkBuild checks the assembly the hash reference decoder
-// (binaryref_test.go) builds through: it adopts sorted vectors and rejects
-// repeated ids and mismatched lengths.
-func TestDirectedBulkBuild(t *testing.T) {
-	ids := []int64{10, 20, 30}
-	in := [][]int64{nil, {10}, {10, 20}}
-	out := [][]int64{{20, 30}, {30}, nil}
-	g, err := buildDirectedBulk(ids, in, out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g.NumNodes() != 3 || g.NumEdges() != 3 {
-		t.Fatalf("bulk dims = (%d,%d)", g.NumNodes(), g.NumEdges())
-	}
-	if err := g.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := buildDirectedBulk([]int64{1, 1}, make([][]int64, 2), make([][]int64, 2)); err == nil {
-		t.Fatal("duplicate ids accepted")
-	}
-	if _, err := buildDirectedBulk([]int64{1}, nil, nil); err == nil {
-		t.Fatal("length mismatch accepted")
-	}
-}
-
 func TestDirectedBytesScalesWithEdges(t *testing.T) {
 	small := NewDirected()
 	small.AddEdge(1, 2)

@@ -1,6 +1,9 @@
 package graph
 
-import "slices"
+import (
+	"fmt"
+	"slices"
+)
 
 // Directed's per-edge methods live with the tests: programs reach a hash
 // graph only through FromView (the benchmark module's binding), while the
@@ -203,4 +206,62 @@ func (g *Directed) DelEdge(src, dst int64) bool {
 	g.inAdj[ds] = removeSorted(g.inAdj[ds], src)
 	g.nEdges--
 	return true
+}
+
+// Validate checks the structural invariants of a directed graph: adjacency
+// vectors sorted and duplicate-free, in/out vectors mutually consistent,
+// and the edge count correct. Tests and property checks call it after
+// mutation sequences.
+func (g *Directed) Validate() error {
+	var edges int64
+	for s, id := range g.ids {
+		if id == tombstone {
+			continue
+		}
+		if got, ok := g.idx[id]; !ok || got != int32(s) {
+			return fmt.Errorf("graph: node %d slot mapping broken", id)
+		}
+		for i, v := range g.outAdj[s] {
+			if i > 0 && g.outAdj[s][i-1] >= v {
+				return fmt.Errorf("graph: node %d out-vector not strictly sorted", id)
+			}
+			ds, ok := g.idx[v]
+			if !ok {
+				return fmt.Errorf("graph: edge %d->%d points at missing node", id, v)
+			}
+			if _, found := binarySearch(g.inAdj[ds], id); !found {
+				return fmt.Errorf("graph: edge %d->%d missing from in-vector", id, v)
+			}
+		}
+		for i, v := range g.inAdj[s] {
+			if i > 0 && g.inAdj[s][i-1] >= v {
+				return fmt.Errorf("graph: node %d in-vector not strictly sorted", id)
+			}
+			ss, ok := g.idx[v]
+			if !ok {
+				return fmt.Errorf("graph: edge %d->%d points at missing node", v, id)
+			}
+			if _, found := binarySearch(g.outAdj[ss], id); !found {
+				return fmt.Errorf("graph: edge %d->%d missing from out-vector", v, id)
+			}
+		}
+		edges += int64(len(g.outAdj[s]))
+	}
+	if edges != g.nEdges {
+		return fmt.Errorf("graph: edge count %d, vectors hold %d", g.nEdges, edges)
+	}
+	return nil
+}
+
+func binarySearch(a []int64, v int64) (int, bool) {
+	lo, hi := 0, len(a)
+	for lo < hi {
+		mid := (lo + hi) / 2
+		if a[mid] < v {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo, lo < len(a) && a[lo] == v
 }

@@ -12,8 +12,8 @@ import (
 // and the parallel pipeline with arbitrary bytes and requires them to
 // agree: both reject the input, or both accept it, the sequential graph
 // passes Validate and the parallel view equals its BuildView. This is the
-// contract that lets LoadFileAuto route text through the parallel
-// pipeline without changing what any caller observes.
+// contract that lets loadgraph route text through the parallel pipeline
+// without changing what any caller observes.
 func FuzzLoadEdgeList(f *testing.F) {
 	seeds := []string{
 		"",

@@ -2,7 +2,6 @@ package graph
 
 import (
 	"fmt"
-	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -24,19 +23,10 @@ import (
 // path has no line-length cap, so inputs the scanner rejects as "token too
 // long" parse fine here.
 
-// LoadEdgeListParallel reads a SNAP-style whitespace-separated edge list
-// (lines of "src dst", '#' comments and blank lines ignored, "# node <id>"
-// declaring an isolated node) into the CSR view of its directed graph,
-// parsing and building in parallel.
-func LoadEdgeListParallel(r io.Reader) (*View, error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return nil, fmt.Errorf("graph: reading edge list: %w", err)
-	}
-	return ParseEdgeList(data)
-}
-
-// LoadEdgeListParallelFile is LoadEdgeListParallel reading the named file.
+// LoadEdgeListParallelFile reads the SNAP-style whitespace-separated edge
+// list in the named file (lines of "src dst", '#' comments and blank lines
+// ignored, "# node <id>" declaring an isolated node) into the CSR view of
+// its directed graph, parsing and building in parallel (ParseEdgeList).
 func LoadEdgeListParallelFile(path string) (*View, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {

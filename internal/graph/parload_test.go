@@ -87,7 +87,7 @@ func TestParallelMatchesSequentialRandomized(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: sequential load: %v", seed, err)
 		}
-		par, err := LoadEdgeListParallel(strings.NewReader(text))
+		par, err := ParseEdgeList([]byte(text))
 		if err != nil {
 			t.Fatalf("seed %d: parallel load: %v", seed, err)
 		}

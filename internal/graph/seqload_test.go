@@ -13,7 +13,7 @@ import (
 // Comment lines of the form "# node <id>" declare a node without edges, so
 // an edge list can carry isolated nodes.
 // It is the sequential scanner reference FuzzLoadEdgeList and
-// parload_test.go hold LoadEdgeListParallel to: same accepted inputs, same
+// parload_test.go hold ParseEdgeList to: same accepted inputs, same
 // graph.
 func loadEdgeList(r io.Reader) (*Directed, error) {
 	g := NewDirected()

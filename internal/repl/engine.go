@@ -21,8 +21,8 @@ package repl
 import (
 	"bytes"
 	"fmt"
-	"io"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -133,6 +133,7 @@ var verbs = map[string]verb{
 	"gen":          {run: (*Engine).cmdGen, mutates: true},
 	"load":         {run: (*Engine).cmdLoad, mutates: true, files: true},
 	"loadgraph":    {run: (*Engine).cmdLoadGraph, mutates: true, files: true},
+	"mapgraph":     {run: (*Engine).cmdMapGraph, mutates: true, files: true},
 	"select":       {run: (*Engine).cmdSelect, mutates: true},
 	"filter":       {run: (*Engine).cmdFilter, mutates: true},
 	"join":         {run: (*Engine).cmdJoin, mutates: true},
@@ -155,12 +156,11 @@ var verbs = map[string]verb{
 	"indexes": {run: func(e *Engine, r *Result, _ []string) error {
 		return e.cmdIndexes(r)
 	}},
-	"save":       {run: (*Engine).cmdSave, files: true},
-	"savemapped": {run: (*Engine).cmdSaveMapped, files: true},
-	"snapshot":   {run: (*Engine).cmdSnapshot, files: true},
-	"restore":    {run: (*Engine).cmdRestore, mutates: true, files: true, replaces: true},
-	"rm":         {run: (*Engine).cmdRm, mutates: true},
-	"mv":         {run: (*Engine).cmdMv, mutates: true},
+	"save":     {run: (*Engine).cmdSave, files: true},
+	"snapshot": {run: (*Engine).cmdSnapshot, files: true},
+	"restore":  {run: (*Engine).cmdRestore, mutates: true, files: true, replaces: true},
+	"rm":       {run: (*Engine).cmdRm, mutates: true},
+	"mv":       {run: (*Engine).cmdMv, mutates: true},
 }
 
 // source is registered in an init func, not the literal above: its handler
@@ -184,14 +184,27 @@ func ReadOnly(line string) bool {
 	return !verbs[f[0]].mutates
 }
 
-// TouchesFiles reports whether the command reads or writes host files
-// (load, loadgraph, save, savemapped, snapshot, restore).
+// TouchesFiles reports whether the command reads or writes host files:
+// its verb is one of FileVerbs.
 func TouchesFiles(line string) bool {
 	f := strings.Fields(line)
 	if len(f) == 0 {
 		return false
 	}
 	return verbs[f[0]].files
+}
+
+// FileVerbs returns the verbs that read or write host files, sorted — the
+// ones a host without file access refuses, and names when it does.
+func FileVerbs() []string {
+	var out []string
+	for name, v := range verbs {
+		if v.files {
+			out = append(out, name)
+		}
+	}
+	slices.Sort(out)
+	return out
 }
 
 // ReplacesWorkspace reports whether the command swaps out the entire
@@ -214,8 +227,10 @@ const HelpText = `Ringo interactive shell — verbs over named objects.
   gen rmat <name> <scale> <edges> [seed]   generate an R-MAT edge table
   gen posts <name> [questions]             generate a StackOverflow-like posts table
   load <name> <file> <col:type>...         load a TSV into a table
-  loadgraph <name> <file>                  load a graph: text edge list, binary (RNGO),
-                                           or mapped CSR image (RNGM, served from mmap)
+  loadgraph <name> <file>                  load a graph: a CSR image save wrote (RNGM)
+                                           or a text edge list
+  mapgraph <name> <file>                   serve a CSR image (RNGM) in place from mmap,
+                                           as a read-only graph
   select <out> <tbl> <col> <op> <value>    filter rows (op: == != < <= > >=)
   filter <out> <tbl> <predicate>           filter with an expression, e.g. Tag = Java and Score > 3
   join <out> <left> <right> <lcol> <rcol>  equi-join two tables
@@ -238,8 +253,7 @@ const HelpText = `Ringo interactive shell — verbs over named objects.
   stats                                    per-verb call counts and latency percentiles
   indexes                                  equality-index cache statistics
   show <tbl> [rows]                        print the first rows of a table
-  save <obj> <file>                        write a table as TSV or a graph as binary
-  savemapped <graph> <file>                write a graph as a mappable CSR image (RNGM)
+  save <obj> <file>                        write a table as TSV or a graph as a CSR image (RNGM)
   snapshot <file>                          save the whole workspace as a binary snapshot
   restore <file>                           replace the workspace with a snapshot's contents
   source <file>                            run a script file (one verb per line, # comments,
@@ -411,26 +425,23 @@ func (e *Engine) cmdLoadGraph(r *Result, args []string) error {
 	if err := need(args, 2, "loadgraph <name> <file>"); err != nil {
 		return err
 	}
-	// Magic-byte sniffing: RNGM images are mapped in place (no decode, no
-	// heap copy — the beyond-RAM tier), files written by "save" decode
-	// through the fast binary path, anything else parses as a text edge
-	// list on all cores (parallel chunk parse + sort-first build). Either
-	// way the binding is the CSR view built, as tograph binds it.
-	if isMappedFile(args[1]) {
-		mg, err := extmem.Open(args[1])
+	// The file's magic picks the reader: an RNGM image (what save writes)
+	// is read onto the heap, validated and its arrays bound as the view,
+	// as restore binds a snapshot's graph; anything else parses as a text
+	// edge list on all cores (parallel chunk parse + sort-first build).
+	switch extmem.Sniff(args[1]) {
+	case extmem.Magic:
+		g, err := extmem.Read(args[1])
 		if err != nil {
 			return err
 		}
-		e.bind(r, args[0], core.Object{Mapped: mg})
-		via := "mmap"
-		if !mg.Mapped() {
-			via = "copied: no mmap on this platform"
-		}
-		r.Message = fmt.Sprintf("%s: %d nodes, %d edges (mapped %s, %s)",
-			args[0], mg.NumNodes(), mg.NumEdges(), mg.Kind(), via)
+		e.bind(r, args[0], core.Object{View: g.View(), UView: g.UView()})
+		r.Message = fmt.Sprintf("%s: %d nodes, %d edges (%s)", args[0], g.NumNodes(), g.NumEdges(), g.Kind())
 		return nil
+	case "RNGO":
+		return fmt.Errorf("%s holds an RNGO graph, a format this version no longer reads: save the graph again (save writes RNGM), or load it from its text edge list or a snapshot", args[1])
 	}
-	v, err := graph.LoadFileAuto(args[1])
+	v, err := graph.LoadEdgeListParallelFile(args[1])
 	if err != nil {
 		return err
 	}
@@ -439,20 +450,28 @@ func (e *Engine) cmdLoadGraph(r *Result, args []string) error {
 	return nil
 }
 
-// isMappedFile peeks a file's leading magic bytes for the RNGM signature.
-// Unreadable or short files report false and fall through to the regular
-// loader, whose errors name the actual problem.
-func isMappedFile(path string) bool {
-	f, err := os.Open(path)
+// cmdMapGraph serves an RNGM image in place — mapped, not read: the
+// beyond-RAM tier — as a read-only mgraph binding. A file that is not one
+// is refused by name before anything is opened.
+func (e *Engine) cmdMapGraph(r *Result, args []string) error {
+	if err := need(args, 2, "mapgraph <name> <file>"); err != nil {
+		return err
+	}
+	if head := extmem.Sniff(args[1]); head != "" && head != extmem.Magic {
+		return fmt.Errorf("%s is not an RNGM graph image (save writes one; loadgraph reads text edge lists)", args[1])
+	}
+	mg, err := extmem.Open(args[1])
 	if err != nil {
-		return false
+		return err
 	}
-	defer f.Close()
-	var head [4]byte
-	if _, err := io.ReadFull(f, head[:]); err != nil {
-		return false
+	e.bind(r, args[0], core.Object{Mapped: mg})
+	via := "mmap"
+	if !mg.Mapped() {
+		via = "copied: no mmap on this platform"
 	}
-	return string(head[:]) == "RNGM"
+	r.Message = fmt.Sprintf("%s: %d nodes, %d edges (mapped %s, %s)",
+		args[0], mg.NumNodes(), mg.NumEdges(), mg.Kind(), via)
+	return nil
 }
 
 var opNames = map[string]table.CmpOp{
@@ -869,6 +888,8 @@ func (e *Engine) cmdShow(r *Result, args []string) error {
 	return nil
 }
 
+// cmdSave writes a table as TSV and a graph of any kind as an RNGM
+// image of its CSR view, which loadgraph reads back and mapgraph maps.
 func (e *Engine) cmdSave(r *Result, args []string) error {
 	if err := need(args, 2, "save <obj> <file>"); err != nil {
 		return err
@@ -877,39 +898,16 @@ func (e *Engine) cmdSave(r *Result, args []string) error {
 	if !ok {
 		return fmt.Errorf("no object named %q", args[0])
 	}
+	var nodes int
+	var edges int64
 	switch {
 	case o.Table != nil:
 		if err := o.Table.SaveTSVFile(args[1], true); err != nil {
 			return err
 		}
 		r.Message = fmt.Sprintf("wrote %d rows to %s", o.Table.NumRows(), args[1])
-	case o.Kind() == "graph":
-		v, err := e.ws.DirectedView(args[0])
-		if err != nil {
-			return err
-		}
-		if err := graph.SaveBinaryFile(args[1], v); err != nil {
-			return err
-		}
-		r.Message = fmt.Sprintf("wrote %d nodes, %d edges to %s (binary)", v.NumNodes(), v.NumEdges(), args[1])
-	default:
-		return fmt.Errorf("%q is a %s; save handles tables and directed graphs (use snapshot for everything else)", args[0], o.Kind())
-	}
-	return nil
-}
-
-// cmdSaveMapped writes a graph as an RNGM image, the mmap-ready CSR layout
-// loadgraph serves in place, from the binding's own CSR view.
-func (e *Engine) cmdSaveMapped(r *Result, args []string) error {
-	if err := need(args, 2, "savemapped <graph> <file>"); err != nil {
-		return err
-	}
-	o, ok := e.ws.Get(args[0])
-	if !ok {
-		return fmt.Errorf("no object named %q", args[0])
-	}
-	switch {
-	case o.Kind() == "graph":
+		return nil
+	case o.Kind() == "graph" || o.Mapped != nil && o.Mapped.View() != nil:
 		v, err := e.ws.DirectedView(args[0])
 		if err != nil {
 			return err
@@ -917,22 +915,20 @@ func (e *Engine) cmdSaveMapped(r *Result, args []string) error {
 		if err := extmem.SaveMapped(args[1], v); err != nil {
 			return err
 		}
-	case o.UView != nil:
-		if err := extmem.SaveMappedUndirected(args[1], o.UView); err != nil {
+		nodes, edges = v.NumNodes(), v.NumEdges()
+	case o.UView != nil || o.Mapped != nil:
+		u, err := e.ws.UndirectedView(args[0])
+		if err != nil {
 			return err
 		}
-	case o.Mapped != nil && o.Mapped.View() != nil:
-		if err := extmem.SaveMapped(args[1], o.Mapped.View()); err != nil {
+		if err := extmem.SaveMappedUndirected(args[1], u); err != nil {
 			return err
 		}
-	case o.Mapped != nil:
-		if err := extmem.SaveMappedUndirected(args[1], o.Mapped.UView()); err != nil {
-			return err
-		}
+		nodes, edges = u.NumNodes(), u.NumEdges()
 	default:
-		return fmt.Errorf("%q is a %s; savemapped handles graphs", args[0], o.Kind())
+		return fmt.Errorf("%q is a %s; save handles tables and graphs (use snapshot for everything else)", args[0], o.Kind())
 	}
-	r.Message = fmt.Sprintf("wrote %s as a mapped CSR image to %s", args[0], args[1])
+	r.Message = fmt.Sprintf("wrote %d nodes, %d edges to %s (RNGM)", nodes, edges, args[1])
 	return nil
 }
 

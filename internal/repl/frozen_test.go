@@ -23,11 +23,12 @@ const isoNode = 6000
 // engine whose binding is set from the same graph as a hash graph (which
 // the workspace binds as its view), with the same provenance at the same
 // version. Every road that binds a view is checked: tograph, loadgraph of
-// an RNGO file save wrote, loadgraph of a text edge list with "# node"
-// lines, and restore. Every answer, every written byte and the workspace
-// digest must agree, before and after mutations; a mutation folds nothing
-// and the first query after it folds the pending deltas into the view
-// with one patch, never a rebuild.
+// an RNGM image save wrote, loadgraph of a text edge list with "# node"
+// lines, and restore of a snapshot of the loadgraph-rngm binding. Every
+// answer, every written byte and the workspace digest must agree, before
+// and after mutations; a mutation folds nothing and the first query after
+// it folds the pending deltas into the view with one patch, never a
+// rebuild.
 func TestFrozenBindingMatchesHashBinding(t *testing.T) {
 	const genE = "gen rmat E 9 2000 11"
 	files := t.TempDir()
@@ -39,10 +40,10 @@ func TestFrozenBindingMatchesHashBinding(t *testing.T) {
 	}
 	srcs, _ := tbl.IntCol("src")
 	dsts, _ := tbl.IntCol("dst")
-	// The file roads carry the isolated node isoNode, which only an RNGO
-	// record or a "# node" line keeps.
-	rngoPath := filepath.Join(files, "g.rngo")
-	evalAll(t, setup, "tograph S E src dst", fmt.Sprintf("addnode S %d", isoNode), "save S "+rngoPath)
+	// The file roads carry the isolated node isoNode, which an RNGM image
+	// keeps as one of its ids and a text edge list as a "# node" line.
+	rngmPath := filepath.Join(files, "g.rngm")
+	evalAll(t, setup, "tograph S E src dst", fmt.Sprintf("addnode S %d", isoNode), "save S "+rngmPath)
 	var text strings.Builder
 	fmt.Fprintf(&text, "# node %d\n# node %d\n", isoNode, srcs[0])
 	for i := range srcs {
@@ -53,18 +54,18 @@ func TestFrozenBindingMatchesHashBinding(t *testing.T) {
 	if err := os.WriteFile(textPath, []byte(text.String()), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	loadRNGO := "loadgraph G " + rngoPath
+	loadRNGM := "loadgraph G " + rngmPath
 	snapPath := filepath.Join(files, "ws.rngs")
-	evalAll(t, New(nil), genE, loadRNGO, "snapshot "+snapPath)
+	evalAll(t, New(nil), genE, loadRNGM, "snapshot "+snapPath)
 
 	for _, road := range []struct {
 		name, bind, prov string
 		iso              bool
 	}{
 		{"tograph", "tograph G E src dst", "tograph G E src dst", false},
-		{"loadgraph-rngo", loadRNGO, loadRNGO, true},
+		{"loadgraph-rngm", loadRNGM, loadRNGM, true},
 		{"loadgraph-text", "loadgraph G " + textPath, "loadgraph G " + textPath, true},
-		{"restore", "restore " + snapPath, loadRNGO, true},
+		{"restore", "restore " + snapPath, loadRNGM, true},
 	} {
 		t.Run(road.name, func(t *testing.T) {
 			frozen, hashed := New(nil), New(nil)
@@ -149,8 +150,7 @@ func checkFrozenTwins(t *testing.T, frozen, hashed *Engine, srcs, dsts []int64, 
 	both("show T 50")
 	both("totable ET G")
 	both("show ET 5000")
-	sameFile("save", "g.rngo")
-	sameFile("savemapped", "g.rngm")
+	sameFile("save", "g.rngm")
 	sameDigest("after the read verbs")
 
 	// A mutation that changes nothing leaves the binding's view alone.
@@ -212,7 +212,7 @@ func checkFrozenTwins(t *testing.T, frozen, hashed *Engine, srcs, dsts []int64, 
 // mutation verb followed by a query.
 func TestNoBindingHoldsAHashGraph(t *testing.T) {
 	e := New(nil)
-	rngo := filepath.Join(t.TempDir(), "g.rngo")
+	rngm := filepath.Join(t.TempDir(), "g.rngm")
 	viewOnly := func(road, name string) {
 		t.Helper()
 		o, ok := e.Workspace().Get(name)
@@ -228,7 +228,7 @@ func TestNoBindingHoldsAHashGraph(t *testing.T) {
 	viewOnly("Set of a hash graph", "H")
 	evalAll(t, e, "gen rmat E 7 300 5", "tograph G E src dst")
 	viewOnly("tograph", "G")
-	evalAll(t, e, "save G "+rngo, "loadgraph L "+rngo)
+	evalAll(t, e, "save G "+rngm, "loadgraph L "+rngm)
 	viewOnly("loadgraph", "L")
 	for _, line := range []string{"addedge G 1000 1001", "deledge G 1000 1001", "addnode G 2000"} {
 		evalAll(t, e, line, "pagerank PR G")

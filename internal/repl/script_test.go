@@ -151,8 +151,8 @@ func TestAlgoUnknownNameAnyGraphKind(t *testing.T) {
 	s, err := ParseScript(`@continue
 gen rmat E 8 200 1
 tograph G E src dst
-savemapped G ` + path + `
-loadgraph M ` + path + `
+save G ` + path + `
+mapgraph M ` + path + `
 algo M wcc
 algo G nope
 algo M nope

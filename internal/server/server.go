@@ -54,7 +54,6 @@ import (
 	"log/slog"
 	"net"
 	"net/http"
-	"os"
 	"regexp"
 	"sort"
 	"strings"
@@ -77,10 +76,9 @@ type Config struct {
 	Workers int
 	// MaxSessions caps concurrent sessions (0 means unlimited).
 	MaxSessions int
-	// AllowFileIO permits the file-touching verbs (load, loadgraph,
-	// save) over HTTP. Off by default: unlike the local shell, the
-	// server's clients must not get arbitrary read/write access to the
-	// host filesystem.
+	// AllowFileIO permits the file-touching verbs (repl.FileVerbs) over
+	// HTTP. Off by default: unlike the local shell, the server's clients
+	// must not get arbitrary read/write access to the host filesystem.
 	AllowFileIO bool
 	// AuthToken, when non-empty, requires every request to carry
 	// "Authorization: Bearer <token>". Without it the server trusts the
@@ -461,7 +459,7 @@ func (s *Server) RestoreSession(id, path string) (objects int, err error) {
 // before the listener comes up. The file's magic picks the path: a
 // workspace snapshot (RNGS) is read onto the heap — tables decoded, each
 // graph's stored CSR arrays validated and bound as read — while a mapped
-// CSR image (RNGM, written by savemapped) is validated and served from
+// CSR image (RNGM, written by save) is validated and served from
 // mmap in place, bound as the read-only graph "g". Either way the
 // warm-start wall time is logged, so a restart's cost difference between
 // the two tiers shows up in the operator's log (BenchmarkRestoreDecode
@@ -471,7 +469,7 @@ func (s *Server) WarmStart(id, path string) error {
 		return err
 	}
 	start := time.Now()
-	if isMappedImage(path) {
+	if extmem.Sniff(path) == extmem.Magic {
 		mg, err := extmem.Open(path)
 		if err != nil {
 			s.DropSession(id)
@@ -500,23 +498,6 @@ func (s *Server) WarmStart(id, path string) error {
 			"objects", n, "elapsed", time.Since(start))
 	}
 	return nil
-}
-
-// isMappedImage reports whether the file at path starts with the RNGM
-// magic, routing WarmStart to the map path without committing to a full
-// open. Unreadable or short files return false and fall through to the
-// snapshot decoder, whose error will name the real problem.
-func isMappedImage(path string) bool {
-	f, err := os.Open(path)
-	if err != nil {
-		return false
-	}
-	defer f.Close()
-	var magic [4]byte
-	if _, err := io.ReadFull(f, magic[:]); err != nil {
-		return false
-	}
-	return string(magic[:]) == "RNGM"
 }
 
 // ObjectFingerprint is one binding's identity in a SessionFingerprints
@@ -614,7 +595,7 @@ func (s *Server) Eval(sessionID, cmd string) (*repl.Result, error) {
 // client can never take down every analyst's in-memory session.
 func (s *Server) evalOn(sess *session, cmd string) (res *repl.Result, err error) {
 	if !s.allowFiles && repl.TouchesFiles(cmd) {
-		return nil, fmt.Errorf("file access is disabled on this server (load, loadgraph, save, savemapped, snapshot, restore, source)")
+		return nil, fmt.Errorf("file access is disabled on this server (%s)", strings.Join(repl.FileVerbs(), ", "))
 	}
 	readOnly := repl.ReadOnly(cmd)
 	if readOnly {
@@ -665,8 +646,8 @@ func (s *Server) evalScriptOn(sess *session, script *repl.Script) (res *repl.Scr
 	if !s.allowFiles {
 		if i := script.TouchesFiles(); i >= 0 {
 			st := script.Steps[i]
-			return nil, errForbidden{fmt.Errorf("file access is disabled on this server: step %d (line %d) %q needs it (load, loadgraph, save, savemapped, snapshot, restore, source)",
-				i+1, st.LineNo, st.Cmd)}
+			return nil, errForbidden{fmt.Errorf("file access is disabled on this server: step %d (line %d) %q needs it (%s)",
+				i+1, st.LineNo, st.Cmd, strings.Join(repl.FileVerbs(), ", "))}
 		}
 	}
 	readOnly := script.ReadOnly()

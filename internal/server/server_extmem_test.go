@@ -85,23 +85,28 @@ func TestWarmStartMapped(t *testing.T) {
 	}
 }
 
-// TestMappedGraphGatedVerbs checks that savemapped joins the file-IO gate:
-// without -allow-file-io a server refuses it like the other file verbs.
+// TestMappedGraphGatedVerbs checks that mapgraph joins the file-IO gate:
+// without -allow-file-io a server refuses it like the other file verbs,
+// and the refusal of a query or a script names every file verb.
 func TestMappedGraphGatedVerbs(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	doJSON(t, "POST", ts.URL+"/sessions", map[string]string{"id": "s"}, nil)
 	query(t, ts.URL, "s", "gen rmat E 6 60 1")
 	query(t, ts.URL, "s", "tograph G E src dst")
 
-	var out struct {
-		Error string `json:"error"`
-	}
-	code := doJSON(t, "POST", ts.URL+"/sessions/s/query",
-		map[string]string{"cmd": "savemapped G /tmp/never.rngm"}, &out)
-	if code == http.StatusOK {
-		t.Fatal("savemapped ran on a server without -allow-file-io")
-	}
-	if !strings.Contains(out.Error, "savemapped") {
-		t.Fatalf("gate error %q does not name savemapped", out.Error)
+	for _, req := range []struct{ path, field string }{{"query", "cmd"}, {"script", "script"}} {
+		var out struct {
+			Error string `json:"error"`
+		}
+		code := doJSON(t, "POST", ts.URL+"/sessions/s/"+req.path,
+			map[string]string{req.field: "mapgraph M /tmp/never.rngm"}, &out)
+		if code == http.StatusOK {
+			t.Fatalf("mapgraph ran as a %s on a server without -allow-file-io", req.path)
+		}
+		for _, verb := range []string{"load", "loadgraph", "mapgraph", "save", "snapshot", "restore", "source"} {
+			if !strings.Contains(out.Error, verb) {
+				t.Errorf("%s gate error %q does not name %s", req.path, out.Error, verb)
+			}
+		}
 	}
 }

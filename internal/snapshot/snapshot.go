@@ -60,7 +60,7 @@ const (
 	// Magic identifies a Ringo workspace snapshot file.
 	Magic = "RNGS"
 	// Version is the current snapshot format version. Version 1 embedded
-	// graphs as RNGO/RNGU adjacency records; version 2 checksummed
+	// graphs as per-node adjacency records; version 2 checksummed
 	// payloads with a byte-serial FNV-1a and embedded RTBL version 1
 	// tables. Files of either are refused.
 	Version = 3

@@ -512,7 +512,7 @@ func TestSnapshotGolden(t *testing.T) {
 }
 
 // decodeAs decodes data with the decoder sel picks — the snapshot reader,
-// the RTBL or RNGO codec, or a graph or ugraph record — and returns what
+// the RTBL codec, or a graph or ugraph record — and returns what
 // it accepted as a snapshot's clock and objects. An RTBL table is decoded
 // twice, from an 8-aligned buffer, whose blocks it aliases, and at offset
 // 1 of one, whose blocks it copies out; the two must agree.
@@ -520,7 +520,7 @@ func decodeAs(t *testing.T, sel byte, data []byte) (uint64, []Object, error) {
 	r := bytes.NewReader(data)
 	o := Object{Name: "x"}
 	var err error
-	switch sel % 5 {
+	switch sel % 4 {
 	case 0:
 		return Read(r)
 	case 1:
@@ -541,8 +541,6 @@ func decodeAs(t *testing.T, sel byte, data []byte) (uint64, []Object, error) {
 			}
 		}
 	case 2:
-		o.View, err = graph.LoadBinary(r)
-	case 3:
 		o.View, err = decodeView(data)
 	default:
 		o.UView, err = decodeUView(data)
@@ -551,8 +549,8 @@ func decodeAs(t *testing.T, sel byte, data []byte) (uint64, []Object, error) {
 }
 
 // FuzzDecodeFormats sends arbitrary bytes to snapshot.Read,
-// table.DecodeBinary (aligned and misaligned), graph.LoadBinary or a
-// snapshot's graph or ugraph record decoder, as the first byte selects. Each must return an error or
+// table.DecodeBinary (aligned and misaligned) or a snapshot's graph or
+// ugraph record decoder, as the first byte selects. Each must return an error or
 // a value and never panic, and a value it accepts must re-encode to bytes
 // that decode again and re-encode to the same bytes: what was accepted
 // survives a round trip.
@@ -561,7 +559,6 @@ func FuzzDecodeFormats(f *testing.F) {
 	for _, path := range []string{
 		"testdata/workspace.rngs",
 		"../table/testdata/table.rtbl",
-		"../graph/testdata/directed.rngo",
 	} {
 		golden, err := os.ReadFile(path)
 		if err != nil {

@@ -10,7 +10,7 @@ import (
 )
 
 // Columnar binary table serialization, the table-side counterpart of the
-// binary graph format: whole int64/float64 columns are written as
+// RNGM graph image: whole int64/float64 columns are written as
 // contiguous little-endian blocks and string columns as pool ids next to a
 // single shared string pool. This is the representation workspace
 // snapshots embed (see internal/snapshot); unlike TSV it round-trips every

@@ -129,7 +129,7 @@ func (b *Bitmap) Count() int {
 }
 
 // CountRange reports the number of set bits in [lo, hi). It is the per-range
-// counting pass of the two-pass parallel selection copy.
+// counting pass of the two-pass parallel selection decode.
 func (b *Bitmap) CountRange(lo, hi int) int {
 	if lo >= hi {
 		return 0
@@ -157,16 +157,11 @@ func maskUpto(i int) uint64 {
 	return (1 << (r + 1)) - 1
 }
 
-// Range calls fn for every set bit in ascending order.
-func (b *Bitmap) Range(fn func(i int)) {
-	b.RangeBits(0, b.n, fn)
-}
-
-// RangeBits calls fn for every set bit in [lo, hi) in ascending order,
-// iterating word-at-a-time with trailing-zero extraction.
-func (b *Bitmap) RangeBits(lo, hi int, fn func(i int)) {
+// AppendSet appends the positions of the set bits in [lo, hi) to dst in
+// ascending order, decoding word-at-a-time with trailing-zero extraction.
+func (b *Bitmap) AppendSet(dst []int32, lo, hi int) []int32 {
 	if lo >= hi {
-		return
+		return dst
 	}
 	wLo, wHi := lo>>6, (hi-1)>>6
 	for wi := wLo; wi <= wHi; wi++ {
@@ -177,12 +172,13 @@ func (b *Bitmap) RangeBits(lo, hi int, fn func(i int)) {
 		if wi == wHi {
 			w &= maskUpto(hi - 1)
 		}
-		base := wi << 6
+		base := int32(wi << 6)
 		for w != 0 {
-			fn(base + bits.TrailingZeros64(w))
+			dst = append(dst, base+int32(bits.TrailingZeros64(w)))
 			w &= w - 1
 		}
 	}
+	return dst
 }
 
 // ParFill partitions the backing words into contiguous ranges and runs

@@ -136,28 +136,26 @@ func TestCountRange(t *testing.T) {
 func TestRangeIteration(t *testing.T) {
 	n := 300
 	b, ref := randomPair(n, 7)
-	var got []int
-	b.Range(func(i int) { got = append(got, i) })
-	var want []int
+	got := b.AppendSet(nil, 0, n)
+	var want []int32
 	for i, r := range ref {
 		if r {
-			want = append(want, i)
+			want = append(want, int32(i))
 		}
 	}
 	if len(got) != len(want) {
-		t.Fatalf("Range yielded %d bits, want %d", len(got), len(want))
+		t.Fatalf("AppendSet yielded %d bits, want %d", len(got), len(want))
 	}
 	for i := range got {
 		if got[i] != want[i] {
-			t.Fatalf("Range[%d] = %d, want %d", i, got[i], want[i])
+			t.Fatalf("AppendSet[%d] = %d, want %d", i, got[i], want[i])
 		}
 	}
 	// Sub-range iteration respects both bounds.
-	got = got[:0]
-	b.RangeBits(65, 129, func(i int) { got = append(got, i) })
+	got = b.AppendSet(got[:0], 65, 129)
 	for _, i := range got {
 		if i < 65 || i >= 129 {
-			t.Fatalf("RangeBits(65,129) yielded out-of-range bit %d", i)
+			t.Fatalf("AppendSet(65,129) yielded out-of-range bit %d", i)
 		}
 	}
 	count := 0
@@ -167,7 +165,7 @@ func TestRangeIteration(t *testing.T) {
 		}
 	}
 	if len(got) != count {
-		t.Fatalf("RangeBits(65,129) yielded %d bits, want %d", len(got), count)
+		t.Fatalf("AppendSet(65,129) yielded %d bits, want %d", len(got), count)
 	}
 }
 

@@ -85,8 +85,8 @@ func TestTableEqIndexCachedUntilMutation(t *testing.T) {
 	if x3 == x1 {
 		t.Fatal("index served after mutation is the stale one")
 	}
-	if x3.Rows() != tbl.NumRows() {
-		t.Fatalf("post-mutation index covers %d rows, table has %d", x3.Rows(), tbl.NumRows())
+	if bm, ok := x3.Lookup(tbl, table.EQ, int64(3)); !ok || bm.Len() != tbl.NumRows() {
+		t.Fatalf("post-mutation index lookup (served %v) does not cover the table's %d rows", ok, tbl.NumRows())
 	}
 }
 
@@ -392,7 +392,7 @@ func TestIndexAdmissionRestartsAfterMutation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if idx.Rows() != tbl.NumRows() {
-		t.Fatalf("index covers %d rows, table has %d", idx.Rows(), tbl.NumRows())
+	if bm, ok := idx.Lookup(tbl, table.EQ, int64(2)); !ok || bm.Len() != tbl.NumRows() {
+		t.Fatalf("index lookup (served %v) does not cover the table's %d rows", ok, tbl.NumRows())
 	}
 }

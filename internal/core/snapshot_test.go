@@ -481,9 +481,6 @@ func TestRestoredTableEditsStayInItsBlocks(t *testing.T) {
 	scoresBefore := slices.Clone(rs)
 
 	for _, tb := range []*table.Table{rt, tbl} {
-		if _, err := tb.SelectInPlace("Posts", table.GE, int64(3)); err != nil {
-			t.Fatal(err)
-		}
 		if err := tb.AppendRow("new", int64(99), -1.5); err != nil {
 			t.Fatal(err)
 		}

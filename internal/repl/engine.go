@@ -515,9 +515,9 @@ func (e *Engine) cmdSelect(r *Result, args []string) error {
 
 // selectRows executes one comparison filter. Equality filters try the
 // workspace's cached equality index first — on a warm cache the filter is
-// a bitmap lookup plus a row gather, no column scan — and fall back
-// silently to the vectorized scan when the column isn't indexable (float,
-// high cardinality) or the lookup can't serve the operator. Both paths
+// a bitmap lookup plus a decode of its set bits, no column scan — and fall
+// back silently to the vectorized scan when the column isn't indexable
+// (float, high cardinality) or the lookup can't serve the operator. Both paths
 // select identical rows, so the fallback is invisible to the caller.
 func (e *Engine) selectRows(name string, t *table.Table, col string, op table.CmpOp, val any) (*table.Table, error) {
 	if op == table.EQ || op == table.NE {

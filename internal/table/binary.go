@@ -50,12 +50,13 @@ func (t *Table) EncodeBinary(w io.Writer) error {
 		fw.String(t.pool.Get(int32(i)))
 	}
 	fw.Pad8()
-	fw.Int64s(t.rowIDs)
+	d := t.settle()
+	fw.Int64s(d.rowIDs)
 	for i, c := range t.cols {
 		if c.Type == Float {
-			fw.Float64s(t.floats[i])
+			fw.Float64s(d.floats[i])
 		} else {
-			fw.Int64s(t.ints[i])
+			fw.Int64s(d.ints[i])
 		}
 	}
 	return fw.Flush()
@@ -106,13 +107,14 @@ func DecodeBinary(p []byte) (*Table, error) {
 		return nil, fmt.Errorf("table: %d rows of %d columns and row ids do not fill the %d bytes after the pool", nRows, len(schema), max(left, 0))
 	}
 	size := int64(8 * nRows)
+	d := &t.data
 	if size > 0 { // an empty table keeps New's empty slices
-		t.rowIDs = frame.Section[int64](p, at, size)
+		d.rowIDs = frame.Section[int64](p, at, size)
 	}
 	// Duplicate ids, or a nextID at or below an existing id, would break
 	// the persistent row-identity guarantee: future AppendRow calls could
 	// re-issue ids that rows already hold.
-	ids := t.rowIDs
+	ids := d.rowIDs
 	if !slices.IsSorted(ids) {
 		ids = slices.Sorted(slices.Values(ids))
 	}
@@ -132,14 +134,14 @@ func DecodeBinary(p []byte) (*Table, error) {
 			break
 		}
 		if c.Type == Float {
-			t.floats[i] = frame.Section[float64](p, at, size)
+			d.floats[i] = frame.Section[float64](p, at, size)
 			continue
 		}
-		t.ints[i] = frame.Section[int64](p, at, size)
+		d.ints[i] = frame.Section[int64](p, at, size)
 		if c.Type != String {
 			continue
 		}
-		for r, cell := range t.ints[i] {
+		for r, cell := range d.ints[i] {
 			if cell < 0 || cell >= int64(nStrs) {
 				return nil, fmt.Errorf("table: column %q row %d: string id %d outside pool of %d", c.Name, r, cell, nStrs)
 			}

@@ -265,7 +265,7 @@ func TestTableBinaryDecodeAlignment(t *testing.T) {
 		if d := diffTables(got, want); d != "" {
 			t.Fatalf("%s: %s", name, d)
 		}
-		blocks := [][]int64{got.rowIDs, got.ints[0], got.ints[1]}
+		blocks := [][]int64{got.data.rowIDs, got.data.ints[0], got.data.ints[1]}
 		for i, b := range blocks {
 			if cap(b) != len(b) {
 				t.Fatalf("%s: block %d has cap %d, len %d", name, i, cap(b), len(b))
@@ -275,7 +275,7 @@ func TestTableBinaryDecodeAlignment(t *testing.T) {
 				t.Fatalf("%s: block %d aliases the buffer: %v", name, i, inside)
 			}
 		}
-		if f := got.floats[2]; cap(f) != len(f) {
+		if f := got.data.floats[2]; cap(f) != len(f) {
 			t.Fatalf("%s: float block has cap %d, len %d", name, cap(f), len(f))
 		}
 	}

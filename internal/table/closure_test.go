@@ -36,10 +36,10 @@ func (t *Table) compileNode(n *predNode) func(row int) bool {
 func (t *Table) leafFunc(l leafPred) func(row int) bool {
 	switch l.typ {
 	case Int:
-		data, c, op := t.ints[l.col], l.ic, l.op
+		data, c, op := t.settle().ints[l.col], l.ic, l.op
 		return func(row int) bool { return cmpInt(data[row], c, op) }
 	case Float:
-		data, c, op := t.floats[l.col], l.fc, l.op
+		data, c, op := t.settle().floats[l.col], l.fc, l.op
 		return func(row int) bool { return cmpFloat(data[row], c, op) }
 	default:
 		if l.op == EQ || l.op == NE {
@@ -49,10 +49,10 @@ func (t *Table) leafFunc(l leafPred) func(row int) bool {
 				}
 				return func(row int) bool { return true }
 			}
-			data, c, op := t.ints[l.col], l.ic, l.op
+			data, c, op := t.settle().ints[l.col], l.ic, l.op
 			return func(row int) bool { return cmpInt(data[row], c, op) }
 		}
-		data, pool, s, op := t.ints[l.col], t.pool, l.sc, l.op
+		data, pool, s, op := t.settle().ints[l.col], t.pool, l.sc, l.op
 		return func(row int) bool { return cmpString(pool.Get(int32(data[row])), s, op) }
 	}
 }

@@ -68,6 +68,7 @@ func (t *Table) groupIDs(cols []string) (ids []int32, groups int, err error) {
 		if i < 0 {
 			return nil, 0, fmt.Errorf("table: no column %q", cols[0])
 		}
+		t.settle()
 		x := newKeyIndex(t.colKeys(i))
 		return x.ids, x.n, nil
 	}
@@ -110,6 +111,7 @@ func (t *Table) GroupCol(outCol string, cols ...string) error {
 // Int and Float value columns; the result column is Int for Count and for
 // Sum/Min/Max/First over Int columns, Float otherwise.
 func (t *Table) Aggregate(groupCols []string, op AggOp, valCol, outCol string) (*Table, error) {
+	d := t.settle()
 	ids, groups, err := t.groupIDs(groupCols)
 	if err != nil {
 		return nil, err
@@ -128,19 +130,19 @@ func (t *Table) Aggregate(groupCols []string, op AggOp, valCol, outCol string) (
 		}
 		switch t.cols[i].Type {
 		case Int:
-			intVals = t.ints[i]
+			intVals = d.ints[i]
 			if op == Mean {
 				outType = Float
 			}
 		case Float:
-			floatVals = t.floats[i]
+			floatVals = d.floats[i]
 			outType = Float
 		default:
 			if op != First {
 				return nil, fmt.Errorf("table: aggregate %v over string column %q", op, valCol)
 			}
 			outType = String
-			intVals = t.ints[i]
+			intVals = d.ints[i]
 		}
 	}
 
@@ -155,6 +157,7 @@ func (t *Table) Aggregate(groupCols []string, op AggOp, valCol, outCol string) (
 	}
 	out.pool = t.pool.Clone()
 	out.numberRows(groups)
+	oc := &out.data
 
 	// Representative (first) row per group, in group-id order: ids are dense
 	// in first-occurrence order.
@@ -168,9 +171,9 @@ func (t *Table) Aggregate(groupCols []string, op AggOp, valCol, outCol string) (
 		i := t.ColIndex(name)
 		for g, row := range rep {
 			if t.cols[i].Type == Float {
-				out.floats[k][g] = t.floats[i][row]
+				oc.floats[k][g] = d.floats[i][row]
 			} else {
-				out.ints[k][g] = t.ints[i][row]
+				oc.ints[k][g] = d.ints[i][row]
 			}
 		}
 	}
@@ -179,19 +182,19 @@ func (t *Table) Aggregate(groupCols []string, op AggOp, valCol, outCol string) (
 	switch {
 	case op == Count:
 		for _, g := range ids {
-			out.ints[last][g]++
+			oc.ints[last][g]++
 		}
 	case op == First:
 		for g, row := range rep {
 			if floatVals != nil {
-				out.floats[last][g] = floatVals[row]
+				oc.floats[last][g] = floatVals[row]
 			} else {
-				out.ints[last][g] = intVals[row]
+				oc.ints[last][g] = intVals[row]
 			}
 		}
 	case op == Sum && outType == Int:
 		for row, g := range ids {
-			out.ints[last][g] += intVals[row]
+			oc.ints[last][g] += intVals[row]
 		}
 	default: // Sum over Float, Min, Max and Mean accumulate as float64
 		acc := make([]float64, groups)
@@ -234,9 +237,9 @@ func (t *Table) Aggregate(groupCols []string, op AggOp, valCol, outCol string) (
 		}
 		for g, v := range acc {
 			if outType == Int {
-				out.ints[last][g] = int64(v)
+				oc.ints[last][g] = int64(v)
 			} else {
-				out.floats[last][g] = v
+				oc.floats[last][g] = v
 			}
 		}
 	}
@@ -251,6 +254,7 @@ func (t *Table) Unique(cols ...string) (*Table, error) {
 	if len(cols) == 0 {
 		cols = t.ColNames()
 	}
+	d := t.settle()
 	ids, groups, err := t.groupIDs(cols)
 	if err != nil {
 		return nil, err
@@ -259,7 +263,7 @@ func (t *Table) Unique(cols ...string) (*Table, error) {
 	next := int32(0)
 	for row, id := range ids {
 		if id == next { // first occurrence: group ids are dense in first-occurrence order
-			out.appendRowFrom(t, row)
+			out.appendRowFrom(d, row)
 			next++
 		}
 	}

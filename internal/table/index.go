@@ -21,7 +21,7 @@ var ErrHighCardinality = errors.New("table: column cardinality exceeds equality-
 
 // EqIndex is an equality bitmap index over one column: for every distinct
 // value, the bitmap of rows holding it. A lookup turns a repeat equality
-// filter into a cache fetch plus a row gather — no column scan at all.
+// filter into a cache fetch plus a bitmap decode — no column scan at all.
 // Indexes are immutable once built and keyed by table fingerprint at the
 // core layer, so staleness is impossible by construction: any workspace
 // mutation moves the fingerprint and the index is dropped.
@@ -51,8 +51,9 @@ func BuildEqIndex(t *Table, col string, maxCard int) (*EqIndex, error) {
 	}
 	// Count distinct values first, so an over-cap column allocates no bitmap.
 	n := t.NumRows()
+	data := t.settle().ints[i]
 	idx := &EqIndex{typ: t.cols[i].Type, rows: n, vals: make(map[int64]*bitmap.Bitmap)}
-	for _, v := range t.ints[i] {
+	for _, v := range data {
 		if _, ok := idx.vals[v]; !ok {
 			if len(idx.vals) >= maxCard {
 				return nil, fmt.Errorf("%w: column %q has more than %d distinct values", ErrHighCardinality, col, maxCard)
@@ -64,15 +65,12 @@ func BuildEqIndex(t *Table, col string, maxCard int) (*EqIndex, error) {
 		idx.vals[v] = bitmap.New(n)
 		idx.bytes += idx.vals[v].Bytes()
 	}
-	for row, v := range t.ints[i] {
+	for row, v := range data {
 		idx.vals[v].Set(row)
 	}
 	idx.bytes += int64(len(idx.vals)) * 16 // map entry overhead estimate
 	return idx, nil
 }
-
-// Rows returns the row count the index was built over.
-func (x *EqIndex) Rows() int { return x.rows }
 
 // Bytes estimates the index's resident size, for cache accounting.
 func (x *EqIndex) Bytes() int64 { return x.bytes }

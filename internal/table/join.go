@@ -20,7 +20,9 @@ import (
 // The right input's keys are numbered by a keyIndex (direct-addressed when
 // dense, a map otherwise) with the right rows of each key laid out as CSR;
 // the left input probes it in parallel using the contention-free two-pass
-// (count, prefix-sum, fill) pattern.
+// (count, prefix-sum, fill) pattern. Neither input settles: a selection
+// gathers only its key column, and output cells are gathered, column at a
+// time, through its row positions.
 func (t *Table) Join(right *Table, leftCol, rightCol string) (*Table, error) {
 	li := t.ColIndex(leftCol)
 	if li < 0 {
@@ -85,12 +87,37 @@ func (t *Table) join(li int, right *Table, ri int, outer bool, nullInt int64) (*
 		}
 		counts[w] = c
 	})
-	total := 0
-	starts := make([]int, len(ranges))
-	for w, c := range counts {
-		starts[w] = total
-		total += c
-	}
+	starts, total := prefixSum(counts)
+
+	// Probe pass 2: the base positions of each output row's left row and
+	// right row, -1 for the right side of an unmatched left row.
+	lc, lsel := t.view()
+	rc, rsel := right.view()
+	lpos, rpos := make([]int32, total), make([]int32, total)
+	par.ForEach(len(ranges), func(w int) {
+		at := starts[w]
+		for row := ranges[w].Lo; row < ranges[w].Hi; row++ {
+			lrow := int32(row)
+			if lsel != nil {
+				lrow = lsel[row]
+			}
+			g := match[row]
+			if g < 0 {
+				if outer {
+					lpos[at], rpos[at] = lrow, -1
+					at++
+				}
+				continue
+			}
+			for _, rrow := range rrows[off[g]:off[g+1]] {
+				if rsel != nil {
+					rrow = rsel[rrow]
+				}
+				lpos[at], rpos[at] = lrow, rrow
+				at++
+			}
+		}
+	})
 
 	out, err := newJoinOutput(t, right, total)
 	if err != nil {
@@ -103,54 +130,49 @@ func (t *Table) join(li int, right *Table, ri int, outer bool, nullInt int64) (*
 	if outer {
 		nullStr = int64(out.pool.Intern(""))
 	}
-	unmatched := []int32{-1}
-
+	// The fill gathers column at a time, each worker a range of output rows.
+	oc := &out.data
 	nLeft := len(t.cols)
-	par.ForEach(len(ranges), func(w int) {
-		at := starts[w]
-		for row := ranges[w].Lo; row < ranges[w].Hi; row++ {
-			var matches []int32
-			if g := match[row]; g >= 0 {
-				matches = rrows[off[g]:off[g+1]]
-			} else if outer {
-				matches = unmatched
+	par.For(total, func(lo, hi int) {
+		lp, rp := lpos[lo:hi], rpos[lo:hi]
+		for i, c := range t.cols {
+			if c.Type == Float {
+				gatherInto(oc.floats[i][lo:hi], lc.floats[i], lp)
+			} else {
+				gatherInto(oc.ints[i][lo:hi], lc.ints[i], lp)
 			}
-			for _, rrow := range matches {
-				for i := range t.cols {
-					if t.cols[i].Type == Float {
-						out.floats[i][at] = t.floats[i][row]
+		}
+		for j, c := range right.cols {
+			o := nLeft + j
+			switch c.Type {
+			case Float:
+				gatherOr(oc.floats[o][lo:hi], rc.floats[j], rp, math.NaN())
+			case String:
+				dst, src := oc.ints[o][lo:hi], rc.ints[j]
+				for k, r := range rp {
+					if r < 0 {
+						dst[k] = nullStr
 					} else {
-						out.ints[i][at] = t.ints[i][row]
+						dst[k] = rStrRemap[src[r]]
 					}
 				}
-				for j := range right.cols {
-					o := nLeft + j
-					switch right.cols[j].Type {
-					case Float:
-						if rrow < 0 {
-							out.floats[o][at] = math.NaN()
-						} else {
-							out.floats[o][at] = right.floats[j][rrow]
-						}
-					case String:
-						if rrow < 0 {
-							out.ints[o][at] = nullStr
-						} else {
-							out.ints[o][at] = rStrRemap[right.ints[j][rrow]]
-						}
-					default:
-						if rrow < 0 {
-							out.ints[o][at] = nullInt
-						} else {
-							out.ints[o][at] = right.ints[j][rrow]
-						}
-					}
-				}
-				at++
+			default:
+				gatherOr(oc.ints[o][lo:hi], rc.ints[j], rp, nullInt)
 			}
 		}
 	})
 	return out, nil
+}
+
+// gatherOr sets dst[k] = src[rows[k]], or null where rows[k] is negative.
+func gatherOr[T int64 | float64](dst, src []T, rows []int32, null T) {
+	for k, r := range rows {
+		if r < 0 {
+			dst[k] = null
+		} else {
+			dst[k] = src[r]
+		}
+	}
 }
 
 // joinKeys returns comparable int64 key slices for the two join columns.
@@ -168,10 +190,10 @@ func (t *Table) joinKeys(li int, right *Table, ri int) (lkeys, rkeys []int64) {
 	case String:
 		// Map right pool ids into left pool id space, looking each up once;
 		// strings the left pool lacks all get key -2, which matches nothing.
-		lkeys = t.ints[li]
+		lkeys = t.colKeys(li)
 		rkeys = make([]int64, right.NumRows())
 		remap := make([]int64, right.pool.Len()) // left id + 1, -1 if absent, 0 if not yet looked up
-		for row, id := range right.ints[ri] {
+		for row, id := range right.colKeys(ri) {
 			if remap[id] == 0 {
 				remap[id] = -1
 				if lid, ok := t.pool.Lookup(right.pool.Get(int32(id))); ok {
@@ -181,8 +203,7 @@ func (t *Table) joinKeys(li int, right *Table, ri int) (lkeys, rkeys []int64) {
 			rkeys[row] = remap[id] - 1
 		}
 	default:
-		lkeys = t.ints[li]
-		rkeys = right.ints[ri]
+		lkeys, rkeys = t.colKeys(li), right.colKeys(ri)
 	}
 	return lkeys, rkeys
 }
@@ -227,18 +248,16 @@ func newJoinOutput(left, right *Table, rows int) (*Table, error) {
 // zero cells and gives the rows the fresh ids 0..rows-1 of a new table
 // object.
 func (t *Table) numberRows(rows int) {
+	d := &t.data
 	for i := range t.cols {
 		if t.cols[i].Type == Float {
-			t.floats[i] = t.floats[i][:rows]
+			d.floats[i] = d.floats[i][:rows]
 		} else {
-			t.ints[i] = t.ints[i][:rows]
+			d.ints[i] = d.ints[i][:rows]
 		}
 	}
-	t.rowIDs = t.rowIDs[:rows]
-	for i := range t.rowIDs {
-		t.rowIDs[i] = int64(i)
-	}
-	t.nextID = int64(rows)
+	d.rowIDs = d.rowIDs[:rows]
+	t.renumber()
 }
 
 // remapPool interns every string of src's pool into dst's pool and returns

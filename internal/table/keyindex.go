@@ -114,14 +114,25 @@ func floatKey(f float64) int64 {
 
 // colKeys returns column i as int64 keys: Int values, String pool ids
 // (equal iff equal strings within one pool) or canonical Float keys. Int
-// and String columns are returned uncopied.
+// and String columns of a settled table are returned uncopied; a
+// selection's are gathered.
 func (t *Table) colKeys(i int) []int64 {
+	c, rows := t.view()
 	if t.cols[i].Type != Float {
-		return t.ints[i]
+		if rows == nil {
+			return c.ints[i]
+		}
+		keys := make([]int64, len(rows))
+		gatherInto(keys, c.ints[i], rows)
+		return keys
 	}
 	keys := make([]int64, t.NumRows())
-	for row, f := range t.floats[i] {
-		keys[row] = floatKey(f)
+	for row := range keys {
+		p := row
+		if rows != nil {
+			p = int(rows[row])
+		}
+		keys[row] = floatKey(c.floats[i][p])
 	}
 	return keys
 }

@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 )
 
@@ -30,22 +31,22 @@ func refJoinKeys(l *Table, li int, r *Table, ri int) (lkeys, rkeys []int64) {
 	switch l.cols[li].Type {
 	case Float:
 		lkeys = make([]int64, l.NumRows())
-		for row, f := range l.floats[li] {
+		for row, f := range l.settle().floats[li] {
 			lkeys[row] = refFloatKey(f)
 		}
 		rkeys = make([]int64, r.NumRows())
-		for row, f := range r.floats[ri] {
+		for row, f := range r.settle().floats[ri] {
 			rkeys[row] = refFloatKey(f)
 			if math.IsNaN(f) {
 				rkeys[row] = math.MinInt64 // -0's bits, which refFloatKey never returns
 			}
 		}
 	case String:
-		lkeys = l.ints[li]
+		lkeys = l.settle().ints[li]
 		rkeys = make([]int64, r.NumRows())
 		remap := make(map[int64]int64)
 		nextMiss := int64(-1)
-		for row, id := range r.ints[ri] {
+		for row, id := range r.settle().ints[ri] {
 			k, ok := remap[id]
 			if !ok {
 				if lid, present := l.pool.Lookup(r.pool.Get(int32(id))); present {
@@ -59,7 +60,7 @@ func refJoinKeys(l *Table, li int, r *Table, ri int) (lkeys, rkeys []int64) {
 			rkeys[row] = k
 		}
 	default:
-		lkeys, rkeys = l.ints[li], r.ints[ri]
+		lkeys, rkeys = l.settle().ints[li], r.settle().ints[ri]
 	}
 	return lkeys, rkeys
 }
@@ -92,32 +93,32 @@ func refJoin(l, r *Table, lcol, rcol string, outer bool, nullInt int64) (*Table,
 	emit := func(lrow int, rrow int32) {
 		for i := range l.cols {
 			if l.cols[i].Type == Float {
-				out.floats[i][at] = l.floats[i][lrow]
+				out.data.floats[i][at] = l.settle().floats[i][lrow]
 			} else {
-				out.ints[i][at] = l.ints[i][lrow]
+				out.data.ints[i][at] = l.settle().ints[i][lrow]
 			}
 		}
 		for j := range r.cols {
 			o := len(l.cols) + j
 			switch r.cols[j].Type {
 			case Float:
-				out.floats[o][at] = math.NaN()
+				out.data.floats[o][at] = math.NaN()
 				if rrow >= 0 {
-					out.floats[o][at] = r.floats[j][rrow]
+					out.data.floats[o][at] = r.settle().floats[j][rrow]
 				}
 			case String:
-				out.ints[o][at] = nullStr
+				out.data.ints[o][at] = nullStr
 				if rrow >= 0 {
-					out.ints[o][at] = rStrRemap[r.ints[j][rrow]]
+					out.data.ints[o][at] = rStrRemap[r.settle().ints[j][rrow]]
 				}
 			default:
-				out.ints[o][at] = nullInt
+				out.data.ints[o][at] = nullInt
 				if rrow >= 0 {
-					out.ints[o][at] = r.ints[j][rrow]
+					out.data.ints[o][at] = r.settle().ints[j][rrow]
 				}
 			}
 		}
-		out.rowIDs[at] = int64(at)
+		out.data.rowIDs[at] = int64(at)
 		at++
 	}
 	for lrow, k := range lkeys {
@@ -144,9 +145,9 @@ func refGroup(t *Table, cols ...string) (ids []int, groups int, err error) {
 		for row := range ids {
 			var k int64
 			if t.cols[i].Type == Float {
-				k = refFloatKey(t.floats[i][row])
+				k = refFloatKey(t.settle().floats[i][row])
 			} else {
-				k = t.ints[i][row]
+				k = t.settle().ints[i][row]
 			}
 			id, ok := seen[k]
 			if !ok {
@@ -202,19 +203,19 @@ func refAggregate(t *Table, groupCols []string, op AggOp, valCol, outCol string)
 		}
 		switch t.cols[i].Type {
 		case Int:
-			intVals = t.ints[i]
+			intVals = t.settle().ints[i]
 			if op == Mean {
 				outType = Float
 			}
 		case Float:
-			floatVals = t.floats[i]
+			floatVals = t.settle().floats[i]
 			outType = Float
 		default:
 			if op != First {
 				return nil, fmt.Errorf("table: aggregate %v over string column %q", op, valCol)
 			}
 			outType = String
-			intVals = t.ints[i]
+			intVals = t.settle().ints[i]
 		}
 	}
 	schema := make(Schema, 0, len(groupCols)+1)
@@ -268,15 +269,15 @@ func refAggregate(t *Table, groupCols []string, op AggOp, valCol, outCol string)
 		for k := range groupCols {
 			i := t.ColIndex(groupCols[k])
 			if t.cols[i].Type == Float {
-				out.floats[k] = append(out.floats[k], t.floats[i][row])
+				out.data.floats[k] = append(out.data.floats[k], t.settle().floats[i][row])
 			} else {
-				out.ints[k] = append(out.ints[k], t.ints[i][row])
+				out.data.ints[k] = append(out.data.ints[k], t.settle().ints[i][row])
 			}
 		}
 		last := len(groupCols)
 		switch {
 		case op == Count:
-			out.ints[last] = append(out.ints[last], counts[g])
+			out.data.ints[last] = append(out.data.ints[last], counts[g])
 		case outType == Int:
 			var v int64
 			switch op {
@@ -289,7 +290,7 @@ func refAggregate(t *Table, groupCols []string, op AggOp, valCol, outCol string)
 			case First:
 				v = firsts[g]
 			}
-			out.ints[last] = append(out.ints[last], v)
+			out.data.ints[last] = append(out.data.ints[last], v)
 		case outType == Float:
 			var v float64
 			switch op {
@@ -304,11 +305,11 @@ func refAggregate(t *Table, groupCols []string, op AggOp, valCol, outCol string)
 			case First:
 				v = ffirsts[g]
 			}
-			out.floats[last] = append(out.floats[last], v)
+			out.data.floats[last] = append(out.data.floats[last], v)
 		default:
-			out.ints[last] = append(out.ints[last], firsts[g])
+			out.data.ints[last] = append(out.data.ints[last], firsts[g])
 		}
-		out.rowIDs = append(out.rowIDs, int64(g))
+		out.data.rowIDs = append(out.data.rowIDs, int64(g))
 	}
 	out.nextID = int64(groups)
 	return out, nil
@@ -327,7 +328,7 @@ func refUnique(t *Table, cols ...string) (*Table, error) {
 		next := 0
 		for row, id := range ids {
 			if id == next {
-				out.appendRowFrom(t, row)
+				out.appendRowFrom(t.settle(), row)
 				next++
 			}
 		}
@@ -346,7 +347,7 @@ func refUnique(t *Table, cols ...string) (*Table, error) {
 			continue
 		}
 		seen[k] = struct{}{}
-		out.appendRowFrom(t, row)
+		out.appendRowFrom(t.settle(), row)
 	}
 	out.nextID = t.nextID
 	return out, nil
@@ -362,19 +363,21 @@ func diffTables(got, want *Table) string {
 	if got.NumRows() != want.NumRows() || got.nextID != want.nextID {
 		return fmt.Sprintf("%d rows next id %d, want %d rows next id %d", got.NumRows(), got.nextID, want.NumRows(), want.nextID)
 	}
-	for row := range want.rowIDs {
-		if got.rowIDs[row] != want.rowIDs[row] {
-			return fmt.Sprintf("row %d id %d, want %d", row, got.rowIDs[row], want.rowIDs[row])
-		}
+	// Cells first, through the accessors, which read a selection without
+	// settling it; the row ids then settle both.
+	for row := range want.NumRows() {
 		for i, c := range want.cols {
 			if c.Type == Float {
-				if g, w := got.floats[i][row], want.floats[i][row]; math.Float64bits(g) != math.Float64bits(w) {
+				if g, w := got.FloatAt(i, row), want.FloatAt(i, row); math.Float64bits(g) != math.Float64bits(w) {
 					return fmt.Sprintf("row %d col %s = %v, want %v", row, c.Name, g, w)
 				}
-			} else if g, w := got.ints[i][row], want.ints[i][row]; g != w {
+			} else if g, w := got.IntAt(i, row), want.IntAt(i, row); g != w {
 				return fmt.Sprintf("row %d col %s = %d, want %d", row, c.Name, g, w)
 			}
 		}
+	}
+	if g, w := got.RowIDs(), want.RowIDs(); !slices.Equal(g, w) {
+		return fmt.Sprintf("row ids %v, want %v", g, w)
 	}
 	if got.pool.Len() != want.pool.Len() {
 		return fmt.Sprintf("pool of %d strings, want %d", got.pool.Len(), want.pool.Len())

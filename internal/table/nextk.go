@@ -23,6 +23,7 @@ func (t *Table) NextK(groupCol, orderCol string, k int) (*Table, error) {
 	if gi < 0 {
 		return nil, fmt.Errorf("table: no column %q", groupCol)
 	}
+	d := t.settle()
 	if _, err := t.numericAsFloat(orderCol); err != nil {
 		return nil, err
 	}
@@ -50,6 +51,7 @@ func (t *Table) NextK(groupCol, orderCol string, k int) (*Table, error) {
 		return nil, err
 	}
 	remap := remapPool(t, out)
+	oc := &out.data
 	nCols := len(t.cols)
 	at := 0
 	for g := 0; g+1 < len(off); g++ {
@@ -60,14 +62,14 @@ func (t *Table) NextK(groupCol, orderCol string, k int) (*Table, error) {
 				for c := range t.cols {
 					switch t.cols[c].Type {
 					case Float:
-						out.floats[c][at] = t.floats[c][pred]
-						out.floats[nCols+c][at] = t.floats[c][succ]
+						oc.floats[c][at] = d.floats[c][pred]
+						oc.floats[nCols+c][at] = d.floats[c][succ]
 					case String:
-						out.ints[c][at] = remap[t.ints[c][pred]]
-						out.ints[nCols+c][at] = remap[t.ints[c][succ]]
+						oc.ints[c][at] = remap[d.ints[c][pred]]
+						oc.ints[nCols+c][at] = remap[d.ints[c][succ]]
 					default:
-						out.ints[c][at] = t.ints[c][pred]
-						out.ints[nCols+c][at] = t.ints[c][succ]
+						oc.ints[c][at] = d.ints[c][pred]
+						oc.ints[nCols+c][at] = d.ints[c][succ]
 					}
 				}
 				at++

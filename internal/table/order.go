@@ -23,6 +23,7 @@ func (t *Table) OrderBy(desc bool, cols ...string) error {
 		}
 		idx[k] = i
 	}
+	d := t.settle()
 	n := t.NumRows()
 	perm := make([]int, n)
 	for i := range perm {
@@ -32,17 +33,17 @@ func (t *Table) OrderBy(desc bool, cols ...string) error {
 		for _, i := range idx {
 			switch t.cols[i].Type {
 			case Int:
-				va, vb := t.ints[i][a], t.ints[i][b]
+				va, vb := d.ints[i][a], d.ints[i][b]
 				if va != vb {
 					return va < vb
 				}
 			case Float:
-				if c := cmp.Compare(t.floats[i][a], t.floats[i][b]); c != 0 {
+				if c := cmp.Compare(d.floats[i][a], d.floats[i][b]); c != 0 {
 					return c < 0
 				}
 			default:
-				va := t.pool.Get(int32(t.ints[i][a]))
-				vb := t.pool.Get(int32(t.ints[i][b]))
+				va := t.pool.Get(int32(d.ints[i][a]))
+				vb := t.pool.Get(int32(d.ints[i][b]))
 				if va != vb {
 					return va < vb
 				}
@@ -55,36 +56,36 @@ func (t *Table) OrderBy(desc bool, cols ...string) error {
 		less = func(a, b int) bool { return asc(b, a) }
 	}
 	sort.SliceStable(perm, func(x, y int) bool { return less(perm[x], perm[y]) })
-	t.applyPermutation(perm)
+	t.applyPermutation(d, perm)
 	return nil
 }
 
-// applyPermutation reorders all rows so that new row r holds old row
-// perm[r].
-func (t *Table) applyPermutation(perm []int) {
+// applyPermutation reorders all rows of d, t's storage, so that new row r
+// holds old row perm[r].
+func (t *Table) applyPermutation(d *cells, perm []int) {
 	n := len(perm)
 	for i := range t.cols {
 		if t.cols[i].Type == Float {
-			src := t.floats[i]
+			src := d.floats[i]
 			dst := make([]float64, n)
 			for r, p := range perm {
 				dst[r] = src[p]
 			}
-			t.floats[i] = dst
+			d.floats[i] = dst
 		} else {
-			src := t.ints[i]
+			src := d.ints[i]
 			dst := make([]int64, n)
 			for r, p := range perm {
 				dst[r] = src[p]
 			}
-			t.ints[i] = dst
+			d.ints[i] = dst
 		}
 	}
 	ids := make([]int64, n)
 	for r, p := range perm {
-		ids[r] = t.rowIDs[p]
+		ids[r] = d.rowIDs[p]
 	}
-	t.rowIDs = ids
+	d.rowIDs = ids
 }
 
 // Sample returns a new table of n rows drawn uniformly without replacement
@@ -99,9 +100,10 @@ func (t *Table) Sample(n int, seed int64) *Table {
 	rng := rand.New(rand.NewSource(seed))
 	chosen := rng.Perm(total)[:n]
 	sort.Ints(chosen)
+	d := t.settle()
 	out := t.freshLike(n)
 	for _, row := range chosen {
-		out.appendRowFrom(t, row)
+		out.appendRowFrom(d, row)
 	}
 	out.nextID = t.nextID
 	return out
@@ -114,9 +116,10 @@ func (t *Table) Head(n int) *Table {
 	if n > t.NumRows() {
 		n = t.NumRows()
 	}
+	d := t.settle()
 	out := t.freshLike(n)
 	for row := 0; row < n; row++ {
-		out.appendRowFrom(t, row)
+		out.appendRowFrom(d, row)
 	}
 	out.nextID = t.nextID
 	return out

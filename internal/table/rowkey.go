@@ -12,6 +12,7 @@ import (
 // so 0 and -0 are one value and so are all NaNs.
 type rowKeyEncoder struct {
 	t    *Table
+	d    *cells
 	cols []int
 	buf  []byte
 }
@@ -25,7 +26,7 @@ func newRowKeyEncoder(t *Table, names []string) (*rowKeyEncoder, error) {
 		}
 		cols[k] = i
 	}
-	return &rowKeyEncoder{t: t, cols: cols}, nil
+	return &rowKeyEncoder{t: t, d: t.settle(), cols: cols}, nil
 }
 
 // key returns the canonical encoding of row over the encoder's columns. The
@@ -35,11 +36,11 @@ func (e *rowKeyEncoder) key(row int) string {
 	for _, i := range e.cols {
 		switch e.t.cols[i].Type {
 		case Int:
-			e.buf = binary.BigEndian.AppendUint64(e.buf, uint64(e.t.ints[i][row]))
+			e.buf = binary.BigEndian.AppendUint64(e.buf, uint64(e.d.ints[i][row]))
 		case Float:
-			e.buf = binary.BigEndian.AppendUint64(e.buf, uint64(floatKey(e.t.floats[i][row])))
+			e.buf = binary.BigEndian.AppendUint64(e.buf, uint64(floatKey(e.d.floats[i][row])))
 		default:
-			s := e.t.pool.Get(int32(e.t.ints[i][row]))
+			s := e.t.pool.Get(int32(e.d.ints[i][row]))
 			e.buf = binary.BigEndian.AppendUint32(e.buf, uint32(len(s)))
 			e.buf = append(e.buf, s...)
 		}

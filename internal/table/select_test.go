@@ -1,6 +1,7 @@
 package table
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -91,26 +92,77 @@ func TestSelectPreservesRowIDs(t *testing.T) {
 	}
 }
 
-func TestSelectInPlace(t *testing.T) {
+// TestSelectChainKeepsRowIDs selects from selections, which compose their
+// row positions over the one base: the original ids survive every step.
+func TestSelectChainKeepsRowIDs(t *testing.T) {
 	tbl := postsTable(t)
-	n, err := tbl.SelectInPlace("Tag", EQ, "Java")
+	java, err := tbl.Select("Tag", EQ, "Java")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n != 4 || tbl.NumRows() != 4 {
-		t.Fatalf("in-place kept %d rows, table has %d", n, tbl.NumRows())
+	if java.sel.Load() == nil {
+		t.Fatal("a selection of 4 of 6 rows settled at once")
 	}
-	// Original ids survive the in-place filter (persistent identifiers).
-	want := []int64{0, 1, 4, 5}
-	for i, id := range tbl.RowIDs() {
-		if id != want[i] {
-			t.Fatalf("row id[%d] = %d, want %d", i, id, want[i])
+	for _, step := range []struct {
+		expr string
+		want []int64
+	}{
+		{"Type = question", []int64{0, 4}},
+		{"Score > 0", []int64{0, 1, 5}},
+		{"Score > 0 and Type = answer", []int64{1, 5}},
+	} {
+		got, err := java.SelectExpr(step.expr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s := got.sel.Load(); s != nil && &s.base.rowIDs[0] != &tbl.data.rowIDs[0] {
+			t.Fatalf("%q: a selection of a selection does not read the root base", step.expr)
+		}
+		if ids := got.RowIDs(); !slices.Equal(ids, step.want) {
+			t.Fatalf("%q: row ids %v, want %v", step.expr, ids, step.want)
 		}
 	}
-	// Chained in-place select still works.
-	n, err = tbl.SelectInPlace("Type", EQ, "question")
-	if err != nil || n != 2 {
-		t.Fatalf("second in-place = (%d,%v)", n, err)
+	if ids := java.RowIDs(); !slices.Equal(ids, []int64{0, 1, 4, 5}) {
+		t.Fatalf("settled selection has row ids %v", ids)
+	}
+}
+
+// TestSelectInPlace filters a table in place the way the program does it:
+// the name is rebound to its selection. Original ids survive each filter.
+func TestSelectInPlace(t *testing.T) {
+	tbl := postsTable(t)
+	tbl, err := tbl.Select("Tag", EQ, "Java")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tbl.NumRows() != 4 {
+		t.Fatalf("in-place filter kept %d rows, want 4", tbl.NumRows())
+	}
+	if ids := tbl.RowIDs(); !slices.Equal(ids, []int64{0, 1, 4, 5}) {
+		t.Fatalf("row ids %v, want [0 1 4 5]", ids)
+	}
+	// A chained in-place filter still works.
+	tbl, err = tbl.Select("Type", EQ, "question")
+	if err != nil || tbl.NumRows() != 2 {
+		t.Fatalf("second in-place filter = (%d rows, %v)", tbl.NumRows(), err)
+	}
+	if ids := tbl.RowIDs(); !slices.Equal(ids, []int64{0, 4}) {
+		t.Fatalf("row ids %v, want [0 4]", ids)
+	}
+}
+
+// TestSelectExprInPlace rebinds a table to the selection of an expression.
+func TestSelectExprInPlace(t *testing.T) {
+	tbl := postsTable(t)
+	tbl, err := tbl.SelectExpr("Tag = Java and Score > 0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tbl.NumRows() != 3 {
+		t.Fatalf("in-place filter kept %d rows, want 3", tbl.NumRows())
+	}
+	if ids := tbl.RowIDs(); !slices.Equal(ids, []int64{0, 1, 5}) {
+		t.Fatalf("row ids %v, want [0 1 5]", ids)
 	}
 }
 

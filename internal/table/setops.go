@@ -9,6 +9,7 @@ func (t *Table) Union(other *Table) (*Table, error) {
 	if !sameSchema(t, other) {
 		return nil, fmt.Errorf("table: union: schema mismatch")
 	}
+	d, od := t.settle(), other.settle()
 	out := t.freshLike(t.NumRows())
 	out.pool = t.pool.Clone()
 	seen := make(map[string]struct{}, t.NumRows())
@@ -19,7 +20,7 @@ func (t *Table) Union(other *Table) (*Table, error) {
 			continue
 		}
 		seen[k] = struct{}{}
-		out.appendRowFrom(t, row)
+		out.appendRowFrom(d, row)
 	}
 	encO, _ := newRowKeyEncoder(other, other.ColNames())
 	remap := remapPool(other, out)
@@ -29,13 +30,10 @@ func (t *Table) Union(other *Table) (*Table, error) {
 			continue
 		}
 		seen[k] = struct{}{}
-		out.appendOtherRow(other, row, remap)
+		out.appendOtherRow(od, row, remap)
 	}
 	// Set operations produce a new table object: renumber ids densely.
-	for i := range out.rowIDs {
-		out.rowIDs[i] = int64(i)
-	}
-	out.nextID = int64(len(out.rowIDs))
+	out.renumber()
 	return out, nil
 }
 
@@ -45,18 +43,16 @@ func (t *Table) UnionAll(other *Table) (*Table, error) {
 	if !sameSchema(t, other) {
 		return nil, fmt.Errorf("table: union all: schema mismatch")
 	}
+	d, od := t.settle(), other.settle()
 	out := t.freshLike(t.NumRows() + other.NumRows())
 	for row := 0; row < t.NumRows(); row++ {
-		out.appendRowFrom(t, row)
+		out.appendRowFrom(d, row)
 	}
 	remap := remapPool(other, out)
 	for row := 0; row < other.NumRows(); row++ {
-		out.appendOtherRow(other, row, remap)
+		out.appendOtherRow(od, row, remap)
 	}
-	for i := range out.rowIDs {
-		out.rowIDs[i] = int64(i)
-	}
-	out.nextID = int64(len(out.rowIDs))
+	out.renumber()
 	return out, nil
 }
 
@@ -66,6 +62,7 @@ func (t *Table) Intersect(other *Table) (*Table, error) {
 	if !sameSchema(t, other) {
 		return nil, fmt.Errorf("table: intersect: schema mismatch")
 	}
+	d := t.settle()
 	inOther := make(map[string]struct{}, other.NumRows())
 	encO, _ := newRowKeyEncoder(other, other.ColNames())
 	for row := 0; row < other.NumRows(); row++ {
@@ -83,7 +80,7 @@ func (t *Table) Intersect(other *Table) (*Table, error) {
 			continue
 		}
 		emitted[k] = struct{}{}
-		out.appendRowFrom(t, row)
+		out.appendRowFrom(d, row)
 	}
 	out.nextID = t.nextID
 	return out, nil
@@ -95,6 +92,7 @@ func (t *Table) Minus(other *Table) (*Table, error) {
 	if !sameSchema(t, other) {
 		return nil, fmt.Errorf("table: minus: schema mismatch")
 	}
+	d := t.settle()
 	inOther := make(map[string]struct{}, other.NumRows())
 	encO, _ := newRowKeyEncoder(other, other.ColNames())
 	for row := 0; row < other.NumRows(); row++ {
@@ -112,25 +110,34 @@ func (t *Table) Minus(other *Table) (*Table, error) {
 			continue
 		}
 		emitted[k] = struct{}{}
-		out.appendRowFrom(t, row)
+		out.appendRowFrom(d, row)
 	}
 	out.nextID = t.nextID
 	return out, nil
 }
 
-// appendOtherRow copies row r of other (same schema) into t, translating
-// string pool ids through remap and keeping other's row id (callers
-// renumber afterwards when required).
-func (t *Table) appendOtherRow(other *Table, r int, remap []int64) {
+// appendOtherRow copies row r of other, the cells of a table with t's
+// schema, into t, translating string pool ids through remap and keeping
+// other's row id (callers renumber afterwards when required).
+func (t *Table) appendOtherRow(other *cells, r int, remap []int64) {
+	d := &t.data
 	for i := range t.cols {
 		switch t.cols[i].Type {
 		case Float:
-			t.floats[i] = append(t.floats[i], other.floats[i][r])
+			d.floats[i] = append(d.floats[i], other.floats[i][r])
 		case String:
-			t.ints[i] = append(t.ints[i], remap[other.ints[i][r]])
+			d.ints[i] = append(d.ints[i], remap[other.ints[i][r]])
 		default:
-			t.ints[i] = append(t.ints[i], other.ints[i][r])
+			d.ints[i] = append(d.ints[i], other.ints[i][r])
 		}
 	}
-	t.rowIDs = append(t.rowIDs, other.rowIDs[r])
+	d.rowIDs = append(d.rowIDs, other.rowIDs[r])
+}
+
+// renumber gives the rows of a new table object the fresh ids 0..n-1.
+func (t *Table) renumber() {
+	for i := range t.data.rowIDs {
+		t.data.rowIDs[i] = int64(i)
+	}
+	t.nextID = int64(len(t.data.rowIDs))
 }

@@ -138,20 +138,18 @@ func (t *Table) SimJoin(right *Table, leftCols, rightCols []string, threshold fl
 		return string(key)
 	}
 
+	ld, rd := t.settle(), right.settle()
 	for lrow := 0; lrow < t.NumRows(); lrow++ {
 		for _, off := range offsets {
 			for _, rrow := range grid[neighborKey(lvecs[lrow], off)] {
 				dist := distance(lvecs[lrow], rvecs[rrow], metric)
 				if dist <= threshold {
-					out.appendJoinedRow(t, lrow, right, int(rrow), rStrRemap, dist)
+					out.appendJoinedRow(t, ld, lrow, right, rd, int(rrow), rStrRemap, dist)
 				}
 			}
 		}
 	}
-	for i := range out.rowIDs {
-		out.rowIDs[i] = int64(i)
-	}
-	out.nextID = int64(len(out.rowIDs))
+	out.renumber()
 	return out, nil
 }
 
@@ -181,36 +179,33 @@ func (t *Table) addSimDistColumn() error {
 	for t.ColIndex(name) >= 0 {
 		name += "_"
 	}
-	t.index[name] = len(t.cols)
-	t.cols = append(t.cols, Column{name, Float})
-	t.ints = append(t.ints, nil)
-	t.floats = append(t.floats, nil)
-	return nil
+	return t.addColumn(Column{name, Float}, nil, nil)
 }
 
-// appendJoinedRow appends left row lrow joined with right row rrow plus the
-// trailing distance column.
-func (t *Table) appendJoinedRow(left *Table, lrow int, right *Table, rrow int, rStrRemap []int64, dist float64) {
+// appendJoinedRow appends row lrow of left (its cells ld) joined with row
+// rrow of right (its cells rd) plus the trailing distance column.
+func (t *Table) appendJoinedRow(left *Table, ld *cells, lrow int, right *Table, rd *cells, rrow int, rStrRemap []int64, dist float64) {
+	d := &t.data
 	nLeft := len(left.cols)
 	for i := range left.cols {
 		if left.cols[i].Type == Float {
-			t.floats[i] = append(t.floats[i], left.floats[i][lrow])
+			d.floats[i] = append(d.floats[i], ld.floats[i][lrow])
 		} else {
-			t.ints[i] = append(t.ints[i], left.ints[i][lrow])
+			d.ints[i] = append(d.ints[i], ld.ints[i][lrow])
 		}
 	}
 	for j := range right.cols {
 		o := nLeft + j
 		switch right.cols[j].Type {
 		case Float:
-			t.floats[o] = append(t.floats[o], right.floats[j][rrow])
+			d.floats[o] = append(d.floats[o], rd.floats[j][rrow])
 		case String:
-			t.ints[o] = append(t.ints[o], rStrRemap[right.ints[j][rrow]])
+			d.ints[o] = append(d.ints[o], rStrRemap[rd.ints[j][rrow]])
 		default:
-			t.ints[o] = append(t.ints[o], right.ints[j][rrow])
+			d.ints[o] = append(d.ints[o], rd.ints[j][rrow])
 		}
 	}
 	last := len(t.cols) - 1
-	t.floats[last] = append(t.floats[last], dist)
-	t.rowIDs = append(t.rowIDs, 0) // renumbered by the caller
+	d.floats[last] = append(d.floats[last], dist)
+	d.rowIDs = append(d.rowIDs, 0) // renumbered by the caller
 }

@@ -135,26 +135,6 @@ func TestProjectPreservesRowIDs(t *testing.T) {
 	}
 }
 
-func TestRename(t *testing.T) {
-	tbl := postsTable(t)
-	if err := tbl.Rename("UserId", "User"); err != nil {
-		t.Fatal(err)
-	}
-	if tbl.ColIndex("User") < 0 || tbl.ColIndex("UserId") >= 0 {
-		t.Fatal("rename not applied")
-	}
-	if err := tbl.Rename("User", "Tag"); err == nil {
-		t.Fatal("rename onto existing column accepted")
-	}
-	if err := tbl.Rename("nope", "x"); err == nil {
-		t.Fatal("rename of missing column accepted")
-	}
-	// Renaming a column to itself is fine.
-	if err := tbl.Rename("Tag", "Tag"); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestCloneIsDeep(t *testing.T) {
 	tbl := postsTable(t)
 	c := tbl.Clone()

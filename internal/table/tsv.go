@@ -68,7 +68,8 @@ func ParseTSV(data []byte, schema Schema, header bool) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	cols, ints, last := t.cols, t.ints, len(t.cols)-1
+	d := &t.data
+	cols, ints, last := t.cols, d.ints, len(t.cols)-1
 	rows, skip := 0, header
 	for p, lineNo := 0, 1; p < len(data); lineNo++ {
 		start, eol := p, -1 // eol: the line's newline (or len(data)) once found
@@ -137,21 +138,18 @@ func ParseTSV(data []byte, schema Schema, header bool) (*Table, error) {
 		p = eol + 1
 		rows++
 	}
-	t.rowIDs = t.rowIDs[:rows]
+	d.rowIDs = d.rowIDs[:rows]
 	if rows < lines {
-		t.rowIDs = exactLen(t.rowIDs)
+		d.rowIDs = exactLen(d.rowIDs)
 		for i := range cols {
 			if cols[i].Type == Float {
-				t.floats[i] = exactLen(t.floats[i])
+				d.floats[i] = exactLen(d.floats[i])
 			} else {
-				t.ints[i] = exactLen(t.ints[i])
+				d.ints[i] = exactLen(d.ints[i])
 			}
 		}
 	}
-	for i := range t.rowIDs {
-		t.rowIDs[i] = int64(i)
-	}
-	t.nextID = int64(rows)
+	t.renumber()
 	return t, nil
 }
 
@@ -215,13 +213,13 @@ func (t *Table) appendTSVCell(i int, field []byte, lineNo int) error {
 				return fmt.Errorf("table: line %d column %q: %w", lineNo, t.cols[i].Name, err)
 			}
 		}
-		t.ints[i] = append(t.ints[i], n)
+		t.data.ints[i] = append(t.data.ints[i], n)
 	case Float:
 		f, err := strconv.ParseFloat(string(bytes.TrimSpace(field)), 64)
 		if err != nil {
 			return fmt.Errorf("table: line %d column %q: %w", lineNo, t.cols[i].Name, err)
 		}
-		t.floats[i] = append(t.floats[i], f)
+		t.data.floats[i] = append(t.data.floats[i], f)
 	default:
 		var id int32
 		if bytes.IndexByte(field, '\\') < 0 {
@@ -229,7 +227,7 @@ func (t *Table) appendTSVCell(i int, field []byte, lineNo int) error {
 		} else {
 			id = t.pool.Intern(unescapeTSV(string(field)))
 		}
-		t.ints[i] = append(t.ints[i], int64(id))
+		t.data.ints[i] = append(t.data.ints[i], int64(id))
 	}
 	return nil
 }
@@ -349,6 +347,7 @@ func (t *Table) SaveTSV(w io.Writer, header bool) error {
 			return err
 		}
 	}
+	d := t.settle()
 	var buf []byte
 	for row := 0; row < t.NumRows(); row++ {
 		buf = buf[:0]
@@ -358,11 +357,11 @@ func (t *Table) SaveTSV(w io.Writer, header bool) error {
 			}
 			switch t.cols[i].Type {
 			case Int:
-				buf = strconv.AppendInt(buf, t.ints[i][row], 10)
+				buf = strconv.AppendInt(buf, d.ints[i][row], 10)
 			case Float:
-				buf = strconv.AppendFloat(buf, t.floats[i][row], 'g', -1, 64)
+				buf = strconv.AppendFloat(buf, d.floats[i][row], 'g', -1, 64)
 			default:
-				buf = append(buf, escapeTSV(t.pool.Get(int32(t.ints[i][row])))...)
+				buf = append(buf, escapeTSV(t.pool.Get(int32(d.ints[i][row])))...)
 			}
 		}
 		buf = append(buf, '\n')

@@ -69,18 +69,18 @@ func refAppendTSVLine(t *Table, line string, lineNo int) error {
 			if err != nil {
 				return fmt.Errorf("table: line %d column %q: %w", lineNo, t.cols[i].Name, err)
 			}
-			t.ints[i] = append(t.ints[i], n)
+			t.data.ints[i] = append(t.data.ints[i], n)
 		case Float:
 			f, err := strconv.ParseFloat(strings.TrimSpace(field), 64)
 			if err != nil {
 				return fmt.Errorf("table: line %d column %q: %w", lineNo, t.cols[i].Name, err)
 			}
-			t.floats[i] = append(t.floats[i], f)
+			t.data.floats[i] = append(t.data.floats[i], f)
 		default:
-			t.ints[i] = append(t.ints[i], int64(t.pool.Intern(unescapeTSV(field))))
+			t.data.ints[i] = append(t.data.ints[i], int64(t.pool.Intern(unescapeTSV(field))))
 		}
 	}
-	t.rowIDs = append(t.rowIDs, t.nextID)
+	t.data.rowIDs = append(t.data.rowIDs, t.nextID)
 	t.nextID++
 	return nil
 }
@@ -119,30 +119,30 @@ func checkLoadTSV(t *testing.T, data []byte, schema Schema, header bool) {
 	if err != nil {
 		return
 	}
-	if !slices.Equal(got.rowIDs, want.rowIDs) || got.nextID != want.nextID {
-		t.Fatalf("%s: row ids %v (next %d), reference %v (next %d)", ctx, got.rowIDs, got.nextID, want.rowIDs, want.nextID)
+	if !slices.Equal(got.data.rowIDs, want.data.rowIDs) || got.nextID != want.nextID {
+		t.Fatalf("%s: row ids %v (next %d), reference %v (next %d)", ctx, got.data.rowIDs, got.nextID, want.data.rowIDs, want.nextID)
 	}
 	if !slices.Equal(poolStrings(got), poolStrings(want)) {
 		t.Fatalf("%s: pool %q, reference %q", ctx, poolStrings(got), poolStrings(want))
 	}
-	if cap(got.rowIDs) != len(got.rowIDs) {
-		t.Fatalf("%s: row ids cap %d for %d rows", ctx, cap(got.rowIDs), len(got.rowIDs))
+	if cap(got.data.rowIDs) != len(got.data.rowIDs) {
+		t.Fatalf("%s: row ids cap %d for %d rows", ctx, cap(got.data.rowIDs), len(got.data.rowIDs))
 	}
 	for i, c := range schema {
 		if c.Type == Float {
-			g := got.floats[i]
-			if len(g) != len(want.floats[i]) || cap(g) != len(g) {
-				t.Fatalf("%s: column %s len %d cap %d, reference len %d", ctx, c.Name, len(g), cap(g), len(want.floats[i]))
+			g := got.data.floats[i]
+			if len(g) != len(want.data.floats[i]) || cap(g) != len(g) {
+				t.Fatalf("%s: column %s len %d cap %d, reference len %d", ctx, c.Name, len(g), cap(g), len(want.data.floats[i]))
 			}
-			for r, f := range want.floats[i] {
+			for r, f := range want.data.floats[i] {
 				if math.Float64bits(g[r]) != math.Float64bits(f) {
 					t.Fatalf("%s: column %s row %d = %v, reference %v", ctx, c.Name, r, g[r], f)
 				}
 			}
 			continue
 		}
-		if g := got.ints[i]; !slices.Equal(g, want.ints[i]) || cap(g) != len(g) {
-			t.Fatalf("%s: column %s = %v (cap %d), reference %v", ctx, c.Name, g, cap(g), want.ints[i])
+		if g := got.data.ints[i]; !slices.Equal(g, want.data.ints[i]) || cap(g) != len(g) {
+			t.Fatalf("%s: column %s = %v (cap %d), reference %v", ctx, c.Name, g, cap(g), want.data.ints[i])
 		}
 	}
 }
@@ -254,8 +254,8 @@ func TestLoadTSVFileFromDisk(t *testing.T) {
 		t.Fatal(err)
 	}
 	want, _ := loadTSVReference(strings.NewReader(in), schema, true)
-	if got.NumRows() != 2 || !slices.Equal(got.floats[1], want.floats[1]) || !slices.Equal(poolStrings(got), poolStrings(want)) {
-		t.Fatalf("file load: %d rows %v %q", got.NumRows(), got.floats[1], poolStrings(got))
+	if got.NumRows() != 2 || !slices.Equal(got.data.floats[1], want.data.floats[1]) || !slices.Equal(poolStrings(got), poolStrings(want)) {
+		t.Fatalf("file load: %d rows %v %q", got.NumRows(), got.data.floats[1], poolStrings(got))
 	}
 }
 

@@ -10,7 +10,9 @@ import (
 // (one comparison per row, no per-row function calls), and the boolean
 // connectives combine whole 64-row words. String ordering comparisons are
 // evaluated once per distinct interned value, then broadcast over the id
-// column, so the per-row cost of every leaf is integer-compare speed.
+// column, so the per-row cost of every leaf is integer-compare speed. A
+// selection's leaf reads its base column through the row positions, a
+// block of rows at a time, without settling.
 
 // evalNode evaluates a predicate tree into a fresh selection bitmap of
 // NumRows bits.
@@ -31,7 +33,7 @@ func (t *Table) evalNode(n *predNode) *bitmap.Bitmap {
 			// IN-list fusion: "c = a or c = b or ..." over one column is a
 			// single membership scan, not one column scan per term.
 			bm := bitmap.New(t.NumRows())
-			fillInSet(bm, t.ints[col], consts)
+			fillInSet(bm, intCol(t, col), consts)
 			return bm
 		}
 		bm := t.evalNode(n.left)
@@ -78,18 +80,59 @@ func orEqChain(n *predNode) (col int, consts []int64, ok bool) {
 	return col, consts, true
 }
 
+// colScan is one column as a leaf scans it: data itself, or, for a
+// selection, data read at the positions rows.
+type colScan[T int64 | float64] struct {
+	data []T
+	rows []int32
+}
+
+func intCol(t *Table, i int) colScan[int64] {
+	c, rows := t.view()
+	return colScan[int64]{c.ints[i], rows}
+}
+
+func floatCol(t *Table, i int) colScan[float64] {
+	c, rows := t.view()
+	return colScan[float64]{c.floats[i], rows}
+}
+
+// scanBlock is the rows a scan hands to its fill at once: 16 words.
+const scanBlock = 16 * bitmap.WordBits
+
+// scan fills bm's words in parallel, a block at a time: fill gets the words
+// to set and the values of their rows, gathered into a per-worker buffer
+// when the column is read through row positions.
+func scan[T int64 | float64](bm *bitmap.Bitmap, col colScan[T], fill func(words []uint64, vals []T)) {
+	words := bm.Words()
+	n := bm.Len()
+	bm.ParFill(func(wlo, whi int) {
+		var buf []T
+		if col.rows != nil {
+			buf = make([]T, scanBlock)
+		}
+		for lo := wlo << 6; lo < min(whi<<6, n); lo += scanBlock {
+			hi := min(lo+scanBlock, whi<<6, n)
+			vals := col.data[lo:hi]
+			if col.rows != nil {
+				vals = buf[:hi-lo]
+				gatherInto(vals, col.data, col.rows[lo:hi])
+			}
+			fill(words[lo>>6:(hi+bitmap.WordBits-1)>>6], vals)
+		}
+	})
+}
+
 // fillInSet sets bm's bits where the column's value equals any constant —
 // the fused execution of an OR-of-equalities chain: the column is streamed
 // once however many terms the chain has. When the constants span a small
 // range (always true for interned string ids) membership is one table
 // lookup per row; otherwise each row compares against the list in
 // registers, which still beats one full column scan per term.
-func fillInSet(bm *bitmap.Bitmap, data []int64, consts []int64) {
+func fillInSet(bm *bitmap.Bitmap, col colScan[int64], consts []int64) {
 	if len(consts) == 0 {
 		return
 	}
-	words := bm.Words()
-	n := len(data)
 	lo, hi := consts[0], consts[0]
 	for _, c := range consts[1:] {
 		if c < lo {
@@ -105,11 +148,10 @@ func fillInSet(bm *bitmap.Bitmap, data []int64, consts []int64) {
 		for _, c := range consts {
 			accept[c-lo] = true
 		}
-		bm.ParFill(func(wlo, whi int) {
-			for w := wlo; w < whi; w++ {
-				base := w << 6
+		scan(bm, col, func(words []uint64, vals []int64) {
+			for w := range words {
 				var word uint64
-				for j, v := range data[base:min(base+bitmap.WordBits, n)] {
+				for j, v := range vals[w<<6 : min((w+1)<<6, len(vals))] {
 					if v >= lo && v <= hi && accept[v-lo] {
 						word |= 1 << uint(j)
 					}
@@ -119,11 +161,10 @@ func fillInSet(bm *bitmap.Bitmap, data []int64, consts []int64) {
 		})
 		return
 	}
-	bm.ParFill(func(wlo, whi int) {
-		for w := wlo; w < whi; w++ {
-			base := w << 6
+	scan(bm, col, func(words []uint64, vals []int64) {
+		for w := range words {
 			var word uint64
-			for j, v := range data[base:min(base+bitmap.WordBits, n)] {
+			for j, v := range vals[w<<6 : min((w+1)<<6, len(vals))] {
 				for _, c := range consts {
 					if v == c {
 						word |= 1 << uint(j)
@@ -141,9 +182,11 @@ func (t *Table) leafBitmap(l leafPred) *bitmap.Bitmap {
 	bm := bitmap.New(t.NumRows())
 	switch l.typ {
 	case Int:
-		fillCmpInt(bm, t.ints[l.col], l.ic, l.op)
+		fillCmp(bm, intCol(t, l.col), l.ic, l.op)
 	case Float:
-		fillCmpFloat(bm, t.floats[l.col], l.fc, l.op)
+		// NaN comparison semantics follow Go's (all comparisons false
+		// except NE), matching the closure path.
+		fillCmp(bm, floatCol(t, l.col), l.fc, l.op)
 	default:
 		if l.op == EQ || l.op == NE {
 			if l.missing {
@@ -152,7 +195,7 @@ func (t *Table) leafBitmap(l leafPred) *bitmap.Bitmap {
 				}
 				return bm
 			}
-			fillCmpInt(bm, t.ints[l.col], l.ic, l.op)
+			fillCmp(bm, intCol(t, l.col), l.ic, l.op)
 			return bm
 		}
 		// Ordering over strings: decide each distinct pool id once, then
@@ -161,36 +204,32 @@ func (t *Table) leafBitmap(l leafPred) *bitmap.Bitmap {
 		par.ForEach(len(accept), func(id int) {
 			accept[id] = cmpString(t.pool.Get(int32(id)), l.sc, l.op)
 		})
-		fillAccept(bm, t.ints[l.col], accept)
+		scan(bm, intCol(t, l.col), func(words []uint64, vals []int64) {
+			for w := range words {
+				var word uint64
+				for j, v := range vals[w<<6 : min((w+1)<<6, len(vals))] {
+					if accept[v] {
+						word |= 1 << uint(j)
+					}
+				}
+				words[w] = word
+			}
+		})
 	}
 	return bm
 }
 
-// fillCmpInt sets bm's bits where the int column compares true against c.
-func fillCmpInt(bm *bitmap.Bitmap, data []int64, c int64, op CmpOp) {
-	fillCmp(bm, data, c, op)
-}
-
-// fillCmpFloat is fillCmpInt over a float column. NaN comparison semantics
-// follow Go's (all comparisons false except NE), matching the closure path.
-func fillCmpFloat(bm *bitmap.Bitmap, data []float64, c float64, op CmpOp) {
-	fillCmp(bm, data, c, op)
-}
-
-// fillCmp fills word-aligned 64-row chunks in parallel. The operator switch
-// sits outside the row loops so each instantiation's loop body is a single
-// predictable comparison; ranging over the word's subslice lets the compiler
-// drop the per-element bounds checks.
-func fillCmp[T int64 | float64](bm *bitmap.Bitmap, data []T, c T, op CmpOp) {
-	words := bm.Words()
-	n := len(data)
-	bm.ParFill(func(wlo, whi int) {
+// fillCmp sets bm's bits where the column compares true against c. The
+// operator switch sits outside the row loops so each instantiation's loop
+// body is a single predictable comparison; ranging over each word's
+// subslice lets the compiler drop the per-element bounds checks.
+func fillCmp[T int64 | float64](bm *bitmap.Bitmap, col colScan[T], c T, op CmpOp) {
+	scan(bm, col, func(words []uint64, vals []T) {
 		switch op {
 		case EQ:
-			for w := wlo; w < whi; w++ {
-				base := w << 6
+			for w := range words {
 				var word uint64
-				for j, v := range data[base:min(base+bitmap.WordBits, n)] {
+				for j, v := range vals[w<<6 : min((w+1)<<6, len(vals))] {
 					if v == c {
 						word |= 1 << uint(j)
 					}
@@ -198,10 +237,9 @@ func fillCmp[T int64 | float64](bm *bitmap.Bitmap, data []T, c T, op CmpOp) {
 				words[w] = word
 			}
 		case NE:
-			for w := wlo; w < whi; w++ {
-				base := w << 6
+			for w := range words {
 				var word uint64
-				for j, v := range data[base:min(base+bitmap.WordBits, n)] {
+				for j, v := range vals[w<<6 : min((w+1)<<6, len(vals))] {
 					if v != c {
 						word |= 1 << uint(j)
 					}
@@ -209,10 +247,9 @@ func fillCmp[T int64 | float64](bm *bitmap.Bitmap, data []T, c T, op CmpOp) {
 				words[w] = word
 			}
 		case LT:
-			for w := wlo; w < whi; w++ {
-				base := w << 6
+			for w := range words {
 				var word uint64
-				for j, v := range data[base:min(base+bitmap.WordBits, n)] {
+				for j, v := range vals[w<<6 : min((w+1)<<6, len(vals))] {
 					if v < c {
 						word |= 1 << uint(j)
 					}
@@ -220,10 +257,9 @@ func fillCmp[T int64 | float64](bm *bitmap.Bitmap, data []T, c T, op CmpOp) {
 				words[w] = word
 			}
 		case LE:
-			for w := wlo; w < whi; w++ {
-				base := w << 6
+			for w := range words {
 				var word uint64
-				for j, v := range data[base:min(base+bitmap.WordBits, n)] {
+				for j, v := range vals[w<<6 : min((w+1)<<6, len(vals))] {
 					if v <= c {
 						word |= 1 << uint(j)
 					}
@@ -231,10 +267,9 @@ func fillCmp[T int64 | float64](bm *bitmap.Bitmap, data []T, c T, op CmpOp) {
 				words[w] = word
 			}
 		case GT:
-			for w := wlo; w < whi; w++ {
-				base := w << 6
+			for w := range words {
 				var word uint64
-				for j, v := range data[base:min(base+bitmap.WordBits, n)] {
+				for j, v := range vals[w<<6 : min((w+1)<<6, len(vals))] {
 					if v > c {
 						word |= 1 << uint(j)
 					}
@@ -242,35 +277,15 @@ func fillCmp[T int64 | float64](bm *bitmap.Bitmap, data []T, c T, op CmpOp) {
 				words[w] = word
 			}
 		default: // GE
-			for w := wlo; w < whi; w++ {
-				base := w << 6
+			for w := range words {
 				var word uint64
-				for j, v := range data[base:min(base+bitmap.WordBits, n)] {
+				for j, v := range vals[w<<6 : min((w+1)<<6, len(vals))] {
 					if v >= c {
 						word |= 1 << uint(j)
 					}
 				}
 				words[w] = word
 			}
-		}
-	})
-}
-
-// fillAccept sets bm's bits where the row's interned id is accepted — the
-// broadcast step of string ordering comparisons.
-func fillAccept(bm *bitmap.Bitmap, data []int64, accept []bool) {
-	words := bm.Words()
-	n := len(data)
-	bm.ParFill(func(wlo, whi int) {
-		for w := wlo; w < whi; w++ {
-			base := w << 6
-			var word uint64
-			for j, v := range data[base:min(base+bitmap.WordBits, n)] {
-				if accept[v] {
-					word |= 1 << uint(j)
-				}
-			}
-			words[w] = word
 		}
 	})
 }

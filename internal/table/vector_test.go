@@ -150,67 +150,33 @@ func TestOrEqFusionMatchesClosure(t *testing.T) {
 	}
 }
 
-// TestSelectInPlaceMatchesSelect builds the same table twice and checks the
-// in-place variants keep exactly the rows their copying counterparts select.
-func TestSelectInPlaceMatchesSelect(t *testing.T) {
+// TestSelectChainMatchesConjunction checks that filtering a selection —
+// a leaf scan through its row positions, composed over the base — keeps
+// exactly the rows one filter by the conjunction keeps.
+func TestSelectChainMatchesConjunction(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	for iter := 0; iter < 20; iter++ {
-		seed := rng.Int63()
-		mk := func() *Table { return equivTable(t, 1500, rand.New(rand.NewSource(seed))) }
-		expr := equivExpr(rand.New(rand.NewSource(seed+1)), 2)
-
-		a, b := mk(), mk()
-		out, err := a.SelectExpr(expr)
+		tbl := equivTable(t, 1500, rng)
+		first, second := equivExpr(rng, 2), equivExpr(rng, 2)
+		want, err := tbl.SelectExpr("(" + first + ") and (" + second + ")")
 		if err != nil {
-			continue // both paths reject identically; covered above
+			continue // a rejected expression is covered above
 		}
-		if _, err := selectExprInPlace(b, expr); err != nil {
-			t.Fatalf("in-place rejected %q the copying path accepted: %v", expr, err)
-		}
-		sameSelection(t, b, out, fmt.Sprintf("in-place expr %q", expr))
-
-		c, d := mk(), mk()
-		outc, err := c.Select("a", GE, int64(2))
+		step, err := tbl.SelectExpr(first)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := d.SelectInPlace("a", GE, int64(2)); err != nil {
+		got, err := step.SelectExpr(second)
+		if err != nil {
+			t.Fatalf("%q over a selection: %v", second, err)
+		}
+		sameSelection(t, got, want, fmt.Sprintf("%q then %q", first, second))
+		got, err = step.Select("a", GE, int64(2))
+		if err != nil {
 			t.Fatal(err)
 		}
-		sameSelection(t, d, outc, "in-place a >= 2")
-	}
-}
-
-// TestSelectInPlaceKeepsPoolIdentity is the regression for the aliasing
-// contract documented on SelectInPlace: the in-place variants compact the
-// receiver's own storage, so a string pool pointer taken before the filter
-// must remain the table's pool after it — callers interning through a
-// retained pool must observe those ids in the table.
-func TestSelectInPlaceKeepsPoolIdentity(t *testing.T) {
-	tbl := postsTable(t)
-	pool := tbl.pool
-	if _, err := selectExprInPlace(tbl, "Tag = Java"); err != nil {
-		t.Fatal(err)
-	}
-	if tbl.pool != pool {
-		t.Fatal("in-place expression select replaced the table's string pool")
-	}
-	if _, err := tbl.SelectInPlace("Type", EQ, "question"); err != nil {
-		t.Fatal(err)
-	}
-	if tbl.pool != pool {
-		t.Fatal("SelectInPlace replaced the table's string pool")
-	}
-	// The surviving table still round-trips through the retained pool.
-	if err := tbl.AppendRow(int64(900), int64(900), "question", "Java", 1.0); err != nil {
-		t.Fatal(err)
-	}
-	got, err := tbl.Select("Tag", EQ, "Java")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.NumRows() != tbl.NumRows() {
-		t.Fatalf("post-filter append not visible through pool: %d of %d rows", got.NumRows(), tbl.NumRows())
+		want, _ = tbl.SelectExpr("(" + first + ") and a >= 2")
+		sameSelection(t, got, want, fmt.Sprintf("%q then a >= 2", first))
 	}
 }
 
